@@ -514,8 +514,8 @@ void Checkpointer::rotate_wal(std::uint64_t id,
   const std::uint64_t old_epoch = wal_ ? wal_->epoch() : 0;
   wal_.reset();  // close is best-effort: a torn tail is recovery's job
   const bool include_sim = policy_.strategy != Strategy::kParamsOnly;
-  wal_ = std::make_unique<WalWriter>(env_, dir_, id, policy_.wal, state,
-                                     include_sim);
+  wal_ = std::make_unique<WalWriter>(env_, dir_, id, policy_.wal,
+                                     policy_.codec, state, include_sim);
   {
     std::lock_guard lock(mu_);
     stats_.wal_bytes += wal_->bytes_logged();  // the new log's header

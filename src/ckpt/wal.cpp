@@ -14,7 +14,10 @@ namespace qnn::ckpt {
 namespace {
 
 constexpr char kWalMagic[4] = {'Q', 'W', 'A', 'L'};
-constexpr std::uint16_t kWalVersion = 1;
+/// Raw section bodies, deltas only between equal sizes: replayed, never
+/// written.
+constexpr std::uint16_t kWalVersion1 = 1;
+constexpr std::uint16_t kWalVersion = 2;
 /// magic(4) + version(2) + epoch(8) + base_step(8) + crc(4).
 constexpr std::size_t kWalHeaderSize = 26;
 /// payload_len(8) + crc(4).
@@ -30,11 +33,15 @@ Bytes encode_header(std::uint64_t epoch, std::uint64_t base_step) {
   return out;
 }
 
-/// One decoded (but not yet applied) record section.
+/// One parsed (not yet decoded or applied) record section; `encoded`
+/// views the journal bytes.
 struct RecordSection {
-  SectionKind kind;
-  std::uint8_t flags;
-  Bytes payload;
+  SectionKind kind = SectionKind::kMeta;
+  std::uint8_t flags = 0;
+  codec::CodecId codec = codec::CodecId::kRaw;
+  std::uint64_t base_len = 0;  ///< size of the delta base
+  std::uint64_t raw_len = 0;   ///< size of the decoded body
+  ByteSpan encoded;
 };
 
 struct Record {
@@ -42,11 +49,23 @@ struct Record {
   std::vector<RecordSection> sections;
 };
 
-/// Parses a CRC-validated frame payload; throws std::out_of_range /
-/// std::runtime_error on malformed contents (treated as a torn tail by
-/// the callers — a valid CRC over garbage means the writer never wrote
-/// it, so the bytes past the previous frame are not a record).
-Record parse_record(ByteSpan payload) {
+/// Reads a put_bytes string as a view into `in`.
+ByteSpan get_span(ByteSpan in, std::size_t& off) {
+  const auto n = util::get_le<std::uint64_t>(in, off);
+  if (n > in.size() - off) {
+    throw std::out_of_range("wal record: section underrun");
+  }
+  const ByteSpan out = in.subspan(off, n);
+  off += n;
+  return out;
+}
+
+/// Parses a CRC-validated frame payload of a `version` journal; throws
+/// std::out_of_range / std::runtime_error on malformed contents (treated
+/// as a torn tail by the callers — a valid CRC over garbage means the
+/// writer never wrote it, so the bytes past the previous frame are not a
+/// record). Section bodies are decoded by replay only.
+Record parse_record(ByteSpan payload, std::uint16_t version) {
   Record rec;
   std::size_t off = 0;
   rec.step = util::get_le<std::uint64_t>(payload, off);
@@ -57,8 +76,17 @@ Record parse_record(ByteSpan payload) {
     s.kind =
         static_cast<SectionKind>(util::get_le<std::uint16_t>(payload, off));
     s.flags = util::get_le<std::uint8_t>(payload, off);
-    s.payload = util::get_bytes(payload, off);
-    rec.sections.push_back(std::move(s));
+    if (version == kWalVersion1) {
+      s.encoded = get_span(payload, off);
+      s.base_len = s.raw_len = s.encoded.size();
+    } else {
+      s.codec =
+          static_cast<codec::CodecId>(util::get_le<std::uint8_t>(payload, off));
+      s.base_len = util::get_le<std::uint64_t>(payload, off);
+      s.raw_len = util::get_le<std::uint64_t>(payload, off);
+      s.encoded = get_span(payload, off);
+    }
+    rec.sections.push_back(s);
   }
   if (off != payload.size()) {
     throw std::runtime_error("wal record: trailing bytes");
@@ -85,7 +113,8 @@ std::optional<WalScan> walk_wal(io::Env& env, const std::string& dir,
   const auto file_epoch = util::get_le<std::uint64_t>(bytes, off);
   const auto base_step = util::get_le<std::uint64_t>(bytes, off);
   const auto header_crc = util::get_le<std::uint32_t>(bytes, off);
-  if (version != kWalVersion || file_epoch != epoch ||
+  if ((version != kWalVersion && version != kWalVersion1) ||
+      file_epoch != epoch ||
       header_crc != util::crc32c(bytes.first(kWalHeaderSize - 4))) {
     return std::nullopt;
   }
@@ -108,7 +137,7 @@ std::optional<WalScan> walk_wal(io::Env& env, const std::string& dir,
     }
     Record rec;
     try {
-      rec = parse_record(payload);
+      rec = parse_record(payload, version);
     } catch (const std::exception&) {
       break;  // CRC-valid but malformed: not something the writer framed
     }
@@ -163,24 +192,31 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
   std::uint64_t step = 0;
   const auto scan =
       walk_wal(env, dir, epoch, [&](const Record& rec) {
-        // Validate the whole record against the running state before
+        // Decode the whole record against the running state before
         // committing any section of it: records apply atomically.
-        for (const RecordSection& s : rec.sections) {
-          if ((s.flags & kSectionFlagDelta) != 0) {
-            const auto base = resolved.find(s.kind);
-            if (base == resolved.end() ||
-                base->second.size() != s.payload.size()) {
-              return false;
+        std::vector<std::pair<SectionKind, Bytes>> decoded;
+        decoded.reserve(rec.sections.size());
+        try {
+          for (const RecordSection& s : rec.sections) {
+            const Bytes* base = nullptr;
+            if ((s.flags & kSectionFlagDelta) != 0) {
+              const auto it = resolved.find(s.kind);
+              if (it == resolved.end() || it->second.size() != s.base_len) {
+                return false;  // the delta's base is not this state's
+              }
+              base = &it->second;
             }
+            Bytes body = codec::decode(s.codec, s.encoded, s.raw_len);
+            if (base != nullptr) {
+              body = codec::xor_with_parent(body, *base);
+            }
+            decoded.emplace_back(s.kind, std::move(body));
           }
+        } catch (const std::exception&) {
+          return false;  // CRC-valid but undecodable: stop replay here too
         }
-        for (const RecordSection& s : rec.sections) {
-          if ((s.flags & kSectionFlagDelta) != 0) {
-            resolved[s.kind] =
-                codec::xor_with_parent(s.payload, resolved[s.kind]);
-          } else {
-            resolved[s.kind] = s.payload;
-          }
+        for (auto& [kind, payload] : decoded) {
+          resolved[kind] = std::move(payload);
         }
         ++applied;
         step = rec.step;
@@ -194,11 +230,12 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
 }
 
 WalWriter::WalWriter(io::Env& env, const std::string& dir, std::uint64_t epoch,
-                     WalPolicy policy, const qnn::TrainingState& base,
-                     bool include_simulator)
+                     WalPolicy policy, codec::CodecId codec,
+                     const qnn::TrainingState& base, bool include_simulator)
     : env_(env),
       epoch_(epoch),
       policy_(policy),
+      codec_(codec),
       include_simulator_(include_simulator) {
   for (Section& s :
        state_to_sections(base, include_simulator_, codec::CodecId::kRaw)) {
@@ -233,19 +270,33 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
                               static_cast<std::uint32_t>(sections.size()));
   for (Section& s : sections) {
     std::uint8_t flags = 0;
+    std::uint64_t base_len = 0;
+    Bytes body;
     const auto base = last_raw_.find(s.kind);
-    if (base != last_raw_.end() && base->second.size() == s.payload.size()) {
-      Bytes delta = codec::xor_with_parent(s.payload, base->second);
+    if (base != last_raw_.end()) {
+      // Delta even across a size change (a growing or cleared loss
+      // history): the shared prefix still cancels.
+      body = codec::xor_with_parent(s.payload, base->second);
+      base_len = base->second.size();
       base->second = std::move(s.payload);
-      s.payload = std::move(delta);
       flags |= kSectionFlagDelta;
     } else {
-      // Size changed (e.g. a growing loss history): log raw.
-      last_raw_[s.kind] = s.payload;
+      body = s.payload;
+      last_raw_.emplace(s.kind, std::move(s.payload));
+    }
+    const std::uint64_t raw_len = body.size();
+    codec::CodecId id = codec_;
+    Bytes encoded = codec::encode(id, body);
+    if (encoded.size() >= body.size()) {
+      id = codec::CodecId::kRaw;
+      encoded = std::move(body);
     }
     util::put_le<std::uint16_t>(payload, static_cast<std::uint16_t>(s.kind));
     util::put_le<std::uint8_t>(payload, flags);
-    util::put_bytes(payload, s.payload);
+    util::put_le<std::uint8_t>(payload, static_cast<std::uint8_t>(id));
+    util::put_le<std::uint64_t>(payload, base_len);
+    util::put_le<std::uint64_t>(payload, raw_len);
+    util::put_bytes(payload, encoded);
   }
   Bytes frame;
   util::put_le<std::uint64_t>(frame, payload.size());

@@ -15,11 +15,22 @@
 //   record*  u64 payload_len  u32 crc32c(le64(payload_len) || payload)
 //            payload
 //
-// A record's payload is `u64 step, u32 n_sections, { u16 kind, u8 flags,
-// u64 len, bytes }*` — the step's state as raw section payloads, each
-// XOR-delta'd (kSectionFlagDelta) against the previous record's resolved
-// payload when the sizes match, raw otherwise. The first record deltas
-// against the epoch's installed state.
+// A record's payload is `u64 step, u32 n_sections, section*` — the step's
+// state, one section per kind. Version 2 lays a section out as
+//
+//   u16 kind  u8 flags  u8 codec  u64 base_len  u64 raw_len
+//   u64 enc_len  enc_len bytes
+//
+// The raw_len-byte body is the section payload XOR-delta'd
+// (kSectionFlagDelta) against the previous record's resolved payload of
+// that kind, also across a size change: a grown or cleared loss history
+// still cancels its shared prefix, and base_len is the size of the base
+// the delta applies to. The first record deltas against the epoch's
+// installed state. The body is stored encoded with the Checkpointer's
+// policy codec — the one its containers use — or with codec kRaw when
+// the encoding is not smaller. Version 1 journals (`u16 kind, u8 flags,
+// u64 len, bytes`: raw bodies, deltas only between equal sizes) still
+// replay; nothing writes them.
 //
 // Crash model: the log is written on the streamed kPlain append path —
 // one append per record — so a crash tears the file at an append/byte
@@ -47,6 +58,7 @@
 #include <string>
 
 #include "ckpt/format.hpp"
+#include "codec/codec.hpp"
 #include "io/env.hpp"
 #include "qnn/training_state.hpp"
 
@@ -57,9 +69,9 @@ struct WalPolicy {
   /// Group commit: sync the log handle every this many records
   /// (0 or 1 = sync every record).
   std::uint64_t group_commit_steps = 8;
-  /// Compaction budget: once the active log exceeds this many bytes the
-  /// Checkpointer folds it into a normal install and rotates. 0 = never
-  /// compact on size.
+  /// Compaction budget: once the active log exceeds this many stored
+  /// (encoded) bytes the Checkpointer folds it into a normal install and
+  /// rotates. 0 = never compact on size.
   std::uint64_t max_log_bytes = std::uint64_t{4} << 20;
 };
 
@@ -98,8 +110,9 @@ struct WalReplay {
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
 /// resolved raw payloads keyed by kind), stopping at the first torn or
 /// CRC-invalid frame. Records are applied atomically: a record that
-/// parses but cannot apply (a delta with no equal-sized base) stops the
-/// replay without touching `sections`. Returns nullopt — with `sections`
+/// parses but cannot apply (a delta whose base is missing or not base_len
+/// bytes long, or a section that fails to decode) stops the replay
+/// without touching `sections`. Returns nullopt — with `sections`
 /// untouched — when there is no usable journal or it holds zero valid
 /// records.
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
@@ -111,11 +124,12 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
 class WalWriter {
  public:
   /// Creates (truncating any stale same-name log) `dir`/wal-<epoch>.qwal
-  /// and writes the header. `base` is the freshly-installed state the
-  /// first record deltas against.
+  /// and writes the header. `codec` encodes every record section (the
+  /// Checkpointer passes its policy codec); `base` is the
+  /// freshly-installed state the first record deltas against.
   WalWriter(io::Env& env, const std::string& dir, std::uint64_t epoch,
-            WalPolicy policy, const qnn::TrainingState& base,
-            bool include_simulator);
+            WalPolicy policy, codec::CodecId codec,
+            const qnn::TrainingState& base, bool include_simulator);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -143,6 +157,7 @@ class WalWriter {
   io::Env& env_;
   const std::uint64_t epoch_;
   const WalPolicy policy_;
+  const codec::CodecId codec_;
   const bool include_simulator_;
   std::unique_ptr<io::WritableFile> out_;
   /// Previous record's resolved raw payloads (XOR-delta bases).

@@ -12,6 +12,14 @@
 // (head[hash] stores the most recent position), window-limited to kWindow.
 // Worst case (incompressible input): the whole input is one literal run,
 // expansion bound of n + O(varint overhead).
+//
+// Both hot loops are word-wide: the match scan compares 8 bytes per step
+// (xor + count-trailing-zeros finds the first differing byte), and the
+// decoder grows a buffer reserved at the declared length with one copy
+// per literal run and per non-overlapping match, one fill per distance-1
+// run, and doubling memcpys for other overlapping matches. The token
+// stream is the same one the byte-at-a-time loops produced.
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -36,12 +44,35 @@ inline std::uint32_t hash4(const std::uint8_t* p) {
 /// Longest common prefix of [a, limit) and [b, limit-relative), capped.
 std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
                          const std::uint8_t* limit) {
+  const std::size_t max =
+      std::min(static_cast<std::size_t>(limit - a), kMaxMatch);
   std::size_t n = 0;
-  while (a + n < limit && a[n] == b[n] && n < kMaxMatch) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  for (; n + 8 <= max; n += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + n, 8);
+    std::memcpy(&y, b + n, 8);
+    if (x != y) {
+      // Little-endian: the lowest set bit sits in the first differing byte.
+      return n + static_cast<std::size_t>(__builtin_ctzll(x ^ y)) / 8;
+    }
+  }
+#endif
+  while (n < max && a[n] == b[n]) {
     ++n;
   }
   return n;
 }
+
+/// The matcher's head table, reused across calls on the same thread.
+/// Slots hold `stamp + position`; a call only trusts slots at or above its
+/// own `stamp`, which sits past every position an earlier call stored, so
+/// stale slots read as empty without re-filling 512 KiB per call.
+struct HeadTable {
+  std::vector<std::uint64_t> slots =
+      std::vector<std::uint64_t>(std::size_t{1} << kHashBits, 0);
+  std::uint64_t next_stamp = 1;
+};
 }  // namespace
 
 Bytes lz_encode(ByteSpan raw) {
@@ -51,7 +82,10 @@ Bytes lz_encode(ByteSpan raw) {
     return out;
   }
 
-  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  thread_local HeadTable table;
+  std::uint64_t* head = table.slots.data();
+  const std::uint64_t stamp = table.next_stamp;
+  table.next_stamp += raw.size();
   const std::uint8_t* base = raw.data();
   const std::uint8_t* limit = base + raw.size();
 
@@ -59,12 +93,19 @@ Bytes lz_encode(ByteSpan raw) {
   std::size_t i = 0;
   while (i + kMinMatch <= raw.size()) {
     const std::uint32_t h = hash4(base + i);
-    const std::int64_t cand = head[h];
-    head[h] = static_cast<std::int64_t>(i);
+    const std::uint64_t slot = head[h];
+    head[h] = stamp + i;
 
     std::size_t len = 0;
-    if (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindow) {
-      len = match_length(base + i, base + cand, limit);
+    std::size_t cand = 0;
+    if (slot >= stamp) {
+      cand = static_cast<std::size_t>(slot - stamp);
+      // A candidate whose first kMinMatch bytes differ (a hash collision,
+      // the common case on noise) cannot yield a match: skip the scan.
+      if (i - cand <= kWindow &&
+          std::memcmp(base + i, base + cand, kMinMatch) == 0) {
+        len = match_length(base + i, base + cand, limit);
+      }
     }
     if (len >= kMinMatch) {
       // Emit pending literals, then the match token.
@@ -73,14 +114,14 @@ Bytes lz_encode(ByteSpan raw) {
                  raw.begin() + static_cast<std::ptrdiff_t>(lit_start),
                  raw.begin() + static_cast<std::ptrdiff_t>(i));
       util::put_varint(out, len - kMinMatch + 1);
-      util::put_varint(out, i - static_cast<std::size_t>(cand));
+      util::put_varint(out, i - cand);
 
       // Insert hash entries inside the match so later matches can land
       // there too (sparse stride keeps encoding fast).
       const std::size_t end = i + len;
       for (std::size_t j = i + 1; j + kMinMatch <= raw.size() && j < end;
            j += 2) {
-        head[hash4(base + j)] = static_cast<std::int64_t>(j);
+        head[hash4(base + j)] = stamp + j;
       }
       i = end;
       lit_start = i;
@@ -98,20 +139,25 @@ Bytes lz_encode(ByteSpan raw) {
 }
 
 Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
-  Bytes out;
-  out.reserve(raw_len);
   if (encoded.empty()) {
     if (raw_len != 0) {
       throw std::runtime_error("lz_decode: empty stream for non-empty output");
     }
-    return out;
+    return {};
   }
+  // Every append below is bounds-checked against raw_len first, so the
+  // buffer never reallocates and pointers into it stay valid.
+  Bytes out;
+  out.reserve(raw_len);
 
   std::size_t pos = 0;
   while (true) {
     const std::uint64_t lits = util::get_varint(encoded, pos);
-    if (pos + lits > encoded.size()) {
+    if (lits > encoded.size() - pos) {
       throw std::runtime_error("lz_decode: truncated literals");
+    }
+    if (lits > raw_len - out.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
     out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
                encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
@@ -121,19 +167,39 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     if (match_code == 0) {
       break;
     }
-    const std::uint64_t len = match_code + kMinMatch - 1;
     const std::uint64_t dist = util::get_varint(encoded, pos);
-    if (dist == 0 || dist > out.size()) {
+    const std::size_t n = out.size();
+    if (dist == 0 || dist > n) {
       throw std::runtime_error("lz_decode: bad match distance");
     }
-    // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-    // reproduce the run-extension semantics of the encoder.
-    std::size_t src = out.size() - dist;
-    for (std::uint64_t k = 0; k < len; ++k) {
-      out.push_back(out[src + k]);
-    }
-    if (out.size() > raw_len) {
+    // Compared before adding kMinMatch - 1 so a huge code cannot wrap.
+    if (match_code > raw_len - n || match_code + kMinMatch - 1 > raw_len - n) {
       throw std::runtime_error("lz_decode: output exceeds declared length");
+    }
+    const std::size_t len = match_code + kMinMatch - 1;
+    // Overlapping matches (dist < len) are legal and extend a run with
+    // period `dist`.
+    if (dist == 1) {
+      const std::uint8_t run = out.back();
+      out.resize(n + len, run);  // one fill, no zeroing pass first
+      continue;
+    }
+    out.resize(n + len);
+    std::uint8_t* const to = out.data() + n;
+    const std::uint8_t* const from = to - dist;
+    if (dist >= len) {
+      std::memcpy(to, from, len);
+    } else {
+      // [from, to + done) repeats with period dist and `done` stays a
+      // multiple of dist until the last copy, so every step can copy the
+      // whole valid prefix: the copied span doubles and no source range
+      // overlaps its destination.
+      std::size_t done = 0;
+      while (done < len) {
+        const std::size_t take = std::min(len - done, dist + done);
+        std::memcpy(to + done, from, take);
+        done += take;
+      }
     }
   }
   if (out.size() != raw_len) {

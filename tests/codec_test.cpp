@@ -1,10 +1,15 @@
 // Unit + property tests for qnn::codec — RLE, LZ, XOR deltas, registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "codec/codec.hpp"
 #include "codec/xor_delta.hpp"
+#include "util/crc.hpp"
 #include "util/varint.hpp"
 #include "util/rng.hpp"
 
@@ -243,6 +248,157 @@ TEST(Lz, WindowBoundaryRoundTrip) {
   data.insert(data.end(), prefix.begin(), prefix.end());
   const Bytes enc = lz_encode(data);
   EXPECT_EQ(lz_decode(enc, data.size()), data);
+}
+
+/// A hand-built token stream: `lits` as one literal run, one match of
+/// `len` bytes at distance `dist`, then the end marker.
+Bytes lz_stream(const Bytes& lits, std::uint64_t len, std::uint64_t dist) {
+  Bytes enc;
+  util::put_varint(enc, lits.size());
+  enc.insert(enc.end(), lits.begin(), lits.end());
+  util::put_varint(enc, len - 3);  // match_code: len - kMinMatch + 1
+  util::put_varint(enc, dist);
+  util::put_varint(enc, 0);
+  util::put_varint(enc, 0);
+  return enc;
+}
+
+/// `pattern` repeated to `n` bytes.
+Bytes periodic(const Bytes& pattern, std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = pattern[i % pattern.size()];
+  }
+  return out;
+}
+
+TEST(Lz, OverlappingMatchesOfShortPeriodsRoundTrip) {
+  // dist 1 is the memset path, other dist < len the doubling copies;
+  // odd lengths end each copy sequence on a partial period.
+  for (const std::size_t period : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
+    const Bytes pattern = incompressible(period, 50 + period);
+    for (const std::size_t len : {4, 17, 31, 1000, 4099}) {
+      const Bytes expect = periodic(pattern, period + len);
+      EXPECT_EQ(lz_decode(lz_stream(pattern, len, period), expect.size()),
+                expect)
+          << "period " << period << " len " << len;
+    }
+    const Bytes data = periodic(pattern, 5000);
+    const Bytes enc = lz_encode(data);
+    EXPECT_LT(enc.size(), 64 + period) << "period " << period;
+    EXPECT_EQ(lz_decode(enc, data.size()), data) << "period " << period;
+  }
+}
+
+TEST(Lz, MaximalMatchRoundTrips) {
+  // A token carries at most a 64 KiB match: zeros after one literal
+  // encode as exactly one distance-1 match of that length.
+  const Bytes data = zeros(1 + (1 << 16));
+  const Bytes enc = lz_encode(data);
+  std::size_t pos = 0;
+  EXPECT_EQ(util::get_varint(enc, pos), 1u);  // one literal
+  ++pos;
+  EXPECT_EQ(util::get_varint(enc, pos), (1u << 16) - 3);  // longest code
+  EXPECT_EQ(util::get_varint(enc, pos), 1u);              // distance
+  EXPECT_EQ(lz_decode(enc, data.size()), data);
+
+  const Bytes lits{1, 2, 3};
+  const Bytes expect = periodic(lits, 3 + (1 << 16));
+  EXPECT_EQ(lz_decode(lz_stream(lits, 1 << 16, 3), expect.size()), expect);
+}
+
+TEST(Lz, DecodeRejectsEveryMalformedShape) {
+  // Distance beyond the output produced so far.
+  EXPECT_THROW(lz_decode(lz_stream({1, 2}, 4, 3), 6), std::runtime_error);
+  // A match running past the declared length.
+  EXPECT_THROW(lz_decode(lz_stream({1}, 8, 1), 5), std::runtime_error);
+  // Literals running past the declared length.
+  EXPECT_THROW(lz_decode(lz_stream({1, 2, 3, 4, 5, 6}, 4, 1), 5),
+               std::runtime_error);
+  // A match code so large that adding the minimum match would wrap.
+  Bytes huge;
+  util::put_varint(huge, 1);
+  huge.push_back(7);
+  util::put_varint(huge, ~std::uint64_t{0});
+  util::put_varint(huge, 1);
+  EXPECT_THROW(lz_decode(huge, 5), std::exception);
+  // Output shorter than declared.
+  EXPECT_THROW(lz_decode(lz_stream({1}, 4, 1), 6), std::runtime_error);
+  const Bytes text = repeated_text(300);
+  EXPECT_THROW(lz_decode(lz_encode(text), 301), std::runtime_error);
+  // Truncated literals, and a stream cut inside a token.
+  Bytes cut = lz_stream({1, 2, 3, 4}, 4, 1);
+  cut.resize(3);
+  EXPECT_THROW(lz_decode(cut, 8), std::runtime_error);
+  cut = lz_stream({1, 2, 3, 4}, 4, 1);
+  cut.resize(6);  // the distance varint is missing
+  EXPECT_THROW(lz_decode(cut, 8), std::out_of_range);
+}
+
+/// Encoder corpus: the round-trip payloads plus the shapes the delta
+/// journal feeds LZ (a sparse XOR delta, short periods).
+std::vector<PayloadCase> lz_corpus() {
+  std::vector<PayloadCase> out = payload_cases();
+  Bytes sparse = zeros(1 << 20);
+  util::Rng rng(77);
+  for (int r = 0; r < 4; ++r) {
+    const std::size_t at = rng.uniform_u64(sparse.size() - 4096);
+    const Bytes noise = incompressible(4096, 80 + r);
+    std::copy(noise.begin(), noise.end(),
+              sparse.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  out.push_back({"sparse_delta", sparse});
+  for (const std::size_t period : {3, 7, 16}) {
+    out.push_back({"period_" + std::to_string(period),
+                   periodic(incompressible(period, 90 + period), 10000)});
+  }
+  Bytes window = incompressible(1 << 16, 20);
+  window.insert(window.end(), window.begin(), window.begin() + 512);
+  out.push_back({"window_edge", window});
+  return out;
+}
+
+TEST(Lz, EncoderOutputMatchesCheckedInDigests) {
+  // Size and CRC32C of lz_encode's output per corpus entry, recorded with
+  // the byte-at-a-time matcher and a freshly filled head table per call.
+  // Every LZ-coded byte on disk depends on this stream; a mismatch prints
+  // the row the current encoder would need.
+  struct Golden {
+    const char* name;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {"empty", 0, 0x0},
+      {"one_byte", 3, 0x1d77c7ee},
+      {"three_bytes", 5, 0xab8c96ed},
+      {"zeros_small", 6, 0x4d787d40},
+      {"zeros_large", 13, 0x4dcbae7a},
+      {"runs", 73, 0xb732615f},
+      {"text", 46, 0xa2d215df},
+      {"random_small", 258, 0xcdb8cb66},
+      {"random_large", 131079, 0x51306953},
+      {"similar_doubles", 24987, 0x12657c68},
+      {"alternating", 8, 0xf3ec366e},
+      {"sparse_delta", 16500, 0x2b3b5e9f},
+      {"period_3", 9, 0xa0190ac9},
+      {"period_7", 13, 0xd37ea439},
+      {"period_16", 22, 0x082763e5},
+      {"window_edge", 65549, 0x7fa8476b},
+  };
+  const auto corpus = lz_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kGolden));
+  // Two passes: every call after the first reuses the thread's head table.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const Bytes enc = lz_encode(corpus[i].data);
+      const std::uint32_t crc = util::crc32c(enc);
+      EXPECT_TRUE(corpus[i].name == kGolden[i].name &&
+                  enc.size() == kGolden[i].size && crc == kGolden[i].crc)
+          << "{\"" << corpus[i].name << "\", " << enc.size() << ", 0x"
+          << std::hex << crc << "},";
+    }
+  }
 }
 
 // ---------- XOR delta ----------

@@ -457,7 +457,11 @@ ScenarioConfig wal_config() {
   cfg.policy.retention.keep_last = 2;
   cfg.policy.wal.enable = true;
   cfg.policy.wal.group_commit_steps = 2;
-  cfg.policy.wal.max_log_bytes = 700;  // ~2 records: compactions fire
+  // A record stores ~493 B: the step's fresh random params and optimizer
+  // bytes delta to noise and stay raw, so compression barely shrinks it.
+  // 700 B holds the 26-byte header plus one record but not two, so the
+  // third off-boundary step of every epoch compacts.
+  cfg.policy.wal.max_log_bytes = 700;
   return cfg;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "ckpt/wal.hpp"
 #include "io/mem_env.hpp"
 #include "qnn/ansatz.hpp"
+#include "util/bytes.hpp"
+#include "util/crc.hpp"
 #include "util/strings.hpp"
 
 namespace qnn::ckpt {
@@ -77,6 +80,89 @@ std::vector<std::string> wal_files(io::Env& env, const std::string& dir) {
   return out;
 }
 
+/// The codec a default policy encodes journal sections with.
+const codec::CodecId kCodec = CheckpointPolicy{}.codec;
+
+/// The fields of one version-2 record section, read straight off disk.
+struct SectionHeader {
+  SectionKind kind = SectionKind::kMeta;
+  std::uint8_t flags = 0;
+  codec::CodecId codec = codec::CodecId::kRaw;
+  std::uint64_t base_len = 0;
+  std::uint64_t raw_len = 0;
+  std::uint64_t enc_len = 0;
+};
+
+/// Walks a fully-framed version-2 journal (26-byte header, then
+/// `u64 len, u32 crc, payload` frames) and returns every record's
+/// section headers, so tests can check the layout wal.hpp documents.
+std::vector<std::vector<SectionHeader>> section_headers(
+    io::Env& env, const std::string& path) {
+  const auto data = env.read_file(path);
+  EXPECT_TRUE(data.has_value()) << path;
+  std::vector<std::vector<SectionHeader>> out;
+  if (!data) {
+    return out;
+  }
+  const util::ByteSpan bytes(*data);
+  std::size_t off = 4;
+  EXPECT_EQ(util::get_le<std::uint16_t>(bytes, off), 2u) << "version";
+  off = 26;
+  while (off < bytes.size()) {
+    const auto len = util::get_le<std::uint64_t>(bytes, off);
+    off += 4;  // frame crc
+    const std::size_t end = off + len;
+    off += 8;  // step
+    const auto n = util::get_le<std::uint32_t>(bytes, off);
+    std::vector<SectionHeader> record;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      SectionHeader h;
+      h.kind =
+          static_cast<SectionKind>(util::get_le<std::uint16_t>(bytes, off));
+      h.flags = util::get_le<std::uint8_t>(bytes, off);
+      h.codec =
+          static_cast<codec::CodecId>(util::get_le<std::uint8_t>(bytes, off));
+      h.base_len = util::get_le<std::uint64_t>(bytes, off);
+      h.raw_len = util::get_le<std::uint64_t>(bytes, off);
+      h.enc_len = util::get_le<std::uint64_t>(bytes, off);
+      off += h.enc_len;
+      record.push_back(h);
+    }
+    EXPECT_EQ(off, end) << "record " << out.size();
+    out.push_back(std::move(record));
+  }
+  return out;
+}
+
+const SectionHeader& find_section(const std::vector<SectionHeader>& record,
+                                  SectionKind kind) {
+  for (const SectionHeader& h : record) {
+    if (h.kind == kind) {
+      return h;
+    }
+  }
+  throw std::runtime_error("record has no such section");
+}
+
+/// Appends one CRC-valid frame around `payload`, the way the writer does.
+void append_frame(util::Bytes& file, util::ByteSpan payload) {
+  util::Bytes prefix;
+  util::put_le<std::uint64_t>(prefix, payload.size());
+  util::put_le<std::uint32_t>(prefix,
+                              util::crc32c(payload, util::crc32c(prefix)));
+  file.insert(file.end(), prefix.begin(), prefix.end());
+  file.insert(file.end(), payload.begin(), payload.end());
+}
+
+util::Bytes from_hex(const std::string& hex) {
+  util::Bytes out(hex.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(
+        std::stoi(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
 // ---------- file naming ----------
 
 TEST(WalFile, NameRoundTrip) {
@@ -93,7 +179,7 @@ TEST(WalFile, NameRoundTrip) {
 TEST(Wal, WriteScanReplayRoundTrip) {
   io::MemEnv env;
   const auto base = make_state(10);
-  WalWriter w(env, "cp", 1, WalPolicy{.enable = true}, base,
+  WalWriter w(env, "cp", 1, WalPolicy{.enable = true}, kCodec, base,
               /*include_simulator=*/false);
   for (std::uint64_t step = 11; step <= 13; ++step) {
     w.log_step(make_state(step));
@@ -122,7 +208,7 @@ TEST(Wal, ScanRejectsMissingTornOrMislabeledHeaders) {
   EXPECT_FALSE(scan_wal(env, "cp", 1).has_value());  // missing
 
   const auto base = make_state(5);
-  WalWriter w(env, "cp", 1, WalPolicy{}, base, false);
+  WalWriter w(env, "cp", 1, WalPolicy{}, kCodec, base, false);
   w.log_step(make_state(6));
   w.close();
 
@@ -145,7 +231,7 @@ TEST(Wal, TruncationAtEveryByteReplaysLongestValidPrefix) {
   const auto base = make_state(20);
   // Frame boundaries, captured as the writer grows the log.
   std::vector<std::uint64_t> marks;
-  WalWriter w(env, "cp", 3, WalPolicy{}, base, false);
+  WalWriter w(env, "cp", 3, WalPolicy{}, kCodec, base, false);
   marks.push_back(w.bytes_logged());  // header
   for (std::uint64_t step = 21; step <= 23; ++step) {
     w.log_step(make_state(step));
@@ -192,7 +278,7 @@ TEST(Wal, CorruptFrameStopsReplayAtLastGoodRecord) {
   io::MemEnv env;
   const auto base = make_state(1);
   std::vector<std::uint64_t> marks;
-  WalWriter w(env, "cp", 1, WalPolicy{}, base, false);
+  WalWriter w(env, "cp", 1, WalPolicy{}, kCodec, base, false);
   marks.push_back(w.bytes_logged());
   for (std::uint64_t step = 2; step <= 4; ++step) {
     w.log_step(make_state(step));
@@ -221,13 +307,13 @@ TEST(Wal, CorruptFrameStopsReplayAtLastGoodRecord) {
 TEST(Wal, InapplicableRecordStopsReplayWithoutPartialApply) {
   io::MemEnv env;
   const auto base = make_state(30);
-  WalWriter w(env, "cp", 9, WalPolicy{}, base, false);
+  WalWriter w(env, "cp", 9, WalPolicy{}, kCodec, base, false);
   w.log_step(make_state(31));
   w.close();
 
-  // Replay against a base whose params payload has a different size:
-  // the record's delta sections no longer apply, and the atomicity rule
-  // says no section of it may land.
+  // Replay against a base whose params payload has a different size than
+  // the record's base_len: the delta no longer applies, and the atomicity
+  // rule says no section of the record may land.
   auto mismatched = raw_sections(base);
   ASSERT_FALSE(mismatched[SectionKind::kParams].empty());
   mismatched[SectionKind::kParams].resize(
@@ -237,12 +323,207 @@ TEST(Wal, InapplicableRecordStopsReplayWithoutPartialApply) {
   EXPECT_EQ(mismatched, before);
 }
 
+TEST(Wal, UndecodableSectionStopsReplayWithoutPartialApply) {
+  io::MemEnv env;
+  const auto base = make_state(30);
+  WalWriter w(env, "cp", 4, WalPolicy{}, kCodec, base, false);
+  w.log_step(make_state(31));
+  w.close();
+
+  // A CRC-valid frame whose first section is intact and whose second is
+  // an LZ stream with a match reaching before the start of the output:
+  // framing accepts it, decoding does not.
+  const auto state = raw_sections(make_state(32));
+  util::Bytes payload;
+  util::put_le<std::uint64_t>(payload, 32);
+  util::put_le<std::uint32_t>(payload, 2);
+  const util::Bytes& params = state.at(SectionKind::kParams);
+  util::put_le<std::uint16_t>(payload,
+                              static_cast<std::uint16_t>(SectionKind::kParams));
+  util::put_le<std::uint8_t>(payload, 0);
+  util::put_le<std::uint8_t>(payload,
+                             static_cast<std::uint8_t>(codec::CodecId::kRaw));
+  util::put_le<std::uint64_t>(payload, 0);
+  util::put_le<std::uint64_t>(payload, params.size());
+  util::put_bytes(payload, params);
+  util::put_le<std::uint16_t>(payload,
+                              static_cast<std::uint16_t>(SectionKind::kRng));
+  util::put_le<std::uint8_t>(payload, 0);
+  util::put_le<std::uint8_t>(payload,
+                             static_cast<std::uint8_t>(codec::CodecId::kLz));
+  util::put_le<std::uint64_t>(payload, 0);
+  util::put_le<std::uint64_t>(payload, 16);
+  util::put_bytes(payload, util::Bytes{0x00, 0x01, 0x05});  // dist 5 > 0
+  auto file = env.read_file("cp/" + wal_file_name(4));
+  ASSERT_TRUE(file.has_value());
+  append_frame(*file, payload);
+  env.write_file_atomic("cp/" + wal_file_name(4), util::ByteSpan{*file});
+
+  const auto scan = scan_wal(env, "cp", 4);  // frame-level: both records
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(scan->records, 2u);
+  auto sections = raw_sections(base);
+  const auto replay = replay_wal(env, "cp", 4, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(state_of(sections), make_state(31))
+      << "the undecodable record's intact params section must not land";
+}
+
+// ---------- format: codec, deltas across size changes, version 1 ----------
+
+/// A small state whose journal fits a hex fixture.
+qnn::TrainingState tiny_state(std::uint64_t step) {
+  qnn::TrainingState s;
+  s.step = step;
+  s.params = {0.5 * static_cast<double>(step), -1.25};
+  s.optimizer_name = "sgd";
+  s.rng_state = {1, 2, 3, 4};
+  s.loss_history.assign(step, 0.25);
+  s.cursor = step;
+  s.workload_tag = "t";
+  return s;
+}
+
+/// wal-0000000001.qwal as the version-1 writer left it: base tiny_state(2),
+/// records for steps 3 and 4 (params as equal-size deltas, the growing
+/// loss history raw).
+const char* const kJournalV1 =
+    "5157414c010001000000000000000200000000000000c5961c01ca0000000000"
+    "00008c74c2f60300000000000000060000000000013800000000000000000000"
+    "0000000000000000000000000000000000000000000100000000000000000000"
+    "0000000000010000000000000000000000000000000100011800000000000000"
+    "0000000000000000000000000000080000000000000000000200010000000000"
+    "0000000300010400000000000000000000000400010800000000000000000000"
+    "000000000005000020000000000000000300000000000000000000000000d03f"
+    "000000000000d03f000000000000d03fd20000000000000085a9f42904000000"
+    "0000000006000000000001380000000000000000000000000000000000000000"
+    "0000000000000000000000070000000000000000000000000000000700000000"
+    "0000000000000000000000010001180000000000000000000000000000000000"
+    "00000000f87f0000000000000000020001000000000000000003000104000000"
+    "0000000000000000040001080000000000000000000000000000000500002800"
+    "0000000000000400000000000000000000000000d03f000000000000d03f0000"
+    "00000000d03f000000000000d03f";
+
+TEST(Wal, VersionOneJournalStillReplays) {
+  io::MemEnv env;
+  const util::Bytes blob = from_hex(kJournalV1);
+  env.write_file_atomic("cp/" + wal_file_name(1), util::ByteSpan{blob});
+
+  const auto scan = scan_wal(env, "cp", 1);
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(scan->base_step, 2u);
+  EXPECT_EQ(scan->records, 2u);
+  EXPECT_EQ(scan->torn_bytes, 0u);
+  auto sections = raw_sections(tiny_state(2));
+  const auto replay = replay_wal(env, "cp", 1, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 2u);
+  EXPECT_EQ(state_of(sections), tiny_state(4));
+}
+
+TEST(Wal, DeltasAcrossSizeChangesRoundTrip) {
+  // The loss history grows by one entry per step, is then cleared (the
+  // rotation a long-running trainer does) and grows again; every record
+  // deltas it against the previous record's payload regardless.
+  io::MemEnv env;
+  const auto base = make_state(10);
+  std::vector<qnn::TrainingState> logged;
+  for (std::uint64_t step = 11; step <= 13; ++step) {
+    logged.push_back(make_state(step));
+  }
+  logged.push_back(make_state(14));
+  logged.back().loss_history.clear();
+  logged.push_back(make_state(15));
+  logged.back().loss_history.assign(1, 0.75);
+
+  std::vector<std::uint64_t> marks;
+  WalWriter w(env, "cp", 3, WalPolicy{}, kCodec, base, false);
+  for (const auto& state : logged) {
+    w.log_step(state);
+    marks.push_back(w.bytes_logged());
+  }
+  w.close();
+
+  const auto records = section_headers(env, "cp/" + wal_file_name(3));
+  ASSERT_EQ(records.size(), logged.size());
+  std::uint64_t base_len = raw_sections(base)[SectionKind::kLossHistory].size();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const SectionHeader& h = find_section(records[i], SectionKind::kLossHistory);
+    EXPECT_NE(h.flags & kSectionFlagDelta, 0) << "record " << i;
+    EXPECT_EQ(h.base_len, base_len) << "record " << i;
+    base_len = h.raw_len;
+  }
+
+  // Every prefix of the journal replays to the state logged last in it.
+  const auto full = env.read_file("cp/" + wal_file_name(3));
+  ASSERT_TRUE(full.has_value());
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    env.write_file_atomic("cp/" + wal_file_name(3),
+                          util::ByteSpan{full->data(), marks[i]});
+    auto sections = raw_sections(base);
+    const auto replay = replay_wal(env, "cp", 3, sections);
+    ASSERT_TRUE(replay.has_value()) << "prefix " << i;
+    EXPECT_EQ(replay->records_applied, i + 1);
+    EXPECT_EQ(state_of(sections), logged[i]) << "prefix " << i;
+  }
+}
+
+TEST(Wal, IncompressibleSectionIsStoredRaw) {
+  // make_state redraws its optimizer bytes every step, so their delta is
+  // noise the codec cannot shrink; the one-entry loss-history growth
+  // deltas to nearly all zeros and must be stored encoded.
+  io::MemEnv env;
+  WalWriter w(env, "cp", 1, WalPolicy{}, kCodec, make_state(10), false);
+  w.log_step(make_state(11));
+  w.close();
+  const auto records = section_headers(env, "cp/" + wal_file_name(1));
+  ASSERT_EQ(records.size(), 1u);
+  const SectionHeader& opt = find_section(records[0], SectionKind::kOptimizer);
+  EXPECT_EQ(opt.codec, codec::CodecId::kRaw);
+  EXPECT_EQ(opt.enc_len, opt.raw_len);
+  const SectionHeader& hist =
+      find_section(records[0], SectionKind::kLossHistory);
+  EXPECT_EQ(hist.codec, kCodec);
+  EXPECT_LT(hist.enc_len, hist.raw_len);
+}
+
+TEST(Wal, SparseDeltaOfLargeStateIsUnderOneSixteenthOfRaw) {
+  // An 8 MiB parameter vector of which one 64 KiB region moved.
+  io::MemEnv env;
+  auto base = make_state(1);
+  util::Rng rng(99);
+  base.params.resize(std::size_t{1} << 20);
+  for (double& p : base.params) {
+    p = rng.uniform(-1.0, 1.0);
+  }
+  auto next = base;
+  next.step = 2;
+  for (std::size_t i = 0; i < 8192; ++i) {
+    next.params[(std::size_t{1} << 19) + i] += 1.0;
+  }
+  WalWriter w(env, "cp", 1, WalPolicy{}, kCodec, base, false);
+  const std::uint64_t before = w.bytes_logged();
+  w.log_step(next);
+  w.close();
+  const std::uint64_t record = w.bytes_logged() - before;
+  std::uint64_t raw = 0;
+  for (const auto& [kind, payload] : raw_sections(next)) {
+    raw += payload.size();
+  }
+  EXPECT_LT(record * 16, raw) << record << " B stored for " << raw << " B";
+
+  auto sections = raw_sections(base);
+  ASSERT_TRUE(replay_wal(env, "cp", 1, sections).has_value());
+  EXPECT_EQ(state_of(sections), next);
+}
+
 // ---------- replay is idempotent ----------
 
 TEST(Wal, ReplayIsIdempotentAcrossRepeatedRecoveries) {
   io::MemEnv env;
   const auto base = make_state(40);
-  WalWriter w(env, "cp", 2, WalPolicy{}, base, false);
+  WalWriter w(env, "cp", 2, WalPolicy{}, kCodec, base, false);
   for (std::uint64_t step = 41; step <= 44; ++step) {
     w.log_step(make_state(step));
   }
@@ -266,7 +547,7 @@ TEST(Wal, GroupCommitSyncsEveryGRecords) {
   const auto base = make_state(1);
   WalPolicy policy;
   policy.group_commit_steps = 3;
-  WalWriter w(env, "cp", 1, policy, base, false);
+  WalWriter w(env, "cp", 1, policy, kCodec, base, false);
   EXPECT_EQ(w.syncs(), 1u);  // the header is always made durable
   for (std::uint64_t step = 2; step <= 8; ++step) {
     w.log_step(make_state(step));
@@ -282,7 +563,7 @@ TEST(Wal, GroupCommitZeroSyncsEveryRecord) {
   const auto base = make_state(1);
   WalPolicy policy;
   policy.group_commit_steps = 0;
-  WalWriter w(env, "cp", 1, policy, base, false);
+  WalWriter w(env, "cp", 1, policy, kCodec, base, false);
   w.log_step(make_state(2));
   w.log_step(make_state(3));
   EXPECT_EQ(w.syncs(), 3u);  // header + one per record
@@ -293,14 +574,14 @@ TEST(Wal, OverBudgetTripsOnSizeAndZeroDisables) {
   const auto base = make_state(1);
   WalPolicy tight;
   tight.max_log_bytes = 64;  // smaller than any one record
-  WalWriter w(env, "cp", 1, tight, base, false);
+  WalWriter w(env, "cp", 1, tight, kCodec, base, false);
   EXPECT_FALSE(w.over_budget());  // header alone fits
   w.log_step(make_state(2));
   EXPECT_TRUE(w.over_budget());
 
   WalPolicy unbounded;
   unbounded.max_log_bytes = 0;
-  WalWriter u(env, "cp", 2, unbounded, base, false);
+  WalWriter u(env, "cp", 2, unbounded, kCodec, base, false);
   u.log_step(make_state(2));
   EXPECT_FALSE(u.over_budget());
 }
