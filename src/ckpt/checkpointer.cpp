@@ -149,9 +149,10 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
 
   if (!due(state.step)) {
     if (wal_ != nullptr && state.step > last_checkpoint_step_) {
-      if (wal_->over_budget()) {
+      if (wal_->over_budget() || wal_->failed()) {
         // Compaction: fold the journal into a normal install, which
-        // rotates the log onto the new epoch.
+        // rotates the log onto the new epoch. A journal whose last
+        // append failed takes the same path instead of logging on.
         {
           std::lock_guard lock(mu_);
           ++stats_.wal_compactions;

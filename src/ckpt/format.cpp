@@ -60,6 +60,18 @@ bool check_magic(ByteSpan in, std::size_t offset, const char (&magic)[4]) {
          std::memcmp(in.data() + offset, magic, 4) == 0;
 }
 
+/// True when `data` ends in the closing magic and the footer CRC64
+/// matches every byte before the footer.
+bool footer_intact(ByteSpan data) {
+  if (data.size() < kFooterSize + 4 ||
+      !check_magic(data, data.size() - 4, kFooterMagic)) {
+    return false;
+  }
+  std::size_t off = data.size() - kFooterSize;
+  return util::get_le<std::uint64_t>(data, off) ==
+         util::crc64(data.first(data.size() - kFooterSize));
+}
+
 // The fixed file header after the magic, and one section's header. Both
 // walkers are shared by every reader in this file (parse,
 // list_chunk_refs) so the offset arithmetic cannot drift between them;
@@ -562,14 +574,7 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
   }
 
   // Footer first: covers truncation of any length.
-  bool footer_ok = data.size() >= kFooterSize + 4 &&
-                   check_magic(data, data.size() - 4, kFooterMagic);
-  if (footer_ok) {
-    std::size_t off = data.size() - kFooterSize;
-    const auto stored = util::get_le<std::uint64_t>(data, off);
-    const auto computed = util::crc64(data.first(data.size() - kFooterSize));
-    footer_ok = stored == computed;
-  }
+  const bool footer_ok = footer_intact(data);
   if (!footer_ok) {
     fail("footer missing or file CRC64 mismatch (truncated file?)");
   }
@@ -662,6 +667,27 @@ CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options) {
   return parse(data, options, /*strict=*/true, nullptr, nullptr);
 }
 
+CheckpointFile decode_checkpoint_header(ByteSpan data) {
+  if (data.size() < 4 + kFileHeaderBytes + kFooterSize ||
+      !check_magic(data, 0, kMagic)) {
+    throw CorruptCheckpoint("bad magic or file too short");
+  }
+  if (!footer_intact(data)) {
+    throw CorruptCheckpoint("footer missing or file CRC64 mismatch");
+  }
+  std::size_t off = 4;
+  const FileHeader header = read_file_header(data, off);
+  if (header.version < kMinFormatVersion || header.version > kFormatVersion) {
+    throw CorruptCheckpoint("unsupported version " +
+                            std::to_string(header.version));
+  }
+  return CheckpointFile{.checkpoint_id = header.checkpoint_id,
+                        .parent_id = header.parent_id,
+                        .step = header.step,
+                        .time_us = header.time_us,
+                        .sections = {}};
+}
+
 SalvageResult salvage_checkpoint(ByteSpan data) {
   return salvage_checkpoint(data, DecodeOptions{});
 }
@@ -686,16 +712,8 @@ std::vector<ChunkKey> list_chunk_refs(ByteSpan data) {
   }
   // Footer CRC64 first: refcounts must never be rebuilt from a file whose
   // bytes cannot be trusted end to end.
-  if (data.size() < kFooterSize + 4 ||
-      !check_magic(data, data.size() - 4, kFooterMagic)) {
-    throw CorruptCheckpoint("footer missing (truncated file?)");
-  }
-  {
-    std::size_t off = data.size() - kFooterSize;
-    const auto stored = util::get_le<std::uint64_t>(data, off);
-    if (stored != util::crc64(data.first(data.size() - kFooterSize))) {
-      throw CorruptCheckpoint("file CRC64 mismatch");
-    }
+  if (!footer_intact(data)) {
+    throw CorruptCheckpoint("footer missing or file CRC64 mismatch");
   }
   std::size_t off = 4;
   std::vector<ChunkKey> refs;

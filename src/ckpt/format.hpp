@@ -306,6 +306,12 @@ struct DecodeOptions {
 CheckpointFile decode_checkpoint(ByteSpan data);
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
 
+/// The container's identity (ids, step, time; no sections), parsed only
+/// after the magics and the footer CRC64 verify, so a damaged parent id
+/// is never followed. Decodes no payload and touches no chunk store.
+/// Throws CorruptCheckpoint on any failure.
+CheckpointFile decode_checkpoint_header(ByteSpan data);
+
 /// Best-effort parse for forensics / fallback: returns whatever sections
 /// verify individually, plus human-readable notes on what was wrong.
 struct SalvageResult {

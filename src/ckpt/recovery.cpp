@@ -13,18 +13,6 @@ namespace qnn::ckpt {
 
 namespace {
 
-/// Reads + strictly decodes one checkpoint file by manifest entry (or raw
-/// file name), resolving content-addressed sections through `source`.
-/// Throws on any problem.
-CheckpointFile read_one(io::Env& env, const std::string& dir,
-                        const std::string& file_name, ChunkSource* source) {
-  const auto data = env.read_file(dir + "/" + file_name);
-  if (!data) {
-    throw CorruptCheckpoint("file missing: " + file_name);
-  }
-  return decode_checkpoint(*data, DecodeOptions{.source = source});
-}
-
 /// Candidate list: manifest entries if present, else directory scan.
 /// Manifest damage (unparseable lines) is reported through `notes`.
 std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
@@ -56,55 +44,66 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
   return found;
 }
 
-/// Fully resolves checkpoint `id`: loads its ancestor chain and applies
-/// XOR deltas root-to-leaf. Returns resolved (non-delta) sections.
-/// A v3 file's extern sections resolve through `source` (the
-/// directory's chunk store — shared across candidates so its packfile
-/// scan happens once per recovery, not once per attempt); a missing or
-/// corrupt chunk throws like any other damage, so callers fall back to
-/// older candidates instead of accepting it.
-std::vector<Section> resolve_chain(io::Env& env, const std::string& dir,
-                                   std::uint64_t id,
-                                   const RecoveryOptions& options,
-                                   ChunkSource* source,
-                                   std::size_t* depth_out = nullptr) {
-  // Collect leaf -> root.
-  std::vector<CheckpointFile> chain;
-  std::uint64_t cur = id;
-  while (cur != 0) {
+/// Fully resolves checkpoint `id` into raw payloads keyed by kind. The
+/// walk reads each container once, leaf to root (v3: key tables), and
+/// follows a parent id only after that container's footer CRC64
+/// verifies. The fold decodes root first, one file at a time: full
+/// payloads move into the map, deltas XOR into it in place, and each
+/// decoded file is freed before the next — one resolved state plus one
+/// decoded file, whatever the depth. Extern sections resolve through
+/// `source` (the directory's chunk store, shared across candidates so
+/// its packfile scan happens once per recovery); a missing or corrupt
+/// chunk throws like any other damage, so callers fall back to older
+/// candidates instead of accepting it.
+std::map<SectionKind, Bytes> resolve_chain(io::Env& env, const std::string& dir,
+                                           std::uint64_t id,
+                                           const RecoveryOptions& options,
+                                           ChunkSource* source,
+                                           std::size_t* depth_out = nullptr) {
+  std::vector<Bytes> chain;  // raw containers, leaf -> root
+  for (std::uint64_t cur = id; cur != 0;) {
     if (chain.size() >= options.max_chain) {
       throw CorruptCheckpoint("incremental chain too long or cyclic");
     }
-    CheckpointFile file =
-        read_one(env, dir, checkpoint_file_name(cur), source);
-    if (file.checkpoint_id != cur) {
+    const std::string name = checkpoint_file_name(cur);
+    auto data = env.read_file(dir + "/" + name);
+    if (!data) {
+      throw CorruptCheckpoint("file missing: " + name);
+    }
+    const CheckpointFile header = decode_checkpoint_header(*data);
+    if (header.checkpoint_id != cur) {
       throw CorruptCheckpoint("checkpoint id does not match file name");
     }
-    const std::uint64_t parent = file.parent_id;
-    chain.push_back(std::move(file));
-    cur = parent;
+    cur = header.parent_id;
+    chain.push_back(std::move(*data));
   }
   if (depth_out != nullptr) {
     *depth_out = chain.size();
   }
 
-  // Root first; fold deltas forward.
   std::map<SectionKind, Bytes> resolved;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    for (const Section& s : it->sections) {
-      if (s.is_delta()) {
-        const auto base = resolved.find(s.kind);
-        if (base == resolved.end()) {
-          throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
-                                  " has no base in ancestor chain");
-        }
-        resolved[s.kind] = codec::xor_with_parent(s.payload, base->second);
-      } else {
-        resolved[s.kind] = s.payload;
+  for (; !chain.empty(); chain.pop_back()) {
+    CheckpointFile file =
+        decode_checkpoint(chain.back(), DecodeOptions{.source = source});
+    for (Section& s : file.sections) {
+      if (!s.is_delta()) {
+        resolved[s.kind] = std::move(s.payload);
+        continue;
       }
+      const auto base = resolved.find(s.kind);
+      if (base == resolved.end()) {
+        throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
+                                " has no base in ancestor chain");
+      }
+      codec::xor_with_parent_inplace(s.payload, base->second);
+      base->second = std::move(s.payload);
     }
   }
+  return resolved;
+}
 
+/// Loads a training state from resolved payloads, consuming them.
+qnn::TrainingState load_state(std::map<SectionKind, Bytes>&& resolved) {
   std::vector<Section> sections;
   sections.reserve(resolved.size());
   for (auto& [kind, payload] : resolved) {
@@ -113,7 +112,7 @@ std::vector<Section> resolve_chain(io::Env& env, const std::string& dir,
                                .flags = 0,
                                .payload = std::move(payload)});
   }
-  return sections;
+  return sections_to_state(sections);
 }
 
 }  // namespace
@@ -122,7 +121,7 @@ qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
                                    std::uint64_t id,
                                    const RecoveryOptions& options) {
   ChunkStore cas(env, dir);
-  return sections_to_state(resolve_chain(env, dir, id, options, &cas));
+  return load_state(resolve_chain(env, dir, id, options, &cas));
 }
 
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
@@ -201,60 +200,53 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
       RecoveryOutcome outcome;
       record("candidate.try", {{"id", std::to_string(it->id)}});
       std::size_t chain_depth = 0;
-      std::vector<Section> sections =
+      auto resolved =
           resolve_chain(env, dir, it->id, options, &cas, &chain_depth);
       record("chain.resolved",
              {{"id", std::to_string(it->id)},
               {"depth", std::to_string(chain_depth)},
-              {"sections", std::to_string(sections.size())}});
+              {"sections", std::to_string(resolved.size())}});
       // Redo-only journal replay: fold the candidate's delta journal
-      // (wal-<id>.qwal) into its resolved sections, up to the last
-      // record whose frame CRC validates; torn tails are truncated.
+      // (wal-<id>.qwal) into its resolved sections in place, up to the
+      // last record whose frame CRC validates; torn tails are truncated.
       // Replay is read-only and deterministic, so running it again after
       // an interrupted recovery reproduces the identical state. A replay
-      // that yields an unloadable state falls back to the base sections
-      // — the journal must never make recovery worse.
+      // that yields an unloadable state falls back to the base
+      // checkpoint, resolved again rather than held as a spare copy —
+      // the journal must never make recovery worse.
+      std::optional<WalReplay> replay;
       if (env.exists(dir + "/" + wal_file_name(it->id))) {
-        std::map<SectionKind, Bytes> resolved;
-        for (const Section& s : sections) {
-          resolved[s.kind] = s.payload;
-        }
-        if (const auto replay = replay_wal(env, dir, it->id, resolved)) {
-          std::vector<Section> replayed;
-          replayed.reserve(resolved.size());
-          for (auto& [kind, payload] : resolved) {
-            replayed.push_back(Section{.kind = kind,
-                                       .codec = codec::CodecId::kRaw,
-                                       .flags = 0,
-                                       .payload = std::move(payload)});
-          }
-          try {
-            outcome.state = sections_to_state(replayed);
-            sections.clear();
-            record("wal.replay",
-                   {{"id", std::to_string(it->id)},
-                    {"records", std::to_string(replay->records_applied)},
-                    {"step", std::to_string(replay->step)},
-                    {"torn_bytes", std::to_string(replay->torn_bytes)}});
-            notes.push_back(
-                wal_file_name(it->id) + ": replayed " +
-                std::to_string(replay->records_applied) +
-                " record(s) to step " + std::to_string(replay->step) +
-                (replay->torn_bytes > 0
-                     ? " (" + std::to_string(replay->torn_bytes) +
-                           " torn byte(s) truncated)"
-                     : ""));
-          } catch (const std::exception& e) {
-            record("wal.replay_unloadable",
-                   {{"id", std::to_string(it->id)}, {"error", e.what()}});
-            notes.push_back(wal_file_name(it->id) +
-                            ": replayed state unloadable (" + e.what() +
-                            "), using the base checkpoint");
-          }
-        }
+        replay = replay_wal(env, dir, it->id, resolved);
       }
-      if (!sections.empty()) {
-        outcome.state = sections_to_state(sections);
+      try {
+        outcome.state = load_state(std::move(resolved));
+      } catch (const std::exception& e) {
+        if (!replay) {
+          throw;
+        }
+        record("wal.replay_unloadable",
+               {{"id", std::to_string(it->id)}, {"error", e.what()}});
+        notes.push_back(wal_file_name(it->id) +
+                        ": replayed state unloadable (" + e.what() +
+                        "), using the base checkpoint");
+        replay.reset();
+        outcome.state =
+            load_state(resolve_chain(env, dir, it->id, options, &cas));
+      }
+      if (replay) {
+        record("wal.replay",
+               {{"id", std::to_string(it->id)},
+                {"records", std::to_string(replay->records_applied)},
+                {"step", std::to_string(replay->step)},
+                {"torn_bytes", std::to_string(replay->torn_bytes)}});
+        notes.push_back(
+            wal_file_name(it->id) + ": replayed " +
+            std::to_string(replay->records_applied) + " record(s) to step " +
+            std::to_string(replay->step) +
+            (replay->torn_bytes > 0
+                 ? " (" + std::to_string(replay->torn_bytes) +
+                       " torn byte(s) truncated)"
+                 : ""));
       }
       outcome.checkpoint_id = it->id;
       outcome.step = outcome.state.step;

@@ -3,14 +3,14 @@
 // Procedure:
 //   1. load the manifest; if it is missing/empty, rescan the directory for
 //      canonical checkpoint file names;
-//   2. walk candidates newest-first; for each, read + strictly verify the
-//      file, resolve its incremental chain (every ancestor must verify),
-//      XOR-undelta each section against its parent's resolved payload;
-//   3. redo-only journal replay: when the candidate has a delta journal
-//      (wal-<id>.qwal, see ckpt/wal.hpp), fold its records into the
-//      resolved sections up to the last frame whose CRC validates,
-//      truncating torn tails — replay is read-only and deterministic, so
-//      an interrupted recovery rerun reaches the identical state;
+//   2. walk candidates newest-first; for each, read its chain leaf to
+//      root (following a parent only once its CRC64 verifies), then fold
+//      it root first in place, one decoded file at a time;
+//   3. redo-only journal replay: fold the candidate's delta journal
+//      (wal-<id>.qwal, see ckpt/wal.hpp) into the resolved sections in
+//      place up to the last frame whose CRC validates, truncating torn
+//      tails — replay is read-only and deterministic, so an interrupted
+//      recovery rerun reaches the identical state;
 //   4. on any failure record a note and fall back to the next older
 //      candidate — a corrupt or torn checkpoint must never be *silently*
 //      accepted, and an older intact one must still win.
@@ -75,16 +75,19 @@ struct RecoveryOptions {
 };
 
 /// Returns the newest recoverable training state, or std::nullopt when the
-/// directory holds no usable checkpoint.
+/// directory holds no usable checkpoint. Peak memory is O(state + one
+/// decoded file), independent of the chain depth; a replayed state that
+/// cannot load falls back to the base checkpoint, resolved again.
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                                               const std::string& dir);
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                                               const std::string& dir,
                                               const RecoveryOptions& options);
 
-/// Loads and fully resolves one specific checkpoint id (including its
-/// ancestor chain). Throws CorruptCheckpoint / std::runtime_error on
-/// failure. Exposed for the inspector tool and tests.
+/// Loads and fully resolves one specific checkpoint id (folding its
+/// ancestor chain in place, as recover_latest does; no journal replay).
+/// Throws CorruptCheckpoint / std::runtime_error on failure. Exposed for
+/// the inspector tool and tests.
 qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
                                    std::uint64_t id,
                                    const RecoveryOptions& options = {});

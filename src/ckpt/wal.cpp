@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "ckpt/state_codec.hpp"
@@ -187,7 +188,6 @@ std::optional<WalScan> scan_wal(io::Env& env, const std::string& dir,
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
                                     std::map<SectionKind, Bytes>& sections) {
-  std::map<SectionKind, Bytes> resolved = sections;
   std::uint64_t applied = 0;
   std::uint64_t step = 0;
   const auto scan =
@@ -200,15 +200,15 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
           for (const RecordSection& s : rec.sections) {
             const Bytes* base = nullptr;
             if ((s.flags & kSectionFlagDelta) != 0) {
-              const auto it = resolved.find(s.kind);
-              if (it == resolved.end() || it->second.size() != s.base_len) {
+              const auto it = sections.find(s.kind);
+              if (it == sections.end() || it->second.size() != s.base_len) {
                 return false;  // the delta's base is not this state's
               }
               base = &it->second;
             }
             Bytes body = codec::decode(s.codec, s.encoded, s.raw_len);
             if (base != nullptr) {
-              body = codec::xor_with_parent(body, *base);
+              codec::xor_with_parent_inplace(body, *base);
             }
             decoded.emplace_back(s.kind, std::move(body));
           }
@@ -216,7 +216,7 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
           return false;  // CRC-valid but undecodable: stop replay here too
         }
         for (auto& [kind, payload] : decoded) {
-          resolved[kind] = std::move(payload);
+          sections[kind] = std::move(payload);
         }
         ++applied;
         step = rec.step;
@@ -225,7 +225,6 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
   if (!scan || applied == 0) {
     return std::nullopt;
   }
-  sections = std::move(resolved);
   return WalReplay{applied, step, scan->torn_bytes};
 }
 
@@ -262,13 +261,16 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::log_step(const qnn::TrainingState& state) {
+  if (failed_) {
+    throw std::logic_error("wal: log_step after a failed append");
+  }
   Bytes payload;
   util::put_le<std::uint64_t>(payload, state.step);
   auto sections =
       state_to_sections(state, include_simulator_, codec::CodecId::kRaw);
   util::put_le<std::uint32_t>(payload,
                               static_cast<std::uint32_t>(sections.size()));
-  for (Section& s : sections) {
+  for (const Section& s : sections) {
     std::uint8_t flags = 0;
     std::uint64_t base_len = 0;
     Bytes body;
@@ -278,11 +280,9 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
       // history): the shared prefix still cancels.
       body = codec::xor_with_parent(s.payload, base->second);
       base_len = base->second.size();
-      base->second = std::move(s.payload);
       flags |= kSectionFlagDelta;
     } else {
       body = s.payload;
-      last_raw_.emplace(s.kind, std::move(s.payload));
     }
     const std::uint64_t raw_len = body.size();
     codec::CodecId id = codec_;
@@ -303,7 +303,16 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
   util::put_le<std::uint32_t>(frame,
                               util::crc32c(payload, util::crc32c(frame)));
   frame.insert(frame.end(), payload.begin(), payload.end());
-  out_->append(frame);  // one append = one crash-atomic frame boundary
+  try {
+    out_->append(frame);  // one append = one crash-atomic frame boundary
+  } catch (...) {
+    failed_ = true;  // the bases would be one record ahead of the log
+    throw;
+  }
+  // Only a logged record may become the next record's delta base.
+  for (Section& s : sections) {
+    last_raw_[s.kind] = std::move(s.payload);
+  }
   bytes_ += frame.size();
   ++records_;
   ++unsynced_;

@@ -108,13 +108,15 @@ struct WalReplay {
 
 /// Redo-only replay: folds every fully-framed record of
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
-/// resolved raw payloads keyed by kind), stopping at the first torn or
-/// CRC-invalid frame. Records are applied atomically: a record that
-/// parses but cannot apply (a delta whose base is missing or not base_len
-/// bytes long, or a section that fails to decode) stops the replay
-/// without touching `sections`. Returns nullopt — with `sections`
-/// untouched — when there is no usable journal or it holds zero valid
-/// records.
+/// resolved raw payloads keyed by kind) in place, stopping at the first
+/// torn or CRC-invalid frame. Each record is decoded whole (delta bodies
+/// XOR'd in place against the running state) before any of its sections
+/// is committed, so records apply atomically: a record that parses but
+/// cannot apply (a delta whose base is missing or not base_len bytes
+/// long, or a section that fails to decode) stops the replay with
+/// `sections` at exactly the previous record's state. Returns nullopt —
+/// with `sections` untouched — when there is no usable journal or it
+/// holds zero valid records.
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
                                     std::map<SectionKind, Bytes>& sections);
@@ -136,7 +138,9 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one framed record for `state` (one plain-stream append =
-  /// one crash-atomic frame), group-committing per policy.
+  /// one crash-atomic frame), group-committing per policy. Its payloads
+  /// become the next delta bases only once the append returns; after an
+  /// append throws, failed() holds and further calls throw logic_error.
   void log_step(const qnn::TrainingState& state);
 
   /// Explicit group-commit point (idempotent when nothing is pending).
@@ -152,6 +156,7 @@ class WalWriter {
   [[nodiscard]] bool over_budget() const {
     return policy_.max_log_bytes > 0 && bytes_ > policy_.max_log_bytes;
   }
+  [[nodiscard]] bool failed() const { return failed_; }
 
  private:
   io::Env& env_;
@@ -166,6 +171,7 @@ class WalWriter {
   std::uint64_t bytes_ = 0;
   std::uint64_t syncs_ = 0;
   std::uint64_t unsynced_ = 0;
+  bool failed_ = false;
 };
 
 }  // namespace qnn::ckpt

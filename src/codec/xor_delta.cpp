@@ -51,29 +51,33 @@ Bytes xor_undelta64_scalar(ByteSpan data) {
 
 Bytes xor_with_parent(ByteSpan data, ByteSpan parent) {
   Bytes out(data.begin(), data.end());
-  const std::size_t n = std::min(out.size(), parent.size());
+  xor_with_parent_inplace(out, parent);
+  return out;
+}
+
+void xor_with_parent_inplace(std::span<std::uint8_t> data, ByteSpan parent) {
+  const std::size_t n = std::min(data.size(), parent.size());
   std::size_t i = 0;
 #if defined(__SSE2__)
   for (; i + 16 <= n; i += 16) {
     const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(out.data() + i));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data.data() + i));
     const __m128i b =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(parent.data() + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i),
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(data.data() + i),
                      _mm_xor_si128(a, b));
   }
 #endif
   for (; i + 8 <= n; i += 8) {
     std::uint64_t a, b;
-    std::memcpy(&a, out.data() + i, 8);
+    std::memcpy(&a, data.data() + i, 8);
     std::memcpy(&b, parent.data() + i, 8);
     a ^= b;
-    std::memcpy(out.data() + i, &a, 8);
+    std::memcpy(data.data() + i, &a, 8);
   }
   for (; i < n; ++i) {
-    out[i] ^= parent[i];
+    data[i] ^= parent[i];
   }
-  return out;
 }
 
 Bytes xor_delta64(ByteSpan data) {

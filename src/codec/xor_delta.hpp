@@ -29,6 +29,12 @@ using util::ByteSpan;
 /// (payload grew between checkpoints). Result size == data size.
 Bytes xor_with_parent(ByteSpan data, ByteSpan parent);
 
+/// In-place form of xor_with_parent: XORs `parent` into `data` (the
+/// kernel the allocating form runs on its copy). Recovery folds each
+/// decoded delta through here, so resolving a link writes every state
+/// byte once and allocates nothing.
+void xor_with_parent_inplace(std::span<std::uint8_t> data, ByteSpan parent);
+
 /// Forward intra-buffer delta: word[i] ^= word[i-1] (64-bit words; the tail
 /// that does not fill a word is left untouched).
 Bytes xor_delta64(ByteSpan data);

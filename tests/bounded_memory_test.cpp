@@ -1,5 +1,5 @@
-// Proof that the streaming encode/write path never rematerializes whole
-// checkpoint files in memory.
+// Proof that neither the streaming encode/write path nor chain recovery
+// rematerializes whole checkpoint files in memory.
 //
 // A large full-state checkpoint is written through a real-filesystem
 // PosixEnv (MemEnv IS memory, so only the Posix path can demonstrate an
@@ -7,7 +7,9 @@
 // everything the storage stack adds on top — compression waves, the
 // packfile, the container — must stay bounded by O(chunk_bytes x encode
 // window), measured by Checkpointer::Stats::peak_encode_buffer_bytes
-// and, end to end, by the process's peak RSS.
+// and, end to end, by the process's peak RSS. Recovering an incremental
+// chain must likewise hold one resolved state plus one decoded file,
+// whatever the chain depth.
 //
 // CI runs this test under a hard address-space ulimit sized well below
 // what the historical whole-buffer path needed (snapshot + serialized
@@ -15,10 +17,14 @@
 // environment variable scales the state so the local default stays fast
 // while the CI job writes a checkpoint that simply cannot fit twice.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
@@ -44,6 +50,25 @@ std::uint64_t peak_rss_bytes() {
   struct rusage usage {};
   ::getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+/// VmHWM (peak resident set since the last reset) in bytes; 0 when
+/// unreadable.
+std::uint64_t vm_hwm_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;
+    }
+  }
+  return 0;
+}
+
+/// Returns freed heap pages to the kernel, then resets VmHWM to the
+/// current resident set (Linux: "5" written to clear_refs).
+void reset_peak_rss() {
+  ::malloc_trim(0);
+  std::ofstream("/proc/self/clear_refs") << "5";
 }
 
 qnn::TrainingState huge_state(std::size_t megabytes) {
@@ -111,6 +136,60 @@ TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->state.params.size(), raw_bytes / sizeof(double));
   EXPECT_EQ(outcome->state, huge_state(mb));
+
+  fs::remove_all(root);
+}
+
+TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
+  // A quarter of the encode test's state, so writing a chain of 8 fits
+  // CI's ulimit; at least 24 MiB, so the fixed 64 MiB slack below cannot
+  // hide a per-link copy in the fast local run.
+  const std::size_t mb = std::max<std::size_t>(state_megabytes() / 4, 24);
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("qnnckpt_bounded_chain_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+
+  io::PosixEnv env(/*durable=*/false);
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 1;
+  policy.full_every = 8;  // one full + 7 deltas: a chain of depth 8
+  policy.retention.keep_last = 0;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = std::size_t{1} << 20;
+
+  auto state = huge_state(mb);
+  const std::uint64_t raw_bytes = state.params.size() * sizeof(double);
+  {
+    Checkpointer ck(env, root + "/cp", policy);
+    for (std::uint64_t step = 1; step <= 8; ++step) {
+      state.step = step;
+      // Rewrite a different 1/8 of the params each step, so every delta
+      // carries real changes.
+      const std::size_t slice = state.params.size() / 8;
+      for (std::size_t i = 0; i < slice; ++i) {
+        state.params[(step - 1) * slice + i] += 1.0;
+      }
+      ck.checkpoint_now(state);
+    }
+    ASSERT_EQ(ck.stats().incremental_checkpoints, 7u);
+  }
+
+  reset_peak_rss();
+  const std::uint64_t rss_before = vm_hwm_bytes();
+  ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+  const auto outcome = recover_latest(env, root + "/cp");
+  const std::uint64_t rss_growth = vm_hwm_bytes() - rss_before;
+
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 8u);
+  EXPECT_EQ(outcome->state, state);
+  // The resolved payloads plus the loaded state are ~2x the state; a
+  // chain held whole (or a copy per fold) grows by ~9x at depth 8.
+  EXPECT_LT(rss_growth, 3 * raw_bytes + (std::uint64_t{64} << 20))
+      << "recovery memory grew with the chain depth";
 
   fs::remove_all(root);
 }

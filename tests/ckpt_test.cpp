@@ -741,6 +741,59 @@ TEST(Recovery, CorruptParentFailsChildFallsBackToRoot) {
   EXPECT_EQ(outcome->notes.size(), 2u);
 }
 
+/// Counts read handles opened per path (every read_file opens one).
+class OpenCountingEnv final : public io::ForwardingEnv {
+ public:
+  using io::ForwardingEnv::ForwardingEnv;
+
+  std::map<std::string, int> opens;
+
+  std::unique_ptr<io::RandomAccessFile> open_ranged(
+      const std::string& path) override {
+    ++opens[path];
+    return base_.open_ranged(path);
+  }
+};
+
+TEST(Recovery, SelfParentHeaderIsRejectedAfterOneRead) {
+  io::MemEnv mem;
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 1;
+  policy.retention.keep_last = 0;
+  policy.full_every = 10;
+  {
+    Checkpointer ck(mem, "cp", policy);
+    for (std::uint64_t step = 1; step <= 3; ++step) {
+      ck.maybe_checkpoint(make_state(step));  // full 1, deltas 2 and 3
+    }
+  }
+  // Point delta 3's parent id (after magic, version, flags and its own
+  // id) at itself. The footer CRC64 no longer verifies, so the chain
+  // walk must reject the file instead of following the link around the
+  // loop until max_chain.
+  const std::string path = "cp/" + checkpoint_file_name(3);
+  auto data = mem.read_file(path);
+  ASSERT_TRUE(data.has_value());
+  std::size_t off = 16;
+  ASSERT_EQ(util::get_le<std::uint64_t>(*data, off), 2u);
+  (*data)[16] = 3;
+  mem.write_file_atomic(path, util::ByteSpan{*data});
+
+  OpenCountingEnv env(mem);
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 2u);
+  EXPECT_EQ(outcome->state, make_state(2));
+  EXPECT_EQ(env.opens[path], 1);
+  bool rejected = false;
+  for (const FlightEvent& e : outcome->events) {
+    rejected =
+        rejected || (e.name == "candidate.reject" && e.value("id") == "3");
+  }
+  EXPECT_TRUE(rejected);
+}
+
 TEST(Recovery, WorksWithoutManifest) {
   io::MemEnv env;
   CheckpointPolicy policy;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "ckpt/state_codec.hpp"
 #include "ckpt/store.hpp"
 #include "ckpt/wal.hpp"
+#include "io/env.hpp"
 #include "io/mem_env.hpp"
 #include "qnn/ansatz.hpp"
 #include "util/bytes.hpp"
@@ -153,6 +155,57 @@ void append_frame(util::Bytes& file, util::ByteSpan payload) {
   file.insert(file.end(), prefix.begin(), prefix.end());
   file.insert(file.end(), payload.begin(), payload.end());
 }
+
+/// Appends one version-2 record section with a raw-coded body.
+void put_section(util::Bytes& payload, SectionKind kind, std::uint8_t flags,
+                 std::uint64_t base_len, util::ByteSpan body) {
+  util::put_le<std::uint16_t>(payload, static_cast<std::uint16_t>(kind));
+  util::put_le<std::uint8_t>(payload, flags);
+  util::put_le<std::uint8_t>(payload,
+                             static_cast<std::uint8_t>(codec::CodecId::kRaw));
+  util::put_le<std::uint64_t>(payload, base_len);
+  util::put_le<std::uint64_t>(payload, body.size());
+  util::put_bytes(payload, body);
+}
+
+/// Forwards to `base`; while `fail_next_plain_append` is set, the next
+/// append on a plain (journal) stream clears it and throws before
+/// writing a byte.
+class FailingAppendEnv final : public io::ForwardingEnv {
+ public:
+  using io::ForwardingEnv::ForwardingEnv;
+
+  bool fail_next_plain_append = false;
+
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    auto file = base_.new_writable(path, mode);
+    if (mode != io::WriteMode::kPlain) {
+      return file;
+    }
+    return std::make_unique<File>(std::move(file), fail_next_plain_append);
+  }
+
+ private:
+  class File final : public io::WritableFile {
+   public:
+    File(std::unique_ptr<io::WritableFile> inner, bool& fail)
+        : inner_(std::move(inner)), fail_(fail) {}
+    void append(util::ByteSpan data) override {
+      if (fail_) {
+        fail_ = false;
+        throw std::runtime_error("injected append failure");
+      }
+      inner_->append(data);
+    }
+    void sync() override { inner_->sync(); }
+    void close() override { inner_->close(); }
+
+   private:
+    std::unique_ptr<io::WritableFile> inner_;
+    bool& fail_;
+  };
+};
 
 util::Bytes from_hex(const std::string& hex) {
   util::Bytes out(hex.size() / 2);
@@ -368,6 +421,46 @@ TEST(Wal, UndecodableSectionStopsReplayWithoutPartialApply) {
   EXPECT_EQ(replay->records_applied, 1u);
   EXPECT_EQ(state_of(sections), make_state(31))
       << "the undecodable record's intact params section must not land";
+}
+
+TEST(Wal, InapplicableSecondRecordLeavesTheFirstRecordsState) {
+  io::MemEnv env;
+  const auto base = make_state(30);
+  WalWriter w(env, "cp", 6, WalPolicy{}, kCodec, base, false);
+  w.log_step(make_state(31));
+  w.close();
+
+  // Record two: an applicable optimizer delta against step 31's state,
+  // then a params delta whose base_len matches no state. Replay works on
+  // the caller's map in place, so the decoded optimizer delta must not
+  // land either: the map stays at exactly record one's state.
+  const auto first = raw_sections(make_state(31));
+  const auto next = raw_sections(make_state(32));
+  const util::Bytes& opt = first.at(SectionKind::kOptimizer);
+  util::Bytes opt_delta = next.at(SectionKind::kOptimizer);
+  ASSERT_EQ(opt_delta.size(), opt.size());
+  for (std::size_t i = 0; i < opt.size(); ++i) {
+    opt_delta[i] ^= opt[i];
+  }
+  const util::Bytes& params = next.at(SectionKind::kParams);
+  util::Bytes payload;
+  util::put_le<std::uint64_t>(payload, 32);
+  util::put_le<std::uint32_t>(payload, 2);
+  put_section(payload, SectionKind::kOptimizer, kSectionFlagDelta, opt.size(),
+              opt_delta);
+  put_section(payload, SectionKind::kParams, kSectionFlagDelta,
+              params.size() + 8, params);
+  auto file = env.read_file("cp/" + wal_file_name(6));
+  ASSERT_TRUE(file.has_value());
+  append_frame(*file, payload);
+  env.write_file_atomic("cp/" + wal_file_name(6), util::ByteSpan{*file});
+
+  auto sections = raw_sections(base);
+  const auto replay = replay_wal(env, "cp", 6, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(replay->step, 31u);
+  EXPECT_EQ(sections, first);
 }
 
 // ---------- format: codec, deltas across size changes, version 1 ----------
@@ -586,6 +679,28 @@ TEST(Wal, OverBudgetTripsOnSizeAndZeroDisables) {
   EXPECT_FALSE(u.over_budget());
 }
 
+TEST(Wal, FailedAppendRefusesFurtherRecords) {
+  io::MemEnv mem;
+  FailingAppendEnv env(mem);
+  const auto base = make_state(1);
+  WalWriter w(env, "cp", 1, WalPolicy{}, kCodec, base, false);
+  w.log_step(make_state(2));
+  env.fail_next_plain_append = true;
+  EXPECT_THROW(w.log_step(make_state(3)), std::runtime_error);
+  EXPECT_TRUE(w.failed());
+  EXPECT_EQ(w.records(), 1u);
+  // The writer's delta bases may not be what the log holds any more:
+  // it takes no further record, even though the env works again.
+  EXPECT_THROW(w.log_step(make_state(4)), std::logic_error);
+  w.close();
+
+  auto sections = raw_sections(base);
+  const auto replay = replay_wal(env, "cp", 1, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(state_of(sections), make_state(2));
+}
+
 // ---------- Checkpointer integration ----------
 
 TEST(CheckpointerWal, LogsBetweenInstallsAndRecoveryReplays) {
@@ -693,6 +808,85 @@ TEST(CheckpointerWal, TornJournalTailRecoversLastFramedRecord) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->step, 7u);
   EXPECT_EQ(outcome->state, make_state(7));
+}
+
+TEST(CheckpointerWal, FailedAppendInstallsInsteadOfLoggingOnStaleBases) {
+  io::MemEnv mem;
+  FailingAppendEnv env(mem);
+  CheckpointPolicy policy;
+  policy.every_steps = 10;
+  policy.retention.keep_last = 0;
+  policy.wal.enable = true;
+  policy.wal.group_commit_steps = 1;
+  // A constant loss history keeps every section the same size, so the
+  // replay's base_len check cannot catch a record deltaed against a
+  // state the journal never held.
+  const auto state = [](std::uint64_t step) {
+    auto s = make_state(step);
+    s.loss_history.assign(4, 0.5);
+    return s;
+  };
+  Checkpointer ck(env, "cp", policy);
+  for (std::uint64_t step = 1; step <= 11; ++step) {
+    ck.maybe_checkpoint(state(step));  // install at 10, record 11
+  }
+  env.fail_next_plain_append = true;
+  EXPECT_THROW(ck.maybe_checkpoint(state(12)), std::runtime_error);
+  // The journal no longer matches its writer: step 13 is installed
+  // (rotating the log) instead of being deltaed against step 12.
+  EXPECT_TRUE(ck.maybe_checkpoint(state(13)));
+  EXPECT_EQ(ck.stats().wal_records, 1u);
+
+  // Recovery returns a state that was actually checkpointed: the newest.
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 13u);
+  EXPECT_EQ(outcome->state, state(13));
+}
+
+TEST(CheckpointerWal, UnloadableReplayFallsBackToTheBaseCheckpoint) {
+  io::MemEnv env;
+  CheckpointPolicy policy;
+  policy.every_steps = 5;
+  policy.retention.keep_last = 0;
+  policy.wal.enable = true;
+  {
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 5; ++step) {
+      ck.maybe_checkpoint(make_state(step));
+    }
+  }
+  // A CRC-valid record whose full (non-delta) params body applies but is
+  // not a serialized vector: the replayed state cannot load, and the
+  // base checkpoint — resolved again, not held as a spare copy — wins.
+  const std::uint64_t tip = Manifest::load(env, "cp").latest()->id;
+  const std::string log = "cp/" + wal_file_name(tip);
+  util::Bytes payload;
+  util::put_le<std::uint64_t>(payload, 6);
+  util::put_le<std::uint32_t>(payload, 1);
+  put_section(payload, SectionKind::kParams, 0, 0, util::Bytes{1, 2, 3});
+  auto file = env.read_file(log);
+  ASSERT_TRUE(file.has_value());
+  append_frame(*file, payload);
+  env.write_file_atomic(log, util::ByteSpan{*file});
+
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, tip);
+  EXPECT_EQ(outcome->step, 5u);
+  EXPECT_EQ(outcome->state, make_state(5));
+  bool noted = false;
+  for (const std::string& note : outcome->notes) {
+    noted =
+        noted || note.find("replayed state unloadable") != std::string::npos;
+  }
+  EXPECT_TRUE(noted);
+  bool recorded = false;
+  for (const FlightEvent& e : outcome->events) {
+    recorded = recorded || e.name == "wal.replay_unloadable";
+    EXPECT_NE(e.name, "wal.replay");
+  }
+  EXPECT_TRUE(recorded);
 }
 
 // ---------- stale-log reaping ----------
