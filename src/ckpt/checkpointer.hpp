@@ -81,7 +81,9 @@ struct CheckpointPolicy {
   std::size_t encode_queue = 2;
   /// Sections larger than this are chunk-framed so compression and CRC
   /// parallelise (see ckpt/format.hpp); under format v3 those chunks are
-  /// content-addressed and deduplicated across checkpoints.
+  /// content-addressed and deduplicated across checkpoints, cut on the
+  /// section's element grid: a params block aligned to chunk_bytes in
+  /// the array and rewritten in place dirties one chunk, not two.
   std::size_t chunk_bytes = std::size_t{1} << 20;
 
   /// On-disk container version to emit. 0 = newest (v3: oversized
@@ -163,9 +165,10 @@ class Checkpointer {
     /// High-water mark of encoded bytes buffered by the encode path:
     /// compression waves in flight plus async containers queued for the
     /// writer. Under format v3 (chunks stream into the packfile, the
-    /// container is key tables) this is O(chunk_bytes x encode window x
-    /// pipeline depth) — independent of checkpoint size; the bounded-
-    /// memory pipeline test asserts exactly that. The v2-inline
+    /// container is key tables) a wave holds <= window x chunk_bytes + 8
+    /// (a first chunk carries its u64 count; see section_array_offset):
+    /// O(chunk x window x pipeline depth), independent of checkpoint
+    /// size, as the bounded-memory pipeline test asserts. The v2-inline
     /// fallback buffers whole sections and reports so here honestly.
     std::uint64_t peak_encode_buffer_bytes = 0;
 

@@ -184,16 +184,28 @@ std::size_t extern_table_size(std::size_t n_chunks) {
 /// and storing only the non-resident ones) and returns the serialised key
 /// table that replaces the payload on disk.
 ///
+/// Cuts sit on the element grid: chunk c > 0 starts at
+/// `head + c * chunk_bytes`, chunk 0 also carries the `head` prefix
+/// bytes, and the last chunk takes the remainder. `payload` is larger
+/// than chunk_bytes, hence than `head`.
+///
 /// Chunks are processed in WAVES of `window` so at most one wave of
 /// encoded chunk buffers is ever alive — the O(chunk x workers) memory
 /// bound of the streaming encode path. The sink sees puts in chunk
 /// order (waves run in order), so packfile record order and the emitted
 /// key table are identical for any window size.
 Bytes encode_extern_section(codec::CodecId codec, ByteSpan payload,
-                            std::size_t chunk_bytes, std::size_t window,
-                            util::ThreadPool* pool, ChunkSink& sink,
-                            util::MemGauge* gauge) {
-  const std::size_t n_chunks = (payload.size() + chunk_bytes - 1) / chunk_bytes;
+                            std::size_t head, std::size_t chunk_bytes,
+                            std::size_t window, util::ThreadPool* pool,
+                            ChunkSink& sink, util::MemGauge* gauge) {
+  const std::size_t n_chunks =
+      (payload.size() - head + chunk_bytes - 1) / chunk_bytes;
+  const auto chunk = [&](std::size_t c) {
+    const std::size_t begin = c == 0 ? 0 : head + c * chunk_bytes;
+    const std::size_t end =
+        std::min(payload.size(), head + (c + 1) * chunk_bytes);
+    return payload.subspan(begin, end - begin);
+  };
   std::vector<ChunkKey> keys;
   keys.reserve(n_chunks);
   std::vector<std::size_t> missing;
@@ -203,9 +215,7 @@ Bytes encode_extern_section(codec::CodecId codec, ByteSpan payload,
     std::vector<ChunkKey> wave_keys(wave);
     util::parallel_for(pool, 0, wave, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t begin = (base + i) * chunk_bytes;
-        const std::size_t len = std::min(chunk_bytes, payload.size() - begin);
-        wave_keys[i] = chunk_key(payload.subspan(begin, len));
+        wave_keys[i] = chunk_key(chunk(base + i));
       }
     });
     // The dedup stage proper: contains() is called exactly once per
@@ -222,11 +232,7 @@ Bytes encode_extern_section(codec::CodecId codec, ByteSpan payload,
     util::parallel_for(pool, 0, missing.size(), 1,
                        [&](std::size_t lo, std::size_t hi) {
                          for (std::size_t i = lo; i < hi; ++i) {
-                           const std::size_t begin = missing[i] * chunk_bytes;
-                           const std::size_t len =
-                               std::min(chunk_bytes, payload.size() - begin);
-                           encoded[i] = codec::encode(
-                               codec, payload.subspan(begin, len));
+                           encoded[i] = codec::encode(codec, chunk(missing[i]));
                          }
                        });
     std::uint64_t wave_bytes = 0;
@@ -413,6 +419,21 @@ std::string section_kind_name(SectionKind kind) {
   return "unknown(" + std::to_string(static_cast<int>(kind)) + ")";
 }
 
+std::size_t section_array_offset(SectionKind kind) {
+  switch (kind) {
+    case SectionKind::kParams:
+    case SectionKind::kDataCursor:
+    case SectionKind::kLossHistory:
+      return sizeof(std::uint64_t);  // util::put_vector's element count
+    case SectionKind::kMeta:
+    case SectionKind::kOptimizer:
+    case SectionKind::kRng:
+    case SectionKind::kSimulator:
+      return 0;
+  }
+  return 0;
+}
+
 const Section* CheckpointFile::find(SectionKind kind) const {
   for (const Section& s : sections) {
     if (s.kind == kind) {
@@ -496,9 +517,9 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
       // Content-addressed: the chunk bytes stream into the sink wave by
       // wave (bounded memory); only the small key table lands in the
       // container as the payload region.
-      const Bytes table =
-          encode_extern_section(s.codec, s.payload, chunk_bytes, window,
-                                options.pool, *options.sink, options.gauge);
+      const Bytes table = encode_extern_section(
+          s.codec, s.payload, section_array_offset(s.kind), chunk_bytes,
+          window, options.pool, *options.sink, options.gauge);
       util::put_le<std::uint64_t>(scratch, table.size());
       util::put_le<std::uint32_t>(scratch, util::crc32c(table));
       em.put(scratch);

@@ -46,11 +46,16 @@
 // CRC32C over the raw (uncompressed) bytes. The field is per-section so
 // a stronger digest can be introduced later without renumbering flags.
 // The section header's raw_len is the total reassembled payload size;
-// enc_len and CRC32C cover the key table. Encoding an extern section
-// requires a ChunkSink (the dedup stage: resident chunks skip
-// compression and storage entirely); decoding one requires a
-// ChunkSource. Version-2 and version-1 files decode unchanged, and
-// encoders can still emit both (EncodeOptions::version).
+// enc_len and CRC32C cover the key table. The encoder cuts chunks on the
+// section's element grid: the first chunk also carries the payload's
+// count prefix (section_array_offset), so a chunk_bytes-aligned block of
+// the array rewritten in place dirties one chunk. Readers take each
+// chunk's length from its key, so any cut decodes (files cut from
+// payload byte 0 included). Encoding an extern section requires a
+// ChunkSink (the dedup stage: resident chunks skip compression and
+// storage entirely); decoding one requires a ChunkSource. Version-2 and
+// version-1 files decode unchanged, and encoders can still emit both
+// (EncodeOptions::version).
 //
 // Chunk payload bytes are deliberately covered twice (chunk CRC32C and
 // the serial section CRC32C): the footer CRC64 already forces one serial
@@ -105,15 +110,20 @@ constexpr std::size_t kMinChunkBytes = 64;
 /// Section identity. On-disk values — never renumber.
 enum class SectionKind : std::uint16_t {
   kMeta = 0,         ///< workload tag, optimizer name, counters
-  kParams = 1,       ///< trainable parameters (raw f64)
-  kOptimizer = 2,    ///< optimiser internal state
-  kRng = 3,          ///< RNG stream position
-  kDataCursor = 4,   ///< epoch, cursor, permutation
-  kLossHistory = 5,  ///< per-step losses (raw f64)
-  kSimulator = 6,    ///< mid-evaluation simulator snapshot
+  kParams = 1,       ///< trainable parameters: u64 count | f64 elements
+  kOptimizer = 2,    ///< optimiser internal state (opaque bytes)
+  kRng = 3,          ///< RNG stream position (opaque bytes)
+  kDataCursor = 4,   ///< permutation: u64 count | u32 elements
+  kLossHistory = 5,  ///< per-step losses: u64 count | f64 elements
+  kSimulator = 6,    ///< mid-evaluation simulator snapshot (opaque bytes)
 };
 
 std::string section_kind_name(SectionKind kind);
+
+/// Byte offset of the element array within a section's raw payload: 8
+/// (the u64 count) for the `u64 count | elements` kinds, 0 for byte
+/// strings. The extern encoder cuts chunks on this grid.
+std::size_t section_array_offset(SectionKind kind);
 
 /// Section flags (sflags byte).
 constexpr std::uint8_t kSectionFlagDelta = 0x01;
@@ -248,8 +258,9 @@ class WritableSink final : public ByteSink {
 /// checksumming fan out.
 struct EncodeOptions {
   /// Sections larger than this are chunk-framed (v2) or externalised into
-  /// the chunk store (v3) in pieces of this size. Clamped to >= 64;
-  /// payloads <= chunk_bytes stay un-chunked inline.
+  /// the chunk store (v3) in pieces of this size; v3 cuts on the element
+  /// grid, so its first piece also holds the count prefix. Clamped to
+  /// >= 64; payloads <= chunk_bytes stay un-chunked inline.
   std::size_t chunk_bytes = std::size_t{1} << 20;
   /// Pool for concurrent chunk encode; null = encode on the calling
   /// thread. The output bytes are identical either way.

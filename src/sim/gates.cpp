@@ -56,8 +56,13 @@ Mat2 P(double lambda) { return {1.0, 0.0, 0.0, std::polar(1.0, lambda)}; }
 Mat2 U3(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2);
   const double s = std::sin(theta / 2);
-  return {cplx{c, 0.0}, -std::polar(s, lambda), std::polar(s, phi),
-          std::polar(c, phi + lambda)};
+  // s and c go negative outside theta in [0, pi], where std::polar's
+  // rho >= 0 precondition fails; these are the products polar computes.
+  const auto scaled = [](double r, double a) {
+    return cplx{r * std::cos(a), r * std::sin(a)};
+  };
+  return {cplx{c, 0.0}, -scaled(s, lambda), scaled(s, phi),
+          scaled(c, phi + lambda)};
 }
 
 Mat4 CX() {

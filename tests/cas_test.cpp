@@ -121,6 +121,38 @@ TEST(Cas, DedupStatsExposeHitRatio) {
   EXPECT_EQ(cas.dedup_hits, stats.chunks_deduped);
 }
 
+TEST(Cas, RewrittenChunkSizedRegionMissesOneChunk) {
+  // One params array of 16 regions, each the policy's chunk size; every
+  // checkpoint rewrites one region in place, as a trainer updating one
+  // layer at a time does. Chunk cuts sit on the array's grid, so a
+  // region is exactly one chunk: 16 refs, 1 miss per checkpoint.
+  constexpr std::size_t kRegions = 16;
+  constexpr std::size_t kRegionParams = 1024 / sizeof(double);
+  qnn::TrainingState s = big_state(0, kRegions * kRegionParams);
+  io::MemEnv env;
+  Checkpointer ck(env, "cp", cas_policy());
+  ck.checkpoint_now(s);
+  util::Rng rng(21);
+  for (std::uint64_t step = 1; step <= kRegions; ++step) {
+    // 5 is coprime to 16: every region, the first and the last included.
+    const std::size_t region = (step * 5) % kRegions;
+    for (std::size_t i = 0; i < kRegionParams; ++i) {
+      s.params[region * kRegionParams + i] = rng.uniform(-1.0, 1.0);
+    }
+    s.step = step;
+    const auto before = ck.stats();
+    ck.checkpoint_now(s);
+    const auto after = ck.stats();
+    const std::uint64_t refs = after.chunk_refs - before.chunk_refs;
+    EXPECT_EQ(refs, kRegions) << "step " << step;
+    EXPECT_EQ(refs - (after.chunks_deduped - before.chunks_deduped), 1u)
+        << "step " << step << " region " << region;
+  }
+  ck.flush();
+  // Ids count from 1, and the first checkpoint was step 0.
+  EXPECT_EQ(load_checkpoint(env, "cp", kRegions + 1), s);
+}
+
 TEST(Cas, AsyncPipelineDedupsAndRecovers) {
   io::MemEnv env;
   CheckpointPolicy policy = cas_policy();

@@ -2,6 +2,7 @@
 // detection sweeps, truncation, salvage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "ckpt/format.hpp"
@@ -412,7 +413,8 @@ TEST(Extern, ListChunkRefsReturnsKeysInOrder) {
   const Bytes blob = encode_checkpoint(f, options);
   const auto refs = list_chunk_refs(blob);
   // Three sections exceed 512 bytes (params 800, optimizer 1600,
-  // simulator 4096): ceil(800/512) + ceil(1600/512) + ceil(4096/512).
+  // simulator 4096): ceil((800 - 8)/512) + ceil(1600/512) +
+  // ceil(4096/512); the params count prefix rides with its first chunk.
   EXPECT_EQ(refs.size(), 2u + 4u + 8u);
   // Every listed key resolves and reassembles the payload it names.
   for (const ChunkKey& key : refs) {
@@ -435,6 +437,123 @@ TEST(Extern, ChunkKeyNameRoundTrips) {
   EXPECT_FALSE(parse_chunk_key_name("nonsense").has_value());
   EXPECT_FALSE(parse_chunk_key_name("zzzzzzzz-12").has_value());
   EXPECT_FALSE(parse_chunk_key_name("00000000-").has_value());
+}
+
+// ---------- extern chunk cuts on the element grid ----------
+
+/// `v` in util::put_vector layout (u64 count | f64 elements), the
+/// payload layout of kParams and kLossHistory.
+Bytes vector_payload(const std::vector<double>& v) {
+  Bytes out;
+  util::put_vector(out, v);
+  return out;
+}
+
+std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = rng.uniform(-1.0, 1.0);
+  }
+  return v;
+}
+
+CheckpointFile one_section_file(SectionKind kind, Bytes payload) {
+  CheckpointFile f;
+  f.checkpoint_id = 11;
+  f.step = 4;
+  f.sections.push_back(Section{.kind = kind,
+                               .codec = codec::CodecId::kLz,
+                               .flags = 0,
+                               .payload = std::move(payload)});
+  return f;
+}
+
+EncodeOptions extern_options(MapChunkStore& store, std::size_t chunk_bytes) {
+  EncodeOptions options;
+  options.chunk_bytes = chunk_bytes;
+  options.sink = &store;
+  return options;
+}
+
+/// Raw chunk lengths of a v3 file's extern sections, in table order.
+std::vector<std::uint64_t> chunk_lengths(ByteSpan blob) {
+  std::vector<std::uint64_t> lengths;
+  for (const ChunkKey& key : list_chunk_refs(blob)) {
+    lengths.push_back(key.len);
+  }
+  return lengths;
+}
+
+TEST(ExternGrid, ArrayKindsCutOnTheElementGrid) {
+  // 37 doubles: a u64 count, then 296 array bytes.
+  const Bytes payload = vector_payload(random_doubles(37, 5));
+  const std::vector<std::pair<SectionKind, std::vector<std::uint64_t>>>
+      cases = {
+          // The first chunk carries the count, so every later cut falls
+          // on an element boundary.
+          {SectionKind::kParams, {72, 64, 64, 64, 40}},
+          // Byte strings keep cutting from payload byte 0.
+          {SectionKind::kOptimizer, {64, 64, 64, 64, 48}},
+      };
+  for (const auto& [kind, lengths] : cases) {
+    const CheckpointFile f = one_section_file(kind, payload);
+    MapChunkStore store;
+    const Bytes blob = encode_checkpoint(f, extern_options(store, 64));
+    EXPECT_EQ(chunk_lengths(blob), lengths) << section_kind_name(kind);
+    expect_equal_files(
+        f, decode_checkpoint(blob, DecodeOptions{.source = &store}));
+  }
+}
+
+TEST(ExternGrid, RewrittenAlignedBlockMissesOneChunk) {
+  // 64 doubles: eight 64-byte blocks of the array.
+  std::vector<double> params = random_doubles(64, 9);
+  MapChunkStore store;
+  const EncodeOptions options = extern_options(store, 64);
+  const auto misses_of_encode = [&] {
+    const std::uint64_t queries = store.queries;
+    const std::uint64_t hits = store.hits;
+    (void)encode_checkpoint(
+        one_section_file(SectionKind::kParams, vector_payload(params)),
+        options);
+    EXPECT_EQ(store.queries - queries, 8u) << "one key per array block";
+    return (store.queries - queries) - (store.hits - hits);
+  };
+  EXPECT_EQ(misses_of_encode(), 8u);
+  // Rewrite array bytes [192, 256) in place: one block, one new chunk.
+  const std::vector<double> block = random_doubles(8, 10);
+  std::copy(block.begin(), block.end(), params.begin() + 24);
+  EXPECT_EQ(misses_of_encode(), 1u);
+}
+
+TEST(ExternGrid, ArrayOffsetMatchesTheStateCodecLayout) {
+  // The cut grid is only right while section_array_offset agrees with
+  // where state_codec puts each array.
+  qnn::TrainingState s;
+  s.params = {0.5, -1.25, 3.0};
+  s.permutation = {4, 0, 2, 1, 3};
+  s.loss_history = {1.0, 0.5};
+  const auto expect_array_at_offset = [&](SectionKind kind, ByteSpan array) {
+    const Bytes payload = encode_section_payload(kind, s);
+    const std::size_t offset = section_array_offset(kind);
+    ASSERT_EQ(payload.size(), offset + array.size())
+        << section_kind_name(kind);
+    EXPECT_TRUE(std::equal(
+        array.begin(), array.end(),
+        payload.begin() + static_cast<std::ptrdiff_t>(offset)))
+        << section_kind_name(kind);
+  };
+  expect_array_at_offset(SectionKind::kParams, util::as_bytes(s.params));
+  expect_array_at_offset(SectionKind::kDataCursor,
+                         util::as_bytes(s.permutation));
+  expect_array_at_offset(SectionKind::kLossHistory,
+                         util::as_bytes(s.loss_history));
+  for (const SectionKind kind :
+       {SectionKind::kMeta, SectionKind::kOptimizer, SectionKind::kRng,
+        SectionKind::kSimulator}) {
+    EXPECT_EQ(section_array_offset(kind), 0u) << section_kind_name(kind);
+  }
 }
 
 // ---------- corruption detection ----------
@@ -720,6 +839,54 @@ TEST(GoldenFixture, CorruptingAnyV3FixtureByteIsDetected) {
     EXPECT_THROW(decode_checkpoint(damaged, decode), CorruptCheckpoint)
         << "byte " << i << " flip went undetected";
   }
+}
+
+// A v3 file written before extern chunks were cut on the element grid:
+// its params section (20 doubles, 168 payload bytes) was cut every 64
+// bytes from payload byte 0, into chunks of 64, 64 and 40 bytes. Readers
+// take each chunk's length from the key table, so such files must keep
+// decoding although today's encoder cuts 72, 64 and 32.
+
+const char* const kFixtureV3HeadCut =
+    "51434b5003000000050000000000000000000000000000000900000000000000"
+    "92100000000000000100000001000004a8000000000000003100000000000000"
+    "77a417ec000300000040000000000000004000000000000000004680b9400000"
+    "00000000007dc640382800000000000000bd2b9462633712af2cdce8bb504b43"
+    "51";
+
+CheckpointFile head_cut_file() {
+  std::vector<double> params(20);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i] = 0.25 * static_cast<double>(i) - 2.0;
+  }
+  CheckpointFile f;
+  f.checkpoint_id = 5;
+  f.step = 9;
+  f.time_us = 4242;
+  f.sections.push_back(Section{.kind = SectionKind::kParams,
+                               .codec = codec::CodecId::kRaw,
+                               .flags = 0,
+                               .payload = vector_payload(params)});
+  return f;
+}
+
+TEST(GoldenFixture, V3FileCutFromPayloadByteZeroStillDecodes) {
+  const CheckpointFile f = head_cut_file();
+  const ByteSpan payload = f.sections[0].payload;
+  MapChunkStore store;
+  for (std::size_t begin = 0; begin < payload.size(); begin += 64) {
+    const ByteSpan piece = payload.subspan(
+        begin, std::min<std::size_t>(64, payload.size() - begin));
+    store.put(chunk_key(piece), codec::CodecId::kRaw, piece);
+  }
+  const Bytes blob = from_hex(kFixtureV3HeadCut);
+  EXPECT_EQ(chunk_lengths(blob), (std::vector<std::uint64_t>{64, 64, 40}));
+  expect_equal_files(f,
+                     decode_checkpoint(blob, DecodeOptions{.source = &store}));
+  // The grid cut of the same payload needs other chunks.
+  MapChunkStore fresh;
+  EXPECT_EQ(chunk_lengths(encode_checkpoint(f, extern_options(fresh, 64))),
+            (std::vector<std::uint64_t>{72, 64, 32}));
 }
 
 TEST(GoldenFixture, CorruptingAnyFixtureByteIsDetected) {

@@ -925,6 +925,14 @@ TEST(Checkpointer, EncodeBufferingStaysBoundedUnderV3) {
   // multiple of chunk_bytes — independent of the checkpoint size. The
   // state below is ~270 KB raw per checkpoint; the bound is ~64 KB.
   constexpr std::size_t kChunk = 4096;
+  // Wave buffers: encode_window (2x pool threads, clamped to [4, 16])
+  // chunks per wave, and a params section's first chunk also carries
+  // its u64 count (extern chunks are cut on the element grid). So one
+  // wave holds at most 16 x chunk_bytes + the count prefix; async
+  // additionally queues the (small, key-table-only v3) containers. Sync
+  // encode fills it exactly once the pool has 8 or more threads.
+  const std::size_t ceiling =
+      16 * kChunk + section_array_offset(SectionKind::kParams);
   auto big_state = [](std::uint64_t step) {
     qnn::TrainingState s = make_state(step);
     s.params.assign(32768, 0.0);
@@ -955,18 +963,15 @@ TEST(Checkpointer, EncodeBufferingStaysBoundedUnderV3) {
     ck.flush();
     const auto stats = ck.stats();
     EXPECT_GT(stats.peak_encode_buffer_bytes, 0u);
-    // Wave buffers: encode_window (2x pool threads, min 4) chunks per
-    // wave; async additionally queues the (small, key-table-only v3)
-    // containers. 16x chunk_bytes is a generous ceiling — the raw
-    // payload is ~65x chunk_bytes, so a whole-section buffer would
-    // blow straight through it.
-    EXPECT_LE(stats.peak_encode_buffer_bytes, 16 * kChunk)
+    // The raw payload is ~65x chunk_bytes, so a whole-section buffer
+    // would blow straight through the ceiling.
+    EXPECT_LE(stats.peak_encode_buffer_bytes, ceiling)
         << (async ? "async" : "sync") << " encode buffered too much";
     // Setup sanity against the static ceiling, not the measured peak:
     // the measured value breathes with scheduler timing (encode workers
     // starved on a loaded single-core box buffer a wave or two more),
     // which must not fail the run as long as the ceiling holds.
-    EXPECT_GT(raw, 10 * (16 * kChunk))
+    EXPECT_GT(raw, 10 * ceiling)
         << "the bound is only meaningful when the state dwarfs it";
     // And the data actually round-trips.
     const auto outcome = recover_latest(env, "cp");
