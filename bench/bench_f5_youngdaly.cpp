@@ -110,10 +110,10 @@ WalCosts measure_wal_costs() {
     std::exit(1);
   }
 
-  std::map<ckpt::SectionKind, util::Bytes> sections;
+  ckpt::SectionPayloads sections;
   for (auto& sec :
        ckpt::state_to_sections(base, false, codec::CodecId::kRaw)) {
-    sections[sec.kind] = std::move(sec.payload);
+    sections[sec.kind] = ckpt::SectionPayload(sec.kind, std::move(sec.payload));
   }
   mark = env.modeled_read_seconds();
   (void)ckpt::replay_wal(env, "cp", 1, sections);

@@ -294,40 +294,34 @@ std::vector<ChunkKey> parse_extern_table(ByteSpan table,
   return keys;
 }
 
-/// Reassembles an extern section by fetching every chunk from `source`.
-/// get() verifies digest + length; the length is re-checked here anyway.
-Bytes resolve_extern_payload(ChunkSource& source, ByteSpan table,
-                             std::uint64_t total_raw_len) {
-  const auto keys = parse_extern_table(table, total_raw_len);
-  Bytes out(total_raw_len);
-  std::size_t out_off = 0;
-  for (std::size_t c = 0; c < keys.size(); ++c) {
-    const Bytes raw = source.get(keys[c]);
+/// Reassembles an extern section into `out` by fetching every chunk of
+/// `keys` (whose lengths sum to out.size()) from `source`. get() verifies
+/// digest + length; both are re-checked here anyway.
+void resolve_extern_payload(ChunkSource& source,
+                            const std::vector<ChunkKey>& keys,
+                            std::span<std::uint8_t> out) {
+  auto pos = out.begin();
+  for (const ChunkKey& key : keys) {
+    const Bytes raw = source.get(key);
     // Re-verify against the key here, independent of the source's own
     // checks: a checkpoint must never reassemble from bytes that do not
     // hash to what its table promised.
-    if (raw.size() != keys[c].len || util::crc32c(raw) != keys[c].crc) {
-      throw std::runtime_error("chunk " + chunk_key_name(keys[c]) +
+    if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
+      throw std::runtime_error("chunk " + chunk_key_name(key) +
                                ": content digest mismatch");
     }
-    if (!raw.empty()) {
-      std::memcpy(out.data() + out_off, raw.data(), raw.size());
-    }
-    out_off += raw.size();
+    pos = std::ranges::copy(raw, pos).out;
   }
-  return out;
 }
 
-/// Reassembles a chunk frame into the raw payload, verifying every chunk
-/// CRC and the total length. Throws std::runtime_error on any mismatch.
-Bytes decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
-                             std::uint64_t total_raw_len) {
+/// Reassembles a chunk frame into `out` (the whole raw payload),
+/// verifying every chunk CRC and the total length. Throws
+/// std::runtime_error on any mismatch.
+void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
+                            std::span<std::uint8_t> out) {
   std::size_t off = 0;
   const auto n_chunks = util::get_le<std::uint32_t>(frame, off);
   (void)util::get_le<std::uint64_t>(frame, off);  // nominal chunk size
-  // Pre-size the output and place chunks at their offsets: no per-chunk
-  // growth bookkeeping on the recovery critical path.
-  Bytes out(total_raw_len);
   std::size_t out_off = 0;
   for (std::uint32_t c = 0; c < n_chunks; ++c) {
     const auto raw_len = util::get_le<std::uint64_t>(frame, off);
@@ -338,7 +332,7 @@ Bytes decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
       throw std::runtime_error("chunk " + std::to_string(c) +
                                ": truncated stream");
     }
-    if (raw_len > total_raw_len - out_off) {
+    if (raw_len > out.size() - out_off) {
       throw std::runtime_error("chunk " + std::to_string(c) +
                                ": raw length exceeds section size");
     }
@@ -349,18 +343,57 @@ Bytes decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
                                ": CRC32C mismatch");
     }
     const Bytes raw = codec::decode(codec, enc, raw_len);
-    if (!raw.empty()) {
-      std::memcpy(out.data() + out_off, raw.data(), raw.size());
-    }
+    std::ranges::copy(raw, out.begin() + static_cast<std::ptrdiff_t>(out_off));
     out_off += raw.size();
   }
   if (off != frame.size()) {
     throw std::runtime_error("chunk frame has trailing bytes");
   }
-  if (out_off != total_raw_len) {
+  if (out_off != out.size()) {
     throw std::runtime_error("chunk frame raw length mismatch");
   }
-  return out;
+}
+
+/// The section decoder: reassembles a CRC-verified section's raw payload
+/// where options.place puts it (or into s.payload) and clears the
+/// storage-only flags. Throws std::runtime_error on any damage.
+void decode_section(Section& s, std::uint64_t raw_len, ByteSpan encoded,
+                    std::uint16_t version, const DecodeOptions& options) {
+  const auto place = [&]() -> std::span<std::uint8_t> {
+    if (!options.place) {
+      s.payload.resize(raw_len);
+      return s.payload;
+    }
+    const std::span<std::uint8_t> dest = options.place(s, raw_len);
+    if (dest.size() != raw_len) {
+      throw std::logic_error("payload placement returned the wrong size");
+    }
+    return dest;
+  };
+  if ((s.flags & kSectionFlagExtern) != 0) {
+    if (version < 3) {
+      throw std::runtime_error("extern section in a version-" +
+                               std::to_string(version) + " file");
+    }
+    if (options.source == nullptr) {
+      throw std::runtime_error(
+          "extern section needs a chunk store (no source)");
+    }
+    const auto keys = parse_extern_table(encoded, raw_len);
+    resolve_extern_payload(*options.source, keys, place());
+    s.flags &= static_cast<std::uint8_t>(~kSectionFlagExtern);
+  } else if ((s.flags & kSectionFlagChunked) != 0) {
+    if (version < 2) {
+      throw std::runtime_error("chunked section in a version-1 file");
+    }
+    decode_chunked_payload(s.codec, encoded, place());
+    s.flags &= static_cast<std::uint8_t>(~kSectionFlagChunked);
+  } else if (options.place) {
+    const Bytes raw = codec::decode(s.codec, encoded, raw_len);
+    std::ranges::copy(raw, place().begin());
+  } else {
+    s.payload = codec::decode(s.codec, encoded, raw_len);
+  }
 }
 }  // namespace
 
@@ -648,26 +681,7 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
       continue;  // salvage mode: skip this section, keep going
     }
     try {
-      if ((s.flags & kSectionFlagExtern) != 0) {
-        if (version < 3) {
-          throw std::runtime_error("extern section in a version-" +
-                                   std::to_string(version) + " file");
-        }
-        if (options.source == nullptr) {
-          throw std::runtime_error(
-              "extern section needs a chunk store (no source)");
-        }
-        s.payload = resolve_extern_payload(*options.source, encoded, raw_len);
-        s.flags &= static_cast<std::uint8_t>(~kSectionFlagExtern);
-      } else if ((s.flags & kSectionFlagChunked) != 0) {
-        if (version < 2) {
-          throw std::runtime_error("chunked section in a version-1 file");
-        }
-        s.payload = decode_chunked_payload(s.codec, encoded, raw_len);
-        s.flags &= static_cast<std::uint8_t>(~kSectionFlagChunked);
-      } else {
-        s.payload = codec::decode(s.codec, encoded, raw_len);
-      }
+      decode_section(s, raw_len, encoded, version, options);
     } catch (const std::exception& e) {
       fail("section " + section_kind_name(s.kind) +
            ": decode failed: " + e.what());

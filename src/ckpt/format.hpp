@@ -79,7 +79,9 @@
 
 #include <compare>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -304,16 +306,33 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out);
 
+/// Where the decoder lands one section's raw payload: called with the
+/// section (kind, codec and flags as stored) and its raw length, it
+/// returns exactly that many writable bytes.
+using PayloadPlacement =
+    std::function<std::span<std::uint8_t>(const Section&, std::uint64_t)>;
+
 /// Decoder context. A null source decodes v1/v2 files (and v3 files
 /// without extern sections) exactly as before; extern sections then fail
 /// with "no chunk source".
 struct DecodeOptions {
   ChunkSource* source = nullptr;
+  /// Null: each payload lands in its Section::payload. Set: called once
+  /// per section, in file order, once the section's CRC32C (and an
+  /// extern key table) verifies; the payload lands in the returned
+  /// bytes and Section::payload stays empty. Extern and chunk-framed
+  /// payloads are reassembled there chunk by chunk, with no section-sized
+  /// buffer in between; an inline payload (from v2 on, at most the
+  /// encoder's chunk_bytes) is decoded, then copied in. Recovery places
+  /// each payload in the storage of the state field it loads into
+  /// (ckpt/state_codec.hpp).
+  PayloadPlacement place = nullptr;
 };
 
 /// Parses and fully verifies (per-section CRC32C + footer CRC64 + magics;
 /// extern chunks are fetched from `options.source` and verified against
-/// their keys). Throws CorruptCheckpoint on any failure.
+/// their keys). Throws CorruptCheckpoint on any failure. One parse loop
+/// and one section decoder serve this, salvage_checkpoint and recovery.
 CheckpointFile decode_checkpoint(ByteSpan data);
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
 

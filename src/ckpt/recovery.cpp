@@ -1,7 +1,6 @@
 #include "ckpt/recovery.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "ckpt/cas.hpp"
 #include "ckpt/state_codec.hpp"
@@ -47,19 +46,20 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
 /// Fully resolves checkpoint `id` into raw payloads keyed by kind. The
 /// walk reads each container once, leaf to root (v3: key tables), and
 /// follows a parent id only after that container's footer CRC64
-/// verifies. The fold decodes root first, one file at a time: full
-/// payloads move into the map, deltas XOR into it in place, and each
-/// decoded file is freed before the next — one resolved state plus one
-/// decoded file, whatever the depth. Extern sections resolve through
-/// `source` (the directory's chunk store, shared across candidates so
-/// its packfile scan happens once per recovery); a missing or corrupt
-/// chunk throws like any other damage, so callers fall back to older
+/// verifies. The fold decodes root first, one file at a time, each
+/// payload straight into the storage of the state field it loads into:
+/// a full payload replaces the resolved one, a delta has the resolved
+/// one XOR-ed into it in place and then replaces it, and each decoded
+/// file is freed before the next — one resolved state plus one decoded
+/// file, whatever the depth. Extern sections resolve through `source`
+/// (the directory's chunk store, shared across candidates so its
+/// packfile scan happens once per recovery); a missing or corrupt chunk
+/// throws like any other damage, so callers fall back to older
 /// candidates instead of accepting it.
-std::map<SectionKind, Bytes> resolve_chain(io::Env& env, const std::string& dir,
-                                           std::uint64_t id,
-                                           const RecoveryOptions& options,
-                                           ChunkSource* source,
-                                           std::size_t* depth_out = nullptr) {
+SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
+                              std::uint64_t id, const RecoveryOptions& options,
+                              ChunkSource* source,
+                              std::size_t* depth_out = nullptr) {
   std::vector<Bytes> chain;  // raw containers, leaf -> root
   for (std::uint64_t cur = id; cur != 0;) {
     if (chain.size() >= options.max_chain) {
@@ -81,38 +81,30 @@ std::map<SectionKind, Bytes> resolve_chain(io::Env& env, const std::string& dir,
     *depth_out = chain.size();
   }
 
-  std::map<SectionKind, Bytes> resolved;
+  SectionPayloads resolved;
   for (; !chain.empty(); chain.pop_back()) {
-    CheckpointFile file =
-        decode_checkpoint(chain.back(), DecodeOptions{.source = source});
-    for (Section& s : file.sections) {
-      if (!s.is_delta()) {
-        resolved[s.kind] = std::move(s.payload);
-        continue;
+    // A strict decode places every section, in file order, or throws.
+    std::vector<SectionPayload> decoded;
+    DecodeOptions decode{.source = source};
+    decode.place = [&](const Section& s, std::uint64_t raw_len) {
+      return decoded.emplace_back(s.kind, raw_len).bytes();
+    };
+    const CheckpointFile file = decode_checkpoint(chain.back(), decode);
+    for (std::size_t i = 0; i < file.sections.size(); ++i) {
+      const Section& s = file.sections[i];
+      if (s.is_delta()) {
+        const auto base = resolved.find(s.kind);
+        if (base == resolved.end()) {
+          throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
+                                  " has no base in ancestor chain");
+        }
+        codec::xor_with_parent_inplace(decoded[i].bytes(),
+                                       base->second.bytes());
       }
-      const auto base = resolved.find(s.kind);
-      if (base == resolved.end()) {
-        throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
-                                " has no base in ancestor chain");
-      }
-      codec::xor_with_parent_inplace(s.payload, base->second);
-      base->second = std::move(s.payload);
+      resolved[s.kind] = std::move(decoded[i]);
     }
   }
   return resolved;
-}
-
-/// Loads a training state from resolved payloads, consuming them.
-qnn::TrainingState load_state(std::map<SectionKind, Bytes>&& resolved) {
-  std::vector<Section> sections;
-  sections.reserve(resolved.size());
-  for (auto& [kind, payload] : resolved) {
-    sections.push_back(Section{.kind = kind,
-                               .codec = codec::CodecId::kRaw,
-                               .flags = 0,
-                               .payload = std::move(payload)});
-  }
-  return sections_to_state(sections);
 }
 
 }  // namespace

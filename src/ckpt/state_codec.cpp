@@ -1,5 +1,7 @@
 #include "ckpt/state_codec.hpp"
 
+#include <algorithm>
+
 namespace qnn::ckpt {
 
 namespace {
@@ -37,6 +39,13 @@ Bytes encode_cursor(const qnn::TrainingState& s) {
   Bytes out;
   util::put_vector(out, s.permutation);
   return out;
+}
+
+/// True when a `size`-byte payload is a whole count slot plus whole T
+/// elements: the lengths an array kind's element storage can hold.
+template <typename T>
+bool on_grid(std::uint64_t size) {
+  return size >= sizeof(std::uint64_t) && size % sizeof(T) == 0;
 }
 }  // namespace
 
@@ -90,54 +99,127 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
   return sections;
 }
 
-qnn::TrainingState sections_to_state(const std::vector<Section>& sections) {
+SectionPayload::SectionPayload(SectionKind kind, std::uint64_t size) {
+  switch (kind) {
+    case SectionKind::kParams:
+    case SectionKind::kLossHistory:
+      if (on_grid<double>(size)) {
+        storage_ = std::vector<double>(size / sizeof(double));
+        return;
+      }
+      break;
+    case SectionKind::kDataCursor:
+      if (on_grid<std::uint32_t>(size)) {
+        storage_ = std::vector<std::uint32_t>(size / sizeof(std::uint32_t));
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  storage_ = Bytes(size);
+}
+
+// Byte strings, and array payloads off the grid, keep `raw` as it is;
+// arrays on the grid are copied into their count-slot vector.
+SectionPayload::SectionPayload(SectionKind kind, Bytes raw)
+    : SectionPayload(kind, section_array_offset(kind) == 0 ? 0 : raw.size()) {
+  if (std::holds_alternative<Bytes>(storage_)) {
+    storage_ = std::move(raw);
+  } else {
+    std::ranges::copy(raw, bytes().begin());
+  }
+}
+
+std::span<std::uint8_t> SectionPayload::bytes() {
+  return std::visit([](auto& v) { return util::as_writable_bytes(v); },
+                    storage_);
+}
+
+ByteSpan SectionPayload::bytes() const {
+  return std::visit([](const auto& v) { return util::as_bytes(v); }, storage_);
+}
+
+bool operator==(const SectionPayload& a, const SectionPayload& b) {
+  return std::ranges::equal(a.bytes(), b.bytes());
+}
+
+template <typename T>
+std::vector<T> SectionPayload::take_array(SectionKind kind) {
+  // Exactly the count's worth of elements, which puts the length on the
+  // grid and so the payload in its count-slot vector.
+  const ByteSpan raw = bytes();
+  std::size_t off = 0;
+  if (!on_grid<T>(raw.size()) ||
+      util::get_le<std::uint64_t>(raw, off) != (raw.size() - off) / sizeof(T)) {
+    throw CorruptCheckpoint(section_kind_name(kind) + " section: " +
+                            std::to_string(raw.size()) +
+                            " bytes do not hold the count they declare");
+  }
+  auto& slots = std::get<std::vector<T>>(storage_);
+  slots.erase(slots.begin(), slots.begin() + sizeof(std::uint64_t) / sizeof(T));
+  return std::move(slots);
+}
+
+Bytes SectionPayload::take_bytes() {
+  return std::move(std::get<Bytes>(storage_));
+}
+
+qnn::TrainingState load_state(SectionPayloads&& payloads) {
   qnn::TrainingState state;
   bool have_meta = false, have_params = false, have_opt = false,
        have_rng = false, have_cursor = false, have_hist = false;
 
-  for (const Section& s : sections) {
-    if (s.is_delta()) {
-      throw CorruptCheckpoint(
-          "sections_to_state: unresolved delta section " +
-          section_kind_name(s.kind));
-    }
-    std::size_t off = 0;
-    switch (s.kind) {
+  for (auto& [kind, payload] : payloads) {
+    switch (kind) {
       case SectionKind::kMeta:
-        decode_meta(s.payload, state);
+        decode_meta(payload.bytes(), state);
         have_meta = true;
         break;
       case SectionKind::kParams:
-        state.params = util::get_vector<double>(s.payload, off);
+        state.params = payload.take_array<double>(kind);
         have_params = true;
         break;
       case SectionKind::kOptimizer:
-        state.optimizer_state = s.payload;
+        state.optimizer_state = payload.take_bytes();
         have_opt = true;
         break;
       case SectionKind::kRng:
-        state.rng_state = s.payload;
+        state.rng_state = payload.take_bytes();
         have_rng = true;
         break;
       case SectionKind::kDataCursor:
-        state.permutation = util::get_vector<std::uint32_t>(s.payload, off);
+        state.permutation = payload.take_array<std::uint32_t>(kind);
         have_cursor = true;
         break;
       case SectionKind::kLossHistory:
-        state.loss_history = util::get_vector<double>(s.payload, off);
+        state.loss_history = payload.take_array<double>(kind);
         have_hist = true;
         break;
       case SectionKind::kSimulator:
-        state.simulator_state = s.payload;
+        state.simulator_state = payload.take_bytes();
         break;
     }
   }
 
   if (!have_meta || !have_params || !have_opt || !have_rng || !have_cursor ||
       !have_hist) {
-    throw CorruptCheckpoint("sections_to_state: required section missing");
+    throw CorruptCheckpoint("load_state: required section missing");
   }
   return state;
+}
+
+qnn::TrainingState sections_to_state(const std::vector<Section>& sections) {
+  SectionPayloads payloads;
+  for (const Section& s : sections) {
+    if (s.is_delta()) {
+      throw CorruptCheckpoint(
+          "sections_to_state: unresolved delta section " +
+          section_kind_name(s.kind));
+    }
+    payloads[s.kind] = SectionPayload(s.kind, s.payload);
+  }
+  return load_state(std::move(payloads));
 }
 
 }  // namespace qnn::ckpt

@@ -3,7 +3,14 @@
 // Each logical component of the training state becomes exactly one
 // section, so strategies can include/exclude and delta-encode components
 // independently, and the T1 inventory can report true per-component sizes.
+//
+// The read side holds one copy of the state. Decoded payloads land in a
+// SectionPayload, whose storage is the type of the TrainingState field
+// the section loads into, and load_state moves each one into its field.
 #pragma once
+
+#include <map>
+#include <variant>
 
 #include "ckpt/format.hpp"
 #include "qnn/training_state.hpp"
@@ -21,9 +28,58 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
                                        bool include_simulator,
                                        codec::CodecId codec);
 
-/// Reassembles a TrainingState from fully-resolved (non-delta) sections.
-/// Throws CorruptCheckpoint when required sections are missing or
-/// malformed. The simulator section is optional.
+/// One resolved section payload, held in the storage of the
+/// TrainingState field it loads into. For the `u64 count | elements`
+/// kinds that storage is the field's own vector with the count in its
+/// leading slots: kParams and kLossHistory hold a std::vector<double> of
+/// 1 + n elements whose bytes are exactly the on-disk payload (slot 0
+/// receives the count), kDataCursor a std::vector<std::uint32_t> of
+/// 2 + n. Byte-string kinds, and array payloads whose length is off the
+/// element grid (which cannot load), are Bytes.
+class SectionPayload {
+ public:
+  SectionPayload() = default;
+  /// Zero-filled storage of `kind` for a `size`-byte payload, for a
+  /// decoder to write in place through bytes().
+  SectionPayload(SectionKind kind, std::uint64_t size);
+  /// `raw` as a payload of `kind`: byte strings move in, arrays are
+  /// copied into their element storage.
+  SectionPayload(SectionKind kind, Bytes raw);
+
+  [[nodiscard]] std::span<std::uint8_t> bytes();
+  [[nodiscard]] ByteSpan bytes() const;
+  [[nodiscard]] std::size_t size() const { return bytes().size(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+  /// Byte equality, whatever the storage.
+  friend bool operator==(const SectionPayload& a, const SectionPayload& b);
+
+ private:
+  friend qnn::TrainingState load_state(
+      std::map<SectionKind, SectionPayload>&& payloads);
+
+  /// The count-slot vector, checked against its length and moved out
+  /// with the count erased; throws CorruptCheckpoint when they disagree.
+  template <typename T>
+  std::vector<T> take_array(SectionKind kind);
+  Bytes take_bytes();
+
+  std::variant<Bytes, std::vector<double>, std::vector<std::uint32_t>> storage_;
+};
+
+/// Resolved payloads keyed by kind: recovery's fold and journal replay
+/// work on one of these in place.
+using SectionPayloads = std::map<SectionKind, SectionPayload>;
+
+/// The state loader: moves each payload into its TrainingState field.
+/// An array payload loads only when its length is exactly its count's
+/// worth of elements; its count slot is checked and erased in place (one
+/// memmove, no allocation). Throws CorruptCheckpoint when a required
+/// section is missing or malformed. The simulator section is optional.
+qnn::TrainingState load_state(SectionPayloads&& payloads);
+
+/// load_state over copies of fully-resolved (non-delta) sections; throws
+/// CorruptCheckpoint on a delta section.
 qnn::TrainingState sections_to_state(const std::vector<Section>& sections);
 
 }  // namespace qnn::ckpt

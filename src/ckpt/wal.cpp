@@ -187,7 +187,7 @@ std::optional<WalScan> scan_wal(io::Env& env, const std::string& dir,
 
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
-                                    std::map<SectionKind, Bytes>& sections) {
+                                    SectionPayloads& sections) {
   std::uint64_t applied = 0;
   std::uint64_t step = 0;
   const auto scan =
@@ -198,7 +198,7 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
         decoded.reserve(rec.sections.size());
         try {
           for (const RecordSection& s : rec.sections) {
-            const Bytes* base = nullptr;
+            const SectionPayload* base = nullptr;
             if ((s.flags & kSectionFlagDelta) != 0) {
               const auto it = sections.find(s.kind);
               if (it == sections.end() || it->second.size() != s.base_len) {
@@ -208,15 +208,23 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
             }
             Bytes body = codec::decode(s.codec, s.encoded, s.raw_len);
             if (base != nullptr) {
-              codec::xor_with_parent_inplace(body, *base);
+              codec::xor_with_parent_inplace(body, base->bytes());
             }
             decoded.emplace_back(s.kind, std::move(body));
           }
         } catch (const std::exception&) {
           return false;  // CRC-valid but undecodable: stop replay here too
         }
-        for (auto& [kind, payload] : decoded) {
-          sections[kind] = std::move(payload);
+        // A body the size of the payload it replaces is copied over it,
+        // so a state-sized section never exists twice beside its body;
+        // one of a new size becomes a payload of its own.
+        for (auto& [kind, body] : decoded) {
+          SectionPayload& payload = sections[kind];
+          if (payload.size() == body.size()) {
+            std::ranges::copy(body, payload.bytes().begin());
+          } else {
+            payload = SectionPayload(kind, std::move(body));
+          }
         }
         ++applied;
         step = rec.step;

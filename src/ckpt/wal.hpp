@@ -58,6 +58,7 @@
 #include <string>
 
 #include "ckpt/format.hpp"
+#include "ckpt/state_codec.hpp"
 #include "codec/codec.hpp"
 #include "io/env.hpp"
 #include "qnn/training_state.hpp"
@@ -108,18 +109,21 @@ struct WalReplay {
 
 /// Redo-only replay: folds every fully-framed record of
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
-/// resolved raw payloads keyed by kind) in place, stopping at the first
-/// torn or CRC-invalid frame. Each record is decoded whole (delta bodies
-/// XOR'd in place against the running state) before any of its sections
-/// is committed, so records apply atomically: a record that parses but
-/// cannot apply (a delta whose base is missing or not base_len bytes
-/// long, or a section that fails to decode) stops the replay with
-/// `sections` at exactly the previous record's state. Returns nullopt —
-/// with `sections` untouched — when there is no usable journal or it
-/// holds zero valid records.
+/// resolved payloads keyed by kind, see ckpt/state_codec.hpp) in place,
+/// stopping at the first torn or CRC-invalid frame. Each record is
+/// decoded whole (delta bodies XOR'd in place against the running state)
+/// before any of its sections is committed, so records apply atomically:
+/// a record that parses but cannot apply (a delta whose base is missing
+/// or not base_len bytes long, or a section that fails to decode) stops
+/// the replay with `sections` at exactly the previous record's state. A
+/// committed body is copied over a payload of its size in place, so
+/// replay holds the state plus one decoded record; only a section whose
+/// size changed gets new storage. Returns nullopt — with `sections`
+/// untouched — when there is no usable journal or it holds zero valid
+/// records.
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
-                                    std::map<SectionKind, Bytes>& sections);
+                                    SectionPayloads& sections);
 
 /// Append-side of the journal: opened by the Checkpointer right after an
 /// install, closed (and superseded) by the next rotation.

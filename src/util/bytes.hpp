@@ -48,7 +48,7 @@ inline void put_bytes(Bytes& out, ByteSpan payload) {
 /// Reads a length-prefixed (u64) byte string written by put_bytes.
 inline Bytes get_bytes(ByteSpan in, std::size_t& offset) {
   const auto n = get_le<std::uint64_t>(in, offset);
-  if (offset + n > in.size()) {
+  if (n > in.size() - offset) {  // offset <= size: cannot wrap
     throw std::out_of_range("get_bytes: buffer underrun");
   }
   Bytes b(in.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -66,7 +66,7 @@ inline void put_string(Bytes& out, const std::string& s) {
 /// Reads a length-prefixed UTF-8 string written by put_string.
 inline std::string get_string(ByteSpan in, std::size_t& offset) {
   const auto n = get_le<std::uint64_t>(in, offset);
-  if (offset + n > in.size()) {
+  if (n > in.size() - offset) {
     throw std::out_of_range("get_string: buffer underrun");
   }
   std::string s(reinterpret_cast<const char*>(in.data()) + offset, n);
@@ -88,7 +88,7 @@ template <typename T>
 inline std::vector<T> get_vector(ByteSpan in, std::size_t& offset) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto n = get_le<std::uint64_t>(in, offset);
-  if (offset + n * sizeof(T) > in.size()) {
+  if (n > (in.size() - offset) / sizeof(T)) {
     throw std::out_of_range("get_vector: buffer underrun");
   }
   std::vector<T> v(n);
@@ -105,6 +105,13 @@ inline ByteSpan as_bytes(const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   return {reinterpret_cast<const std::uint8_t*>(v.data()),
           v.size() * sizeof(T)};
+}
+
+/// as_bytes over a mutable vector: its elements' bytes, writable.
+template <typename T>
+inline std::span<std::uint8_t> as_writable_bytes(std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return {reinterpret_cast<std::uint8_t*>(v.data()), v.size() * sizeof(T)};
 }
 
 }  // namespace qnn::util

@@ -7,9 +7,10 @@
 // everything the storage stack adds on top — compression waves, the
 // packfile, the container — must stay bounded by O(chunk_bytes x encode
 // window), measured by Checkpointer::Stats::peak_encode_buffer_bytes
-// and, end to end, by the process's peak RSS. Recovering an incremental
-// chain must likewise hold one resolved state plus one decoded file,
-// whatever the chain depth.
+// and, end to end, by the process's peak RSS. Recovering a full
+// checkpoint must hold one copy of the state, and recovering an
+// incremental chain one resolved state plus one decoded file, whatever
+// the chain depth.
 //
 // CI runs this test under a hard address-space ulimit sized well below
 // what the historical whole-buffer path needed (snapshot + serialized
@@ -35,6 +36,21 @@ namespace qnn::ckpt {
 namespace {
 
 namespace fs = std::filesystem;
+
+// AddressSanitizer keeps freed blocks resident in its quarantine, so
+// under it peak RSS counts every byte a run allocated, not the bytes
+// alive at once: a bound on live copies cannot be read from RSS there.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kRssTracksLiveBytes = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kRssTracksLiveBytes = false;
+#else
+constexpr bool kRssTracksLiveBytes = true;
+#endif
+#else
+constexpr bool kRssTracksLiveBytes = true;
+#endif
 
 std::size_t state_megabytes() {
   if (const char* s = std::getenv("QNNCKPT_BOUNDED_MEM_MB")) {
@@ -140,6 +156,50 @@ TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
   fs::remove_all(root);
 }
 
+TEST(BoundedMemory, FullStateRecoveryHoldsOneCopyOfTheState) {
+  const std::size_t mb = state_megabytes();
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("qnnckpt_bounded_full_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+
+  io::PosixEnv env(/*durable=*/false);
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kFullState;
+  policy.every_steps = 1;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = std::size_t{1} << 20;
+  std::uint64_t raw_bytes = 0;
+  {
+    Checkpointer ck(env, root + "/cp", policy);
+    const auto state = huge_state(mb);
+    raw_bytes = state.params.size() * sizeof(double);
+    ck.checkpoint_now(state);
+  }
+
+  reset_peak_rss();
+  const std::uint64_t rss_before = vm_hwm_bytes();
+  ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+  const auto outcome = recover_latest(env, root + "/cp");
+  const std::uint64_t rss_growth = vm_hwm_bytes() - rss_before;
+
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 1u);
+  // Every extern chunk lands in the params vector the state keeps, so
+  // recovery grows by the state plus a chunk and the chunk store's
+  // bookkeeping. A resolved payload copied into the state is 2x.
+  if (kRssTracksLiveBytes) {
+    EXPECT_LT(rss_growth, raw_bytes + raw_bytes / 4 + (std::uint64_t{8} << 20))
+        << "recovery held a second copy of the state: grew "
+        << static_cast<double>(rss_growth) / static_cast<double>(raw_bytes)
+        << "x";
+  }
+  EXPECT_EQ(outcome->state, huge_state(mb));
+
+  fs::remove_all(root);
+}
+
 TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
   // A quarter of the encode test's state, so writing a chain of 8 fits
   // CI's ulimit; at least 24 MiB, so the fixed 64 MiB slack below cannot
@@ -186,8 +246,9 @@ TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->checkpoint_id, 8u);
   EXPECT_EQ(outcome->state, state);
-  // The resolved payloads plus the loaded state are ~2x the state; a
-  // chain held whole (or a copy per fold) grows by ~9x at depth 8.
+  // The resolved state plus one decoded delta file is ~2x the state
+  // (the loaded state is the resolved one, moved); a chain held whole
+  // (or a copy per fold) grows by ~9x at depth 8.
   EXPECT_LT(rss_growth, 3 * raw_bytes + (std::uint64_t{64} << 20))
       << "recovery memory grew with the chain depth";
 

@@ -808,6 +808,113 @@ TEST(Recovery, WorksWithoutManifest) {
   EXPECT_EQ(outcome->step, 2u);
 }
 
+TEST(Recovery, ArrayPayloadLongerThanItsCountFallsBack) {
+  io::MemEnv env;
+  CheckpointPolicy policy;
+  policy.every_steps = 1;
+  policy.retention.keep_last = 0;
+  {
+    Checkpointer ck(env, "cp", policy);
+    ck.maybe_checkpoint(make_state(1));
+    ck.maybe_checkpoint(make_state(2));
+  }
+  // Checkpoint 3 is intact byte for byte (every CRC verifies), but its
+  // params payload carries one double past its declared count.
+  CheckpointFile file;
+  file.checkpoint_id = 3;
+  file.step = 3;
+  file.sections = state_to_sections(make_state(3), false, codec::CodecId::kRaw);
+  ASSERT_EQ(file.sections[1].kind, SectionKind::kParams);
+  util::put_le<double>(file.sections[1].payload, 42.0);
+  const Bytes bytes = encode_checkpoint(file);
+  env.write_file_atomic("cp/" + checkpoint_file_name(3), bytes);
+  ManifestEntry entry;
+  entry.id = 3;
+  entry.step = 3;
+  entry.file = checkpoint_file_name(3);
+  entry.bytes = bytes.size();
+  Manifest manifest = Manifest::load(env, "cp");
+  manifest.upsert(entry);
+  manifest.save(env, "cp");
+
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 2u);
+  EXPECT_EQ(outcome->state, make_state(2));
+  bool rejected = false;
+  for (const FlightEvent& e : outcome->events) {
+    rejected = rejected || (e.name == "candidate.reject" &&
+                            e.value("id") == "3" &&
+                            e.value("error").find("params") !=
+                                std::string::npos);
+  }
+  EXPECT_TRUE(rejected);
+}
+
+TEST(Recovery, ExternArraysThatChangeSizeFoldAndReplay) {
+  // A v3 incremental chain with chunks small enough that params and the
+  // loss history are extern: params grows by more than one chunk at one
+  // link and shrinks at the next, then journal records shrink the loss
+  // history. Each link decodes into the array's own storage and XORs
+  // the base in across the size change.
+  io::MemEnv env;
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 100;  // installs below are explicit
+  policy.full_every = 10;
+  policy.retention.keep_last = 0;
+  policy.chunk_bytes = 256;
+  policy.wal.enable = true;
+  policy.wal.group_commit_steps = 1;
+  const auto state = [](std::uint64_t step, std::size_t n_params,
+                        std::size_t n_loss) {
+    auto s = make_state(step);
+    s.params.resize(n_params);
+    for (std::size_t i = 0; i < n_params; ++i) {
+      s.params[i] = static_cast<double>(step * 1000 + i);
+    }
+    s.loss_history.assign(n_loss, 0.25 * static_cast<double>(step));
+    return s;
+  };
+  const std::vector<qnn::TrainingState> states = {
+      state(1, 100, 80),  // full: 808 B of params, four chunks
+      state(2, 148, 80),  // params + 384 B: more than one chunk more
+      state(3, 60, 80),   // params shrinks below its first size
+      state(4, 60, 40),   // journal: the loss history shrinks
+      state(5, 60, 3),    // ... below one chunk
+  };
+  {
+    Checkpointer ck(env, "cp", policy);
+    for (std::size_t i = 0; i < 3; ++i) {
+      ck.checkpoint_now(states[i]);
+    }
+    EXPECT_FALSE(ck.maybe_checkpoint(states[3]));
+    EXPECT_FALSE(ck.maybe_checkpoint(states[4]));
+    EXPECT_EQ(ck.stats().incremental_checkpoints, 2u);
+    EXPECT_EQ(ck.stats().wal_records, 2u);
+  }
+  for (std::uint64_t id = 2; id <= 3; ++id) {
+    for (const SectionIndexEntry& e :
+         read_checkpoint_index(env, "cp/" + checkpoint_file_name(id))
+             .sections) {
+      if (e.kind == SectionKind::kParams ||
+          e.kind == SectionKind::kLossHistory) {
+        EXPECT_EQ(e.flags, kSectionFlagDelta | kSectionFlagExtern)
+            << id << " " << section_kind_name(e.kind);
+      }
+    }
+  }
+
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(load_checkpoint(env, "cp", id), states[id - 1]) << id;
+  }
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 3u);
+  EXPECT_EQ(outcome->step, 5u);
+  EXPECT_EQ(outcome->state, states.back());
+}
+
 TEST(Recovery, LoadCheckpointThrowsOnMissingId) {
   io::MemEnv env;
   EXPECT_THROW(load_checkpoint(env, "cp", 1), std::exception);
@@ -1169,6 +1276,54 @@ TEST(StateCodec, UnresolvedDeltaRejected) {
   auto sections = state_to_sections(state, false, codec::CodecId::kRaw);
   sections[1].flags |= kSectionFlagDelta;
   EXPECT_THROW(sections_to_state(sections), CorruptCheckpoint);
+}
+
+/// Sections of make_state(13) whose params payload is replaced by
+/// `count` followed by `raw_tail`: the array bytes after the count.
+std::vector<Section> sections_with_params(std::uint64_t count,
+                                          const Bytes& raw_tail) {
+  auto sections =
+      state_to_sections(make_state(13), false, codec::CodecId::kRaw);
+  Bytes& params = sections[1].payload;
+  EXPECT_EQ(sections[1].kind, SectionKind::kParams);
+  params.clear();
+  util::put_le<std::uint64_t>(params, count);
+  params.insert(params.end(), raw_tail.begin(), raw_tail.end());
+  return sections;
+}
+
+TEST(StateCodec, ArrayWithTrailingElementRejected) {
+  // Two declared elements, three present: a state nobody checkpointed.
+  Bytes three;
+  util::put_le<double>(three, 1.0);
+  util::put_le<double>(three, 2.0);
+  util::put_le<double>(three, 3.0);
+  EXPECT_THROW(sections_to_state(sections_with_params(2, three)),
+               CorruptCheckpoint);
+  three.resize(16);
+  EXPECT_EQ(sections_to_state(sections_with_params(2, three)).params,
+            (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(StateCodec, ArrayWithRaggedTailRejected) {
+  Bytes ragged;
+  util::put_le<double>(ragged, 1.0);
+  util::put_le<double>(ragged, 2.0);
+  ragged.insert(ragged.end(), {0xAA, 0xBB, 0xCC});  // off the element grid
+  EXPECT_THROW(sections_to_state(sections_with_params(2, ragged)),
+               CorruptCheckpoint);
+}
+
+TEST(StateCodec, ArrayCountLargerThanPayloadRejected) {
+  Bytes two;
+  util::put_le<double>(two, 1.0);
+  util::put_le<double>(two, 2.0);
+  EXPECT_THROW(sections_to_state(sections_with_params(5, two)),
+               CorruptCheckpoint);
+  // A count whose byte size wraps 2^64 back onto the payload's length.
+  const std::uint64_t wraps = (std::uint64_t{1} << 61) + 2;
+  EXPECT_THROW(sections_to_state(sections_with_params(wraps, two)),
+               CorruptCheckpoint);
 }
 
 TEST(StateCodec, StrategyNames) {

@@ -328,6 +328,25 @@ TEST(Bytes, VectorUnderrunThrows) {
   EXPECT_THROW(get_vector<double>(buf, off), std::out_of_range);
 }
 
+TEST(Bytes, CountsNearTwoToTheSixtyFourUnderrunInsteadOfWrapping) {
+  // offset + n (n scaled by the element size) must not wrap past the
+  // buffer end: each count is an underrun, never an allocation attempt.
+  for (const std::uint64_t n :
+       {~std::uint64_t{0}, (std::uint64_t{1} << 61) + 1}) {
+    Bytes buf;
+    put_le<std::uint64_t>(buf, n);
+    buf.resize(buf.size() + 16, 0);  // a few real bytes behind the count
+    std::size_t off = 0;
+    EXPECT_THROW(get_bytes(buf, off), std::out_of_range) << n;
+    off = 0;
+    EXPECT_THROW(get_string(buf, off), std::out_of_range) << n;
+    off = 0;
+    EXPECT_THROW(get_vector<double>(buf, off), std::out_of_range) << n;
+    off = 0;
+    EXPECT_THROW(get_vector<std::uint32_t>(buf, off), std::out_of_range) << n;
+  }
+}
+
 // ---------- strings ----------
 
 TEST(Strings, SplitKeepsEmptyFields) {

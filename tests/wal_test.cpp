@@ -51,25 +51,24 @@ qnn::TrainingState make_state(std::uint64_t step, std::uint64_t seed = 7) {
 
 /// The base checkpoint's resolved raw payloads, as recovery hands them
 /// to replay_wal.
-std::map<SectionKind, Bytes> raw_sections(const qnn::TrainingState& state,
-                                          bool include_simulator = false) {
-  std::map<SectionKind, Bytes> out;
+SectionPayloads raw_sections(const qnn::TrainingState& state,
+                             bool include_simulator = false) {
+  SectionPayloads out;
   for (Section& s : state_to_sections(state, include_simulator,
                                       codec::CodecId::kRaw)) {
-    out[s.kind] = std::move(s.payload);
+    out[s.kind] = SectionPayload(s.kind, std::move(s.payload));
   }
   return out;
 }
 
-qnn::TrainingState state_of(const std::map<SectionKind, Bytes>& sections) {
-  std::vector<Section> resolved;
-  for (const auto& [kind, payload] : sections) {
-    Section s;
-    s.kind = kind;
-    s.payload = payload;
-    resolved.push_back(std::move(s));
-  }
-  return sections_to_state(resolved);
+qnn::TrainingState state_of(SectionPayloads sections) {
+  return load_state(std::move(sections));
+}
+
+/// A copy of one payload's bytes.
+util::Bytes bytes_of(const SectionPayload& payload) {
+  const util::ByteSpan bytes = payload.bytes();
+  return {bytes.begin(), bytes.end()};
 }
 
 std::vector<std::string> wal_files(io::Env& env, const std::string& dir) {
@@ -369,8 +368,10 @@ TEST(Wal, InapplicableRecordStopsReplayWithoutPartialApply) {
   // rule says no section of the record may land.
   auto mismatched = raw_sections(base);
   ASSERT_FALSE(mismatched[SectionKind::kParams].empty());
-  mismatched[SectionKind::kParams].resize(
-      mismatched[SectionKind::kParams].size() - 8);
+  util::Bytes params = bytes_of(mismatched[SectionKind::kParams]);
+  params.resize(params.size() - 8);
+  mismatched[SectionKind::kParams] =
+      SectionPayload(SectionKind::kParams, std::move(params));
   const auto before = mismatched;
   EXPECT_FALSE(replay_wal(env, "cp", 9, mismatched).has_value());
   EXPECT_EQ(mismatched, before);
@@ -390,7 +391,7 @@ TEST(Wal, UndecodableSectionStopsReplayWithoutPartialApply) {
   util::Bytes payload;
   util::put_le<std::uint64_t>(payload, 32);
   util::put_le<std::uint32_t>(payload, 2);
-  const util::Bytes& params = state.at(SectionKind::kParams);
+  const util::Bytes params = bytes_of(state.at(SectionKind::kParams));
   util::put_le<std::uint16_t>(payload,
                               static_cast<std::uint16_t>(SectionKind::kParams));
   util::put_le<std::uint8_t>(payload, 0);
@@ -436,13 +437,13 @@ TEST(Wal, InapplicableSecondRecordLeavesTheFirstRecordsState) {
   // land either: the map stays at exactly record one's state.
   const auto first = raw_sections(make_state(31));
   const auto next = raw_sections(make_state(32));
-  const util::Bytes& opt = first.at(SectionKind::kOptimizer);
-  util::Bytes opt_delta = next.at(SectionKind::kOptimizer);
+  const util::Bytes opt = bytes_of(first.at(SectionKind::kOptimizer));
+  util::Bytes opt_delta = bytes_of(next.at(SectionKind::kOptimizer));
   ASSERT_EQ(opt_delta.size(), opt.size());
   for (std::size_t i = 0; i < opt.size(); ++i) {
     opt_delta[i] ^= opt[i];
   }
-  const util::Bytes& params = next.at(SectionKind::kParams);
+  const util::Bytes params = bytes_of(next.at(SectionKind::kParams));
   util::Bytes payload;
   util::put_le<std::uint64_t>(payload, 32);
   util::put_le<std::uint32_t>(payload, 2);
