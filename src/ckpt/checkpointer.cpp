@@ -191,7 +191,14 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
   file.checkpoint_id = id;
   file.step = state.step;
   file.time_us = now_us();
-  file.sections = state_to_sections(state, include_sim, policy_.codec);
+  // The one place that decides when a checkpoint owns a copy of the
+  // state. The async hand-off outlives this call, and kIncremental's raw
+  // payloads become the next delta base (last_raw_). A sync full
+  // checkpoint encodes straight from the caller's state, which stays
+  // borrowed until checkpoint_now returns.
+  const bool own = writer_ || policy_.strategy == Strategy::kIncremental;
+  file.sections = own ? state_to_sections(state, include_sim, policy_.codec)
+                      : view_state_sections(state, include_sim, policy_.codec);
 
   // Consume the drop-recovery flag unconditionally: if a scheduled full
   // already breaks the chain this round, the flag must not linger and
@@ -273,14 +280,15 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   // must release the slot on failure, or the ordered drain waits on id
   // forever (see catch at the end of this block).
   try {
-  // Trainer-thread stage: snapshot the state into section payloads (plus
-  // delta bookkeeping). In async mode this is all the trainer pays for.
+  // Trainer-thread stage: the state's section payloads (plus delta
+  // bookkeeping), copied only where build_file must own them. In async
+  // mode this copy is all the trainer pays for.
   util::Timer snapshot_timer;
   obs::Span snap_span(policy_.tracer, "snapshot", "ckpt", parent_span);
   CheckpointFile file = build_file(state, id);
   std::uint64_t raw_bytes = 0;
   for (const Section& s : file.sections) {
-    raw_bytes += s.payload.size();
+    raw_bytes += s.size();
   }
   snap_span.note("bytes_raw", raw_bytes);
   snap_span.finish();
@@ -316,7 +324,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   util::ThreadPool* encode_pool = pool_.get();
   if (encode_pool == nullptr) {
     for (const Section& s : file.sections) {
-      if (s.payload.size() > policy_.chunk_bytes) {
+      if (s.size() > policy_.chunk_bytes) {
         encode_pool = &util::global_pool();
         break;
       }

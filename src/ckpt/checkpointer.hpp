@@ -64,8 +64,9 @@ struct CheckpointPolicy {
   /// Incremental chains: force a full checkpoint every N checkpoints.
   std::uint64_t full_every = 10;
   /// Run the encode + write pipeline on background threads instead of
-  /// synchronously: the trainer thread only snapshots sections; chunk
-  /// compression, CRC and the file write all happen off the critical path.
+  /// synchronously: the trainer thread only copies the state into section
+  /// payloads; chunk compression, CRC and the file write all happen off
+  /// the critical path. (Sync mode encodes straight from the state.)
   bool async = false;
 
   /// Async pipeline: threads for the encode stage (chunk compression +
@@ -193,7 +194,8 @@ class Checkpointer {
   Checkpointer& operator=(const Checkpointer&) = delete;
 
   /// Checkpoints when the policy's step boundary is hit. Returns true
-  /// when a checkpoint was produced.
+  /// when a checkpoint was produced. Reads `state` as checkpoint_now
+  /// does.
   bool maybe_checkpoint(const qnn::TrainingState& state);
 
   /// True when maybe_checkpoint() would checkpoint at `step`. Lets a
@@ -209,7 +211,11 @@ class Checkpointer {
            step >= last_checkpoint_step_ + interval;
   }
 
-  /// Unconditionally produces a checkpoint of `state`.
+  /// Unconditionally produces a checkpoint of `state`. Sync mode reads
+  /// `state` in place until the call returns (Strategy::kIncremental
+  /// excepted, which copies it as its next delta base), so it must not
+  /// be mutated concurrently. Async mode copies `state` before returning
+  /// and encodes the copy in the background.
   void checkpoint_now(const qnn::TrainingState& state);
 
   /// Waits for any in-flight async writes to install.
@@ -247,7 +253,8 @@ class Checkpointer {
 
  private:
   /// Builds the (possibly delta-encoded) section list and remembers raw
-  /// payloads for the next delta. Returns the file object to encode.
+  /// payloads for the next delta. Returns the file object to encode; in
+  /// sync non-incremental mode its sections view `state`.
   CheckpointFile build_file(const qnn::TrainingState& state,
                             std::uint64_t id);
 

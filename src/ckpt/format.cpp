@@ -120,6 +120,78 @@ SectionHeader read_section_header(ByteSpan data, std::size_t& off) {
   return h;
 }
 
+/// A section's raw payload (`payload` then `view`) cut into chunks:
+/// chunk 0 spans [0, grid + chunk_bytes), chunk c > 0 starts at
+/// `grid + c * chunk_bytes`, and the last takes the remainder. Every
+/// chunk is a view of one part, except the one (if any) that straddles
+/// the two: it is assembled once, at most chunk_bytes + grid bytes. It
+/// holds state bytes, not encoded ones, so no MemGauge counts it.
+/// Read-only after construction, so chunks can be read concurrently.
+class ChunkCuts {
+ public:
+  ChunkCuts(const Section& s, std::size_t grid, std::size_t chunk_bytes)
+      : s_(s),
+        grid_(grid),
+        chunk_bytes_(chunk_bytes),
+        count_((s.size() - grid + chunk_bytes - 1) / chunk_bytes) {
+    if (s.payload.empty() || s.view.empty()) {
+      return;
+    }
+    // Only the chunk holding payload's last byte can straddle.
+    const std::size_t last = s.payload.size() - 1;
+    const std::size_t c = last < grid ? 0 : (last - grid) / chunk_bytes;
+    if (end(c) > s.payload.size()) {
+      const ByteSpan head = ByteSpan(s.payload).subspan(begin(c));
+      const ByteSpan tail = s.view.first(end(c) - s.payload.size());
+      joined_.assign(head.begin(), head.end());
+      joined_.insert(joined_.end(), tail.begin(), tail.end());
+    }
+  }
+
+  [[nodiscard]] std::size_t count() const { return count_; }
+
+  ByteSpan operator[](std::size_t c) const {
+    const std::size_t b = begin(c);
+    const std::size_t e = end(c);
+    const std::size_t split = s_.payload.size();
+    if (e <= split) {
+      return ByteSpan(s_.payload).subspan(b, e - b);
+    }
+    if (b >= split) {
+      return s_.view.subspan(b - split, e - b);
+    }
+    return joined_;
+  }
+
+ private:
+  [[nodiscard]] std::size_t begin(std::size_t c) const {
+    return c == 0 ? 0 : grid_ + c * chunk_bytes_;
+  }
+  [[nodiscard]] std::size_t end(std::size_t c) const {
+    return std::min(s_.size(), grid_ + (c + 1) * chunk_bytes_);
+  }
+
+  const Section& s_;
+  std::size_t grid_;
+  std::size_t chunk_bytes_;
+  std::size_t count_;
+  Bytes joined_;
+};
+
+/// The whole raw payload as one span: one part when the other is empty,
+/// else the two assembled in `joined`.
+ByteSpan contiguous(const Section& s, Bytes& joined) {
+  if (s.view.empty()) {
+    return s.payload;
+  }
+  if (s.payload.empty()) {
+    return s.view;
+  }
+  joined = s.payload;
+  joined.insert(joined.end(), s.view.begin(), s.view.end());
+  return joined;
+}
+
 /// Chunks of one section, compressed + CRC'd concurrently on `pool` (or
 /// inline when null), before frame assembly.
 struct EncodedChunks {
@@ -128,23 +200,18 @@ struct EncodedChunks {
   std::size_t frame_size = 0;  ///< total chunk-frame size on disk
 };
 
-EncodedChunks encode_chunks(codec::CodecId codec, ByteSpan payload,
-                            std::size_t chunk_bytes,
+EncodedChunks encode_chunks(codec::CodecId codec, const ChunkCuts& cuts,
                             util::ThreadPool* pool) {
   EncodedChunks out;
-  const std::size_t n_chunks = (payload.size() + chunk_bytes - 1) / chunk_bytes;
-  out.chunks.resize(n_chunks);
-  out.crcs.resize(n_chunks);
-  util::parallel_for(
-      pool, 0, n_chunks, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t c = lo; c < hi; ++c) {
-          const std::size_t begin = c * chunk_bytes;
-          const std::size_t len =
-              std::min(chunk_bytes, payload.size() - begin);
-          out.chunks[c] = codec::encode(codec, payload.subspan(begin, len));
-          out.crcs[c] = util::crc32c(out.chunks[c]);
-        }
-      });
+  const std::size_t n = cuts.count();
+  out.chunks.resize(n);
+  out.crcs.resize(n);
+  util::parallel_for(pool, 0, n, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      out.chunks[c] = codec::encode(codec, cuts[c]);
+      out.crcs[c] = util::crc32c(out.chunks[c]);
+    }
+  });
   out.frame_size = 4 + 8;
   for (const Bytes& e : out.chunks) {
     out.frame_size += kChunkHeaderBytes + e.size();
@@ -157,7 +224,7 @@ EncodedChunks encode_chunks(codec::CodecId codec, ByteSpan payload,
 /// feeding the incremental frame CRC, once appending to the output — so
 /// the multi-GB frame never exists as a second in-memory copy.
 template <typename Emit>
-void walk_chunk_frame_headers(const EncodedChunks& ec, ByteSpan payload,
+void walk_chunk_frame_headers(const EncodedChunks& ec, const ChunkCuts& cuts,
                               std::size_t chunk_bytes, const Emit& emit) {
   Bytes scratch;
   util::put_le<std::uint32_t>(scratch,
@@ -166,9 +233,7 @@ void walk_chunk_frame_headers(const EncodedChunks& ec, ByteSpan payload,
   emit(scratch, /*chunk_after=*/static_cast<std::size_t>(-1));
   for (std::size_t c = 0; c < ec.chunks.size(); ++c) {
     scratch.clear();
-    const std::size_t begin = c * chunk_bytes;
-    const std::size_t raw_len = std::min(chunk_bytes, payload.size() - begin);
-    util::put_le<std::uint64_t>(scratch, raw_len);
+    util::put_le<std::uint64_t>(scratch, cuts[c].size());
     util::put_le<std::uint64_t>(scratch, ec.chunks[c].size());
     util::put_le<std::uint32_t>(scratch, ec.crcs[c]);
     emit(scratch, c);
@@ -180,77 +245,75 @@ std::size_t extern_table_size(std::size_t n_chunks) {
   return 1 + 4 + 8 + n_chunks * (8 + 4);  // digest, count, nominal, rows
 }
 
-/// Splits `payload` into chunks, dedups each against `sink` (compressing
-/// and storing only the non-resident ones) and returns the serialised key
-/// table that replaces the payload on disk.
+/// Cuts section `s` into chunks on its element grid (ChunkCuts at
+/// section_array_offset: the first chunk also carries the count prefix),
+/// dedups each against `sink`, compressing and storing only the
+/// non-resident ones, and returns the serialised key table that replaces
+/// the payload on disk. `s` is larger than chunk_bytes, hence than its
+/// grid offset.
 ///
-/// Cuts sit on the element grid: chunk c > 0 starts at
-/// `head + c * chunk_bytes`, chunk 0 also carries the `head` prefix
-/// bytes, and the last chunk takes the remainder. `payload` is larger
-/// than chunk_bytes, hence than `head`.
-///
-/// Chunks are processed in WAVES of `window` so at most one wave of
-/// encoded chunk buffers is ever alive — the O(chunk x workers) memory
-/// bound of the streaming encode path. The sink sees puts in chunk
-/// order (waves run in order), so packfile record order and the emitted
-/// key table are identical for any window size.
-Bytes encode_extern_section(codec::CodecId codec, ByteSpan payload,
-                            std::size_t head, std::size_t chunk_bytes,
+/// Every chunk is keyed first, in one parallel pass. Then contains() is
+/// called once per chunk, in chunk order (the sink records the reference
+/// and pins the chunk against GC), and the misses queue up: each full
+/// WAVE of `window` misses is compressed in parallel, then put in chunk
+/// order. A chunk whose key equals a queued miss flushes the queue
+/// before its probe, so it dedups against the stored record and is
+/// compressed once. At most one wave of encoded chunks is alive — the
+/// O(chunk x workers) memory bound of the streaming encode path — plus
+/// one key per chunk. Packfile records and the emitted key table are
+/// identical for any window size.
+Bytes encode_extern_section(const Section& s, std::size_t chunk_bytes,
                             std::size_t window, util::ThreadPool* pool,
                             ChunkSink& sink, util::MemGauge* gauge) {
-  const std::size_t n_chunks =
-      (payload.size() - head + chunk_bytes - 1) / chunk_bytes;
-  const auto chunk = [&](std::size_t c) {
-    const std::size_t begin = c == 0 ? 0 : head + c * chunk_bytes;
-    const std::size_t end =
-        std::min(payload.size(), head + (c + 1) * chunk_bytes);
-    return payload.subspan(begin, end - begin);
-  };
-  std::vector<ChunkKey> keys;
-  keys.reserve(n_chunks);
-  std::vector<std::size_t> missing;
+  const ChunkCuts cuts(s, section_array_offset(s.kind), chunk_bytes);
+  const std::size_t n = cuts.count();
+  std::vector<ChunkKey> keys(n);
+  util::parallel_for(pool, 0, n, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      keys[c] = chunk_key(cuts[c]);
+    }
+  });
+
+  std::vector<std::size_t> queued;
   std::vector<Bytes> encoded;
-  for (std::size_t base = 0; base < n_chunks; base += window) {
-    const std::size_t wave = std::min(window, n_chunks - base);
-    std::vector<ChunkKey> wave_keys(wave);
+  const auto compress_wave = [&] {
+    const std::size_t wave = queued.size();
+    encoded.resize(wave);
     util::parallel_for(pool, 0, wave, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        wave_keys[i] = chunk_key(chunk(base + i));
+        encoded[i] = codec::encode(s.codec, cuts[queued[i]]);
       }
     });
-    // The dedup stage proper: contains() is called exactly once per
-    // chunk, in chunk order (the sink records the reference and pins
-    // the chunk against GC); only the misses pay for compression.
-    missing.clear();
-    for (std::size_t i = 0; i < wave; ++i) {
-      keys.push_back(wave_keys[i]);
-      if (!sink.contains(wave_keys[i])) {
-        missing.push_back(base + i);
-      }
-    }
-    encoded.assign(missing.size(), Bytes{});
-    util::parallel_for(pool, 0, missing.size(), 1,
-                       [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) {
-                           encoded[i] = codec::encode(codec, chunk(missing[i]));
-                         }
-                       });
     std::uint64_t wave_bytes = 0;
     for (const Bytes& e : encoded) {
       wave_bytes += e.size();
     }
     // Held only while this wave's records stream into the sink.
     util::GaugedBytes held(gauge, wave_bytes);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      sink.put(keys[missing[i]], codec, encoded[i]);
+    for (std::size_t i = 0; i < wave; ++i) {
+      sink.put(keys[queued[i]], s.codec, encoded[i]);
     }
+    queued.clear();
     encoded.clear();
+  };
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto same_key = [&](std::size_t q) { return keys[q] == keys[c]; };
+    if (std::ranges::any_of(queued, same_key)) {
+      compress_wave();
+    }
+    if (!sink.contains(keys[c])) {
+      queued.push_back(c);
+      if (queued.size() == window) {
+        compress_wave();
+      }
+    }
   }
+  compress_wave();
 
   Bytes table;
-  table.reserve(extern_table_size(n_chunks));
+  table.reserve(extern_table_size(n));
   util::put_le<std::uint8_t>(table, kChunkDigestCrc32c);
-  util::put_le<std::uint32_t>(table, static_cast<std::uint32_t>(n_chunks));
+  util::put_le<std::uint32_t>(table, static_cast<std::uint32_t>(n));
   util::put_le<std::uint64_t>(table, chunk_bytes);
   for (const ChunkKey& key : keys) {
     util::put_le<std::uint64_t>(table, key.len);
@@ -532,9 +595,8 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
   em.put(scratch);
 
   for (const Section& s : file.sections) {
-    const bool externed = may_extern && s.payload.size() > chunk_bytes;
-    const bool chunked =
-        !externed && may_chunk && s.payload.size() > chunk_bytes;
+    const bool externed = may_extern && s.size() > chunk_bytes;
+    const bool chunked = !externed && may_chunk && s.size() > chunk_bytes;
     scratch.clear();
     util::put_le<std::uint16_t>(scratch, static_cast<std::uint16_t>(s.kind));
     util::put_le<std::uint8_t>(scratch, static_cast<std::uint8_t>(s.codec));
@@ -545,14 +607,13 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
       sflags |= kSectionFlagChunked;
     }
     util::put_le<std::uint8_t>(scratch, sflags);
-    util::put_le<std::uint64_t>(scratch, s.payload.size());
+    util::put_le<std::uint64_t>(scratch, s.size());
     if (externed) {
       // Content-addressed: the chunk bytes stream into the sink wave by
       // wave (bounded memory); only the small key table lands in the
       // container as the payload region.
       const Bytes table = encode_extern_section(
-          s.codec, s.payload, section_array_offset(s.kind), chunk_bytes,
-          window, options.pool, *options.sink, options.gauge);
+          s, chunk_bytes, window, options.pool, *options.sink, options.gauge);
       util::put_le<std::uint64_t>(scratch, table.size());
       util::put_le<std::uint32_t>(scratch, util::crc32c(table));
       em.put(scratch);
@@ -560,7 +621,8 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
       continue;
     }
     if (!chunked) {
-      const Bytes encoded = codec::encode(s.codec, s.payload);
+      Bytes joined;
+      const Bytes encoded = codec::encode(s.codec, contiguous(s, joined));
       const util::GaugedBytes held(options.gauge, encoded.size());
       util::put_le<std::uint64_t>(scratch, encoded.size());
       util::put_le<std::uint32_t>(scratch, util::crc32c(encoded));
@@ -572,8 +634,8 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
     // frame length and CRC, so the whole section's encoded chunks must
     // exist before the first frame byte is emitted — this inline
     // fallback buffers O(section), which the gauge records honestly.
-    const EncodedChunks ec =
-        encode_chunks(s.codec, s.payload, chunk_bytes, options.pool);
+    const ChunkCuts cuts(s, /*grid=*/0, chunk_bytes);
+    const EncodedChunks ec = encode_chunks(s.codec, cuts, options.pool);
     std::uint64_t chunk_buffer_bytes = 0;
     for (const Bytes& e : ec.chunks) {
       chunk_buffer_bytes += e.size();
@@ -581,7 +643,7 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
     const util::GaugedBytes held(options.gauge, chunk_buffer_bytes);
     util::Crc32c frame_crc;
     walk_chunk_frame_headers(
-        ec, s.payload, chunk_bytes,
+        ec, cuts, chunk_bytes,
         [&](const Bytes& header, std::size_t chunk_after) {
           frame_crc.update(header);
           if (chunk_after != static_cast<std::size_t>(-1)) {
@@ -592,7 +654,7 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
     util::put_le<std::uint32_t>(scratch, frame_crc.value());
     em.put(scratch);
     walk_chunk_frame_headers(
-        ec, s.payload, chunk_bytes,
+        ec, cuts, chunk_bytes,
         [&](const Bytes& header, std::size_t chunk_after) {
           em.put(header);
           if (chunk_after != static_cast<std::size_t>(-1)) {

@@ -170,10 +170,13 @@ std::optional<ChunkKey> parse_chunk_key_name(const std::string& name);
 
 /// Where the encoder puts (and dedups against) extern chunks. For every
 /// chunk of every extern section the encoder calls contains() exactly
-/// once; when it returns false the chunk is compressed and handed to
-/// put(). An implementation returning true promises to keep the chunk
-/// resolvable at least until the batch it belongs to is released (the
-/// chunk store pins it against concurrent GC).
+/// once, in chunk order; when it returns false the chunk is compressed
+/// and handed to put(), puts also in chunk order. A put may come after
+/// later chunks' probes, but always before the probe of a chunk with the
+/// same key, so a section's duplicate chunks are stored once. An
+/// implementation returning true promises to keep the chunk resolvable
+/// at least until the batch it belongs to is released (the chunk store
+/// pins it against concurrent GC).
 class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
@@ -191,15 +194,29 @@ class ChunkSource {
   virtual Bytes get(const ChunkKey& key) = 0;
 };
 
-/// One decoded (in-memory) section: raw payload + how it was stored.
+/// One in-memory section: raw payload + how it was (or is to be) stored.
 struct Section {
   SectionKind kind;
   codec::CodecId codec = codec::CodecId::kRaw;
   std::uint8_t flags = 0;
   Bytes payload;  ///< raw (decoded) bytes; for delta sections, the delta
+  /// Encode input only: raw bytes that follow `payload`, read where they
+  /// lie (the caller's TrainingState) instead of copied in. They must
+  /// stay alive and unchanged until the encode returns. Decoded sections
+  /// leave it empty.
+  ByteSpan view = {};
 
   [[nodiscard]] bool is_delta() const {
     return (flags & kSectionFlagDelta) != 0;
+  }
+  /// Raw payload length: `payload` then `view`.
+  [[nodiscard]] std::size_t size() const {
+    return payload.size() + view.size();
+  }
+  /// Copies `view` into `payload`, so the section outlives what it read.
+  void own() {
+    payload.insert(payload.end(), view.begin(), view.end());
+    view = {};
   }
 };
 
@@ -277,10 +294,12 @@ struct EncodeOptions {
   /// become key tables and only non-resident chunks are compressed and
   /// stored — the cross-checkpoint dedup stage.
   ChunkSink* sink = nullptr;
-  /// Max chunks buffered in flight while encoding an extern section
-  /// (one compression wave). 0 = auto: 2x the pool's worker count (min
-  /// 4). This is the "workers" in the encode path's O(chunk x workers)
-  /// memory bound; the emitted bytes are identical for any window.
+  /// Chunks compressed per wave while encoding an extern section: a wave
+  /// is this many chunk-store misses (hits cost no compression), so at
+  /// most `window` encoded chunks are buffered at once. 0 = auto: 2x the
+  /// pool's worker count, clamped to [4, 16]. This is the "workers" in
+  /// the encode path's O(chunk x workers) memory bound; the emitted
+  /// bytes and the sink's records are identical for any window.
   std::size_t encode_window = 0;
   /// When set, every transient encode buffer (an encoded chunk wave, a
   /// staged section stream) registers its bytes here — the measured
@@ -301,8 +320,11 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 /// single section's transient state — and, for extern (v3) sections, by
 /// one compression wave (options.encode_window chunks), independent of
 /// checkpoint size: chunk bytes flow straight into the ChunkSink and
-/// only the small key table lands in the container. The emitted bytes
-/// are identical to the whole-buffer overloads, byte for byte.
+/// only the small key table lands in the container. Chunked sections
+/// read a Section::view in place; only the one chunk that straddles
+/// `payload` and `view` is assembled (an inline section may be). The
+/// emitted bytes are identical to the whole-buffer overloads, and to
+/// the same payload held wholly in `payload`, byte for byte.
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out);
 

@@ -1,6 +1,7 @@
 #include "ckpt/state_codec.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace qnn::ckpt {
 
@@ -35,47 +36,65 @@ void decode_meta(ByteSpan payload, qnn::TrainingState& s) {
       version >= 2 ? util::get_le<std::uint64_t>(payload, off) : 0;
 }
 
-Bytes encode_cursor(const qnn::TrainingState& s) {
-  Bytes out;
-  util::put_vector(out, s.permutation);
-  return out;
-}
-
 /// True when a `size`-byte payload is a whole count slot plus whole T
 /// elements: the lengths an array kind's element storage can hold.
 template <typename T>
 bool on_grid(std::uint64_t size) {
   return size >= sizeof(std::uint64_t) && size % sizeof(T) == 0;
 }
+
+/// A `u64 count | elements` payload: the count, owned, then a view of
+/// the elements where they lie (util::put_vector's layout).
+template <typename T>
+void view_array(Section& s, const std::vector<T>& v) {
+  const std::uint64_t count = v.size();
+  s.payload.resize(sizeof(count));
+  std::memcpy(s.payload.data(), &count, sizeof(count));
+  s.view = util::as_bytes(v);
+}
+
+/// The one section builder: `kind`'s payload, viewing `state` where its
+/// bytes already lie.
+Section view_section(SectionKind kind, const qnn::TrainingState& state,
+                     codec::CodecId codec) {
+  Section s{.kind = kind, .codec = codec, .flags = 0, .payload = {}};
+  switch (kind) {
+    case SectionKind::kMeta:
+      s.payload = encode_meta(state);
+      return s;
+    case SectionKind::kParams:
+      view_array(s, state.params);
+      return s;
+    case SectionKind::kOptimizer:
+      s.view = state.optimizer_state;
+      return s;
+    case SectionKind::kRng:
+      s.view = state.rng_state;
+      return s;
+    case SectionKind::kDataCursor:
+      view_array(s, state.permutation);
+      return s;
+    case SectionKind::kLossHistory:
+      view_array(s, state.loss_history);
+      return s;
+    case SectionKind::kSimulator:
+      s.view = state.simulator_state;
+      return s;
+  }
+  throw std::invalid_argument("encode_section_payload: unknown kind");
+}
 }  // namespace
 
 Bytes encode_section_payload(SectionKind kind,
                              const qnn::TrainingState& state) {
-  Bytes out;
-  switch (kind) {
-    case SectionKind::kMeta:
-      return encode_meta(state);
-    case SectionKind::kParams:
-      util::put_vector(out, state.params);
-      return out;
-    case SectionKind::kOptimizer:
-      return state.optimizer_state;
-    case SectionKind::kRng:
-      return state.rng_state;
-    case SectionKind::kDataCursor:
-      return encode_cursor(state);
-    case SectionKind::kLossHistory:
-      util::put_vector(out, state.loss_history);
-      return out;
-    case SectionKind::kSimulator:
-      return state.simulator_state;
-  }
-  throw std::invalid_argument("encode_section_payload: unknown kind");
+  Section s = view_section(kind, state, codec::CodecId::kRaw);
+  s.own();
+  return std::move(s.payload);
 }
 
-std::vector<Section> state_to_sections(const qnn::TrainingState& state,
-                                       bool include_simulator,
-                                       codec::CodecId codec) {
+std::vector<Section> view_state_sections(const qnn::TrainingState& state,
+                                         bool include_simulator,
+                                         codec::CodecId codec) {
   static constexpr SectionKind kAlways[] = {
       SectionKind::kMeta,        SectionKind::kParams,
       SectionKind::kOptimizer,   SectionKind::kRng,
@@ -83,18 +102,21 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
   };
   std::vector<Section> sections;
   for (SectionKind kind : kAlways) {
-    sections.push_back(Section{.kind = kind,
-                               .codec = codec,
-                               .flags = 0,
-                               .payload = encode_section_payload(kind, state)});
+    sections.push_back(view_section(kind, state, codec));
   }
   if (include_simulator && !state.simulator_state.empty()) {
-    sections.push_back(
-        Section{.kind = SectionKind::kSimulator,
-                .codec = codec,
-                .flags = 0,
-                .payload = encode_section_payload(SectionKind::kSimulator,
-                                                  state)});
+    sections.push_back(view_section(SectionKind::kSimulator, state, codec));
+  }
+  return sections;
+}
+
+std::vector<Section> state_to_sections(const qnn::TrainingState& state,
+                                       bool include_simulator,
+                                       codec::CodecId codec) {
+  std::vector<Section> sections =
+      view_state_sections(state, include_simulator, codec);
+  for (Section& s : sections) {
+    s.own();
   }
   return sections;
 }

@@ -4,9 +4,12 @@
 // section, so strategies can include/exclude and delta-encode components
 // independently, and the T1 inventory can report true per-component sizes.
 //
-// The read side holds one copy of the state. Decoded payloads land in a
-// SectionPayload, whose storage is the type of the TrainingState field
-// the section loads into, and load_state moves each one into its field.
+// The write side can read the state in place: sections may view the
+// TrainingState's own storage (Section::view), and own a copy only where
+// they must outlive it. The read side holds one copy of the state.
+// Decoded payloads land in a SectionPayload, whose storage is the type
+// of the TrainingState field the section loads into, and load_state
+// moves each one into its field.
 #pragma once
 
 #include <map>
@@ -21,9 +24,19 @@ namespace qnn::ckpt {
 Bytes encode_section_payload(SectionKind kind,
                              const qnn::TrainingState& state);
 
-/// Builds the section list for `state`. When `include_simulator` is false
-/// the (potentially huge) simulator snapshot is omitted. `codec` is
-/// recorded on every section.
+/// Builds the section list for `state`, each payload viewing the state
+/// where its bytes already lie (Section::view): an array kind is its
+/// owned u64 count plus a view of the field's elements, a byte-string
+/// kind a view of the field; kMeta is encoded. The sections are valid
+/// while `state` lives unchanged. When `include_simulator` is false the
+/// (potentially huge) simulator snapshot is omitted. `codec` is recorded
+/// on every section.
+std::vector<Section> view_state_sections(const qnn::TrainingState& state,
+                                         bool include_simulator,
+                                         codec::CodecId codec);
+
+/// view_state_sections with every view copied in (Section::own): the
+/// sections own their payloads and outlive `state`.
 std::vector<Section> state_to_sections(const qnn::TrainingState& state,
                                        bool include_simulator,
                                        codec::CodecId codec);

@@ -3,14 +3,15 @@
 //
 // A large full-state checkpoint is written through a real-filesystem
 // PosixEnv (MemEnv IS memory, so only the Posix path can demonstrate an
-// RSS bound): the trainer-side snapshot inevitably costs O(state), but
-// everything the storage stack adds on top — compression waves, the
-// packfile, the container — must stay bounded by O(chunk_bytes x encode
-// window), measured by Checkpointer::Stats::peak_encode_buffer_bytes
-// and, end to end, by the process's peak RSS. Recovering a full
-// checkpoint must hold one copy of the state, and recovering an
-// incremental chain one resolved state plus one decoded file, whatever
-// the chain depth.
+// RSS bound). A sync checkpoint reads the state in place, so it adds no
+// copy of it; only async mode and Strategy::kIncremental pay an O(state)
+// snapshot on the trainer thread. Everything the storage stack adds —
+// compression waves, the packfile, the container — must stay bounded
+// by O(chunk_bytes x encode window), measured by
+// Checkpointer::Stats::peak_encode_buffer_bytes and, end to end, by the
+// process's peak RSS. Recovering a full checkpoint must hold one copy
+// of the state, and recovering an incremental chain one resolved state
+// plus one decoded file, whatever the chain depth.
 //
 // CI runs this test under a hard address-space ulimit sized well below
 // what the historical whole-buffer path needed (snapshot + serialized
@@ -81,8 +82,14 @@ std::uint64_t vm_hwm_bytes() {
 }
 
 /// Returns freed heap pages to the kernel, then resets VmHWM to the
-/// current resident set (Linux: "5" written to clear_refs).
+/// current resident set (Linux: "5" written to clear_refs). Pins glibc's
+/// mmap threshold first, so that blocks of 128 KiB and more (chunk
+/// buffers) are unmapped when freed. Once an earlier free raises the
+/// dynamic threshold, each pool thread's arena keeps its freed chunk
+/// buffers resident: RSS would count the threads that ran a wave, not
+/// the bytes alive at once.
 void reset_peak_rss() {
+  ::mallopt(M_MMAP_THRESHOLD, 128 << 10);
   ::malloc_trim(0);
   std::ofstream("/proc/self/clear_refs") << "5";
 }
@@ -138,11 +145,12 @@ TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
   EXPECT_LE(peak_buffered, 20 * policy.chunk_bytes)
       << "encode buffering grew with checkpoint size";
 
-  // End to end: peak RSS grew by roughly the snapshot (state + section
-  // payload copy), NOT by the additional O(state) the whole-buffer path
-  // paid for the serialized packfile + encoded container. 3x the state
-  // is a deliberately loose ceiling that still catches any extra copy
-  // of a multi-hundred-MB checkpoint in the CI-sized run.
+  // End to end: peak RSS grew by roughly the state itself (built in this
+  // window; the sync checkpoint reads it in place), NOT by the
+  // additional O(state) the whole-buffer path paid for the serialized
+  // packfile + encoded container. 3x the state is a deliberately loose
+  // ceiling that still catches any extra copy of a multi-hundred-MB
+  // checkpoint in the CI-sized run.
   const std::uint64_t rss_growth = peak_rss_bytes() - rss_before;
   EXPECT_LT(rss_growth, 3 * raw_bytes + (std::uint64_t{64} << 20))
       << "peak RSS suggests the checkpoint was materialized again";
@@ -152,6 +160,50 @@ TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->state.params.size(), raw_bytes / sizeof(double));
   EXPECT_EQ(outcome->state, huge_state(mb));
+
+  fs::remove_all(root);
+}
+
+TEST(BoundedMemory, SyncCheckpointAddsNoCopyOfTheState) {
+  const std::size_t mb = state_megabytes();
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("qnnckpt_bounded_sync_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+
+  io::PosixEnv env(/*durable=*/false);
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kFullState;
+  policy.every_steps = 1;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = std::size_t{256} << 10;
+  const auto state = huge_state(mb);
+  const std::uint64_t raw_bytes = state.params.size() * sizeof(double);
+  std::uint64_t rss_growth = 0;
+  {
+    Checkpointer ck(env, root + "/cp", policy);
+    reset_peak_rss();
+    const std::uint64_t rss_before = vm_hwm_bytes();
+    ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+    ck.checkpoint_now(state);
+    rss_growth = vm_hwm_bytes() - rss_before;
+  }
+
+  // The chunks are read from the state's own vectors: the checkpoint
+  // adds one wave of encoded chunks (the auto window clamps at 16), the
+  // assembled first chunk and the store's bookkeeping. A snapshot of
+  // the state would add the whole state.
+  if (kRssTracksLiveBytes) {
+    const std::uint64_t bound =
+        raw_bytes / 4 + 20 * policy.chunk_bytes + (std::uint64_t{4} << 20);
+    const double ratio =
+        static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
+    EXPECT_LT(rss_growth, bound) << "copied the state: grew " << ratio << "x";
+  }
+  const auto outcome = recover_latest(env, root + "/cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->state, state);
 
   fs::remove_all(root);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "ckpt/format.hpp"
 #include "ckpt/state_codec.hpp"
@@ -267,6 +268,7 @@ class MapChunkStore : public ChunkSink, public ChunkSource {
   void put(const ChunkKey& key, codec::CodecId codec,
            ByteSpan encoded) override {
     stored_bytes += encoded.size();
+    put_order.push_back(key);
     chunks.emplace(
         key, std::make_pair(codec, Bytes(encoded.begin(), encoded.end())));
   }
@@ -279,6 +281,7 @@ class MapChunkStore : public ChunkSink, public ChunkSource {
   }
 
   std::map<ChunkKey, std::pair<codec::CodecId, Bytes>> chunks;
+  std::vector<ChunkKey> put_order;  ///< every put, duplicates included
   std::uint64_t queries = 0;
   std::uint64_t hits = 0;
   std::uint64_t stored_bytes = 0;
@@ -554,6 +557,130 @@ TEST(ExternGrid, ArrayOffsetMatchesTheStateCodecLayout) {
         SectionKind::kSimulator}) {
     EXPECT_EQ(section_array_offset(kind), 0u) << section_kind_name(kind);
   }
+}
+
+Bytes encode_sections(std::vector<Section> sections,
+                      const EncodeOptions& options) {
+  CheckpointFile f;
+  f.checkpoint_id = 3;
+  f.step = 9;
+  f.sections = std::move(sections);
+  return encode_checkpoint(f, options);
+}
+
+TEST(ExternGrid, ViewedStateEncodesLikeOwnedPayloads) {
+  // 100 doubles: an 808-byte params payload whose first chunk spans the
+  // owned count and the viewed elements at 64 and at 256 bytes, and a
+  // 300-byte optimizer string, extern at 64 and inline at 256. The
+  // cursor (20 bytes) is an inline section of both parts.
+  qnn::TrainingState s;
+  s.workload_tag = "vqe";
+  s.optimizer_name = "adam";
+  s.step = 9;
+  s.params = random_doubles(100, 21);
+  s.optimizer_state = random_bytes(300, 22);
+  s.rng_state = random_bytes(40, 23);
+  s.permutation = {2, 0, 1};
+  s.loss_history = {0.5, 0.25};
+  s.simulator_state = random_bytes(200, 24);
+  const auto viewed = view_state_sections(s, true, codec::CodecId::kLz);
+  const auto owned = state_to_sections(s, true, codec::CodecId::kLz);
+  const ByteSpan params = util::as_bytes(s.params);
+  ASSERT_EQ(viewed[1].kind, SectionKind::kParams);
+  ASSERT_EQ(viewed[1].payload.size(), 8u) << "the count, owned";
+  ASSERT_EQ(viewed[1].view.data(), params.data());
+  for (const std::size_t chunk_bytes : {std::size_t{64}, std::size_t{256}}) {
+    for (const std::uint16_t version : {std::uint16_t{2}, std::uint16_t{3}}) {
+      MapChunkStore viewed_store;
+      MapChunkStore owned_store;
+      EncodeOptions options;
+      options.chunk_bytes = chunk_bytes;
+      options.version = version;
+      options.sink = version == 3 ? &viewed_store : nullptr;
+      const Bytes blob = encode_sections(viewed, options);
+      options.sink = version == 3 ? &owned_store : nullptr;
+      EXPECT_EQ(encode_sections(owned, options), blob)
+          << "chunk_bytes " << chunk_bytes << ", v" << version;
+      EXPECT_EQ(viewed_store.put_order, owned_store.put_order);
+      EXPECT_EQ(viewed_store.chunks, owned_store.chunks);
+      const DecodeOptions from{.source = &viewed_store};
+      EXPECT_EQ(sections_to_state(decode_checkpoint(blob, from).sections), s);
+    }
+  }
+}
+
+TEST(ExternGrid, PayloadSplitAnywhereEncodesLikeOneBuffer) {
+  // A byte string whose owned part ends inside a later chunk, on a cut,
+  // or past the end: only a straddling chunk is assembled, and the bytes
+  // never change.
+  const Bytes whole = random_bytes(300, 31);
+  const CheckpointFile f0 = one_section_file(SectionKind::kOptimizer, whole);
+  MapChunkStore reference;
+  const Bytes expected = encode_checkpoint(f0, extern_options(reference, 64));
+  for (const std::size_t split : {0, 1, 100, 128, 299, 300}) {
+    CheckpointFile f = f0;
+    f.sections[0].payload.resize(split);
+    f.sections[0].view = ByteSpan(whole).subspan(split);
+    MapChunkStore store;
+    EXPECT_EQ(encode_checkpoint(f, extern_options(store, 64)), expected)
+        << "split at " << split;
+    EXPECT_EQ(store.put_order, reference.put_order) << "split at " << split;
+  }
+}
+
+TEST(ExternGrid, DuplicateChunksWithinAFileAreCompressedOnce) {
+  // 16 identical chunks at window 4: the first misses and queues, and the
+  // second's key flushes that queue before its probe, so it and every
+  // later chunk dedup against the one stored record.
+  MapChunkStore store;
+  EncodeOptions options = extern_options(store, 64);
+  options.encode_window = 4;
+  const CheckpointFile f =
+      one_section_file(SectionKind::kSimulator, Bytes(16 * 64, 0));
+  const Bytes blob = encode_checkpoint(f, options);
+  EXPECT_EQ(store.queries, 16u);
+  EXPECT_EQ(store.put_order.size(), 1u);
+  EXPECT_EQ(store.hits, 15u);
+  const DecodeOptions from{.source = &store};
+  expect_equal_files(f, decode_checkpoint(blob, from));
+}
+
+TEST(ExternGrid, MissWavesStoreTheSameRecordsForAnyWindow) {
+  // Resident chunks, fresh ones, and repeats of one, encoded serially one
+  // miss at a time and in parallel waves: the same probes, the same puts
+  // in the same order, the same container.
+  Bytes payload = random_bytes(64 * 40, 41);
+  const Bytes resident = random_bytes(64 * 8, 42);
+  const auto chunk = [&](std::size_t c) {
+    return payload.begin() + static_cast<std::ptrdiff_t>(64 * c);
+  };
+  std::copy(resident.begin(), resident.end(), chunk(20));
+  for (const std::size_t c : {10, 13, 16, 19, 28, 31, 34, 37, 39}) {
+    std::copy_n(chunk(5), 64, chunk(c));
+  }
+  const CheckpointFile stored = one_section_file(SectionKind::kRng, resident);
+  const CheckpointFile file = one_section_file(SectionKind::kRng, payload);
+  util::ThreadPool pool(3);
+  std::optional<Bytes> first_blob;
+  std::vector<ChunkKey> first_puts;
+  for (const std::size_t window : {1, 2, 4, 7, 16}) {
+    MapChunkStore store;
+    (void)encode_checkpoint(stored, extern_options(store, 64));
+    store.put_order.clear();
+    EncodeOptions options = extern_options(store, 64);
+    options.encode_window = window;
+    options.pool = window == 1 ? nullptr : &pool;
+    const Bytes blob = encode_checkpoint(file, options);
+    if (!first_blob) {
+      first_blob = blob;
+      first_puts = store.put_order;
+      continue;
+    }
+    EXPECT_EQ(blob, *first_blob) << "window " << window;
+    EXPECT_EQ(store.put_order, first_puts) << "window " << window;
+  }
+  // 40 chunks: 8 were resident (20..27) and 9 repeat chunk 5.
+  EXPECT_EQ(first_puts.size(), 40u - 8u - 9u);
 }
 
 // ---------- corruption detection ----------
