@@ -28,6 +28,30 @@ constexpr std::size_t kRecordHeaderBytes = 1 + 4 + 8 + 1 + 8 + 4;
 constexpr std::size_t kKeyRowBytes = kRecordHeaderBytes + 8;
 constexpr const char* kRefsName = "REFS";
 constexpr const char* kRefsHeader = "qnnckpt-refs v1";
+/// The REFS journal's last line: "crc32c <8 hex>\n".
+constexpr std::size_t kRefsTrailerBytes = 16;
+
+/// The REFS trailer line for `body`, every byte of the journal before it.
+std::string refs_trailer(const std::string& body) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(body.data());
+  char line[kRefsTrailerBytes + 1];
+  std::snprintf(line, sizeof(line), "crc32c %08x\n",
+                util::crc32c(util::ByteSpan{bytes, body.size()}));
+  return line;
+}
+
+/// A REFS journal's body when its trailer is present and matches it;
+/// nullopt for a journal that is torn, edited, or older than the trailer.
+std::optional<std::string> refs_body(const std::string& text) {
+  if (text.size() < kRefsTrailerBytes) {
+    return std::nullopt;
+  }
+  std::string body = text.substr(0, text.size() - kRefsTrailerBytes);
+  if (text.compare(body.size(), kRefsTrailerBytes, refs_trailer(body)) != 0) {
+    return std::nullopt;
+  }
+  return body;
+}
 
 bool check_magic(util::ByteSpan in, std::size_t offset,
                  const char (&magic)[4]) {
@@ -761,7 +785,8 @@ void ChunkStore::save_refs() {
   for (const auto& [key, count] : index_.snapshot_refs()) {
     os << "ref " << chunk_key_name(key) << " " << count << "\n";
   }
-  const std::string text = os.str();
+  std::string text = os.str();
+  text += refs_trailer(text);
   env_.write_file_atomic(
       chunk_dir_ + "/" + kRefsName,
       util::ByteSpan{reinterpret_cast<const std::uint8_t*>(text.data()),
@@ -1042,13 +1067,15 @@ void ChunkStore::load_or_rebuild_refs_locked() {
   // Try the journal: valid only when it covers exactly the checkpoint
   // files present right now (a crash between a file mutation and the
   // journal rewrite leaves a mismatch, which sends us to the rebuild).
+  // A journal whose trailer does not match is damage (a torn or edited
+  // file, or one written before the trailer existed): rebuild.
   if (const auto data = env_.read_file(chunk_dir_ + "/" + kRefsName)) {
-    const std::string text(data->begin(), data->end());
+    const auto body = refs_body(std::string(data->begin(), data->end()));
     std::vector<std::uint64_t> covers;
     std::map<ChunkKey, std::uint64_t> counts;
     bool ok = false;
-    bool damaged = false;
-    for (const std::string& line : util::split(text, '\n')) {
+    bool damaged = !body;
+    for (const std::string& line : util::split(body.value_or(""), '\n')) {
       const std::string trimmed = util::trim(line);
       if (trimmed.empty() || trimmed == kRefsHeader) {
         continue;
@@ -1072,7 +1099,9 @@ void ChunkStore::load_or_rebuild_refs_locked() {
           continue;
         }
         try {
-          counts[*key] += std::stoull(fields[2]);
+          const std::uint64_t count = std::stoull(fields[2]);
+          damaged = damaged || count == 0;  // snapshot_refs skips zeros
+          counts[*key] += count;
         } catch (const std::exception&) {
           damaged = true;
         }

@@ -36,9 +36,10 @@
 //     never strands a referenced chunk;
 //   * reference counts are DERIVED state: the truth is the union of key
 //     tables of the .qckp files on disk, and the REFS journal is only a
-//     fenced cache of it — validated against the directory at open and
-//     rebuilt when stale, so a torn or missing journal can never lose
-//     data or free a live chunk;
+//     fenced, checksummed cache of it — validated against the directory
+//     and its CRC32C trailer at open and rebuilt when stale, so a torn,
+//     edited or missing journal can never lose data or free a live
+//     chunk;
 //   * sweeps delete a packfile only when none of its records is
 //     referenced or pinned, and compaction rewrites mixed packfiles
 //     atomically — an unreferenced chunk survives at most until the
@@ -292,9 +293,9 @@ class ChunkStore : public ChunkSource {
   /// Scans every remaining deferred pack (full-index operations:
   /// compacting sweeps, inspection).
   void drain_deferred_locked();
-  /// Loads the REFS journal when it still covers the directory's
-  /// checkpoint files; otherwise rebuilds refcounts by reading every
-  /// checkpoint file's key table.
+  /// Loads the REFS journal when its CRC32C trailer matches and it
+  /// still covers the directory's checkpoint files; otherwise rebuilds
+  /// refcounts by reading every checkpoint file's key table.
   void load_or_rebuild_refs_locked();
   void unpin(const std::vector<ChunkKey>& keys);
   [[nodiscard]] std::string pack_path(const std::string& name) const;

@@ -49,6 +49,10 @@ std::string strategy_name(Strategy s);
 
 struct CheckpointPolicy {
   Strategy strategy = Strategy::kParamsOnly;
+  /// Section and chunk codec. A payload (inline section or extern chunk)
+  /// of codec::kProbeMinBytes or more is stored raw when the sampled
+  /// probe or the full encode shows this codec would not shrink it, so a
+  /// record's or a section's codec may be kRaw whatever this says.
   codec::CodecId codec = codec::CodecId::kLz;
   /// Checkpoint when state.step is a positive multiple of this. With the
   /// adaptive mode below, this is only the *initial* interval.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/crc.hpp"
 #include "util/thread_pool.hpp"
@@ -192,6 +193,38 @@ ByteSpan contiguous(const Section& s, Bytes& joined) {
   return joined;
 }
 
+/// One payload as stored: the section codec's output, or kRaw and no
+/// output when the payload itself is stored, read where it lies.
+struct StoredPayload {
+  codec::CodecId codec = codec::CodecId::kRaw;
+  std::optional<Bytes> encoded;  ///< nullopt: stored raw
+
+  /// The bytes that go to disk for `raw`, the payload this was made from.
+  [[nodiscard]] ByteSpan bytes(ByteSpan raw) const {
+    return encoded ? ByteSpan(*encoded) : raw;
+  }
+  /// Encode-buffer bytes held: none for a raw payload.
+  [[nodiscard]] std::size_t held() const {
+    return encoded ? encoded->size() : 0;
+  }
+};
+
+/// How `raw` is stored under `codec`. A payload of codec::kProbeMinBytes
+/// or more is stored raw when the sampled probe says the codec will not
+/// shrink it, or when the full encode is not smaller. A shorter one is
+/// encoded as is, even when the codec expands it.
+StoredPayload store_payload(codec::CodecId codec, ByteSpan raw) {
+  const bool probed = raw.size() >= codec::kProbeMinBytes;
+  if (probed && !codec::worth_encoding(codec, raw)) {
+    return {};
+  }
+  Bytes encoded = codec::encode(codec, raw);
+  if (probed && encoded.size() >= raw.size()) {
+    return {};
+  }
+  return {codec, std::move(encoded)};
+}
+
 /// Chunks of one section, compressed + CRC'd concurrently on `pool` (or
 /// inline when null), before frame assembly.
 struct EncodedChunks {
@@ -247,10 +280,10 @@ std::size_t extern_table_size(std::size_t n_chunks) {
 
 /// Cuts section `s` into chunks on its element grid (ChunkCuts at
 /// section_array_offset: the first chunk also carries the count prefix),
-/// dedups each against `sink`, compressing and storing only the
-/// non-resident ones, and returns the serialised key table that replaces
-/// the payload on disk. `s` is larger than chunk_bytes, hence than its
-/// grid offset.
+/// dedups each against `sink`, compressing (store_payload) and storing
+/// only the non-resident ones, and returns the serialised key table that
+/// replaces the payload on disk. `s` is larger than chunk_bytes, hence
+/// than its grid offset.
 ///
 /// Every chunk is keyed first, in one parallel pass. Then contains() is
 /// called once per chunk, in chunk order (the sink records the reference
@@ -275,26 +308,28 @@ Bytes encode_extern_section(const Section& s, std::size_t chunk_bytes,
   });
 
   std::vector<std::size_t> queued;
-  std::vector<Bytes> encoded;
+  std::vector<StoredPayload> stored;
   const auto compress_wave = [&] {
     const std::size_t wave = queued.size();
-    encoded.resize(wave);
+    stored.resize(wave);
     util::parallel_for(pool, 0, wave, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        encoded[i] = codec::encode(s.codec, cuts[queued[i]]);
+        stored[i] = store_payload(s.codec, cuts[queued[i]]);
       }
     });
     std::uint64_t wave_bytes = 0;
-    for (const Bytes& e : encoded) {
-      wave_bytes += e.size();
+    for (const StoredPayload& p : stored) {
+      wave_bytes += p.held();
     }
-    // Held only while this wave's records stream into the sink.
+    // Held only while this wave's records stream into the sink. A raw
+    // record is put from the chunk's own bytes and holds none.
     util::GaugedBytes held(gauge, wave_bytes);
     for (std::size_t i = 0; i < wave; ++i) {
-      sink.put(keys[queued[i]], s.codec, encoded[i]);
+      sink.put(keys[queued[i]], stored[i].codec,
+               stored[i].bytes(cuts[queued[i]]));
     }
     queued.clear();
-    encoded.clear();
+    stored.clear();
   };
   for (std::size_t c = 0; c < n; ++c) {
     const auto same_key = [&](std::size_t q) { return keys[q] == keys[c]; };
@@ -496,7 +531,11 @@ std::optional<ChunkKey> parse_chunk_key_name(const std::string& name) {
     if (name[i] < '0' || name[i] > '9') {
       return std::nullopt;
     }
-    len = len * 10 + static_cast<std::uint64_t>(name[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(name[i] - '0');
+    if (len > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // the length does not fit in u64
+    }
+    len = len * 10 + digit;
   }
   key.len = len;
   return key;
@@ -597,9 +636,17 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
   for (const Section& s : file.sections) {
     const bool externed = may_extern && s.size() > chunk_bytes;
     const bool chunked = !externed && may_chunk && s.size() > chunk_bytes;
+    // An inline section is stored before its header is written, so the
+    // header's codec byte names the stored form.
+    const bool whole = !externed && !chunked;
+    Bytes joined;
+    const ByteSpan raw = whole ? contiguous(s, joined) : ByteSpan{};
+    const StoredPayload stored =
+        whole ? store_payload(s.codec, raw) : StoredPayload{s.codec, {}};
     scratch.clear();
     util::put_le<std::uint16_t>(scratch, static_cast<std::uint16_t>(s.kind));
-    util::put_le<std::uint8_t>(scratch, static_cast<std::uint8_t>(s.codec));
+    util::put_le<std::uint8_t>(scratch,
+                               static_cast<std::uint8_t>(stored.codec));
     std::uint8_t sflags = s.flags;
     if (externed) {
       sflags |= kSectionFlagExtern;
@@ -620,14 +667,13 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
       em.put(table);
       continue;
     }
-    if (!chunked) {
-      Bytes joined;
-      const Bytes encoded = codec::encode(s.codec, contiguous(s, joined));
-      const util::GaugedBytes held(options.gauge, encoded.size());
-      util::put_le<std::uint64_t>(scratch, encoded.size());
-      util::put_le<std::uint32_t>(scratch, util::crc32c(encoded));
+    if (whole) {
+      const ByteSpan bytes = stored.bytes(raw);
+      const util::GaugedBytes held(options.gauge, stored.held());
+      util::put_le<std::uint64_t>(scratch, bytes.size());
+      util::put_le<std::uint32_t>(scratch, util::crc32c(bytes));
       em.put(scratch);
-      em.put(encoded);
+      em.put(bytes);
       continue;
     }
     // Chunked (self-contained v2): the frame header carries the total

@@ -181,6 +181,11 @@ class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
   virtual bool contains(const ChunkKey& key) = 0;
+  /// Stores one chunk as `encoded`, coded with `codec`. A chunk of
+  /// codec::kProbeMinBytes or more is put raw (kRaw, `encoded` is the
+  /// chunk's own bytes) when the probe or the full encode shows the
+  /// section codec would not shrink it, so `codec` may be kRaw whatever
+  /// the section's codec is. `encoded` is valid only during the call.
   virtual void put(const ChunkKey& key, codec::CodecId codec,
                    ByteSpan encoded) = 0;
 };

@@ -51,6 +51,24 @@ Bytes encode(CodecId id, ByteSpan raw) {
   throw std::invalid_argument("encode: unknown codec id");
 }
 
+bool worth_encoding(CodecId id, ByteSpan raw) {
+  constexpr std::size_t kSlices = 8;
+  constexpr std::size_t kSliceBytes = std::size_t{4} << 10;
+  if (id == CodecId::kRaw) {
+    return false;
+  }
+  if (raw.size() < kProbeMinBytes) {
+    return true;
+  }
+  // n/8 >= 8 KiB here, so every slice lies inside the payload.
+  const std::size_t stride = raw.size() / kSlices;
+  std::size_t sampled = 0;
+  for (std::size_t j = 0; j < kSlices; ++j) {
+    sampled += encode(id, raw.subspan(j * stride, kSliceBytes)).size();
+  }
+  return sampled < kSlices * kSliceBytes;
+}
+
 Bytes decode(CodecId id, ByteSpan encoded, std::size_t raw_len) {
   switch (id) {
     case CodecId::kRaw: {

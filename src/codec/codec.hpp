@@ -42,6 +42,23 @@ CodecId codec_from_name(const std::string& name);
 /// expansion (<= raw.size() + raw.size()/128 + 16 bytes).
 Bytes encode(CodecId id, ByteSpan raw);
 
+/// Payloads at least this long are probed (worth_encoding) before a
+/// full encode; shorter ones are always encoded whole.
+inline constexpr std::size_t kProbeMinBytes = std::size_t{64} << 10;
+
+/// Sampled probe: whether a full encode of `raw` with `id` may come out
+/// smaller than `raw`. False for kRaw; true below kProbeMinBytes.
+/// Otherwise it encodes 8 evenly spaced 4 KiB slices, [j*(n/8),
+/// j*(n/8) + 4096) for j = 0..7, each as its own call, and returns
+/// whether their total is below 32 KiB. It encodes 32 KiB whatever the
+/// payload's size: an eighth of a full encode at 256 KiB.
+///
+/// Blind spot: it sees redundancy within a slice only. A payload that
+/// repeats at a distance longer than 4 KiB but inside LZ's 64 KiB window
+/// (a noise block repeated every 16 KiB, say) probes as incompressible,
+/// although LZ would shrink it.
+bool worth_encoding(CodecId id, ByteSpan raw);
+
 /// Decodes an encode() output. `raw_len` is the expected decoded size
 /// (stored in the section header); mismatch raises std::runtime_error, as
 /// does any malformed stream.

@@ -458,6 +458,70 @@ TEST(Cas, DamagedRefsJournalTriggersRebuild) {
   EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2));
 }
 
+std::string read_text(io::MemEnv& env, const std::string& path) {
+  const auto data = env.read_file(path);
+  return data ? std::string(data->begin(), data->end()) : std::string();
+}
+
+void write_text(io::MemEnv& env, const std::string& path,
+                const std::string& text) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
+  env.write_file_atomic(path, util::ByteSpan{bytes, text.size()});
+}
+
+TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
+  // 32 KiB of params at 4 KiB chunks, keep_last 2: after 3 checkpoints
+  // the 7 frozen chunks are referenced by both kept checkpoints. One
+  // count edited to 0 must read as damage, not as a dead chunk that the
+  // reopen's compacting sweep may drop.
+  io::MemEnv env;
+  CheckpointPolicy policy = cas_policy();
+  policy.chunk_bytes = 4096;
+  policy.retention.keep_last = 2;
+  {
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 3; ++step) {
+      ck.checkpoint_now(big_state(step, 4096));
+    }
+    ck.flush();
+  }
+  std::string text = read_text(env, "cp/chunks/REFS");
+  const std::size_t line = text.find("-4096 2\n");
+  ASSERT_NE(line, std::string::npos) << text;
+  text[line + 6] = '0';
+  write_text(env, "cp/chunks/REFS", text);
+  {
+    Checkpointer reopened(env, "cp", policy);
+  }
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 3u);
+  EXPECT_EQ(outcome->state, big_state(3, 4096));
+  EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2, 4096));
+}
+
+TEST(Cas, RefsJournalWithoutTrailerIsRebuiltOnce) {
+  // A journal written before the CRC trailer existed: rebuilt at the
+  // first open, then rewritten with a trailer and trusted.
+  io::MemEnv env;
+  run_checkpoints(env, cas_policy(), 3);
+  const std::string text = read_text(env, "cp/chunks/REFS");
+  const std::size_t trailer = text.rfind("crc32c ");
+  ASSERT_NE(trailer, std::string::npos);
+  ASSERT_EQ(text.size() - trailer, 16u) << "one 16-byte last line";
+  write_text(env, "cp/chunks/REFS", text.substr(0, trailer));
+  {
+    ChunkStore store(env, "cp");
+    store.open();
+    EXPECT_EQ(store.stats().refs_rebuilds, 1u);
+    store.save_refs();
+  }
+  EXPECT_EQ(read_text(env, "cp/chunks/REFS"), text);
+  ChunkStore store(env, "cp");
+  store.open();
+  EXPECT_EQ(store.stats().refs_rebuilds, 0u);
+}
+
 TEST(Cas, UnreadableCheckpointFileDisablesSweep) {
   io::MemEnv env;
   run_checkpoints(env, cas_policy(), 2);

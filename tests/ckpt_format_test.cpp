@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 
 #include "ckpt/format.hpp"
 #include "ckpt/state_codec.hpp"
+#include "io/mem_env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -442,6 +444,16 @@ TEST(Extern, ChunkKeyNameRoundTrips) {
   EXPECT_FALSE(parse_chunk_key_name("00000000-").has_value());
 }
 
+TEST(Extern, ChunkKeyNameRejectsALengthBeyondU64) {
+  const auto max = parse_chunk_key_name("00000000-18446744073709551615");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->len, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(
+      parse_chunk_key_name("00000000-18446744073709551616").has_value());
+  EXPECT_FALSE(
+      parse_chunk_key_name("00000000-99999999999999999999").has_value());
+}
+
 // ---------- extern chunk cuts on the element grid ----------
 
 /// `v` in util::put_vector layout (u64 count | f64 elements), the
@@ -681,6 +693,136 @@ TEST(ExternGrid, MissWavesStoreTheSameRecordsForAnyWindow) {
   }
   // 40 chunks: 8 were resident (20..27) and 9 repeat chunk 5.
   EXPECT_EQ(first_puts.size(), 40u - 8u - 9u);
+}
+
+// ---------- what is stored: the codec's output, or the raw bytes ----------
+
+constexpr std::size_t k64KiB = std::size_t{64} << 10;
+
+/// Eight 64 KiB chunks alternating noise (even) and zeros (odd).
+Bytes noise_and_zero_chunks() {
+  const Bytes zeros(k64KiB, 0);
+  Bytes payload;
+  for (std::uint64_t c = 0; c < 8; ++c) {
+    const Bytes chunk = c % 2 == 0 ? random_bytes(k64KiB, 50 + c) : zeros;
+    payload.insert(payload.end(), chunk.begin(), chunk.end());
+  }
+  return payload;
+}
+
+/// The section index of an encoded container (headers only).
+CheckpointIndex index_of(ByteSpan blob) {
+  io::MemEnv env;
+  env.write_file_atomic("f", blob);
+  return read_checkpoint_index(env, "f");
+}
+
+TEST(StoredForm, IncompressibleChunksAreStoredRaw) {
+  const Bytes payload = noise_and_zero_chunks();
+  const CheckpointFile f = one_section_file(SectionKind::kSimulator, payload);
+  MapChunkStore store;
+  const Bytes blob = encode_checkpoint(f, extern_options(store, k64KiB));
+  std::vector<ChunkKey> cut_keys;
+  for (std::size_t c = 0; c < 8; ++c) {
+    const ByteSpan chunk = ByteSpan(payload).subspan(c * k64KiB, k64KiB);
+    cut_keys.push_back(chunk_key(chunk));
+    const auto& [codec, bytes] = store.chunks.at(cut_keys.back());
+    if (c % 2 == 0) {
+      EXPECT_EQ(codec, codec::CodecId::kRaw) << "chunk " << c;
+      EXPECT_TRUE(std::ranges::equal(bytes, chunk)) << "chunk " << c;
+    } else {
+      EXPECT_EQ(codec, codec::CodecId::kLz) << "chunk " << c;
+      EXPECT_LT(bytes.size(), 64u) << "chunk " << c;
+    }
+  }
+  EXPECT_EQ(store.chunks.size(), 5u) << "4 noise chunks, 1 zero chunk";
+  EXPECT_EQ(list_chunk_refs(blob), cut_keys);
+  // The container's section header keeps the section's codec.
+  EXPECT_EQ(index_of(blob).sections.at(0).codec, codec::CodecId::kLz);
+  const DecodeOptions from{.source = &store};
+  expect_equal_files(f, decode_checkpoint(blob, from));
+}
+
+TEST(StoredForm, ResidentLzRecordOfANoiseChunkIsADedupHit) {
+  // A directory written before raw records holds noise chunks as kLz
+  // records: the same key is a hit, nothing is stored again, and the
+  // section decodes through the old record.
+  const Bytes payload = noise_and_zero_chunks();
+  const ByteSpan noise = ByteSpan(payload).first(k64KiB);
+  const ChunkKey key = chunk_key(noise);
+  MapChunkStore store;
+  store.put(key, codec::CodecId::kLz, codec::lz_encode(noise));
+  store.put_order.clear();
+  const CheckpointFile f = one_section_file(SectionKind::kSimulator, payload);
+  const Bytes blob = encode_checkpoint(f, extern_options(store, k64KiB));
+  EXPECT_EQ(store.hits, 4u) << "the resident chunk and 3 repeated zeros";
+  EXPECT_EQ(store.put_order.size(), 4u);
+  EXPECT_EQ(std::ranges::count(store.put_order, key), 0);
+  EXPECT_EQ(store.chunks.at(key).first, codec::CodecId::kLz);
+  const DecodeOptions from{.source = &store};
+  expect_equal_files(f, decode_checkpoint(blob, from));
+}
+
+TEST(StoredForm, IncompressibleInlineSectionIsStoredRawInEveryVersion) {
+  const CheckpointFile f =
+      one_section_file(SectionKind::kSimulator, random_bytes(4 * k64KiB, 56));
+  for (const std::uint16_t version : {1, 2, 3}) {
+    MapChunkStore store;
+    EncodeOptions options;  // 1 MiB chunks: the section stays inline
+    options.version = version;
+    options.sink = version == 3 ? &store : nullptr;
+    const Bytes blob = encode_checkpoint(f, options);
+    const CheckpointIndex index = index_of(blob);
+    ASSERT_EQ(index.version, version);
+    const SectionIndexEntry& s = index.sections.at(0);
+    EXPECT_EQ(s.flags, 0) << "v" << version;
+    EXPECT_EQ(s.codec, codec::CodecId::kRaw) << "v" << version;
+    EXPECT_EQ(s.enc_len, s.raw_len) << "v" << version;
+    EXPECT_TRUE(store.chunks.empty());
+    expect_equal_files(f, decode_checkpoint(blob));
+  }
+}
+
+TEST(StoredForm, NoPayloadOf64KiBOrMoreIsStoredLarger) {
+  // Noise, redundant and mixed payloads under every codec, as extern
+  // chunks (64 KiB) and as inline sections: nothing of 64 KiB or more
+  // is stored larger than its raw bytes.
+  Bytes tail_zeros = random_bytes(3 * k64KiB, 57);
+  tail_zeros.resize(4 * k64KiB, 0);
+  const std::vector<std::pair<SectionKind, Bytes>> payloads = {
+      {SectionKind::kSimulator, random_bytes(4 * k64KiB + 100, 59)},
+      {SectionKind::kOptimizer, noise_and_zero_chunks()},
+      {SectionKind::kRng, tail_zeros},
+      {SectionKind::kParams, vector_payload(random_doubles(k64KiB / 2, 58))},
+      {SectionKind::kLossHistory, Bytes(k64KiB, 7)},
+  };
+  for (const codec::CodecId id : codec::kAllCodecs) {
+    CheckpointFile f;
+    f.checkpoint_id = 5;
+    for (const auto& [kind, payload] : payloads) {
+      Section s{.kind = kind, .codec = id, .flags = 0, .payload = payload};
+      f.sections.push_back(std::move(s));
+    }
+    for (const std::size_t chunk_bytes : {k64KiB, std::size_t{1} << 20}) {
+      MapChunkStore store;
+      const EncodeOptions options = extern_options(store, chunk_bytes);
+      const Bytes blob = encode_checkpoint(f, options);
+      for (const SectionIndexEntry& s : index_of(blob).sections) {
+        if ((s.flags & kSectionFlagExtern) == 0 && s.raw_len >= k64KiB) {
+          EXPECT_LE(s.enc_len, s.raw_len)
+              << codec::codec_name(id) << " " << section_kind_name(s.kind);
+        }
+      }
+      for (const auto& [key, record] : store.chunks) {
+        if (key.len >= k64KiB) {
+          EXPECT_LE(record.second.size(), key.len)
+              << codec::codec_name(id) << " " << chunk_key_name(key);
+        }
+      }
+      const DecodeOptions from{.source = &store};
+      expect_equal_files(f, decode_checkpoint(blob, from));
+    }
+  }
 }
 
 // ---------- corruption detection ----------

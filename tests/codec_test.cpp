@@ -401,6 +401,97 @@ TEST(Lz, EncoderOutputMatchesCheckedInDigests) {
   }
 }
 
+// ---------- the sampled probe ----------
+
+/// Uniform doubles in [-1, 1): what a parameter block looks like.
+Bytes uniform_doubles(std::size_t n_doubles, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Bytes out;
+  for (std::size_t i = 0; i < n_doubles; ++i) {
+    util::put_le<double>(out, rng.uniform(-1.0, 1.0));
+  }
+  return out;
+}
+
+constexpr CodecId kCompressors[] = {CodecId::kRle, CodecId::kLz,
+                                    CodecId::kDeltaLz, CodecId::kDeltaRle};
+
+TEST(Probe, NoiseOf64KiBOrMoreIsNotWorthEncoding) {
+  const std::size_t sizes[] = {kProbeMinBytes, 256 << 10, (1 << 20) + 12345};
+  for (const std::size_t n : sizes) {
+    const std::vector<PayloadCase> noise = {
+        {"incompressible", incompressible(n, 60)},
+        {"uniform_doubles", uniform_doubles(n / 8, 61)},
+    };
+    for (const PayloadCase& pc : noise) {
+      for (const CodecId id : kAllCodecs) {
+        EXPECT_FALSE(worth_encoding(id, pc.data))
+            << codec_name(id) << " on " << pc.name << " n=" << n;
+        // The verdict is right: the full encode would not be smaller.
+        EXPECT_GE(encode(id, pc.data).size(), pc.data.size())
+            << codec_name(id) << " on " << pc.name << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Probe, RawIsNeverWorthEncoding) {
+  const std::size_t sizes[] = {0, 100, kProbeMinBytes, 1 << 20};
+  for (const std::size_t n : sizes) {
+    EXPECT_FALSE(worth_encoding(CodecId::kRaw, zeros(n))) << "n=" << n;
+  }
+}
+
+TEST(Probe, RedundantPayloadsAreWorthEncoding) {
+  const std::size_t n = std::size_t{256} << 10;
+  Bytes noise_then_zeros = incompressible(n - kProbeMinBytes, 62);
+  noise_then_zeros.resize(n, 0);
+  Bytes sparse_delta;
+  for (const PayloadCase& pc : lz_corpus()) {
+    if (pc.name == "sparse_delta") {
+      sparse_delta = pc.data;
+    }
+  }
+  ASSERT_FALSE(sparse_delta.empty());
+  const std::vector<PayloadCase> redundant = {
+      {"zeros", zeros(n)},
+      {"runs", runs(n)},
+      {"repeated_text", repeated_text(n)},
+      {"similar_doubles", similar_doubles(n / 8, 63)},
+      {"sparse_delta", sparse_delta},
+      {"noise_then_64KiB_zeros", noise_then_zeros},
+  };
+  for (const PayloadCase& pc : redundant) {
+    for (const CodecId id : {CodecId::kLz, CodecId::kDeltaLz}) {
+      EXPECT_TRUE(worth_encoding(id, pc.data))
+          << codec_name(id) << " on " << pc.name;
+      EXPECT_LT(encode(id, pc.data).size(), pc.data.size())
+          << codec_name(id) << " on " << pc.name;
+    }
+    // A byte-run coder is worth it where the full encode shrinks too.
+    for (const CodecId id : {CodecId::kRle, CodecId::kDeltaRle}) {
+      EXPECT_EQ(worth_encoding(id, pc.data),
+                encode(id, pc.data).size() < pc.data.size())
+          << codec_name(id) << " on " << pc.name;
+    }
+  }
+  for (const CodecId id : kCompressors) {
+    for (const Bytes& data : {zeros(n), sparse_delta, noise_then_zeros}) {
+      EXPECT_TRUE(worth_encoding(id, data)) << codec_name(id);
+    }
+  }
+}
+
+TEST(Probe, PayloadsUnder64KiBAreAlwaysWorthEncoding) {
+  const std::size_t sizes[] = {0, 1, 4096, kProbeMinBytes - 1};
+  for (const std::size_t n : sizes) {
+    for (const CodecId id : kCompressors) {
+      EXPECT_TRUE(worth_encoding(id, incompressible(n, 64)))
+          << codec_name(id) << " n=" << n;
+    }
+  }
+}
+
 // ---------- XOR delta ----------
 
 TEST(XorDelta, WithParentIsInvolution) {
