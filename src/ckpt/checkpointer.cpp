@@ -211,18 +211,29 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
   if (want_delta) {
     file.parent_id = last_id_;
     std::map<SectionKind, Bytes> current_raw;
-    for (Section& s : file.sections) {
-      const auto parent = last_raw_.find(s.kind);
-      if (parent != last_raw_.end()) {
-        // Move the raw payload into the delta base instead of copying:
-        // this runs on the trainer thread, where every byte counts.
-        Bytes delta = codec::xor_with_parent(s.payload, parent->second);
-        current_raw[s.kind] = std::move(s.payload);
-        s.payload = std::move(delta);
-        s.flags |= kSectionFlagDelta;
-      } else {
-        current_raw[s.kind] = s.payload;  // stays raw in the file too
+    try {
+      for (Section& s : file.sections) {
+        const auto parent = last_raw_.find(s.kind);
+        if (parent != last_raw_.end()) {
+          // The parent's buffer becomes the delta and the raw payload the
+          // next base, both moved: this runs on the trainer thread, where
+          // every byte counts. Resizing keeps the parent's leading bytes,
+          // so across a size change the shared prefix still cancels.
+          Bytes delta = std::move(parent->second);
+          delta.resize(s.payload.size());
+          codec::xor_with_parent_inplace(delta, s.payload);
+          current_raw[s.kind] = std::move(s.payload);
+          s.payload = std::move(delta);
+          s.flags |= kSectionFlagDelta;
+        } else {
+          current_raw[s.kind] = s.payload;  // stays raw in the file too
+        }
       }
+    } catch (...) {
+      // A base went into a delta that is never written: the next
+      // checkpoint must not delta against what is left of last_raw_.
+      force_full_.store(true);
+      throw;
     }
     last_raw_ = std::move(current_raw);
     ++checkpoints_since_full_;

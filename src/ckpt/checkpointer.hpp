@@ -307,8 +307,11 @@ class Checkpointer {
   std::uint64_t last_seen_step_ = 0;
   double ewma_step_seconds_ = 0.0;
   double ewma_ckpt_seconds_ = 0.0;
-  /// Raw section payloads of the previous checkpoint (delta bases).
   std::uint64_t last_id_ = 0;
+  /// Raw section payloads of the previous checkpoint (delta bases).
+  /// kIncremental builds each delta in its base's buffer, moved out of
+  /// here, so a delta checkpoint allocates one state-sized buffer (its
+  /// owned copy of the state, the next base), not two.
   std::map<SectionKind, Bytes> last_raw_;
   std::uint64_t checkpoints_since_full_ = 0;
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "codec/xor_delta.hpp"
 #include "util/crc.hpp"
 #include "util/thread_pool.hpp"
 
@@ -392,13 +393,23 @@ std::vector<ChunkKey> parse_extern_table(ByteSpan table,
   return keys;
 }
 
+/// Lands `raw` at byte `off` of `out`: copied over it, or XOR-ed into it.
+void land(ByteSpan raw, const PayloadTarget& out, std::size_t off) {
+  const std::span<std::uint8_t> dest = out.bytes.subspan(off, raw.size());
+  if (out.xor_into) {
+    codec::xor_with_parent_inplace(dest, raw);
+  } else {
+    std::ranges::copy(raw, dest.begin());
+  }
+}
+
 /// Reassembles an extern section into `out` by fetching every chunk of
-/// `keys` (whose lengths sum to out.size()) from `source`. get() verifies
-/// digest + length; both are re-checked here anyway.
+/// `keys` (whose lengths sum to out.bytes.size()) from `source`. get()
+/// verifies digest + length; both are re-checked here anyway.
 void resolve_extern_payload(ChunkSource& source,
                             const std::vector<ChunkKey>& keys,
-                            std::span<std::uint8_t> out) {
-  auto pos = out.begin();
+                            const PayloadTarget& out) {
+  std::size_t off = 0;
   for (const ChunkKey& key : keys) {
     const Bytes raw = source.get(key);
     // Re-verify against the key here, independent of the source's own
@@ -408,7 +419,8 @@ void resolve_extern_payload(ChunkSource& source,
       throw std::runtime_error("chunk " + chunk_key_name(key) +
                                ": content digest mismatch");
     }
-    pos = std::ranges::copy(raw, pos).out;
+    land(raw, out, off);
+    off += raw.size();
   }
 }
 
@@ -416,7 +428,7 @@ void resolve_extern_payload(ChunkSource& source,
 /// verifying every chunk CRC and the total length. Throws
 /// std::runtime_error on any mismatch.
 void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
-                            std::span<std::uint8_t> out) {
+                            const PayloadTarget& out) {
   std::size_t off = 0;
   const auto n_chunks = util::get_le<std::uint32_t>(frame, off);
   (void)util::get_le<std::uint64_t>(frame, off);  // nominal chunk size
@@ -430,7 +442,7 @@ void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
       throw std::runtime_error("chunk " + std::to_string(c) +
                                ": truncated stream");
     }
-    if (raw_len > out.size() - out_off) {
+    if (raw_len > out.bytes.size() - out_off) {
       throw std::runtime_error("chunk " + std::to_string(c) +
                                ": raw length exceeds section size");
     }
@@ -441,13 +453,13 @@ void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
                                ": CRC32C mismatch");
     }
     const Bytes raw = codec::decode(codec, enc, raw_len);
-    std::ranges::copy(raw, out.begin() + static_cast<std::ptrdiff_t>(out_off));
+    land(raw, out, out_off);
     out_off += raw.size();
   }
   if (off != frame.size()) {
     throw std::runtime_error("chunk frame has trailing bytes");
   }
-  if (out_off != out.size()) {
+  if (out_off != out.bytes.size()) {
     throw std::runtime_error("chunk frame raw length mismatch");
   }
 }
@@ -457,13 +469,13 @@ void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
 /// storage-only flags. Throws std::runtime_error on any damage.
 void decode_section(Section& s, std::uint64_t raw_len, ByteSpan encoded,
                     std::uint16_t version, const DecodeOptions& options) {
-  const auto place = [&]() -> std::span<std::uint8_t> {
+  const auto place = [&]() -> PayloadTarget {
     if (!options.place) {
       s.payload.resize(raw_len);
-      return s.payload;
+      return {.bytes = s.payload};
     }
-    const std::span<std::uint8_t> dest = options.place(s, raw_len);
-    if (dest.size() != raw_len) {
+    const PayloadTarget dest = options.place(s, raw_len);
+    if (dest.bytes.size() != raw_len) {
       throw std::logic_error("payload placement returned the wrong size");
     }
     return dest;
@@ -488,7 +500,7 @@ void decode_section(Section& s, std::uint64_t raw_len, ByteSpan encoded,
     s.flags &= static_cast<std::uint8_t>(~kSectionFlagChunked);
   } else if (options.place) {
     const Bytes raw = codec::decode(s.codec, encoded, raw_len);
-    std::ranges::copy(raw, place().begin());
+    land(raw, place(), 0);
   } else {
     s.payload = codec::decode(s.codec, encoded, raw_len);
   }
@@ -758,6 +770,7 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
   const std::size_t body_end =
       footer_ok ? data.size() - kFooterSize : data.size();
 
+  std::vector<SectionKind> kinds;  // every section header's, in file order
   for (std::uint32_t i = 0; i < header.n_sections; ++i) {
     Section s;
     std::uint64_t raw_len = 0;
@@ -783,6 +796,15 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
     }
     const ByteSpan encoded = data.subspan(off, enc_len);
     off += enc_len;
+
+    // One section per kind: a repeat would land on (or, as a delta,
+    // XOR into) the payload the first one placed. Salvage keeps the
+    // first.
+    if (std::ranges::find(kinds, s.kind) != kinds.end()) {
+      fail("section " + section_kind_name(s.kind) + ": kind repeated");
+      continue;
+    }
+    kinds.push_back(s.kind);
 
     if (util::crc32c(encoded) != crc) {
       fail("section " + section_kind_name(s.kind) + ": CRC32C mismatch");

@@ -333,11 +333,19 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out);
 
-/// Where the decoder lands one section's raw payload: called with the
-/// section (kind, codec and flags as stored) and its raw length, it
-/// returns exactly that many writable bytes.
+/// Where the decoder lands one section's raw payload: exactly raw-length
+/// writable bytes, and whether the payload is XOR-ed into what they
+/// already hold (`xor_into`) instead of copied over it. A section that
+/// fails to decode partway leaves them partly written.
+struct PayloadTarget {
+  std::span<std::uint8_t> bytes;
+  bool xor_into = false;
+};
+
+/// Called with the section (kind, codec and flags as stored) and its raw
+/// length; returns where its payload lands.
 using PayloadPlacement =
-    std::function<std::span<std::uint8_t>(const Section&, std::uint64_t)>;
+    std::function<PayloadTarget(const Section&, std::uint64_t)>;
 
 /// Decoder context. A null source decodes v1/v2 files (and v3 files
 /// without extern sections) exactly as before; extern sections then fail
@@ -347,19 +355,24 @@ struct DecodeOptions {
   /// Null: each payload lands in its Section::payload. Set: called once
   /// per section, in file order, once the section's CRC32C (and an
   /// extern key table) verifies; the payload lands in the returned
-  /// bytes and Section::payload stays empty. Extern and chunk-framed
+  /// target and Section::payload stays empty. Extern and chunk-framed
   /// payloads are reassembled there chunk by chunk, with no section-sized
   /// buffer in between; an inline payload (from v2 on, at most the
-  /// encoder's chunk_bytes) is decoded, then copied in. Recovery places
-  /// each payload in the storage of the state field it loads into
-  /// (ckpt/state_codec.hpp).
+  /// encoder's chunk_bytes) is decoded, then landed. Each chunk (an
+  /// extern one after its re-check against its key) is copied in, or
+  /// with `xor_into` XOR-ed into the target's bytes. Recovery places a
+  /// full payload in the storage of the state field it loads into
+  /// (ckpt/state_codec.hpp) and XORs a delta into the payload it
+  /// applies to.
   PayloadPlacement place = nullptr;
 };
 
 /// Parses and fully verifies (per-section CRC32C + footer CRC64 + magics;
 /// extern chunks are fetched from `options.source` and verified against
-/// their keys). Throws CorruptCheckpoint on any failure. One parse loop
-/// and one section decoder serve this, salvage_checkpoint and recovery.
+/// their keys; one section per kind). Throws CorruptCheckpoint on any
+/// failure. One parse loop and one section decoder serve this,
+/// salvage_checkpoint (which keeps the first section of a repeated
+/// kind) and recovery.
 CheckpointFile decode_checkpoint(ByteSpan data);
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
 

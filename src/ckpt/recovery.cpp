@@ -5,7 +5,6 @@
 #include "ckpt/cas.hpp"
 #include "ckpt/state_codec.hpp"
 #include "ckpt/wal.hpp"
-#include "codec/xor_delta.hpp"
 #include "tier/tiered_env.hpp"
 
 namespace qnn::ckpt {
@@ -46,12 +45,12 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
 /// Fully resolves checkpoint `id` into raw payloads keyed by kind. The
 /// walk reads each container once, leaf to root (v3: key tables), and
 /// follows a parent id only after that container's footer CRC64
-/// verifies. The fold decodes root first, one file at a time, each
-/// payload straight into the storage of the state field it loads into:
-/// a full payload replaces the resolved one, a delta has the resolved
-/// one XOR-ed into it in place and then replaces it, and each decoded
-/// file is freed before the next — one resolved state plus one decoded
-/// file, whatever the depth. Extern sections resolve through `source`
+/// verifies. The fold decodes root first, one file at a time: a full
+/// payload lands in fresh storage of the state field it loads into,
+/// and a delta is XOR-ed chunk by chunk into the resolved payload it
+/// applies to, resized first to the delta's length (leading bytes kept,
+/// tail zero-filled) — one resolved state plus one chunk, whatever the
+/// depth. Extern sections resolve through `source`
 /// (the directory's chunk store, shared across candidates so its
 /// packfile scan happens once per recovery); a missing or corrupt chunk
 /// throws like any other damage, so callers fall back to older
@@ -81,28 +80,25 @@ SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
     *depth_out = chain.size();
   }
 
+  // A strict decode places every section, in file order, or throws; a
+  // throw leaves `resolved` half folded, and it dies with this call.
   SectionPayloads resolved;
-  for (; !chain.empty(); chain.pop_back()) {
-    // A strict decode places every section, in file order, or throws.
-    std::vector<SectionPayload> decoded;
-    DecodeOptions decode{.source = source};
-    decode.place = [&](const Section& s, std::uint64_t raw_len) {
-      return decoded.emplace_back(s.kind, raw_len).bytes();
-    };
-    const CheckpointFile file = decode_checkpoint(chain.back(), decode);
-    for (std::size_t i = 0; i < file.sections.size(); ++i) {
-      const Section& s = file.sections[i];
-      if (s.is_delta()) {
-        const auto base = resolved.find(s.kind);
-        if (base == resolved.end()) {
-          throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
-                                  " has no base in ancestor chain");
-        }
-        codec::xor_with_parent_inplace(decoded[i].bytes(),
-                                       base->second.bytes());
-      }
-      resolved[s.kind] = std::move(decoded[i]);
+  DecodeOptions decode{.source = source};
+  decode.place = [&](const Section& s, std::uint64_t raw_len) {
+    if (!s.is_delta()) {
+      resolved[s.kind] = SectionPayload(s.kind, raw_len);
+      return PayloadTarget{.bytes = resolved[s.kind].bytes()};
     }
+    const auto base = resolved.find(s.kind);
+    if (base == resolved.end()) {
+      throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
+                              " has no base in ancestor chain");
+    }
+    base->second.resize(s.kind, raw_len);
+    return PayloadTarget{.bytes = base->second.bytes(), .xor_into = true};
+  };
+  for (; !chain.empty(); chain.pop_back()) {
+    decode_checkpoint(chain.back(), decode);
   }
   return resolved;
 }

@@ -5,10 +5,12 @@
 //      canonical checkpoint file names;
 //   2. walk candidates newest-first; for each, read its chain leaf to
 //      root (following a parent only once its CRC64 verifies), then fold
-//      it root first in place, one decoded file at a time. Every payload
+//      it root first in place, one chunk at a time. A full payload
 //      decodes straight into the storage of the TrainingState field it
 //      loads into (ckpt/state_codec.hpp: an array lands in its vector,
-//      the count in a leading slot), and loading moves it there;
+//      the count in a leading slot), a delta's chunks XOR into that
+//      payload, and loading moves it there: a chain recovers with one
+//      resolved state plus one chunk, whatever its depth;
 //   3. redo-only journal replay: fold the candidate's delta journal
 //      (wal-<id>.qwal, see ckpt/wal.hpp) into the resolved sections in
 //      place up to the last frame whose CRC validates, truncating torn
@@ -78,11 +80,13 @@ struct RecoveryOptions {
 };
 
 /// Returns the newest recoverable training state, or std::nullopt when the
-/// directory holds no usable checkpoint. A full checkpoint recovers with
-/// one copy of the state in memory; a chain with the resolved state plus
-/// one decoded file, independent of its depth; journal replay with the
-/// state plus one decoded record. A replayed state that cannot load falls
-/// back to the base checkpoint, resolved again.
+/// directory holds no usable checkpoint. A full checkpoint or a chain of
+/// any depth recovers with one copy of the state in memory, plus one
+/// chunk; journal replay with the state plus one decoded record. A
+/// candidate that fails mid-fold leaves a half-folded state that dies
+/// with the attempt: every candidate, and a replayed state that cannot
+/// load (which falls back to the base checkpoint), resolves from
+/// scratch.
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                                               const std::string& dir);
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,

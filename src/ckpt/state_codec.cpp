@@ -122,24 +122,41 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
 }
 
 SectionPayload::SectionPayload(SectionKind kind, std::uint64_t size) {
+  resize(kind, size);
+}
+
+void SectionPayload::resize(SectionKind kind, std::uint64_t size) {
+  // Storage of type V for the new size: a resize in place when the
+  // payload already lives in a V, else a V of the new size that takes
+  // the leading bytes of the old storage.
+  const auto fit = [&]<typename V>(std::in_place_type_t<V>) {
+    const std::size_t elements = size / sizeof(typename V::value_type);
+    if (V* v = std::get_if<V>(&storage_)) {
+      v->resize(elements);
+      return;
+    }
+    V next(elements);
+    const ByteSpan old = bytes();
+    std::copy_n(old.begin(), std::min<std::size_t>(old.size(), size),
+                util::as_writable_bytes(next).begin());
+    storage_ = std::move(next);
+  };
   switch (kind) {
     case SectionKind::kParams:
     case SectionKind::kLossHistory:
       if (on_grid<double>(size)) {
-        storage_ = std::vector<double>(size / sizeof(double));
-        return;
+        return fit(std::in_place_type<std::vector<double>>);
       }
       break;
     case SectionKind::kDataCursor:
       if (on_grid<std::uint32_t>(size)) {
-        storage_ = std::vector<std::uint32_t>(size / sizeof(std::uint32_t));
-        return;
+        return fit(std::in_place_type<std::vector<std::uint32_t>>);
       }
       break;
     default:
       break;
   }
-  storage_ = Bytes(size);
+  fit(std::in_place_type<Bytes>);
 }
 
 // Byte strings, and array payloads off the grid, keep `raw` as it is;

@@ -59,6 +59,14 @@ class SectionPayload {
   /// copied into their element storage.
   SectionPayload(SectionKind kind, Bytes raw);
 
+  /// Resizes the payload to `size` bytes in the storage
+  /// SectionPayload(kind, size) would choose, keeping the leading
+  /// min(old, new) bytes and zero-filling the rest: the base an XOR
+  /// delta of that size applies to (codec::xor_with_parent's rule).
+  /// Same-storage resizes work in place; an array whose length leaves
+  /// its element grid moves to Bytes, and back when it returns.
+  void resize(SectionKind kind, std::uint64_t size);
+
   [[nodiscard]] std::span<std::uint8_t> bytes();
   [[nodiscard]] ByteSpan bytes() const;
   [[nodiscard]] std::size_t size() const { return bytes().size(); }

@@ -87,6 +87,12 @@ Record parse_record(ByteSpan payload, std::uint16_t version) {
       s.raw_len = util::get_le<std::uint64_t>(payload, off);
       s.encoded = get_span(payload, off);
     }
+    // One section per kind, as the writer frames them: a repeat would
+    // apply twice against one base.
+    if (std::ranges::find(rec.sections, s.kind, &RecordSection::kind) !=
+        rec.sections.end()) {
+      throw std::runtime_error("wal record: section kind repeated");
+    }
     rec.sections.push_back(s);
   }
   if (off != payload.size()) {
@@ -192,38 +198,33 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
   std::uint64_t step = 0;
   const auto scan =
       walk_wal(env, dir, epoch, [&](const Record& rec) {
-        // Decode the whole record against the running state before
-        // committing any section of it: records apply atomically.
-        std::vector<std::pair<SectionKind, Bytes>> decoded;
-        decoded.reserve(rec.sections.size());
+        // Decode every body of the record, checking each delta's base,
+        // before any section changes: records apply atomically.
+        std::vector<Bytes> bodies;
+        bodies.reserve(rec.sections.size());
         try {
           for (const RecordSection& s : rec.sections) {
-            const SectionPayload* base = nullptr;
             if ((s.flags & kSectionFlagDelta) != 0) {
               const auto it = sections.find(s.kind);
               if (it == sections.end() || it->second.size() != s.base_len) {
                 return false;  // the delta's base is not this state's
               }
-              base = &it->second;
             }
-            Bytes body = codec::decode(s.codec, s.encoded, s.raw_len);
-            if (base != nullptr) {
-              codec::xor_with_parent_inplace(body, base->bytes());
-            }
-            decoded.emplace_back(s.kind, std::move(body));
+            bodies.push_back(codec::decode(s.codec, s.encoded, s.raw_len));
           }
         } catch (const std::exception&) {
           return false;  // CRC-valid but undecodable: stop replay here too
         }
-        // A body the size of the payload it replaces is copied over it,
-        // so a state-sized section never exists twice beside its body;
-        // one of a new size becomes a payload of its own.
-        for (auto& [kind, body] : decoded) {
-          SectionPayload& payload = sections[kind];
-          if (payload.size() == body.size()) {
-            std::ranges::copy(body, payload.bytes().begin());
+        // A delta is XOR-ed into its payload, resized first to the
+        // body's length; a full body replaces its payload.
+        for (std::size_t i = 0; i < bodies.size(); ++i) {
+          const RecordSection& s = rec.sections[i];
+          if ((s.flags & kSectionFlagDelta) != 0) {
+            SectionPayload& payload = sections[s.kind];
+            payload.resize(s.kind, s.raw_len);
+            codec::xor_with_parent_inplace(payload.bytes(), bodies[i]);
           } else {
-            payload = SectionPayload(kind, std::move(body));
+            sections[s.kind] = SectionPayload(s.kind, std::move(bodies[i]));
           }
         }
         ++applied;
@@ -274,54 +275,53 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
   }
   Bytes payload;
   util::put_le<std::uint64_t>(payload, state.step);
-  auto sections =
-      state_to_sections(state, include_simulator_, codec::CodecId::kRaw);
+  // The sections view `state`; each kind's delta is built in its base.
+  const auto sections =
+      view_state_sections(state, include_simulator_, codec::CodecId::kRaw);
   util::put_le<std::uint32_t>(payload,
                               static_cast<std::uint32_t>(sections.size()));
-  for (const Section& s : sections) {
-    std::uint8_t flags = 0;
-    std::uint64_t base_len = 0;
-    Bytes body;
-    const auto base = last_raw_.find(s.kind);
-    if (base != last_raw_.end()) {
-      // Delta even across a size change (a growing or cleared loss
-      // history): the shared prefix still cancels.
-      body = codec::xor_with_parent(s.payload, base->second);
-      base_len = base->second.size();
-      flags |= kSectionFlagDelta;
-    } else {
-      body = s.payload;
-    }
-    const std::uint64_t raw_len = body.size();
-    codec::CodecId id = codec_;
-    Bytes encoded = codec::encode(id, body);
-    if (encoded.size() >= body.size()) {
-      id = codec::CodecId::kRaw;
-      encoded = std::move(body);
-    }
-    util::put_le<std::uint16_t>(payload, static_cast<std::uint16_t>(s.kind));
-    util::put_le<std::uint8_t>(payload, flags);
-    util::put_le<std::uint8_t>(payload, static_cast<std::uint8_t>(id));
-    util::put_le<std::uint64_t>(payload, base_len);
-    util::put_le<std::uint64_t>(payload, raw_len);
-    util::put_bytes(payload, encoded);
-  }
-  Bytes frame;
-  util::put_le<std::uint64_t>(frame, payload.size());
-  util::put_le<std::uint32_t>(frame,
-                              util::crc32c(payload, util::crc32c(frame)));
-  frame.insert(frame.end(), payload.begin(), payload.end());
   try {
+    for (const Section& s : sections) {
+      // Delta even across a size change (a growing or cleared loss
+      // history): the base keeps its leading bytes, so the shared prefix
+      // still cancels. A kind without a base gets an empty one, which
+      // the XOR fills with the section: a full body.
+      const auto [base, fresh] = last_raw_.try_emplace(s.kind);
+      Bytes& body = base->second;
+      const std::uint64_t base_len = body.size();
+      body.resize(s.size());
+      const std::span<std::uint8_t> b(body);
+      codec::xor_with_parent_inplace(b, s.payload);
+      codec::xor_with_parent_inplace(b.subspan(s.payload.size()), s.view);
+      const std::uint8_t flags = fresh ? 0 : kSectionFlagDelta;
+      const Bytes encoded = codec::encode(codec_, body);
+      const bool raw = encoded.size() >= body.size();
+      const codec::CodecId id = raw ? codec::CodecId::kRaw : codec_;
+      util::put_le<std::uint16_t>(payload, static_cast<std::uint16_t>(s.kind));
+      util::put_le<std::uint8_t>(payload, flags);
+      util::put_le<std::uint8_t>(payload, static_cast<std::uint8_t>(id));
+      util::put_le<std::uint64_t>(payload, base_len);
+      util::put_le<std::uint64_t>(payload, body.size());
+      util::put_bytes(payload, raw ? body : encoded);
+    }
+    Bytes frame;
+    util::put_le<std::uint64_t>(frame, payload.size());
+    util::put_le<std::uint32_t>(frame,
+                                util::crc32c(payload, util::crc32c(frame)));
+    frame.insert(frame.end(), payload.begin(), payload.end());
     out_->append(frame);  // one append = one crash-atomic frame boundary
+    bytes_ += frame.size();
   } catch (...) {
-    failed_ = true;  // the bases would be one record ahead of the log
+    failed_ = true;  // the bases are no longer the logged record's
     throw;
   }
-  // Only a logged record may become the next record's delta base.
-  for (Section& s : sections) {
-    last_raw_[s.kind] = std::move(s.payload);
+  // Only a logged record may become the next record's delta base: each
+  // base, already the section's size, now holds the body and is
+  // overwritten with the section.
+  for (const Section& s : sections) {
+    const std::span<std::uint8_t> base(last_raw_[s.kind]);
+    std::ranges::copy(s.view, std::ranges::copy(s.payload, base.begin()).out);
   }
-  bytes_ += frame.size();
   ++records_;
   ++unsynced_;
   if (unsynced_ >= std::max<std::uint64_t>(policy_.group_commit_steps, 1)) {

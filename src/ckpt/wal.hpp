@@ -110,23 +110,26 @@ struct WalReplay {
 /// Redo-only replay: folds every fully-framed record of
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
 /// resolved payloads keyed by kind, see ckpt/state_codec.hpp) in place,
-/// stopping at the first torn or CRC-invalid frame. Each record is
-/// decoded whole (delta bodies XOR'd in place against the running state)
-/// before any of its sections is committed, so records apply atomically:
-/// a record that parses but cannot apply (a delta whose base is missing
-/// or not base_len bytes long, or a section that fails to decode) stops
-/// the replay with `sections` at exactly the previous record's state. A
-/// committed body is copied over a payload of its size in place, so
-/// replay holds the state plus one decoded record; only a section whose
-/// size changed gets new storage. Returns nullopt — with `sections`
-/// untouched — when there is no usable journal or it holds zero valid
-/// records.
+/// stopping at the first torn or CRC-invalid frame. A record that names
+/// one kind twice counts as torn. Every body of a record is decoded, and
+/// every delta's base checked, before any section changes, so records
+/// apply atomically: a record that parses but cannot apply (a delta
+/// whose base is missing or not base_len bytes long, or a section that
+/// fails to decode) stops the replay with `sections` at exactly the
+/// previous record's state. Then each delta body is XOR-ed into its
+/// payload, resized first to the body's length (SectionPayload::resize),
+/// and a full body replaces its payload, so replay holds the state plus
+/// one decoded record. Returns nullopt — with `sections` untouched —
+/// when there is no usable journal or it holds zero valid records.
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
                                     SectionPayloads& sections);
 
 /// Append-side of the journal: opened by the Checkpointer right after an
-/// install, closed (and superseded) by the next rotation.
+/// install, closed (and superseded) by the next rotation. It holds one
+/// base per kind, the last logged payload, and builds each record's
+/// delta in it: a record reads the caller's state in place and adds
+/// only its encoded bytes, not a copy of the state.
 class WalWriter {
  public:
   /// Creates (truncating any stale same-name log) `dir`/wal-<epoch>.qwal
@@ -142,9 +145,12 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one framed record for `state` (one plain-stream append =
-  /// one crash-atomic frame), group-committing per policy. Its payloads
-  /// become the next delta bases only once the append returns; after an
-  /// append throws, failed() holds and further calls throw logic_error.
+  /// one crash-atomic frame), group-committing per policy. Each base
+  /// (resized to its section, leading bytes kept) has the section XOR-ed
+  /// into it, and that is the body encoded; once the append returns,
+  /// the section is copied over it, the next delta base. After any throw
+  /// the bases are no longer the log's: failed() holds and further calls
+  /// throw logic_error.
   void log_step(const qnn::TrainingState& state);
 
   /// Explicit group-commit point (idempotent when nothing is pending).
@@ -169,7 +175,8 @@ class WalWriter {
   const codec::CodecId codec_;
   const bool include_simulator_;
   std::unique_ptr<io::WritableFile> out_;
-  /// Previous record's resolved raw payloads (XOR-delta bases).
+  /// Previous record's resolved raw payloads (XOR-delta bases); each
+  /// record's delta is built in its kind's buffer.
   std::map<SectionKind, Bytes> last_raw_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

@@ -10,8 +10,11 @@
 // by O(chunk_bytes x encode window), measured by
 // Checkpointer::Stats::peak_encode_buffer_bytes and, end to end, by the
 // process's peak RSS. Recovering a full checkpoint must hold one copy
-// of the state, and recovering an incremental chain one resolved state
-// plus one decoded file, whatever the chain depth.
+// of the state, and so must recovering an incremental chain of any
+// depth: each delta chunk is XOR-ed into the resolved payload. The
+// writers build each delta in the buffer of the base it replaces, so a
+// kIncremental delta checkpoint adds one copy of the state (the next
+// base) and a journal record only its encoded bytes.
 //
 // CI runs this test under a hard address-space ulimit sized well below
 // what the historical whole-buffer path needed (snapshot + serialized
@@ -30,6 +33,7 @@
 
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
+#include "ckpt/wal.hpp"
 #include "io/env.hpp"
 #include "util/rng.hpp"
 
@@ -108,6 +112,30 @@ qnn::TrainingState huge_state(std::size_t megabytes) {
   s.permutation = {0, 1, 2};
   s.workload_tag = "vqe";
   return s;
+}
+
+/// The state size of the delta-path tests: a quarter of the encode
+/// test's state, so writing a chain of 8 fits CI's ulimit; at least 24
+/// MiB, so the fixed slack of the bounds cannot hide a copy of the state
+/// in the fast local run.
+std::size_t delta_state_megabytes() {
+  return std::max<std::size_t>(state_megabytes() / 4, 24);
+}
+
+/// Rewrites the `part`-th eighth of the params (0 <= part < 8), so every
+/// delta carries real changes.
+void rewrite_eighth(qnn::TrainingState& state, std::size_t part) {
+  const std::size_t slice = state.params.size() / 8;
+  for (std::size_t i = 0; i < slice; ++i) {
+    state.params[part * slice + i] += 1.0;
+  }
+}
+
+/// The bound of every path that may hold one more copy of the state:
+/// the copy itself, plus a quarter and 8 MiB of slack (chunks, waves,
+/// the chunk store's bookkeeping).
+std::uint64_t one_copy_bound(std::uint64_t raw_bytes) {
+  return raw_bytes + raw_bytes / 4 + (std::uint64_t{8} << 20);
 }
 
 TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
@@ -242,7 +270,7 @@ TEST(BoundedMemory, FullStateRecoveryHoldsOneCopyOfTheState) {
   // recovery grows by the state plus a chunk and the chunk store's
   // bookkeeping. A resolved payload copied into the state is 2x.
   if (kRssTracksLiveBytes) {
-    EXPECT_LT(rss_growth, raw_bytes + raw_bytes / 4 + (std::uint64_t{8} << 20))
+    EXPECT_LT(rss_growth, one_copy_bound(raw_bytes))
         << "recovery held a second copy of the state: grew "
         << static_cast<double>(rss_growth) / static_cast<double>(raw_bytes)
         << "x";
@@ -252,11 +280,8 @@ TEST(BoundedMemory, FullStateRecoveryHoldsOneCopyOfTheState) {
   fs::remove_all(root);
 }
 
-TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
-  // A quarter of the encode test's state, so writing a chain of 8 fits
-  // CI's ulimit; at least 24 MiB, so the fixed 64 MiB slack below cannot
-  // hide a per-link copy in the fast local run.
-  const std::size_t mb = std::max<std::size_t>(state_megabytes() / 4, 24);
+TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneCopyOfTheState) {
+  const std::size_t mb = delta_state_megabytes();
   const std::string root =
       (fs::temp_directory_path() /
        ("qnnckpt_bounded_chain_" + std::to_string(::getpid())))
@@ -278,12 +303,7 @@ TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
     Checkpointer ck(env, root + "/cp", policy);
     for (std::uint64_t step = 1; step <= 8; ++step) {
       state.step = step;
-      // Rewrite a different 1/8 of the params each step, so every delta
-      // carries real changes.
-      const std::size_t slice = state.params.size() / 8;
-      for (std::size_t i = 0; i < slice; ++i) {
-        state.params[(step - 1) * slice + i] += 1.0;
-      }
+      rewrite_eighth(state, step - 1);
       ck.checkpoint_now(state);
     }
     ASSERT_EQ(ck.stats().incremental_checkpoints, 7u);
@@ -298,11 +318,106 @@ TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneDecodedFile) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->checkpoint_id, 8u);
   EXPECT_EQ(outcome->state, state);
-  // The resolved state plus one decoded delta file is ~2x the state
-  // (the loaded state is the resolved one, moved); a chain held whole
-  // (or a copy per fold) grows by ~9x at depth 8.
-  EXPECT_LT(rss_growth, 3 * raw_bytes + (std::uint64_t{64} << 20))
-      << "recovery memory grew with the chain depth";
+  // Each delta chunk is XOR-ed into the resolved payload the state
+  // keeps, so the chain recovers like one full checkpoint: one copy of
+  // the state, whatever the depth. A decoded file beside the resolved
+  // state is 2x; a chain held whole ~9x at depth 8.
+  if (kRssTracksLiveBytes) {
+    const double ratio =
+        static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
+    EXPECT_LT(rss_growth, one_copy_bound(raw_bytes))
+        << "recovery held a decoded file: grew " << ratio << "x";
+  }
+
+  fs::remove_all(root);
+}
+
+TEST(BoundedMemory, IncrementalDeltaCheckpointAddsOneCopyOfTheState) {
+  const std::size_t mb = delta_state_megabytes();
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("qnnckpt_bounded_delta_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+
+  io::PosixEnv env(/*durable=*/false);
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 1;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = std::size_t{1} << 20;
+  auto state = huge_state(mb);
+  const std::uint64_t raw_bytes = state.params.size() * sizeof(double);
+  std::uint64_t rss_growth = 0;
+  {
+    Checkpointer ck(env, root + "/cp", policy);
+    ck.checkpoint_now(state);  // full: the first delta base
+    state.step = 2;
+    rewrite_eighth(state, 0);
+    reset_peak_rss();
+    const std::uint64_t rss_before = vm_hwm_bytes();
+    ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+    ck.checkpoint_now(state);
+    rss_growth = vm_hwm_bytes() - rss_before;
+    ASSERT_EQ(ck.stats().incremental_checkpoints, 1u);
+  }
+
+  // The delta checkpoint copies the state once, as the next delta base,
+  // and builds the delta in the previous base's buffer. A delta in a
+  // buffer of its own is 2x.
+  if (kRssTracksLiveBytes) {
+    const double ratio =
+        static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
+    EXPECT_LT(rss_growth, one_copy_bound(raw_bytes))
+        << "the delta took its own buffer: grew " << ratio << "x";
+  }
+  const auto outcome = recover_latest(env, root + "/cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->state, state);
+
+  fs::remove_all(root);
+}
+
+TEST(BoundedMemory, JournalRecordBuildsItsDeltaInItsBase) {
+  const std::size_t mb = delta_state_megabytes();
+  const std::string root =
+      (fs::temp_directory_path() /
+       ("qnnckpt_bounded_wal_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+
+  io::PosixEnv env(/*durable=*/false);
+  const auto base = huge_state(mb);
+  auto state = base;
+  const std::uint64_t raw_bytes = state.params.size() * sizeof(double);
+  std::uint64_t rss_growth = 0;
+  {
+    WalWriter wal(env, root, 1, WalPolicy{}, codec::CodecId::kLz, base,
+                  /*include_simulator=*/false);
+    state.step = 2;
+    rewrite_eighth(state, 0);
+    reset_peak_rss();
+    const std::uint64_t rss_before = vm_hwm_bytes();
+    ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+    wal.log_step(state);
+    rss_growth = vm_hwm_bytes() - rss_before;
+  }
+
+  // The record reads the state in place and XORs it into the writer's
+  // base, so it adds the encoded record and its frame: an eighth of the
+  // state each. A copy of the state, or a delta buffer, adds 1x each.
+  if (kRssTracksLiveBytes) {
+    const double ratio =
+        static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
+    EXPECT_LT(rss_growth, raw_bytes / 2 + (std::uint64_t{4} << 20))
+        << "the record copied the state: grew " << ratio << "x";
+  }
+  SectionPayloads sections;
+  for (Section& s : state_to_sections(base, false, codec::CodecId::kRaw)) {
+    sections[s.kind] = SectionPayload(s.kind, std::move(s.payload));
+  }
+  ASSERT_TRUE(replay_wal(env, root, 1, sections).has_value());
+  EXPECT_EQ(load_state(std::move(sections)), state);
 
   fs::remove_all(root);
 }

@@ -2,6 +2,7 @@
 // chains), async writer, and recovery fallback.
 #include <gtest/gtest.h>
 
+#include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
@@ -686,21 +687,107 @@ TEST(Recovery, EmptyDirectoryIsNullopt) {
 }
 
 TEST(Recovery, FallsBackWhenNewestCorrupt) {
+  // Each case damages checkpoint 3 only: a bit flipped in a full
+  // container, or the packfile of the chunks only delta 3 of a v3 chain
+  // references removed. That chain's fold fails mid-link, after links 1
+  // and 2 and delta 3's inline meta were XOR-ed in place, so checkpoint
+  // 2 must resolve from scratch.
+  CheckpointPolicy full;
+  full.every_steps = 1;
+  full.retention.keep_last = 0;
+  CheckpointPolicy chain = full;
+  chain.strategy = Strategy::kIncremental;
+  chain.full_every = 10;
+  chain.chunk_bytes = kMinChunkBytes;  // params and optimizer go extern
+  const auto flip_a_bit = [](io::MemEnv& env) {
+    return env.flip_bit("cp/" + checkpoint_file_name(3), 12345);
+  };
+  const auto drop_the_pack = [](io::MemEnv& env) {
+    const std::string pack = "cp/chunks/" + pack_file_name(3);
+    if (!env.exists(pack)) {
+      return false;
+    }
+    env.remove_file(pack);
+    return true;
+  };
+  struct Case {
+    const char* name;
+    CheckpointPolicy policy;
+    std::function<bool(io::MemEnv&)> damage;
+  };
+  const Case cases[] = {{"full", full, flip_a_bit},
+                        {"chain", chain, drop_the_pack}};
+  for (const auto& [name, policy, damage] : cases) {
+    SCOPED_TRACE(name);
+    io::MemEnv env;
+    Checkpointer ck(env, "cp", policy);
+    ck.maybe_checkpoint(make_state(1));
+    ck.maybe_checkpoint(make_state(2));
+    ck.maybe_checkpoint(make_state(3));
+
+    ASSERT_TRUE(damage(env));
+    const auto outcome = recover_latest(env, "cp");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->step, 2u);
+    EXPECT_EQ(outcome->state, make_state(2));
+    ASSERT_EQ(outcome->notes.size(), 1u);
+    EXPECT_NE(outcome->notes[0].find("ckpt 3"), std::string::npos);
+    EXPECT_EQ(load_checkpoint(env, "cp", 2), make_state(2));
+  }
+}
+
+/// A sink for containers whose sections all stay inline.
+class NoChunkSink final : public ChunkSink {
+ public:
+  bool contains(const ChunkKey&) override { return false; }
+  void put(const ChunkKey&, codec::CodecId, ByteSpan) override {
+    ADD_FAILURE() << "an inline section stored a chunk";
+  }
+};
+
+TEST(Recovery, RepeatedSectionKindRejectsTheContainer) {
   io::MemEnv env;
   CheckpointPolicy policy;
   policy.every_steps = 1;
   policy.retention.keep_last = 0;
-  Checkpointer ck(env, "cp", policy);
-  ck.maybe_checkpoint(make_state(1));
-  ck.maybe_checkpoint(make_state(2));
-  ck.maybe_checkpoint(make_state(3));
+  {
+    Checkpointer ck(env, "cp", policy);
+    ck.maybe_checkpoint(make_state(1));
+    ck.maybe_checkpoint(make_state(2));
+  }
+  // Checkpoint 2 rewritten as a v3 container that names kParams twice,
+  // the repeat holding step 3's params. No writer emits one.
+  CheckpointFile file;
+  file.checkpoint_id = 2;
+  file.step = 2;
+  file.sections = state_to_sections(make_state(2), false, policy.codec);
+  for (Section& s : state_to_sections(make_state(3), false, policy.codec)) {
+    if (s.kind == SectionKind::kParams) {
+      file.sections.push_back(std::move(s));
+    }
+  }
+  NoChunkSink sink;
+  EncodeOptions options;
+  options.version = 3;
+  options.sink = &sink;
+  const Bytes data = encode_checkpoint(file, options);
+  env.write_file_atomic("cp/" + checkpoint_file_name(2), data);
 
-  ASSERT_TRUE(env.flip_bit("cp/" + checkpoint_file_name(3), 12345));
+  EXPECT_THROW(decode_checkpoint(data), CorruptCheckpoint);
+  const SalvageResult salvage = salvage_checkpoint(data);
+  ASSERT_TRUE(salvage.file.has_value());
+  EXPECT_FALSE(salvage.fully_intact);
+  ASSERT_EQ(salvage.notes.size(), 1u);
+  EXPECT_NE(salvage.notes[0].find("repeated"), std::string::npos);
+  ASSERT_EQ(salvage.file->sections.size(), file.sections.size() - 1);
+  EXPECT_EQ(salvage.file->find(SectionKind::kParams)->payload,
+            file.find(SectionKind::kParams)->payload)
+      << "salvage keeps the first section of a kind";
+
   const auto outcome = recover_latest(env, "cp");
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->step, 2u);
-  ASSERT_EQ(outcome->notes.size(), 1u);
-  EXPECT_NE(outcome->notes[0].find("ckpt 3"), std::string::npos);
+  EXPECT_EQ(outcome->checkpoint_id, 1u);
+  EXPECT_EQ(outcome->state, make_state(1));
 }
 
 TEST(Recovery, FallsBackPastMultipleCorruptCheckpoints) {

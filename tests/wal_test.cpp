@@ -464,6 +464,47 @@ TEST(Wal, InapplicableSecondRecordLeavesTheFirstRecordsState) {
   EXPECT_EQ(sections, first);
 }
 
+TEST(Wal, RecordThatRepeatsASectionKindIsATornTail) {
+  io::MemEnv env;
+  const auto base = make_state(30);
+  WalWriter w(env, "cp", 8, WalPolicy{}, kCodec, base, false);
+  w.log_step(make_state(31));
+  w.close();
+
+  // Record two names kParams twice, each a delta to step 32's params
+  // against record one's. Applied in turn, the two would cancel; no
+  // writer frames such a record, so it ends the valid prefix.
+  const util::Bytes params =
+      bytes_of(raw_sections(make_state(31)).at(SectionKind::kParams));
+  util::Bytes delta =
+      bytes_of(raw_sections(make_state(32)).at(SectionKind::kParams));
+  ASSERT_EQ(delta.size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    delta[i] ^= params[i];
+  }
+  util::Bytes payload;
+  util::put_le<std::uint64_t>(payload, 32);
+  util::put_le<std::uint32_t>(payload, 2);
+  put_section(payload, SectionKind::kParams, kSectionFlagDelta, params.size(),
+              delta);
+  put_section(payload, SectionKind::kParams, kSectionFlagDelta, params.size(),
+              delta);
+  auto file = env.read_file("cp/" + wal_file_name(8));
+  ASSERT_TRUE(file.has_value());
+  append_frame(*file, payload);
+  env.write_file_atomic("cp/" + wal_file_name(8), util::ByteSpan{*file});
+
+  const auto scan = scan_wal(env, "cp", 8);
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(scan->records, 1u);
+  EXPECT_GT(scan->torn_bytes, 0u);
+  auto sections = raw_sections(base);
+  const auto replay = replay_wal(env, "cp", 8, sections);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->records_applied, 1u);
+  EXPECT_EQ(state_of(sections), make_state(31));
+}
+
 // ---------- format: codec, deltas across size changes, version 1 ----------
 
 /// A small state whose journal fits a hex fixture.
