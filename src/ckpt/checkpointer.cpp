@@ -148,16 +148,17 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
   }
 
   if (!due(state.step)) {
-    if (wal_ != nullptr && state.step > last_checkpoint_step_) {
-      if (wal_->over_budget() || wal_->failed()) {
+    if (wal_rotated_ && state.step > last_checkpoint_step_) {
+      if (wal_ == nullptr || wal_->over_budget() || wal_->failed()) {
         // Compaction: fold the journal into a normal install, which
         // rotates the log onto the new epoch. A journal whose last
-        // append failed takes the same path instead of logging on.
+        // append failed, or that a failed rotation never opened, takes
+        // the same path instead of logging on (or skipping the step).
         {
           std::lock_guard lock(mu_);
           ++stats_.wal_compactions;
         }
-        if (policy_.tracer != nullptr) {
+        if (policy_.tracer != nullptr && wal_ != nullptr) {
           policy_.tracer->instant(
               "wal.compact", "wal",
               {{"epoch", std::to_string(wal_->epoch())},
@@ -192,11 +193,12 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
   file.step = state.step;
   file.time_us = now_us();
   // The one place that decides when a checkpoint owns a copy of the
-  // state. The async hand-off outlives this call, and kIncremental's raw
-  // payloads become the next delta base (last_raw_). A sync full
+  // state: only the async hand-off, which outlives this call. A sync
   // checkpoint encodes straight from the caller's state, which stays
-  // borrowed until checkpoint_now returns.
-  const bool own = writer_ || policy_.strategy == Strategy::kIncremental;
+  // borrowed until checkpoint_now returns; under kIncremental it builds
+  // each delta in the previous base's buffer and copies the state over
+  // the bases once the encode returns (keep_bases).
+  const bool own = writer_ != nullptr;
   file.sections = own ? state_to_sections(state, include_sim, policy_.codec)
                       : view_state_sections(state, include_sim, policy_.codec);
 
@@ -210,24 +212,28 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
                           !force_full;
   if (want_delta) {
     file.parent_id = last_id_;
-    std::map<SectionKind, Bytes> current_raw;
+    std::map<SectionKind, Bytes> current_raw;  // async: the next bases
     try {
       for (Section& s : file.sections) {
         const auto parent = last_raw_.find(s.kind);
-        if (parent != last_raw_.end()) {
-          // The parent's buffer becomes the delta and the raw payload the
-          // next base, both moved: this runs on the trainer thread, where
-          // every byte counts. Resizing keeps the parent's leading bytes,
-          // so across a size change the shared prefix still cancels.
-          Bytes delta = std::move(parent->second);
-          delta.resize(s.payload.size());
-          codec::xor_with_parent_inplace(delta, s.payload);
-          current_raw[s.kind] = std::move(s.payload);
-          s.payload = std::move(delta);
-          s.flags |= kSectionFlagDelta;
-        } else {
-          current_raw[s.kind] = s.payload;  // stays raw in the file too
+        if (parent == last_raw_.end()) {
+          if (own) {
+            current_raw[s.kind] = s.payload;  // stays raw in the file too
+          }
+          continue;
         }
+        // The parent's buffer becomes the delta, moved: this runs on the
+        // trainer thread, where every byte counts. An async checkpoint's
+        // copy of the state becomes the next base; a sync one takes the
+        // buffer back after the encode.
+        Bytes delta = std::move(parent->second);
+        xor_section_into(delta, s);
+        if (own) {
+          current_raw[s.kind] = std::move(s.payload);
+        }
+        s.payload = std::move(delta);
+        s.view = {};
+        s.flags |= kSectionFlagDelta;
       }
     } catch (...) {
       // A base went into a delta that is never written: the next
@@ -235,16 +241,21 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
       force_full_.store(true);
       throw;
     }
-    last_raw_ = std::move(current_raw);
+    if (own) {
+      last_raw_ = std::move(current_raw);
+    }
     ++checkpoints_since_full_;
   } else {
     // Full checkpoint (also the delta base for what follows). Only the
-    // incremental strategy ever reads the base — don't spend trainer
-    // time copying payloads nobody will diff against.
-    last_raw_.clear();
-    if (policy_.strategy == Strategy::kIncremental) {
-      for (const Section& s : file.sections) {
-        last_raw_[s.kind] = s.payload;
+    // incremental strategy ever reads the base, and a sync one refreshes
+    // it after the encode: don't spend trainer time copying payloads
+    // nobody will diff against.
+    if (own) {
+      last_raw_.clear();
+      if (policy_.strategy == Strategy::kIncremental) {
+        for (const Section& s : file.sections) {
+          last_raw_[s.kind] = s.payload;
+        }
       }
     }
     checkpoints_since_full_ = 1;
@@ -462,6 +473,9 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
     if (encode_hist_ != nullptr) {
       encode_hist_->record_seconds(encode_seconds);
     }
+    if (policy_.strategy == Strategy::kIncremental) {
+      keep_bases(file, state);
+    }
 
     util::Timer write_timer;
     std::uint64_t pack_bytes = 0;
@@ -529,10 +543,32 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   }
 }
 
+void Checkpointer::keep_bases(CheckpointFile& file,
+                              const qnn::TrainingState& state) {
+  // A delta section carries its base's buffer; a full one views the
+  // state, and its kind's base, if any, is still in last_raw_.
+  std::map<SectionKind, Bytes> bases;
+  for (Section& s : file.sections) {
+    Bytes& base = bases[s.kind];
+    if (s.is_delta()) {
+      base = std::move(s.payload);
+    } else if (const auto it = last_raw_.find(s.kind); it != last_raw_.end()) {
+      base = std::move(it->second);
+    }
+  }
+  const bool include_sim = policy_.strategy != Strategy::kParamsOnly;
+  for (const Section& s :
+       view_state_sections(state, include_sim, policy_.codec)) {
+    copy_section_over(bases[s.kind], s);
+  }
+  last_raw_ = std::move(bases);  // kinds absent from the state drop out
+}
+
 void Checkpointer::rotate_wal(std::uint64_t id,
                               const qnn::TrainingState& state) {
   const std::uint64_t old_epoch = wal_ ? wal_->epoch() : 0;
   wal_.reset();  // close is best-effort: a torn tail is recovery's job
+  wal_rotated_ = true;
   const bool include_sim = policy_.strategy != Strategy::kParamsOnly;
   wal_ = std::make_unique<WalWriter>(env_, dir_, id, policy_.wal,
                                      policy_.codec, state, include_sim);

@@ -217,9 +217,9 @@ class Checkpointer {
 
   /// Unconditionally produces a checkpoint of `state`. Sync mode reads
   /// `state` in place until the call returns (Strategy::kIncremental
-  /// excepted, which copies it as its next delta base), so it must not
-  /// be mutated concurrently. Async mode copies `state` before returning
-  /// and encodes the copy in the background.
+  /// too, which copies it over its delta bases after the encode), so it
+  /// must not be mutated concurrently. Async mode copies `state` before
+  /// returning and encodes the copy in the background.
   void checkpoint_now(const qnn::TrainingState& state);
 
   /// Waits for any in-flight async writes to install.
@@ -256,11 +256,17 @@ class Checkpointer {
   void export_metrics(obs::MetricsRegistry& registry);
 
  private:
-  /// Builds the (possibly delta-encoded) section list and remembers raw
-  /// payloads for the next delta. Returns the file object to encode; in
-  /// sync non-incremental mode its sections view `state`.
+  /// Builds the (possibly delta-encoded) section list. Returns the file
+  /// object to encode; in sync mode its full sections view `state`, and
+  /// its delta sections hold their base's buffer. An async kIncremental
+  /// checkpoint keeps its copy of the state as the next delta base.
   CheckpointFile build_file(const qnn::TrainingState& state,
                             std::uint64_t id);
+
+  /// Sync kIncremental, once `file` is encoded: each kind's base takes
+  /// its buffer back from its delta section (or from last_raw_) and
+  /// `state` is copied over it; kinds absent from `state` drop out.
+  void keep_bases(CheckpointFile& file, const qnn::TrainingState& state);
 
   /// Installs an encoded checkpoint: manifest upsert + save, chunk-ref
   /// retain, then the store's fenced GC. `refs` are the chunk keys the
@@ -310,8 +316,10 @@ class Checkpointer {
   std::uint64_t last_id_ = 0;
   /// Raw section payloads of the previous checkpoint (delta bases).
   /// kIncremental builds each delta in its base's buffer, moved out of
-  /// here, so a delta checkpoint allocates one state-sized buffer (its
-  /// owned copy of the state, the next base), not two.
+  /// here. A sync checkpoint reads the state in place and then copies it
+  /// over the buffers the bases already have (keep_bases), so once they
+  /// exist it allocates no state-sized buffer; an async one's copy of the
+  /// state becomes the next base.
   std::map<SectionKind, Bytes> last_raw_;
   std::uint64_t checkpoints_since_full_ = 0;
 
@@ -340,7 +348,9 @@ class Checkpointer {
   /// Closes (and supersedes) the previous epoch's journal and opens
   /// wal-<id>.qwal with `state` — the just-installed checkpoint — as the
   /// delta base. Called at the tail of every successful sync install
-  /// when policy.wal is enabled.
+  /// when policy.wal is enabled. When the new log fails to open, wal_
+  /// stays null and the exception reaches the caller; the next step past
+  /// the install installs instead, which retries the rotation.
   void rotate_wal(std::uint64_t id, const qnn::TrainingState& state);
 
   /// The one definition of "checkpoint `id` never became durable": sets
@@ -381,6 +391,10 @@ class Checkpointer {
   /// (immutable) log up to the step recovery replayed. Trainer-thread
   /// only: wal mode forces sync installs.
   std::unique_ptr<WalWriter> wal_;
+  /// Set by the session's first rotation: from then on every step past
+  /// an install is journaled or installed, and a null wal_ means the
+  /// last rotation failed.
+  bool wal_rotated_ = false;
 };
 
 }  // namespace qnn::ckpt

@@ -82,7 +82,7 @@ struct RecoveryOptions {
 /// Returns the newest recoverable training state, or std::nullopt when the
 /// directory holds no usable checkpoint. A full checkpoint or a chain of
 /// any depth recovers with one copy of the state in memory, plus one
-/// chunk; journal replay with the state plus one decoded record. A
+/// chunk; journal replay with the state plus LZ's decode window. A
 /// candidate that fails mid-fold leaves a half-folded state that dies
 /// with the attempt: every candidate, and a replayed state that cannot
 /// load (which falls back to the base checkpoint), resolves from

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "codec/xor_delta.hpp"
+
 namespace qnn::ckpt {
 
 namespace {
@@ -119,6 +121,18 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
     s.own();
   }
   return sections;
+}
+
+void xor_section_into(Bytes& base, const Section& s) {
+  base.resize(s.size());
+  const std::span<std::uint8_t> b(base);
+  codec::xor_with_parent_inplace(b, s.payload);
+  codec::xor_with_parent_inplace(b.subspan(s.payload.size()), s.view);
+}
+
+void copy_section_over(Bytes& base, const Section& s) {
+  base.assign(s.payload.begin(), s.payload.end());
+  base.insert(base.end(), s.view.begin(), s.view.end());
 }
 
 SectionPayload::SectionPayload(SectionKind kind, std::uint64_t size) {

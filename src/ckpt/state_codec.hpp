@@ -41,6 +41,18 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
                                        bool include_simulator,
                                        codec::CodecId codec);
 
+/// The two steps both writers (kIncremental, the journal) take on a delta
+/// base, the last written raw payload of its kind. Each reads the section
+/// where it lies, its owned prefix and then its view, so a writer that
+/// reads the state in place never copies it beside its bases.
+/// xor_section_into resizes `base` to the section (leading bytes kept,
+/// the tail zero-filled, so across a size change the shared prefix still
+/// cancels) and XORs the section in: `base` becomes the delta.
+void xor_section_into(Bytes& base, const Section& s);
+/// Once the delta is written, copy_section_over makes `base` the section,
+/// in the buffer it has: the next delta's base.
+void copy_section_over(Bytes& base, const Section& s);
+
 /// One resolved section payload, held in the storage of the
 /// TrainingState field it loads into. For the `u64 count | elements`
 /// kinds that storage is the field's own vector with the count in its

@@ -198,10 +198,9 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
   std::uint64_t step = 0;
   const auto scan =
       walk_wal(env, dir, epoch, [&](const Record& rec) {
-        // Decode every body of the record, checking each delta's base,
-        // before any section changes: records apply atomically.
-        std::vector<Bytes> bodies;
-        bodies.reserve(rec.sections.size());
+        // Check every body of the record before any section changes, so
+        // records apply atomically: each delta's base, and that the body
+        // decodes to raw_len (its pieces dropped).
         try {
           for (const RecordSection& s : rec.sections) {
             if ((s.flags & kSectionFlagDelta) != 0) {
@@ -210,22 +209,33 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                 return false;  // the delta's base is not this state's
               }
             }
-            bodies.push_back(codec::decode(s.codec, s.encoded, s.raw_len));
+            codec::decode_to(s.codec, s.encoded, s.raw_len,
+                             [](std::size_t, ByteSpan) {});
           }
         } catch (const std::exception&) {
           return false;  // CRC-valid but undecodable: stop replay here too
         }
-        // A delta is XOR-ed into its payload, resized first to the
-        // body's length; a full body replaces its payload.
-        for (std::size_t i = 0; i < bodies.size(); ++i) {
-          const RecordSection& s = rec.sections[i];
-          if ((s.flags & kSectionFlagDelta) != 0) {
-            SectionPayload& payload = sections[s.kind];
-            payload.resize(s.kind, s.raw_len);
-            codec::xor_with_parent_inplace(payload.bytes(), bodies[i]);
-          } else {
-            sections[s.kind] = SectionPayload(s.kind, std::move(bodies[i]));
+        // Then each body decodes into place, piece by piece: a delta is
+        // XOR-ed into its payload, resized first to the body's length; a
+        // full body is copied into a fresh payload of that length.
+        for (const RecordSection& s : rec.sections) {
+          const bool delta = (s.flags & kSectionFlagDelta) != 0;
+          SectionPayload& payload = sections[s.kind];
+          if (!delta) {
+            payload = SectionPayload();
           }
+          payload.resize(s.kind, s.raw_len);
+          const std::span<std::uint8_t> to = payload.bytes();
+          codec::decode_to(
+              s.codec, s.encoded, s.raw_len,
+              [&](std::size_t offset, ByteSpan piece) {
+                const auto at = to.subspan(offset, piece.size());
+                if (delta) {
+                  codec::xor_with_parent_inplace(at, piece);
+                } else {
+                  std::ranges::copy(piece, at.begin());
+                }
+              });
         }
         ++applied;
         step = rec.step;
@@ -289,10 +299,7 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
       const auto [base, fresh] = last_raw_.try_emplace(s.kind);
       Bytes& body = base->second;
       const std::uint64_t base_len = body.size();
-      body.resize(s.size());
-      const std::span<std::uint8_t> b(body);
-      codec::xor_with_parent_inplace(b, s.payload);
-      codec::xor_with_parent_inplace(b.subspan(s.payload.size()), s.view);
+      xor_section_into(body, s);
       const std::uint8_t flags = fresh ? 0 : kSectionFlagDelta;
       const Bytes encoded = codec::encode(codec_, body);
       const bool raw = encoded.size() >= body.size();
@@ -316,11 +323,9 @@ void WalWriter::log_step(const qnn::TrainingState& state) {
     throw;
   }
   // Only a logged record may become the next record's delta base: each
-  // base, already the section's size, now holds the body and is
-  // overwritten with the section.
+  // base now holds the body and is overwritten with the section.
   for (const Section& s : sections) {
-    const std::span<std::uint8_t> base(last_raw_[s.kind]);
-    std::ranges::copy(s.view, std::ranges::copy(s.payload, base.begin()).out);
+    copy_section_over(last_raw_[s.kind], s);
   }
   ++records_;
   ++unsynced_;

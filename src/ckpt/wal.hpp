@@ -111,16 +111,20 @@ struct WalReplay {
 /// `dir`/wal-<epoch>.qwal into `sections` (the base checkpoint's
 /// resolved payloads keyed by kind, see ckpt/state_codec.hpp) in place,
 /// stopping at the first torn or CRC-invalid frame. A record that names
-/// one kind twice counts as torn. Every body of a record is decoded, and
-/// every delta's base checked, before any section changes, so records
-/// apply atomically: a record that parses but cannot apply (a delta
-/// whose base is missing or not base_len bytes long, or a section that
-/// fails to decode) stops the replay with `sections` at exactly the
-/// previous record's state. Then each delta body is XOR-ed into its
-/// payload, resized first to the body's length (SectionPayload::resize),
-/// and a full body replaces its payload, so replay holds the state plus
-/// one decoded record. Returns nullopt — with `sections` untouched —
-/// when there is no usable journal or it holds zero valid records.
+/// one kind twice counts as torn. Every body of a record is checked
+/// before any section changes, each delta's base and a decode whose
+/// pieces are dropped, so records apply atomically: a record that parses
+/// but cannot apply (a delta whose base is missing or not base_len bytes
+/// long, or a section that fails to decode) stops the replay with
+/// `sections` at exactly the previous record's state. Then each body is
+/// decoded again, into place (codec::decode_to): a delta's pieces are
+/// XOR-ed into its payload, resized first to the body's length
+/// (SectionPayload::resize), and a full body's are copied into a fresh
+/// payload of that length. An LZ body passes through a window of 64 KiB
+/// of history plus one piece, so replay holds the state plus that
+/// window, not a decoded record. Returns nullopt — with `sections`
+/// untouched — when there is no usable journal or it holds zero valid
+/// records.
 std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                                     std::uint64_t epoch,
                                     SectionPayloads& sections);
@@ -128,8 +132,10 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
 /// Append-side of the journal: opened by the Checkpointer right after an
 /// install, closed (and superseded) by the next rotation. It holds one
 /// base per kind, the last logged payload, and builds each record's
-/// delta in it: a record reads the caller's state in place and adds
-/// only its encoded bytes, not a copy of the state.
+/// delta in it (xor_section_into, then copy_section_over, the steps
+/// kIncremental's sync checkpoints share): a record reads the caller's
+/// state in place and adds only its encoded bytes, not a copy of the
+/// state.
 class WalWriter {
  public:
   /// Creates (truncating any stale same-name log) `dir`/wal-<epoch>.qwal

@@ -89,4 +89,19 @@ Bytes decode(CodecId id, ByteSpan encoded, std::size_t raw_len) {
   throw std::invalid_argument("decode: unknown codec id");
 }
 
+void decode_to(CodecId id, ByteSpan encoded, std::size_t raw_len,
+               const DecodeSink& emit) {
+  switch (id) {
+    case CodecId::kRaw:
+      if (encoded.size() != raw_len) {
+        throw std::runtime_error("decode(raw): length mismatch");
+      }
+      return emit(0, encoded);
+    case CodecId::kLz:
+      return lz_decode_to(encoded, raw_len, emit);
+    default:
+      return emit(0, decode(id, encoded, raw_len));
+  }
+}
+
 }  // namespace qnn::codec

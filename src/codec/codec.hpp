@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/bytes.hpp"
@@ -64,6 +65,21 @@ bool worth_encoding(CodecId id, ByteSpan raw);
 /// does any malformed stream.
 Bytes decode(CodecId id, ByteSpan encoded, std::size_t raw_len);
 
+/// Receives decoded bytes in order: `bytes` start at `offset` in the
+/// output. The span is valid during the call only.
+using DecodeSink = std::function<void(std::size_t offset, ByteSpan bytes)>;
+
+/// decode() that hands the output to `emit` piece by piece instead of
+/// returning it, so a caller can apply it where it belongs (XOR it into
+/// a payload, copy it in, or drop it to prove the stream decodes). kLz
+/// streams through a window of 64 KiB of history plus one 256 KiB piece
+/// and rejects a match reaching more than 64 KiB back, which lz_encode
+/// never writes; kRaw hands over `encoded` itself; the other codecs
+/// decode whole, as decode() does, and emit once. A malformed stream
+/// throws as in decode(), possibly after some pieces were emitted.
+void decode_to(CodecId id, ByteSpan encoded, std::size_t raw_len,
+               const DecodeSink& emit);
+
 /// All codecs, for sweep-style tests and the T2 codec shootout.
 inline constexpr CodecId kAllCodecs[] = {CodecId::kRaw, CodecId::kRle,
                                          CodecId::kLz, CodecId::kDeltaLz,
@@ -81,5 +97,9 @@ Bytes rle_encode_scalar(ByteSpan raw);
 
 Bytes lz_encode(ByteSpan raw);
 Bytes lz_decode(ByteSpan encoded, std::size_t raw_len);
+/// The windowed form of lz_decode behind decode_to(kLz, ...): the same
+/// token loop, holding kWindow of history plus one piece.
+void lz_decode_to(ByteSpan encoded, std::size_t raw_len,
+                  const DecodeSink& emit);
 
 }  // namespace qnn::codec

@@ -15,10 +15,13 @@
 //
 // Both hot loops are word-wide: the match scan compares 8 bytes per step
 // (xor + count-trailing-zeros finds the first differing byte), and the
-// decoder grows a buffer reserved at the declared length with one copy
-// per literal run and per non-overlapping match, one fill per distance-1
-// run, and doubling memcpys for other overlapping matches. The token
-// stream is the same one the byte-at-a-time loops produced.
+// decoder grows a buffer with one copy per literal run and per
+// non-overlapping match, one fill per distance-1 run, and doubling
+// memcpys for other overlapping matches. The token stream is the same
+// one the byte-at-a-time loops produced.
+//
+// One token loop (lz_run) serves lz_decode, which decodes the whole
+// output, and lz_decode_to, which holds a window and hands pieces on.
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
@@ -33,6 +36,7 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = 1 << 16;
 constexpr std::size_t kWindow = 1 << 16;
+constexpr std::size_t kPiece = std::size_t{4} << 16;  ///< bytes per emit
 constexpr std::size_t kHashBits = 16;
 
 inline std::uint32_t hash4(const std::uint8_t* p) {
@@ -73,6 +77,111 @@ struct HeadTable {
       std::vector<std::uint64_t>(std::size_t{1} << kHashBits, 0);
   std::uint64_t next_stamp = 1;
 };
+
+/// The one LZ token loop: parses and checks every token, and appends the
+/// output to a buffer of at most `cap` bytes. Without kWindowed, cap is
+/// raw_len, and the per-token checks keep every append within it. With
+/// it, cap is raw_len or more than kWindow: an append that would overrun
+/// it fills the buffer, hands all but its last kWindow bytes to
+/// emit(offset in the output, bytes) and drops them, and a match may
+/// reach at most kWindow back. At the end the rest is emitted and the
+/// buffer returned.
+template <bool kWindowed, typename Emit>
+Bytes lz_run(ByteSpan encoded, std::size_t raw_len, std::size_t cap,
+             const Emit& emit) {
+  if (encoded.empty()) {
+    if (raw_len != 0) {
+      throw std::runtime_error("lz_decode: empty stream for non-empty output");
+    }
+    return {};
+  }
+  // Every append stays within cap, so the buffer never reallocates.
+  Bytes buf;
+  buf.reserve(cap);
+  std::size_t flushed = 0;  // output bytes emitted and dropped from buf
+  const auto flush = [&] {
+    const std::size_t drop = buf.size() - kWindow;
+    emit(flushed, ByteSpan(buf).first(drop));
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(drop));
+    flushed += drop;
+  };
+
+  std::size_t pos = 0;
+  while (true) {
+    const std::uint64_t lits = util::get_varint(encoded, pos);
+    if (lits > encoded.size() - pos) {
+      throw std::runtime_error("lz_decode: truncated literals");
+    }
+    if (lits > raw_len - flushed - buf.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
+    }
+    // Whatever does not fit goes in once the full buffer is flushed
+    // (windowed form only).
+    for (std::size_t left = lits;;) {
+      const std::size_t take =
+          kWindowed ? std::min(left, cap - buf.size()) : left;
+      buf.insert(buf.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
+                 encoded.begin() + static_cast<std::ptrdiff_t>(pos + take));
+      pos += take;
+      left -= take;
+      if (left == 0) {
+        break;
+      }
+      flush();
+    }
+
+    const std::uint64_t match_code = util::get_varint(encoded, pos);
+    if (match_code == 0) {
+      break;
+    }
+    const std::uint64_t dist = util::get_varint(encoded, pos);
+    if (dist == 0 || dist > buf.size() || (kWindowed && dist > kWindow)) {
+      throw std::runtime_error("lz_decode: bad match distance");
+    }
+    // Compared before adding kMinMatch - 1 so a huge code cannot wrap.
+    const std::size_t n = flushed + buf.size();
+    if (match_code > raw_len - n || match_code + kMinMatch - 1 > raw_len - n) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
+    }
+    // A match is a run of shorter matches at the same distance, so it
+    // can be cut wherever the buffer fills.
+    for (std::size_t left = match_code + kMinMatch - 1;;) {
+      const std::size_t take =
+          kWindowed ? std::min(left, cap - buf.size()) : left;
+      const std::size_t at = buf.size();
+      // Overlapping matches (dist < take) are legal and extend a run with
+      // period `dist`.
+      if (dist == 1) {
+        const std::uint8_t run = buf.back();
+        buf.resize(at + take, run);  // one fill, no zeroing pass first
+      } else {
+        buf.resize(at + take);
+        std::uint8_t* const to = buf.data() + at;
+        const std::uint8_t* const from = to - dist;
+        // [from, to + done) repeats with period dist and `done` stays a
+        // multiple of dist until the last copy, so every step can copy
+        // the whole valid prefix: the copied span doubles and no source
+        // range overlaps its destination (one copy when dist >= take).
+        for (std::size_t done = 0; done < take;) {
+          const std::size_t copy = std::min(take - done, dist + done);
+          std::memcpy(to + done, from, copy);
+          done += copy;
+        }
+      }
+      left -= take;
+      if (left == 0) {
+        break;
+      }
+      flush();
+    }
+  }
+  if (flushed + buf.size() != raw_len) {
+    throw std::runtime_error("lz_decode: output length mismatch");
+  }
+  emit(flushed, ByteSpan(buf));
+  return buf;
+}
+
 }  // namespace
 
 Bytes lz_encode(ByteSpan raw) {
@@ -139,73 +248,14 @@ Bytes lz_encode(ByteSpan raw) {
 }
 
 Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
-  if (encoded.empty()) {
-    if (raw_len != 0) {
-      throw std::runtime_error("lz_decode: empty stream for non-empty output");
-    }
-    return {};
-  }
-  // Every append below is bounds-checked against raw_len first, so the
-  // buffer never reallocates and pointers into it stay valid.
-  Bytes out;
-  out.reserve(raw_len);
+  // The whole output is the window: nothing is emitted early.
+  return lz_run<false>(encoded, raw_len, raw_len,
+                       [](std::size_t, ByteSpan) {});
+}
 
-  std::size_t pos = 0;
-  while (true) {
-    const std::uint64_t lits = util::get_varint(encoded, pos);
-    if (lits > encoded.size() - pos) {
-      throw std::runtime_error("lz_decode: truncated literals");
-    }
-    if (lits > raw_len - out.size()) {
-      throw std::runtime_error("lz_decode: output exceeds declared length");
-    }
-    out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
-               encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
-    pos += lits;
-
-    const std::uint64_t match_code = util::get_varint(encoded, pos);
-    if (match_code == 0) {
-      break;
-    }
-    const std::uint64_t dist = util::get_varint(encoded, pos);
-    const std::size_t n = out.size();
-    if (dist == 0 || dist > n) {
-      throw std::runtime_error("lz_decode: bad match distance");
-    }
-    // Compared before adding kMinMatch - 1 so a huge code cannot wrap.
-    if (match_code > raw_len - n || match_code + kMinMatch - 1 > raw_len - n) {
-      throw std::runtime_error("lz_decode: output exceeds declared length");
-    }
-    const std::size_t len = match_code + kMinMatch - 1;
-    // Overlapping matches (dist < len) are legal and extend a run with
-    // period `dist`.
-    if (dist == 1) {
-      const std::uint8_t run = out.back();
-      out.resize(n + len, run);  // one fill, no zeroing pass first
-      continue;
-    }
-    out.resize(n + len);
-    std::uint8_t* const to = out.data() + n;
-    const std::uint8_t* const from = to - dist;
-    if (dist >= len) {
-      std::memcpy(to, from, len);
-    } else {
-      // [from, to + done) repeats with period dist and `done` stays a
-      // multiple of dist until the last copy, so every step can copy the
-      // whole valid prefix: the copied span doubles and no source range
-      // overlaps its destination.
-      std::size_t done = 0;
-      while (done < len) {
-        const std::size_t take = std::min(len - done, dist + done);
-        std::memcpy(to + done, from, take);
-        done += take;
-      }
-    }
-  }
-  if (out.size() != raw_len) {
-    throw std::runtime_error("lz_decode: output length mismatch");
-  }
-  return out;
+void lz_decode_to(ByteSpan encoded, std::size_t raw_len,
+                  const DecodeSink& emit) {
+  lz_run<true>(encoded, raw_len, std::min(raw_len, kWindow + kPiece), emit);
 }
 
 }  // namespace qnn::codec

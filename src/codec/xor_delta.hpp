@@ -33,8 +33,8 @@ Bytes xor_with_parent(ByteSpan data, ByteSpan parent);
 /// kernel the allocating form runs on its copy). Every delta path runs
 /// here in the buffer of the base it replaces: the writers XOR the state
 /// into the previous base, and recovery and journal replay XOR each delta
-/// chunk or body into the resolved payload, so no delta gets a buffer of
-/// its own.
+/// chunk, or each decoded piece of a body, into the resolved payload, so
+/// no delta gets a buffer of its own.
 void xor_with_parent_inplace(std::span<std::uint8_t> data, ByteSpan parent);
 
 /// Forward intra-buffer delta: word[i] ^= word[i-1] (64-bit words; the tail

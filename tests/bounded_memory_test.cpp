@@ -4,17 +4,19 @@
 // A large full-state checkpoint is written through a real-filesystem
 // PosixEnv (MemEnv IS memory, so only the Posix path can demonstrate an
 // RSS bound). A sync checkpoint reads the state in place, so it adds no
-// copy of it; only async mode and Strategy::kIncremental pay an O(state)
-// snapshot on the trainer thread. Everything the storage stack adds —
+// copy of it; only async mode pays an O(state) snapshot on the trainer
+// thread. Everything the storage stack adds —
 // compression waves, the packfile, the container — must stay bounded
 // by O(chunk_bytes x encode window), measured by
 // Checkpointer::Stats::peak_encode_buffer_bytes and, end to end, by the
 // process's peak RSS. Recovering a full checkpoint must hold one copy
 // of the state, and so must recovering an incremental chain of any
-// depth: each delta chunk is XOR-ed into the resolved payload. The
-// writers build each delta in the buffer of the base it replaces, so a
-// kIncremental delta checkpoint adds one copy of the state (the next
-// base) and a journal record only its encoded bytes.
+// depth: each delta chunk is XOR-ed into the resolved payload. Journal
+// replay decodes each record body through LZ's window, piece by piece,
+// into the payloads, so it adds no copy either. The writers read the
+// state in place and build each delta in the buffer of the base it
+// replaces, so a sync kIncremental delta checkpoint adds no copy of the
+// state and a journal record only its encoded bytes.
 //
 // CI runs this test under a hard address-space ulimit sized well below
 // what the historical whole-buffer path needed (snapshot + serialized
@@ -332,7 +334,7 @@ TEST(BoundedMemory, IncrementalChainRecoveryHoldsOneCopyOfTheState) {
   fs::remove_all(root);
 }
 
-TEST(BoundedMemory, IncrementalDeltaCheckpointAddsOneCopyOfTheState) {
+TEST(BoundedMemory, IncrementalDeltaCheckpointAddsNoCopyOfTheState) {
   const std::size_t mb = delta_state_megabytes();
   const std::string root =
       (fs::temp_directory_path() /
@@ -362,14 +364,16 @@ TEST(BoundedMemory, IncrementalDeltaCheckpointAddsOneCopyOfTheState) {
     ASSERT_EQ(ck.stats().incremental_checkpoints, 1u);
   }
 
-  // The delta checkpoint copies the state once, as the next delta base,
-  // and builds the delta in the previous base's buffer. A delta in a
-  // buffer of its own is 2x.
+  // The sync delta checkpoint reads the state in place, builds the
+  // delta in the previous base's buffer, and copies the state over that
+  // buffer once the encode returns: no state-sized buffer. kRaw holds no
+  // encode wave at any pool size. A copy of the state is 1x; a delta in a
+  // buffer of its own besides it 2x.
   if (kRssTracksLiveBytes) {
     const double ratio =
         static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
-    EXPECT_LT(rss_growth, one_copy_bound(raw_bytes))
-        << "the delta took its own buffer: grew " << ratio << "x";
+    EXPECT_LT(rss_growth, raw_bytes / 4 + (std::uint64_t{4} << 20))
+        << "the delta checkpoint copied the state: grew " << ratio << "x";
   }
   const auto outcome = recover_latest(env, root + "/cp");
   ASSERT_TRUE(outcome.has_value());
@@ -416,7 +420,19 @@ TEST(BoundedMemory, JournalRecordBuildsItsDeltaInItsBase) {
   for (Section& s : state_to_sections(base, false, codec::CodecId::kRaw)) {
     sections[s.kind] = SectionPayload(s.kind, std::move(s.payload));
   }
+  reset_peak_rss();
+  const std::uint64_t replay_before = vm_hwm_bytes();
   ASSERT_TRUE(replay_wal(env, root, 1, sections).has_value());
+  const std::uint64_t replay_growth = vm_hwm_bytes() - replay_before;
+  // Replay XORs each decoded piece into the resolved payloads, through
+  // LZ's window: it adds the journal's bytes (an eighth of the state)
+  // and the window. A decoded body beside the payloads adds 1x.
+  if (kRssTracksLiveBytes) {
+    const double ratio =
+        static_cast<double>(replay_growth) / static_cast<double>(raw_bytes);
+    EXPECT_LT(replay_growth, raw_bytes / 4 + (std::uint64_t{4} << 20))
+        << "replay decoded a whole body: grew " << ratio << "x";
+  }
   EXPECT_EQ(load_state(std::move(sections)), state);
 
   fs::remove_all(root);

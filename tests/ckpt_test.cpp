@@ -1221,7 +1221,8 @@ TEST(AsyncWriter, MultipleWorkersInstallEverything) {
 }
 
 /// Env decorator that throws on exactly one (1-based) checkpoint-file
-/// atomic write; everything else (manifest included) passes through.
+/// write: an async atomic write, or a sync open for writing. Everything
+/// else (manifest included) passes through.
 class FailNthCheckpointWriteEnv final : public io::ForwardingEnv {
  public:
   FailNthCheckpointWriteEnv(io::Env& base, int fail_on)
@@ -1229,13 +1230,23 @@ class FailNthCheckpointWriteEnv final : public io::ForwardingEnv {
 
   void write_file_atomic(const std::string& path,
                          util::ByteSpan data) override {
-    if (path.find("ckpt-") != std::string::npos && ++ckpt_writes_ == fail_on_) {
-      throw std::runtime_error("injected checkpoint write failure");
-    }
+    count(path);
     base_.write_file_atomic(path, data);
   }
 
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    count(path);
+    return base_.new_writable(path, mode);
+  }
+
  private:
+  void count(const std::string& path) {
+    if (path.find("ckpt-") != std::string::npos && ++ckpt_writes_ == fail_on_) {
+      throw std::runtime_error("injected checkpoint write failure");
+    }
+  }
+
   const int fail_on_;
   int ckpt_writes_ = 0;
 };
@@ -1244,42 +1255,54 @@ TEST(Checkpointer, DroppedWriteForcesFullAndKeepsChainRecoverable) {
   // The invariant the pipeline promises: a checkpoint that never became
   // durable must not orphan later incremental children. Fail write #3
   // (checkpoint id 3, a delta) and verify the next checkpoint breaks the
-  // chain with a full, and that every installed checkpoint resolves.
-  io::MemEnv mem;
-  FailNthCheckpointWriteEnv env(mem, 3);
-  CheckpointPolicy policy;
-  policy.strategy = Strategy::kIncremental;
-  policy.every_steps = 1;
-  policy.async = true;
-  policy.retention.keep_last = 0;
-  policy.full_every = 100;  // no scheduled full would break the chain
-  std::vector<qnn::TrainingState> states;
-  {
-    Checkpointer ck(env, "cp", policy);
-    for (std::uint64_t step = 1; step <= 6; ++step) {
-      states.push_back(make_state(step, 3, 2));
-      ck.maybe_checkpoint(states.back());
-      // Drain per step so the drop is observed before the next build.
-      ck.flush();
+  // chain with a full, and that every installed checkpoint resolves. In
+  // sync mode the delta was built in its bases' buffers before its file
+  // opened, so the bases die with it: the full must refill them.
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    io::MemEnv mem;
+    FailNthCheckpointWriteEnv env(mem, 3);
+    CheckpointPolicy policy;
+    policy.strategy = Strategy::kIncremental;
+    policy.every_steps = 1;
+    policy.async = async;
+    policy.retention.keep_last = 0;
+    policy.full_every = 100;  // no scheduled full would break the chain
+    std::vector<qnn::TrainingState> states;
+    {
+      Checkpointer ck(env, "cp", policy);
+      for (std::uint64_t step = 1; step <= 6; ++step) {
+        states.push_back(make_state(step, 3, 2));
+        if (!async && step == 3) {
+          // A sync caller sees the loss as the exception alone.
+          EXPECT_THROW(ck.maybe_checkpoint(states.back()),
+                       std::runtime_error);
+        } else {
+          ck.maybe_checkpoint(states.back());
+        }
+        // Drain per step so the drop is observed before the next build.
+        ck.flush();
+      }
+      const auto stats = ck.stats();
+      EXPECT_EQ(stats.checkpoints, 6u);
+      EXPECT_EQ(stats.dropped_writes, async ? 1u : 0u);
     }
-    const auto stats = ck.stats();
-    EXPECT_EQ(stats.checkpoints, 6u);
-    EXPECT_EQ(stats.dropped_writes, 1u);
+    // id 3 was never written; id 4 must be a self-contained full.
+    EXPECT_FALSE(env.exists("cp/" + checkpoint_file_name(3)));
+    const auto manifest = Manifest::load(env, "cp");
+    const ManifestEntry* after_drop = manifest.find(4);
+    ASSERT_NE(after_drop, nullptr);
+    EXPECT_EQ(after_drop->parent_id, 0u)
+        << "post-drop checkpoint must be full";
+    // Every installed checkpoint must still resolve (no holes in chains).
+    for (const ManifestEntry& e : manifest.entries()) {
+      EXPECT_EQ(load_checkpoint(env, "cp", e.id), states[e.id - 1]) << e.id;
+    }
+    const auto outcome = recover_latest(env, "cp");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->step, 6u);
+    EXPECT_EQ(outcome->state, states.back());
   }
-  // id 3 was never written; id 4 must be a self-contained full.
-  EXPECT_FALSE(env.exists("cp/" + checkpoint_file_name(3)));
-  const auto manifest = Manifest::load(env, "cp");
-  const ManifestEntry* after_drop = manifest.find(4);
-  ASSERT_NE(after_drop, nullptr);
-  EXPECT_EQ(after_drop->parent_id, 0u) << "post-drop checkpoint must be full";
-  // Every installed checkpoint must still resolve (no holes in chains).
-  for (const ManifestEntry& e : manifest.entries()) {
-    EXPECT_EQ(load_checkpoint(env, "cp", e.id), states[e.id - 1]) << e.id;
-  }
-  const auto outcome = recover_latest(env, "cp");
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->step, 6u);
-  EXPECT_EQ(outcome->state, states.back());
 }
 
 TEST(Checkpointer, DroppedWriteWithInFlightChildrenNeverAdvertisesHoles) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -307,32 +308,73 @@ TEST(Lz, MaximalMatchRoundTrips) {
   EXPECT_EQ(lz_decode(lz_stream(lits, 1 << 16, 3), expect.size()), expect);
 }
 
+/// decode_to(kLz, ...) reassembled from its pieces, which must arrive
+/// in order and without gaps; `pieces` counts them.
+Bytes windowed_decode(ByteSpan encoded, std::size_t raw_len,
+                      std::size_t* pieces = nullptr) {
+  Bytes out;
+  decode_to(CodecId::kLz, encoded, raw_len,
+            [&](std::size_t offset, ByteSpan bytes) {
+              EXPECT_EQ(offset, out.size()) << "pieces out of order";
+              out.insert(out.end(), bytes.begin(), bytes.end());
+              if (pieces != nullptr) {
+                ++*pieces;
+              }
+            });
+  return out;
+}
+
 TEST(Lz, DecodeRejectsEveryMalformedShape) {
-  // Distance beyond the output produced so far.
-  EXPECT_THROW(lz_decode(lz_stream({1, 2}, 4, 3), 6), std::runtime_error);
-  // A match running past the declared length.
-  EXPECT_THROW(lz_decode(lz_stream({1}, 8, 1), 5), std::runtime_error);
-  // Literals running past the declared length.
-  EXPECT_THROW(lz_decode(lz_stream({1, 2, 3, 4, 5, 6}, 4, 1), 5),
-               std::runtime_error);
-  // A match code so large that adding the minimum match would wrap.
-  Bytes huge;
-  util::put_varint(huge, 1);
-  huge.push_back(7);
-  util::put_varint(huge, ~std::uint64_t{0});
-  util::put_varint(huge, 1);
-  EXPECT_THROW(lz_decode(huge, 5), std::exception);
-  // Output shorter than declared.
-  EXPECT_THROW(lz_decode(lz_stream({1}, 4, 1), 6), std::runtime_error);
-  const Bytes text = repeated_text(300);
-  EXPECT_THROW(lz_decode(lz_encode(text), 301), std::runtime_error);
-  // Truncated literals, and a stream cut inside a token.
-  Bytes cut = lz_stream({1, 2, 3, 4}, 4, 1);
-  cut.resize(3);
-  EXPECT_THROW(lz_decode(cut, 8), std::runtime_error);
-  cut = lz_stream({1, 2, 3, 4}, 4, 1);
-  cut.resize(6);  // the distance varint is missing
-  EXPECT_THROW(lz_decode(cut, 8), std::out_of_range);
+  // Both forms of the token loop: lz_decode and the windowed decode_to.
+  const std::function<void(ByteSpan, std::size_t)> decoders[] = {
+      [](ByteSpan e, std::size_t n) { lz_decode(e, n); },
+      [](ByteSpan e, std::size_t n) { windowed_decode(e, n); },
+  };
+  for (const auto& decode_with : decoders) {
+    // Distance beyond the output produced so far.
+    EXPECT_THROW(decode_with(lz_stream({1, 2}, 4, 3), 6), std::runtime_error);
+    // A match running past the declared length.
+    EXPECT_THROW(decode_with(lz_stream({1}, 8, 1), 5), std::runtime_error);
+    // Literals running past the declared length.
+    EXPECT_THROW(decode_with(lz_stream({1, 2, 3, 4, 5, 6}, 4, 1), 5),
+                 std::runtime_error);
+    // A match code so large that adding the minimum match would wrap.
+    Bytes huge;
+    util::put_varint(huge, 1);
+    huge.push_back(7);
+    util::put_varint(huge, ~std::uint64_t{0});
+    util::put_varint(huge, 1);
+    EXPECT_THROW(decode_with(huge, 5), std::exception);
+    // Output shorter than declared.
+    EXPECT_THROW(decode_with(lz_stream({1}, 4, 1), 6), std::runtime_error);
+    const Bytes text = repeated_text(300);
+    EXPECT_THROW(decode_with(lz_encode(text), 301), std::runtime_error);
+    // Truncated literals, and a stream cut inside a token.
+    Bytes cut = lz_stream({1, 2, 3, 4}, 4, 1);
+    cut.resize(3);
+    EXPECT_THROW(decode_with(cut, 8), std::runtime_error);
+    cut = lz_stream({1, 2, 3, 4}, 4, 1);
+    cut.resize(6);  // the distance varint is missing
+    EXPECT_THROW(decode_with(cut, 8), std::out_of_range);
+  }
+}
+
+TEST(Lz, WindowedDecodeRejectsAMatchPastItsWindow) {
+  // 400 KiB of literals fill the window past its first flush; then a
+  // match 64 KiB + 1 back reaches past the history the windowed form
+  // keeps. lz_decode holds the whole output and accepts it; the encoder
+  // never writes it (its matches reach at most 64 KiB back).
+  const Bytes lits = incompressible(400 << 10, 31);
+  const std::size_t raw_len = lits.size() + 4;
+  const Bytes far = lz_stream(lits, 4, (1 << 16) + 1);
+  Bytes expect = lits;
+  expect.insert(expect.end(), lits.end() - (1 << 16) - 1,
+                lits.end() - (1 << 16) + 3);
+  EXPECT_EQ(lz_decode(far, raw_len), expect);
+  EXPECT_THROW(windowed_decode(far, raw_len), std::runtime_error);
+  // Exactly 64 KiB back is inside the window.
+  const Bytes edge = lz_stream(lits, 4, 1 << 16);
+  EXPECT_EQ(windowed_decode(edge, raw_len), lz_decode(edge, raw_len));
 }
 
 /// Encoder corpus: the round-trip payloads plus the shapes the delta
@@ -356,6 +398,32 @@ std::vector<PayloadCase> lz_corpus() {
   window.insert(window.end(), window.begin(), window.begin() + 512);
   out.push_back({"window_edge", window});
   return out;
+}
+
+TEST(Lz, WindowedDecodeMatchesDecodeOnTheCorpus) {
+  auto corpus = lz_corpus();
+  // Longer than the window plus two pieces, in 200 KiB blocks: the
+  // flushes cut through literal runs (noise), overlapping matches
+  // (periods 7 and 3) and distance-1 fills (zeros).
+  Bytes blocks = incompressible(200 << 10, 41);
+  const Bytes period_7 = periodic(incompressible(7, 42), 200 << 10);
+  blocks.insert(blocks.end(), period_7.begin(), period_7.end());
+  const Bytes noise = incompressible(200 << 10, 43);
+  blocks.insert(blocks.end(), noise.begin(), noise.end());
+  const Bytes period_3 = periodic(incompressible(3, 44), 200 << 10);
+  blocks.insert(blocks.end(), period_3.begin(), period_3.end());
+  blocks.resize(blocks.size() + (200 << 10), 0);
+  corpus.push_back({"blocks", blocks});
+  for (const PayloadCase& pc : corpus) {
+    const Bytes enc = encode(CodecId::kLz, pc.data);
+    std::size_t pieces = 0;
+    EXPECT_EQ(windowed_decode(enc, pc.data.size(), &pieces),
+              decode(CodecId::kLz, enc, pc.data.size()))
+        << pc.name;
+    if (pc.name == "blocks") {
+      EXPECT_GE(pieces, 3u) << "the window never flushed";
+    }
+  }
 }
 
 TEST(Lz, EncoderOutputMatchesCheckedInDigests) {

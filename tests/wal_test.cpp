@@ -21,6 +21,7 @@
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
 #include "util/strings.hpp"
+#include "util/varint.hpp"
 
 namespace qnn::ckpt {
 namespace {
@@ -377,51 +378,102 @@ TEST(Wal, InapplicableRecordStopsReplayWithoutPartialApply) {
   EXPECT_EQ(mismatched, before);
 }
 
+/// An LZ token stream: `lits` as one literal run, then, when `code` is
+/// not 0, a match of code + 3 bytes at `dist`, then the end marker.
+util::Bytes lz_tokens(const util::Bytes& lits, std::uint64_t code,
+                      std::uint64_t dist) {
+  util::Bytes enc;
+  util::put_varint(enc, lits.size());
+  enc.insert(enc.end(), lits.begin(), lits.end());
+  if (code != 0) {
+    util::put_varint(enc, code);
+    util::put_varint(enc, dist);
+    util::put_varint(enc, 0);
+  }
+  util::put_varint(enc, 0);
+  return enc;
+}
+
 TEST(Wal, UndecodableSectionStopsReplayWithoutPartialApply) {
-  io::MemEnv env;
-  const auto base = make_state(30);
-  WalWriter w(env, "cp", 4, WalPolicy{}, kCodec, base, false);
-  w.log_step(make_state(31));
-  w.close();
+  // Each undecodable body: an LZ stream that frames fine but fails to
+  // decode to its raw_len.
+  struct Undecodable {
+    const char* name;
+    util::Bytes encoded;
+    std::uint64_t raw_len;
+  };
+  util::Bytes noise(400 << 10);
+  util::Rng rng(5);
+  for (auto& b : noise) {
+    b = static_cast<std::uint8_t>(rng());
+  }
+  util::Bytes truncated;
+  util::put_varint(truncated, 10);
+  truncated.push_back('x');  // 9 literals missing
+  const Undecodable bodies[] = {
+      // A match reaching before the start of the output.
+      {"too_far", util::Bytes{0x00, 0x01, 0x05}, 16},
+      {"truncated_literals", truncated, 10},
+      {"overlong_match", lz_tokens({'x'}, 8, 1), 5},
+      {"short_output", lz_tokens({'x'}, 1, 1), 16},
+      // More than 64 KiB, so decoding flushes its window before the
+      // match, which reaches 64 KiB + 1 back: past the window.
+      {"past_window", lz_tokens(noise, 1, (1 << 16) + 1), noise.size() + 4},
+  };
+  const auto first = raw_sections(make_state(31));
+  const auto next = raw_sections(make_state(32));
+  for (const bool delta : {false, true}) {
+    for (const Undecodable& bad : bodies) {
+      SCOPED_TRACE(std::string(bad.name) + (delta ? " after a delta" : ""));
+      io::MemEnv env;
+      const auto base = make_state(30);
+      WalWriter w(env, "cp", 4, WalPolicy{}, kCodec, base, false);
+      w.log_step(make_state(31));
+      w.close();
 
-  // A CRC-valid frame whose first section is intact and whose second is
-  // an LZ stream with a match reaching before the start of the output:
-  // framing accepts it, decoding does not.
-  const auto state = raw_sections(make_state(32));
-  util::Bytes payload;
-  util::put_le<std::uint64_t>(payload, 32);
-  util::put_le<std::uint32_t>(payload, 2);
-  const util::Bytes params = bytes_of(state.at(SectionKind::kParams));
-  util::put_le<std::uint16_t>(payload,
-                              static_cast<std::uint16_t>(SectionKind::kParams));
-  util::put_le<std::uint8_t>(payload, 0);
-  util::put_le<std::uint8_t>(payload,
-                             static_cast<std::uint8_t>(codec::CodecId::kRaw));
-  util::put_le<std::uint64_t>(payload, 0);
-  util::put_le<std::uint64_t>(payload, params.size());
-  util::put_bytes(payload, params);
-  util::put_le<std::uint16_t>(payload,
-                              static_cast<std::uint16_t>(SectionKind::kRng));
-  util::put_le<std::uint8_t>(payload, 0);
-  util::put_le<std::uint8_t>(payload,
-                             static_cast<std::uint8_t>(codec::CodecId::kLz));
-  util::put_le<std::uint64_t>(payload, 0);
-  util::put_le<std::uint64_t>(payload, 16);
-  util::put_bytes(payload, util::Bytes{0x00, 0x01, 0x05});  // dist 5 > 0
-  auto file = env.read_file("cp/" + wal_file_name(4));
-  ASSERT_TRUE(file.has_value());
-  append_frame(*file, payload);
-  env.write_file_atomic("cp/" + wal_file_name(4), util::ByteSpan{*file});
+      // A CRC-valid frame whose first section is intact and whose second
+      // is undecodable: framing accepts it, decoding does not. The
+      // intact params body is step 32's payload, full or as a delta
+      // against step 31's.
+      util::Bytes params = bytes_of(next.at(SectionKind::kParams));
+      const util::Bytes params_base = bytes_of(first.at(SectionKind::kParams));
+      if (delta) {
+        ASSERT_EQ(params.size(), params_base.size());
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          params[i] ^= params_base[i];
+        }
+      }
+      util::Bytes payload;
+      util::put_le<std::uint64_t>(payload, 32);
+      util::put_le<std::uint32_t>(payload, 2);
+      put_section(payload, SectionKind::kParams,
+                  delta ? kSectionFlagDelta : std::uint8_t{0},
+                  delta ? params_base.size() : 0, params);
+      util::put_le<std::uint16_t>(
+          payload, static_cast<std::uint16_t>(SectionKind::kRng));
+      util::put_le<std::uint8_t>(payload, 0);
+      util::put_le<std::uint8_t>(
+          payload, static_cast<std::uint8_t>(codec::CodecId::kLz));
+      util::put_le<std::uint64_t>(payload, 0);
+      util::put_le<std::uint64_t>(payload, bad.raw_len);
+      util::put_bytes(payload, bad.encoded);
+      auto file = env.read_file("cp/" + wal_file_name(4));
+      ASSERT_TRUE(file.has_value());
+      append_frame(*file, payload);
+      env.write_file_atomic("cp/" + wal_file_name(4), util::ByteSpan{*file});
 
-  const auto scan = scan_wal(env, "cp", 4);  // frame-level: both records
-  ASSERT_TRUE(scan.has_value());
-  EXPECT_EQ(scan->records, 2u);
-  auto sections = raw_sections(base);
-  const auto replay = replay_wal(env, "cp", 4, sections);
-  ASSERT_TRUE(replay.has_value());
-  EXPECT_EQ(replay->records_applied, 1u);
-  EXPECT_EQ(state_of(sections), make_state(31))
-      << "the undecodable record's intact params section must not land";
+      const auto scan = scan_wal(env, "cp", 4);  // frame-level: both records
+      ASSERT_TRUE(scan.has_value());
+      EXPECT_EQ(scan->records, 2u);
+      auto sections = raw_sections(base);
+      const auto replay = replay_wal(env, "cp", 4, sections);
+      ASSERT_TRUE(replay.has_value());
+      EXPECT_EQ(replay->records_applied, 1u);
+      EXPECT_EQ(sections, first);
+      EXPECT_EQ(state_of(sections), make_state(31))
+          << "the undecodable record's intact params section must not land";
+    }
+  }
 }
 
 TEST(Wal, InapplicableSecondRecordLeavesTheFirstRecordsState) {
@@ -853,13 +905,6 @@ TEST(CheckpointerWal, TornJournalTailRecoversLastFramedRecord) {
 }
 
 TEST(CheckpointerWal, FailedAppendInstallsInsteadOfLoggingOnStaleBases) {
-  io::MemEnv mem;
-  FailingAppendEnv env(mem);
-  CheckpointPolicy policy;
-  policy.every_steps = 10;
-  policy.retention.keep_last = 0;
-  policy.wal.enable = true;
-  policy.wal.group_commit_steps = 1;
   // A constant loss history keeps every section the same size, so the
   // replay's base_len check cannot catch a record deltaed against a
   // state the journal never held.
@@ -868,22 +913,39 @@ TEST(CheckpointerWal, FailedAppendInstallsInsteadOfLoggingOnStaleBases) {
     s.loss_history.assign(4, 0.5);
     return s;
   };
-  Checkpointer ck(env, "cp", policy);
-  for (std::uint64_t step = 1; step <= 11; ++step) {
-    ck.maybe_checkpoint(state(step));  // install at 10, record 11
-  }
-  env.fail_next_plain_append = true;
-  EXPECT_THROW(ck.maybe_checkpoint(state(12)), std::runtime_error);
-  // The journal no longer matches its writer: step 13 is installed
-  // (rotating the log) instead of being deltaed against step 12.
-  EXPECT_TRUE(ck.maybe_checkpoint(state(13)));
-  EXPECT_EQ(ck.stats().wal_records, 1u);
+  // The failing append: step 12's record, or the header of the log the
+  // step-20 install rotates to (the install itself is durable).
+  for (const std::uint64_t failing : {12u, 20u}) {
+    SCOPED_TRACE("append of step " + std::to_string(failing) + " fails");
+    io::MemEnv mem;
+    FailingAppendEnv env(mem);
+    CheckpointPolicy policy;
+    policy.every_steps = 10;
+    policy.retention.keep_last = 0;
+    policy.wal.enable = true;
+    policy.wal.group_commit_steps = 1;
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step < failing; ++step) {
+      ck.maybe_checkpoint(state(step));  // install at 10, records after
+    }
+    env.fail_next_plain_append = true;
+    EXPECT_THROW(ck.maybe_checkpoint(state(failing)), std::runtime_error);
+    // The journal no longer matches its writer, or was never opened: the
+    // next step is installed (rotating the log) instead of being deltaed
+    // against stale bases or skipped.
+    EXPECT_TRUE(ck.maybe_checkpoint(state(failing + 1)));
+    EXPECT_EQ(ck.stats().wal_records, failing - 11);
+    for (std::uint64_t step = failing + 2; step <= 25; ++step) {
+      ck.maybe_checkpoint(state(step));
+    }
 
-  // Recovery returns a state that was actually checkpointed: the newest.
-  const auto outcome = recover_latest(env, "cp");
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->step, 13u);
-  EXPECT_EQ(outcome->state, state(13));
+    // Recovery returns a state that was actually checkpointed: the
+    // newest.
+    const auto outcome = recover_latest(env, "cp");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->step, 25u);
+    EXPECT_EQ(outcome->state, state(25));
+  }
 }
 
 TEST(CheckpointerWal, UnloadableReplayFallsBackToTheBaseCheckpoint) {
