@@ -70,13 +70,11 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   next_id_ = manifest_.max_id() + 1;
   next_submit_id_ = next_id_;
   dropped_writes_base_ = manifest_.stat("dropped_writes");
-  // Content-addressed mode: load the chunk refcount baseline NOW, while
-  // the directory is quiescent. Deferring it into the pipeline would
-  // let the rebuild run concurrently with in-flight installs and count
-  // a just-written file whose retain() is still pending (double count).
-  if (effective_format_version() >= 3) {
-    store_.chunks().open();
-  }
+  // Load the chunk refcount baseline NOW, while the directory is
+  // quiescent. Deferring it into the pipeline would let the rebuild run
+  // concurrently with in-flight installs and count a just-written file
+  // whose retain() is still pending (double count).
+  store_.chunks().open();
   // Startup GC: reap files a previous run's crash stranded between a GC
   // fence and its deletions (safe here — nothing is in flight yet).
   store_.sweep_orphans(manifest_);
@@ -352,18 +350,14 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
       }
     }
   }
-  // Content-addressed mode (v3): the encode stage dedups every oversized
-  // section's chunks against the directory's chunk store through this
-  // batch, which also pins the referenced chunks against concurrent GC
-  // until the checkpoint installs (or drops — the batch dies either way).
-  const std::uint16_t format_version = effective_format_version();
-  std::shared_ptr<ChunkStore::Batch> batch;
-  if (format_version >= 3) {
-    batch = store_.chunks().begin_batch(id);
-  }
+  // The encode stage dedups every oversized section's chunks against the
+  // directory's chunk store through this batch, which also pins the
+  // referenced chunks against concurrent GC until the checkpoint
+  // installs (or drops — the batch dies either way).
+  const std::shared_ptr<ChunkStore::Batch> batch =
+      store_.chunks().begin_batch(id);
   const EncodeOptions encode_options{.chunk_bytes = policy_.chunk_bytes,
                                      .pool = encode_pool,
-                                     .version = format_version,
                                      .sink = batch.get(),
                                      .encode_window = 0,
                                      .gauge = &encode_gauge_};
@@ -372,7 +366,8 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
     // Hand the whole encode stage to the pipeline (the slot and
     // backpressure were handled up front). Chunk bytes stream into the
     // batch's packfile during the encode (bounded waves); only the
-    // container — key tables under v3 — rides the job as a buffer.
+    // container — key tables and small inline sections — rides the job
+    // as a buffer.
     try {
       pool_->submit([this, file = std::move(file), entry, path,
                      encode_options, batch, parent_span]() mutable {
@@ -398,7 +393,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
           auto held = std::make_shared<util::GaugedBytes>(&encode_gauge_,
                                                           encoded.size());
           job->data = std::move(encoded);
-          if (batch && !batch->empty()) {
+          if (!batch->empty()) {
             // The packfile commit precedes the checkpoint file: chunks
             // must be durable before anything references them. The
             // records were already streamed into the staged (invisible)
@@ -410,17 +405,14 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
             obs::Span install_span(policy_.tracer, "install", "ckpt",
                                    parent_span);
             install_span.note("id", entry.id);
-            if (batch) {
-              if (batch->committed()) {
-                std::lock_guard lock(mu_);
-                stats_.pack_bytes_written += batch->pack_bytes();
-              }
-              // Durable now: the records become dedup targets for
-              // later checkpoints.
-              store_.chunks().publish(*batch);
+            if (batch->committed()) {
+              std::lock_guard lock(mu_);
+              stats_.pack_bytes_written += batch->pack_bytes();
             }
-            install(entry,
-                    batch ? batch->refs() : std::vector<ChunkKey>{});
+            // Durable now: the records become dedup targets for later
+            // checkpoints.
+            store_.chunks().publish(*batch);
+            install(entry, batch->refs());
             install_span.finish();
             if (install_hist_ != nullptr) {
               install_hist_->record_seconds(install_timer.seconds());
@@ -437,11 +429,9 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
             std::lock_guard lock(mu_);
             stats_.pipeline_encode_seconds += encode_seconds;
             stats_.bytes_encoded += entry.bytes;
-            if (batch) {
-              stats_.chunk_refs += batch->refs().size();
-              stats_.chunks_deduped += batch->dedup_hits();
-              stats_.dedup_bytes += batch->dedup_bytes();
-            }
+            stats_.chunk_refs += batch->refs().size();
+            stats_.chunks_deduped += batch->dedup_hits();
+            stats_.dedup_bytes += batch->dedup_bytes();
           }
         } catch (...) {
           // Encode failures must not wedge the pipeline; surface as a
@@ -479,7 +469,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
 
     util::Timer write_timer;
     std::uint64_t pack_bytes = 0;
-    if (batch && !batch->empty()) {
+    if (!batch->empty()) {
       batch->commit();
       pack_bytes = batch->pack_bytes();
       store_.chunks().publish(*batch);
@@ -491,17 +481,15 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
       stats_.bytes_encoded += entry.bytes;
       stats_.sync_write_seconds += write_timer.seconds();
       stats_.pack_bytes_written += pack_bytes;
-      if (batch) {
-        stats_.chunk_refs += batch->refs().size();
-        stats_.chunks_deduped += batch->dedup_hits();
-        stats_.dedup_bytes += batch->dedup_bytes();
-      }
+      stats_.chunk_refs += batch->refs().size();
+      stats_.chunks_deduped += batch->dedup_hits();
+      stats_.dedup_bytes += batch->dedup_bytes();
     }
     {
       util::Timer install_timer;
       obs::Span install_span(policy_.tracer, "install", "ckpt", parent_span);
       install_span.note("id", id);
-      install(entry, batch ? batch->refs() : std::vector<ChunkKey>{});
+      install(entry, batch->refs());
       install_span.finish();
       if (install_hist_ != nullptr) {
         install_hist_->record_seconds(install_timer.seconds());

@@ -84,19 +84,15 @@ struct CheckpointPolicy {
   /// Checkpoints allowed in the encode stage before the trainer blocks
   /// (bounded memory; the blocked time is accounted as backpressure).
   std::size_t encode_queue = 2;
-  /// Sections larger than this are chunk-framed so compression and CRC
-  /// parallelise (see ckpt/format.hpp); under format v3 those chunks are
-  /// content-addressed and deduplicated across checkpoints, cut on the
-  /// section's element grid: a params block aligned to chunk_bytes in
-  /// the array and rewritten in place dirties one chunk, not two.
+  /// Sections larger than this are cut into chunks of this size, stored
+  /// content-addressed in the directory's chunk store and deduplicated
+  /// across checkpoints (see ckpt/format.hpp); their misses compress in
+  /// parallel. Cuts fall on the section's element grid: a params block
+  /// aligned to chunk_bytes in the array and rewritten in place dirties
+  /// one chunk, not two. Sections at most this size are stored inline,
+  /// so a value above the largest section keeps every checkpoint
+  /// self-contained and out of the chunk store (no dedup).
   std::size_t chunk_bytes = std::size_t{1} << 20;
-
-  /// On-disk container version to emit. 0 = newest (v3: oversized
-  /// sections are stored as content-addressed chunks in the directory's
-  /// chunk store, deduplicated across checkpoints). 2 = self-contained
-  /// v2 emit fallback (no chunk store involvement), 1 = legacy
-  /// downgrade format.
-  std::uint16_t format_version = 0;
 
   /// Adaptive (Young–Daly) interval selection: when > 0, the checkpointer
   /// measures the per-step wall time and the per-checkpoint cost (EWMA)
@@ -159,9 +155,9 @@ class Checkpointer {
     /// far (a drop becomes durable at the next successful install).
     std::uint64_t lifetime_dropped_writes = 0;
 
-    // Content-addressed dedup (format v3). A "chunk ref" is one chunk
-    // of one extern section of one checkpoint; deduped refs skipped
-    // compression and storage because the chunk was already resident.
+    // Content-addressed dedup. A "chunk ref" is one chunk of one extern
+    // section of one checkpoint; deduped refs skipped compression and
+    // storage because the chunk was already resident.
     std::uint64_t chunk_refs = 0;
     std::uint64_t chunks_deduped = 0;
     std::uint64_t dedup_bytes = 0;         ///< raw bytes dedup skipped
@@ -169,12 +165,12 @@ class Checkpointer {
 
     /// High-water mark of encoded bytes buffered by the encode path:
     /// compression waves in flight plus async containers queued for the
-    /// writer. Under format v3 (chunks stream into the packfile, the
-    /// container is key tables) a wave holds <= window x chunk_bytes + 8
-    /// (a first chunk carries its u64 count; see section_array_offset):
+    /// writer. Chunks stream into the packfile and the container holds
+    /// only key tables and inline sections of at most chunk_bytes; a
+    /// wave holds <= window x chunk_bytes + 8 (a first chunk carries its
+    /// u64 count; see section_array_offset). The peak is therefore
     /// O(chunk x window x pipeline depth), independent of checkpoint
-    /// size, as the bounded-memory pipeline test asserts. The v2-inline
-    /// fallback buffers whole sections and reports so here honestly.
+    /// size, as the bounded-memory pipeline test asserts.
     std::uint64_t peak_encode_buffer_bytes = 0;
 
     /// Delta journal (policy.wal): records appended, journal bytes
@@ -234,11 +230,6 @@ class Checkpointer {
   [[nodiscard]] const CheckpointPolicy& policy() const { return policy_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// The container version this policy emits (resolves the 0 default).
-  [[nodiscard]] std::uint16_t effective_format_version() const {
-    return policy_.format_version == 0 ? kFormatVersion
-                                       : policy_.format_version;
-  }
   /// Chunk-store counters (dedup ratio, packfile population).
   [[nodiscard]] CasStats cas_stats() { return store_.chunks().stats(); }
 
@@ -270,7 +261,7 @@ class Checkpointer {
 
   /// Installs an encoded checkpoint: manifest upsert + save, chunk-ref
   /// retain, then the store's fenced GC. `refs` are the chunk keys the
-  /// file references (empty for self-contained formats). Runs on the
+  /// file references (empty when every section is inline). Runs on the
   /// writer thread in async mode.
   void install(ManifestEntry entry, const std::vector<ChunkKey>& refs);
 

@@ -15,7 +15,6 @@ namespace {
 constexpr char kMagic[4] = {'Q', 'C', 'K', 'P'};
 constexpr char kFooterMagic[4] = {'P', 'K', 'C', 'Q'};
 constexpr std::size_t kFooterSize = 8 + 4;  // crc64 + magic
-constexpr std::size_t kChunkHeaderBytes = 8 + 8 + 4;  // raw_len, enc_len, crc
 /// Fixed file header after the magic (version..n_sections).
 constexpr std::size_t kFileHeaderBytes = 2 + 2 + 8 + 8 + 8 + 8 + 4;
 /// One serialized section header.
@@ -77,8 +76,8 @@ bool footer_intact(ByteSpan data) {
 // The fixed file header after the magic, and one section's header. Both
 // walkers are shared by every reader in this file (parse,
 // list_chunk_refs) so the offset arithmetic cannot drift between them;
-// encode_checkpoint is their mirror image. Throw std::out_of_range on
-// truncation (via get_le).
+// encode_checkpoint and put_section_header are their mirror image.
+// Throw std::out_of_range on truncation (via get_le).
 
 struct FileHeader {
   std::uint16_t version = 0;
@@ -122,26 +121,41 @@ SectionHeader read_section_header(ByteSpan data, std::size_t& off) {
   return h;
 }
 
-/// A section's raw payload (`payload` then `view`) cut into chunks:
-/// chunk 0 spans [0, grid + chunk_bytes), chunk c > 0 starts at
-/// `grid + c * chunk_bytes`, and the last takes the remainder. Every
-/// chunk is a view of one part, except the one (if any) that straddles
-/// the two: it is assembled once, at most chunk_bytes + grid bytes. It
-/// holds state bytes, not encoded ones, so no MemGauge counts it.
-/// Read-only after construction, so chunks can be read concurrently.
+/// read_section_header's mirror: `s`'s header for `stored`, the payload
+/// region that follows it, as `codec` with `flags`.
+void put_section_header(Bytes& out, const Section& s, codec::CodecId codec,
+                        std::uint8_t flags, ByteSpan stored) {
+  util::put_le<std::uint16_t>(out, static_cast<std::uint16_t>(s.kind));
+  util::put_le<std::uint8_t>(out, static_cast<std::uint8_t>(codec));
+  util::put_le<std::uint8_t>(out, flags);
+  util::put_le<std::uint64_t>(out, s.size());
+  util::put_le<std::uint64_t>(out, stored.size());
+  util::put_le<std::uint32_t>(out, util::crc32c(stored));
+}
+
+/// A section's raw payload (`payload` then `view`) cut into chunks on
+/// its element grid, at section_array_offset: chunk 0 spans
+/// [0, grid + chunk_bytes), so it also carries the count prefix, chunk
+/// c > 0 starts at `grid + c * chunk_bytes`, and the last takes the
+/// remainder. Every chunk is a view of one part, except the one (if any)
+/// that straddles the two: it is assembled once, at most chunk_bytes +
+/// grid bytes. It holds state bytes, not encoded ones, so no MemGauge
+/// counts it. `s` is larger than chunk_bytes, hence than its grid
+/// offset. Read-only after construction, so chunks can be read
+/// concurrently.
 class ChunkCuts {
  public:
-  ChunkCuts(const Section& s, std::size_t grid, std::size_t chunk_bytes)
+  ChunkCuts(const Section& s, std::size_t chunk_bytes)
       : s_(s),
-        grid_(grid),
+        grid_(section_array_offset(s.kind)),
         chunk_bytes_(chunk_bytes),
-        count_((s.size() - grid + chunk_bytes - 1) / chunk_bytes) {
+        count_((s.size() - grid_ + chunk_bytes - 1) / chunk_bytes) {
     if (s.payload.empty() || s.view.empty()) {
       return;
     }
     // Only the chunk holding payload's last byte can straddle.
     const std::size_t last = s.payload.size() - 1;
-    const std::size_t c = last < grid ? 0 : (last - grid) / chunk_bytes;
+    const std::size_t c = last < grid_ ? 0 : (last - grid_) / chunk_bytes;
     if (end(c) > s.payload.size()) {
       const ByteSpan head = ByteSpan(s.payload).subspan(begin(c));
       const ByteSpan tail = s.view.first(end(c) - s.payload.size());
@@ -226,65 +240,15 @@ StoredPayload store_payload(codec::CodecId codec, ByteSpan raw) {
   return {codec, std::move(encoded)};
 }
 
-/// Chunks of one section, compressed + CRC'd concurrently on `pool` (or
-/// inline when null), before frame assembly.
-struct EncodedChunks {
-  std::vector<Bytes> chunks;
-  std::vector<std::uint32_t> crcs;
-  std::size_t frame_size = 0;  ///< total chunk-frame size on disk
-};
-
-EncodedChunks encode_chunks(codec::CodecId codec, const ChunkCuts& cuts,
-                            util::ThreadPool* pool) {
-  EncodedChunks out;
-  const std::size_t n = cuts.count();
-  out.chunks.resize(n);
-  out.crcs.resize(n);
-  util::parallel_for(pool, 0, n, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      out.chunks[c] = codec::encode(codec, cuts[c]);
-      out.crcs[c] = util::crc32c(out.chunks[c]);
-    }
-  });
-  out.frame_size = 4 + 8;
-  for (const Bytes& e : out.chunks) {
-    out.frame_size += kChunkHeaderBytes + e.size();
-  }
-  return out;
-}
-
-/// Serialises the chunk-frame headers (frame preamble + one header per
-/// chunk) through `emit`, in on-disk order. Used twice per section: once
-/// feeding the incremental frame CRC, once appending to the output — so
-/// the multi-GB frame never exists as a second in-memory copy.
-template <typename Emit>
-void walk_chunk_frame_headers(const EncodedChunks& ec, const ChunkCuts& cuts,
-                              std::size_t chunk_bytes, const Emit& emit) {
-  Bytes scratch;
-  util::put_le<std::uint32_t>(scratch,
-                              static_cast<std::uint32_t>(ec.chunks.size()));
-  util::put_le<std::uint64_t>(scratch, chunk_bytes);
-  emit(scratch, /*chunk_after=*/static_cast<std::size_t>(-1));
-  for (std::size_t c = 0; c < ec.chunks.size(); ++c) {
-    scratch.clear();
-    util::put_le<std::uint64_t>(scratch, cuts[c].size());
-    util::put_le<std::uint64_t>(scratch, ec.chunks[c].size());
-    util::put_le<std::uint32_t>(scratch, ec.crcs[c]);
-    emit(scratch, c);
-  }
-}
-
 /// Serialised size of one extern key table (preamble + one row per chunk).
 std::size_t extern_table_size(std::size_t n_chunks) {
   return 1 + 4 + 8 + n_chunks * (8 + 4);  // digest, count, nominal, rows
 }
 
-/// Cuts section `s` into chunks on its element grid (ChunkCuts at
-/// section_array_offset: the first chunk also carries the count prefix),
-/// dedups each against `sink`, compressing (store_payload) and storing
-/// only the non-resident ones, and returns the serialised key table that
-/// replaces the payload on disk. `s` is larger than chunk_bytes, hence
-/// than its grid offset.
+/// Cuts section `s` into chunks (ChunkCuts), dedups each against `sink`,
+/// compressing (store_payload) and storing only the non-resident ones,
+/// and returns the serialised key table that replaces the payload on
+/// disk. `s` is larger than chunk_bytes.
 ///
 /// Every chunk is keyed first, in one parallel pass. Then contains() is
 /// called once per chunk, in chunk order (the sink records the reference
@@ -299,7 +263,7 @@ std::size_t extern_table_size(std::size_t n_chunks) {
 Bytes encode_extern_section(const Section& s, std::size_t chunk_bytes,
                             std::size_t window, util::ThreadPool* pool,
                             ChunkSink& sink, util::MemGauge* gauge) {
-  const ChunkCuts cuts(s, section_array_offset(s.kind), chunk_bytes);
+  const ChunkCuts cuts(s, chunk_bytes);
   const std::size_t n = cuts.count();
   std::vector<ChunkKey> keys(n);
   util::parallel_for(pool, 0, n, 1, [&](std::size_t lo, std::size_t hi) {
@@ -424,7 +388,7 @@ void resolve_extern_payload(ChunkSource& source,
   }
 }
 
-/// Reassembles a chunk frame into `out` (the whole raw payload),
+/// Reassembles a (version-2) chunk frame into `out` (the whole raw payload),
 /// verifying every chunk CRC and the total length. Throws
 /// std::runtime_error on any mismatch.
 void decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
@@ -604,20 +568,6 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out) {
-  // Version 0 = automatic: content-addressed (3) when a sink is wired
-  // up, else the newest self-contained format.
-  const std::uint16_t version =
-      options.version != 0
-          ? options.version
-          : (options.sink != nullptr ? kFormatVersion : kInlineFormatVersion);
-  if (version < kMinFormatVersion || version > kFormatVersion) {
-    throw std::invalid_argument("encode_checkpoint: unsupported version " +
-                                std::to_string(version));
-  }
-  if (version >= 3 && options.sink == nullptr) {
-    throw std::invalid_argument(
-        "encode_checkpoint: version 3 requires a chunk sink");
-  }
   const std::size_t chunk_bytes =
       std::max(options.chunk_bytes, kMinChunkBytes);
   // Auto window: two chunks per pool worker keeps every thread fed
@@ -629,13 +579,11 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
           : std::clamp<std::size_t>(
                 2 * (options.pool != nullptr ? options.pool->size() : 1), 4,
                 16);
-  const bool may_chunk = version >= 2;
-  const bool may_extern = version >= 3 && options.sink != nullptr;
 
   Emitter em(out);
   Bytes scratch;
   put_magic(scratch, kMagic);
-  util::put_le<std::uint16_t>(scratch, version);
+  util::put_le<std::uint16_t>(scratch, kFormatVersion);
   util::put_le<std::uint16_t>(scratch, 0);  // file flags, reserved
   util::put_le<std::uint64_t>(scratch, file.checkpoint_id);
   util::put_le<std::uint64_t>(scratch, file.parent_id);
@@ -646,79 +594,30 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
   em.put(scratch);
 
   for (const Section& s : file.sections) {
-    const bool externed = may_extern && s.size() > chunk_bytes;
-    const bool chunked = !externed && may_chunk && s.size() > chunk_bytes;
-    // An inline section is stored before its header is written, so the
-    // header's codec byte names the stored form.
-    const bool whole = !externed && !chunked;
-    Bytes joined;
-    const ByteSpan raw = whole ? contiguous(s, joined) : ByteSpan{};
-    const StoredPayload stored =
-        whole ? store_payload(s.codec, raw) : StoredPayload{s.codec, {}};
     scratch.clear();
-    util::put_le<std::uint16_t>(scratch, static_cast<std::uint16_t>(s.kind));
-    util::put_le<std::uint8_t>(scratch,
-                               static_cast<std::uint8_t>(stored.codec));
-    std::uint8_t sflags = s.flags;
-    if (externed) {
-      sflags |= kSectionFlagExtern;
-    } else if (chunked) {
-      sflags |= kSectionFlagChunked;
-    }
-    util::put_le<std::uint8_t>(scratch, sflags);
-    util::put_le<std::uint64_t>(scratch, s.size());
-    if (externed) {
+    if (options.sink != nullptr && s.size() > chunk_bytes) {
       // Content-addressed: the chunk bytes stream into the sink wave by
       // wave (bounded memory); only the small key table lands in the
       // container as the payload region.
       const Bytes table = encode_extern_section(
           s, chunk_bytes, window, options.pool, *options.sink, options.gauge);
-      util::put_le<std::uint64_t>(scratch, table.size());
-      util::put_le<std::uint32_t>(scratch, util::crc32c(table));
+      put_section_header(
+          scratch, s, s.codec,
+          static_cast<std::uint8_t>(s.flags | kSectionFlagExtern), table);
       em.put(scratch);
       em.put(table);
       continue;
     }
-    if (whole) {
-      const ByteSpan bytes = stored.bytes(raw);
-      const util::GaugedBytes held(options.gauge, stored.held());
-      util::put_le<std::uint64_t>(scratch, bytes.size());
-      util::put_le<std::uint32_t>(scratch, util::crc32c(bytes));
-      em.put(scratch);
-      em.put(bytes);
-      continue;
-    }
-    // Chunked (self-contained v2): the frame header carries the total
-    // frame length and CRC, so the whole section's encoded chunks must
-    // exist before the first frame byte is emitted — this inline
-    // fallback buffers O(section), which the gauge records honestly.
-    const ChunkCuts cuts(s, /*grid=*/0, chunk_bytes);
-    const EncodedChunks ec = encode_chunks(s.codec, cuts, options.pool);
-    std::uint64_t chunk_buffer_bytes = 0;
-    for (const Bytes& e : ec.chunks) {
-      chunk_buffer_bytes += e.size();
-    }
-    const util::GaugedBytes held(options.gauge, chunk_buffer_bytes);
-    util::Crc32c frame_crc;
-    walk_chunk_frame_headers(
-        ec, cuts, chunk_bytes,
-        [&](const Bytes& header, std::size_t chunk_after) {
-          frame_crc.update(header);
-          if (chunk_after != static_cast<std::size_t>(-1)) {
-            frame_crc.update(ec.chunks[chunk_after]);
-          }
-        });
-    util::put_le<std::uint64_t>(scratch, ec.frame_size);
-    util::put_le<std::uint32_t>(scratch, frame_crc.value());
+    // Inline: the payload is stored before its header is written, so the
+    // header's codec byte names the stored form.
+    Bytes joined;
+    const ByteSpan raw = contiguous(s, joined);
+    const StoredPayload stored = store_payload(s.codec, raw);
+    const ByteSpan bytes = stored.bytes(raw);
+    const util::GaugedBytes held(options.gauge, stored.held());
+    put_section_header(scratch, s, stored.codec, s.flags, bytes);
     em.put(scratch);
-    walk_chunk_frame_headers(
-        ec, cuts, chunk_bytes,
-        [&](const Bytes& header, std::size_t chunk_after) {
-          em.put(header);
-          if (chunk_after != static_cast<std::size_t>(-1)) {
-            em.put(ec.chunks[chunk_after]);
-          }
-        });
+    em.put(bytes);
   }
 
   em.finish();

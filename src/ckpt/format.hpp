@@ -12,11 +12,9 @@
 //   | footer: u64 crc64(everything above) | magic "PKCQ"            |
 //   +--------------------------------------------------------------+
 //
-// Version 2 adds *chunk-framed* sections (sflags bit1). A chunked
+// Version 2 added *chunk-framed* sections (sflags bit1). A chunked
 // section's payload region is not one codec stream but a frame of
-// independently-compressed, independently-CRC'd chunks, so encode can
-// compress and checksum them concurrently on a thread pool and a reader
-// can verify/decode chunks in isolation:
+// independently-compressed, independently-CRC'd chunks:
 //
 //   +--------------------------------------------------------------+
 //   | u32 n_chunks | u64 nominal_chunk_bytes                        |
@@ -27,9 +25,7 @@
 //
 // The section header's raw_len is the total un-chunked payload size; its
 // enc_len and CRC32C cover the whole frame. Chunks are concatenated in
-// order to reconstruct the payload. Version-1 files (no chunked flag
-// anywhere) decode unchanged; encoders can also emit version 1 for
-// downgrade compatibility (chunking disabled).
+// order to reconstruct the payload.
 //
 // Version 3 adds *extern* (content-addressed) sections (sflags bit2).
 // An extern section's payload region holds no chunk bytes at all — only
@@ -51,18 +47,20 @@
 // count prefix (section_array_offset), so a chunk_bytes-aligned block of
 // the array rewritten in place dirties one chunk. Readers take each
 // chunk's length from its key, so any cut decodes (files cut from
-// payload byte 0 included). Encoding an extern section requires a
-// ChunkSink (the dedup stage: resident chunks skip compression and
-// storage entirely); decoding one requires a ChunkSource. Version-2 and
-// version-1 files decode unchanged, and encoders can still emit both
-// (EncodeOptions::version).
+// payload byte 0 included). Decoding an extern section requires a
+// ChunkSource.
 //
-// Chunk payload bytes are deliberately covered twice (chunk CRC32C and
-// the serial section CRC32C): the footer CRC64 already forces one serial
-// whole-file pass, so dropping the section CRC would not remove the
-// serial bottleneck, and keeping it preserves v1's section-granular
-// corruption pinpointing for salvage. CRC throughput (~GB/s) is a small
-// fraction of codec cost.
+// The encoder writes version 3 only. A section goes extern when a
+// ChunkSink is set (the dedup stage: resident chunks skip compression
+// and storage entirely) and the section is larger than chunk_bytes;
+// every other section is stored inline, so an encode without a sink is
+// self-contained at any size. Version-1 and version-2 files, chunk
+// frames included, are decode-only: they decode unchanged, and nothing
+// writes them any more.
+//
+// A v2 chunk frame's bytes are covered twice (chunk CRC32C and the
+// section CRC32C), which keeps v1's section-granular corruption
+// pinpointing for salvage.
 //
 // Properties the experiments rely on:
 //   * every section carries its own CRC32C -> a reader can pinpoint (and
@@ -71,7 +69,7 @@
 //   * sections record their codec -> files are self-describing;
 //   * sflags bit0 marks a section stored as an XOR delta against the
 //     parent checkpoint's same-kind section (incremental strategy);
-//   * sflags bit1 marks a chunk-framed section (parallel encode/decode);
+//   * sflags bit1 marks a chunk-framed section (version 2, decode-only);
 //   * sflags bit2 marks an extern section (content-addressed chunks).
 //
 // Numbers are little-endian. Kinds, codecs and flags are append-only.
@@ -99,10 +97,8 @@ namespace qnn::ckpt {
 using util::Bytes;
 using util::ByteSpan;
 
+/// The version the encoder writes; readers accept kMinFormatVersion up.
 constexpr std::uint16_t kFormatVersion = 3;
-/// Newest version whose files are self-contained (no chunk store needed
-/// to decode). The encoder's v2-emit fallback targets this.
-constexpr std::uint16_t kInlineFormatVersion = 2;
 constexpr std::uint16_t kMinFormatVersion = 1;
 
 /// Smallest honored chunk size; EncodeOptions::chunk_bytes below this is
@@ -129,8 +125,8 @@ std::size_t section_array_offset(SectionKind kind);
 
 /// Section flags (sflags byte).
 constexpr std::uint8_t kSectionFlagDelta = 0x01;
-/// Section payload is a chunk frame (see file header comment). Set only by
-/// the encoder; decoded Sections always hold the reassembled raw payload.
+/// Section payload is a chunk frame (version 2, see file header comment).
+/// Decode-only; decoded Sections always hold the reassembled raw payload.
 constexpr std::uint8_t kSectionFlagChunked = 0x02;
 /// Section payload is a content-key table; the chunk bytes live in the
 /// directory's chunk store (v3). Set only by the encoder; decoded
@@ -151,9 +147,10 @@ constexpr std::uint8_t kChunkDigestCrc32c = 0;
 /// silently substitute the resident bytes. At the default 1 MiB chunk
 /// size that is ~80 GB of unique content per directory; directories
 /// approaching that scale (or smaller chunk sizes at high unique-chunk
-/// counts) should wait for a wide-digest type before enabling v3, or
-/// use CheckpointPolicy::format_version = 2. This bound is why
-/// digest_type exists on disk from day one.
+/// counts) should set chunk_bytes above their largest section, which
+/// keeps every section inline and out of the chunk store, until a
+/// wide-digest type exists. This bound is why digest_type exists on
+/// disk from day one.
 struct ChunkKey {
   std::uint32_t crc = 0;
   std::uint64_t len = 0;
@@ -281,23 +278,19 @@ class WritableSink final : public ByteSink {
 /// encode; the checkpoint pipeline passes a pool so chunk compression and
 /// checksumming fan out.
 struct EncodeOptions {
-  /// Sections larger than this are chunk-framed (v2) or externalised into
-  /// the chunk store (v3) in pieces of this size; v3 cuts on the element
-  /// grid, so its first piece also holds the count prefix. Clamped to
-  /// >= 64; payloads <= chunk_bytes stay un-chunked inline.
+  /// With a sink, sections larger than this are externalised into the
+  /// chunk store in pieces of this size, cut on the element grid (the
+  /// first piece also holds the count prefix). Clamped to >= 64. Every
+  /// other section, and every section when no sink is set, is stored
+  /// inline.
   std::size_t chunk_bytes = std::size_t{1} << 20;
   /// Pool for concurrent chunk encode; null = encode on the calling
   /// thread. The output bytes are identical either way.
   util::ThreadPool* pool = nullptr;
-  /// On-disk version to emit. 0 = automatic: version 3 when a sink is
-  /// set, else the newest self-contained version (2). Writing
-  /// kMinFormatVersion additionally disables chunking and produces
-  /// byte-streams old readers accept. Explicit version 3 requires a
-  /// sink (invalid_argument otherwise).
-  std::uint16_t version = 0;
-  /// Chunk store for extern sections (v3). When set, oversized sections
+  /// Chunk store for extern sections. When set, oversized sections
   /// become key tables and only non-resident chunks are compressed and
-  /// stored — the cross-checkpoint dedup stage.
+  /// stored — the cross-checkpoint dedup stage. Null: the container is
+  /// self-contained.
   ChunkSink* sink = nullptr;
   /// Chunks compressed per wave while encoding an extern section: a wave
   /// is this many chunk-store misses (hits cost no compression), so at
@@ -316,20 +309,21 @@ struct EncodeOptions {
 /// codec recorded in that section.
 Bytes encode_checkpoint(const CheckpointFile& file);
 
-/// encode_checkpoint with explicit chunking/parallelism/version options.
+/// encode_checkpoint with explicit chunking/parallelism/dedup options.
 Bytes encode_checkpoint(const CheckpointFile& file,
                         const EncodeOptions& options);
 
 /// Streaming encode: emits the container into `out` frame by frame and
 /// returns the total bytes emitted. Memory stays bounded by the largest
-/// single section's transient state — and, for extern (v3) sections, by
-/// one compression wave (options.encode_window chunks), independent of
+/// inline section's transient state — and, for extern sections, by one
+/// compression wave (options.encode_window chunks), independent of
 /// checkpoint size: chunk bytes flow straight into the ChunkSink and
-/// only the small key table lands in the container. Chunked sections
+/// only the small key table lands in the container. Extern sections
 /// read a Section::view in place; only the one chunk that straddles
-/// `payload` and `view` is assembled (an inline section may be). The
-/// emitted bytes are identical to the whole-buffer overloads, and to
-/// the same payload held wholly in `payload`, byte for byte.
+/// `payload` and `view` is assembled (an inline section is assembled
+/// whole). The emitted bytes are identical to the whole-buffer
+/// overloads, and to the same payload held wholly in `payload`, byte
+/// for byte.
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out);
 
@@ -357,8 +351,9 @@ struct DecodeOptions {
   /// extern key table) verifies; the payload lands in the returned
   /// target and Section::payload stays empty. Extern and chunk-framed
   /// payloads are reassembled there chunk by chunk, with no section-sized
-  /// buffer in between; an inline payload (from v2 on, at most the
-  /// encoder's chunk_bytes) is decoded, then landed. Each chunk (an
+  /// buffer in between; an inline payload is decoded, then landed (a
+  /// file written with a chunk store inlines only sections of at most
+  /// chunk_bytes). Each chunk (an
   /// extern one after its re-check against its key) is copied in, or
   /// with `xor_into` XOR-ed into the target's bytes. Recovery places a
   /// full payload in the storage of the state field it loads into

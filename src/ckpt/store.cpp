@@ -247,7 +247,8 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
       // Read the victim's chunk references while the file still exists;
       // only a durably deleted file gives its references back. With no
       // packfiles there is nothing to account, so victims are not even
-      // read (v2-emit directories keep their file-level GC cost).
+      // read (a directory of inline checkpoints keeps its file-level GC
+      // cost).
       const auto refs =
           cas_active ? read_chunk_refs(e.file) : std::vector<ChunkKey>{};
       env_.remove_file(dir_ + "/" + e.file);

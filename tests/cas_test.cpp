@@ -11,6 +11,7 @@
 #include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
+#include "ckpt/state_codec.hpp"
 #include "ckpt/store.hpp"
 #include "ckpt/verify.hpp"
 #include "io/mem_env.hpp"
@@ -79,27 +80,37 @@ std::uint64_t run_checkpoints(io::MemEnv& env, CheckpointPolicy policy,
 
 // ---------- cross-checkpoint dedup ----------
 
+/// cas_policy with chunk_bytes above every section of big_state: each
+/// checkpoint is stored inline, self-contained, and skips the chunk
+/// store (no dedup).
+CheckpointPolicy inline_policy() {
+  CheckpointPolicy policy = cas_policy();
+  policy.chunk_bytes = std::size_t{1} << 20;
+  return policy;
+}
+
 TEST(Cas, FrozenStateDedupsAcrossCheckpoints) {
-  io::MemEnv v3_env;
-  run_checkpoints(v3_env, cas_policy(), 10);
+  io::MemEnv cas_env;
+  run_checkpoints(cas_env, cas_policy(), 10);
 
-  CheckpointPolicy v2 = cas_policy();
-  v2.format_version = kInlineFormatVersion;
-  io::MemEnv v2_env;
-  run_checkpoints(v2_env, v2, 10);
+  io::MemEnv inline_env;
+  run_checkpoints(inline_env, inline_policy(), 10);
 
-  const std::uint64_t v3_stored = dir_stored_bytes(v3_env, "cp");
-  const std::uint64_t v2_stored = dir_stored_bytes(v2_env, "cp");
+  const std::uint64_t cas_stored = dir_stored_bytes(cas_env, "cp");
+  const std::uint64_t inline_stored = dir_stored_bytes(inline_env, "cp");
   // 10 near-identical checkpoints must share storage: ≥4.5x reduction
   // (the pack's self-indexing key table — what makes single-chunk
   // resolution a ranged read — costs ~34 bytes per record of the ratio).
-  EXPECT_GE(v2_stored * 2, 9 * v3_stored)
-      << "v2=" << v2_stored << " v3=" << v3_stored;
+  EXPECT_GE(inline_stored * 2, 9 * cas_stored)
+      << "inline=" << inline_stored << " cas=" << cas_stored;
 
   // And every checkpoint still resolves to its exact state.
   for (std::uint64_t step = 1; step <= 10; ++step) {
-    EXPECT_EQ(load_checkpoint(v3_env, "cp", step), big_state(step));
+    EXPECT_EQ(load_checkpoint(cas_env, "cp", step), big_state(step));
   }
+  EXPECT_EQ(
+      read_checkpoint_index(cas_env, "cp/" + checkpoint_file_name(10)).version,
+      kFormatVersion);
 }
 
 TEST(Cas, DedupStatsExposeHitRatio) {
@@ -172,16 +183,23 @@ TEST(Cas, AsyncPipelineDedupsAndRecovers) {
   EXPECT_EQ(outcome->state, big_state(8));
 }
 
-TEST(Cas, V2FallbackWritesSelfContainedFiles) {
+TEST(Cas, ChunkBytesAboveEverySectionWritesSelfContainedFiles) {
   io::MemEnv env;
-  CheckpointPolicy policy = cas_policy();
-  policy.format_version = kInlineFormatVersion;
-  run_checkpoints(env, policy, 3);
+  run_checkpoints(env, inline_policy(), 3);
   EXPECT_TRUE(env.list_dir("cp/chunks").empty());
-  const auto data = env.read_file("cp/" + checkpoint_file_name(2));
-  ASSERT_TRUE(data.has_value());
-  // Decodes with no chunk source at all.
-  EXPECT_EQ(decode_checkpoint(*data).step, 2u);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const std::string file = "cp/" + checkpoint_file_name(id);
+    EXPECT_EQ(read_checkpoint_index(env, file).version, kFormatVersion);
+    EXPECT_TRUE(list_chunk_refs(env, file).empty());
+    const auto data = env.read_file(file);
+    ASSERT_TRUE(data.has_value());
+    // Decodes with no chunk source at all.
+    EXPECT_EQ(sections_to_state(decode_checkpoint(*data).sections),
+              big_state(id));
+  }
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->state, big_state(3));
 }
 
 // ---------- refcounted GC ----------

@@ -10,6 +10,7 @@
 #include "ckpt/format.hpp"
 #include "ckpt/state_codec.hpp"
 #include "io/mem_env.hpp"
+#include "util/crc.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -127,135 +128,7 @@ TEST(Format, DeltaFlagSurvivesRoundTrip) {
   EXPECT_FALSE(back.sections[1].is_delta());
 }
 
-// ---------- chunked sections (format v2) ----------
-
-class ChunkedRoundTrip : public ::testing::TestWithParam<codec::CodecId> {};
-
-TEST_P(ChunkedRoundTrip, LargeSectionsChunkAndRoundTrip) {
-  const CheckpointFile f = sample_file(GetParam(), 8192);
-  EncodeOptions options;
-  options.chunk_bytes = 512;  // force several chunks per large section
-  const Bytes blob = encode_checkpoint(f, options);
-  const CheckpointFile back = decode_checkpoint(blob);
-  // Payloads round-trip and the chunked flag never leaks into memory.
-  expect_equal_files(f, back);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllCodecs, ChunkedRoundTrip,
-    ::testing::ValuesIn(std::vector<codec::CodecId>(
-        std::begin(codec::kAllCodecs), std::end(codec::kAllCodecs))),
-    [](const auto& info) {
-      std::string n = codec::codec_name(info.param);
-      for (char& c : n) {
-        if (c == '+') {
-          c = '_';
-        }
-      }
-      return n;
-    });
-
-TEST(Chunked, ParallelEncodeIsByteIdenticalToSerial) {
-  const CheckpointFile f = sample_file(codec::CodecId::kLz, 16384);
-  EncodeOptions serial;
-  serial.chunk_bytes = 256;
-  EncodeOptions parallel = serial;
-  util::ThreadPool pool(4);
-  parallel.pool = &pool;
-  EXPECT_EQ(encode_checkpoint(f, serial), encode_checkpoint(f, parallel));
-}
-
-TEST(Chunked, SmallSectionsStayUnchunked) {
-  // Below the chunk threshold sections must be stored as plain codec
-  // streams. Decoded Sections always have the chunked flag stripped, so
-  // walk the raw blob's section headers instead.
-  const CheckpointFile f = sample_file(codec::CodecId::kRaw);
-  const Bytes blob = encode_checkpoint(f);
-  std::size_t off = 4 + 2 + 2 + 8 * 4;  // magic, version, flags, ids/times
-  const auto n_sections = util::get_le<std::uint32_t>(blob, off);
-  ASSERT_EQ(n_sections, f.sections.size());
-  for (std::uint32_t i = 0; i < n_sections; ++i) {
-    (void)util::get_le<std::uint16_t>(blob, off);  // kind
-    (void)util::get_le<std::uint8_t>(blob, off);   // codec
-    const auto flags = util::get_le<std::uint8_t>(blob, off);
-    EXPECT_EQ(flags & kSectionFlagChunked, 0) << "section " << i;
-    (void)util::get_le<std::uint64_t>(blob, off);  // raw_len
-    const auto enc_len = util::get_le<std::uint64_t>(blob, off);
-    (void)util::get_le<std::uint32_t>(blob, off);  // crc
-    off += enc_len;
-  }
-}
-
-TEST(Chunked, LargeSectionHeaderCarriesChunkedFlag) {
-  // The inverse of the test above: an oversized section's on-disk header
-  // must set the chunked flag (one section only, so it is the first).
-  CheckpointFile f;
-  f.checkpoint_id = 1;
-  f.sections.push_back(Section{.kind = SectionKind::kSimulator,
-                               .codec = codec::CodecId::kRaw,
-                               .flags = 0,
-                               .payload = random_bytes(4096, 9)});
-  EncodeOptions options;
-  options.chunk_bytes = 512;
-  const Bytes blob = encode_checkpoint(f, options);
-  std::size_t off = 4 + 2 + 2 + 8 * 4 + 4 + 2 + 1;  // ...kind, codec
-  const auto flags = util::get_le<std::uint8_t>(blob, off);
-  EXPECT_NE(flags & kSectionFlagChunked, 0);
-  expect_equal_files(f, decode_checkpoint(blob));
-}
-
-TEST(Chunked, ChunkCorruptionDetectedStrictAndSalvaged) {
-  const CheckpointFile f = sample_file(codec::CodecId::kRaw, 8192);
-  EncodeOptions options;
-  options.chunk_bytes = 1024;
-  Bytes blob = encode_checkpoint(f, options);
-  // Flip a byte deep inside the simulator section's chunk frame.
-  blob[blob.size() - 1500] ^= 0xFF;
-  EXPECT_THROW(decode_checkpoint(blob), CorruptCheckpoint);
-  const auto salvaged = salvage_checkpoint(blob);
-  ASSERT_TRUE(salvaged.file.has_value());
-  EXPECT_FALSE(salvaged.fully_intact);
-  // The untouched leading sections survive; the corrupted one is dropped.
-  EXPECT_NE(salvaged.file->find(SectionKind::kParams), nullptr);
-  EXPECT_EQ(salvaged.file->find(SectionKind::kSimulator), nullptr);
-}
-
-TEST(Chunked, TinyChunkSizeIsClampedNotFatal) {
-  const CheckpointFile f = sample_file(codec::CodecId::kRle, 4096);
-  EncodeOptions options;
-  options.chunk_bytes = 1;  // clamped to the format's minimum
-  expect_equal_files(f, decode_checkpoint(encode_checkpoint(f, options)));
-}
-
-// ---------- old-format (v1) compatibility ----------
-
-TEST(FormatCompat, Version1FilesStillDecode) {
-  const CheckpointFile f = sample_file(codec::CodecId::kLz, 4096);
-  EncodeOptions options;
-  options.version = kMinFormatVersion;  // downgrade-compatible encode
-  const Bytes blob = encode_checkpoint(f, options);
-  std::size_t off = 4;
-  EXPECT_EQ(util::get_le<std::uint16_t>(blob, off), kMinFormatVersion);
-  expect_equal_files(f, decode_checkpoint(blob));
-}
-
-TEST(FormatCompat, Version1NeverChunksEvenHugeSections) {
-  const CheckpointFile f = sample_file(codec::CodecId::kRaw, 65536);
-  EncodeOptions options;
-  options.version = kMinFormatVersion;
-  options.chunk_bytes = 256;
-  const Bytes blob = encode_checkpoint(f, options);
-  expect_equal_files(f, decode_checkpoint(blob));
-}
-
-TEST(FormatCompat, FutureVersionRejected) {
-  EncodeOptions options;
-  options.version = kFormatVersion + 1;
-  EXPECT_THROW(encode_checkpoint(sample_file(codec::CodecId::kRaw), options),
-               std::invalid_argument);
-}
-
-// ---------- extern sections (format v3, content-addressed) ----------
+// ---------- extern sections (content-addressed) ----------
 
 /// Minimal in-memory chunk store for format-level tests (the real one
 /// lives in ckpt/cas.hpp and has its own suite).
@@ -321,26 +194,97 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
-TEST(Extern, AutoVersionPicksV3WithSinkV2Without) {
-  const CheckpointFile f = sample_file(codec::CodecId::kRaw, 4096);
-  MapChunkStore store;
-  EncodeOptions with_sink;
-  with_sink.chunk_bytes = 512;
-  with_sink.sink = &store;
-  Bytes blob = encode_checkpoint(f, with_sink);
+/// The version field of an encoded container.
+std::uint16_t version_of(ByteSpan blob) {
   std::size_t off = 4;
-  EXPECT_EQ(util::get_le<std::uint16_t>(blob, off), 3);
-
-  blob = encode_checkpoint(f, EncodeOptions{});
-  off = 4;
-  EXPECT_EQ(util::get_le<std::uint16_t>(blob, off), kInlineFormatVersion);
+  return util::get_le<std::uint16_t>(blob, off);
 }
 
-TEST(Extern, ExplicitV3WithoutSinkRejected) {
+/// The sflags byte of each section header of an encoded container.
+std::vector<std::uint8_t> section_flags(ByteSpan blob) {
+  std::size_t off = 4 + 2 + 2 + 8 * 4;  // magic, version, flags, ids/times
+  const auto n_sections = util::get_le<std::uint32_t>(blob, off);
+  std::vector<std::uint8_t> flags;
+  for (std::uint32_t i = 0; i < n_sections; ++i) {
+    (void)util::get_le<std::uint16_t>(blob, off);  // kind
+    (void)util::get_le<std::uint8_t>(blob, off);   // codec
+    flags.push_back(util::get_le<std::uint8_t>(blob, off));
+    (void)util::get_le<std::uint64_t>(blob, off);  // raw_len
+    const auto enc_len = util::get_le<std::uint64_t>(blob, off);
+    (void)util::get_le<std::uint32_t>(blob, off);  // crc
+    off += enc_len;
+  }
+  return flags;
+}
+
+TEST(Extern, EveryEncodeWritesVersion3) {
+  // With a sink, the three sections above 512 bytes go extern; without
+  // one, every section is stored inline and the file decodes with no
+  // chunk source, whatever its size.
+  const CheckpointFile f = sample_file(codec::CodecId::kRaw, 4096);
+  MapChunkStore store;
   EncodeOptions options;
-  options.version = 3;
-  EXPECT_THROW(encode_checkpoint(sample_file(codec::CodecId::kRaw), options),
-               std::invalid_argument);
+  options.chunk_bytes = 512;
+  options.sink = &store;
+  const Bytes with_sink = encode_checkpoint(f, options);
+  EXPECT_EQ(version_of(with_sink), kFormatVersion);
+  EXPECT_EQ(section_flags(with_sink),
+            (std::vector<std::uint8_t>{kSectionFlagExtern, kSectionFlagExtern,
+                                       0, kSectionFlagExtern}));
+
+  options.sink = nullptr;
+  const Bytes without_sink = encode_checkpoint(f, options);
+  EXPECT_EQ(version_of(without_sink), kFormatVersion);
+  EXPECT_EQ(section_flags(without_sink), std::vector<std::uint8_t>(4, 0));
+  EXPECT_TRUE(list_chunk_refs(without_sink).empty());
+  expect_equal_files(f, decode_checkpoint(without_sink));
+}
+
+TEST(Extern, SmallSectionsStayInline) {
+  // At most chunk_bytes, a section is stored inline even with a sink:
+  // nothing reaches the chunk store.
+  const CheckpointFile f = sample_file(codec::CodecId::kRaw);
+  MapChunkStore store;
+  EncodeOptions options;  // 1 MiB chunks
+  options.sink = &store;
+  const Bytes blob = encode_checkpoint(f, options);
+  EXPECT_EQ(section_flags(blob),
+            std::vector<std::uint8_t>(f.sections.size(), 0));
+  EXPECT_EQ(store.queries, 0u);
+  expect_equal_files(f, decode_checkpoint(blob));
+}
+
+TEST(Extern, ParallelEncodeIsByteIdenticalToSerial) {
+  const CheckpointFile f = sample_file(codec::CodecId::kLz, 16384);
+  MapChunkStore serial_store;
+  MapChunkStore parallel_store;
+  EncodeOptions serial;
+  serial.chunk_bytes = 256;
+  serial.sink = &serial_store;
+  EncodeOptions parallel = serial;
+  util::ThreadPool pool(4);
+  parallel.pool = &pool;
+  parallel.sink = &parallel_store;
+  EXPECT_EQ(encode_checkpoint(f, serial), encode_checkpoint(f, parallel));
+  EXPECT_EQ(serial_store.put_order, parallel_store.put_order);
+  EXPECT_EQ(serial_store.chunks, parallel_store.chunks);
+}
+
+TEST(Extern, TinyChunkSizeIsClampedNotFatal) {
+  // chunk_bytes below the format's minimum encodes as the minimum.
+  const CheckpointFile f = sample_file(codec::CodecId::kRle, 4096);
+  MapChunkStore store;
+  EncodeOptions options;
+  options.chunk_bytes = 1;
+  options.sink = &store;
+  const Bytes blob = encode_checkpoint(f, options);
+  MapChunkStore at_minimum;
+  options.chunk_bytes = kMinChunkBytes;
+  options.sink = &at_minimum;
+  EXPECT_EQ(blob, encode_checkpoint(f, options));
+  EXPECT_EQ(store.chunks, at_minimum.chunks);
+  expect_equal_files(f,
+                     decode_checkpoint(blob, DecodeOptions{.source = &store}));
 }
 
 TEST(Extern, SecondEncodeStoresNothingNew) {
@@ -425,7 +369,7 @@ TEST(Extern, ListChunkRefsReturnsKeysInOrder) {
   for (const ChunkKey& key : refs) {
     EXPECT_EQ(store.get(key).size(), key.len);
   }
-  // Inline formats reference nothing.
+  // An encode without a sink references nothing.
   EXPECT_TRUE(list_chunk_refs(encode_checkpoint(f)).empty());
   // A damaged v3 file must refuse to yield refs (refcount rebuilds must
   // not trust unverifiable bytes).
@@ -583,8 +527,9 @@ Bytes encode_sections(std::vector<Section> sections,
 TEST(ExternGrid, ViewedStateEncodesLikeOwnedPayloads) {
   // 100 doubles: an 808-byte params payload whose first chunk spans the
   // owned count and the viewed elements at 64 and at 256 bytes, and a
-  // 300-byte optimizer string, extern at 64 and inline at 256. The
-  // cursor (20 bytes) is an inline section of both parts.
+  // 300-byte optimizer string, extern at both sizes. The cursor (20
+  // bytes) is an inline section of both parts. Without a sink every
+  // section is inline, the viewed ones assembled whole.
   qnn::TrainingState s;
   s.workload_tag = "vqe";
   s.optimizer_name = "adam";
@@ -602,17 +547,16 @@ TEST(ExternGrid, ViewedStateEncodesLikeOwnedPayloads) {
   ASSERT_EQ(viewed[1].payload.size(), 8u) << "the count, owned";
   ASSERT_EQ(viewed[1].view.data(), params.data());
   for (const std::size_t chunk_bytes : {std::size_t{64}, std::size_t{256}}) {
-    for (const std::uint16_t version : {std::uint16_t{2}, std::uint16_t{3}}) {
+    for (const bool with_sink : {true, false}) {
       MapChunkStore viewed_store;
       MapChunkStore owned_store;
       EncodeOptions options;
       options.chunk_bytes = chunk_bytes;
-      options.version = version;
-      options.sink = version == 3 ? &viewed_store : nullptr;
+      options.sink = with_sink ? &viewed_store : nullptr;
       const Bytes blob = encode_sections(viewed, options);
-      options.sink = version == 3 ? &owned_store : nullptr;
+      options.sink = with_sink ? &owned_store : nullptr;
       EXPECT_EQ(encode_sections(owned, options), blob)
-          << "chunk_bytes " << chunk_bytes << ", v" << version;
+          << "chunk_bytes " << chunk_bytes << ", sink " << with_sink;
       EXPECT_EQ(viewed_store.put_order, owned_store.put_order);
       EXPECT_EQ(viewed_store.chunks, owned_store.chunks);
       const DecodeOptions from{.source = &viewed_store};
@@ -763,21 +707,20 @@ TEST(StoredForm, ResidentLzRecordOfANoiseChunkIsADedupHit) {
   expect_equal_files(f, decode_checkpoint(blob, from));
 }
 
-TEST(StoredForm, IncompressibleInlineSectionIsStoredRawInEveryVersion) {
+TEST(StoredForm, IncompressibleInlineSectionIsStoredRaw) {
   const CheckpointFile f =
       one_section_file(SectionKind::kSimulator, random_bytes(4 * k64KiB, 56));
-  for (const std::uint16_t version : {1, 2, 3}) {
+  for (const bool with_sink : {true, false}) {
     MapChunkStore store;
     EncodeOptions options;  // 1 MiB chunks: the section stays inline
-    options.version = version;
-    options.sink = version == 3 ? &store : nullptr;
+    options.sink = with_sink ? &store : nullptr;
     const Bytes blob = encode_checkpoint(f, options);
     const CheckpointIndex index = index_of(blob);
-    ASSERT_EQ(index.version, version);
+    ASSERT_EQ(index.version, kFormatVersion);
     const SectionIndexEntry& s = index.sections.at(0);
-    EXPECT_EQ(s.flags, 0) << "v" << version;
-    EXPECT_EQ(s.codec, codec::CodecId::kRaw) << "v" << version;
-    EXPECT_EQ(s.enc_len, s.raw_len) << "v" << version;
+    EXPECT_EQ(s.flags, 0) << "sink " << with_sink;
+    EXPECT_EQ(s.codec, codec::CodecId::kRaw) << "sink " << with_sink;
+    EXPECT_EQ(s.enc_len, s.raw_len) << "sink " << with_sink;
     EXPECT_TRUE(store.chunks.empty());
     expect_equal_files(f, decode_checkpoint(blob));
   }
@@ -935,12 +878,14 @@ TEST(Format, SectionKindNamesStable) {
 
 // ---------- golden fixtures ----------
 //
-// Byte-exact v1 and v2 checkpoint files, committed as hex. These lock
+// Byte-exact v1, v2 and v3 checkpoint files, committed as hex. These lock
 // the on-disk format: a codec or container change that breaks decoding
 // of existing checkpoint files — or silently shifts the encoder's output
-// — fails here instead of in a user's recovery path. If an INTENTIONAL
-// format change trips these, regenerate the blobs and say so in the
-// commit message; decoding the OLD hex must keep working forever.
+// — fails here instead of in a user's recovery path. v1 and v2 are
+// decode-only (nothing writes them any more); today's encoder must
+// reproduce the v3 fixture bit for bit. If an INTENTIONAL format change
+// trips the v3 check, regenerate that blob and say so in the commit
+// message; decoding the OLD hex must keep working forever.
 
 Bytes from_hex(const std::string& hex) {
   Bytes out(hex.size() / 2);
@@ -1039,24 +984,49 @@ TEST(GoldenFixture, V2ChunkedFileStillDecodesByteExact) {
   EXPECT_EQ(back.find(SectionKind::kSimulator)->payload.size(), 200u);
 }
 
-TEST(GoldenFixture, EncoderStillProducesTheExactV1Bytes) {
-  EncodeOptions options;
-  options.version = kMinFormatVersion;
-  EXPECT_EQ(encode_checkpoint(golden_file(false), options),
-            from_hex(kFixtureV1))
-      << "v1 encoder output drifted — old readers may reject new files";
-}
+TEST(Chunked, ChunkCorruptionDetectedStrictAndSalvaged) {
+  // The v2 fixture's simulator section is a frame of four chunks. A flip
+  // inside one chunk's stream (the footer CRC64 recomputed over it, so
+  // only the section is damaged) fails the section CRC32C; with that
+  // recomputed too, the chunk's own CRC32C catches it. Either way strict
+  // decode throws and salvage keeps every other section.
+  const Bytes fixture = from_hex(kFixtureV2);
+  const SectionIndexEntry sim = index_of(fixture).sections.at(3);
+  ASSERT_EQ(sim.kind, SectionKind::kSimulator);
+  ASSERT_EQ(sim.flags, kSectionFlagChunked);
+  // Past the frame preamble (12 bytes) and chunk 0's header (20 bytes).
+  const std::size_t in_chunk0 = sim.payload_offset + 12 + 20 + 10;
+  const auto overwrite = [](Bytes& blob, std::size_t at, const Bytes& with) {
+    std::ranges::copy(with, blob.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+  for (const bool recompute_section_crc : {false, true}) {
+    Bytes blob = fixture;
+    blob[in_chunk0] ^= 0xFF;
+    if (recompute_section_crc) {
+      Bytes crc;
+      util::put_le<std::uint32_t>(
+          crc, util::crc32c(ByteSpan(blob).subspan(sim.payload_offset,
+                                                   sim.enc_len)));
+      overwrite(blob, sim.payload_offset - 4, crc);
+    }
+    Bytes footer;
+    util::put_le<std::uint64_t>(
+        footer, util::crc64(ByteSpan(blob).first(blob.size() - 12)));
+    overwrite(blob, blob.size() - 12, footer);
 
-TEST(GoldenFixture, EncoderStillProducesTheExactV2Bytes) {
-  // The v2-emit fallback must keep producing byte-exact v2 files forever:
-  // readers that predate the content-addressed format depend on it.
-  EncodeOptions options;
-  options.version = kInlineFormatVersion;
-  options.chunk_bytes = 64;
-  EXPECT_EQ(encode_checkpoint(golden_file(true), options),
-            from_hex(kFixtureV2))
-      << "v2 encoder output drifted — update the fixture only for an "
-         "intentional, documented format change";
+    EXPECT_THROW(decode_checkpoint(blob), CorruptCheckpoint);
+    const auto salvaged = salvage_checkpoint(blob);
+    ASSERT_TRUE(salvaged.file.has_value());
+    EXPECT_FALSE(salvaged.fully_intact);
+    ASSERT_EQ(salvaged.notes.size(), 1u);
+    EXPECT_NE(salvaged.notes[0].find(recompute_section_crc
+                                         ? "chunk 0: CRC32C mismatch"
+                                         : "simulator: CRC32C mismatch"),
+              std::string::npos)
+        << salvaged.notes[0];
+    EXPECT_EQ(salvaged.file->sections.size(), 3u);
+    EXPECT_EQ(salvaged.file->find(SectionKind::kSimulator), nullptr);
+  }
 }
 
 // The v3 fixture: same logical file, but the 200-byte simulator section
@@ -1081,7 +1051,6 @@ TEST(GoldenFixture, V3ExternFileStillDecodesByteExact) {
   // against it: both the file bytes and the key derivation are locked.
   MapChunkStore store;
   EncodeOptions options;
-  options.version = kFormatVersion;
   options.chunk_bytes = 64;
   options.sink = &store;
   EXPECT_EQ(encode_checkpoint(golden_file(true), options),
@@ -1096,7 +1065,6 @@ TEST(GoldenFixture, V3ExternFileStillDecodesByteExact) {
 TEST(GoldenFixture, CorruptingAnyV3FixtureByteIsDetected) {
   MapChunkStore store;
   EncodeOptions options;
-  options.version = kFormatVersion;
   options.chunk_bytes = 64;
   options.sink = &store;
   (void)encode_checkpoint(golden_file(true), options);

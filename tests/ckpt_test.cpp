@@ -736,15 +736,6 @@ TEST(Recovery, FallsBackWhenNewestCorrupt) {
   }
 }
 
-/// A sink for containers whose sections all stay inline.
-class NoChunkSink final : public ChunkSink {
- public:
-  bool contains(const ChunkKey&) override { return false; }
-  void put(const ChunkKey&, codec::CodecId, ByteSpan) override {
-    ADD_FAILURE() << "an inline section stored a chunk";
-  }
-};
-
 TEST(Recovery, RepeatedSectionKindRejectsTheContainer) {
   io::MemEnv env;
   CheckpointPolicy policy;
@@ -755,7 +746,7 @@ TEST(Recovery, RepeatedSectionKindRejectsTheContainer) {
     ck.maybe_checkpoint(make_state(1));
     ck.maybe_checkpoint(make_state(2));
   }
-  // Checkpoint 2 rewritten as a v3 container that names kParams twice,
+  // Checkpoint 2 rewritten as a container that names kParams twice,
   // the repeat holding step 3's params. No writer emits one.
   CheckpointFile file;
   file.checkpoint_id = 2;
@@ -766,11 +757,7 @@ TEST(Recovery, RepeatedSectionKindRejectsTheContainer) {
       file.sections.push_back(std::move(s));
     }
   }
-  NoChunkSink sink;
-  EncodeOptions options;
-  options.version = 3;
-  options.sink = &sink;
-  const Bytes data = encode_checkpoint(file, options);
+  const Bytes data = encode_checkpoint(file);
   env.write_file_atomic("cp/" + checkpoint_file_name(2), data);
 
   EXPECT_THROW(decode_checkpoint(data), CorruptCheckpoint);
@@ -1002,6 +989,99 @@ TEST(Recovery, ExternArraysThatChangeSizeFoldAndReplay) {
   EXPECT_EQ(outcome->state, states.back());
 }
 
+// A two-file kIncremental chain written by the version-2 encoder at
+// 64-byte chunks: each params section (24 doubles, 200 bytes) is a chunk
+// frame, flags 0x02 in the full checkpoint and 0x03 (delta + chunked) in
+// its child. No writer emits version 2 any more; recovery must still
+// land the frame's chunks in the state's storage, copied for the root
+// and XOR-ed into the resolved payload for the delta.
+
+const char* const kV2ChainFull =
+    "51434b5002000000010000000000000000000000000000000100000000000000"
+    "902fe76a155e060006000000000002003a000000000000001e00000000000000"
+    "3a98ed6b06020000000300030103767165050b04736764010209000702000d10"
+    "000001000202c800000000000000d6000000000000001595cf1a040000004000"
+    "000000000000400000000000000023000000000000001edbc1fa021800090102"
+    "f8bf02070200f6040801f4040801f2040801f0040801ec040802e8bf00400000"
+    "00000000002800000000000000aad3c6310100020102e4bf0106030000e00408"
+    "01d8040801d0040801c0040800050202c03f02070300d03f0040000000000000"
+    "0027000000000000000dfbd3410100020102d83f0106030000e0040801e40408"
+    "01e8040801ec040801f0040801f2040802f43f00080000000000000008000000"
+    "000000002ebccc320100020102f63f0002000200100000000000000006000000"
+    "0000000054b82ca801010c010000030002000800000000000000060000000000"
+    "00001cb139690141040100000400020018000000000000001300000000000000"
+    "1c8fbc2602040007010c01000000020000000300000000050002001000000000"
+    "00000009000000000000003ee4391d020100090102e03f00f6aeeb3eabed2e7a"
+    "504b4351";
+
+const char* const kV2ChainDelta =
+    "51434b5002000000020000000000000001000000000000000200000000000000"
+    "2b32e76a155e060006000000000002013a000000000000001000000000000000"
+    "70194dc20100160101030105000801000d10000001000203c800000000000000"
+    "820000000000000017aa92f70400000040000000000000004000000000000000"
+    "0d000000000000003ed258d20100220101160105001201000040000000000000"
+    "0006000000000000004e727cae01003c01000040000000000000000d00000000"
+    "000000d019189001002a0101180105000a010000080000000000000006000000"
+    "000000001eb47966010004010000020002011000000000000000060000000000"
+    "00000c670ed801030c0100000300020108000000000000000600000000000000"
+    "ea044a2e01030401000004000201180000000000000006000000000000002305"
+    "1d8f010014010000050002011800000000000000090000000000000051364b2f"
+    "020300110102e03f00dfef1ee8fc1200bf504b4351";
+
+/// The states the chain fixture was written from.
+qnn::TrainingState v2_chain_state(std::uint64_t step) {
+  qnn::TrainingState s;
+  s.step = step;
+  s.params.resize(24);
+  for (std::size_t i = 0; i < s.params.size(); ++i) {
+    s.params[i] = 0.125 * static_cast<double>(i) - 1.5;
+  }
+  if (step == 2) {
+    s.params[3] += 0.5;
+    s.params[20] -= 0.25;
+  }
+  s.optimizer_name = "sgd";
+  s.optimizer_state.assign(16, static_cast<std::uint8_t>(step));
+  s.rng_state.assign(8, static_cast<std::uint8_t>(0x40 + step));
+  s.loss_history.assign(step, 0.5);
+  s.cursor = step;
+  s.permutation = {0, 1, 2, 3};
+  s.workload_tag = "vqe";
+  return s;
+}
+
+TEST(Recovery, V2ChunkFramedChainRecovers) {
+  io::MemEnv env;
+  Manifest manifest;
+  for (const auto& [id, hex] :
+       {std::pair<std::uint64_t, const char*>{1, kV2ChainFull},
+        std::pair<std::uint64_t, const char*>{2, kV2ChainDelta}}) {
+    const Bytes bytes = util::from_hex(hex);
+    env.write_file_atomic("cp/" + checkpoint_file_name(id), bytes);
+    manifest.upsert(ManifestEntry{.id = id,
+                                  .parent_id = id - 1,
+                                  .step = id,
+                                  .file = checkpoint_file_name(id),
+                                  .bytes = bytes.size()});
+  }
+  manifest.save(env, "cp");
+  for (const std::uint64_t id : {1, 2}) {
+    const CheckpointIndex index =
+        read_checkpoint_index(env, "cp/" + checkpoint_file_name(id));
+    EXPECT_EQ(index.version, 2u);
+    ASSERT_EQ(index.sections.at(1).kind, SectionKind::kParams);
+    EXPECT_EQ(index.sections.at(1).flags,
+              id == 1 ? kSectionFlagChunked
+                      : kSectionFlagChunked | kSectionFlagDelta);
+  }
+
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 2u);
+  EXPECT_EQ(outcome->state, v2_chain_state(2));
+  EXPECT_EQ(load_checkpoint(env, "cp", 1), v2_chain_state(1));
+}
+
 TEST(Recovery, LoadCheckpointThrowsOnMissingId) {
   io::MemEnv env;
   EXPECT_THROW(load_checkpoint(env, "cp", 1), std::exception);
@@ -1018,7 +1098,9 @@ TEST(AsyncWriter, WritesAllJobsAndRunsCallbacks) {
       EXPECT_TRUE(w.submit(AsyncWriter::Job{
           .path = "d/f" + std::to_string(i),
           .data = Bytes(1000, static_cast<std::uint8_t>(i)),
-          .on_installed = [&installed] { ++installed; }}));
+          .pre_install = {},
+          .on_installed = [&installed] { ++installed; },
+          .on_failed = {}}));
     }
     w.flush();
     EXPECT_EQ(installed.load(), 10);
@@ -1037,7 +1119,9 @@ TEST(AsyncWriter, DestructorDrainsQueue) {
     for (int i = 0; i < 4; ++i) {
       EXPECT_TRUE(w.submit(AsyncWriter::Job{.path = "d/g" + std::to_string(i),
                                             .data = Bytes(10, 1),
-                                            .on_installed = {}}));
+                                            .pre_install = {},
+                                            .on_installed = {},
+                                            .on_failed = {}}));
     }
   }  // destructor must not lose queued jobs
   EXPECT_EQ(env.list_dir("d").size(), 4u);
@@ -1051,8 +1135,11 @@ TEST(AsyncWriter, FailuresCountedNotFatal) {
   spec.fault_atomic_writes = true;
   io::FaultEnv env(base, spec, 11);
   AsyncWriter w(env, 2);
-  EXPECT_TRUE(w.submit(AsyncWriter::Job{.path = "d/x", .data = Bytes(100, 7),
-                                        .on_installed = {}}));
+  EXPECT_TRUE(w.submit(AsyncWriter::Job{.path = "d/x",
+                                        .data = Bytes(100, 7),
+                                        .pre_install = {},
+                                        .on_installed = {},
+                                        .on_failed = {}}));
   w.flush();
   EXPECT_EQ(w.stats().failures, 1u);
 }
@@ -1210,7 +1297,9 @@ TEST(AsyncWriter, MultipleWorkersInstallEverything) {
       EXPECT_TRUE(w.submit(AsyncWriter::Job{
           .path = "d/m" + std::to_string(i),
           .data = Bytes(256, static_cast<std::uint8_t>(i)),
-          .on_installed = [&installed] { ++installed; }}));
+          .pre_install = {},
+          .on_installed = [&installed] { ++installed; },
+          .on_failed = {}}));
     }
     w.flush();
     EXPECT_EQ(installed.load(), 24);

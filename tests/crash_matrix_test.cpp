@@ -97,7 +97,7 @@ qnn::TrainingState make_state(std::uint64_t step, std::size_t sim_qubits,
 
 struct ScenarioConfig {
   const char* name;
-  CheckpointPolicy policy;
+  CheckpointPolicy policy = {};
   std::size_t sim_qubits = 0;
   std::uint64_t phase1_steps = 8;
   std::uint64_t phase2_steps = 12;
@@ -529,16 +529,15 @@ TEST(CrashMatrix, WalScenarioActuallyLogsReplaysAndCompacts) {
 // Torn streamed appends: the naive (plain-stream) writer
 // ---------------------------------------------------------------------------
 
-/// Encodes `make_state(step)` as a self-contained v2 container.
+/// Encodes `make_state(step)` as a self-contained container (no chunk
+/// sink: every section inline).
 util::Bytes encode_state_file(std::uint64_t id, std::uint64_t step) {
   CheckpointFile f;
   f.checkpoint_id = id;
   f.step = step;
   f.sections = state_to_sections(make_state(step, 0), /*include_simulator=*/
                                  false, codec::CodecId::kRaw);
-  EncodeOptions options;
-  options.version = kInlineFormatVersion;
-  return encode_checkpoint(f, options);
+  return encode_checkpoint(f);
 }
 
 /// Two atomic installs, then a NAIVE writer streams checkpoint 3 through

@@ -71,8 +71,8 @@ TEST(DensityMatrix, ValidationErrors) {
   DensityMatrix rho(2);
   EXPECT_THROW(rho.apply_1q(gates::X(), 2), std::out_of_range);
   EXPECT_THROW(rho.apply_2q(gates::CX(), 0, 0), std::invalid_argument);
-  EXPECT_THROW(rho.expectation(Observable(3)), std::invalid_argument);
-  EXPECT_THROW(rho.fidelity(StateVector(3)), std::invalid_argument);
+  EXPECT_THROW((void)rho.expectation(Observable(3)), std::invalid_argument);
+  EXPECT_THROW((void)rho.fidelity(StateVector(3)), std::invalid_argument);
   EXPECT_THROW(rho.mix_with(DensityMatrix(1), 0.5), std::invalid_argument);
   EXPECT_THROW(rho.mix_with(DensityMatrix(2), 1.5), std::invalid_argument);
   // Non-trace-preserving Kraus set rejected (0.5*I alone sums to I/4).

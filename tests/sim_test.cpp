@@ -51,7 +51,7 @@ TEST(StateVector, QubitBoundsChecked) {
   StateVector sv(2);
   EXPECT_THROW(sv.apply_1q(gates::X(), 2), std::out_of_range);
   EXPECT_THROW(sv.apply_2q(gates::CX(), 0, 0), std::invalid_argument);
-  EXPECT_THROW(sv.probability_one(5), std::out_of_range);
+  EXPECT_THROW((void)sv.probability_one(5), std::out_of_range);
 }
 
 TEST(StateVector, XFlipsQubitZero) {
@@ -158,7 +158,7 @@ TEST(StateVector, InnerProductAndFidelity) {
   EXPECT_NEAR(a.fidelity(a), 1.0, kTol);
   EXPECT_NEAR(a.fidelity(b), 0.0, kTol);
   StateVector c(2);
-  EXPECT_THROW(a.inner_product(c), std::invalid_argument);
+  EXPECT_THROW((void)a.inner_product(c), std::invalid_argument);
 }
 
 TEST(StateVector, SerializeRoundTripBitExact) {
@@ -496,7 +496,7 @@ TEST(Pauli, ObservableValidation) {
   EXPECT_THROW(obs.add_term(1.0, "Z"), std::invalid_argument);  // wrong len
   obs.add_term(1.0, "ZZ");
   StateVector wrong(3);
-  EXPECT_THROW(obs.expectation(wrong), std::invalid_argument);
+  EXPECT_THROW((void)obs.expectation(wrong), std::invalid_argument);
 }
 
 TEST(Pauli, TfimGroundStateLimits) {
@@ -562,10 +562,12 @@ TEST(Pauli, SampledExpectationRejectsNonDiagonal) {
   Observable obs(1);
   obs.add_term(1.0, "X");
   StateVector psi(1);
-  EXPECT_THROW(obs.sampled_expectation(psi, 10, rng), std::invalid_argument);
+  EXPECT_THROW((void)obs.sampled_expectation(psi, 10, rng),
+               std::invalid_argument);
   Observable diag(1);
   diag.add_term(1.0, "Z");
-  EXPECT_THROW(diag.sampled_expectation(psi, 0, rng), std::invalid_argument);
+  EXPECT_THROW((void)diag.sampled_expectation(psi, 0, rng),
+               std::invalid_argument);
 }
 
 // ---------- noise ----------

@@ -421,8 +421,8 @@ TEST(Percentiles, ExactQuartiles) {
 TEST(Percentiles, OutOfRangeThrows) {
   Percentiles p;
   p.add(1.0);
-  EXPECT_THROW(p.percentile(-1), std::invalid_argument);
-  EXPECT_THROW(p.percentile(101), std::invalid_argument);
+  EXPECT_THROW((void)p.percentile(-1), std::invalid_argument);
+  EXPECT_THROW((void)p.percentile(101), std::invalid_argument);
 }
 
 TEST(Histogram, BucketsAndClamping) {
