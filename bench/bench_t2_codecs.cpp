@@ -17,6 +17,7 @@
 #include "codec/codec.hpp"
 #include "codec/xor_delta.hpp"
 #include "qnn/executor.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace qnn;
@@ -120,6 +121,27 @@ const util::Bytes& big_payload() {
   return p;
 }
 
+/// A 4 MiB XOR delta in recover-chain's shape: 64 KiB regions of noise
+/// (rewritten parameter blocks) in zeros, one in every other 256 KiB
+/// chunk. Every chunk passes the probe, so the encode runs LZ on each:
+/// on the zero chunks and on the zeros around each region.
+const util::Bytes& sparse_delta_payload() {
+  static const util::Bytes p = [] {
+    constexpr std::size_t kChunk = std::size_t{256} << 10;
+    constexpr std::size_t kRegion = std::size_t{64} << 10;
+    util::Bytes out(std::size_t{4} << 20, 0);
+    util::Rng rng(2025);
+    for (std::size_t c = 0; c < out.size() / kChunk; c += 2) {
+      const std::size_t at = c * kChunk + (c / 2 % 4) * kRegion;
+      for (std::size_t i = 0; i < kRegion; ++i) {
+        out[at + i] = static_cast<std::uint8_t>(rng());
+      }
+    }
+    return out;
+  }();
+  return p;
+}
+
 /// A chunk store that holds nothing: every probe misses, so every chunk
 /// is stored (compressed where the sampled probe says it shrinks) and
 /// put; only the stored bytes are counted.
@@ -137,10 +159,14 @@ class MissingChunkSink final : public ckpt::ChunkSink {
 /// Encodes a full checkpoint whose simulator section is extern, every
 /// chunk a miss, with chunk keys, probes and compression fanned out over
 /// `threads` total threads (1 = fully serial, no pool): the pipeline's
-/// worker-count scaling. The statevector chunks fail the probe and are
-/// stored raw, so no LZ runs here.
+/// worker-count scaling. Payload 0, the statevector, fails the probe
+/// chunk by chunk and is stored raw, so it times keys, probes and puts
+/// and no LZ; payload 1, the sparse delta, times the LZ waves.
 void BM_ChunkedEncode(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
+  const bool sparse = state.range(1) != 0;
+  const util::Bytes& payload =
+      sparse ? sparse_delta_payload() : big_payload();
   // The calling thread participates in parallel_for, so a pool of
   // threads-1 workers gives `threads` total lanes.
   static std::map<std::size_t, std::unique_ptr<util::ThreadPool>> pools;
@@ -158,7 +184,7 @@ void BM_ChunkedEncode(benchmark::State& state) {
   file.sections.push_back(ckpt::Section{.kind = ckpt::SectionKind::kSimulator,
                                         .codec = codec::CodecId::kLz,
                                         .flags = 0,
-                                        .payload = big_payload()});
+                                        .payload = payload});
   MissingChunkSink sink;
   const ckpt::EncodeOptions options{.chunk_bytes = std::size_t{256} << 10,
                                     .pool = pool,
@@ -173,11 +199,13 @@ void BM_ChunkedEncode(benchmark::State& state) {
     benchmark::DoNotOptimize(blob.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(big_payload().size()));
+                          static_cast<std::int64_t>(payload.size()));
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["ratio"] = static_cast<double>(big_payload().size()) /
+  state.counters["ratio"] = static_cast<double>(payload.size()) /
                             static_cast<double>(encoded_size);
-  state.SetLabel("chunked-lz/statevector x" + std::to_string(threads));
+  state.SetLabel(std::string(sparse ? "chunked-lz/sparse-delta x"
+                                    : "chunked-lz/statevector x") +
+                 std::to_string(threads));
 }
 
 void register_all() {
@@ -191,11 +219,13 @@ void register_all() {
           ->MinTime(0.05);
     }
   }
-  for (long threads : {1L, 2L, 4L}) {
-    benchmark::RegisterBenchmark("T2/chunked_encode", BM_ChunkedEncode)
-        ->Args({threads})
-        ->MinTime(0.1)
-        ->UseRealTime();
+  for (long payload : {0L, 1L}) {
+    for (long threads : {1L, 2L, 4L}) {
+      benchmark::RegisterBenchmark("T2/chunked_encode", BM_ChunkedEncode)
+          ->Args({threads, payload})
+          ->MinTime(0.1)
+          ->UseRealTime();
+    }
   }
 }
 

@@ -384,7 +384,11 @@ void ChunkStore::Batch::put(const ChunkKey& key, codec::CodecId codec,
     stream_ = std::make_unique<detail::PackStream>(
         store_.env_, store_.chunk_dir_ + "/" + pack_name(), epoch_);
   }
-  const std::uint32_t enc_crc = util::crc32c(encoded);
+  // A raw record is the chunk itself, whose CRC its key already holds.
+  const std::uint32_t enc_crc =
+      codec == codec::CodecId::kRaw && encoded.size() == key.len
+          ? key.crc
+          : util::crc32c(encoded);
   const std::uint64_t offset =
       stream_->append_record(key, codec, enc_crc, encoded);
   staged_index_.emplace(key, records_.size());
@@ -565,17 +569,23 @@ Bytes ChunkStore::get(const ChunkKey& key) {
   // Ranged resolution: exactly this record's encoded bytes move, not
   // the packfile. Integrity comes from the record CRC32C + the content
   // key, so skipping the whole-file CRC64 gives up nothing.
-  const Bytes enc = pack->pread(record.offset, record.enc_len);
+  Bytes enc = pack->pread(record.offset, record.enc_len);
   if (enc.size() != record.enc_len) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": packfile truncated: " + pack_name);
   }
-  if (util::crc32c(enc) != record.enc_crc) {
+  const std::uint32_t enc_crc = util::crc32c(enc);
+  if (enc_crc != record.enc_crc) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": encoded CRC mismatch in " + pack_name);
   }
-  Bytes raw = codec::decode(record.codec, enc, key.len);
-  if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
+  // A raw record is the chunk itself: its one CRC is checked against the
+  // key as well, and the pread buffer is returned without a decode copy.
+  const bool raw_record = record.codec == codec::CodecId::kRaw;
+  Bytes raw = raw_record ? std::move(enc)
+                         : codec::decode(record.codec, enc, key.len);
+  if (raw.size() != key.len ||
+      (raw_record ? enc_crc : util::crc32c(raw)) != key.crc) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": content digest mismatch in " + pack_name);
   }

@@ -121,16 +121,18 @@ SectionHeader read_section_header(ByteSpan data, std::size_t& off) {
   return h;
 }
 
-/// read_section_header's mirror: `s`'s header for `stored`, the payload
-/// region that follows it, as `codec` with `flags`.
+/// read_section_header's mirror: `s`'s header for the payload region
+/// that follows it, `stored` then `more`, as `codec` with `flags`.
 void put_section_header(Bytes& out, const Section& s, codec::CodecId codec,
-                        std::uint8_t flags, ByteSpan stored) {
+                        std::uint8_t flags, ByteSpan stored,
+                        ByteSpan more = {}) {
   util::put_le<std::uint16_t>(out, static_cast<std::uint16_t>(s.kind));
   util::put_le<std::uint8_t>(out, static_cast<std::uint8_t>(codec));
   util::put_le<std::uint8_t>(out, flags);
   util::put_le<std::uint64_t>(out, s.size());
-  util::put_le<std::uint64_t>(out, stored.size());
-  util::put_le<std::uint32_t>(out, util::crc32c(stored));
+  util::put_le<std::uint64_t>(out, stored.size() + more.size());
+  util::put_le<std::uint32_t>(out,
+                              util::crc32c(more, util::crc32c(stored)));
 }
 
 /// A section's raw payload (`payload` then `view`) cut into chunks on
@@ -194,20 +196,6 @@ class ChunkCuts {
   Bytes joined_;
 };
 
-/// The whole raw payload as one span: one part when the other is empty,
-/// else the two assembled in `joined`.
-ByteSpan contiguous(const Section& s, Bytes& joined) {
-  if (s.view.empty()) {
-    return s.payload;
-  }
-  if (s.payload.empty()) {
-    return s.view;
-  }
-  joined = s.payload;
-  joined.insert(joined.end(), s.view.begin(), s.view.end());
-  return joined;
-}
-
 /// One payload as stored: the section codec's output, or kRaw and no
 /// output when the payload itself is stored, read where it lies.
 struct StoredPayload {
@@ -224,17 +212,27 @@ struct StoredPayload {
   }
 };
 
-/// How `raw` is stored under `codec`. A payload of codec::kProbeMinBytes
-/// or more is stored raw when the sampled probe says the codec will not
-/// shrink it, or when the full encode is not smaller. A shorter one is
-/// encoded as is, even when the codec expands it.
-StoredPayload store_payload(codec::CodecId codec, ByteSpan raw) {
-  const bool probed = raw.size() >= codec::kProbeMinBytes;
-  if (probed && !codec::worth_encoding(codec, raw)) {
+/// How the payload `raw` then `tail` is stored under `codec`. A payload
+/// of codec::kProbeMinBytes or more is stored raw when the sampled probe,
+/// which reads both parts in place, says the codec will not shrink it,
+/// or when the full encode is not smaller. A shorter one is encoded as
+/// is, even when the codec expands it. The two parts are joined only for
+/// the codec to run.
+StoredPayload store_payload(codec::CodecId codec, ByteSpan raw,
+                            ByteSpan tail = {}) {
+  const std::size_t n = raw.size() + tail.size();
+  const bool probed = n >= codec::kProbeMinBytes;
+  if (probed && !codec::worth_encoding(codec, raw, tail)) {
     return {};
   }
-  Bytes encoded = codec::encode(codec, raw);
-  if (probed && encoded.size() >= raw.size()) {
+  Bytes joined;
+  if (!tail.empty()) {
+    joined.reserve(n);
+    joined.assign(raw.begin(), raw.end());
+    joined.insert(joined.end(), tail.begin(), tail.end());
+  }
+  Bytes encoded = codec::encode(codec, tail.empty() ? raw : joined);
+  if (probed && encoded.size() >= n) {
     return {};
   }
   return {codec, std::move(encoded)};
@@ -357,6 +355,14 @@ std::vector<ChunkKey> parse_extern_table(ByteSpan table,
   return keys;
 }
 
+/// True when every byte of `data` is zero (also when it is empty): each
+/// byte equals its successor and the first is zero.
+bool all_zero(ByteSpan data) {
+  return data.empty() ||
+         (data[0] == 0 &&
+          std::memcmp(data.data(), data.data() + 1, data.size() - 1) == 0);
+}
+
 /// Lands `raw` at byte `off` of `out`: copied over it, or XOR-ed into it.
 void land(ByteSpan raw, const PayloadTarget& out, std::size_t off) {
   const std::span<std::uint8_t> dest = out.bytes.subspan(off, raw.size());
@@ -370,11 +376,25 @@ void land(ByteSpan raw, const PayloadTarget& out, std::size_t off) {
 /// Reassembles an extern section into `out` by fetching every chunk of
 /// `keys` (whose lengths sum to out.bytes.size()) from `source`. get()
 /// verifies digest + length; both are re-checked here anyway.
+///
+/// A key this section has already fetched, verified and found all zero
+/// lands without a fetch: nothing for an XOR landing, a zero fill for a
+/// copy. A source maps a key to one record, so a refetch could return
+/// nothing else, and every landed byte still passed both checks. An
+/// unchanged chunk of a delta is such a key, repeated once per chunk.
 void resolve_extern_payload(ChunkSource& source,
                             const std::vector<ChunkKey>& keys,
                             const PayloadTarget& out) {
+  std::vector<ChunkKey> zero_keys;  // one per chunk length, in practice
   std::size_t off = 0;
   for (const ChunkKey& key : keys) {
+    if (std::ranges::find(zero_keys, key) != zero_keys.end()) {
+      if (!out.xor_into) {
+        std::ranges::fill(out.bytes.subspan(off, key.len), 0);
+      }
+      off += key.len;
+      continue;
+    }
     const Bytes raw = source.get(key);
     // Re-verify against the key here, independent of the source's own
     // checks: a checkpoint must never reassemble from bytes that do not
@@ -382,6 +402,9 @@ void resolve_extern_payload(ChunkSource& source,
     if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
       throw std::runtime_error("chunk " + chunk_key_name(key) +
                                ": content digest mismatch");
+    }
+    if (all_zero(raw)) {
+      zero_keys.push_back(key);
     }
     land(raw, out, off);
     off += raw.size();
@@ -463,8 +486,13 @@ void decode_section(Section& s, std::uint64_t raw_len, ByteSpan encoded,
     decode_chunked_payload(s.codec, encoded, place());
     s.flags &= static_cast<std::uint8_t>(~kSectionFlagChunked);
   } else if (options.place) {
-    const Bytes raw = codec::decode(s.codec, encoded, raw_len);
-    land(raw, place(), 0);
+    // Piece by piece (codec::decode_to): a raw payload lands from the
+    // container's bytes, an LZ one through the decoder's window.
+    const PayloadTarget dest = place();
+    codec::decode_to(s.codec, encoded, raw_len,
+                     [&](std::size_t off, ByteSpan piece) {
+                       land(piece, dest, off);
+                     });
   } else {
     s.payload = codec::decode(s.codec, encoded, raw_len);
   }
@@ -609,15 +637,21 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
       continue;
     }
     // Inline: the payload is stored before its header is written, so the
-    // header's codec byte names the stored form.
-    Bytes joined;
-    const ByteSpan raw = contiguous(s, joined);
-    const StoredPayload stored = store_payload(s.codec, raw);
-    const ByteSpan bytes = stored.bytes(raw);
+    // header's codec byte names the stored form. Stored raw, it goes out
+    // in its parts, `payload` then `view`, read where they lie.
+    const StoredPayload stored = store_payload(s.codec, s.payload, s.view);
     const util::GaugedBytes held(options.gauge, stored.held());
-    put_section_header(scratch, s, stored.codec, s.flags, bytes);
+    ByteSpan first = stored.bytes(s.payload);
+    ByteSpan second = stored.encoded ? ByteSpan{} : s.view;
+    if (first.empty()) {
+      std::swap(first, second);
+    }
+    put_section_header(scratch, s, stored.codec, s.flags, first, second);
     em.put(scratch);
-    em.put(bytes);
+    em.put(first);
+    if (!second.empty()) {
+      em.put(second);
+    }
   }
 
   em.finish();

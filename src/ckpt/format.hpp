@@ -189,7 +189,10 @@ class ChunkSink {
 
 /// Where the decoder resolves extern chunks from. get() returns the raw
 /// chunk bytes, fully verified against the key (digest + length), and
-/// throws std::runtime_error when the chunk is absent or corrupt.
+/// throws std::runtime_error when the chunk is absent or corrupt. The
+/// decoder calls get() once per reference, except that within a section
+/// a key already fetched, verified and found all zero is not fetched
+/// again: its repeats land as zeros (a delta's unchanged chunks).
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
@@ -320,8 +323,9 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 /// checkpoint size: chunk bytes flow straight into the ChunkSink and
 /// only the small key table lands in the container. Extern sections
 /// read a Section::view in place; only the one chunk that straddles
-/// `payload` and `view` is assembled (an inline section is assembled
-/// whole). The emitted bytes are identical to the whole-buffer
+/// `payload` and `view` is assembled. An inline section is assembled
+/// whole only for its codec to run; stored raw, its parts go out as
+/// they lie. The emitted bytes are identical to the whole-buffer
 /// overloads, and to the same payload held wholly in `payload`, byte
 /// for byte.
 std::uint64_t encode_checkpoint(const CheckpointFile& file,
@@ -351,11 +355,11 @@ struct DecodeOptions {
   /// extern key table) verifies; the payload lands in the returned
   /// target and Section::payload stays empty. Extern and chunk-framed
   /// payloads are reassembled there chunk by chunk, with no section-sized
-  /// buffer in between; an inline payload is decoded, then landed (a
-  /// file written with a chunk store inlines only sections of at most
-  /// chunk_bytes). Each chunk (an
-  /// extern one after its re-check against its key) is copied in, or
-  /// with `xor_into` XOR-ed into the target's bytes. Recovery places a
+  /// buffer in between; an inline payload lands piece by piece as
+  /// codec::decode_to hands it over (a raw one straight from the
+  /// container's bytes). Each chunk or piece (an extern chunk after its
+  /// re-check against its key) is copied in, or with `xor_into` XOR-ed
+  /// into the target's bytes. Recovery places a
   /// full payload in the storage of the state field it loads into
   /// (ckpt/state_codec.hpp) and XORs a delta into the payload it
   /// applies to.

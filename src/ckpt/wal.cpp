@@ -200,7 +200,8 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
       walk_wal(env, dir, epoch, [&](const Record& rec) {
         // Check every body of the record before any section changes, so
         // records apply atomically: each delta's base, and that the body
-        // decodes to raw_len (its pieces dropped).
+        // decodes to raw_len (an LZ body's tokens are checked, nothing is
+        // written).
         try {
           for (const RecordSection& s : rec.sections) {
             if ((s.flags & kSectionFlagDelta) != 0) {
@@ -209,8 +210,7 @@ std::optional<WalReplay> replay_wal(io::Env& env, const std::string& dir,
                 return false;  // the delta's base is not this state's
               }
             }
-            codec::decode_to(s.codec, s.encoded, s.raw_len,
-                             [](std::size_t, ByteSpan) {});
+            codec::check_decodes(s.codec, s.encoded, s.raw_len);
           }
         } catch (const std::exception&) {
           return false;  // CRC-valid but undecodable: stop replay here too

@@ -112,12 +112,13 @@ struct WalReplay {
 /// resolved payloads keyed by kind, see ckpt/state_codec.hpp) in place,
 /// stopping at the first torn or CRC-invalid frame. A record that names
 /// one kind twice counts as torn. Every body of a record is checked
-/// before any section changes, each delta's base and a decode whose
-/// pieces are dropped, so records apply atomically: a record that parses
-/// but cannot apply (a delta whose base is missing or not base_len bytes
-/// long, or a section that fails to decode) stops the replay with
-/// `sections` at exactly the previous record's state. Then each body is
-/// decoded again, into place (codec::decode_to): a delta's pieces are
+/// before any section changes, each delta's base and that it decodes
+/// (codec::check_decodes: an LZ body's tokens pass the decoder's checks
+/// and nothing is written), so records apply atomically: a record that
+/// parses but cannot apply (a delta whose base is missing or not
+/// base_len bytes long, or a section that fails to decode) stops the
+/// replay with `sections` at exactly the previous record's state. Then
+/// each body is decoded into place (codec::decode_to): a delta's pieces are
 /// XOR-ed into its payload, resized first to the body's length
 /// (SectionPayload::resize), and a full body's are copied into a fresh
 /// payload of that length. An LZ body passes through a window of 64 KiB

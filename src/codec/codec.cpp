@@ -51,20 +51,36 @@ Bytes encode(CodecId id, ByteSpan raw) {
   throw std::invalid_argument("encode: unknown codec id");
 }
 
-bool worth_encoding(CodecId id, ByteSpan raw) {
+bool worth_encoding(CodecId id, ByteSpan raw, ByteSpan tail) {
   constexpr std::size_t kSlices = 8;
   constexpr std::size_t kSliceBytes = std::size_t{4} << 10;
+  const std::size_t n = raw.size() + tail.size();
   if (id == CodecId::kRaw) {
     return false;
   }
-  if (raw.size() < kProbeMinBytes) {
+  if (n < kProbeMinBytes) {
     return true;
   }
   // n/8 >= 8 KiB here, so every slice lies inside the payload.
-  const std::size_t stride = raw.size() / kSlices;
+  const std::size_t stride = n / kSlices;
   std::size_t sampled = 0;
+  Bytes spanning;
   for (std::size_t j = 0; j < kSlices; ++j) {
-    sampled += encode(id, raw.subspan(j * stride, kSliceBytes)).size();
+    const std::size_t at = j * stride;
+    ByteSpan slice;
+    if (at + kSliceBytes <= raw.size()) {
+      slice = raw.subspan(at, kSliceBytes);
+    } else if (at >= raw.size()) {
+      slice = tail.subspan(at - raw.size(), kSliceBytes);
+    } else {
+      spanning.assign(raw.begin() + static_cast<std::ptrdiff_t>(at),
+                      raw.end());
+      spanning.insert(spanning.end(), tail.begin(),
+                      tail.begin() + static_cast<std::ptrdiff_t>(
+                                         at + kSliceBytes - raw.size()));
+      slice = spanning;
+    }
+    sampled += encode(id, slice).size();
   }
   return sampled < kSlices * kSliceBytes;
 }
@@ -102,6 +118,13 @@ void decode_to(CodecId id, ByteSpan encoded, std::size_t raw_len,
     default:
       return emit(0, decode(id, encoded, raw_len));
   }
+}
+
+void check_decodes(CodecId id, ByteSpan encoded, std::size_t raw_len) {
+  if (id == CodecId::kLz) {
+    return lz_check(encoded, raw_len);
+  }
+  decode_to(id, encoded, raw_len, [](std::size_t, ByteSpan) {});
 }
 
 }  // namespace qnn::codec

@@ -47,18 +47,20 @@ Bytes encode(CodecId id, ByteSpan raw);
 /// full encode; shorter ones are always encoded whole.
 inline constexpr std::size_t kProbeMinBytes = std::size_t{64} << 10;
 
-/// Sampled probe: whether a full encode of `raw` with `id` may come out
-/// smaller than `raw`. False for kRaw; true below kProbeMinBytes.
-/// Otherwise it encodes 8 evenly spaced 4 KiB slices, [j*(n/8),
-/// j*(n/8) + 4096) for j = 0..7, each as its own call, and returns
-/// whether their total is below 32 KiB. It encodes 32 KiB whatever the
-/// payload's size: an eighth of a full encode at 256 KiB.
+/// Sampled probe: whether a full encode of the payload `raw` followed by
+/// `tail` with `id` may come out smaller than the payload. False for
+/// kRaw; true below kProbeMinBytes. Otherwise it encodes 8 evenly spaced
+/// 4 KiB slices, [j*(n/8), j*(n/8) + 4096) for j = 0..7, each as its own
+/// call, and returns whether their total is below 32 KiB. It encodes 32
+/// KiB whatever the payload's size: an eighth of a full encode at 256
+/// KiB. The two parts are read in place; only a slice that spans both is
+/// assembled.
 ///
 /// Blind spot: it sees redundancy within a slice only. A payload that
 /// repeats at a distance longer than 4 KiB but inside LZ's 64 KiB window
 /// (a noise block repeated every 16 KiB, say) probes as incompressible,
 /// although LZ would shrink it.
-bool worth_encoding(CodecId id, ByteSpan raw);
+bool worth_encoding(CodecId id, ByteSpan raw, ByteSpan tail = {});
 
 /// Decodes an encode() output. `raw_len` is the expected decoded size
 /// (stored in the section header); mismatch raises std::runtime_error, as
@@ -71,14 +73,20 @@ using DecodeSink = std::function<void(std::size_t offset, ByteSpan bytes)>;
 
 /// decode() that hands the output to `emit` piece by piece instead of
 /// returning it, so a caller can apply it where it belongs (XOR it into
-/// a payload, copy it in, or drop it to prove the stream decodes). kLz
-/// streams through a window of 64 KiB of history plus one 256 KiB piece
-/// and rejects a match reaching more than 64 KiB back, which lz_encode
-/// never writes; kRaw hands over `encoded` itself; the other codecs
-/// decode whole, as decode() does, and emit once. A malformed stream
-/// throws as in decode(), possibly after some pieces were emitted.
+/// a payload, or copy it in). kLz streams through a window of 64 KiB of
+/// history plus one 256 KiB piece and rejects a match reaching more than
+/// 64 KiB back, which lz_encode never writes; kRaw hands over `encoded`
+/// itself; the other codecs decode whole, as decode() does, and emit
+/// once. A malformed stream throws as in decode(), possibly after some
+/// pieces were emitted.
 void decode_to(CodecId id, ByteSpan encoded, std::size_t raw_len,
                const DecodeSink& emit);
+
+/// Proves decode_to(id, encoded, raw_len, ...) succeeds without writing
+/// its output: throws what it would throw, else returns. kLz walks the
+/// tokens through the checks of decode_to's own loop and writes nothing;
+/// kRaw checks the length; the other codecs decode whole and drop it.
+void check_decodes(CodecId id, ByteSpan encoded, std::size_t raw_len);
 
 /// All codecs, for sweep-style tests and the T2 codec shootout.
 inline constexpr CodecId kAllCodecs[] = {CodecId::kRaw, CodecId::kRle,
@@ -101,5 +109,8 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len);
 /// token loop, holding kWindow of history plus one piece.
 void lz_decode_to(ByteSpan encoded, std::size_t raw_len,
                   const DecodeSink& emit);
+/// check_decodes(kLz, ...): lz_decode_to's token loop and checks, with
+/// no output kept.
+void lz_check(ByteSpan encoded, std::size_t raw_len);
 
 }  // namespace qnn::codec

@@ -59,6 +59,25 @@ void xor_with_parent_inplace(std::span<std::uint8_t> data, ByteSpan parent) {
   const std::size_t n = std::min(data.size(), parent.size());
   std::size_t i = 0;
 #if defined(__SSE2__)
+  // 64-byte blocks: a block of parent zeros leaves data unread and
+  // unwritten, so a sparse delta costs a read of itself, not of data.
+  for (; i + 64 <= n; i += 64) {
+    __m128i p[4];
+    for (int k = 0; k < 4; ++k) {
+      p[k] = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(parent.data() + i + 16 * k));
+    }
+    const __m128i any =
+        _mm_or_si128(_mm_or_si128(p[0], p[1]), _mm_or_si128(p[2], p[3]));
+    if (_mm_movemask_epi8(_mm_cmpeq_epi8(any, _mm_setzero_si128())) ==
+        0xFFFF) {
+      continue;
+    }
+    for (int k = 0; k < 4; ++k) {
+      auto* d = reinterpret_cast<__m128i*>(data.data() + i + 16 * k);
+      _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), p[k]));
+    }
+  }
   for (; i + 16 <= n; i += 16) {
     const __m128i a =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data.data() + i));

@@ -34,7 +34,10 @@ Bytes xor_with_parent(ByteSpan data, ByteSpan parent);
 /// here in the buffer of the base it replaces: the writers XOR the state
 /// into the previous base, and recovery and journal replay XOR each delta
 /// chunk, or each decoded piece of a body, into the resolved payload, so
-/// no delta gets a buffer of its own.
+/// no delta gets a buffer of its own. In SSE2 builds (every x86-64
+/// one), wherever `parent` has a 64-byte block of zeros (counted from
+/// its start), `data` is neither read nor written: a sparse delta costs
+/// about a read of itself.
 void xor_with_parent_inplace(std::span<std::uint8_t> data, ByteSpan parent);
 
 /// Forward intra-buffer delta: word[i] ^= word[i-1] (64-bit words; the tail

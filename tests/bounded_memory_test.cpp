@@ -196,46 +196,59 @@ TEST(BoundedMemory, StreamingEncodeNeverRematerializesTheCheckpoint) {
 
 TEST(BoundedMemory, SyncCheckpointAddsNoCopyOfTheState) {
   const std::size_t mb = state_megabytes();
-  const std::string root =
-      (fs::temp_directory_path() /
-       ("qnnckpt_bounded_sync_" + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(root);
+  const std::uint64_t raw_bytes = huge_state(mb).params.size() * sizeof(double);
+  // Extern 256 KiB chunks, and chunk_bytes above the state: every
+  // section inline, the way to keep a directory out of the chunk store.
+  for (const std::uint64_t chunk_bytes :
+       {std::uint64_t{256} << 10, 2 * raw_bytes}) {
+    SCOPED_TRACE("chunk_bytes " + std::to_string(chunk_bytes));
+    const bool extern_params = chunk_bytes < raw_bytes;
+    const std::string root =
+        (fs::temp_directory_path() /
+         ("qnnckpt_bounded_sync_" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(root);
 
-  io::PosixEnv env(/*durable=*/false);
-  CheckpointPolicy policy;
-  policy.strategy = Strategy::kFullState;
-  policy.every_steps = 1;
-  policy.codec = codec::CodecId::kRaw;
-  policy.chunk_bytes = std::size_t{256} << 10;
-  const auto state = huge_state(mb);
-  const std::uint64_t raw_bytes = state.params.size() * sizeof(double);
-  std::uint64_t rss_growth = 0;
-  {
-    Checkpointer ck(env, root + "/cp", policy);
-    reset_peak_rss();
-    const std::uint64_t rss_before = vm_hwm_bytes();
-    ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
-    ck.checkpoint_now(state);
-    rss_growth = vm_hwm_bytes() - rss_before;
+    io::PosixEnv env(/*durable=*/false);
+    CheckpointPolicy policy;
+    policy.strategy = Strategy::kFullState;
+    policy.every_steps = 1;
+    policy.codec = codec::CodecId::kRaw;
+    policy.chunk_bytes = chunk_bytes;
+    std::uint64_t rss_growth = 0;
+    {
+      const auto state = huge_state(mb);
+      Checkpointer ck(env, root + "/cp", policy);
+      reset_peak_rss();
+      const std::uint64_t rss_before = vm_hwm_bytes();
+      ASSERT_GT(rss_before, 0u) << "VmHWM unreadable";
+      ck.checkpoint_now(state);
+      rss_growth = vm_hwm_bytes() - rss_before;
+    }
+
+    // The payload is read from the state's own vectors. Extern, the
+    // checkpoint adds one wave of encoded chunks (the auto window clamps
+    // at 16), the assembled first chunk and the store's bookkeeping.
+    // Inline and stored raw, the params section goes out as its count
+    // and then its elements, never joined. A snapshot of the state, or a
+    // joined payload, would add the whole state.
+    if (kRssTracksLiveBytes) {
+      const std::uint64_t bound = raw_bytes / 4 +
+                                  (extern_params ? 20 * chunk_bytes : 0) +
+                                  (std::uint64_t{4} << 20);
+      const double ratio =
+          static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
+      EXPECT_LT(rss_growth, bound)
+          << "copied the state: grew " << ratio << "x";
+    }
+    // The state is rebuilt for the comparison, so recovery (which holds
+    // an inline section's whole container) fits CI's address-space limit.
+    const auto outcome = recover_latest(env, root + "/cp");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->state, huge_state(mb));
+
+    fs::remove_all(root);
   }
-
-  // The chunks are read from the state's own vectors: the checkpoint
-  // adds one wave of encoded chunks (the auto window clamps at 16), the
-  // assembled first chunk and the store's bookkeeping. A snapshot of
-  // the state would add the whole state.
-  if (kRssTracksLiveBytes) {
-    const std::uint64_t bound =
-        raw_bytes / 4 + 20 * policy.chunk_bytes + (std::uint64_t{4} << 20);
-    const double ratio =
-        static_cast<double>(rss_growth) / static_cast<double>(raw_bytes);
-    EXPECT_LT(rss_growth, bound) << "copied the state: grew " << ratio << "x";
-  }
-  const auto outcome = recover_latest(env, root + "/cp");
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->state, state);
-
-  fs::remove_all(root);
 }
 
 TEST(BoundedMemory, FullStateRecoveryHoldsOneCopyOfTheState) {

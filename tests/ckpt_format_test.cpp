@@ -9,6 +9,7 @@
 
 #include "ckpt/format.hpp"
 #include "ckpt/state_codec.hpp"
+#include "codec/xor_delta.hpp"
 #include "io/mem_env.hpp"
 #include "util/crc.hpp"
 #include "util/rng.hpp"
@@ -148,6 +149,7 @@ class MapChunkStore : public ChunkSink, public ChunkSource {
         key, std::make_pair(codec, Bytes(encoded.begin(), encoded.end())));
   }
   Bytes get(const ChunkKey& key) override {
+    ++gets[key];
     const auto it = chunks.find(key);
     if (it == chunks.end()) {
       throw std::runtime_error("chunk missing: " + chunk_key_name(key));
@@ -157,6 +159,7 @@ class MapChunkStore : public ChunkSink, public ChunkSource {
 
   std::map<ChunkKey, std::pair<codec::CodecId, Bytes>> chunks;
   std::vector<ChunkKey> put_order;  ///< every put, duplicates included
+  std::map<ChunkKey, std::uint64_t> gets;  ///< fetches per key
   std::uint64_t queries = 0;
   std::uint64_t hits = 0;
   std::uint64_t stored_bytes = 0;
@@ -599,6 +602,57 @@ TEST(ExternGrid, DuplicateChunksWithinAFileAreCompressedOnce) {
   EXPECT_EQ(store.hits, 15u);
   const DecodeOptions from{.source = &store};
   expect_equal_files(f, decode_checkpoint(blob, from));
+}
+
+/// Decodes `blob` from `store` with every payload landing in `target`:
+/// XOR-ed into it, or copied over it.
+void land_from(MapChunkStore& store, ByteSpan blob, Bytes& target,
+               bool xor_into) {
+  const DecodeOptions options{
+      .source = &store,
+      .place = [&](const Section&, std::uint64_t) {
+        return PayloadTarget{.bytes = target, .xor_into = xor_into};
+      }};
+  (void)decode_checkpoint(blob, options);
+}
+
+TEST(ExternGrid, DeltaFetchesARepeatedZeroChunkOnce) {
+  // A delta's unchanged chunks are all zero and share one key: the first
+  // is fetched and verified, and its repeats XOR nothing in, unfetched.
+  const Bytes base = random_bytes(64 * 12, 51);
+  Bytes next = base;
+  next[70] ^= 0x5A;   // chunk 1
+  next[400] ^= 0x01;  // chunk 6
+  Bytes delta = next;
+  codec::xor_with_parent_inplace(delta, base);
+  CheckpointFile f = one_section_file(SectionKind::kOptimizer, delta);
+  f.sections[0].flags |= kSectionFlagDelta;
+  MapChunkStore store;
+  const Bytes blob = encode_checkpoint(f, extern_options(store, 64));
+
+  Bytes applied = base;
+  land_from(store, blob, applied, /*xor_into=*/true);
+  EXPECT_EQ(applied, next);
+  const ChunkKey zero = chunk_key(Bytes(64, 0));
+  EXPECT_EQ(store.gets[zero], 1u) << "10 of 12 chunks share the zero key";
+  EXPECT_EQ(store.gets.size(), 3u);
+}
+
+TEST(ExternGrid, FullSectionLandsRepeatedZeroChunksAsZeros) {
+  // Copied over stale bytes, each repeat of a verified zero chunk is a
+  // zero fill, not a fetch.
+  Bytes payload = random_bytes(64 * 12, 52);
+  std::fill(payload.begin() + 64 * 2, payload.begin() + 64 * 9, 0);
+  const CheckpointFile f = one_section_file(SectionKind::kSimulator, payload);
+  MapChunkStore store;
+  const Bytes blob = encode_checkpoint(f, extern_options(store, 64));
+
+  Bytes landed(payload.size(), 0xAB);
+  land_from(store, blob, landed, /*xor_into=*/false);
+  EXPECT_EQ(landed, payload);
+  EXPECT_EQ(store.gets[chunk_key(Bytes(64, 0))], 1u);
+  // Without a placement each payload is a fresh buffer; same bytes.
+  expect_equal_files(f, decode_checkpoint(blob, {.source = &store}));
 }
 
 TEST(ExternGrid, MissWavesStoreTheSameRecordsForAnyWindow) {

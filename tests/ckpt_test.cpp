@@ -688,10 +688,14 @@ TEST(Recovery, EmptyDirectoryIsNullopt) {
 
 TEST(Recovery, FallsBackWhenNewestCorrupt) {
   // Each case damages checkpoint 3 only: a bit flipped in a full
-  // container, or the packfile of the chunks only delta 3 of a v3 chain
-  // references removed. That chain's fold fails mid-link, after links 1
-  // and 2 and delta 3's inline meta were XOR-ed in place, so checkpoint
-  // 2 must resolve from scratch.
+  // container, the packfile of the chunks only delta 3 of a v3 chain
+  // references removed, or a bit flipped in the one all-zero chunk
+  // record that delta 3 stores and references once per unchanged chunk.
+  // That chain's fold fails mid-link, after links 1 and 2 and delta 3's
+  // inline meta were XOR-ed in place, so checkpoint 2 must resolve from
+  // scratch. A zero chunk's repeats land without a fetch only after its
+  // first fetch verified, so the corrupt record still rejects
+  // checkpoint 3.
   CheckpointPolicy full;
   full.every_steps = 1;
   full.retention.keep_last = 0;
@@ -710,20 +714,51 @@ TEST(Recovery, FallsBackWhenNewestCorrupt) {
     env.remove_file(pack);
     return true;
   };
+  // Step 3 changes one parameter of step 2: delta 3's other params
+  // chunks and all its optimizer chunks are zero, the first zero chunks
+  // of the chain, so pack 3 holds their one 64-byte record.
+  const auto one_param_moves = [](std::uint64_t step) {
+    qnn::TrainingState s = make_state(std::min<std::uint64_t>(step, 2));
+    s.step = step;
+    if (step == 3) {
+      s.params[0] += 1.0;
+    }
+    return s;
+  };
+  const auto flip_the_zero_record = [&](io::MemEnv& env) {
+    const std::string pack = "cp/chunks/" + pack_file_name(3);
+    Bytes data = env.read_file(pack).value_or(Bytes{});
+    const Bytes record = codec::encode(chain.codec, Bytes(64, 0));
+    const auto at = std::ranges::search(data, record).begin();
+    if (at == data.end() ||
+        !std::ranges::search(at + 1, data.end(), record.begin(),
+                             record.end())
+             .empty()) {
+      return false;  // absent, or not one record
+    }
+    return env.flip_bit(pack, static_cast<std::size_t>(at - data.begin()) * 8);
+  };
   struct Case {
     const char* name;
     CheckpointPolicy policy;
     std::function<bool(io::MemEnv&)> damage;
+    std::function<qnn::TrainingState(std::uint64_t)> state =
+        [](std::uint64_t step) { return make_state(step); };
   };
   const Case cases[] = {{"full", full, flip_a_bit},
-                        {"chain", chain, drop_the_pack}};
-  for (const auto& [name, policy, damage] : cases) {
+                        {"chain", chain, drop_the_pack},
+                        {"zero chunk", chain, flip_the_zero_record,
+                         one_param_moves}};
+  for (const auto& [name, policy, damage, state] : cases) {
     SCOPED_TRACE(name);
     io::MemEnv env;
     Checkpointer ck(env, "cp", policy);
-    ck.maybe_checkpoint(make_state(1));
-    ck.maybe_checkpoint(make_state(2));
-    ck.maybe_checkpoint(make_state(3));
+    ck.maybe_checkpoint(state(1));
+    ck.maybe_checkpoint(state(2));
+    ck.maybe_checkpoint(state(3));
+    const auto intact = recover_latest(env, "cp");
+    ASSERT_TRUE(intact.has_value());
+    ASSERT_EQ(intact->state, state(3));
 
     ASSERT_TRUE(damage(env));
     const auto outcome = recover_latest(env, "cp");

@@ -325,10 +325,12 @@ Bytes windowed_decode(ByteSpan encoded, std::size_t raw_len,
 }
 
 TEST(Lz, DecodeRejectsEveryMalformedShape) {
-  // Both forms of the token loop: lz_decode and the windowed decode_to.
+  // Every form of the token loop: lz_decode, the windowed decode_to, and
+  // the check-only check_decodes, which must give the windowed verdict.
   const std::function<void(ByteSpan, std::size_t)> decoders[] = {
       [](ByteSpan e, std::size_t n) { lz_decode(e, n); },
       [](ByteSpan e, std::size_t n) { windowed_decode(e, n); },
+      [](ByteSpan e, std::size_t n) { check_decodes(CodecId::kLz, e, n); },
   };
   for (const auto& decode_with : decoders) {
     // Distance beyond the output produced so far.
@@ -372,13 +374,36 @@ TEST(Lz, WindowedDecodeRejectsAMatchPastItsWindow) {
                 lits.end() - (1 << 16) + 3);
   EXPECT_EQ(lz_decode(far, raw_len), expect);
   EXPECT_THROW(windowed_decode(far, raw_len), std::runtime_error);
+  EXPECT_THROW(check_decodes(CodecId::kLz, far, raw_len), std::runtime_error);
   // Exactly 64 KiB back is inside the window.
   const Bytes edge = lz_stream(lits, 4, 1 << 16);
   EXPECT_EQ(windowed_decode(edge, raw_len), lz_decode(edge, raw_len));
+  EXPECT_NO_THROW(check_decodes(CodecId::kLz, edge, raw_len));
+}
+
+/// A run of period `period` longer than the window (two matches of at
+/// most 64 KiB), then, for every phase of the period, noise and a
+/// back-reference into the run's interior. Which of the run's positions
+/// the matcher leaves in its head table decides each back-reference's
+/// distance, so these rows pin the positions it inserts inside a match.
+Bytes run_with_backrefs(std::size_t period) {
+  const Bytes run = periodic(incompressible(period, 100 + period),
+                             (80 << 10) + period / 2);
+  Bytes out = run;
+  for (std::size_t phase = 0; phase < period; ++phase) {
+    const Bytes noise = incompressible(1000 + phase, 110 + phase);
+    out.insert(out.end(), noise.begin(), noise.end());
+    const auto from = run.begin() + (40 << 10) + static_cast<long>(phase);
+    out.insert(out.end(), from, from + 40);
+  }
+  const Bytes tail = incompressible(100, 130);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
 }
 
 /// Encoder corpus: the round-trip payloads plus the shapes the delta
-/// journal feeds LZ (a sparse XOR delta, short periods).
+/// journal and the delta chunks feed LZ (sparse XOR deltas, short
+/// periods, long runs, noise).
 std::vector<PayloadCase> lz_corpus() {
   std::vector<PayloadCase> out = payload_cases();
   Bytes sparse = zeros(1 << 20);
@@ -397,6 +422,17 @@ std::vector<PayloadCase> lz_corpus() {
   Bytes window = incompressible(1 << 16, 20);
   window.insert(window.end(), window.begin(), window.begin() + 512);
   out.push_back({"window_edge", window});
+  for (const std::size_t period : {1, 2, 3, 8, 16}) {
+    out.push_back({"run_" + std::to_string(period) + "_backrefs",
+                   run_with_backrefs(period)});
+  }
+  // A delta chunk in recover-chain's shape: one 64 KiB region rewritten
+  // in a 256 KiB chunk of zeros.
+  Bytes region = zeros(256 << 10);
+  const Bytes noise = incompressible(64 << 10, 140);
+  std::copy(noise.begin(), noise.end(), region.begin() + (96 << 10));
+  out.push_back({"sparse_256k", region});
+  out.push_back({"noise_256k", incompressible(256 << 10, 141)});
   return out;
 }
 
@@ -420,6 +456,8 @@ TEST(Lz, WindowedDecodeMatchesDecodeOnTheCorpus) {
     EXPECT_EQ(windowed_decode(enc, pc.data.size(), &pieces),
               decode(CodecId::kLz, enc, pc.data.size()))
         << pc.name;
+    EXPECT_NO_THROW(check_decodes(CodecId::kLz, enc, pc.data.size()))
+        << pc.name;
     if (pc.name == "blocks") {
       EXPECT_GE(pieces, 3u) << "the window never flushed";
     }
@@ -428,9 +466,12 @@ TEST(Lz, WindowedDecodeMatchesDecodeOnTheCorpus) {
 
 TEST(Lz, EncoderOutputMatchesCheckedInDigests) {
   // Size and CRC32C of lz_encode's output per corpus entry, recorded with
-  // the byte-at-a-time matcher and a freshly filled head table per call.
-  // Every LZ-coded byte on disk depends on this stream; a mismatch prints
-  // the row the current encoder would need.
+  // the byte-at-a-time matcher and a freshly filled head table per call;
+  // the rows from run_1_backrefs on were recorded with the encoder that
+  // still inserted every other position inside a match and scanned
+  // literals with a branch per candidate test. Every LZ-coded byte on
+  // disk depends on this stream; a mismatch prints the row the current
+  // encoder would need.
   struct Golden {
     const char* name;
     std::size_t size;
@@ -453,6 +494,13 @@ TEST(Lz, EncoderOutputMatchesCheckedInDigests) {
       {"period_7", 13, 0xd37ea439},
       {"period_16", 22, 0x082763e5},
       {"window_edge", 65549, 0x7fa8476b},
+      {"run_1_backrefs", 1120, 0xfd3b0509},
+      {"run_2_backrefs", 2130, 0x6b920111},
+      {"run_3_backrefs", 3145, 0x1f47900e},
+      {"run_8_backrefs", 8209, 0x2fa24f53},
+      {"run_16_backrefs", 16367, 0x70baae4c},
+      {"sparse_256k", 65562, 0x1b2796b3},
+      {"noise_256k", 262158, 0xdc96da0d},
   };
   const auto corpus = lz_corpus();
   ASSERT_EQ(corpus.size(), std::size(kGolden));
@@ -684,6 +732,42 @@ TEST(SimdParity, FuzzAcrossLengthsAndContent) {
     ASSERT_EQ(xor_undelta64(data), xor_undelta64_scalar(data))
         << "trial " << trial;
     ASSERT_EQ(xor_undelta64(xor_delta64(data)), data) << "trial " << trial;
+  }
+}
+
+TEST(SimdParity, XorWithParentMatchesScalarOverZeroBlocks) {
+  // Parents of all-zero, partly-zero and nonzero 64-byte blocks, whose
+  // zero blocks the kernel skips, at lengths that leave a partial block.
+  util::Rng rng(556);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t blocks = 1 + rng.uniform_u64(12);
+    Bytes parent;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      Bytes block = incompressible(64, 2000 + 16 * trial + b);
+      switch (rng() % 3) {
+        case 0:
+          block.assign(64, 0);
+          break;
+        case 1: {
+          const std::size_t at = rng.uniform_u64(64);
+          std::fill_n(block.begin() + static_cast<long>(at),
+                      rng.uniform_u64(64 - at), 0);
+          block[rng.uniform_u64(64)] = 0x80;  // one set bit is enough
+          break;
+        }
+        default:
+          break;
+      }
+      parent.insert(parent.end(), block.begin(), block.end());
+    }
+    parent.resize(parent.size() - 1 - rng.uniform_u64(63));
+    for (const std::size_t data_len :
+         {parent.size(), parent.size() + 37, parent.size() / 2 + 5}) {
+      const Bytes data = incompressible(data_len, 3000 + trial);
+      ASSERT_EQ(xor_with_parent(data, parent),
+                xor_with_parent_scalar(data, parent))
+          << "trial " << trial << " data " << data_len;
+    }
   }
 }
 
