@@ -9,13 +9,14 @@
 // dance itself (tmp+rename) is nearly free. Skipping fsync moves the
 // write into page cache — fast, but a power cut can then tear even a
 // "renamed" checkpoint, which is exactly what FaultEnv models in T4.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "io/env.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 using namespace qnn;
@@ -33,7 +34,7 @@ util::Bytes random_bytes(std::size_t n) {
 
 double measure(io::Env& env, const std::string& path, const util::Bytes& data,
                bool atomic, int reps) {
-  util::Percentiles lat;
+  std::vector<double> ms;
   for (int i = 0; i < reps; ++i) {
     util::Timer t;
     if (atomic) {
@@ -41,9 +42,12 @@ double measure(io::Env& env, const std::string& path, const util::Bytes& data,
     } else {
       env.write_file(path, data);
     }
-    lat.add(t.millis());
+    ms.push_back(t.millis());
   }
-  return lat.percentile(50);
+  // The median (the upper of the two middle samples for an even count).
+  const auto mid = ms.begin() + static_cast<std::ptrdiff_t>(ms.size() / 2);
+  std::nth_element(ms.begin(), mid, ms.end());
+  return *mid;
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 // Runs a short VQE-style training loop with the full instrumentation
 // stack mounted: an ObservedEnv between the checkpointer and the disk
-// (per-op I/O counts/bytes/latency), live per-stage latency histograms
-// and exported cumulative counters in a MetricsRegistry, and a Tracer
+// (per-op I/O counts/bytes/latency), the checkpointer's counters and
+// per-stage latency histograms in the same MetricsRegistry, and a Tracer
 // recording one span tree per checkpoint plus WAL/GC/tier events.
 //
 //   ./examples/traced_training [--dir DIR] [--steps N] [--interval K]
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   // The observability stack: one registry + one tracer shared by every
   // layer. The ObservedEnv sits between the checkpointer and the disk,
   // so every append/sync/install/pread the storage stack issues is
-  // counted; the policy pointers light up the span tree and the live
-  // per-stage histograms.
+  // counted; the policy pointers put the checkpointer's counters and
+  // stage histograms in the same registry and light up the span tree.
   qnn::obs::MetricsRegistry registry;
   qnn::obs::Tracer tracer;
   qnn::io::PosixEnv posix;
@@ -125,11 +125,9 @@ int main(int argc, char** argv) {
   }
   checkpointer.flush();
 
-  // Snapshot: fold the checkpointer's cumulative counters into the
-  // registry next to the ObservedEnv's live I/O instruments, then render
-  // both views — the sorted text dump for humans, one RESULT line for
-  // the regression tooling.
-  checkpointer.export_metrics(registry);
+  // Snapshot: the registry holds the checkpointer's instruments next to
+  // the ObservedEnv's I/O ones. Render both views — the sorted text dump
+  // for humans, one RESULT line for the regression tooling.
   std::printf("\nmetrics registry:\n%s", registry.text().c_str());
   std::printf("RESULT %s\n", registry.json("traced_training").c_str());
 

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 
-#include "util/timer.hpp"
-
 namespace qnn::ckpt {
 
 AsyncWriter::AsyncWriter(io::Env& env, std::size_t queue_capacity,
-                         std::size_t num_workers)
-    : env_(env), capacity_(queue_capacity == 0 ? 1 : queue_capacity) {
+                         std::size_t num_workers,
+                         obs::MetricsRegistry* metrics)
+    : env_(env),
+      capacity_(queue_capacity == 0 ? 1 : queue_capacity),
+      metrics_(obs::shared_or_own(metrics, own_metrics_)),
+      jobs_(metrics_.counter("writer.jobs")),
+      bytes_(metrics_.counter("writer.bytes")),
+      failures_(metrics_.counter("writer.failures")),
+      dropped_(metrics_.counter("writer.dropped")) {
   const std::size_t n = std::max<std::size_t>(1, num_workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,17 +36,15 @@ AsyncWriter::~AsyncWriter() {
 }
 
 bool AsyncWriter::submit(Job job) {
-  util::Timer blocked;
   std::unique_lock lock(mu_);
   cv_space_.wait(lock, [this] { return queue_.size() < capacity_ || stop_; });
-  stats_.blocked_seconds += blocked.seconds();
   if (stop_) {
     // Shutting down: refuse instead of silently losing the job — the
     // destructor drains what is already queued, not what never arrived.
-    ++stats_.dropped;
+    dropped_.add();
     return false;
   }
-  stats_.bytes += job.data.size();
+  bytes_.add(job.data.size());
   queue_.push_back(std::move(job));
   cv_work_.notify_one();
   return true;
@@ -53,8 +56,10 @@ void AsyncWriter::flush() {
 }
 
 AsyncWriter::Stats AsyncWriter::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
+  return {.jobs = jobs_.value(),
+          .bytes = bytes_.value(),
+          .failures = failures_.value(),
+          .dropped = dropped_.value()};
 }
 
 void AsyncWriter::worker_loop() {
@@ -74,7 +79,6 @@ void AsyncWriter::worker_loop() {
       cv_space_.notify_one();
     }
 
-    util::Timer write_timer;
     bool ok = true;
     try {
       // Prerequisites first (the streamed packfile commits before the
@@ -87,7 +91,6 @@ void AsyncWriter::worker_loop() {
     } catch (const std::exception&) {
       ok = false;
     }
-    const double elapsed = write_timer.seconds();
 
     if (ok && job.on_installed) {
       try {
@@ -105,13 +108,12 @@ void AsyncWriter::worker_loop() {
       }
     }
 
+    jobs_.add();
+    if (!ok) {
+      failures_.add();
+    }
     {
       std::lock_guard lock(mu_);
-      stats_.write_seconds += elapsed;
-      ++stats_.jobs;
-      if (!ok) {
-        ++stats_.failures;
-      }
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) {
         cv_idle_.notify_all();

@@ -4,22 +4,23 @@
 // pipeline) hands the encoded checkpoint to a pool of writer threads
 // through a bounded queue (double buffering by default) and continues
 // computing. When the queue is full the submitter blocks — backpressure
-// rather than unbounded memory — and the blocked time is accounted
-// separately so the F3 overhead experiment can attribute costs. Multiple
-// workers overlap independent installs (useful on high-queue-depth
-// devices and mirrored Envs); per-file atomicity still comes from
-// Env::write_file_atomic.
+// rather than unbounded memory. Multiple workers overlap independent
+// installs (useful on high-queue-depth devices and mirrored Envs);
+// per-file atomicity still comes from Env::write_file_atomic. Jobs,
+// bytes, failures and refusals count into writer.* registry counters.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "io/env.hpp"
+#include "obs/metrics.hpp"
 
 namespace qnn::ckpt {
 
@@ -43,17 +44,18 @@ class AsyncWriter {
     std::function<void()> on_failed;
   };
 
+  /// Snapshot of the writer.* counters.
   struct Stats {
-    std::uint64_t jobs = 0;
-    std::uint64_t bytes = 0;
-    double blocked_seconds = 0.0;  ///< submitter stalls on a full queue
-    double write_seconds = 0.0;    ///< writer-thread time in the Env
-    std::uint64_t failures = 0;    ///< jobs whose write threw
-    std::uint64_t dropped = 0;     ///< jobs refused because of shutdown
+    std::uint64_t jobs = 0;      ///< writer.jobs: jobs run (ok or failed)
+    std::uint64_t bytes = 0;     ///< writer.bytes: job data queued
+    std::uint64_t failures = 0;  ///< writer.failures: jobs whose write threw
+    std::uint64_t dropped = 0;   ///< writer.dropped: refused at shutdown
   };
 
+  /// Counts into `metrics` (borrowed), or a private registry when null.
   explicit AsyncWriter(io::Env& env, std::size_t queue_capacity = 2,
-                       std::size_t num_workers = 1);
+                       std::size_t num_workers = 1,
+                       obs::MetricsRegistry* metrics = nullptr);
 
   /// Drains the queue, then joins the workers.
   ~AsyncWriter();
@@ -65,7 +67,7 @@ class AsyncWriter {
 
   /// Enqueues a job; blocks while the queue is at capacity. Returns true
   /// when the job was queued, false when it was refused because the writer
-  /// is shutting down (counted in Stats::dropped) — callers must treat a
+  /// is shutting down (counted in writer.dropped) — callers must treat a
   /// false return as "not persisted".
   [[nodiscard]] bool submit(Job job);
 
@@ -79,15 +81,20 @@ class AsyncWriter {
 
   io::Env& env_;
   const std::size_t capacity_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
+  obs::MetricsRegistry& metrics_;
+  obs::Counter& jobs_;
+  obs::Counter& bytes_;
+  obs::Counter& failures_;
+  obs::Counter& dropped_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_space_;  ///< signalled when queue shrinks
   std::condition_variable cv_work_;   ///< signalled when work arrives/stops
   std::condition_variable cv_idle_;   ///< signalled when fully drained
   std::deque<Job> queue_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
-  Stats stats_;
 
   std::vector<std::thread> workers_;
 };

@@ -363,11 +363,10 @@ bool ChunkStore::Batch::contains(const ChunkKey& key) {
   // the batch dies.
   const bool resident =
       store_.index_.pin_and_probe(key) || staged_index_.contains(key);
+  store_.chunk_refs_.add();
   if (resident) {
-    ++dedup_hits_;
-    dedup_bytes_ += key.len;
-    store_.dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-    store_.dedup_bytes_.fetch_add(key.len, std::memory_order_relaxed);
+    store_.dedup_hits_.add();
+    store_.dedup_bytes_.add(key.len);
   }
   return resident;
 }
@@ -392,7 +391,6 @@ void ChunkStore::Batch::put(const ChunkKey& key, codec::CodecId codec,
   const std::uint64_t offset =
       stream_->append_record(key, codec, enc_crc, encoded);
   staged_index_.emplace(key, records_.size());
-  staged_raw_bytes_ += key.len;
   records_.push_back(StagedRecord{.key = key,
                                   .codec = codec,
                                   .enc_crc = enc_crc,
@@ -411,17 +409,35 @@ void ChunkStore::Batch::commit() {
   pack_bytes_ = stream_->finish();
   stream_.reset();
   committed_ = true;
+  store_.pack_bytes_written_.add(pack_bytes_);
 }
 
 // ---------------------------------------------------------------------------
 // ChunkStore
 // ---------------------------------------------------------------------------
 
-ChunkStore::ChunkStore(io::Env& env, std::string dir)
+ChunkStore::ChunkStore(io::Env& env, std::string dir,
+                       obs::MetricsRegistry* metrics)
     : env_(env),
       tiered_(dynamic_cast<tier::TieredEnv*>(&env)),
       dir_(std::move(dir)),
-      chunk_dir_(dir_ + "/chunks") {}
+      chunk_dir_(dir_ + "/chunks"),
+      metrics_(obs::shared_or_own(metrics, own_metrics_)),
+      packfiles_(metrics_.gauge("cas.packfiles")),
+      chunks_(metrics_.gauge("cas.chunks")),
+      stored_bytes_(metrics_.gauge("cas.stored_bytes")),
+      chunk_refs_(metrics_.counter("cas.chunk_refs")),
+      dedup_hits_(metrics_.counter("cas.dedup_hits")),
+      dedup_bytes_(metrics_.counter("cas.dedup_bytes")),
+      chunks_written_(metrics_.counter("cas.chunks_written")),
+      pack_bytes_written_(metrics_.counter("cas.pack_bytes_written")),
+      packs_deleted_(metrics_.counter("cas.packs_deleted")),
+      packs_compacted_(metrics_.counter("cas.packs_compacted")),
+      chunks_swept_(metrics_.counter("cas.chunks_swept")),
+      bytes_swept_(metrics_.counter("cas.bytes_swept")),
+      damaged_packs_(metrics_.counter("cas.damaged_packs")),
+      refs_rebuilds_(metrics_.counter("cas.refs_rebuilds")),
+      pack_handle_evictions_(metrics_.counter("cas.pack_handle_evictions")) {}
 
 std::string ChunkStore::pack_path(const std::string& name) const {
   return chunk_dir_ + "/" + name;
@@ -450,12 +466,11 @@ void ChunkStore::publish(const Batch& batch) {
   if (const auto old = packs_.find(name); old != packs_.end()) {
     for (const Record& r : old->second.records) {
       if (index_.erase_location_if(r.key, pack_id)) {
-        --stats_.chunks;
+        chunks_.add(-1);
       }
     }
-    stats_.stored_bytes -=
-        std::min(stats_.stored_bytes, old->second.file_bytes);
-    --stats_.packfiles;
+    stored_bytes_.add(-static_cast<std::int64_t>(old->second.file_bytes));
+    packfiles_.add(-1);
     packs_.erase(old);
   }
   Pack pack;
@@ -466,15 +481,15 @@ void ChunkStore::publish(const Batch& batch) {
                                   .enc_crc = r.enc_crc,
                                   .offset = r.offset,
                                   .enc_len = r.enc_len});
-    ++stats_.chunks_written;
   }
+  chunks_written_.add(pack.records.size());
   pack.file_bytes = batch.pack_bytes_;
-  stats_.stored_bytes += pack.file_bytes;
-  ++stats_.packfiles;
+  stored_bytes_.add(static_cast<std::int64_t>(pack.file_bytes));
+  packfiles_.add(1);
   for (std::size_t i = 0; i < pack.records.size(); ++i) {
     if (index_.set_location_if_absent(pack.records[i].key, pack_id,
                                       static_cast<std::uint32_t>(i))) {
-      ++stats_.chunks;
+      chunks_.add(1);
     }
   }
   invalidate_pack_handle_locked(name);  // re-published epoch
@@ -522,7 +537,7 @@ io::RandomAccessFile* ChunkStore::cache_pack_handle_locked(
     }
   }
   if (victim->file != nullptr && victim->name != name) {
-    ++stats_.pack_handle_evictions;
+    pack_handle_evictions_.add();
   }
   victim->name = name;
   victim->file = std::move(file);
@@ -680,7 +695,7 @@ std::uint64_t ChunkStore::sweep(bool compact) {
         // vanishes (still under the all-shards hold).
         for (const Record& r : pack.records) {
           if (all.erase_location_if(r.key, pack_id)) {
-            --stats_.chunks;
+            chunks_.add(-1);
           }
         }
         whole_pack_dead = true;
@@ -688,12 +703,12 @@ std::uint64_t ChunkStore::sweep(bool compact) {
     }
     if (whole_pack_dead) {
       env_.remove_file(pack_path(name));
-      stats_.stored_bytes -= std::min(stats_.stored_bytes, pack.file_bytes);
+      stored_bytes_.add(-static_cast<std::int64_t>(pack.file_bytes));
       reclaimed += pack.file_bytes;
-      ++stats_.packs_deleted;
-      stats_.chunks_swept += dead_records;
-      stats_.bytes_swept += dead_bytes;
-      --stats_.packfiles;
+      packs_deleted_.add();
+      chunks_swept_.add(dead_records);
+      bytes_swept_.add(dead_bytes);
+      packfiles_.add(-1);
       invalidate_pack_handle_locked(name);
       packs_.erase(name);
       continue;
@@ -745,15 +760,15 @@ std::uint64_t ChunkStore::sweep(bool compact) {
           for (std::size_t i = 0; i < pack.records.size(); ++i) {
             if (!was_live[i] &&
                 all.erase_location_if(pack.records[i].key, pack_id)) {
-              --stats_.chunks;
+              chunks_.add(-1);
             }
           }
-          stats_.stored_bytes -= std::min<std::uint64_t>(
-              stats_.stored_bytes, pack.file_bytes - new_bytes);
+          stored_bytes_.add(-static_cast<std::int64_t>(pack.file_bytes) +
+                            static_cast<std::int64_t>(new_bytes));
           reclaimed += pack.file_bytes - new_bytes;
-          ++stats_.packs_compacted;
-          stats_.chunks_swept += dead_records;
-          stats_.bytes_swept += dead_bytes;
+          packs_compacted_.add();
+          chunks_swept_.add(dead_records);
+          bytes_swept_.add(dead_bytes);
           pack.file_bytes = new_bytes;
           pack.records = std::move(rewritten);
           // Re-point index entries at the rewritten record positions.
@@ -808,10 +823,19 @@ CasStats ChunkStore::stats() {
   std::lock_guard lock(mu_);
   ensure_open_locked();
   drain_deferred_locked();  // complete counts (inspection path)
-  CasStats out = stats_;
-  out.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
-  out.dedup_bytes = dedup_bytes_.load(std::memory_order_relaxed);
-  return out;
+  return {.packfiles = static_cast<std::uint64_t>(packfiles_.value()),
+          .chunks = static_cast<std::uint64_t>(chunks_.value()),
+          .stored_bytes = static_cast<std::uint64_t>(stored_bytes_.value()),
+          .dedup_hits = dedup_hits_.value(),
+          .dedup_bytes = dedup_bytes_.value(),
+          .chunks_written = chunks_written_.value(),
+          .packs_deleted = packs_deleted_.value(),
+          .packs_compacted = packs_compacted_.value(),
+          .chunks_swept = chunks_swept_.value(),
+          .bytes_swept = bytes_swept_.value(),
+          .damaged_packs = damaged_packs_.value(),
+          .refs_rebuilds = refs_rebuilds_.value(),
+          .pack_handle_evictions = pack_handle_evictions_.value()};
 }
 
 std::vector<ChunkKey> ChunkStore::pack_keys(const std::string& name) {
@@ -953,7 +977,7 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
   if (!parsed) {
     // Leave damaged packfiles on disk: their chunks are unusable, but
     // deleting bytes we cannot enumerate could destroy forensic value.
-    ++stats_.damaged_packs;
+    damaged_packs_.add();
     return ScanOutcome::kDamaged;
   }
   Pack pack;
@@ -966,13 +990,13 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
                                   .enc_len = r.enc_len});
   }
   pack.file_bytes = file_bytes;
-  stats_.stored_bytes += pack.file_bytes;
-  ++stats_.packfiles;
+  stored_bytes_.add(static_cast<std::int64_t>(pack.file_bytes));
+  packfiles_.add(1);
   const std::int32_t pack_id = intern_pack_locked(name);
   for (std::size_t i = 0; i < pack.records.size(); ++i) {
     if (index_.set_location_if_absent(pack.records[i].key, pack_id,
                                       static_cast<std::uint32_t>(i))) {
-      ++stats_.chunks;
+      chunks_.add(1);
     }
   }
   packs_[name] = std::move(pack);
@@ -1131,7 +1155,7 @@ void ChunkStore::load_or_rebuild_refs_locked() {
   // BASELINE must never be derived from bytes that cannot be trusted
   // end to end — unlike the leak-biased ranged reads the GC and the
   // migration planner use per-file.
-  ++stats_.refs_rebuilds;
+  refs_rebuilds_.add();
   refs_dirty_ = true;
   std::map<ChunkKey, std::uint64_t> rebuilt;
   for (const std::uint64_t id : ids) {

@@ -89,6 +89,7 @@
 #include "ckpt/chunk_index.hpp"
 #include "ckpt/format.hpp"
 #include "io/env.hpp"
+#include "obs/metrics.hpp"
 
 namespace qnn::tier {
 class TieredEnv;
@@ -100,7 +101,10 @@ namespace detail {
 class PackStream;
 }
 
-/// Chunk-store counters (bench_t6_dedup, inspector, tests).
+/// Snapshot of the chunk store's cas.* instruments (bench_t6_dedup,
+/// inspector, tests): the first three are gauges, the rest counters.
+/// Checkpointer::Stats reads the other two, cas.chunk_refs (keys probed
+/// by encode batches) and cas.pack_bytes_written (committed packfiles).
 struct CasStats {
   std::uint64_t packfiles = 0;        ///< packfiles currently indexed
   std::uint64_t chunks = 0;           ///< distinct keys currently indexed
@@ -119,7 +123,9 @@ struct CasStats {
 
 class ChunkStore : public ChunkSource {
  public:
-  ChunkStore(io::Env& env, std::string dir);
+  /// Counts into `metrics` (borrowed), or a private registry when null.
+  ChunkStore(io::Env& env, std::string dir,
+             obs::MetricsRegistry* metrics = nullptr);
 
   /// One checkpoint's staging area, handed to the encoder as its
   /// ChunkSink. contains() records a reference (and pins the key);
@@ -150,20 +156,9 @@ class ChunkStore : public ChunkSource {
     /// the batch staged nothing. Throws on I/O failure, in which case
     /// nothing was installed.
     void commit();
-    /// True after a successful commit().
-    [[nodiscard]] bool committed() const { return committed_; }
-    /// Total packfile bytes written by commit() (0 when empty).
-    [[nodiscard]] std::uint64_t pack_bytes() const { return pack_bytes_; }
     /// Every key the encoded file references, in reference order
     /// (duplicates preserved) — what install() must retain.
     [[nodiscard]] const std::vector<ChunkKey>& refs() const { return refs_; }
-    /// Dedup telemetry for this batch.
-    [[nodiscard]] std::uint64_t dedup_hits() const { return dedup_hits_; }
-    [[nodiscard]] std::uint64_t dedup_bytes() const { return dedup_bytes_; }
-    /// Raw bytes staged as new records (the miss side of the ledger).
-    [[nodiscard]] std::uint64_t staged_raw_bytes() const {
-      return staged_raw_bytes_;
-    }
 
    private:
     friend class ChunkStore;
@@ -186,9 +181,6 @@ class ChunkStore : public ChunkSource {
     std::vector<ChunkKey> refs_;
     bool committed_ = false;
     std::uint64_t pack_bytes_ = 0;
-    std::uint64_t dedup_hits_ = 0;
-    std::uint64_t dedup_bytes_ = 0;
-    std::uint64_t staged_raw_bytes_ = 0;
   };
 
   /// Starts staging the chunks of checkpoint `epoch`.
@@ -324,8 +316,8 @@ class ChunkStore : public ChunkSource {
   const std::string dir_;        ///< checkpoint directory
   const std::string chunk_dir_;  ///< dir_ + "/chunks"
 
-  /// Store-level mutex: pack metadata, scans, refcount loading, stats_,
-  /// the handle cache. See the lock-order rule in the header comment.
+  /// Store-level mutex: pack metadata, scans, refcount loading, the
+  /// handle cache. See the lock-order rule in the header comment.
   std::mutex mu_;
   bool opened_ = false;
   /// True once ensure_open_locked() completed — the mu_-free fast path
@@ -346,10 +338,25 @@ class ChunkStore : public ChunkSource {
   /// Sharded key -> {refs, pins, location} map. Shard locks nest
   /// INSIDE mu_; the dedup hot path takes only the shard lock.
   ShardedChunkIndex index_;
-  CasStats stats_;
-  /// Dedup telemetry from the mu_-free probe path.
-  std::atomic<std::uint64_t> dedup_hits_{0};
-  std::atomic<std::uint64_t> dedup_bytes_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
+  obs::MetricsRegistry& metrics_;
+  // The cas.* instruments (see CasStats). The levels change under mu_;
+  // the probe path adds to chunk_refs_/dedup_* without it.
+  obs::Gauge& packfiles_;
+  obs::Gauge& chunks_;
+  obs::Gauge& stored_bytes_;
+  obs::Counter& chunk_refs_;
+  obs::Counter& dedup_hits_;
+  obs::Counter& dedup_bytes_;
+  obs::Counter& chunks_written_;
+  obs::Counter& pack_bytes_written_;
+  obs::Counter& packs_deleted_;
+  obs::Counter& packs_compacted_;
+  obs::Counter& chunks_swept_;
+  obs::Counter& bytes_swept_;
+  obs::Counter& damaged_packs_;
+  obs::Counter& refs_rebuilds_;
+  obs::Counter& pack_handle_evictions_;
   /// Small LRU of open ranged pack handles (chain resolution alternates
   /// between the parent chain's packs; one slot thrashed).
   static constexpr std::size_t kPackHandleSlots = 4;

@@ -36,7 +36,33 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
     : env_(env),
       dir_(std::move(dir)),
       policy_(std::move(policy)),
-      store_(env_, dir_, policy_.retention, policy_.tier) {
+      metrics_(obs::shared_or_own(policy_.metrics, own_metrics_)),
+      checkpoints_(metrics_.counter("ckpt.checkpoints")),
+      full_checkpoints_(metrics_.counter("ckpt.full_checkpoints")),
+      incremental_checkpoints_(
+          metrics_.counter("ckpt.incremental_checkpoints")),
+      bytes_encoded_(metrics_.counter("ckpt.bytes_encoded")),
+      bytes_raw_(metrics_.counter("ckpt.bytes_raw")),
+      dropped_writes_(metrics_.counter("ckpt.dropped_writes")),
+      lifetime_dropped_writes_(metrics_.gauge("ckpt.lifetime_dropped_writes")),
+      peak_encode_buffer_bytes_(
+          metrics_.gauge("ckpt.peak_encode_buffer_bytes")),
+      wal_records_(metrics_.counter("wal.records")),
+      wal_bytes_(metrics_.counter("wal.bytes")),
+      wal_compactions_(metrics_.counter("wal.compactions")),
+      submit_blocked_(metrics_.histogram("ckpt.submit_blocked")),
+      snapshot_(metrics_.histogram("ckpt.snapshot")),
+      encode_(metrics_.histogram("ckpt.encode")),
+      sync_write_(metrics_.histogram("ckpt.sync_write")),
+      install_(metrics_.histogram("ckpt.install")),
+      chunk_refs_(metrics_.counter("cas.chunk_refs")),
+      dedup_hits_(metrics_.counter("cas.dedup_hits")),
+      dedup_bytes_(metrics_.counter("cas.dedup_bytes")),
+      pack_bytes_written_(metrics_.counter("cas.pack_bytes_written")),
+      writer_dropped_(metrics_.counter("writer.dropped")),
+      writer_failures_(metrics_.counter("writer.failures")),
+      store_(env_, dir_, policy_.retention, policy_.tier, &metrics_),
+      encode_gauge_(peak_encode_buffer_bytes_) {
   if (!policy_.clock) {
     policy_.clock = [] {
       return std::chrono::duration<double>(
@@ -47,11 +73,6 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   current_interval_ = policy_.every_steps;
   if (policy_.tracer != nullptr) {
     store_.set_observability(policy_.tracer);
-  }
-  if (policy_.metrics != nullptr) {
-    snapshot_hist_ = &policy_.metrics->histogram("ckpt.snapshot");
-    encode_hist_ = &policy_.metrics->histogram("ckpt.encode");
-    install_hist_ = &policy_.metrics->histogram("ckpt.install");
   }
   if (policy_.encode_queue == 0) {
     policy_.encode_queue = 1;
@@ -69,7 +90,11 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   manifest_ = Manifest::load(env_, dir_);
   next_id_ = manifest_.max_id() + 1;
   next_submit_id_ = next_id_;
-  dropped_writes_base_ = manifest_.stat("dropped_writes");
+  // Every manifest this Checkpointer writes carries the directory's
+  // lifetime drop count, which count_drop_locked() adds to.
+  const std::uint64_t lifetime_drops = manifest_.stat("dropped_writes");
+  manifest_.set_stat("dropped_writes", lifetime_drops);
+  lifetime_dropped_writes_.set(static_cast<std::int64_t>(lifetime_drops));
   // Load the chunk refcount baseline NOW, while the directory is
   // quiescent. Deferring it into the pipeline would let the rebuild run
   // concurrently with in-flight installs and count a just-written file
@@ -95,8 +120,10 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
             ? 1
             : std::max<std::size_t>(1, policy_.writer_threads);
     writer_ = std::make_unique<AsyncWriter>(
-        env_, std::max<std::size_t>(2, writer_threads), writer_threads);
+        env_, std::max<std::size_t>(2, writer_threads), writer_threads,
+        &metrics_);
   }
+  opened_ = stats();  // opened_ is zero until now: the raw values
 }
 
 void Checkpointer::update_adaptive_interval(double ckpt_cost_seconds) {
@@ -152,10 +179,7 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
         // rotates the log onto the new epoch. A journal whose last
         // append failed, or that a failed rotation never opened, takes
         // the same path instead of logging on (or skipping the step).
-        {
-          std::lock_guard lock(mu_);
-          ++stats_.wal_compactions;
-        }
+        wal_compactions_.add();
         if (policy_.tracer != nullptr && wal_ != nullptr) {
           policy_.tracer->instant(
               "wal.compact", "wal",
@@ -173,9 +197,8 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
             {{"step", std::to_string(state.step)},
              {"bytes", std::to_string(wal_->bytes_logged() - before)}});
       }
-      std::lock_guard lock(mu_);
-      ++stats_.wal_records;
-      stats_.wal_bytes += wal_->bytes_logged() - before;
+      wal_records_.add();
+      wal_bytes_.add(wal_->bytes_logged() - before);
     }
     return false;
   }
@@ -263,7 +286,7 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
 }
 
 void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
-  const double t_begin = policy_.clock ? policy_.clock() : 0.0;
+  const double t_begin = policy_.clock();
   const std::uint64_t id = next_id_++;
   last_checkpoint_step_ = state.step;
 
@@ -291,9 +314,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
       throw;
     }
     ++pending_encodes_;
-    const double blocked = submit_timer.seconds();
-    std::lock_guard stats_lock(mu_);
-    stats_.submit_blocked_seconds += blocked;
+    submit_blocked_.record_seconds(submit_timer.seconds());
   }
 
   // Everything between the slot reservation above and the dispatch below
@@ -312,28 +333,17 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   }
   snap_span.note("bytes_raw", raw_bytes);
   snap_span.finish();
-  const double snapshot_seconds = snapshot_timer.seconds();
-  if (snapshot_hist_ != nullptr) {
-    snapshot_hist_->record_seconds(snapshot_seconds);
-  }
+  snapshot_.record_seconds(snapshot_timer.seconds());
 
   ManifestEntry entry;
   entry.id = id;
   entry.parent_id = file.parent_id;
   entry.step = state.step;
   entry.file = checkpoint_file_name(id);
-
-  {
-    std::lock_guard lock(mu_);
-    stats_.snapshot_seconds += snapshot_seconds;
-    stats_.bytes_raw += raw_bytes;
-    ++stats_.checkpoints;
-    if (file.is_incremental()) {
-      ++stats_.incremental_checkpoints;
-    } else {
-      ++stats_.full_checkpoints;
-    }
-  }
+  bytes_raw_.add(raw_bytes);
+  checkpoints_.add();
+  (file.is_incremental() ? incremental_checkpoints_ : full_checkpoints_)
+      .add();
 
   const std::string path = dir_ + "/" + entry.file;
   // Sync mode has no private pipeline pool, but the trainer is stalled
@@ -381,10 +391,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
           entry.bytes = encoded.size();
           encode_span.note("bytes", entry.bytes);
           encode_span.finish();
-          const double encode_seconds = encode_timer.seconds();
-          if (encode_hist_ != nullptr) {
-            encode_hist_->record_seconds(encode_seconds);
-          }
+          encode_.record_seconds(encode_timer.seconds());
           job.emplace();
           job->path = path;
           // Gauge the container while it sits in the writer queue; the
@@ -405,18 +412,12 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
             obs::Span install_span(policy_.tracer, "install", "ckpt",
                                    parent_span);
             install_span.note("id", entry.id);
-            if (batch->committed()) {
-              std::lock_guard lock(mu_);
-              stats_.pack_bytes_written += batch->pack_bytes();
-            }
             // Durable now: the records become dedup targets for later
             // checkpoints.
             store_.chunks().publish(*batch);
             install(entry, batch->refs());
             install_span.finish();
-            if (install_hist_ != nullptr) {
-              install_hist_->record_seconds(install_timer.seconds());
-            }
+            install_.record_seconds(install_timer.seconds());
           };
           job->on_failed = [this, entry, held] {
             // The file never became durable: break any delta chain
@@ -425,14 +426,7 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
             // merely strands unreferenced chunks for the next sweep.
             mark_chain_broken(entry.id, /*count_drop=*/true);
           };
-          {
-            std::lock_guard lock(mu_);
-            stats_.pipeline_encode_seconds += encode_seconds;
-            stats_.bytes_encoded += entry.bytes;
-            stats_.chunk_refs += batch->refs().size();
-            stats_.chunks_deduped += batch->dedup_hits();
-            stats_.dedup_bytes += batch->dedup_bytes();
-          }
+          bytes_encoded_.add(entry.bytes);
         } catch (...) {
           // Encode failures must not wedge the pipeline; surface as a
           // drop (job stays empty) so later ids can still install. An
@@ -459,41 +453,26 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
     entry.bytes = encode_checkpoint(file, encode_options, out_sink);
     encode_span.note("bytes", entry.bytes);
     encode_span.finish();
-    const double encode_seconds = encode_timer.seconds();
-    if (encode_hist_ != nullptr) {
-      encode_hist_->record_seconds(encode_seconds);
-    }
+    encode_.record_seconds(encode_timer.seconds());
     if (policy_.strategy == Strategy::kIncremental) {
       keep_bases(file, state);
     }
 
     util::Timer write_timer;
-    std::uint64_t pack_bytes = 0;
     if (!batch->empty()) {
       batch->commit();
-      pack_bytes = batch->pack_bytes();
       store_.chunks().publish(*batch);
     }
     out->close();
-    {
-      std::lock_guard lock(mu_);
-      stats_.encode_seconds += encode_seconds;
-      stats_.bytes_encoded += entry.bytes;
-      stats_.sync_write_seconds += write_timer.seconds();
-      stats_.pack_bytes_written += pack_bytes;
-      stats_.chunk_refs += batch->refs().size();
-      stats_.chunks_deduped += batch->dedup_hits();
-      stats_.dedup_bytes += batch->dedup_bytes();
-    }
+    sync_write_.record_seconds(write_timer.seconds());
+    bytes_encoded_.add(entry.bytes);
     {
       util::Timer install_timer;
       obs::Span install_span(policy_.tracer, "install", "ckpt", parent_span);
       install_span.note("id", id);
       install(entry, batch->refs());
       install_span.finish();
-      if (install_hist_ != nullptr) {
-        install_hist_->record_seconds(install_timer.seconds());
-      }
+      install_.record_seconds(install_timer.seconds());
     }
   }
   } catch (...) {
@@ -560,10 +539,7 @@ void Checkpointer::rotate_wal(std::uint64_t id,
   const bool include_sim = policy_.strategy != Strategy::kParamsOnly;
   wal_ = std::make_unique<WalWriter>(env_, dir_, id, policy_.wal,
                                      policy_.codec, state, include_sim);
-  {
-    std::lock_guard lock(mu_);
-    stats_.wal_bytes += wal_->bytes_logged();  // the new log's header
-  }
+  wal_bytes_.add(wal_->bytes_logged());  // the new log's header
   if (old_epoch != 0 && old_epoch != id) {
     // The new install supersedes the old epoch's records wholesale; its
     // log dies behind the manifest fence install() already wrote. The
@@ -574,18 +550,27 @@ void Checkpointer::rotate_wal(std::uint64_t id,
 
 void Checkpointer::mark_chain_broken(std::uint64_t id, bool count_drop) {
   force_full_.store(true);
-  {
-    std::lock_guard lock(manifest_mu_);
-    // Monotonic: failure notifications can arrive out of id order (a
-    // writer failing an OLD id after a newer encode drop), and install()
-    // compares each child's parent against the tip — regressing it would
-    // let a child of the newer missing id slip into the manifest.
-    broken_chain_tip_ = std::max(broken_chain_tip_, id);
-  }
+  std::lock_guard lock(manifest_mu_);
+  // Monotonic: failure notifications can arrive out of id order (a
+  // writer failing an OLD id after a newer encode drop), and install()
+  // compares each child's parent against the tip — regressing it would
+  // let a child of the newer missing id slip into the manifest.
+  broken_chain_tip_ = std::max(broken_chain_tip_, id);
   if (count_drop) {
-    std::lock_guard lock(mu_);
-    ++stats_.dropped_writes;
+    count_drop_locked();
   }
+}
+
+void Checkpointer::count_drop_locked() {
+  // The MANIFEST's count is kept in manifest_, not derived from the
+  // registry counter, so a registry shared with another Checkpointer can
+  // never add that one's drops to this directory's. Its key exists from
+  // the constructor on, so this allocates nothing; the next install's
+  // manifest write persists it.
+  const std::uint64_t lifetime = manifest_.stat("dropped_writes") + 1;
+  manifest_.set_stat("dropped_writes", lifetime);
+  lifetime_dropped_writes_.set(static_cast<std::int64_t>(lifetime));
+  dropped_writes_.add();
 }
 
 void Checkpointer::enqueue_ready(std::uint64_t id,
@@ -619,8 +604,8 @@ void Checkpointer::enqueue_ready(std::uint64_t id,
         // Record the broken chain BEFORE the loop can hand a later
         // (delta child) job to the writer, and allocation-free, so the
         // failure path can neither race install() nor itself fail.
-        // Nesting follows the established encode_mu_ -> manifest_mu_ ->
-        // mu_ hierarchy.
+        // Nesting follows the established encode_mu_ -> manifest_mu_
+        // hierarchy.
         mark_chain_broken(node.key(), /*count_drop=*/true);
       }
       ++next_submit_id_;
@@ -639,10 +624,7 @@ void Checkpointer::install(ManifestEntry entry,
     // propagate the quarantine to its own descendants. Its chunk refs
     // are never retained; any chunks it stored become sweep fodder.
     broken_chain_tip_ = entry.id;
-    {
-      std::lock_guard stats_lock(mu_);
-      ++stats_.dropped_writes;
-    }
+    count_drop_locked();
     env_.remove_file(dir_ + "/" + entry.file);
     return;
   }
@@ -650,15 +632,10 @@ void Checkpointer::install(ManifestEntry entry,
     // A full checkpoint ends every chain; older failures are moot.
     broken_chain_tip_ = 0;
   }
+  // The manifest write below also persists the lifetime drop count: a
+  // dropped checkpoint leaves no file, so its "stat dropped_writes" line
+  // is the only post-mortem trace the inspector has.
   manifest_.upsert(entry);
-  {
-    // Persist the lifetime drop count with the same manifest write the
-    // install pays for anyway: a dropped checkpoint leaves no file, so
-    // this stat line is the only post-mortem trace the inspector has.
-    std::lock_guard stats_lock(mu_);
-    manifest_.set_stat("dropped_writes",
-                       dropped_writes_base_ + stats_.dropped_writes);
-  }
   // The new file is durable, so its chunk references are live from this
   // moment: retain them BEFORE the GC pass below decides what dies.
   store_.chunks().retain(refs);
@@ -697,75 +674,41 @@ void Checkpointer::flush() {
   writer_->flush();
 }
 
-void Checkpointer::export_metrics(obs::MetricsRegistry& registry) {
-  const Stats s = stats();
-  const auto set = [&registry](const char* name, std::uint64_t v) {
-    registry.counter(name).set(v);
-  };
-  const auto set_us = [&registry](const char* name, double seconds) {
-    registry.counter(name).set(
-        static_cast<std::uint64_t>(seconds * 1e6));
-  };
-  set("ckpt.checkpoints", s.checkpoints);
-  set("ckpt.full_checkpoints", s.full_checkpoints);
-  set("ckpt.incremental_checkpoints", s.incremental_checkpoints);
-  set("ckpt.bytes_raw", s.bytes_raw);
-  set("ckpt.bytes_encoded", s.bytes_encoded);
-  set("ckpt.dropped_writes", s.dropped_writes);
-  set("ckpt.lifetime_dropped_writes", s.lifetime_dropped_writes);
-  set_us("ckpt.snapshot_us", s.snapshot_seconds);
-  set_us("ckpt.encode_us", s.encode_seconds);
-  set_us("ckpt.sync_write_us", s.sync_write_seconds);
-  set_us("ckpt.submit_blocked_us", s.submit_blocked_seconds);
-  set_us("ckpt.pipeline_encode_us", s.pipeline_encode_seconds);
-  set_us("ckpt.trainer_stall_us", s.trainer_stall_seconds());
-  registry.gauge("ckpt.peak_encode_buffer_bytes")
-      .set(static_cast<std::int64_t>(s.peak_encode_buffer_bytes));
-
-  set("wal.records", s.wal_records);
-  set("wal.bytes", s.wal_bytes);
-  set("wal.compactions", s.wal_compactions);
-
-  const GcStats gc = gc_stats();
-  set("gc.runs", gc.runs);
-  set("gc.files_deleted", gc.files_deleted);
-  set("gc.bytes_reclaimed", gc.bytes_reclaimed);
-  set("gc.manifest_rewrites", gc.manifest_rewrites);
-  set("gc.orphans_deleted", gc.orphans_deleted);
-  set("gc.wals_reaped", gc.wals_reaped);
-
-  const tier::TierStats ts = tier_stats();
-  set("tier.files_demoted", ts.files_demoted);
-  set("tier.bytes_demoted", ts.bytes_demoted);
-  set("tier.files_promoted", ts.files_promoted);
-  set("tier.bytes_promoted", ts.bytes_promoted);
-  set("tier.fences", ts.fences);
-  registry.gauge("tier.hot_bytes").set(static_cast<std::int64_t>(ts.hot_bytes));
-  registry.gauge("tier.cold_bytes")
-      .set(static_cast<std::int64_t>(ts.cold_bytes));
-
-  const CasStats cs = cas_stats();
-  set("cas.packfiles", cs.packfiles);
-  set("cas.chunks", cs.chunks);
-  set("cas.stored_bytes", cs.stored_bytes);
-  set("cas.dedup_hits", cs.dedup_hits);
-  set("cas.dedup_bytes", cs.dedup_bytes);
-  set("cas.chunks_written", cs.chunks_written);
-}
-
 Checkpointer::Stats Checkpointer::stats() const {
   Stats s;
-  {
-    std::lock_guard lock(mu_);
-    s = stats_;
-  }
+  s.checkpoints = checkpoints_.value() - opened_.checkpoints;
+  s.full_checkpoints = full_checkpoints_.value() - opened_.full_checkpoints;
+  s.incremental_checkpoints =
+      incremental_checkpoints_.value() - opened_.incremental_checkpoints;
+  s.bytes_encoded = bytes_encoded_.value() - opened_.bytes_encoded;
+  s.bytes_raw = bytes_raw_.value() - opened_.bytes_raw;
+  s.snapshot_seconds = snapshot_.sum_seconds() - opened_.snapshot_seconds;
+  // One histogram times both encode sites; a Checkpointer has one mode.
   if (writer_) {
-    const auto ws = writer_->stats();
-    s.writer_dropped = ws.dropped;
-    s.writer_failures = ws.failures;
+    s.pipeline_encode_seconds =
+        encode_.sum_seconds() - opened_.pipeline_encode_seconds;
+  } else {
+    s.encode_seconds = encode_.sum_seconds() - opened_.encode_seconds;
   }
-  s.lifetime_dropped_writes = dropped_writes_base_ + s.dropped_writes;
-  s.peak_encode_buffer_bytes = encode_gauge_.peak();
+  s.sync_write_seconds =
+      sync_write_.sum_seconds() - opened_.sync_write_seconds;
+  s.submit_blocked_seconds =
+      submit_blocked_.sum_seconds() - opened_.submit_blocked_seconds;
+  s.dropped_writes = dropped_writes_.value() - opened_.dropped_writes;
+  s.writer_dropped = writer_dropped_.value() - opened_.writer_dropped;
+  s.writer_failures = writer_failures_.value() - opened_.writer_failures;
+  s.lifetime_dropped_writes =
+      static_cast<std::uint64_t>(lifetime_dropped_writes_.value());
+  s.chunk_refs = chunk_refs_.value() - opened_.chunk_refs;
+  s.chunks_deduped = dedup_hits_.value() - opened_.chunks_deduped;
+  s.dedup_bytes = dedup_bytes_.value() - opened_.dedup_bytes;
+  s.pack_bytes_written =
+      pack_bytes_written_.value() - opened_.pack_bytes_written;
+  s.peak_encode_buffer_bytes =
+      static_cast<std::uint64_t>(peak_encode_buffer_bytes_.value());
+  s.wal_records = wal_records_.value() - opened_.wal_records;
+  s.wal_bytes = wal_bytes_.value() - opened_.wal_bytes;
+  s.wal_compactions = wal_compactions_.value() - opened_.wal_compactions;
   return s;
 }
 

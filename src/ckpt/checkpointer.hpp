@@ -113,69 +113,82 @@ struct CheckpointPolicy {
   /// records claim to delta against it.
   WalPolicy wal;
 
-  /// Observability sinks, both borrowed and optional (null = that form
-  /// of instrumentation is compiled to one pointer test). `metrics`
-  /// receives per-stage latency histograms live (snapshot/encode/
-  /// install) — cumulative totals are exported on demand via
-  /// Checkpointer::export_metrics. `tracer` receives one span tree per
-  /// checkpoint (checkpoint -> snapshot/encode/install, linked across
-  /// the async pipeline's threads by parent ids) plus WAL
-  /// append/compaction instants.
+  /// Observability, both borrowed. `metrics` is the registry the
+  /// Checkpointer counts and times into, as do the async writer, store,
+  /// chunk store and tier engine it owns: the ckpt.*, wal.*, writer.*,
+  /// gc.*, cas.* and tier.* instruments and one latency histogram per
+  /// stage (ckpt.submit_blocked, .snapshot, .encode, .sync_write,
+  /// .install). Null means a registry of the Checkpointer's own; Stats
+  /// reads the instruments either way. `tracer` (null = one pointer
+  /// test) receives one span tree per checkpoint (checkpoint ->
+  /// snapshot/encode/install, linked across the async pipeline's threads
+  /// by parent ids) plus WAL append/compaction instants.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 
 class Checkpointer {
  public:
+  /// A snapshot of the registry instruments named beside each field.
+  /// Counts and seconds are net of what their instruments held when this
+  /// Checkpointer opened, so they stay this Checkpointer's when a
+  /// registry serves several in turn; the two levels are read as they
+  /// stand. Seconds are the sums of the stage histograms. Each field is
+  /// read on its own: take the snapshot after flush() for fields that
+  /// agree with each other.
   struct Stats {
+    // ckpt.checkpoints, ckpt.full_checkpoints, ckpt.incremental_checkpoints
     std::uint64_t checkpoints = 0;
     std::uint64_t full_checkpoints = 0;
     std::uint64_t incremental_checkpoints = 0;
-    std::uint64_t bytes_encoded = 0;   ///< post-codec file sizes
-    std::uint64_t bytes_raw = 0;       ///< pre-codec section payloads
-    double snapshot_seconds = 0.0;     ///< trainer-thread section build time
-    double encode_seconds = 0.0;       ///< trainer-thread encode time (sync)
-    double sync_write_seconds = 0.0;   ///< trainer-thread write time (sync)
-    double submit_blocked_seconds = 0.0;  ///< async backpressure stalls
-    double pipeline_encode_seconds = 0.0; ///< background encode time (async)
-    /// Checkpoints lost in the pipeline: encode failed, or the writer
-    /// refused the job during shutdown. After a drop the next checkpoint
-    /// is forced full so a missing file cannot orphan later deltas.
+    std::uint64_t bytes_encoded = 0;  ///< ckpt.bytes_encoded: file sizes
+    std::uint64_t bytes_raw = 0;      ///< ckpt.bytes_raw: section payloads
+    double snapshot_seconds = 0.0;    ///< ckpt.snapshot: section build
+    double encode_seconds = 0.0;      ///< ckpt.encode, sync: trainer thread
+    double sync_write_seconds = 0.0;  ///< ckpt.sync_write: pack + close
+    double submit_blocked_seconds = 0.0;   ///< ckpt.submit_blocked (async)
+    double pipeline_encode_seconds = 0.0;  ///< ckpt.encode, async
+    /// ckpt.dropped_writes: checkpoints lost in the pipeline: encode
+    /// failed, the write failed, or the writer refused the job during
+    /// shutdown. After a drop the next checkpoint is forced full so a
+    /// missing file cannot orphan later deltas.
     std::uint64_t dropped_writes = 0;
-    /// The AsyncWriter's own counters, surfaced so shutdown-drops are
-    /// never silent: jobs refused because the writer was stopping, and
-    /// jobs whose write threw. 0 in sync mode. dropped_writes above is
-    /// the pipeline-level view (it also counts encode failures and
-    /// quarantined delta children); these are the raw writer-side ones.
+    /// writer.dropped / writer.failures: the AsyncWriter's own counts,
+    /// so shutdown-drops are never silent: jobs refused because the
+    /// writer was stopping, and jobs whose write threw. 0 in sync mode.
+    /// dropped_writes above is the pipeline-level view (it also counts
+    /// encode failures and quarantined delta children).
     std::uint64_t writer_dropped = 0;
     std::uint64_t writer_failures = 0;
-    /// Lifetime dropped-writes count persisted in the MANIFEST ("stat
-    /// dropped_writes=N"), surviving restarts — what the inspector
-    /// shows post mortem. Includes this session's drops persisted so
-    /// far (a drop becomes durable at the next successful install).
+    /// ckpt.lifetime_dropped_writes (a gauge): the directory's drop count
+    /// persisted in the MANIFEST ("stat dropped_writes=N"), surviving
+    /// restarts — what the inspector shows post mortem. Includes this
+    /// session's drops (each becomes durable at the next install).
     std::uint64_t lifetime_dropped_writes = 0;
 
-    // Content-addressed dedup. A "chunk ref" is one chunk of one extern
-    // section of one checkpoint; deduped refs skipped compression and
-    // storage because the chunk was already resident.
-    std::uint64_t chunk_refs = 0;
-    std::uint64_t chunks_deduped = 0;
-    std::uint64_t dedup_bytes = 0;         ///< raw bytes dedup skipped
-    std::uint64_t pack_bytes_written = 0;  ///< packfile bytes written
+    // Content-addressed dedup, counted by the chunk store. A "chunk ref"
+    // is one chunk of one extern section of one checkpoint; deduped refs
+    // skipped compression and storage because the chunk was resident.
+    std::uint64_t chunk_refs = 0;          ///< cas.chunk_refs
+    std::uint64_t chunks_deduped = 0;      ///< cas.dedup_hits
+    std::uint64_t dedup_bytes = 0;         ///< cas.dedup_bytes
+    std::uint64_t pack_bytes_written = 0;  ///< cas.pack_bytes_written
 
-    /// High-water mark of encoded bytes buffered by the encode path:
-    /// compression waves in flight plus async containers queued for the
-    /// writer. Chunks stream into the packfile and the container holds
-    /// only key tables and inline sections of at most chunk_bytes; a
-    /// wave holds <= window x chunk_bytes + 8 (a first chunk carries its
-    /// u64 count; see section_array_offset). The peak is therefore
-    /// O(chunk x window x pipeline depth), independent of checkpoint
-    /// size, as the bounded-memory pipeline test asserts.
+    /// ckpt.peak_encode_buffer_bytes (a gauge): high-water mark of
+    /// encoded bytes buffered by the encode path: compression waves in
+    /// flight plus async containers queued for the writer. Chunks stream
+    /// into the packfile and the container holds only key tables and
+    /// inline sections of at most chunk_bytes; a wave holds <= window x
+    /// chunk_bytes + 8 (a first chunk carries its u64 count; see
+    /// section_array_offset). The peak is therefore O(chunk x window x
+    /// pipeline depth), independent of checkpoint size, as the
+    /// bounded-memory pipeline test asserts.
     std::uint64_t peak_encode_buffer_bytes = 0;
 
-    /// Delta journal (policy.wal): records appended, journal bytes
-    /// appended (headers + frames), and over-budget compactions folded
-    /// into normal installs this session.
+    /// Delta journal (policy.wal): records appended (wal.records),
+    /// journal bytes appended, headers + frames (wal.bytes), and
+    /// over-budget compactions folded into normal installs
+    /// (wal.compactions).
     std::uint64_t wal_records = 0;
     std::uint64_t wal_bytes = 0;
     std::uint64_t wal_compactions = 0;
@@ -200,9 +213,11 @@ class Checkpointer {
 
   /// True when maybe_checkpoint() would checkpoint at `step`. Lets a
   /// caller skip the TrainingState capture entirely on off-boundary
-  /// steps — but only in non-adaptive mode: the adaptive interval learns
-  /// the step cadence from *every* maybe_checkpoint call, so adaptive
-  /// callers must keep calling it each step.
+  /// steps — but only when neither of two modes needs every step: the
+  /// adaptive interval learns the step cadence from *every*
+  /// maybe_checkpoint call, and the journal (policy.wal) logs exactly
+  /// the steps that are not due, so adaptive and journaling callers must
+  /// keep calling it each step.
   [[nodiscard]] bool due(std::uint64_t step) const {
     const std::uint64_t interval = policy_.target_mtbf_seconds > 0.0
                                        ? current_interval_
@@ -222,7 +237,11 @@ class Checkpointer {
   void flush();
 
   [[nodiscard]] Stats stats() const;
-  /// Retention/GC counters from the underlying CheckpointStore.
+  /// The registry everything this Checkpointer owns counts into:
+  /// policy().metrics, or the Checkpointer's own when that is null.
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  /// Retention/GC counters from the underlying CheckpointStore (the
+  /// gc.* instruments, as they stand in the registry).
   [[nodiscard]] GcStats gc_stats() const { return store_.stats(); }
   /// Hot/cold migration counters (zeros on a flat, non-tiered Env).
   [[nodiscard]] tier::TierStats tier_stats() { return store_.tier_stats(); }
@@ -238,13 +257,6 @@ class Checkpointer {
   [[nodiscard]] std::uint64_t current_interval() const {
     return current_interval_;
   }
-
-  /// Re-exports the cumulative counters (Stats, GC, tier, chunk-store)
-  /// into `registry` under the ckpt./gc./tier./cas./wal. prefixes, via
-  /// Counter::set so repeated exports are idempotent. Stats stays the
-  /// authoritative accumulator; the registry is the common rendering
-  /// surface (RESULT lines, inspector --metrics).
-  void export_metrics(obs::MetricsRegistry& registry);
 
  private:
   /// Builds the (possibly delta-encoded) section list. Returns the file
@@ -265,32 +277,53 @@ class Checkpointer {
   /// writer thread in async mode.
   void install(ManifestEntry entry, const std::vector<ChunkKey>& refs);
 
+  /// Counts one dropped checkpoint (manifest_mu_ held).
+  void count_drop_locked();
+
   io::Env& env_;
   std::string dir_;
   CheckpointPolicy policy_;
-  /// Live per-stage latency instruments, resolved once from
-  /// policy_.metrics at construction (null when metrics are disabled).
-  obs::LatencyHistogram* snapshot_hist_ = nullptr;
-  obs::LatencyHistogram* encode_hist_ = nullptr;
-  obs::LatencyHistogram* install_hist_ = nullptr;
+  /// The registry kept when policy.metrics is null.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry& metrics_;
+  // Instruments resolved once from metrics_ (see Stats and
+  // CheckpointPolicy::metrics); recording is a relaxed atomic add.
+  obs::Counter& checkpoints_;
+  obs::Counter& full_checkpoints_;
+  obs::Counter& incremental_checkpoints_;
+  obs::Counter& bytes_encoded_;
+  obs::Counter& bytes_raw_;
+  obs::Counter& dropped_writes_;
+  obs::Gauge& lifetime_dropped_writes_;
+  obs::Gauge& peak_encode_buffer_bytes_;
+  obs::Counter& wal_records_;
+  obs::Counter& wal_bytes_;
+  obs::Counter& wal_compactions_;
+  obs::LatencyHistogram& submit_blocked_;
+  obs::LatencyHistogram& snapshot_;
+  obs::LatencyHistogram& encode_;
+  obs::LatencyHistogram& sync_write_;
+  obs::LatencyHistogram& install_;
+  // Counted by the chunk store and the writer, read by stats().
+  const obs::Counter& chunk_refs_;
+  const obs::Counter& dedup_hits_;
+  const obs::Counter& dedup_bytes_;
+  const obs::Counter& pack_bytes_written_;
+  const obs::Counter& writer_dropped_;
+  const obs::Counter& writer_failures_;
+  /// The instruments' values when this Checkpointer opened.
+  Stats opened_;
   /// Owns retention + crash-consistent GC + tier migration; invoked
   /// under manifest_mu_.
   CheckpointStore store_;
   /// Measures peak encoded bytes buffered in flight (see Stats).
   util::MemGauge encode_gauge_;
-  /// The MANIFEST's lifetime dropped-writes count as loaded at startup;
-  /// installs persist base + this session's drops.
-  std::uint64_t dropped_writes_base_ = 0;
 
-  /// Guards stats_ only. Kept separate from manifest_mu_ so a writer
-  /// thread fsyncing the manifest in install() can never block the
-  /// trainer's (or the encode stage's) brief stats updates.
-  /// Lock order where nesting is needed: encode_mu_ -> manifest_mu_ -> mu_.
-  mutable std::mutex mu_;
-  /// Guards manifest_ and broken_chain_tip_; serialises installs.
+  /// Guards manifest_ (its "stat dropped_writes" line is the directory's
+  /// lifetime drop count) and broken_chain_tip_; serialises installs.
+  /// Lock order where nesting is needed: encode_mu_ -> manifest_mu_.
   std::mutex manifest_mu_;
   Manifest manifest_;
-  Stats stats_;
 
   /// Re-derives current_interval_ from EWMA costs (adaptive mode).
   void update_adaptive_interval(double ckpt_cost_seconds);
@@ -347,7 +380,7 @@ class Checkpointer {
   /// The one definition of "checkpoint `id` never became durable": sets
   /// force_full_, advances broken_chain_tip_, optionally counts the
   /// drop. Allocation-free; safe under encode_mu_ (nesting follows
-  /// encode_mu_ -> manifest_mu_ -> mu_).
+  /// encode_mu_ -> manifest_mu_).
   void mark_chain_broken(std::uint64_t id, bool count_drop);
 
   /// Async pipeline. ~Checkpointer flushes before members die; on top of

@@ -18,17 +18,26 @@ std::uint64_t RetentionPolicy::effective_step_spacing() const {
 
 CheckpointStore::CheckpointStore(io::Env& env, std::string dir,
                                  RetentionPolicy policy,
-                                 tier::TierPolicy tier_policy)
+                                 tier::TierPolicy tier_policy,
+                                 obs::MetricsRegistry* metrics)
     : env_(env),
       dir_(std::move(dir)),
       policy_(policy),
-      chunks_(env_, dir_) {
+      metrics_(obs::shared_or_own(metrics, own_metrics_)),
+      chunks_(env_, dir_, &metrics_),
+      runs_(metrics_.counter("gc.runs")),
+      files_deleted_(metrics_.counter("gc.files_deleted")),
+      bytes_reclaimed_(metrics_.counter("gc.bytes_reclaimed")),
+      manifest_rewrites_(metrics_.counter("gc.manifest_rewrites")),
+      orphans_deleted_(metrics_.counter("gc.orphans_deleted")),
+      budget_violations_(metrics_.counter("gc.budget_violations")),
+      wals_reaped_(metrics_.counter("gc.wals_reaped")) {
   // The engine exists whenever the env is tiered (startup reconcile is
   // wanted even with demotion disabled); the policy decides whether
   // migrate() ever moves anything.
   if (auto* tiered = dynamic_cast<tier::TieredEnv*>(&env_)) {
-    tiering_ =
-        std::make_unique<tier::MigrationEngine>(*tiered, dir_, tier_policy);
+    tiering_ = std::make_unique<tier::MigrationEngine>(*tiered, dir_,
+                                                       tier_policy, &metrics_);
   }
 }
 
@@ -183,8 +192,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
       total += stored_bytes(manifest, id);
     }
     if (total > policy_.byte_budget) {
-      std::lock_guard lock(mu_);
-      ++stats_.budget_violations;
+      budget_violations_.add();
     }
   }
 
@@ -203,10 +211,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
     chunks_.save_refs();
     return 0;
   }
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.runs;
-  }
+  runs_.add();
   obs::Span gc_span(tracer_, "gc.collect", "gc");
   gc_span.note("victims", static_cast<std::uint64_t>(victims.size()));
 
@@ -235,10 +240,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
       manifest.remove(victims[i].id);
     }
     manifest.save(env_, dir_);
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.manifest_rewrites;
-    }
+    manifest_rewrites_.add();
     for (std::size_t i = begin; i < end; ++i) {
       const ManifestEntry& e = victims[i];
       const std::uint64_t bytes =
@@ -259,9 +261,8 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
         tiering_->forget({e.file});
       }
       ++deleted;
-      std::lock_guard lock(mu_);
-      ++stats_.files_deleted;
-      stats_.bytes_reclaimed += bytes;
+      files_deleted_.add();
+      bytes_reclaimed_.add(bytes);
     }
   }
   // Delta journals of the epochs that just died are garbage too: every
@@ -271,8 +272,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
   // ones).
   for (const std::string& name : plan_stale_wals(manifest)) {
     env_.remove_file(dir_ + "/" + name);
-    std::lock_guard lock(mu_);
-    ++stats_.wals_reaped;
+    wals_reaped_.add();
   }
   // Chunk-level GC rides the same pass: packfiles whose every record
   // just became unreferenced die here (compaction of mixed packfiles is
@@ -280,10 +280,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
   // rewritten behind the same fence discipline as the manifest.
   const std::uint64_t chunk_bytes = chunks_.sweep(/*compact=*/false);
   chunks_.save_refs();
-  if (chunk_bytes > 0) {
-    std::lock_guard lock(mu_);
-    stats_.bytes_reclaimed += chunk_bytes;
-  }
+  bytes_reclaimed_.add(chunk_bytes);
   gc_span.note("deleted", static_cast<std::uint64_t>(deleted));
   gc_span.note("chunk_bytes_swept", chunk_bytes);
   return deleted;
@@ -386,9 +383,8 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
       tiering_->forget({name});
     }
     ++deleted;
-    std::lock_guard lock(mu_);
-    ++stats_.orphans_deleted;
-    stats_.bytes_reclaimed += bytes;
+    orphans_deleted_.add();
+    bytes_reclaimed_.add(bytes);
   }
   // Stale delta journals: logs whose epoch the manifest no longer
   // advertises (their base install was GC'd or the post-install remove
@@ -397,8 +393,7 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
   for (const std::string& name : plan_stale_wals(manifest)) {
     env_.remove_file(dir_ + "/" + name);
     ++deleted;
-    std::lock_guard lock(mu_);
-    ++stats_.wals_reaped;
+    wals_reaped_.add();
   }
   // Startup is the full chunk sweep: no install is in flight (no pins),
   // so fully-dead packfiles are deleted AND mixed ones are compacted —
@@ -407,16 +402,18 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
   // sweep at all: liveness would be guesswork).
   const std::uint64_t chunk_bytes = chunks_.sweep(/*compact=*/true);
   chunks_.save_refs();
-  if (chunk_bytes > 0) {
-    std::lock_guard lock(mu_);
-    stats_.bytes_reclaimed += chunk_bytes;
-  }
+  bytes_reclaimed_.add(chunk_bytes);
   return deleted;
 }
 
 GcStats CheckpointStore::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
+  return {.runs = runs_.value(),
+          .files_deleted = files_deleted_.value(),
+          .bytes_reclaimed = bytes_reclaimed_.value(),
+          .manifest_rewrites = manifest_rewrites_.value(),
+          .orphans_deleted = orphans_deleted_.value(),
+          .budget_violations = budget_violations_.value(),
+          .wals_reaped = wals_reaped_.value()};
 }
 
 }  // namespace qnn::ckpt

@@ -38,7 +38,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,7 +87,8 @@ struct RetentionPolicy {
   [[nodiscard]] std::uint64_t effective_step_spacing() const;
 };
 
-/// Counters for GC observability (bench_t5_gc, inspector, tests).
+/// Snapshot of the store's gc.* counters (bench_t5_gc, inspector,
+/// tests).
 struct GcStats {
   std::uint64_t runs = 0;               ///< collect() calls that found victims
   std::uint64_t files_deleted = 0;      ///< victim files removed
@@ -103,9 +103,12 @@ class CheckpointStore {
  public:
   /// When `env` is a tier::TieredEnv the store also owns a
   /// MigrationEngine driving `tier_policy` (hot/cold placement); on a
-  /// flat Env the tier policy is inert.
+  /// flat Env the tier policy is inert. The store, its chunk store and
+  /// its engine count into `metrics` (borrowed), or into a private
+  /// registry when null.
   CheckpointStore(io::Env& env, std::string dir, RetentionPolicy policy,
-                  tier::TierPolicy tier_policy = {});
+                  tier::TierPolicy tier_policy = {},
+                  obs::MetricsRegistry* metrics = nullptr);
 
   /// The ids that survive a GC run against `manifest` (planning only; no
   /// I/O). Sorted ascending; closed under parent chains.
@@ -201,13 +204,20 @@ class CheckpointStore {
   io::Env& env_;
   std::string dir_;
   RetentionPolicy policy_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
+  obs::MetricsRegistry& metrics_;
   ChunkStore chunks_;
   /// Non-null iff env_ is a TieredEnv: hot/cold placement + migration.
   std::unique_ptr<tier::MigrationEngine> tiering_;
 
-  /// Guards stats_ only; collect() itself is externally serialised.
-  mutable std::mutex mu_;
-  GcStats stats_;
+  // The gc.* counters (see GcStats).
+  obs::Counter& runs_;
+  obs::Counter& files_deleted_;
+  obs::Counter& bytes_reclaimed_;
+  obs::Counter& manifest_rewrites_;
+  obs::Counter& orphans_deleted_;
+  obs::Counter& budget_violations_;
+  obs::Counter& wals_reaped_;
   obs::Tracer* tracer_ = nullptr;  ///< borrowed; null = tracing off
 };
 

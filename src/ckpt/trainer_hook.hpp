@@ -15,11 +15,13 @@ namespace qnn::ckpt {
 /// `trainer` and `checkpointer` must outlive the returned callback.
 /// Off-boundary steps skip the TrainingState capture entirely (it copies
 /// parameters, optimiser state and loss history) — except in adaptive
-/// mode, where maybe_checkpoint must see every step to learn the cadence.
+/// mode, where maybe_checkpoint must see every step to learn the cadence,
+/// and when the policy journals, which logs exactly those steps.
 inline qnn::StepCallback checkpointing_callback(qnn::Trainer& trainer,
                                                 Checkpointer& checkpointer) {
   return [&trainer, &checkpointer](const qnn::StepInfo& info) {
-    if (checkpointer.policy().target_mtbf_seconds > 0.0 ||
+    const CheckpointPolicy& policy = checkpointer.policy();
+    if (policy.target_mtbf_seconds > 0.0 || policy.wal.enable ||
         checkpointer.due(info.step)) {
       checkpointer.maybe_checkpoint(trainer.capture());
     }

@@ -92,6 +92,15 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
+MetricsRegistry& shared_or_own(MetricsRegistry* shared,
+                               std::unique_ptr<MetricsRegistry>& own) {
+  if (shared != nullptr) {
+    return *shared;
+  }
+  own = std::make_unique<MetricsRegistry>();
+  return *own;
+}
+
 std::string MetricsRegistry::text() const {
   std::lock_guard lock(mu_);
   std::ostringstream os;

@@ -1,12 +1,14 @@
 // Metrics registry: named counters, gauges and latency histograms.
 //
-// The registry is the system's one shared vocabulary for "how much and
-// how fast": every instrumented layer (ObservedEnv per-op classes, the
-// Checkpointer's pipeline stages, WAL/GC/tier engines) records into
-// instruments it obtained from a MetricsRegistry once, by name, and a
-// snapshot renders the whole population as either a stable text dump or
-// a JsonLine-compatible JSON blob (RESULT lines, the inspector's
-// --metrics view).
+// The registry is the system's one accumulator for "how much and how
+// fast": every instrumented layer (ObservedEnv per-op classes, the
+// Checkpointer's counts and stage timings, the async writer, GC, chunk
+// store and tier engine) records into instruments it obtained from a
+// MetricsRegistry once, by name, and a snapshot renders the whole
+// population as either a stable text dump or a JsonLine-compatible JSON
+// blob (RESULT lines, the inspector's --metrics view). The components'
+// stats() structs are snapshots of their instruments, not second
+// counts.
 //
 // Cost model, in order of heat:
 //   * recording on an instrument is a relaxed atomic add — no locks, no
@@ -18,9 +20,10 @@
 //   * snapshots (text()/json()) take the mutex and walk every
 //     instrument.
 //
-// "Disabled" is spelled `nullptr`: every instrumented component takes an
-// optional MetricsRegistry* and skips instrumentation entirely when it
-// is null, so the disabled path costs one pointer test.
+// Components always count: each takes an optional MetricsRegistry* and,
+// when it is null, records into a private registry of its own
+// (shared_or_own), so its stats() works either way. Only ObservedEnv and
+// the tracer are opt-in, mounted by the caller.
 #pragma once
 
 #include <array>
@@ -37,9 +40,6 @@ namespace qnn::obs {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  /// Overwrites the value — for re-exporting externally-accumulated
-  /// totals (Checkpointer::Stats) into the registry.
-  void set(std::uint64_t n) { v_.store(n, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
@@ -48,11 +48,20 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// A signed instantaneous level (queue depth, buffered bytes).
+/// A signed instantaneous level (queue depth, buffered bytes), or the
+/// high-water mark of one (raise_to).
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  /// Raises the level to `v` when it is lower; racing raises keep the
+  /// maximum.
+  void raise_to(std::int64_t v) {
+    std::int64_t cur = v_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   [[nodiscard]] std::int64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
@@ -78,6 +87,9 @@ class LatencyHistogram {
   }
   [[nodiscard]] std::uint64_t sum_us() const {
     return sum_ns_.load(std::memory_order_relaxed) / 1000;
+  }
+  [[nodiscard]] double sum_seconds() const {
+    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) / 1e9;
   }
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
     return counts_.at(i).load(std::memory_order_relaxed);
@@ -125,5 +137,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
+
+/// The registry a component records into: `shared` when the caller
+/// passed one, else a new one that `own` keeps for the component.
+MetricsRegistry& shared_or_own(MetricsRegistry* shared,
+                               std::unique_ptr<MetricsRegistry>& own);
 
 }  // namespace qnn::obs

@@ -71,8 +71,22 @@ bool migratable_path(const std::string& path) {
 }
 
 MigrationEngine::MigrationEngine(TieredEnv& env, std::string dir,
-                                 TierPolicy policy)
-    : env_(env), dir_(std::move(dir)), policy_(policy) {}
+                                 TierPolicy policy,
+                                 obs::MetricsRegistry* metrics)
+    : env_(env),
+      dir_(std::move(dir)),
+      policy_(policy),
+      metrics_(obs::shared_or_own(metrics, own_metrics_)),
+      demote_runs_(metrics_.counter("tier.demote_runs")),
+      files_demoted_(metrics_.counter("tier.files_demoted")),
+      bytes_demoted_(metrics_.counter("tier.bytes_demoted")),
+      files_promoted_(metrics_.counter("tier.files_promoted")),
+      bytes_promoted_(metrics_.counter("tier.bytes_promoted")),
+      fences_(metrics_.counter("tier.fences")),
+      duplicates_collapsed_(metrics_.counter("tier.duplicates_collapsed")),
+      budget_misses_(metrics_.counter("tier.budget_misses")),
+      hot_bytes_(metrics_.gauge("tier.hot_bytes")),
+      cold_bytes_(metrics_.gauge("tier.cold_bytes")) {}
 
 void MigrationEngine::ensure_open_locked() {
   if (opened_) {
@@ -122,7 +136,7 @@ void MigrationEngine::save_tiermap_locked() {
       dir_ + "/" + kTiermapName,
       util::ByteSpan{reinterpret_cast<const std::uint8_t*>(text.data()),
                      text.size()});
-  ++stats_.fences;
+  fences_.add();
   if (tracer_ != nullptr) {
     tracer_->instant(
         "tiermap.fence", "tier",
@@ -155,7 +169,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   ensure_open_locked();
 
   const std::uint64_t hot_bytes = resident_bytes(env_.hot());
-  stats_.hot_bytes = hot_bytes;
+  hot_bytes_.set(static_cast<std::int64_t>(hot_bytes));
   if (hot_bytes <= policy_.hot_byte_budget) {
     return {};
   }
@@ -346,7 +360,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   }
 
   if (projected > policy_.hot_byte_budget) {
-    ++stats_.budget_misses;
+    budget_misses_.add();
   }
   return plan;
 }
@@ -357,7 +371,7 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
   }
   std::lock_guard lock(mu_);
   ensure_open_locked();
-  ++stats_.demote_runs;
+  demote_runs_.add();
   obs::Span span(tracer_, "demote", "tier");
   span.note("units", static_cast<std::uint64_t>(units.size()));
 
@@ -401,9 +415,9 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
     // 3. Only now may the hot copies die.
     for (const auto& [name, bytes] : copied) {
       env_.hot().remove_file(dir_ + "/" + name);
-      ++stats_.files_demoted;
-      stats_.bytes_demoted += bytes;
-      stats_.cold_bytes += bytes;
+      files_demoted_.add();
+      bytes_demoted_.add(bytes);
+      cold_bytes_.add(static_cast<std::int64_t>(bytes));
       ++demoted;
     }
   }
@@ -411,7 +425,7 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
   // maintained incrementally (full listings only at reconcile) so the
   // install tail never pays a capacity-tier enumeration. It can drift
   // slightly when GC deletes cold victims, until the next reconcile.
-  stats_.hot_bytes = resident_bytes(env_.hot());
+  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
   span.note("files", static_cast<std::uint64_t>(demoted));
   return demoted;
 }
@@ -447,11 +461,12 @@ std::size_t MigrationEngine::promote(const std::vector<std::string>& names) {
   save_tiermap_locked();
   for (const auto& [name, bytes] : copied) {
     env_.cold().remove_file(dir_ + "/" + name);
-    ++stats_.files_promoted;
-    stats_.bytes_promoted += bytes;
-    stats_.cold_bytes -= std::min(stats_.cold_bytes, bytes);
+    files_promoted_.add();
+    bytes_promoted_.add(bytes);
+    cold_bytes_.add(-std::min(cold_bytes_.value(),
+                              static_cast<std::int64_t>(bytes)));
   }
-  stats_.hot_bytes = resident_bytes(env_.hot());
+  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
   span.note("files", static_cast<std::uint64_t>(copied.size()));
   return copied.size();
 }
@@ -475,14 +490,14 @@ std::size_t MigrationEngine::reconcile() {
       cold_now.insert(name);
     }
   }
-  stats_.duplicates_collapsed += collapsed;
+  duplicates_collapsed_.add(collapsed);
   const bool changed = cold_now != cold_set_;
   cold_set_ = std::move(cold_now);
   if (changed) {
     save_tiermap_locked();
   }
-  stats_.hot_bytes = resident_bytes(env_.hot());
-  stats_.cold_bytes = resident_bytes(env_.cold());
+  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
+  cold_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.cold())));
   return collapsed;
 }
 
@@ -508,9 +523,17 @@ bool MigrationEngine::is_cold(const std::string& name) {
   return cold_set_.contains(name);
 }
 
-TierStats MigrationEngine::stats() {
-  std::lock_guard lock(mu_);
-  return stats_;
+TierStats MigrationEngine::stats() const {
+  return {.demote_runs = demote_runs_.value(),
+          .files_demoted = files_demoted_.value(),
+          .bytes_demoted = bytes_demoted_.value(),
+          .files_promoted = files_promoted_.value(),
+          .bytes_promoted = bytes_promoted_.value(),
+          .fences = fences_.value(),
+          .duplicates_collapsed = duplicates_collapsed_.value(),
+          .budget_misses = budget_misses_.value(),
+          .hot_bytes = static_cast<std::uint64_t>(hot_bytes_.value()),
+          .cold_bytes = static_cast<std::uint64_t>(cold_bytes_.value())};
 }
 
 }  // namespace qnn::tier

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "ckpt/format.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tier/tiered_env.hpp"
 
@@ -88,7 +89,9 @@ struct TierPolicy {
 /// entirely.
 bool migratable_path(const std::string& path);
 
-/// Migration counters (bench_t7_tiering, inspector, tests).
+/// Snapshot of the engine's tier.* instruments (bench_t7_tiering,
+/// inspector, tests): hot_bytes and cold_bytes are gauges, the rest
+/// counters.
 struct TierStats {
   std::uint64_t demote_runs = 0;       ///< migrate() calls that moved data
   std::uint64_t files_demoted = 0;
@@ -116,8 +119,10 @@ class MigrationEngine {
   };
 
   /// `env` is borrowed and must outlive the engine; `dir` is the
-  /// checkpoint directory both tiers share.
-  MigrationEngine(TieredEnv& env, std::string dir, TierPolicy policy);
+  /// checkpoint directory both tiers share. Counts into `metrics`
+  /// (borrowed), or a private registry when null.
+  MigrationEngine(TieredEnv& env, std::string dir, TierPolicy policy,
+                  obs::MetricsRegistry* metrics = nullptr);
 
   /// The units a demotion run would move right now (planning only; no
   /// tier mutation): oldest-first until the hot tier fits the budget,
@@ -159,7 +164,7 @@ class MigrationEngine {
   [[nodiscard]] std::vector<std::string> cold_files();
   [[nodiscard]] bool is_cold(const std::string& name);
 
-  [[nodiscard]] TierStats stats();
+  [[nodiscard]] TierStats stats() const;
   [[nodiscard]] const TierPolicy& policy() const { return policy_; }
   [[nodiscard]] TieredEnv& env() { return env_; }
 
@@ -194,7 +199,19 @@ class MigrationEngine {
     std::vector<ckpt::ChunkKey> keys;
   };
   std::map<std::string, CachedKeys> key_cache_;
-  TierStats stats_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
+  obs::MetricsRegistry& metrics_;
+  // The tier.* instruments (see TierStats), changed under mu_.
+  obs::Counter& demote_runs_;
+  obs::Counter& files_demoted_;
+  obs::Counter& bytes_demoted_;
+  obs::Counter& files_promoted_;
+  obs::Counter& bytes_promoted_;
+  obs::Counter& fences_;
+  obs::Counter& duplicates_collapsed_;
+  obs::Counter& budget_misses_;
+  obs::Gauge& hot_bytes_;
+  obs::Gauge& cold_bytes_;
   obs::Tracer* tracer_ = nullptr;  ///< borrowed; null = tracing off
 };
 

@@ -3,34 +3,34 @@
 // The streaming encode pipeline bounds its memory to O(chunk x workers);
 // this gauge is how that bound is *measured* rather than merely claimed:
 // every transient buffer (an encoded chunk wave, a staged container
-// section) registers its bytes while alive, and the peak is surfaced in
-// Checkpointer::Stats and asserted by the pipeline tests / bench_t3.
+// section) registers its bytes while alive, and the peak lands in a
+// registry gauge (the Checkpointer's ckpt.peak_encode_buffer_bytes,
+// which Checkpointer::Stats reads) that the pipeline tests and bench_t3
+// assert.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
+#include "obs/metrics.hpp"
+
 namespace qnn::util {
 
 class MemGauge {
  public:
+  /// `peak` (borrowed) receives the high-water mark.
+  explicit MemGauge(obs::Gauge& peak) : peak_(peak) {}
+
   void add(std::uint64_t n) {
     const std::uint64_t now = current_.fetch_add(n) + n;
-    // Lock-free high-water mark: racing adders may both try to raise it;
-    // compare_exchange keeps the maximum.
-    std::uint64_t peak = peak_.load();
-    while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
-    }
+    peak_.raise_to(static_cast<std::int64_t>(now));
   }
 
   void sub(std::uint64_t n) { current_.fetch_sub(n); }
 
-  [[nodiscard]] std::uint64_t current() const { return current_.load(); }
-  [[nodiscard]] std::uint64_t peak() const { return peak_.load(); }
-
  private:
   std::atomic<std::uint64_t> current_{0};
-  std::atomic<std::uint64_t> peak_{0};
+  obs::Gauge& peak_;
 };
 
 /// RAII registration of one buffer's bytes against a gauge (null = off).

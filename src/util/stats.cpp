@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace qnn::util {
 
@@ -21,87 +19,10 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const std::size_t n = n_ + other.n_;
-  const double delta = other.mean_ - mean_;
-  // Chan et al.: combine the two m2 sums plus the between-groups term.
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) /
-                         static_cast<double>(n);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ = n;
-}
-
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double Percentiles::percentile(double p) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  if (p < 0.0 || p > 100.0) {
-    throw std::invalid_argument("Percentiles::percentile: p out of [0,100]");
-  }
-  // Sort once per batch of adds, not per query (the old per-call sort
-  // made every query O(n log n) and every "const" query a writer).
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx =
-      static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::ostringstream os;
-  const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double lo = lo_ + step * static_cast<double>(i);
-    const auto bar = counts_[i] * width / peak;
-    os << "[" << lo << ", " << lo + step << ") ";
-    for (std::size_t j = 0; j < bar; ++j) {
-      os << '#';
-    }
-    os << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
 
 }  // namespace qnn::util

@@ -1,10 +1,8 @@
-// Streaming statistics accumulators used by benches and the scheduler
-// simulator (latency distributions, wasted-work accounting).
+// Streaming moments, which the tests use to check sampled distributions
+// (util_test, sched_test). Latencies go to obs::LatencyHistogram.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace qnn::util {
 
@@ -12,12 +10,6 @@ namespace qnn::util {
 class RunningStats {
  public:
   void add(double x);
-
-  /// Folds another accumulator in (Chan et al. parallel Welford
-  /// combination): the result is exactly what add()-ing both sample
-  /// streams into one accumulator would have produced, so per-thread
-  /// stage timers can accumulate privately and merge once at the end.
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
@@ -35,52 +27,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Stores samples and answers percentile queries (exact; sorted lazily,
-/// once per batch of adds rather than per query).
-///
-/// Thread-safety contract: add() is never safe against concurrent use.
-/// The FIRST percentile() after an add sorts the (mutable) sample vector
-/// and is therefore also a writer; once sorted, further const queries
-/// mutate nothing and may run concurrently. A mixed-reader workload must
-/// either serialise externally or issue one query before publishing the
-/// object to readers.
-class Percentiles {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-
-  /// p in [0,100]. Returns 0 when empty. Linear interpolation between ranks.
-  [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Renders an ASCII bar chart, one bucket per line.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace qnn::util

@@ -1,10 +1,7 @@
 // Wall-clock timing helpers for benches and overhead accounting.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdint>
 
 namespace qnn::util {
 
@@ -21,52 +18,10 @@ class Timer {
   }
 
   [[nodiscard]] double millis() const { return seconds() * 1e3; }
-  [[nodiscard]] double micros() const { return seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Adds the scope's elapsed wall time to a sink on destruction.
-///
-/// Two sink flavours:
-///   * `double&` (seconds) — single-threaded accumulation only: the +=
-///     is an unsynchronised read-modify-write, so concurrent scopes on
-///     the same sink lose updates;
-///   * `std::atomic<std::uint64_t>&` (nanoseconds) — pool-thread safe:
-///     each scope lands as one relaxed fetch_add, so stage timers shared
-///     across workers accumulate exactly (convert with atomic_timer_ns /
-///     1e9, or seconds_from_ns()).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& sink) : sink_(&sink) {}
-  explicit ScopedTimer(std::atomic<std::uint64_t>& ns_sink)
-      : ns_sink_(&ns_sink) {}
-  ~ScopedTimer() {
-    if (sink_ != nullptr) {
-      *sink_ += timer_.seconds();
-    }
-    if (ns_sink_ != nullptr) {
-      const double ns = timer_.seconds() * 1e9;
-      ns_sink_->fetch_add(ns > 0.0 ? static_cast<std::uint64_t>(ns) : 0,
-                          std::memory_order_relaxed);
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Seconds represented by an atomic nanosecond sink's current value.
-  [[nodiscard]] static double seconds_from_ns(
-      const std::atomic<std::uint64_t>& ns_sink) {
-    return static_cast<double>(ns_sink.load(std::memory_order_relaxed)) / 1e9;
-  }
-
- private:
-  double* sink_ = nullptr;
-  std::atomic<std::uint64_t>* ns_sink_ = nullptr;
-  Timer timer_;
 };
 
 }  // namespace qnn::util

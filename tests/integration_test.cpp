@@ -168,6 +168,28 @@ TEST(EndToEnd, RepeatedCrashesStillConverge) {
   EXPECT_GT(crashes, 3);
 }
 
+TEST(EndToEnd, StepCallbackJournalsTheStepsBetweenInstalls) {
+  // With the journal on, the steps that are not due are exactly the ones
+  // it logs, so the step callback must hand every step over.
+  io::MemEnv env;
+  CheckpointPolicy policy;
+  policy.every_steps = 5;
+  policy.wal.enable = true;
+  policy.wal.group_commit_steps = 1;
+  qnn::FidelityLoss loss = make_unitary_loss();
+  qnn::Trainer trainer(loss, base_config());
+  {
+    Checkpointer ck(env, "cp", policy);
+    trainer.run(8, ckpt::checkpointing_callback(trainer, ck));
+    EXPECT_EQ(ck.stats().checkpoints, 1u);
+    EXPECT_EQ(ck.stats().wal_records, 3u);  // steps 6, 7 and 8
+  }
+  const auto outcome = ckpt::recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 8u);
+  EXPECT_TRUE(outcome->state == trainer.capture());
+}
+
 TEST(EndToEnd, ColdStartWhenNoCheckpointExists) {
   io::MemEnv env;
   qnn::FidelityLoss loss = make_unitary_loss();

@@ -1,27 +1,31 @@
 // Unit tests for the observability layer: MetricsRegistry instruments
-// (correctness + concurrency), Tracer/Span output (including the golden
-// byte-stable trace under a deterministic clock), ObservedEnv per-op
-// accounting, the recovery flight recorder, and the satellite fixes
-// (JsonLine nan/inf, RunningStats::merge, Percentiles lazy sort,
-// atomic-sink ScopedTimer).
+// (correctness + concurrency), the registry as the one accumulator
+// behind every component's stats() (sync and async, with and without
+// CheckpointPolicy::metrics, GC/chunk-store/tier/writer instruments,
+// per-Checkpointer Stats and MANIFEST drop counts on a shared registry),
+// Tracer/Span output (including the golden byte-stable trace under a
+// deterministic clock), ObservedEnv per-op accounting, the recovery
+// flight recorder, and JsonLine's nan/inf handling.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <future>
+#include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "ckpt/async_writer.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/manifest.hpp"
 #include "ckpt/recovery.hpp"
+#include "ckpt/wal.hpp"
 #include "io/mem_env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observed_env.hpp"
 #include "obs/trace.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
-#include "util/timer.hpp"
+#include "tier/tiered_env.hpp"
 
 namespace qnn::obs {
 namespace {
@@ -45,11 +49,14 @@ TEST(MetricsRegistry, InstrumentsAreNamedAndStable) {
   EXPECT_EQ(r.gauge("depth").value(), 6);
 }
 
-TEST(MetricsRegistry, CounterSetIsIdempotentReexport) {
+TEST(MetricsRegistry, GaugeRaiseKeepsTheHighWaterMark) {
   MetricsRegistry r;
-  r.counter("ckpt.checkpoints").set(7);
-  r.counter("ckpt.checkpoints").set(7);
-  EXPECT_EQ(r.counter("ckpt.checkpoints").value(), 7u);
+  Gauge& peak = r.gauge("peak");
+  peak.raise_to(5);
+  peak.raise_to(3);
+  EXPECT_EQ(peak.value(), 5);
+  peak.raise_to(9);
+  EXPECT_EQ(peak.value(), 9);
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingIsExact) {
@@ -368,34 +375,297 @@ TEST(FlightRecorder, RejectedCandidateIsRecordedBeforeFallback) {
   EXPECT_TRUE(saw_recover_after_reject);
 }
 
-// ---------- Checkpointer metrics export ----------
+// ---------- The registry as the one accumulator ----------
 
-TEST(ExportMetrics, StatsLandInRegistry) {
-  io::MemEnv env;
-  MetricsRegistry r;
-  Tracer tracer(fake_clock());
-  ckpt::CheckpointPolicy policy;
-  policy.strategy = ckpt::Strategy::kFullState;
-  policy.every_steps = 2;
-  policy.metrics = &r;
-  policy.tracer = &tracer;
-  ckpt::Checkpointer ck(env, "ckpt", policy);
-  for (std::uint64_t step = 1; step <= 6; ++step) {
-    ck.maybe_checkpoint(make_state(step));
+/// The value of counter or gauge `name` as `r` renders it; nullopt when
+/// `r` has no such instrument (reading through text() creates none).
+std::optional<std::int64_t> rendered(const MetricsRegistry& r,
+                                     const std::string& name) {
+  std::istringstream lines(r.text());
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string kind;
+    std::string got;
+    std::int64_t value = 0;
+    if (fields >> kind >> got >> value && got == name) {
+      return value;
+    }
   }
-  ck.export_metrics(r);
-  EXPECT_EQ(r.counter("ckpt.checkpoints").value(), 3u);
-  EXPECT_GT(r.counter("ckpt.bytes_encoded").value(), 0u);
-  // Live per-stage histograms recorded one sample per checkpoint.
-  EXPECT_EQ(r.histogram("ckpt.snapshot").count(), 3u);
-  EXPECT_EQ(r.histogram("ckpt.encode").count(), 3u);
-  EXPECT_EQ(r.histogram("ckpt.install").count(), 3u);
-  // The tracer saw the span tree: 3 checkpoints x (checkpoint +
-  // snapshot + encode + install) B/E pairs at minimum.
-  EXPECT_GE(tracer.event_count(), 24u);
+  return std::nullopt;
 }
 
-// ---------- Satellite fixes ----------
+/// A Checkpointer policy whose params sections are cut into chunks, so
+/// every checkpoint goes through the chunk store.
+ckpt::CheckpointPolicy chunked_policy() {
+  ckpt::CheckpointPolicy policy;
+  policy.strategy = ckpt::Strategy::kFullState;
+  policy.codec = codec::CodecId::kRaw;
+  policy.every_steps = 2;
+  policy.chunk_bytes = ckpt::kMinChunkBytes;
+  policy.retention.keep_last = 2;
+  return policy;
+}
+
+struct SnapshotCase {
+  bool async;
+  bool shared_registry;
+};
+
+class StatsSnapshot : public ::testing::TestWithParam<SnapshotCase> {};
+
+TEST_P(StatsSnapshot, EveryFieldIsItsInstrument) {
+  const SnapshotCase tc = GetParam();
+  io::MemEnv env;
+  MetricsRegistry shared;
+  ckpt::CheckpointPolicy policy = chunked_policy();
+  policy.async = tc.async;
+  policy.metrics = tc.shared_registry ? &shared : nullptr;
+  ckpt::Checkpointer ck(env, "ckpt", policy);
+  for (std::uint64_t step = 1; step <= 12; ++step) {
+    ck.maybe_checkpoint(make_state(step));
+  }
+  ck.flush();  // no export call: the registry already holds everything
+  MetricsRegistry& r = ck.metrics();
+  EXPECT_EQ(&r == &shared, tc.shared_registry);
+
+  const auto count = [&r](const char* name) {
+    return r.counter(name).value();
+  };
+  const auto seconds = [&r](const char* name) {
+    return r.histogram(name).sum_seconds();
+  };
+  const ckpt::Checkpointer::Stats s = ck.stats();
+  EXPECT_EQ(s.checkpoints, 6u);
+  EXPECT_EQ(s.checkpoints, count("ckpt.checkpoints"));
+  EXPECT_EQ(s.full_checkpoints, count("ckpt.full_checkpoints"));
+  EXPECT_EQ(s.incremental_checkpoints,
+            count("ckpt.incremental_checkpoints"));
+  EXPECT_EQ(s.bytes_encoded, count("ckpt.bytes_encoded"));
+  EXPECT_EQ(s.bytes_raw, count("ckpt.bytes_raw"));
+  EXPECT_GT(s.bytes_raw, 0u);
+  EXPECT_EQ(s.dropped_writes, count("ckpt.dropped_writes"));
+  EXPECT_EQ(s.writer_dropped, count("writer.dropped"));
+  EXPECT_EQ(s.writer_failures, count("writer.failures"));
+  EXPECT_EQ(s.chunk_refs, count("cas.chunk_refs"));
+  EXPECT_GT(s.chunk_refs, 0u);
+  EXPECT_EQ(s.chunks_deduped, count("cas.dedup_hits"));
+  EXPECT_EQ(s.dedup_bytes, count("cas.dedup_bytes"));
+  EXPECT_EQ(s.pack_bytes_written, count("cas.pack_bytes_written"));
+  EXPECT_GT(s.pack_bytes_written, 0u);
+  EXPECT_EQ(s.wal_records, count("wal.records"));
+  EXPECT_EQ(s.wal_bytes, count("wal.bytes"));
+  EXPECT_EQ(s.wal_compactions, count("wal.compactions"));
+  EXPECT_EQ(s.lifetime_dropped_writes,
+            static_cast<std::uint64_t>(
+                r.gauge("ckpt.lifetime_dropped_writes").value()));
+  EXPECT_EQ(s.peak_encode_buffer_bytes,
+            static_cast<std::uint64_t>(
+                r.gauge("ckpt.peak_encode_buffer_bytes").value()));
+  EXPECT_GT(s.peak_encode_buffer_bytes, 0u);
+  // Seconds are the stage histograms' sums; each stage site timed every
+  // checkpoint once.
+  EXPECT_EQ(s.snapshot_seconds, seconds("ckpt.snapshot"));
+  EXPECT_EQ(s.sync_write_seconds, seconds("ckpt.sync_write"));
+  EXPECT_EQ(s.submit_blocked_seconds, seconds("ckpt.submit_blocked"));
+  EXPECT_EQ(tc.async ? s.pipeline_encode_seconds : s.encode_seconds,
+            seconds("ckpt.encode"));
+  EXPECT_EQ(tc.async ? s.encode_seconds : s.pipeline_encode_seconds, 0.0);
+  EXPECT_EQ(r.histogram("ckpt.snapshot").count(), 6u);
+  EXPECT_EQ(r.histogram("ckpt.encode").count(), 6u);
+  EXPECT_EQ(r.histogram("ckpt.install").count(), 6u);
+  EXPECT_EQ(r.histogram("ckpt.submit_blocked").count(), tc.async ? 6u : 0u);
+  EXPECT_EQ(r.histogram("ckpt.sync_write").count(), tc.async ? 0u : 6u);
+
+  const ckpt::GcStats gc = ck.gc_stats();
+  EXPECT_GT(gc.files_deleted, 0u);
+  EXPECT_EQ(gc.runs, count("gc.runs"));
+  EXPECT_EQ(gc.files_deleted, count("gc.files_deleted"));
+  EXPECT_EQ(gc.bytes_reclaimed, count("gc.bytes_reclaimed"));
+  EXPECT_EQ(gc.manifest_rewrites, count("gc.manifest_rewrites"));
+  EXPECT_EQ(gc.orphans_deleted, count("gc.orphans_deleted"));
+  EXPECT_EQ(gc.budget_violations, count("gc.budget_violations"));
+  EXPECT_EQ(gc.wals_reaped, count("gc.wals_reaped"));
+
+  // Every count and byte name the registry used to receive by export
+  // holds the value that export copied from the snapshots (tier.* has
+  // no engine on a flat Env).
+  const ckpt::CasStats cas = ck.cas_stats();
+  const std::vector<std::pair<const char*, std::uint64_t>> exported = {
+      {"ckpt.checkpoints", s.checkpoints},
+      {"ckpt.full_checkpoints", s.full_checkpoints},
+      {"ckpt.incremental_checkpoints", s.incremental_checkpoints},
+      {"ckpt.bytes_raw", s.bytes_raw},
+      {"ckpt.bytes_encoded", s.bytes_encoded},
+      {"ckpt.dropped_writes", s.dropped_writes},
+      {"ckpt.lifetime_dropped_writes", s.lifetime_dropped_writes},
+      {"ckpt.peak_encode_buffer_bytes", s.peak_encode_buffer_bytes},
+      {"wal.records", s.wal_records},
+      {"wal.bytes", s.wal_bytes},
+      {"wal.compactions", s.wal_compactions},
+      {"gc.runs", gc.runs},
+      {"gc.files_deleted", gc.files_deleted},
+      {"gc.bytes_reclaimed", gc.bytes_reclaimed},
+      {"gc.manifest_rewrites", gc.manifest_rewrites},
+      {"gc.orphans_deleted", gc.orphans_deleted},
+      {"gc.wals_reaped", gc.wals_reaped},
+      {"cas.packfiles", cas.packfiles},
+      {"cas.chunks", cas.chunks},
+      {"cas.stored_bytes", cas.stored_bytes},
+      {"cas.dedup_hits", cas.dedup_hits},
+      {"cas.dedup_bytes", cas.dedup_bytes},
+      {"cas.chunks_written", cas.chunks_written}};
+  for (const auto& [name, value] : exported) {
+    EXPECT_EQ(rendered(r, name), static_cast<std::int64_t>(value)) << name;
+  }
+  EXPECT_GT(cas.packfiles, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegistryAccumulator, StatsSnapshot,
+    ::testing::Values(SnapshotCase{false, false}, SnapshotCase{false, true},
+                      SnapshotCase{true, false}, SnapshotCase{true, true}),
+    [](const ::testing::TestParamInfo<SnapshotCase>& info) {
+      return std::string(info.param.async ? "async" : "sync") +
+             (info.param.shared_registry ? "_policy_registry"
+                                         : "_own_registry");
+    });
+
+TEST(RegistryAccumulator, GcCasAndTierInstrumentsMove) {
+  io::MemEnv hot;
+  io::MemEnv cold;
+  tier::TieredEnv env(hot, cold);
+  MetricsRegistry r;
+  ckpt::CheckpointPolicy policy = chunked_policy();
+  policy.every_steps = 1;
+  policy.retention.keep_last = 6;
+  policy.tier.hot_byte_budget = 4 << 10;
+  policy.metrics = &r;
+  {
+    ckpt::Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 10; ++step) {
+      ck.checkpoint_now(make_state(step));
+    }
+  }
+  // What a crash between a GC fence and its deletions leaves: a
+  // checkpoint file the manifest no longer names, and the journal of an
+  // epoch it no longer advertises.
+  const auto newest = env.read_file("cp/" + ckpt::checkpoint_file_name(10));
+  ASSERT_TRUE(newest.has_value());
+  env.write_file_atomic("cp/" + ckpt::checkpoint_file_name(1), *newest);
+  env.write_file_atomic("cp/" + ckpt::wal_file_name(2), bytes_of("stale"));
+  // The newest checkpoint alone is over this budget.
+  policy.retention.byte_budget = 1;
+  {
+    // The startup sweep reaps both and indexes six packs through the
+    // four-slot handle cache.
+    ckpt::Checkpointer ck(env, "cp", policy);
+    ck.checkpoint_now(make_state(11));
+    EXPECT_EQ(ck.stats().checkpoints, 1u);  // its own, on a shared registry
+  }
+  for (const char* name :
+       {"gc.runs", "gc.files_deleted", "gc.bytes_reclaimed",
+        "gc.manifest_rewrites", "gc.orphans_deleted", "gc.budget_violations",
+        "gc.wals_reaped", "cas.packfiles", "cas.chunks", "cas.stored_bytes",
+        "cas.chunk_refs", "cas.chunks_written", "cas.pack_bytes_written",
+        "cas.packs_deleted", "cas.chunks_swept", "cas.bytes_swept",
+        "cas.refs_rebuilds", "cas.pack_handle_evictions",
+        "tier.demote_runs", "tier.files_demoted", "tier.bytes_demoted",
+        "tier.fences", "tier.hot_bytes", "tier.cold_bytes"}) {
+    EXPECT_GT(rendered(r, name).value_or(0), 0) << name;
+  }
+  EXPECT_EQ(r.counter("ckpt.checkpoints").value(), 11u);
+}
+
+/// Fails the `n`-th write of a checkpoint container (1-based).
+class FailNthCheckpointWrite final : public io::ForwardingEnv {
+ public:
+  FailNthCheckpointWrite(io::Env& base, int n) : ForwardingEnv(base), n_(n) {}
+
+  void write_file_atomic(const std::string& path,
+                         util::ByteSpan data) override {
+    if (path.find("ckpt-") != std::string::npos && ++writes_ == n_) {
+      throw std::runtime_error("injected checkpoint write failure");
+    }
+    base_.write_file_atomic(path, data);
+  }
+
+ private:
+  const int n_;
+  int writes_ = 0;
+};
+
+TEST(RegistryAccumulator, DropsStayInTheirOwnManifest) {
+  io::MemEnv mem;
+  FailNthCheckpointWrite failing(mem, 2);
+  MetricsRegistry shared;
+  ckpt::CheckpointPolicy policy = chunked_policy();
+  policy.every_steps = 1;
+  policy.metrics = &shared;
+  ckpt::CheckpointPolicy async_policy = policy;
+  async_policy.async = true;
+  {
+    // Two Checkpointers on one registry at once: "a" loses its second
+    // write, "b" installs after that.
+    ckpt::Checkpointer b(mem, "b", policy);
+    {
+      ckpt::Checkpointer a(failing, "a", async_policy);
+      for (std::uint64_t step = 1; step <= 3; ++step) {
+        a.maybe_checkpoint(make_state(step));
+        a.flush();
+      }
+      EXPECT_EQ(a.stats().dropped_writes, 1u);
+      EXPECT_EQ(a.stats().writer_failures, 1u);
+      EXPECT_EQ(a.stats().lifetime_dropped_writes, 1u);
+    }
+    b.maybe_checkpoint(make_state(1));
+  }
+  EXPECT_EQ(shared.counter("ckpt.dropped_writes").value(), 1u);
+  EXPECT_EQ(shared.counter("writer.failures").value(), 1u);
+  EXPECT_EQ(ckpt::Manifest::load(mem, "a").stat("dropped_writes"), 1u);
+  EXPECT_EQ(ckpt::Manifest::load(mem, "b").stat("dropped_writes"), 0u);
+  // A Checkpointer opened on the registry later reports only its own
+  // counts, and its directory's lifetime drops.
+  ckpt::Checkpointer again(mem, "a", policy);
+  again.maybe_checkpoint(make_state(4));
+  EXPECT_EQ(again.stats().checkpoints, 1u);
+  EXPECT_EQ(again.stats().dropped_writes, 0u);
+  EXPECT_EQ(again.stats().lifetime_dropped_writes, 1u);
+}
+
+TEST(RegistryAccumulator, WriterCountsAJobRefusedAtShutdown) {
+  io::MemEnv env;
+  MetricsRegistry r;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  const auto job = [](const std::string& path, std::function<void()> pre) {
+    return ckpt::AsyncWriter::Job{.path = path,
+                                  .data = Bytes(8, 1),
+                                  .pre_install = std::move(pre),
+                                  .on_installed = {},
+                                  .on_failed = {}};
+  };
+  auto* writer = new ckpt::AsyncWriter(env, /*queue_capacity=*/1,
+                                       /*num_workers=*/1, &r);
+  // The worker holds "a" until released; "b" then fills the queue.
+  EXPECT_TRUE(writer->submit(job("d/a", [released] { released.wait(); })));
+  EXPECT_TRUE(writer->submit(job("d/b", {})));
+  // "c" either waits for room or arrives after shutdown began; either
+  // way the stopping writer refuses it. The destructor cannot finish
+  // before the release, so the writer outlives both threads' calls.
+  bool refused = false;
+  std::thread submitter([&] { refused = !writer->submit(job("d/c", {})); });
+  std::thread destroyer([writer] { delete writer; });
+  submitter.join();
+  release.set_value();
+  destroyer.join();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(r.counter("writer.dropped").value(), 1u);
+  EXPECT_EQ(r.counter("writer.jobs").value(), 2u);  // "a" and "b" ran
+  EXPECT_TRUE(env.exists("d/b"));
+  EXPECT_FALSE(env.exists("d/c"));
+}
+
+// ---------- JsonLine ----------
 
 TEST(JsonLine, NanAndInfDegradeToNull) {
   const std::string json = bench::JsonLine("unit")
@@ -407,71 +677,6 @@ TEST(JsonLine, NanAndInfDegradeToNull) {
   EXPECT_NE(json.find("\"nan\":null"), std::string::npos);
   EXPECT_NE(json.find("\"inf\":null"), std::string::npos);
   EXPECT_EQ(json.find("nan,"), std::string::npos);
-}
-
-TEST(RunningStats, MergeMatchesSingleStream) {
-  util::RunningStats a, b, whole;
-  util::Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-10.0, 10.0);
-    (i % 2 == 0 ? a : b).add(x);
-    whole.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(a.min(), whole.min());
-  EXPECT_EQ(a.max(), whole.max());
-  EXPECT_NEAR(a.sum(), whole.sum(), 1e-9);
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  util::RunningStats empty, some;
-  some.add(1.0);
-  some.add(3.0);
-  util::RunningStats lhs = some;
-  lhs.merge(empty);  // no-op
-  EXPECT_EQ(lhs.count(), 2u);
-  EXPECT_NEAR(lhs.mean(), 2.0, 1e-12);
-  util::RunningStats rhs;
-  rhs.merge(some);  // adopt
-  EXPECT_EQ(rhs.count(), 2u);
-  EXPECT_NEAR(rhs.mean(), 2.0, 1e-12);
-}
-
-TEST(Percentiles, CorrectAcrossInterleavedAddsAndQueries) {
-  util::Percentiles p;
-  for (double x : {5.0, 1.0, 3.0}) {
-    p.add(x);
-  }
-  EXPECT_NEAR(p.percentile(50.0), 3.0, 1e-12);
-  // Adding after a query must invalidate the sorted cache.
-  p.add(0.0);
-  p.add(2.0);
-  EXPECT_NEAR(p.percentile(0.0), 0.0, 1e-12);
-  EXPECT_NEAR(p.percentile(50.0), 2.0, 1e-12);
-  EXPECT_NEAR(p.percentile(100.0), 5.0, 1e-12);
-}
-
-TEST(ScopedTimer, AtomicSinkAccumulatesAcrossThreads) {
-  std::atomic<std::uint64_t> ns{0};
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&ns] {
-      util::ScopedTimer timer(ns);
-      volatile double sink = 0.0;
-      for (int i = 0; i < 10000; ++i) {
-        sink = sink + 1.0;
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_GT(ns.load(), 0u);
-  EXPECT_GT(util::ScopedTimer::seconds_from_ns(ns), 0.0);
 }
 
 }  // namespace

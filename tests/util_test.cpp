@@ -408,39 +408,5 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Percentiles, ExactQuartiles) {
-  Percentiles p;
-  for (int i = 1; i <= 101; ++i) {
-    p.add(i);
-  }
-  EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 51.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 101.0);
-}
-
-TEST(Percentiles, OutOfRangeThrows) {
-  Percentiles p;
-  p.add(1.0);
-  EXPECT_THROW((void)p.percentile(-1), std::invalid_argument);
-  EXPECT_THROW((void)p.percentile(101), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps to first bucket
-  h.add(100.0);   // clamps to last bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace qnn::util
