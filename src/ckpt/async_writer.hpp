@@ -83,10 +83,10 @@ class AsyncWriter {
   const std::size_t capacity_;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
   obs::MetricsRegistry& metrics_;
-  obs::Counter& jobs_;
-  obs::Counter& bytes_;
-  obs::Counter& failures_;
-  obs::Counter& dropped_;
+  obs::CounterShare jobs_;
+  obs::CounterShare bytes_;
+  obs::CounterShare failures_;
+  obs::CounterShare dropped_;
 
   std::mutex mu_;
   std::condition_variable cv_space_;  ///< signalled when queue shrinks

@@ -819,16 +819,15 @@ void ChunkStore::save_refs() {
   refs_dirty_ = false;
 }
 
-CasStats ChunkStore::stats() {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  drain_deferred_locked();  // complete counts (inspection path)
-  return {.packfiles = static_cast<std::uint64_t>(packfiles_.value()),
-          .chunks = static_cast<std::uint64_t>(chunks_.value()),
-          .stored_bytes = static_cast<std::uint64_t>(stored_bytes_.value()),
+CasStats ChunkStore::snapshot() const {
+  return {.packfiles = packfiles_.value(),
+          .chunks = chunks_.value(),
+          .stored_bytes = stored_bytes_.value(),
+          .chunk_refs = chunk_refs_.value(),
           .dedup_hits = dedup_hits_.value(),
           .dedup_bytes = dedup_bytes_.value(),
           .chunks_written = chunks_written_.value(),
+          .pack_bytes_written = pack_bytes_written_.value(),
           .packs_deleted = packs_deleted_.value(),
           .packs_compacted = packs_compacted_.value(),
           .chunks_swept = chunks_swept_.value(),
@@ -836,6 +835,13 @@ CasStats ChunkStore::stats() {
           .damaged_packs = damaged_packs_.value(),
           .refs_rebuilds = refs_rebuilds_.value(),
           .pack_handle_evictions = pack_handle_evictions_.value()};
+}
+
+CasStats ChunkStore::stats() {
+  std::lock_guard lock(mu_);
+  ensure_open_locked();
+  drain_deferred_locked();  // complete levels (inspection path)
+  return snapshot();
 }
 
 std::vector<ChunkKey> ChunkStore::pack_keys(const std::string& name) {

@@ -101,17 +101,18 @@ namespace detail {
 class PackStream;
 }
 
-/// Snapshot of the chunk store's cas.* instruments (bench_t6_dedup,
-/// inspector, tests): the first three are gauges, the rest counters.
-/// Checkpointer::Stats reads the other two, cas.chunk_refs (keys probed
-/// by encode batches) and cas.pack_bytes_written (committed packfiles).
+/// Snapshot of one chunk store's cas.* instruments (bench_t6_dedup,
+/// inspector, Checkpointer::Stats, tests): the first three are the
+/// store's own levels, the rest its counters.
 struct CasStats {
   std::uint64_t packfiles = 0;        ///< packfiles currently indexed
   std::uint64_t chunks = 0;           ///< distinct keys currently indexed
   std::uint64_t stored_bytes = 0;     ///< bytes of indexed packfiles
+  std::uint64_t chunk_refs = 0;       ///< keys probed by encode batches
   std::uint64_t dedup_hits = 0;       ///< chunk refs satisfied by residency
   std::uint64_t dedup_bytes = 0;      ///< raw bytes those hits skipped
   std::uint64_t chunks_written = 0;   ///< records committed to packfiles
+  std::uint64_t pack_bytes_written = 0;  ///< bytes of committed packfiles
   std::uint64_t packs_deleted = 0;    ///< fully-dead packfiles removed
   std::uint64_t packs_compacted = 0;  ///< mixed packfiles rewritten
   std::uint64_t chunks_swept = 0;     ///< dead records reclaimed
@@ -233,6 +234,10 @@ class ChunkStore : public ChunkSource {
   /// Current refcount of a key (0 when untracked).
   [[nodiscard]] std::uint64_t ref_count(const ChunkKey& key);
 
+  /// The instruments as they stand, without the store lock: the levels
+  /// count the packs indexed so far (cold packs are scanned lazily).
+  [[nodiscard]] CasStats snapshot() const;
+  /// snapshot() once every pack is indexed (the inspection path).
   [[nodiscard]] CasStats stats();
 
   /// Names of indexed packfiles (sorted), for inspection.
@@ -342,21 +347,21 @@ class ChunkStore : public ChunkSource {
   obs::MetricsRegistry& metrics_;
   // The cas.* instruments (see CasStats). The levels change under mu_;
   // the probe path adds to chunk_refs_/dedup_* without it.
-  obs::Gauge& packfiles_;
-  obs::Gauge& chunks_;
-  obs::Gauge& stored_bytes_;
-  obs::Counter& chunk_refs_;
-  obs::Counter& dedup_hits_;
-  obs::Counter& dedup_bytes_;
-  obs::Counter& chunks_written_;
-  obs::Counter& pack_bytes_written_;
-  obs::Counter& packs_deleted_;
-  obs::Counter& packs_compacted_;
-  obs::Counter& chunks_swept_;
-  obs::Counter& bytes_swept_;
-  obs::Counter& damaged_packs_;
-  obs::Counter& refs_rebuilds_;
-  obs::Counter& pack_handle_evictions_;
+  obs::GaugeShare packfiles_;
+  obs::GaugeShare chunks_;
+  obs::GaugeShare stored_bytes_;
+  obs::CounterShare chunk_refs_;
+  obs::CounterShare dedup_hits_;
+  obs::CounterShare dedup_bytes_;
+  obs::CounterShare chunks_written_;
+  obs::CounterShare pack_bytes_written_;
+  obs::CounterShare packs_deleted_;
+  obs::CounterShare packs_compacted_;
+  obs::CounterShare chunks_swept_;
+  obs::CounterShare bytes_swept_;
+  obs::CounterShare damaged_packs_;
+  obs::CounterShare refs_rebuilds_;
+  obs::CounterShare pack_handle_evictions_;
   /// Small LRU of open ranged pack handles (chain resolution alternates
   /// between the parent chain's packs; one slot thrashed).
   static constexpr std::size_t kPackHandleSlots = 4;

@@ -45,8 +45,6 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
       bytes_raw_(metrics_.counter("ckpt.bytes_raw")),
       dropped_writes_(metrics_.counter("ckpt.dropped_writes")),
       lifetime_dropped_writes_(metrics_.gauge("ckpt.lifetime_dropped_writes")),
-      peak_encode_buffer_bytes_(
-          metrics_.gauge("ckpt.peak_encode_buffer_bytes")),
       wal_records_(metrics_.counter("wal.records")),
       wal_bytes_(metrics_.counter("wal.bytes")),
       wal_compactions_(metrics_.counter("wal.compactions")),
@@ -55,14 +53,8 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
       encode_(metrics_.histogram("ckpt.encode")),
       sync_write_(metrics_.histogram("ckpt.sync_write")),
       install_(metrics_.histogram("ckpt.install")),
-      chunk_refs_(metrics_.counter("cas.chunk_refs")),
-      dedup_hits_(metrics_.counter("cas.dedup_hits")),
-      dedup_bytes_(metrics_.counter("cas.dedup_bytes")),
-      pack_bytes_written_(metrics_.counter("cas.pack_bytes_written")),
-      writer_dropped_(metrics_.counter("writer.dropped")),
-      writer_failures_(metrics_.counter("writer.failures")),
       store_(env_, dir_, policy_.retention, policy_.tier, &metrics_),
-      encode_gauge_(peak_encode_buffer_bytes_) {
+      encode_gauge_(metrics_.gauge("ckpt.peak_encode_buffer_bytes")) {
   if (!policy_.clock) {
     policy_.clock = [] {
       return std::chrono::duration<double>(
@@ -94,7 +86,7 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   // lifetime drop count, which count_drop_locked() adds to.
   const std::uint64_t lifetime_drops = manifest_.stat("dropped_writes");
   manifest_.set_stat("dropped_writes", lifetime_drops);
-  lifetime_dropped_writes_.set(static_cast<std::int64_t>(lifetime_drops));
+  lifetime_dropped_writes_.set(lifetime_drops);
   // Load the chunk refcount baseline NOW, while the directory is
   // quiescent. Deferring it into the pipeline would let the rebuild run
   // concurrently with in-flight installs and count a just-written file
@@ -123,7 +115,6 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
         env_, std::max<std::size_t>(2, writer_threads), writer_threads,
         &metrics_);
   }
-  opened_ = stats();  // opened_ is zero until now: the raw values
 }
 
 void Checkpointer::update_adaptive_interval(double ckpt_cost_seconds) {
@@ -569,7 +560,7 @@ void Checkpointer::count_drop_locked() {
   // manifest write persists it.
   const std::uint64_t lifetime = manifest_.stat("dropped_writes") + 1;
   manifest_.set_stat("dropped_writes", lifetime);
-  lifetime_dropped_writes_.set(static_cast<std::int64_t>(lifetime));
+  lifetime_dropped_writes_.set(lifetime);
   dropped_writes_.add();
 }
 
@@ -676,39 +667,34 @@ void Checkpointer::flush() {
 
 Checkpointer::Stats Checkpointer::stats() const {
   Stats s;
-  s.checkpoints = checkpoints_.value() - opened_.checkpoints;
-  s.full_checkpoints = full_checkpoints_.value() - opened_.full_checkpoints;
-  s.incremental_checkpoints =
-      incremental_checkpoints_.value() - opened_.incremental_checkpoints;
-  s.bytes_encoded = bytes_encoded_.value() - opened_.bytes_encoded;
-  s.bytes_raw = bytes_raw_.value() - opened_.bytes_raw;
-  s.snapshot_seconds = snapshot_.sum_seconds() - opened_.snapshot_seconds;
-  // One histogram times both encode sites; a Checkpointer has one mode.
+  s.checkpoints = checkpoints_.value();
+  s.full_checkpoints = full_checkpoints_.value();
+  s.incremental_checkpoints = incremental_checkpoints_.value();
+  s.bytes_encoded = bytes_encoded_.value();
+  s.bytes_raw = bytes_raw_.value();
+  s.snapshot_seconds = snapshot_.sum_seconds();
+  s.sync_write_seconds = sync_write_.sum_seconds();
+  s.submit_blocked_seconds = submit_blocked_.sum_seconds();
+  s.dropped_writes = dropped_writes_.value();
   if (writer_) {
-    s.pipeline_encode_seconds =
-        encode_.sum_seconds() - opened_.pipeline_encode_seconds;
+    // One histogram times both encode sites; a Checkpointer has one mode.
+    s.pipeline_encode_seconds = encode_.sum_seconds();
+    const AsyncWriter::Stats w = writer_->stats();
+    s.writer_dropped = w.dropped;
+    s.writer_failures = w.failures;
   } else {
-    s.encode_seconds = encode_.sum_seconds() - opened_.encode_seconds;
+    s.encode_seconds = encode_.sum_seconds();
   }
-  s.sync_write_seconds =
-      sync_write_.sum_seconds() - opened_.sync_write_seconds;
-  s.submit_blocked_seconds =
-      submit_blocked_.sum_seconds() - opened_.submit_blocked_seconds;
-  s.dropped_writes = dropped_writes_.value() - opened_.dropped_writes;
-  s.writer_dropped = writer_dropped_.value() - opened_.writer_dropped;
-  s.writer_failures = writer_failures_.value() - opened_.writer_failures;
-  s.lifetime_dropped_writes =
-      static_cast<std::uint64_t>(lifetime_dropped_writes_.value());
-  s.chunk_refs = chunk_refs_.value() - opened_.chunk_refs;
-  s.chunks_deduped = dedup_hits_.value() - opened_.chunks_deduped;
-  s.dedup_bytes = dedup_bytes_.value() - opened_.dedup_bytes;
-  s.pack_bytes_written =
-      pack_bytes_written_.value() - opened_.pack_bytes_written;
-  s.peak_encode_buffer_bytes =
-      static_cast<std::uint64_t>(peak_encode_buffer_bytes_.value());
-  s.wal_records = wal_records_.value() - opened_.wal_records;
-  s.wal_bytes = wal_bytes_.value() - opened_.wal_bytes;
-  s.wal_compactions = wal_compactions_.value() - opened_.wal_compactions;
+  s.lifetime_dropped_writes = lifetime_dropped_writes_.value();
+  const CasStats cas = store_.chunks().snapshot();
+  s.chunk_refs = cas.chunk_refs;
+  s.chunks_deduped = cas.dedup_hits;
+  s.dedup_bytes = cas.dedup_bytes;
+  s.pack_bytes_written = cas.pack_bytes_written;
+  s.peak_encode_buffer_bytes = encode_gauge_.peak();
+  s.wal_records = wal_records_.value();
+  s.wal_bytes = wal_bytes_.value();
+  s.wal_compactions = wal_compactions_.value();
   return s;
 }
 

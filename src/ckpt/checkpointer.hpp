@@ -132,10 +132,11 @@ class Checkpointer {
   /// A snapshot of the registry instruments named beside each field.
   /// Counts and seconds are net of what their instruments held when this
   /// Checkpointer opened, so they stay this Checkpointer's when a
-  /// registry serves several in turn; the two levels are read as they
-  /// stand. Seconds are the sums of the stage histograms. Each field is
-  /// read on its own: take the snapshot after flush() for fields that
-  /// agree with each other.
+  /// registry serves several in turn (Checkpointers recording into one
+  /// registry at once add into the same counters); the two levels are
+  /// this Checkpointer's own. Seconds are the sums of the stage
+  /// histograms. Each field is read on its own: take the snapshot after
+  /// flush() for fields that agree with each other.
   struct Stats {
     // ckpt.checkpoints, ckpt.full_checkpoints, ckpt.incremental_checkpoints
     std::uint64_t checkpoints = 0;
@@ -163,7 +164,8 @@ class Checkpointer {
     /// ckpt.lifetime_dropped_writes (a gauge): the directory's drop count
     /// persisted in the MANIFEST ("stat dropped_writes=N"), surviving
     /// restarts — what the inspector shows post mortem. Includes this
-    /// session's drops (each becomes durable at the next install).
+    /// session's drops (each becomes durable at the next install), and
+    /// never another directory's.
     std::uint64_t lifetime_dropped_writes = 0;
 
     // Content-addressed dedup, counted by the chunk store. A "chunk ref"
@@ -174,15 +176,16 @@ class Checkpointer {
     std::uint64_t dedup_bytes = 0;         ///< cas.dedup_bytes
     std::uint64_t pack_bytes_written = 0;  ///< cas.pack_bytes_written
 
-    /// ckpt.peak_encode_buffer_bytes (a gauge): high-water mark of
-    /// encoded bytes buffered by the encode path: compression waves in
-    /// flight plus async containers queued for the writer. Chunks stream
-    /// into the packfile and the container holds only key tables and
-    /// inline sections of at most chunk_bytes; a wave holds <= window x
-    /// chunk_bytes + 8 (a first chunk carries its u64 count; see
-    /// section_array_offset). The peak is therefore O(chunk x window x
-    /// pipeline depth), independent of checkpoint size, as the
-    /// bounded-memory pipeline test asserts.
+    /// ckpt.peak_encode_buffer_bytes (a gauge raised to the highest peak
+    /// of the Checkpointers recording into it): this Checkpointer's
+    /// high-water mark of encoded bytes buffered by the encode path:
+    /// compression waves in flight plus async containers queued for the
+    /// writer. Chunks stream into the packfile and the container holds
+    /// only key tables and inline sections of at most chunk_bytes; a
+    /// wave holds <= window x chunk_bytes + 8 (a first chunk carries its
+    /// u64 count; see section_array_offset). The peak is therefore
+    /// O(chunk x window x pipeline depth), independent of checkpoint
+    /// size, as the bounded-memory pipeline test asserts.
     std::uint64_t peak_encode_buffer_bytes = 0;
 
     /// Delta journal (policy.wal): records appended (wal.records),
@@ -288,31 +291,22 @@ class Checkpointer {
   obs::MetricsRegistry& metrics_;
   // Instruments resolved once from metrics_ (see Stats and
   // CheckpointPolicy::metrics); recording is a relaxed atomic add.
-  obs::Counter& checkpoints_;
-  obs::Counter& full_checkpoints_;
-  obs::Counter& incremental_checkpoints_;
-  obs::Counter& bytes_encoded_;
-  obs::Counter& bytes_raw_;
-  obs::Counter& dropped_writes_;
-  obs::Gauge& lifetime_dropped_writes_;
-  obs::Gauge& peak_encode_buffer_bytes_;
-  obs::Counter& wal_records_;
-  obs::Counter& wal_bytes_;
-  obs::Counter& wal_compactions_;
-  obs::LatencyHistogram& submit_blocked_;
-  obs::LatencyHistogram& snapshot_;
-  obs::LatencyHistogram& encode_;
-  obs::LatencyHistogram& sync_write_;
-  obs::LatencyHistogram& install_;
-  // Counted by the chunk store and the writer, read by stats().
-  const obs::Counter& chunk_refs_;
-  const obs::Counter& dedup_hits_;
-  const obs::Counter& dedup_bytes_;
-  const obs::Counter& pack_bytes_written_;
-  const obs::Counter& writer_dropped_;
-  const obs::Counter& writer_failures_;
-  /// The instruments' values when this Checkpointer opened.
-  Stats opened_;
+  obs::CounterShare checkpoints_;
+  obs::CounterShare full_checkpoints_;
+  obs::CounterShare incremental_checkpoints_;
+  obs::CounterShare bytes_encoded_;
+  obs::CounterShare bytes_raw_;
+  obs::CounterShare dropped_writes_;
+  /// manifest_'s "stat dropped_writes", written under manifest_mu_.
+  obs::GaugeShare lifetime_dropped_writes_;
+  obs::CounterShare wal_records_;
+  obs::CounterShare wal_bytes_;
+  obs::CounterShare wal_compactions_;
+  obs::HistogramShare submit_blocked_;
+  obs::HistogramShare snapshot_;
+  obs::HistogramShare encode_;
+  obs::HistogramShare sync_write_;
+  obs::HistogramShare install_;
   /// Owns retention + crash-consistent GC + tier migration; invoked
   /// under manifest_mu_.
   CheckpointStore store_;

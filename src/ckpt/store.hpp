@@ -161,6 +161,7 @@ class CheckpointStore {
 
   /// The directory's content-addressed chunk store (format v3 chunks).
   [[nodiscard]] ChunkStore& chunks() { return chunks_; }
+  [[nodiscard]] const ChunkStore& chunks() const { return chunks_; }
 
   /// Hot/cold migration per the tier policy: demotes old checkpoint
   /// containers and fully-cold packfiles until the hot tier fits its
@@ -211,13 +212,13 @@ class CheckpointStore {
   std::unique_ptr<tier::MigrationEngine> tiering_;
 
   // The gc.* counters (see GcStats).
-  obs::Counter& runs_;
-  obs::Counter& files_deleted_;
-  obs::Counter& bytes_reclaimed_;
-  obs::Counter& manifest_rewrites_;
-  obs::Counter& orphans_deleted_;
-  obs::Counter& budget_violations_;
-  obs::Counter& wals_reaped_;
+  obs::CounterShare runs_;
+  obs::CounterShare files_deleted_;
+  obs::CounterShare bytes_reclaimed_;
+  obs::CounterShare manifest_rewrites_;
+  obs::CounterShare orphans_deleted_;
+  obs::CounterShare budget_violations_;
+  obs::CounterShare wals_reaped_;
   obs::Tracer* tracer_ = nullptr;  ///< borrowed; null = tracing off
 };
 

@@ -23,7 +23,10 @@
 // Components always count: each takes an optional MetricsRegistry* and,
 // when it is null, records into a private registry of its own
 // (shared_or_own), so its stats() works either way. Only ObservedEnv and
-// the tracer are opt-in, mounted by the caller.
+// the tracer are opt-in, mounted by the caller. A component records
+// through shares of its instruments (CounterShare, HistogramShare,
+// GaugeShare below), which keep its stats() its own on a registry that
+// other components record into as well.
 #pragma once
 
 #include <array>
@@ -142,5 +145,60 @@ class MetricsRegistry {
 /// passed one, else a new one that `own` keeps for the component.
 MetricsRegistry& shared_or_own(MetricsRegistry* shared,
                                std::unique_ptr<MetricsRegistry>& own);
+
+/// One component's share of a counter: add() records into the counter,
+/// value() reads it net of what it held when the share was taken. That
+/// is what the component added when the registry serves components in
+/// turn; components recording into one registry at the same time add
+/// into the same counter, and each share reads their sum.
+class CounterShare {
+ public:
+  explicit CounterShare(Counter& counter)
+      : counter_(counter), base_(counter.value()) {}
+  void add(std::uint64_t n = 1) { counter_.add(n); }
+  [[nodiscard]] std::uint64_t value() const {
+    return counter_.value() - base_;
+  }
+
+ private:
+  Counter& counter_;
+  const std::uint64_t base_;
+};
+
+/// A CounterShare for a latency histogram's sum.
+class HistogramShare {
+ public:
+  explicit HistogramShare(LatencyHistogram& histogram)
+      : histogram_(histogram), base_seconds_(histogram.sum_seconds()) {}
+  void record_seconds(double s) { histogram_.record_seconds(s); }
+  [[nodiscard]] double sum_seconds() const {
+    return histogram_.sum_seconds() - base_seconds_;
+  }
+
+ private:
+  LatencyHistogram& histogram_;
+  const double base_seconds_;
+};
+
+/// A level one component owns (packfiles indexed, bytes resident),
+/// written through to a gauge: value() is the component's own, the gauge
+/// shows the level its latest writer set (a new share writes 0). The
+/// owner serialises writers; reads are lock-free.
+class GaugeShare {
+ public:
+  explicit GaugeShare(Gauge& gauge) : gauge_(gauge) { gauge_.set(0); }
+  void set(std::uint64_t v) {
+    v_.store(v, std::memory_order_relaxed);
+    gauge_.set(static_cast<std::int64_t>(v));
+  }
+  void add(std::int64_t d) { set(value() + static_cast<std::uint64_t>(d)); }
+  [[nodiscard]] std::uint64_t value() const {
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  Gauge& gauge_;
+  std::atomic<std::uint64_t> v_{0};
+};
 
 }  // namespace qnn::obs

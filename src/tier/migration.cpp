@@ -169,7 +169,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   ensure_open_locked();
 
   const std::uint64_t hot_bytes = resident_bytes(env_.hot());
-  hot_bytes_.set(static_cast<std::int64_t>(hot_bytes));
+  hot_bytes_.set(hot_bytes);
   if (hot_bytes <= policy_.hot_byte_budget) {
     return {};
   }
@@ -417,7 +417,7 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
       env_.hot().remove_file(dir_ + "/" + name);
       files_demoted_.add();
       bytes_demoted_.add(bytes);
-      cold_bytes_.add(static_cast<std::int64_t>(bytes));
+      cold_bytes_.set(cold_bytes_.value() + bytes);
       ++demoted;
     }
   }
@@ -425,7 +425,7 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
   // maintained incrementally (full listings only at reconcile) so the
   // install tail never pays a capacity-tier enumeration. It can drift
   // slightly when GC deletes cold victims, until the next reconcile.
-  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
+  hot_bytes_.set(resident_bytes(env_.hot()));
   span.note("files", static_cast<std::uint64_t>(demoted));
   return demoted;
 }
@@ -463,10 +463,10 @@ std::size_t MigrationEngine::promote(const std::vector<std::string>& names) {
     env_.cold().remove_file(dir_ + "/" + name);
     files_promoted_.add();
     bytes_promoted_.add(bytes);
-    cold_bytes_.add(-std::min(cold_bytes_.value(),
-                              static_cast<std::int64_t>(bytes)));
+    cold_bytes_.set(cold_bytes_.value() -
+                    std::min<std::uint64_t>(cold_bytes_.value(), bytes));
   }
-  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
+  hot_bytes_.set(resident_bytes(env_.hot()));
   span.note("files", static_cast<std::uint64_t>(copied.size()));
   return copied.size();
 }
@@ -496,8 +496,8 @@ std::size_t MigrationEngine::reconcile() {
   if (changed) {
     save_tiermap_locked();
   }
-  hot_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.hot())));
-  cold_bytes_.set(static_cast<std::int64_t>(resident_bytes(env_.cold())));
+  hot_bytes_.set(resident_bytes(env_.hot()));
+  cold_bytes_.set(resident_bytes(env_.cold()));
   return collapsed;
 }
 
@@ -532,8 +532,8 @@ TierStats MigrationEngine::stats() const {
           .fences = fences_.value(),
           .duplicates_collapsed = duplicates_collapsed_.value(),
           .budget_misses = budget_misses_.value(),
-          .hot_bytes = static_cast<std::uint64_t>(hot_bytes_.value()),
-          .cold_bytes = static_cast<std::uint64_t>(cold_bytes_.value())};
+          .hot_bytes = hot_bytes_.value(),
+          .cold_bytes = cold_bytes_.value()};
 }
 
 }  // namespace qnn::tier

@@ -90,8 +90,8 @@ struct TierPolicy {
 bool migratable_path(const std::string& path);
 
 /// Snapshot of the engine's tier.* instruments (bench_t7_tiering,
-/// inspector, tests): hot_bytes and cold_bytes are gauges, the rest
-/// counters.
+/// inspector, tests): hot_bytes and cold_bytes are the engine's own
+/// levels, the rest its counters.
 struct TierStats {
   std::uint64_t demote_runs = 0;       ///< migrate() calls that moved data
   std::uint64_t files_demoted = 0;
@@ -202,16 +202,16 @@ class MigrationEngine {
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
   obs::MetricsRegistry& metrics_;
   // The tier.* instruments (see TierStats), changed under mu_.
-  obs::Counter& demote_runs_;
-  obs::Counter& files_demoted_;
-  obs::Counter& bytes_demoted_;
-  obs::Counter& files_promoted_;
-  obs::Counter& bytes_promoted_;
-  obs::Counter& fences_;
-  obs::Counter& duplicates_collapsed_;
-  obs::Counter& budget_misses_;
-  obs::Gauge& hot_bytes_;
-  obs::Gauge& cold_bytes_;
+  obs::CounterShare demote_runs_;
+  obs::CounterShare files_demoted_;
+  obs::CounterShare bytes_demoted_;
+  obs::CounterShare files_promoted_;
+  obs::CounterShare bytes_promoted_;
+  obs::CounterShare fences_;
+  obs::CounterShare duplicates_collapsed_;
+  obs::CounterShare budget_misses_;
+  obs::GaugeShare hot_bytes_;
+  obs::GaugeShare cold_bytes_;
   obs::Tracer* tracer_ = nullptr;  ///< borrowed; null = tracing off
 };
 

@@ -3,10 +3,10 @@
 // The streaming encode pipeline bounds its memory to O(chunk x workers);
 // this gauge is how that bound is *measured* rather than merely claimed:
 // every transient buffer (an encoded chunk wave, a staged container
-// section) registers its bytes while alive, and the peak lands in a
-// registry gauge (the Checkpointer's ckpt.peak_encode_buffer_bytes,
-// which Checkpointer::Stats reads) that the pipeline tests and bench_t3
-// assert.
+// section) registers its bytes while alive, and the peak is surfaced in
+// Checkpointer::Stats (asserted by the pipeline tests and bench_t3) and
+// raised into a registry gauge (ckpt.peak_encode_buffer_bytes), whose
+// value is the highest peak of every gauge recording into it.
 #pragma once
 
 #include <atomic>
@@ -18,19 +18,26 @@ namespace qnn::util {
 
 class MemGauge {
  public:
-  /// `peak` (borrowed) receives the high-water mark.
-  explicit MemGauge(obs::Gauge& peak) : peak_(peak) {}
+  /// `registry_peak` (borrowed) is raised to this gauge's peak.
+  explicit MemGauge(obs::Gauge& registry_peak)
+      : registry_peak_(registry_peak) {}
 
   void add(std::uint64_t n) {
-    const std::uint64_t now = current_.fetch_add(n) + n;
-    peak_.raise_to(static_cast<std::int64_t>(now));
+    const auto now = static_cast<std::int64_t>(current_.fetch_add(n) + n);
+    peak_.raise_to(now);
+    registry_peak_.raise_to(now);
   }
 
   void sub(std::uint64_t n) { current_.fetch_sub(n); }
 
+  [[nodiscard]] std::uint64_t peak() const {
+    return static_cast<std::uint64_t>(peak_.value());
+  }
+
  private:
   std::atomic<std::uint64_t> current_{0};
-  obs::Gauge& peak_;
+  obs::Gauge peak_;  ///< this gauge's own high-water mark
+  obs::Gauge& registry_peak_;
 };
 
 /// RAII registration of one buffer's bytes against a gauge (null = off).

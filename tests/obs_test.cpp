@@ -1,8 +1,10 @@
 // Unit tests for the observability layer: MetricsRegistry instruments
 // (correctness + concurrency), the registry as the one accumulator
 // behind every component's stats() (sync and async, with and without
-// CheckpointPolicy::metrics, GC/chunk-store/tier/writer instruments,
-// per-Checkpointer Stats and MANIFEST drop counts on a shared registry),
+// CheckpointPolicy::metrics, the checkpoint span tree beside it,
+// GC/chunk-store/tier/writer instruments, and on a shared registry each
+// component's own counts, levels and peaks and each MANIFEST's own drop
+// count),
 // Tracer/Span output (including the golden byte-stable trace under a
 // deterministic clock), ObservedEnv per-op accounting, the recovery
 // flight recorder, and JsonLine's nan/inf handling.
@@ -57,6 +59,30 @@ TEST(MetricsRegistry, GaugeRaiseKeepsTheHighWaterMark) {
   EXPECT_EQ(peak.value(), 5);
   peak.raise_to(9);
   EXPECT_EQ(peak.value(), 9);
+}
+
+TEST(MetricsRegistry, SharesReadTheirOwnPart) {
+  MetricsRegistry r;
+  r.counter("n").add(5);
+  CounterShare late(r.counter("n"));
+  late.add(2);
+  EXPECT_EQ(late.value(), 2u);
+  EXPECT_EQ(r.counter("n").value(), 7u);
+
+  r.histogram("h").record_seconds(1.0);
+  HistogramShare h(r.histogram("h"));
+  h.record_seconds(0.5);
+  EXPECT_DOUBLE_EQ(h.sum_seconds(), 0.5);
+  EXPECT_EQ(r.histogram("h").count(), 2u);
+
+  GaugeShare a(r.gauge("level"));
+  GaugeShare b(r.gauge("level"));
+  a.set(10);
+  b.add(3);
+  b.add(-1);
+  EXPECT_EQ(a.value(), 10u);
+  EXPECT_EQ(b.value(), 2u);
+  EXPECT_EQ(r.gauge("level").value(), 2);  // the latest writer's
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingIsExact) {
@@ -413,13 +439,25 @@ struct SnapshotCase {
 
 class StatsSnapshot : public ::testing::TestWithParam<SnapshotCase> {};
 
+/// How often `needle` occurs in `text`.
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
 TEST_P(StatsSnapshot, EveryFieldIsItsInstrument) {
   const SnapshotCase tc = GetParam();
   io::MemEnv env;
   MetricsRegistry shared;
+  Tracer tracer(fake_clock());
   ckpt::CheckpointPolicy policy = chunked_policy();
   policy.async = tc.async;
   policy.metrics = tc.shared_registry ? &shared : nullptr;
+  policy.tracer = &tracer;
   ckpt::Checkpointer ck(env, "ckpt", policy);
   for (std::uint64_t step = 1; step <= 12; ++step) {
     ck.maybe_checkpoint(make_state(step));
@@ -475,6 +513,18 @@ TEST_P(StatsSnapshot, EveryFieldIsItsInstrument) {
   EXPECT_EQ(r.histogram("ckpt.install").count(), 6u);
   EXPECT_EQ(r.histogram("ckpt.submit_blocked").count(), tc.async ? 6u : 0u);
   EXPECT_EQ(r.histogram("ckpt.sync_write").count(), tc.async ? 0u : 6u);
+  // Each checkpoint's span tree wraps the same stage sites: one begin and
+  // one end of checkpoint, snapshot, encode and install per checkpoint.
+  const std::string trace = tracer.chrome_json();
+  for (const char* span : {"checkpoint", "snapshot", "encode", "install"}) {
+    for (const char* phase : {"B", "E"}) {
+      EXPECT_EQ(occurrences(trace, std::string("{\"name\":\"") + span +
+                                       "\",\"cat\":\"ckpt\",\"ph\":\"" +
+                                       phase + "\""),
+                6u)
+          << span << ' ' << phase;
+    }
+  }
 
   const ckpt::GcStats gc = ck.gc_stats();
   EXPECT_GT(gc.files_deleted, 0u);
@@ -555,12 +605,29 @@ TEST(RegistryAccumulator, GcCasAndTierInstrumentsMove) {
   env.write_file_atomic("cp/" + ckpt::wal_file_name(2), bytes_of("stale"));
   // The newest checkpoint alone is over this budget.
   policy.retention.byte_budget = 1;
+  const auto count = [&r](const char* name) {
+    return r.counter(name).value();
+  };
+  const std::uint64_t gc_runs = count("gc.runs");
+  const std::uint64_t files_deleted = count("gc.files_deleted");
+  const std::uint64_t demote_runs = count("tier.demote_runs");
+  const std::uint64_t files_demoted = count("tier.files_demoted");
   {
     // The startup sweep reaps both and indexes six packs through the
     // four-slot handle cache.
     ckpt::Checkpointer ck(env, "cp", policy);
     ck.checkpoint_now(make_state(11));
-    EXPECT_EQ(ck.stats().checkpoints, 1u);  // its own, on a shared registry
+    // Its own counts, on a registry the first Checkpointer counted into.
+    EXPECT_EQ(ck.stats().checkpoints, 1u);
+    EXPECT_EQ(ck.gc_stats().runs, count("gc.runs") - gc_runs);
+    EXPECT_EQ(ck.gc_stats().files_deleted,
+              count("gc.files_deleted") - files_deleted);
+    EXPECT_GT(ck.gc_stats().orphans_deleted, 0u);
+    EXPECT_EQ(ck.tier_stats().demote_runs,
+              count("tier.demote_runs") - demote_runs);
+    EXPECT_EQ(ck.tier_stats().files_demoted,
+              count("tier.files_demoted") - files_demoted);
+    EXPECT_LT(ck.tier_stats().demote_runs, demote_runs);
   }
   for (const char* name :
        {"gc.runs", "gc.files_deleted", "gc.bytes_reclaimed",
@@ -616,6 +683,9 @@ TEST(RegistryAccumulator, DropsStayInTheirOwnManifest) {
       EXPECT_EQ(a.stats().dropped_writes, 1u);
       EXPECT_EQ(a.stats().writer_failures, 1u);
       EXPECT_EQ(a.stats().lifetime_dropped_writes, 1u);
+      // The gauge shows a's level, b's Stats its own directory's.
+      EXPECT_EQ(shared.gauge("ckpt.lifetime_dropped_writes").value(), 1);
+      EXPECT_EQ(b.stats().lifetime_dropped_writes, 0u);
     }
     b.maybe_checkpoint(make_state(1));
   }
@@ -630,6 +700,66 @@ TEST(RegistryAccumulator, DropsStayInTheirOwnManifest) {
   EXPECT_EQ(again.stats().checkpoints, 1u);
   EXPECT_EQ(again.stats().dropped_writes, 0u);
   EXPECT_EQ(again.stats().lifetime_dropped_writes, 1u);
+}
+
+TEST(RegistryAccumulator, ReopenedStoreCountsTheDirectoryOnce) {
+  io::MemEnv env;
+  MetricsRegistry shared;
+  ckpt::CheckpointPolicy policy = chunked_policy();
+  policy.metrics = &shared;
+  const auto packs_on_disk = [&env] {
+    std::uint64_t n = 0;
+    for (const std::string& name : env.list_dir("cp/chunks")) {
+      n += ckpt::parse_pack_file_name(name).has_value() ? 1 : 0;
+    }
+    return n;
+  };
+  {
+    ckpt::Checkpointer first(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 4; ++step) {
+      first.checkpoint_now(make_state(step));
+    }
+    EXPECT_EQ(first.gc_stats().files_deleted, 2u);  // keep_last 2
+  }
+  // The same directory on the same registry: the reopened chunk store
+  // indexes the packs on disk once, and its counts start from zero.
+  ckpt::Checkpointer again(env, "cp", policy);
+  EXPECT_EQ(packs_on_disk(), 2u);
+  EXPECT_EQ(again.cas_stats().packfiles, packs_on_disk());
+  EXPECT_EQ(rendered(shared, "cas.packfiles"), 2);
+  EXPECT_EQ(again.cas_stats().chunks_written, 0u);
+  EXPECT_EQ(again.gc_stats().files_deleted, 0u);
+  again.checkpoint_now(make_state(5));
+  EXPECT_EQ(again.cas_stats().packfiles, packs_on_disk());
+  EXPECT_EQ(rendered(shared, "cas.packfiles"),
+            static_cast<std::int64_t>(packs_on_disk()));
+  EXPECT_EQ(again.gc_stats().files_deleted, 1u);
+  EXPECT_EQ(shared.counter("gc.files_deleted").value(), 3u);
+}
+
+TEST(RegistryAccumulator, PeaksStayTheirCheckpointers) {
+  // Two async Checkpointers on one registry at once: the gauge holds the
+  // higher peak, each Stats its own.
+  io::MemEnv env;
+  MetricsRegistry shared;
+  ckpt::CheckpointPolicy policy;
+  policy.codec = codec::CodecId::kRaw;
+  policy.async = true;
+  policy.metrics = &shared;
+  ckpt::Checkpointer large(env, "large", policy);
+  ckpt::Checkpointer small(env, "small", policy);
+  qnn::TrainingState big = make_state(1);
+  big.params.assign(8192, 0.5);
+  large.checkpoint_now(big);
+  large.flush();
+  small.checkpoint_now(make_state(1));
+  small.flush();
+  const std::uint64_t large_peak = large.stats().peak_encode_buffer_bytes;
+  EXPECT_GE(large_peak, 8192u * sizeof(double));  // the queued container
+  EXPECT_GT(small.stats().peak_encode_buffer_bytes, 0u);
+  EXPECT_LT(small.stats().peak_encode_buffer_bytes, 4096u);
+  EXPECT_EQ(shared.gauge("ckpt.peak_encode_buffer_bytes").value(),
+            static_cast<std::int64_t>(large_peak));
 }
 
 TEST(RegistryAccumulator, WriterCountsAJobRefusedAtShutdown) {
