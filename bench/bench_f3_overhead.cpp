@@ -5,9 +5,16 @@
 // wall time and overhead relative to the no-checkpoint baseline.
 // Claim shape: sync overhead grows as 1/interval; async hides nearly all
 // of the write latency behind compute (residual = encode + submit).
+//
+// The no-checkpoint baseline (every overhead_pct divides by it) and the
+// observability ratio come from runs of a few tens of milliseconds, so
+// each is the median of kRepeats runs (the ratio's runs alternate off and
+// on) and is printed with its quartiles.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "ckpt/checkpointer.hpp"
@@ -26,6 +33,25 @@ namespace {
 constexpr std::size_t kQubits = 8;
 constexpr std::size_t kLayers = 3;
 constexpr std::size_t kSteps = 120;
+constexpr int kRepeats = 7;
+
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+/// Quartiles of `xs`, interpolating linearly between order statistics.
+Quartiles quartiles(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const auto at = [&xs](double p) {
+    const double pos = p * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
 
 double run_once(std::uint64_t interval, bool async, bool enabled,
                 ckpt::Checkpointer::Stats* stats_out) {
@@ -103,9 +129,16 @@ double run_observed(std::uint64_t interval, obs::MetricsRegistry* registry,
 int main() {
   bench::banner("F3", "training overhead vs checkpoint interval (sync/async)");
 
-  const double baseline = run_once(0, false, false, nullptr);
-  std::printf("baseline (no checkpointing): %.3f s for %zu steps\n\n",
-              baseline, kSteps);
+  std::vector<double> baseline_runs;
+  for (int r = 0; r < kRepeats; ++r) {
+    baseline_runs.push_back(run_once(0, false, false, nullptr));
+  }
+  const Quartiles base = quartiles(baseline_runs);
+  const double baseline = base.median;
+  std::printf(
+      "baseline (no checkpointing): %.3f s for %zu steps (median of %d, "
+      "q1 %.3f, q3 %.3f)\n\n",
+      baseline, kSteps, kRepeats, base.q1, base.q3);
   // wr|bp_s: sync rows show trainer-thread write time; async rows show
   // backpressure stall (the background write itself is off-thread and
   // reported only in the RESULT JSON).
@@ -157,32 +190,49 @@ int main() {
       "chunk compression, CRC and the write all run on the pipeline.\n");
 
   // Observability overhead: identical sync workload with the full obs
-  // stack mounted vs the opt-in parts off. Claim: instrumentation is
-  // relaxed-atomic recording, so the enabled run lands within a few
-  // percent of the disabled one.
-  const double obs_off = run_observed(5, nullptr, nullptr);
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  const double obs_on = run_observed(5, &registry, &tracer);
-  const double ratio = obs_off > 0.0 ? obs_on / obs_off : 1.0;
+  // stack mounted vs the opt-in parts off, alternating so each pair sees
+  // the same machine. Claim: instrumentation is relaxed-atomic recording,
+  // so the enabled run lands within a few percent of the disabled one.
+  // Each observed run records into a fresh registry and tracer; the last
+  // run's are reported, so the registry row counts one run.
+  std::vector<double> off_runs;
+  std::vector<double> on_runs;
+  std::vector<double> ratios;
+  std::optional<obs::MetricsRegistry> registry;
+  std::optional<obs::Tracer> tracer;
+  for (int r = 0; r < kRepeats; ++r) {
+    off_runs.push_back(run_observed(5, nullptr, nullptr));
+    registry.emplace();
+    tracer.emplace();
+    on_runs.push_back(run_observed(5, &*registry, &*tracer));
+    ratios.push_back(off_runs.back() > 0.0 ? on_runs.back() / off_runs.back()
+                                           : 1.0);
+  }
+  const Quartiles off = quartiles(off_runs);
+  const Quartiles on = quartiles(on_runs);
+  const Quartiles ratio = quartiles(ratios);
   std::printf(
-      "\nobservability overhead (interval 5, sync): disabled %.3f s, "
-      "enabled %.3f s (%.3fx)\n",
-      obs_off, obs_on, ratio);
+      "\nobservability overhead (interval 5, sync, median of %d pairs): "
+      "disabled %.3f s, enabled %.3f s, enabled/disabled %.3fx "
+      "(q1 %.3f, q3 %.3f)\n",
+      kRepeats, off.median, on.median, ratio.median, ratio.q1, ratio.q3);
   bench::JsonLine("f3")
       .field("metrics", "overhead")
-      .field("disabled_s", obs_off)
-      .field("enabled_s", obs_on)
-      .field("enabled_over_disabled", ratio)
+      .field("runs", kRepeats)
+      .field("disabled_s", off.median)
+      .field("enabled_s", on.median)
+      .field("enabled_over_disabled", ratio.median)
+      .field("enabled_over_disabled_q1", ratio.q1)
+      .field("enabled_over_disabled_q3", ratio.q3)
       .emit();
   // The registry snapshot itself is a RESULT line too: counters/gauges/
   // histogram quantiles flatten into gateable metrics downstream.
-  std::printf("RESULT %s\n", registry.json("f3").c_str());
+  std::printf("RESULT %s\n", registry->json("f3").c_str());
   if (const char* trace_path = std::getenv("QNNCKPT_TRACE")) {
     if (trace_path[0] != '\0') {
-      tracer.write(trace_path);
+      tracer->write(trace_path);
       std::printf("trace: %zu event(s) written to %s\n",
-                  tracer.event_count(), trace_path);
+                  tracer->event_count(), trace_path);
     }
   }
   return 0;

@@ -1,10 +1,10 @@
 #include "qnn/loss.hpp"
 
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 
 #include "qnn/ansatz.hpp"
+#include "sim/parallel.hpp"
 
 namespace qnn::qnn {
 
@@ -180,7 +180,7 @@ std::vector<LabelledBitstring> make_parity_data(std::size_t num_qubits,
   data.reserve(num_samples);
   for (std::size_t i = 0; i < num_samples; ++i) {
     const std::uint64_t bits = rng() & mask;
-    const int label = std::popcount(bits) % 2 == 0 ? +1 : -1;
+    const int label = sim::odd_parity(bits) ? -1 : +1;
     data.push_back(LabelledBitstring{bits, label});
   }
   return data;

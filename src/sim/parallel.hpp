@@ -8,7 +8,9 @@
 // training resume.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "util/thread_pool.hpp"
 
@@ -25,5 +27,13 @@ constexpr std::size_t kKernelGrain = std::size_t{1} << 12;
 inline util::ThreadPool* kernel_pool(std::size_t work_items) {
   return work_items >= kParallelThreshold ? &util::global_pool() : nullptr;
 }
+
+/// True when `x` has an odd number of set bits. Baseline x86-64 has no
+/// POPCNT instruction, so a bare std::popcount is a libgcc call
+/// (__popcountdi2), paid once per amplitude by the parity and Pauli
+/// kernels. GCC compiles `popcount % 2` to an inline xor fold that ends
+/// in the parity flag, shorter than a portable shift-and-xor fold. So
+/// the kernels test parities here, on one mask, and never add counts.
+inline bool odd_parity(std::uint64_t x) { return std::popcount(x) % 2 != 0; }
 
 }  // namespace qnn::sim

@@ -1,12 +1,9 @@
 #include "sim/pauli.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/gates.hpp"
 #include "sim/parallel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -71,34 +68,40 @@ std::uint64_t z_mask(const PauliTerm& term) {
   return mask;
 }
 
-double diagonal_expectation(const PauliTerm& term, const StateVector& psi) {
-  const std::uint64_t mask = z_mask(term);
-  const auto amps = psi.amplitudes();
-  const double e = util::parallel_reduce(
-      kernel_pool(amps.size()), 0, amps.size(), kKernelGrain, 0.0,
-      [amps, mask](std::size_t lo, std::size_t hi) {
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const double p = std::norm(amps[i]);
-          acc += (std::popcount(i & mask) % 2 == 0) ? p : -p;
-        }
-        return acc;
-      });
-  return term.coeff * e;
-}
+/// A Pauli string as a signed permutation of the amplitudes:
+///   (P psi)_i = (-1)^{parity(i & sign)} * (-i)^{n_Y} * psi_{i ^ flip}.
+/// X and Y flip their qubit, Z negates the amplitudes whose bit is set,
+/// and Y does both and contributes a factor -i ((Y psi)_0 = -i psi_1,
+/// (Y psi)_1 = i psi_0). Multiplying by +-1 or +-i is exact, so these are
+/// the values that applying gates::X/Y/Z qubit by qubit produces.
+struct PauliAction {
+  std::uint64_t flip = 0;
+  std::uint64_t sign = 0;
+  unsigned quarter_turns = 0;  ///< n_Y mod 4
 
-double general_expectation(const PauliTerm& term, const StateVector& psi) {
-  StateVector scratch = psi;
-  for (std::size_t q = 0; q < term.paulis.size(); ++q) {
-    switch (term.paulis[q]) {
-      case PauliOp::kI: break;
-      case PauliOp::kX: scratch.apply_1q(gates::X(), q); break;
-      case PauliOp::kY: scratch.apply_1q(gates::Y(), q); break;
-      case PauliOp::kZ: scratch.apply_1q(gates::Z(), q); break;
+  explicit PauliAction(const PauliTerm& term) {
+    for (std::size_t q = 0; q < term.paulis.size(); ++q) {
+      const std::uint64_t bit = std::uint64_t{1} << q;
+      switch (term.paulis[q]) {
+        case PauliOp::kI: break;
+        case PauliOp::kX: flip |= bit; break;
+        case PauliOp::kY: flip |= bit; sign |= bit; ++quarter_turns; break;
+        case PauliOp::kZ: sign |= bit; break;
+      }
+    }
+    quarter_turns %= 4;
+  }
+
+  /// (-i)^{n_Y} * b: a swap and negations of its parts.
+  [[nodiscard]] cplx rotate(cplx b) const {
+    switch (quarter_turns) {
+      case 1: return {b.imag(), -b.real()};
+      case 2: return {-b.real(), -b.imag()};
+      case 3: return {-b.imag(), b.real()};
+      default: return b;
     }
   }
-  return term.coeff * psi.inner_product(scratch).real();
-}
+};
 
 }  // namespace
 
@@ -106,10 +109,24 @@ double Observable::expectation(const StateVector& psi) const {
   if (psi.num_qubits() != num_qubits_) {
     throw std::invalid_argument("Observable::expectation: qubit mismatch");
   }
+  const auto amps = psi.amplitudes();
   double e = 0.0;
   for (const PauliTerm& term : terms_) {
-    e += term.is_diagonal() ? diagonal_expectation(term, psi)
-                            : general_expectation(term, psi);
+    // Re <psi|P|psi> in inner_product's chunks and order (kKernelGrain).
+    const PauliAction p(term);
+    const double sum = util::parallel_reduce(
+        kernel_pool(amps.size()), 0, amps.size(), kKernelGrain, 0.0,
+        [amps, p](std::size_t lo, std::size_t hi) {
+          double acc = 0.0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const cplx a = amps[i];
+            const cplx b = p.rotate(amps[i ^ p.flip]);
+            const double d = a.real() * b.real() + a.imag() * b.imag();
+            acc += odd_parity(i & p.sign) ? -d : d;
+          }
+          return acc;
+        });
+    e += term.coeff * sum;
   }
   return e;
 }
@@ -119,22 +136,21 @@ StateVector Observable::apply(const StateVector& psi) const {
     throw std::invalid_argument("Observable::apply: qubit mismatch");
   }
   StateVector out(num_qubits_);
-  auto out_amps = out.mutable_amplitudes();
+  const auto out_amps = out.mutable_amplitudes();
   std::fill(out_amps.begin(), out_amps.end(), cplx{0.0, 0.0});
+  const auto amps = psi.amplitudes();
   for (const PauliTerm& term : terms_) {
-    StateVector scratch = psi;
-    for (std::size_t q = 0; q < term.paulis.size(); ++q) {
-      switch (term.paulis[q]) {
-        case PauliOp::kI: break;
-        case PauliOp::kX: scratch.apply_1q(gates::X(), q); break;
-        case PauliOp::kY: scratch.apply_1q(gates::Y(), q); break;
-        case PauliOp::kZ: scratch.apply_1q(gates::Z(), q); break;
-      }
-    }
-    const auto s = scratch.amplitudes();
-    for (std::size_t i = 0; i < out_amps.size(); ++i) {
-      out_amps[i] += term.coeff * s[i];
-    }
+    const PauliAction p(term);
+    const double coeff = term.coeff;
+    util::parallel_for(
+        kernel_pool(amps.size()), 0, amps.size(), kKernelGrain,
+        [out_amps, amps, p, coeff](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const cplx b = p.rotate(amps[i ^ p.flip]);
+            const double c = odd_parity(i & p.sign) ? -coeff : coeff;
+            out_amps[i] += cplx{c * b.real(), c * b.imag()};
+          }
+        });
   }
   return out;
 }
@@ -158,7 +174,7 @@ double Observable::sampled_expectation(const StateVector& psi,
     const std::uint64_t mask = z_mask(term);
     std::int64_t sum = 0;
     for (std::uint64_t o : outcomes) {
-      sum += (std::popcount(o & mask) % 2 == 0) ? 1 : -1;
+      sum += odd_parity(o & mask) ? -1 : 1;
     }
     e += term.coeff * static_cast<double>(sum) / static_cast<double>(shots);
   }

@@ -27,7 +27,7 @@ struct PauliTerm {
   [[nodiscard]] std::string to_string() const;
 
   /// True when the term contains only I and Z (diagonal in the
-  /// computational basis — fast expectation path).
+  /// computational basis, so readout samples can estimate it).
   [[nodiscard]] bool is_diagonal() const;
 };
 
@@ -44,9 +44,8 @@ class Observable {
   void add_term(double coeff, const std::string& s);
   void add_term(PauliTerm term);
 
-  /// <psi|O|psi> for a normalised state. Diagonal terms use an O(2^n)
-  /// parity sweep; general terms apply single-qubit Paulis to a scratch
-  /// copy.
+  /// <psi|O|psi> for a normalised state: one O(2^n) sweep per term, which
+  /// reads each amplitude's Pauli image (a signed permutation) in place.
   [[nodiscard]] double expectation(const StateVector& psi) const;
 
   /// Applies the (generally non-unitary) operator O to |psi>, returning

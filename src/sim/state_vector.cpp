@@ -1,7 +1,6 @@
 #include "sim/state_vector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -32,6 +31,16 @@ TwoBitMasks two_bit_masks(std::size_t qa, std::size_t qb) {
   const std::size_t low = (std::size_t{1} << pl) - 1;
   const std::size_t mid = ((std::size_t{1} << (ph - 1)) - 1) & ~low;
   return {low, mid};
+}
+
+/// a * b for operands whose products do not overflow: the four products
+/// and two sums std::complex's operator* computes, in the same order,
+/// without the C Annex G branch that rescues a NaN result (GCC emits a
+/// test and a __muldc3 call after every product). Results are
+/// bit-identical to operator*.
+inline cplx mul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
 }
 }  // namespace
 
@@ -77,8 +86,8 @@ void StateVector::apply_1q(const Mat2& m, std::size_t qubit) {
           const std::size_t i = ((p & ~low) << 1) | (p & low);
           const cplx a0 = amps[i];
           const cplx a1 = amps[i + step];
-          amps[i] = m[0] * a0 + m[1] * a1;
-          amps[i + step] = m[2] * a0 + m[3] * a1;
+          amps[i] = mul(m[0], a0) + mul(m[1], a1);
+          amps[i + step] = mul(m[2], a0) + mul(m[3], a1);
         }
       });
 }
@@ -110,10 +119,14 @@ void StateVector::apply_2q(const Mat4& m, std::size_t q0, std::size_t q1) {
           const cplx a01 = amps[i01];
           const cplx a10 = amps[i10];
           const cplx a11 = amps[i11];
-          amps[i00] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
-          amps[i01] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
-          amps[i10] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
-          amps[i11] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
+          amps[i00] = mul(m[0], a00) + mul(m[1], a01) + mul(m[2], a10) +
+                      mul(m[3], a11);
+          amps[i01] = mul(m[4], a00) + mul(m[5], a01) + mul(m[6], a10) +
+                      mul(m[7], a11);
+          amps[i10] = mul(m[8], a00) + mul(m[9], a01) + mul(m[10], a10) +
+                      mul(m[11], a11);
+          amps[i11] = mul(m[12], a00) + mul(m[13], a01) + mul(m[14], a10) +
+                      mul(m[15], a11);
         }
       });
 }
@@ -141,8 +154,8 @@ void StateVector::apply_controlled_1q(const Mat2& m, std::size_t control,
           const std::size_t i = base | cbit;
           const cplx a0 = amps[i];
           const cplx a1 = amps[i | tbit];
-          amps[i] = m[0] * a0 + m[1] * a1;
-          amps[i | tbit] = m[2] * a0 + m[3] * a1;
+          amps[i] = mul(m[0], a0) + mul(m[1], a1);
+          amps[i | tbit] = mul(m[2], a0) + mul(m[3], a1);
         }
       });
 }
@@ -153,8 +166,8 @@ void StateVector::apply_phase_on_parity(std::uint64_t mask, cplx phase) {
   util::parallel_for(kernel_pool(n), 0, n, kKernelGrain,
                      [amps, mask, phase](std::size_t lo, std::size_t hi) {
                        for (std::size_t i = lo; i < hi; ++i) {
-                         if (std::popcount(i & mask) % 2 == 1) {
-                           amps[i] *= phase;
+                         if (odd_parity(i & mask)) {
+                           amps[i] = mul(amps[i], phase);
                          }
                        }
                      });
@@ -259,7 +272,7 @@ cplx StateVector::inner_product(const StateVector& other) const {
       [a, b](std::size_t lo, std::size_t hi) {
         cplx acc{0.0, 0.0};
         for (std::size_t i = lo; i < hi; ++i) {
-          acc += std::conj(a[i]) * b[i];
+          acc += mul(std::conj(a[i]), b[i]);
         }
         return acc;
       });

@@ -1,8 +1,14 @@
 // Unit + property tests for the state-vector simulator substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "qnn/ansatz.hpp"
 #include "qnn/loss.hpp"
@@ -476,15 +482,12 @@ TEST(Pauli, XExpectationOnPlusState) {
 }
 
 TEST(Pauli, DiagonalAndGeneralPathsAgree) {
-  // ZZ computed via the parity fast path must equal the generic path
-  // (force the generic path with an equivalent Y-free/X-free string? use
-  // a state where both are evaluated): compare ZZ against H-basis XX.
+  // A diagonal term (no flip) alone, and beside a zero-weight X term
+  // whose kernel reads the flipped amplitudes: the sum must not move.
   const Circuit c = qnn::random_circuit(3, 20, 99);
   const StateVector psi = c.run({});
   Observable zz(3);
   zz.add_term(0.7, "ZZI");
-  // Generic path: build the same operator via from_string but evaluated
-  // through general_expectation by adding a dummy X term with coeff 0.
   Observable generic(3);
   generic.add_term(0.7, "ZZI");
   generic.add_term(0.0, "XII");
@@ -568,6 +571,263 @@ TEST(Pauli, SampledExpectationRejectsNonDiagonal) {
   diag.add_term(1.0, "Z");
   EXPECT_THROW((void)diag.sampled_expectation(psi, 0, rng),
                std::invalid_argument);
+}
+
+// ---------- bit-exact kernels ----------
+//
+// The kernels multiply complex numbers without std::complex's NaN-rescue
+// branch and apply a Pauli string as a signed permutation. The references
+// below are the formulas they replaced: std::complex operator*, and a
+// Pauli term applied gate by gate to a copy followed by the chunked inner
+// product. Every result must match them bit for bit, or trajectories and
+// checkpoint bytes would move.
+
+namespace ref {
+
+using Amps = std::vector<cplx>;
+
+void apply_1q(Amps& v, const Mat2& m, std::size_t q) {
+  const std::size_t bit = std::size_t{1} << q;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if ((i & bit) == 0) {
+      const cplx a0 = v[i];
+      const cplx a1 = v[i | bit];
+      v[i] = m[0] * a0 + m[1] * a1;
+      v[i | bit] = m[2] * a0 + m[3] * a1;
+    }
+  }
+}
+
+void apply_2q(Amps& v, const Mat4& m, std::size_t q0, std::size_t q1) {
+  const std::size_t b0 = std::size_t{1} << q0;
+  const std::size_t b1 = std::size_t{1} << q1;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if ((i & (b0 | b1)) == 0) {
+      const cplx a00 = v[i];
+      const cplx a01 = v[i | b0];
+      const cplx a10 = v[i | b1];
+      const cplx a11 = v[i | b0 | b1];
+      v[i] = m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
+      v[i | b0] = m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
+      v[i | b1] = m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
+      v[i | b0 | b1] = m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
+    }
+  }
+}
+
+void apply_controlled_1q(Amps& v, const Mat2& m, std::size_t control,
+                         std::size_t target) {
+  const std::size_t cbit = std::size_t{1} << control;
+  const std::size_t tbit = std::size_t{1} << target;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if ((i & cbit) != 0 && (i & tbit) == 0) {
+      const cplx a0 = v[i];
+      const cplx a1 = v[i | tbit];
+      v[i] = m[0] * a0 + m[1] * a1;
+      v[i | tbit] = m[2] * a0 + m[3] * a1;
+    }
+  }
+}
+
+void apply_phase_on_parity(Amps& v, std::uint64_t mask, cplx phase) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (std::popcount(i & mask) % 2 == 1) {
+      v[i] *= phase;
+    }
+  }
+}
+
+/// util::parallel_reduce's summation order: one running sum below
+/// kParallelThreshold items, kKernelGrain chunks added in index order
+/// from it up.
+template <typename T, typename Body>
+T chunked_sum(std::size_t n, Body body) {
+  T total{};
+  if (n < kParallelThreshold) {
+    total += body(0, n);
+    return total;
+  }
+  for (std::size_t lo = 0; lo < n; lo += kKernelGrain) {
+    total += body(lo, std::min(n, lo + kKernelGrain));
+  }
+  return total;
+}
+
+cplx inner_product(const Amps& a, const Amps& b) {
+  return chunked_sum<cplx>(a.size(), [&](std::size_t lo, std::size_t hi) {
+    cplx acc{0.0, 0.0};
+    for (std::size_t i = lo; i < hi; ++i) {
+      acc += std::conj(a[i]) * b[i];
+    }
+    return acc;
+  });
+}
+
+Amps apply_term(const PauliTerm& term, const Amps& psi) {
+  Amps out = psi;
+  for (std::size_t q = 0; q < term.paulis.size(); ++q) {
+    switch (term.paulis[q]) {
+      case PauliOp::kI: break;
+      case PauliOp::kX: apply_1q(out, gates::X(), q); break;
+      case PauliOp::kY: apply_1q(out, gates::Y(), q); break;
+      case PauliOp::kZ: apply_1q(out, gates::Z(), q); break;
+    }
+  }
+  return out;
+}
+
+double expectation(const Observable& obs, const Amps& psi) {
+  double e = 0.0;
+  for (const PauliTerm& term : obs.terms()) {
+    e += term.coeff * inner_product(psi, apply_term(term, psi)).real();
+  }
+  return e;
+}
+
+/// The diagonal-term formula the gate sweep was bypassed with: |a_i|^2
+/// signed by the parity of the term's Z bits.
+double diagonal_expectation(const Observable& obs, const Amps& psi) {
+  double e = 0.0;
+  for (const PauliTerm& term : obs.terms()) {
+    std::uint64_t z = 0;
+    for (std::size_t q = 0; q < term.paulis.size(); ++q) {
+      z |= term.paulis[q] == PauliOp::kZ ? std::uint64_t{1} << q : 0;
+    }
+    e += term.coeff *
+         chunked_sum<double>(psi.size(), [&](std::size_t lo, std::size_t hi) {
+           double acc = 0.0;
+           for (std::size_t i = lo; i < hi; ++i) {
+             const double p = std::norm(psi[i]);
+             acc += std::popcount(i & z) % 2 == 0 ? p : -p;
+           }
+           return acc;
+         });
+  }
+  return e;
+}
+
+Amps apply(const Observable& obs, const Amps& psi) {
+  Amps out(psi.size(), cplx{0.0, 0.0});
+  for (const PauliTerm& term : obs.terms()) {
+    const Amps s = apply_term(term, psi);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += term.coeff * s[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace ref
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+cplx random_cplx(util::Rng& rng) { return {rng.normal(), rng.normal()}; }
+
+StateVector to_state(std::size_t n, const ref::Amps& amps) {
+  StateVector sv(n);
+  std::copy(amps.begin(), amps.end(), sv.mutable_amplitudes().begin());
+  return sv;
+}
+
+TEST(SimKernels, MatchStdComplexReferenceBitwise) {
+  // 13 qubits reduce serially, 14 and 15 in kKernelGrain chunks.
+  static_assert((std::size_t{1} << 13) < kParallelThreshold);
+  static_assert((std::size_t{1} << 14) >= kParallelThreshold);
+  util::Rng rng(2024);
+  for (const std::size_t n : {1, 3, 13, 14, 15}) {
+    SCOPED_TRACE("qubits " + std::to_string(n));
+    // Dense random amplitudes, and a copy with every third amplitude a
+    // zero of random signs (signed zeros are where a rewrite of the
+    // products could first differ).
+    ref::Amps dense(std::size_t{1} << n);
+    for (cplx& a : dense) {
+      a = random_cplx(rng);
+    }
+    ref::Amps sparse = dense;
+    for (std::size_t i = 0; i < sparse.size(); i += 3) {
+      sparse[i] = {rng.uniform() < 0.5 ? 0.0 : -0.0,
+                   rng.uniform() < 0.5 ? 0.0 : -0.0};
+    }
+    for (const ref::Amps& psi : {dense, sparse}) {
+      // Gate kernels, each on a random matrix and random qubits.
+      ref::Amps want = psi;
+      StateVector got = to_state(n, psi);
+      for (std::size_t round = 0; round < 4; ++round) {
+        const Mat2 m2{random_cplx(rng), random_cplx(rng), random_cplx(rng),
+                      random_cplx(rng)};
+        const std::size_t q = rng() % n;
+        ref::apply_1q(want, m2, q);
+        got.apply_1q(m2, q);
+        ASSERT_TRUE(same_bits(want, got.amplitudes())) << "apply_1q";
+        if (n >= 2) {
+          Mat4 m4;
+          for (cplx& x : m4) {
+            x = random_cplx(rng);
+          }
+          const std::size_t q0 = rng() % n;
+          const std::size_t q1 = (q0 + 1 + rng() % (n - 1)) % n;
+          ref::apply_2q(want, m4, q0, q1);
+          got.apply_2q(m4, q0, q1);
+          ASSERT_TRUE(same_bits(want, got.amplitudes())) << "apply_2q";
+          ref::apply_controlled_1q(want, m2, q1, q0);
+          got.apply_controlled_1q(m2, q1, q0);
+          ASSERT_TRUE(same_bits(want, got.amplitudes()))
+              << "apply_controlled_1q";
+        }
+        const std::uint64_t mask = rng() & ((std::uint64_t{1} << n) - 1);
+        const cplx phase = random_cplx(rng);
+        ref::apply_phase_on_parity(want, mask, phase);
+        got.apply_phase_on_parity(mask, phase);
+        ASSERT_TRUE(same_bits(want, got.amplitudes()))
+            << "apply_phase_on_parity";
+      }
+      const StateVector sv = to_state(n, psi);
+      const cplx ip = sv.inner_product(got);
+      const cplx ip_want = ref::inner_product(psi, want);
+      EXPECT_TRUE(same_bits(ip.real(), ip_want.real()) &&
+                  same_bits(ip.imag(), ip_want.imag()))
+          << "inner_product";
+
+      // Pauli strings: random ones, then all-I, all-Z and all-Y (n_Y = n
+      // covers every power of -i across the sizes).
+      std::vector<std::string> strings;
+      for (std::size_t k = 0; k < 12; ++k) {
+        std::string s(n, 'I');
+        for (char& c : s) {
+          c = "IXYZ"[rng() % 4];
+        }
+        strings.push_back(s);
+      }
+      for (const char c : {'I', 'Z', 'Y'}) {
+        strings.emplace_back(n, c);
+      }
+      Observable all(n);
+      for (const std::string& s : strings) {
+        SCOPED_TRACE(s);
+        Observable one(n);
+        one.add_term(rng.normal(), s);
+        all.add_term(one.terms()[0]);
+        const double e = one.expectation(sv);
+        EXPECT_TRUE(same_bits(e, ref::expectation(one, psi)))
+            << e << " vs " << ref::expectation(one, psi);
+        if (one.terms()[0].is_diagonal()) {
+          EXPECT_TRUE(same_bits(e, ref::diagonal_expectation(one, psi)));
+        }
+        EXPECT_TRUE(
+            same_bits(ref::apply(one, psi), one.apply(sv).amplitudes()))
+            << "apply";
+      }
+      EXPECT_TRUE(same_bits(all.expectation(sv), ref::expectation(all, psi)));
+      EXPECT_TRUE(same_bits(ref::apply(all, psi), all.apply(sv).amplitudes()));
+    }
+  }
 }
 
 // ---------- noise ----------
