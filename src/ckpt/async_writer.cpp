@@ -1,25 +1,17 @@
 #include "ckpt/async_writer.hpp"
 
-#include <algorithm>
+#include "util/timer.hpp"
 
 namespace qnn::ckpt {
 
-AsyncWriter::AsyncWriter(io::Env& env, std::size_t queue_capacity,
-                         std::size_t num_workers,
+AsyncWriter::AsyncWriter(std::size_t queue_capacity,
                          obs::MetricsRegistry* metrics)
-    : env_(env),
-      capacity_(queue_capacity == 0 ? 1 : queue_capacity),
+    : capacity_(queue_capacity),
       metrics_(obs::shared_or_own(metrics, own_metrics_)),
       jobs_(metrics_.counter("writer.jobs")),
-      bytes_(metrics_.counter("writer.bytes")),
       failures_(metrics_.counter("writer.failures")),
-      dropped_(metrics_.counter("writer.dropped")) {
-  const std::size_t n = std::max<std::size_t>(1, num_workers);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+      dropped_(metrics_.counter("writer.dropped")),
+      worker_([this] { worker_loop(); }) {}
 
 AsyncWriter::~AsyncWriter() {
   {
@@ -28,96 +20,75 @@ AsyncWriter::~AsyncWriter() {
   }
   cv_work_.notify_all();
   cv_space_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
+  worker_.join();
 }
 
-bool AsyncWriter::submit(Job job) {
+double AsyncWriter::wait_for_room() {
   std::unique_lock lock(mu_);
-  cv_space_.wait(lock, [this] { return queue_.size() < capacity_ || stop_; });
+  if (has_room()) {
+    return 0.0;
+  }
+  const util::Timer waited;
+  cv_space_.wait(lock, [this] { return has_room(); });
+  return waited.seconds();
+}
+
+bool AsyncWriter::submit(Task task) {
+  std::unique_lock lock(mu_);
+  cv_space_.wait(lock, [this] { return has_room(); });
   if (stop_) {
-    // Shutting down: refuse instead of silently losing the job — the
+    // Shutting down: refuse instead of silently losing the task — the
     // destructor drains what is already queued, not what never arrived.
     dropped_.add();
     return false;
   }
-  bytes_.add(job.data.size());
-  queue_.push_back(std::move(job));
+  queue_.push_back(std::move(task));
   cv_work_.notify_one();
   return true;
 }
 
 void AsyncWriter::flush() {
   std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+  cv_idle_.wait(lock, [this] { return queue_.empty() && !busy_; });
 }
 
 AsyncWriter::Stats AsyncWriter::stats() const {
   return {.jobs = jobs_.value(),
-          .bytes = bytes_.value(),
           .failures = failures_.value(),
           .dropped = dropped_.value()};
 }
 
 void AsyncWriter::worker_loop() {
+  std::unique_lock lock(mu_);
   while (true) {
-    Job job;
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [this] { return !queue_.empty() || stop_; });
-      if (queue_.empty()) {
-        // stop_ set and nothing left to drain.
-        cv_idle_.notify_all();
-        return;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      cv_space_.notify_one();
+    cv_work_.wait(lock, [this] { return !queue_.empty() || stop_; });
+    if (queue_.empty()) {
+      return;  // stop_ set and nothing left to drain
     }
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    busy_ = true;
+    // notify_all: a wait_for_room() waiter does not take the slot, so
+    // waking only it could strand a blocked submit().
+    cv_space_.notify_all();
+    lock.unlock();
 
     bool ok = true;
     try {
-      // Prerequisites first (the streamed packfile commits before the
-      // checkpoint that references it): the dependency order IS the
-      // crash-consistency argument.
-      if (job.pre_install) {
-        job.pre_install();
-      }
-      env_.write_file_atomic(job.path, job.data);
-    } catch (const std::exception&) {
+      task();
+    } catch (...) {
       ok = false;
     }
-
-    if (ok && job.on_installed) {
-      try {
-        job.on_installed();
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-
-    if (!ok && job.on_failed) {
-      try {
-        job.on_failed();
-      } catch (const std::exception&) {
-        // Compensation must never take down the writer.
-      }
-    }
-
+    task = nullptr;  // what the task holds dies before flush() returns
     jobs_.add();
     if (!ok) {
       failures_.add();
     }
-    {
-      std::lock_guard lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) {
-        cv_idle_.notify_all();
-      }
+
+    lock.lock();
+    busy_ = false;
+    if (queue_.empty()) {
+      cv_idle_.notify_all();
     }
   }
 }

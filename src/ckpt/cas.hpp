@@ -151,8 +151,8 @@ class ChunkStore : public ChunkSource {
     /// Packfile name for this batch ("pack-<epoch>.qpak").
     [[nodiscard]] std::string pack_name() const;
     /// Finishes the streamed packfile — key table + footer — and
-    /// atomically installs it. Call (on the writer thread in async
-    /// mode) BEFORE any file referencing the batch's chunks is written:
+    /// atomically installs it. Call (on the pipeline thread in async
+    /// mode) BEFORE any file referencing the batch's chunks is installed:
     /// the commit order IS the crash-consistency argument. No-op when
     /// the batch staged nothing. Throws on I/O failure, in which case
     /// nothing was installed.
@@ -189,7 +189,7 @@ class ChunkStore : public ChunkSource {
 
   /// Publishes a committed batch: its records enter the index and
   /// become dedup targets for later checkpoints. Call AFTER
-  /// Batch::commit() succeeded — on the writer thread in async mode —
+  /// Batch::commit() succeeded — on the pipeline thread in async mode —
   /// and never publish a batch whose commit failed.
   void publish(const Batch& batch);
 

@@ -66,13 +66,11 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   if (policy_.tracer != nullptr) {
     store_.set_observability(policy_.tracer);
   }
-  if (policy_.encode_queue == 0) {
-    policy_.encode_queue = 1;
-  }
   if (policy_.wal.enable) {
     // The journal's epoch (its delta base) must be durably installed
-    // before records claiming to delta against it are appended; the
-    // async pipeline would reorder that, so wal mode runs sync installs.
+    // before records claiming to delta against it are appended; an
+    // async install lands behind the trainer's next appends, so wal mode
+    // runs sync installs.
     policy_.async = false;
   }
   // Keep the lazy-pool trigger in checkpoint_now aligned with the
@@ -81,7 +79,6 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   // Resume id allocation after any existing checkpoints in the directory.
   manifest_ = Manifest::load(env_, dir_);
   next_id_ = manifest_.max_id() + 1;
-  next_submit_id_ = next_id_;
   // Every manifest this Checkpointer writes carries the directory's
   // lifetime drop count, which count_drop_locked() adds to.
   const std::uint64_t lifetime_drops = manifest_.stat("dropped_writes");
@@ -96,24 +93,13 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   // fence and its deletions (safe here — nothing is in flight yet).
   store_.sweep_orphans(manifest_);
   if (policy_.async) {
-    // Default to half the cores: the encode pipeline runs concurrently
-    // with training, whose sim kernels fan out on the global pool —
-    // claiming every hardware thread here would oversubscribe the CPU
-    // against the very steps async mode is meant to protect.
-    pool_ = std::make_unique<util::ThreadPool>(
-        policy_.encode_threads == 0
-            ? std::max<std::size_t>(
-                  1, util::ThreadPool::default_thread_count() / 2)
-            : policy_.encode_threads);
-    // Parallel writers finish out of order; an incremental chain needs
-    // parent-before-child durability, so it gets exactly one writer.
-    const std::size_t writer_threads =
-        policy_.strategy == Strategy::kIncremental
-            ? 1
-            : std::max<std::size_t>(1, policy_.writer_threads);
-    writer_ = std::make_unique<AsyncWriter>(
-        env_, std::max<std::size_t>(2, writer_threads), writer_threads,
-        &metrics_);
+    // Half the cores for chunk waves: the pipeline runs concurrently with
+    // training, whose sim kernels fan out on the global pool — claiming
+    // every hardware thread here would oversubscribe the CPU against the
+    // very steps async mode is meant to protect.
+    pool_ = std::make_unique<util::ThreadPool>(std::max<std::size_t>(
+        1, util::ThreadPool::default_thread_count() / 2));
+    writer_ = std::make_unique<AsyncWriter>(kPipelineDepth, &metrics_);
   }
 }
 
@@ -142,8 +128,8 @@ Checkpointer::~Checkpointer() {
     // (e.g. a scheduled crash mid-teardown); destruction must not
     // throw — recovery truncates whatever tail the failure left.
   }
-  // writer_ then pool_ are destroyed after this body; flush() guarantees
-  // no encode task is still running when they go.
+  // writer_ is destroyed first after this body and drains whatever the
+  // flush left, while everything its tasks touch is still alive.
 }
 
 bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
@@ -209,7 +195,7 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
   // checkpoint encodes straight from the caller's state, which stays
   // borrowed until checkpoint_now returns; under kIncremental it builds
   // each delta in the previous base's buffer and copies the state over
-  // the bases once the encode returns (keep_bases).
+  // the bases once the write returns (keep_bases).
   const bool own = writer_ != nullptr;
   file.sections = own ? state_to_sections(state, include_sim, policy_.codec)
                       : view_state_sections(state, include_sim, policy_.codec);
@@ -237,7 +223,7 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
         // The parent's buffer becomes the delta, moved: this runs on the
         // trainer thread, where every byte counts. An async checkpoint's
         // copy of the state becomes the next base; a sync one takes the
-        // buffer back after the encode.
+        // buffer back after the write.
         Bytes delta = std::move(parent->second);
         xor_section_into(delta, s);
         if (own) {
@@ -260,7 +246,7 @@ CheckpointFile Checkpointer::build_file(const qnn::TrainingState& state,
   } else {
     // Full checkpoint (also the delta base for what follows). Only the
     // incremental strategy ever reads the base, and a sync one refreshes
-    // it after the encode: don't spend trainer time copying payloads
+    // it after the write: don't spend trainer time copying payloads
     // nobody will diff against.
     if (own) {
       last_raw_.clear();
@@ -281,208 +267,89 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   const std::uint64_t id = next_id_++;
   last_checkpoint_step_ = state.step;
 
-  // The root span covers the trainer-visible slice; the async encode and
-  // install stages run on other threads and link back via its id.
+  // The root span covers the trainer-visible slice; the async pipeline
+  // thread's encode and install link back via its id.
   obs::Span ckpt_span(policy_.tracer, "checkpoint", "ckpt");
   ckpt_span.note("id", id);
   ckpt_span.note("step", state.step);
   const std::uint64_t parent_span = ckpt_span.id();
 
   if (writer_) {
-    // Reserve the reorder-buffer slot (and apply encode backpressure)
-    // before any delta bookkeeping: ids must stay contiguous in
-    // ready_jobs_ or the ordered drain stalls. If the reservation
-    // throws, the id is returned and nothing downstream observed it.
-    util::Timer submit_timer;
-    std::unique_lock lock(encode_mu_);
-    encode_cv_.wait(lock, [this] {
-      return pending_encodes_ < policy_.encode_queue;
-    });
-    try {
-      ready_jobs_.emplace(id, PendingEncode{});
-    } catch (...) {
-      --next_id_;
-      throw;
-    }
-    ++pending_encodes_;
-    submit_blocked_.record_seconds(submit_timer.seconds());
+    // Backpressure before the copy: the trainer never holds a snapshot
+    // the queue has no room for.
+    submit_blocked_.record_seconds(writer_->wait_for_room());
   }
 
-  // Everything between the slot reservation above and the dispatch below
-  // must release the slot on failure, or the ordered drain waits on id
-  // forever (see catch at the end of this block).
   try {
-  // Trainer-thread stage: the state's section payloads (plus delta
-  // bookkeeping), copied only where build_file must own them. In async
-  // mode this copy is all the trainer pays for.
-  util::Timer snapshot_timer;
-  obs::Span snap_span(policy_.tracer, "snapshot", "ckpt", parent_span);
-  CheckpointFile file = build_file(state, id);
-  std::uint64_t raw_bytes = 0;
-  for (const Section& s : file.sections) {
-    raw_bytes += s.size();
-  }
-  snap_span.note("bytes_raw", raw_bytes);
-  snap_span.finish();
-  snapshot_.record_seconds(snapshot_timer.seconds());
-
-  ManifestEntry entry;
-  entry.id = id;
-  entry.parent_id = file.parent_id;
-  entry.step = state.step;
-  entry.file = checkpoint_file_name(id);
-  bytes_raw_.add(raw_bytes);
-  checkpoints_.add();
-  (file.is_incremental() ? incremental_checkpoints_ : full_checkpoints_)
-      .add();
-
-  const std::string path = dir_ + "/" + entry.file;
-  // Sync mode has no private pipeline pool, but the trainer is stalled
-  // for the whole encode anyway — fan chunk compression out on the
-  // global pool so the stall at least shrinks with core count. Resolve
-  // it lazily: only touch (and thereby instantiate) the global pool when
-  // some section is actually large enough to chunk.
-  util::ThreadPool* encode_pool = pool_.get();
-  if (encode_pool == nullptr) {
+    // Trainer-thread stage: the state's section payloads (plus delta
+    // bookkeeping), copied only where build_file must own them. In async
+    // mode this copy is all the trainer pays for.
+    util::Timer snapshot_timer;
+    obs::Span snap_span(policy_.tracer, "snapshot", "ckpt", parent_span);
+    CheckpointFile file = build_file(state, id);
+    std::uint64_t raw_bytes = 0;
     for (const Section& s : file.sections) {
-      if (s.size() > policy_.chunk_bytes) {
-        encode_pool = &util::global_pool();
-        break;
+      raw_bytes += s.size();
+    }
+    snap_span.note("bytes_raw", raw_bytes);
+    snap_span.finish();
+    snapshot_.record_seconds(snapshot_timer.seconds());
+
+    ManifestEntry entry;
+    entry.id = id;
+    entry.parent_id = file.parent_id;
+    entry.step = state.step;
+    entry.file = checkpoint_file_name(id);
+    bytes_raw_.add(raw_bytes);
+    checkpoints_.add();
+    (file.is_incremental() ? incremental_checkpoints_ : full_checkpoints_)
+        .add();
+
+    if (writer_) {
+      // The pipeline thread runs the same write step, in id order. A
+      // failure there breaks the chain before the next queued checkpoint
+      // is taken, and rethrows into writer.failures.
+      const bool queued = writer_->submit(
+          [this, file = std::move(file), entry, parent_span] {
+            try {
+              write_checkpoint(file, entry, pool_.get(), parent_span);
+            } catch (...) {
+              mark_chain_broken(entry.id);
+              throw;
+            }
+          });
+      if (!queued) {
+        // Refused at shutdown: nothing queued can delta against this id.
+        force_full_.store(true);
+        std::lock_guard lock(manifest_mu_);
+        count_drop_locked();
+      }
+    } else {
+      // The trainer is stalled for the whole write anyway — fan chunk
+      // compression out on the global pool so the stall at least shrinks
+      // with core count. Resolve it lazily: only touch (and thereby
+      // instantiate) the global pool when some section is actually large
+      // enough to chunk.
+      util::ThreadPool* pool = nullptr;
+      for (const Section& s : file.sections) {
+        if (s.size() > policy_.chunk_bytes) {
+          pool = &util::global_pool();
+          break;
+        }
+      }
+      write_checkpoint(file, entry, pool, parent_span);
+      if (policy_.strategy == Strategy::kIncremental) {
+        keep_bases(file, state);
       }
     }
-  }
-  // The encode stage dedups every oversized section's chunks against the
-  // directory's chunk store through this batch, which also pins the
-  // referenced chunks against concurrent GC until the checkpoint
-  // installs (or drops — the batch dies either way).
-  const std::shared_ptr<ChunkStore::Batch> batch =
-      store_.chunks().begin_batch(id);
-  const EncodeOptions encode_options{.chunk_bytes = policy_.chunk_bytes,
-                                     .pool = encode_pool,
-                                     .sink = batch.get(),
-                                     .encode_window = 0,
-                                     .gauge = &encode_gauge_};
-
-  if (writer_) {
-    // Hand the whole encode stage to the pipeline (the slot and
-    // backpressure were handled up front). Chunk bytes stream into the
-    // batch's packfile during the encode (bounded waves); only the
-    // container — key tables and small inline sections — rides the job
-    // as a buffer.
-    try {
-      pool_->submit([this, file = std::move(file), entry, path,
-                     encode_options, batch, parent_span]() mutable {
-        std::optional<AsyncWriter::Job> job;
-        try {
-          util::Timer encode_timer;
-          obs::Span encode_span(policy_.tracer, "encode", "ckpt",
-                                parent_span);
-          encode_span.note("id", entry.id);
-          Bytes encoded = encode_checkpoint(file, encode_options);
-          entry.bytes = encoded.size();
-          encode_span.note("bytes", entry.bytes);
-          encode_span.finish();
-          encode_.record_seconds(encode_timer.seconds());
-          job.emplace();
-          job->path = path;
-          // Gauge the container while it sits in the writer queue; the
-          // shared holder lives exactly as long as the job's closures,
-          // so dropped jobs release it too.
-          auto held = std::make_shared<util::GaugedBytes>(&encode_gauge_,
-                                                          encoded.size());
-          job->data = std::move(encoded);
-          if (!batch->empty()) {
-            // The packfile commit precedes the checkpoint file: chunks
-            // must be durable before anything references them. The
-            // records were already streamed into the staged (invisible)
-            // pack during encode; commit() finishes and installs it.
-            job->pre_install = [batch] { batch->commit(); };
-          }
-          job->on_installed = [this, entry, batch, held, parent_span] {
-            util::Timer install_timer;
-            obs::Span install_span(policy_.tracer, "install", "ckpt",
-                                   parent_span);
-            install_span.note("id", entry.id);
-            // Durable now: the records become dedup targets for later
-            // checkpoints.
-            store_.chunks().publish(*batch);
-            install(entry, batch->refs());
-            install_span.finish();
-            install_.record_seconds(install_timer.seconds());
-          };
-          job->on_failed = [this, entry, held] {
-            // The file never became durable: break any delta chain
-            // that would pass through it, and quarantine in-flight
-            // children (see install()). An already-committed packfile
-            // merely strands unreferenced chunks for the next sweep.
-            mark_chain_broken(entry.id, /*count_drop=*/true);
-          };
-          bytes_encoded_.add(entry.bytes);
-        } catch (...) {
-          // Encode failures must not wedge the pipeline; surface as a
-          // drop (job stays empty) so later ids can still install. An
-          // un-committed pack stream aborts with the batch.
-          job.reset();
-        }
-        enqueue_ready(entry.id, std::move(job));
-      });
-    } catch (const std::exception&) {
-      // The pool refused the task (shutdown/allocation): account the
-      // slot and advance the submission cursor or flush() hangs forever.
-      enqueue_ready(id, std::nullopt);
-    }
-  } else {
-    // Sync mode streams the container straight into its atomic handle:
-    // neither the container nor the packfile ever exists as a second
-    // in-memory copy. The install order is unchanged — the pack commit
-    // (its atomic close) lands strictly before the container's close.
-    util::Timer encode_timer;
-    obs::Span encode_span(policy_.tracer, "encode", "ckpt", parent_span);
-    encode_span.note("id", id);
-    auto out = env_.new_writable(path, io::WriteMode::kAtomic);
-    WritableSink out_sink(*out);
-    entry.bytes = encode_checkpoint(file, encode_options, out_sink);
-    encode_span.note("bytes", entry.bytes);
-    encode_span.finish();
-    encode_.record_seconds(encode_timer.seconds());
-    if (policy_.strategy == Strategy::kIncremental) {
-      keep_bases(file, state);
-    }
-
-    util::Timer write_timer;
-    if (!batch->empty()) {
-      batch->commit();
-      store_.chunks().publish(*batch);
-    }
-    out->close();
-    sync_write_.record_seconds(write_timer.seconds());
-    bytes_encoded_.add(entry.bytes);
-    {
-      util::Timer install_timer;
-      obs::Span install_span(policy_.tracer, "install", "ckpt", parent_span);
-      install_span.note("id", id);
-      install(entry, batch->refs());
-      install_span.finish();
-      install_.record_seconds(install_timer.seconds());
-    }
-  }
   } catch (...) {
-    // Snapshot/dispatch failed before the encode task took ownership of
-    // the slot. Break any delta chain through the lost id — build_file
-    // already advanced last_id_/last_raw_ to it, so a caller that
-    // swallows this exception and keeps training must not produce
-    // orphaned deltas (sync mode included). In async mode additionally
-    // release the slot (allocation-free) so the pipeline cannot wedge.
-    // The dispatch block's own catches do not rethrow, so this cannot
-    // double-release.
-    // Don't count the drop here: in async mode the ordered drain counts
-    // it exactly once when it reaches the empty slot released below (the
-    // caller additionally sees the exception); in sync mode nothing was
-    // queued and the exception alone reports the loss.
-    mark_chain_broken(id, /*count_drop=*/false);
-    if (writer_) {
-      enqueue_ready(id, std::nullopt);
-    }
+    // The snapshot, the hand-off or the sync write failed. build_file
+    // may already have advanced last_id_/last_raw_ to the lost id, so the
+    // next checkpoint must be full: a caller that swallows this exception
+    // and keeps training must not produce orphaned deltas. Nothing in
+    // flight can delta against this id, so no chain needs a quarantine.
+    // Not counted as a drop: the exception alone reports the loss.
+    force_full_.store(true);
     throw;
   }
 
@@ -499,6 +366,66 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
     // The step-cadence clock must not count checkpoint time as step time.
     last_seen_time_ = policy_.clock();
   }
+}
+
+void Checkpointer::write_checkpoint(const CheckpointFile& file,
+                                    ManifestEntry entry,
+                                    util::ThreadPool* pool,
+                                    std::uint64_t parent_span) {
+  {
+    std::lock_guard lock(manifest_mu_);
+    if (entry.parent_id != 0 && entry.parent_id == broken_chain_tip_) {
+      // A delta child queued behind a parent that never became durable
+      // resolves to nothing: drop it before its file opens, and pass the
+      // quarantine on to its own children.
+      broken_chain_tip_ = entry.id;
+      count_drop_locked();
+      return;
+    }
+  }
+  // Every oversized section's chunks dedup against the directory's chunk
+  // store through this batch, which also pins the referenced chunks
+  // against concurrent GC until the checkpoint installs (or drops — the
+  // batch dies either way, aborting an uncommitted pack stream).
+  const std::unique_ptr<ChunkStore::Batch> batch =
+      store_.chunks().begin_batch(entry.id);
+  const EncodeOptions encode_options{.chunk_bytes = policy_.chunk_bytes,
+                                     .pool = pool,
+                                     .sink = batch.get(),
+                                     .encode_window = 0,
+                                     .gauge = &encode_gauge_};
+
+  // The container streams straight into its atomic handle: neither it
+  // nor the packfile ever exists as a second in-memory copy.
+  util::Timer encode_timer;
+  obs::Span encode_span(policy_.tracer, "encode", "ckpt", parent_span);
+  encode_span.note("id", entry.id);
+  auto out = env_.new_writable(dir_ + "/" + entry.file, io::WriteMode::kAtomic);
+  WritableSink out_sink(*out);
+  entry.bytes = encode_checkpoint(file, encode_options, out_sink);
+  encode_span.note("bytes", entry.bytes);
+  encode_span.finish();
+  encode_.record_seconds(encode_timer.seconds());
+
+  util::Timer write_timer;
+  if (!batch->empty()) {
+    batch->commit();
+    // Durable now: the records become dedup targets for later
+    // checkpoints.
+    store_.chunks().publish(*batch);
+  }
+  out->close();
+  if (writer_ == nullptr) {
+    sync_write_.record_seconds(write_timer.seconds());
+  }
+  bytes_encoded_.add(entry.bytes);
+
+  util::Timer install_timer;
+  obs::Span install_span(policy_.tracer, "install", "ckpt", parent_span);
+  install_span.note("id", entry.id);
+  install(entry, batch->refs());
+  install_span.finish();
+  install_.record_seconds(install_timer.seconds());
 }
 
 void Checkpointer::keep_bases(CheckpointFile& file,
@@ -539,17 +466,11 @@ void Checkpointer::rotate_wal(std::uint64_t id,
   }
 }
 
-void Checkpointer::mark_chain_broken(std::uint64_t id, bool count_drop) {
+void Checkpointer::mark_chain_broken(std::uint64_t id) {
   force_full_.store(true);
   std::lock_guard lock(manifest_mu_);
-  // Monotonic: failure notifications can arrive out of id order (a
-  // writer failing an OLD id after a newer encode drop), and install()
-  // compares each child's parent against the tip — regressing it would
-  // let a child of the newer missing id slip into the manifest.
-  broken_chain_tip_ = std::max(broken_chain_tip_, id);
-  if (count_drop) {
-    count_drop_locked();
-  }
+  broken_chain_tip_ = id;
+  count_drop_locked();
 }
 
 void Checkpointer::count_drop_locked() {
@@ -564,61 +485,9 @@ void Checkpointer::count_drop_locked() {
   dropped_writes_.add();
 }
 
-void Checkpointer::enqueue_ready(std::uint64_t id,
-                                 std::optional<AsyncWriter::Job> job) {
-  {
-    std::lock_guard lock(encode_mu_);
-    const auto it = ready_jobs_.find(id);
-    if (it == ready_jobs_.end()) {
-      return;  // defensive: slot already released
-    }
-    it->second.done = true;  // slot was reserved by checkpoint_now
-    it->second.job = std::move(job);
-    // Release every completed in-order job. writer_->submit may block on
-    // writer backpressure while encode_mu_ is held; that is the intended
-    // cascade (writer workers drain independently and never take
-    // encode_mu_, so progress is guaranteed).
-    while (!ready_jobs_.empty() &&
-           ready_jobs_.begin()->first == next_submit_id_ &&
-           ready_jobs_.begin()->second.done) {
-      auto node = ready_jobs_.extract(ready_jobs_.begin());
-      bool queued = false;
-      if (node.mapped().job.has_value()) {
-        try {
-          queued = writer_->submit(std::move(*node.mapped().job));
-        } catch (...) {
-          // Allocation failure in the writer queue: treat exactly like a
-          // refused job so the cursor still advances.
-        }
-      }
-      if (!queued) {
-        // Record the broken chain BEFORE the loop can hand a later
-        // (delta child) job to the writer, and allocation-free, so the
-        // failure path can neither race install() nor itself fail.
-        // Nesting follows the established encode_mu_ -> manifest_mu_
-        // hierarchy.
-        mark_chain_broken(node.key(), /*count_drop=*/true);
-      }
-      ++next_submit_id_;
-      --pending_encodes_;
-    }
-  }
-  encode_cv_.notify_all();
-}
-
 void Checkpointer::install(ManifestEntry entry,
                            const std::vector<ChunkKey>& refs) {
   std::lock_guard lock(manifest_mu_);
-  if (entry.parent_id != 0 && entry.parent_id == broken_chain_tip_) {
-    // The parent never became durable: this delta resolves to nothing.
-    // Refuse to advertise it — every manifest entry must load — and
-    // propagate the quarantine to its own descendants. Its chunk refs
-    // are never retained; any chunks it stored become sweep fodder.
-    broken_chain_tip_ = entry.id;
-    count_drop_locked();
-    env_.remove_file(dir_ + "/" + entry.file);
-    return;
-  }
   if (!entry.is_incremental()) {
     // A full checkpoint ends every chain; older failures are moot.
     broken_chain_tip_ = 0;
@@ -642,9 +511,9 @@ void Checkpointer::install(ManifestEntry entry,
   // (copy + fsync cold, TIERMAP fence, then the hot copy dies).
   // Best-effort by design: the checkpoint IS durable and advertised at
   // this point, so a cold-tier failure (ENOSPC, transient object-store
-  // error) must not escape — on the async path it would run on_failed
-  // and mark this perfectly valid checkpoint's chain broken. A failed
-  // demotion just leaves objects hot; the next install retries.
+  // error) must not escape — it would mark this perfectly valid
+  // checkpoint's chain broken. A failed demotion just leaves objects
+  // hot; the next install retries.
   try {
     store_.migrate(manifest_);
   } catch (const std::exception&) {
@@ -655,14 +524,9 @@ void Checkpointer::flush() {
   if (wal_) {
     wal_->sync();  // flush is a durability point for the journal too
   }
-  if (!writer_) {
-    return;
+  if (writer_) {
+    writer_->flush();
   }
-  {
-    std::unique_lock lock(encode_mu_);
-    encode_cv_.wait(lock, [this] { return pending_encodes_ == 0; });
-  }
-  writer_->flush();
 }
 
 Checkpointer::Stats Checkpointer::stats() const {

@@ -19,12 +19,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "ckpt/async_writer.hpp"
 #include "ckpt/format.hpp"
@@ -67,23 +65,18 @@ struct CheckpointPolicy {
   tier::TierPolicy tier;
   /// Incremental chains: force a full checkpoint every N checkpoints.
   std::uint64_t full_every = 10;
-  /// Run the encode + write pipeline on background threads instead of
-  /// synchronously: the trainer thread only copies the state into section
-  /// payloads; chunk compression, CRC and the file write all happen off
-  /// the critical path. (Sync mode encodes straight from the state.)
+  /// Write checkpoints on one background pipeline thread instead of the
+  /// caller's: the trainer thread only copies the state into section
+  /// payloads; chunk compression, CRC, the file write and the install run
+  /// off the critical path, one checkpoint at a time in id order, through
+  /// the same write step a sync checkpoint runs. At most
+  /// Checkpointer::kPipelineDepth copies wait behind the one being
+  /// written; the trainer blocks for room before it copies (bounded
+  /// memory; the wait is ckpt.submit_blocked). Chunk waves fan out on a
+  /// private pool of half of ThreadPool::default_thread_count(), leaving
+  /// headroom for the training computation they overlap. (Sync mode
+  /// encodes straight from the state.)
   bool async = false;
-
-  /// Async pipeline: threads for the encode stage (chunk compression +
-  /// serialisation). 0 = half of ThreadPool::default_thread_count(),
-  /// leaving headroom for the training computation it overlaps.
-  std::size_t encode_threads = 0;
-  /// Async pipeline: AsyncWriter I/O workers. Clamped to 1 under
-  /// Strategy::kIncremental — parallel writers complete out of order, and
-  /// a delta child must never be durable before its parent.
-  std::size_t writer_threads = 1;
-  /// Checkpoints allowed in the encode stage before the trainer blocks
-  /// (bounded memory; the blocked time is accounted as backpressure).
-  std::size_t encode_queue = 2;
   /// Sections larger than this are cut into chunks of this size, stored
   /// content-addressed in the directory's chunk store and deduplicated
   /// across checkpoints (see ckpt/format.hpp); their misses compress in
@@ -121,14 +114,21 @@ struct CheckpointPolicy {
   /// .install). Null means a registry of the Checkpointer's own; Stats
   /// reads the instruments either way. `tracer` (null = one pointer
   /// test) receives one span tree per checkpoint (checkpoint ->
-  /// snapshot/encode/install, linked across the async pipeline's threads
-  /// by parent ids) plus WAL append/compaction instants.
+  /// snapshot/encode/install, linked to the async pipeline thread by
+  /// parent ids) plus WAL append/compaction instants.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 
 class Checkpointer {
  public:
+  /// Async mode: checkpoints queued behind the one the pipeline thread is
+  /// writing before checkpoint_now blocks. Each holds one snapshot; with
+  /// the one being written that is 5 in flight, enough to ride out a
+  /// burst of slow syncs when checkpoints come every few steps of a
+  /// small model (bench_f3 at interval 5).
+  static constexpr std::size_t kPipelineDepth = 4;
+
   /// A snapshot of the registry instruments named beside each field.
   /// Counts and seconds are net of what their instruments held when this
   /// Checkpointer opened, so they stay this Checkpointer's when a
@@ -147,18 +147,22 @@ class Checkpointer {
     double snapshot_seconds = 0.0;    ///< ckpt.snapshot: section build
     double encode_seconds = 0.0;      ///< ckpt.encode, sync: trainer thread
     double sync_write_seconds = 0.0;  ///< ckpt.sync_write: pack + close
-    double submit_blocked_seconds = 0.0;   ///< ckpt.submit_blocked (async)
+    /// ckpt.submit_blocked (async): the trainer's waits for room in the
+    /// pipeline queue, 0 for a checkpoint that found room.
+    double submit_blocked_seconds = 0.0;
     double pipeline_encode_seconds = 0.0;  ///< ckpt.encode, async
-    /// ckpt.dropped_writes: checkpoints lost in the pipeline: encode
-    /// failed, the write failed, or the writer refused the job during
+    /// ckpt.dropped_writes: checkpoints lost in the async pipeline: the
+    /// encode or write failed, a delta child was quarantined behind a
+    /// lost parent, or the pipeline refused the checkpoint during
     /// shutdown. After a drop the next checkpoint is forced full so a
-    /// missing file cannot orphan later deltas.
+    /// missing file cannot orphan later deltas. A sync caller sees its
+    /// loss as the exception alone.
     std::uint64_t dropped_writes = 0;
     /// writer.dropped / writer.failures: the AsyncWriter's own counts,
-    /// so shutdown-drops are never silent: jobs refused because the
-    /// writer was stopping, and jobs whose write threw. 0 in sync mode.
-    /// dropped_writes above is the pipeline-level view (it also counts
-    /// encode failures and quarantined delta children).
+    /// so shutdown-drops are never silent: checkpoints refused because
+    /// the pipeline was stopping, and checkpoint writes that threw. 0 in
+    /// sync mode. dropped_writes above is the pipeline-level view (it
+    /// also counts quarantined delta children).
     std::uint64_t writer_dropped = 0;
     std::uint64_t writer_failures = 0;
     /// ckpt.lifetime_dropped_writes (a gauge): the directory's drop count
@@ -178,13 +182,13 @@ class Checkpointer {
 
     /// ckpt.peak_encode_buffer_bytes (a gauge raised to the highest peak
     /// of the Checkpointers recording into it): this Checkpointer's
-    /// high-water mark of encoded bytes buffered by the encode path:
-    /// compression waves in flight plus async containers queued for the
-    /// writer. Chunks stream into the packfile and the container holds
-    /// only key tables and inline sections of at most chunk_bytes; a
-    /// wave holds <= window x chunk_bytes + 8 (a first chunk carries its
-    /// u64 count; see section_array_offset). The peak is therefore
-    /// O(chunk x window x pipeline depth), independent of checkpoint
+    /// high-water mark of encoded bytes buffered by the encode path: the
+    /// compression wave in flight, or one encoded inline section. Both
+    /// modes stream the container into its file and the chunks into the
+    /// packfile, one checkpoint at a time; an inline section is at most
+    /// chunk_bytes, and a wave holds <= window x chunk_bytes + 8 (a
+    /// first chunk carries its u64 count; see section_array_offset). The
+    /// peak is therefore O(chunk x window), independent of checkpoint
     /// size, as the bounded-memory pipeline test asserts.
     std::uint64_t peak_encode_buffer_bytes = 0;
 
@@ -231,9 +235,10 @@ class Checkpointer {
 
   /// Unconditionally produces a checkpoint of `state`. Sync mode reads
   /// `state` in place until the call returns (Strategy::kIncremental
-  /// too, which copies it over its delta bases after the encode), so it
-  /// must not be mutated concurrently. Async mode copies `state` before
-  /// returning and encodes the copy in the background.
+  /// too, which copies it over its delta bases after the write), so it
+  /// must not be mutated concurrently. Async mode waits for room in the
+  /// pipeline queue, copies `state` before returning and writes the copy
+  /// in the background.
   void checkpoint_now(const qnn::TrainingState& state);
 
   /// Waits for any in-flight async writes to install.
@@ -269,15 +274,26 @@ class Checkpointer {
   CheckpointFile build_file(const qnn::TrainingState& state,
                             std::uint64_t id);
 
-  /// Sync kIncremental, once `file` is encoded: each kind's base takes
+  /// Sync kIncremental, once `file` is written: each kind's base takes
   /// its buffer back from its delta section (or from last_raw_) and
   /// `state` is copied over it; kinds absent from `state` drop out.
   void keep_bases(CheckpointFile& file, const qnn::TrainingState& state);
 
+  /// The write step of one checkpoint, on the caller's thread in sync
+  /// mode and on the pipeline thread in async mode: opens the chunk
+  /// batch, streams the container into its atomic handle (chunks into
+  /// the batch's packfile, waves on `pool`, null = inline), commits and
+  /// publishes the pack, closes the container, then installs it. The
+  /// pack commit lands strictly before the container's close: chunks are
+  /// durable before anything references them. Throws when the checkpoint
+  /// did not become durable. A delta child of broken_chain_tip_ is
+  /// dropped before its file opens.
+  void write_checkpoint(const CheckpointFile& file, ManifestEntry entry,
+                        util::ThreadPool* pool, std::uint64_t parent_span);
+
   /// Installs an encoded checkpoint: manifest upsert + save, chunk-ref
   /// retain, then the store's fenced GC. `refs` are the chunk keys the
-  /// file references (empty when every section is inline). Runs on the
-  /// writer thread in async mode.
+  /// file references (empty when every section is inline).
   void install(ManifestEntry entry, const std::vector<ChunkKey>& refs);
 
   /// Counts one dropped checkpoint (manifest_mu_ held).
@@ -315,7 +331,6 @@ class Checkpointer {
 
   /// Guards manifest_ (its "stat dropped_writes" line is the directory's
   /// lifetime drop count) and broken_chain_tip_; serialises installs.
-  /// Lock order where nesting is needed: encode_mu_ -> manifest_mu_.
   std::mutex manifest_mu_;
   Manifest manifest_;
 
@@ -341,28 +356,6 @@ class Checkpointer {
   std::map<SectionKind, Bytes> last_raw_;
   std::uint64_t checkpoints_since_full_ = 0;
 
-  /// One checkpoint in flight through the encode stage. The map node is
-  /// pre-reserved on the trainer thread (checkpoint_now) so completing an
-  /// encode never allocates — an allocation failure can therefore only
-  /// surface before the slot is counted, never wedge flush() afterwards.
-  struct PendingEncode {
-    bool done = false;
-    std::optional<AsyncWriter::Job> job;  ///< nullopt when done = dropped
-  };
-
-  /// Hands a finished (or failed: nullopt) encode to the ordered
-  /// submission stage: jobs are released to the writer strictly in
-  /// checkpoint id order, so an incremental child is never *written*
-  /// before its parent. Together with the broken_chain_tip_ quarantine
-  /// in install(), the manifest invariant is: every installed checkpoint
-  /// resolves — a failed or dropped parent drops its in-flight delta
-  /// children too instead of advertising dead entries. Non-blocking:
-  /// out-of-turn jobs are stashed; whoever completes the missing id
-  /// drains the run. Allocation-free in the map (slots are
-  /// pre-reserved).
-  void enqueue_ready(std::uint64_t id,
-                     std::optional<AsyncWriter::Job> job);
-
   /// Closes (and supersedes) the previous epoch's journal and opens
   /// wal-<id>.qwal with `state` — the just-installed checkpoint — as the
   /// delta base. Called at the tail of every successful sync install
@@ -371,39 +364,35 @@ class Checkpointer {
   /// the install installs instead, which retries the rotation.
   void rotate_wal(std::uint64_t id, const qnn::TrainingState& state);
 
-  /// The one definition of "checkpoint `id` never became durable": sets
-  /// force_full_, advances broken_chain_tip_, optionally counts the
-  /// drop. Allocation-free; safe under encode_mu_ (nesting follows
-  /// encode_mu_ -> manifest_mu_).
-  void mark_chain_broken(std::uint64_t id, bool count_drop);
+  /// Async checkpoint `id` failed on the pipeline thread: sets
+  /// force_full_, makes `id` broken_chain_tip_ and counts the drop.
+  /// Allocation-free, so the failure path cannot itself fail.
+  void mark_chain_broken(std::uint64_t id);
 
-  /// Async pipeline. ~Checkpointer flushes before members die; on top of
-  /// that, writer_ is declared before pool_ so pool_ is destroyed FIRST —
-  /// any straggler encode task drains during ~ThreadPool while writer_ is
-  /// still alive, never after it.
-  std::mutex encode_mu_;
-  std::condition_variable encode_cv_;
-  std::size_t pending_encodes_ = 0;
-  std::uint64_t next_submit_id_ = 0;
-  std::map<std::uint64_t, PendingEncode> ready_jobs_;
-  /// Set when a checkpoint was dropped in the pipeline: the next
-  /// checkpoint must be full, because deltas may chain through the
-  /// missing file. Deltas built before the drop was detected (bounded by
-  /// encode_queue) are quarantined at install time via
+  /// Set when a checkpoint was lost: the next checkpoint built must be
+  /// full, because deltas may chain through the missing file. Deltas
+  /// already queued behind a lost async checkpoint are dropped via
   /// broken_chain_tip_.
   std::atomic<bool> force_full_{false};
-  /// Newest id (guarded by manifest_mu_) that never became durable —
-  /// the tip of a broken delta chain. Chains are linear (each child's
-  /// parent is the previous id), so one id suffices: install() refuses
-  /// to advertise a
-  /// child whose parent is the tip (deleting its file and advancing the
-  /// tip to it), and a successful full install resets the tip — chains
-  /// cannot reach back past a full. Updated at the moment of the drop,
-  /// before any later job reaches the writer, and allocation-free so the
-  /// failure path cannot itself fail. 0 = no broken chain.
+  /// Newest async id (guarded by manifest_mu_) that failed on the
+  /// pipeline thread or was dropped behind such a failure — the tip of a
+  /// broken delta chain. Chains are linear (each child's parent is the
+  /// previous id) and the pipeline thread takes checkpoints in id order,
+  /// so one id suffices and is final when the next checkpoint's write
+  /// starts: write_checkpoint drops a child whose parent is the tip and
+  /// advances the tip to it, and a successful full install resets the
+  /// tip — chains cannot reach back past a full. A loss on the trainer
+  /// thread, or any sync loss, needs no tip: nothing in flight deltas
+  /// against the id, and force_full_ covers what follows. 0 = no broken
+  /// chain.
   std::uint64_t broken_chain_tip_ = 0;
-  std::unique_ptr<AsyncWriter> writer_;     ///< null in sync mode
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null in sync mode
+  /// Async mode's chunk waves; null in sync mode.
+  std::unique_ptr<util::ThreadPool> pool_;
+  /// Async mode's pipeline thread; null in sync mode. Declared after
+  /// everything its tasks touch (pool_ included), so it is destroyed
+  /// first and drains any task ~Checkpointer's flush left while they
+  /// are all alive.
+  std::unique_ptr<AsyncWriter> writer_;
   /// Active delta journal (policy.wal). Created by the first install of
   /// the session — steps before it are covered by the previous session's
   /// (immutable) log up to the step recovery replayed. Trainer-thread

@@ -53,8 +53,8 @@ enum class WriteMode : std::uint8_t {
   kPlain,
 };
 
-/// A streaming write handle. Not thread-safe; hand-off between threads
-/// (encode stage -> writer thread) must be externally sequenced.
+/// A streaming write handle. Not thread-safe; a hand-off between threads
+/// must be externally sequenced.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
@@ -222,8 +222,8 @@ class PosixEnv final : public Env {
   friend class PosixRandomAccessFile;
 
   bool durable_;
-  /// Atomic: the multi-worker AsyncWriter calls the write paths from
-  /// several threads concurrently.
+  /// Atomic: one Env serves several threads at once (an async
+  /// Checkpointer's pipeline thread, the chunk-wave pool, other callers).
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
 };

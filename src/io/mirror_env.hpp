@@ -59,7 +59,7 @@ class MirrorEnv final : public Env {
   friend class MirrorRandomAccessFile;
 
   std::vector<Env*> replicas_;
-  /// Atomic: multi-worker AsyncWriter drives write paths concurrently.
+  /// Atomic: several threads drive write paths concurrently.
   std::atomic<std::uint64_t> degraded_writes_{0};
   /// Logical read bytes served by this mirror (whichever replica won).
   std::atomic<std::uint64_t> bytes_read_{0};

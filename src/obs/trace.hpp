@@ -10,8 +10,8 @@
 // environment variable).
 //
 // Parent links: every span gets a process-unique id, stamped on its
-// begin event; a child started on another thread (the async encode
-// pipeline, writer threads) names its parent explicitly, so the trace
+// begin event; a child started on another thread (the async pipeline
+// thread) names its parent explicitly, so the trace
 // keeps the checkpoint's causal chain even though the stages run on
 // different tids. Same-thread nesting needs no links — B/E pairs nest by
 // position per tid.

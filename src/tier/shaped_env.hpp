@@ -99,9 +99,9 @@ class ShapedEnv final : public io::Env {
 
   io::Env& base_;
   const ShapeSpec spec_;
-  /// Nanosecond counters: atomics (the AsyncWriter's workers write
-  /// through shaped envs concurrently) without losing precision to
-  /// float accumulation order.
+  /// Nanosecond counters: atomics (several threads write through
+  /// shaped envs concurrently) without losing precision to float
+  /// accumulation order.
   mutable std::atomic<std::uint64_t> read_ns_{0};
   mutable std::atomic<std::uint64_t> write_ns_{0};
 };

@@ -106,7 +106,7 @@ class TieredEnv final : public io::Env {
   io::Env& cold_;
   const bool promote_on_read_;
   const std::function<bool(const std::string&)> scrub_filter_;
-  /// Atomics: the async writer workers and the trainer thread drive a
+  /// Atomics: the async pipeline thread and the trainer thread drive a
   /// TieredEnv concurrently, exactly like the other Env counters.
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};

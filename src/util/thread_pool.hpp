@@ -1,9 +1,9 @@
 // A small work-helping thread pool for CPU-parallel stages.
 //
 // Two consumers share it:
-//   * the checkpoint pipeline (section/chunk compression + CRC, and the
-//     background encode stage that keeps serialisation off the trainer
-//     thread);
+//   * the checkpoint encode path (chunk keys, compression and CRC in
+//     waves), on the caller's thread in sync mode and on the pipeline
+//     thread in async mode;
 //   * the state-vector simulator kernels (amplitude-group parallelism).
 //
 // Design points:
@@ -80,7 +80,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Process-wide shared pool (simulator kernels, default encode pipeline).
+/// Process-wide shared pool (simulator kernels, sync checkpoint encode).
 /// Created on first use with default_thread_count() threads.
 ThreadPool& global_pool();
 

@@ -168,7 +168,6 @@ TEST(Cas, AsyncPipelineDedupsAndRecovers) {
   io::MemEnv env;
   CheckpointPolicy policy = cas_policy();
   policy.async = true;
-  policy.encode_threads = 2;
   {
     Checkpointer ck(env, "cp", policy);
     for (std::uint64_t step = 1; step <= 8; ++step) {

@@ -2,6 +2,12 @@
 // chains), async writer, and recovery fallback.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
@@ -1124,59 +1130,71 @@ TEST(Recovery, LoadCheckpointThrowsOnMissingId) {
 
 // ---------- async writer ----------
 
-TEST(AsyncWriter, WritesAllJobsAndRunsCallbacks) {
-  io::MemEnv env;
-  std::atomic<int> installed{0};
+TEST(AsyncWriter, RunsEveryTaskInSubmissionOrder) {
+  std::vector<int> ran;
   {
-    AsyncWriter w(env, 2);
+    AsyncWriter w(2);
     for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(w.submit(AsyncWriter::Job{
-          .path = "d/f" + std::to_string(i),
-          .data = Bytes(1000, static_cast<std::uint8_t>(i)),
-          .pre_install = {},
-          .on_installed = [&installed] { ++installed; },
-          .on_failed = {}}));
+      // Only the one worker touches `ran` until flush() returns.
+      EXPECT_TRUE(w.submit([&ran, i] { ran.push_back(i); }));
     }
     w.flush();
-    EXPECT_EQ(installed.load(), 10);
+    EXPECT_EQ(ran.size(), 10u);
     const auto stats = w.stats();
     EXPECT_EQ(stats.jobs, 10u);
-    EXPECT_EQ(stats.bytes, 10000u);
     EXPECT_EQ(stats.failures, 0u);
+    EXPECT_EQ(stats.dropped, 0u);
   }
-  EXPECT_EQ(env.list_dir("d").size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)], i);
+  }
 }
 
 TEST(AsyncWriter, DestructorDrainsQueue) {
-  io::MemEnv env;
+  std::atomic<int> ran{0};
   {
-    AsyncWriter w(env, 4);
+    AsyncWriter w(4);
     for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE(w.submit(AsyncWriter::Job{.path = "d/g" + std::to_string(i),
-                                            .data = Bytes(10, 1),
-                                            .pre_install = {},
-                                            .on_installed = {},
-                                            .on_failed = {}}));
+      EXPECT_TRUE(w.submit([&ran] { ++ran; }));
     }
-  }  // destructor must not lose queued jobs
-  EXPECT_EQ(env.list_dir("d").size(), 4u);
+  }  // destructor must not lose queued tasks
+  EXPECT_EQ(ran.load(), 4);
 }
 
 TEST(AsyncWriter, FailuresCountedNotFatal) {
-  io::MemEnv base;
-  io::FaultSpec spec;
-  spec.torn_write_prob = 1.0;
-  spec.crash_prob = 1.0;
-  spec.fault_atomic_writes = true;
-  io::FaultEnv env(base, spec, 11);
-  AsyncWriter w(env, 2);
-  EXPECT_TRUE(w.submit(AsyncWriter::Job{.path = "d/x",
-                                        .data = Bytes(100, 7),
-                                        .pre_install = {},
-                                        .on_installed = {},
-                                        .on_failed = {}}));
+  std::atomic<bool> after{false};
+  AsyncWriter w(2);
+  EXPECT_TRUE(w.submit([] { throw std::runtime_error("injected"); }));
+  EXPECT_TRUE(w.submit([&after] { after = true; }));
   w.flush();
   EXPECT_EQ(w.stats().failures, 1u);
+  EXPECT_EQ(w.stats().jobs, 2u);
+  EXPECT_TRUE(after.load());  // the worker outlived the throw
+}
+
+TEST(AsyncWriter, WaitForRoomTimesOnlyAFullQueue) {
+  // A capacity-1 writer whose worker holds a task: the queue has room
+  // until one more task waits in it.
+  std::promise<void> entered;
+  std::future<void> running = entered.get_future();
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  AsyncWriter w(1);
+  EXPECT_TRUE(w.submit([&entered, released] {
+    entered.set_value();
+    released.wait();
+  }));
+  running.wait();
+  EXPECT_EQ(w.wait_for_room(), 0.0);  // room: not even a clock read
+  EXPECT_TRUE(w.submit([] {}));
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.set_value();
+  });
+  EXPECT_GT(w.wait_for_room(), 0.0);  // full until the held task ends
+  releaser.join();
+  w.flush();
+  EXPECT_EQ(w.stats().jobs, 2u);
 }
 
 TEST(Checkpointer, AsyncModeProducesRecoverableCheckpoints) {
@@ -1202,17 +1220,14 @@ TEST(Checkpointer, AsyncModeProducesRecoverableCheckpoints) {
 
 TEST(Checkpointer, AsyncPipelineChunkedLargeStateRoundTrips) {
   // Full pipeline: trainer thread snapshots only; encode (with chunked
-  // sections small enough to fan out) and the write run on background
-  // threads, with several encode slots and writer workers in flight.
+  // sections small enough to fan out on the pipeline's pool) and the
+  // write run in the background.
   io::MemEnv env;
   CheckpointPolicy policy;
   policy.strategy = Strategy::kFullState;
   policy.every_steps = 1;
   policy.async = true;
   policy.retention.keep_last = 0;
-  policy.encode_threads = 3;
-  policy.writer_threads = 2;
-  policy.encode_queue = 3;
   policy.chunk_bytes = 1024;  // the 10-qubit snapshot spans many chunks
   std::vector<qnn::TrainingState> states;
   {
@@ -1244,9 +1259,9 @@ TEST(Checkpointer, EncodeBufferingStaysBoundedUnderV3) {
   // Wave buffers: encode_window (2x pool threads, clamped to [4, 16])
   // chunks per wave, and a params section's first chunk also carries
   // its u64 count (extern chunks are cut on the element grid). So one
-  // wave holds at most 16 x chunk_bytes + the count prefix; async
-  // additionally queues the (small, key-table-only v3) containers. Sync
-  // encode fills it exactly once the pool has 8 or more threads.
+  // wave holds at most 16 x chunk_bytes + the count prefix; both modes
+  // stream the container into its file. Sync encode fills it exactly
+  // once the pool has 8 or more threads.
   const std::size_t ceiling =
       16 * kChunk + section_array_offset(SectionKind::kParams);
   auto big_state = [](std::uint64_t step) {
@@ -1267,8 +1282,6 @@ TEST(Checkpointer, EncodeBufferingStaysBoundedUnderV3) {
     policy.codec = codec::CodecId::kRaw;
     policy.chunk_bytes = kChunk;
     policy.async = async;
-    policy.encode_threads = async ? 2 : 0;
-    policy.encode_queue = 2;
     Checkpointer ck(env, "cp", policy);
     std::uint64_t raw = 0;
     for (std::uint64_t step = 1; step <= 4; ++step) {
@@ -1305,7 +1318,6 @@ TEST(Checkpointer, DestructorDrainsPendingPipelineWork) {
   policy.every_steps = 1;
   policy.async = true;
   policy.retention.keep_last = 0;
-  policy.encode_threads = 2;
   policy.chunk_bytes = 512;
   qnn::TrainingState last;
   {
@@ -1322,57 +1334,65 @@ TEST(Checkpointer, DestructorDrainsPendingPipelineWork) {
   EXPECT_EQ(outcome->state, last);
 }
 
-TEST(AsyncWriter, MultipleWorkersInstallEverything) {
-  io::MemEnv env;
-  std::atomic<int> installed{0};
-  {
-    AsyncWriter w(env, 4, /*num_workers=*/3);
-    EXPECT_EQ(w.num_workers(), 3u);
-    for (int i = 0; i < 24; ++i) {
-      EXPECT_TRUE(w.submit(AsyncWriter::Job{
-          .path = "d/m" + std::to_string(i),
-          .data = Bytes(256, static_cast<std::uint8_t>(i)),
-          .pre_install = {},
-          .on_installed = [&installed] { ++installed; },
-          .on_failed = {}}));
-    }
-    w.flush();
-    EXPECT_EQ(installed.load(), 24);
-    EXPECT_EQ(w.stats().jobs, 24u);
-    EXPECT_EQ(w.stats().dropped, 0u);
-  }
-  EXPECT_EQ(env.list_dir("d").size(), 24u);
-}
-
-/// Env decorator that throws on exactly one (1-based) checkpoint-file
-/// write: an async atomic write, or a sync open for writing. Everything
-/// else (manifest included) passes through.
+/// Env decorator that throws on exactly one (1-based) open of a
+/// checkpoint file for writing, the first step of both modes' write.
+/// Everything else (manifest included) passes through.
 class FailNthCheckpointWriteEnv final : public io::ForwardingEnv {
  public:
   FailNthCheckpointWriteEnv(io::Env& base, int fail_on)
       : ForwardingEnv(base), fail_on_(fail_on) {}
 
-  void write_file_atomic(const std::string& path,
-                         util::ByteSpan data) override {
-    count(path);
-    base_.write_file_atomic(path, data);
-  }
-
   std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
                                                  io::WriteMode mode) override {
-    count(path);
+    if (path.find("ckpt-") != std::string::npos && ++ckpt_writes_ == fail_on_) {
+      throw std::runtime_error("injected checkpoint write failure");
+    }
     return base_.new_writable(path, mode);
   }
 
  private:
-  void count(const std::string& path) {
-    if (path.find("ckpt-") != std::string::npos && ++ckpt_writes_ == fail_on_) {
-      throw std::runtime_error("injected checkpoint write failure");
-    }
-  }
-
   const int fail_on_;
   int ckpt_writes_ = 0;
+};
+
+/// Holds the open of one checkpoint file for writing until released,
+/// then fails it: the pipeline thread stays inside that checkpoint while
+/// the test queues more behind it. Records every path opened for
+/// writing.
+class GateCheckpointWriteEnv final : public io::ForwardingEnv {
+ public:
+  GateCheckpointWriteEnv(io::Env& base, std::uint64_t id)
+      : ForwardingEnv(base), file_(checkpoint_file_name(id)) {}
+
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    {
+      std::lock_guard lock(mu_);
+      opened_.insert(path);
+    }
+    if (path.ends_with("/" + file_)) {
+      entered_.set_value();
+      released_.wait();
+      throw std::runtime_error("injected checkpoint write failure");
+    }
+    return base_.new_writable(path, mode);
+  }
+
+  void wait_entered() { entered_future_.wait(); }
+  void release() { release_.set_value(); }
+  bool opened(const std::string& path) {
+    std::lock_guard lock(mu_);
+    return opened_.contains(path);
+  }
+
+ private:
+  const std::string file_;
+  std::mutex mu_;
+  std::set<std::string> opened_;
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
 };
 
 TEST(Checkpointer, DroppedWriteForcesFullAndKeepsChainRecoverable) {
@@ -1430,39 +1450,66 @@ TEST(Checkpointer, DroppedWriteForcesFullAndKeepsChainRecoverable) {
 }
 
 TEST(Checkpointer, DroppedWriteWithInFlightChildrenNeverAdvertisesHoles) {
-  // Same injected failure, but WITHOUT per-step flushes: delta children
-  // of the failed checkpoint may already be encoded and queued when the
-  // failure is detected. Whatever the thread timing, the invariant must
-  // hold: every id the manifest advertises resolves, and recovery
-  // succeeds from the newest advertised checkpoint.
+  // Same injected failure, but WITHOUT per-step flushes: the pipeline
+  // thread is held inside checkpoint 3 while its delta children 4..7
+  // (kPipelineDepth of them) fill the queue behind it, then 3 fails. The
+  // children resolve to nothing and must be dropped before their files
+  // open; the next checkpoint the trainer builds waits for room behind
+  // them, so it is built after the drop and must be full.
+  constexpr std::uint64_t kHeld = 3;
+  constexpr std::uint64_t kLastChild = kHeld + Checkpointer::kPipelineDepth;
+  constexpr std::uint64_t kAfter = kLastChild + 1;
   io::MemEnv mem;
-  FailNthCheckpointWriteEnv env(mem, 3);
+  GateCheckpointWriteEnv env(mem, kHeld);
   CheckpointPolicy policy;
   policy.strategy = Strategy::kIncremental;
   policy.every_steps = 1;
   policy.async = true;
   policy.retention.keep_last = 0;
   policy.full_every = 100;
-  policy.encode_queue = 4;
   std::vector<qnn::TrainingState> states;
+  const auto checkpoint = [&states](Checkpointer& ck, std::uint64_t step) {
+    states.push_back(make_state(step, 3, 2));
+    ck.checkpoint_now(states.back());
+  };
   {
     Checkpointer ck(env, "cp", policy);
-    for (std::uint64_t step = 1; step <= 8; ++step) {
-      states.push_back(make_state(step, 3, 2));
-      ck.maybe_checkpoint(states.back());
+    for (std::uint64_t step = 1; step <= kHeld; ++step) {
+      checkpoint(ck, step);
     }
+    env.wait_entered();  // the pipeline holds 3's container open
+    const double blocked = ck.stats().submit_blocked_seconds;
+    for (std::uint64_t step = kHeld + 1; step <= kLastChild; ++step) {
+      checkpoint(ck, step);
+    }
+    EXPECT_EQ(ck.stats().submit_blocked_seconds, blocked)
+        << "the children found room behind 3";
+    env.release();
+    checkpoint(ck, kAfter);
     ck.flush();
-    EXPECT_GE(ck.stats().dropped_writes, 1u);
+    const auto stats = ck.stats();
+    EXPECT_EQ(stats.checkpoints, kAfter);
+    EXPECT_EQ(stats.dropped_writes, 1 + Checkpointer::kPipelineDepth);
+    EXPECT_EQ(stats.writer_failures, 1u);
   }
   const auto manifest = Manifest::load(env, "cp");
-  ASSERT_FALSE(manifest.entries().empty());
+  for (std::uint64_t id = kHeld; id <= kLastChild; ++id) {
+    EXPECT_EQ(manifest.find(id), nullptr) << id;
+    EXPECT_FALSE(env.exists("cp/" + checkpoint_file_name(id))) << id;
+    if (id != kHeld) {
+      EXPECT_FALSE(env.opened("cp/" + checkpoint_file_name(id))) << id;
+    }
+  }
+  const ManifestEntry* after_drop = manifest.find(kAfter);
+  ASSERT_NE(after_drop, nullptr);
+  EXPECT_EQ(after_drop->parent_id, 0u) << "post-drop checkpoint must be full";
   for (const ManifestEntry& e : manifest.entries()) {
     EXPECT_EQ(load_checkpoint(env, "cp", e.id), states[e.id - 1]) << e.id;
   }
   const auto outcome = recover_latest(env, "cp");
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->checkpoint_id, manifest.latest()->id);
-  EXPECT_EQ(outcome->state, states[outcome->checkpoint_id - 1]);
+  EXPECT_EQ(outcome->step, kAfter);
+  EXPECT_EQ(outcome->state, states.back());
 }
 
 TEST(Checkpointer, AsyncIncrementalChainConsistent) {

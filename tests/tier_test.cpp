@@ -516,13 +516,13 @@ class FailOnceEnv final : public io::ForwardingEnv {
  public:
   explicit FailOnceEnv(io::Env& base, int fail_on)
       : ForwardingEnv(base), fail_on_(fail_on) {}
-  void write_file_atomic(const std::string& path,
-                         util::ByteSpan data) override {
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
     if (path.find("ckpt-") != std::string::npos &&
         ++ckpt_writes_ == fail_on_) {
       throw std::runtime_error("injected write failure");
     }
-    base_.write_file_atomic(path, data);
+    return base_.new_writable(path, mode);
   }
 
  private:
