@@ -153,8 +153,9 @@ int main() {
       const double t = run_once(interval, async, true, &stats);
       const double ovh = (t - baseline) / baseline * 100.0;
       // stall_s = everything the trainer thread paid for checkpointing.
-      // Sync: snapshot + full encode + write. Async: snapshot + rare
-      // backpressure — the pipeline owns encode (and CRC) and the write.
+      // Sync: snapshot + full encode + write + install. Async: snapshot +
+      // rare backpressure — the pipeline owns encode (and CRC), the
+      // write and the install.
       const double stall = stats.trainer_stall_seconds();
       std::printf("%-10llu %-6s %10.3f %10.1f %8llu %10.4f %10.4f %10.4f "
                   "%10.4f\n",
@@ -177,6 +178,7 @@ int main() {
           .field("encode_s", stats.encode_seconds)
           .field("pipeline_encode_s", stats.pipeline_encode_seconds)
           .field("write_s", stats.sync_write_seconds)
+          .field("install_s", stats.install_seconds)
           .field("submit_blocked_s", stats.submit_blocked_seconds)
           .field("trainer_stall_s", stall)
           .emit();
@@ -184,10 +186,11 @@ int main() {
   }
 
   std::printf(
-      "\nclaim check: sync stall ~ (snapshot+encode+write)/interval per step\n"
-      "and falls off as the interval grows; async keeps only the section\n"
-      "snapshot (and rare backpressure) on the training thread — encode,\n"
-      "chunk compression, CRC and the write all run on the pipeline.\n");
+      "\nclaim check: sync stall ~ (snapshot+encode+write+install)/interval\n"
+      "per step and falls off as the interval grows; async keeps only the\n"
+      "section snapshot (and rare backpressure) on the training thread —\n"
+      "encode, chunk compression, CRC, the write and the install all run\n"
+      "on the pipeline.\n");
 
   // Observability overhead: identical sync workload with the full obs
   // stack mounted vs the opt-in parts off, alternating so each pair sees

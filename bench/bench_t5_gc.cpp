@@ -6,7 +6,8 @@
 // counters (files deleted, bytes reclaimed, manifest fences).
 // Claim shape: retention bounds the directory regardless of stream
 // length; byte-budget holds the footprint under the cap; GC cost stays
-// in the noise next to encode+write.
+// in the noise next to encode+write. Each row also prices the restart:
+// the bytes a fresh Checkpointer reads to open the final directory.
 //
 // Part 2 replays a checkpoint+GC scenario once per (env op, byte offset)
 // crash point — the same exhaustive engine as crash_matrix_test — and
@@ -60,12 +61,17 @@ void run_policy(const PolicyRow& row, int checkpoints) {
   policy.full_every = 8;
   policy.retention = row.retention;
 
-  util::Timer timer;
-  ckpt::Checkpointer ck(env, "cp", policy);
-  for (int step = 1; step <= checkpoints; ++step) {
-    ck.maybe_checkpoint(make_state(static_cast<std::uint64_t>(step)));
+  double seconds = 0.0;
+  ckpt::GcStats gc;
+  {
+    util::Timer timer;
+    ckpt::Checkpointer ck(env, "cp", policy);
+    for (int step = 1; step <= checkpoints; ++step) {
+      ck.maybe_checkpoint(make_state(static_cast<std::uint64_t>(step)));
+    }
+    seconds = timer.seconds();
+    gc = ck.gc_stats();
   }
-  const double seconds = timer.seconds();
 
   std::uint64_t dir_bytes = 0;
   std::size_t dir_files = 0;
@@ -75,14 +81,24 @@ void run_policy(const PolicyRow& row, int checkpoints) {
       ++dir_files;
     }
   }
-  const auto gc = ck.gc_stats();
 
-  std::printf("%-14s %6d %9zu %12llu %9llu %14llu %10llu %8.3f\n", row.name,
-              checkpoints, dir_files,
+  // A restart's open of the final directory: the MANIFEST, plus every
+  // retained container when packfiles make the chunk refcounts matter.
+  const std::uint64_t read_before = env.bytes_read();
+  util::Timer reopen_timer;
+  {
+    ckpt::Checkpointer reopened(env, "cp", policy);
+  }
+  const double reopen_ms = reopen_timer.seconds() * 1e3;
+  const std::uint64_t reopen_bytes = env.bytes_read() - read_before;
+
+  std::printf("%-14s %6d %9zu %12llu %9llu %14llu %10llu %9llu %8.3f\n",
+              row.name, checkpoints, dir_files,
               static_cast<unsigned long long>(dir_bytes),
               static_cast<unsigned long long>(gc.files_deleted),
               static_cast<unsigned long long>(gc.bytes_reclaimed),
-              static_cast<unsigned long long>(gc.manifest_rewrites), seconds);
+              static_cast<unsigned long long>(gc.manifest_rewrites),
+              static_cast<unsigned long long>(reopen_bytes), seconds);
   bench::JsonLine("t5")
       .field("policy", row.name)
       .field("checkpoints", checkpoints)
@@ -92,6 +108,8 @@ void run_policy(const PolicyRow& row, int checkpoints) {
       .field("bytes_reclaimed", gc.bytes_reclaimed)
       .field("manifest_rewrites", gc.manifest_rewrites)
       .field("budget_violations", gc.budget_violations)
+      .field("reopen_bytes_read", reopen_bytes)
+      .field("reopen_ms", reopen_ms)
       .field("time_s", seconds)
       .emit();
 
@@ -154,10 +172,10 @@ void run_crash_sweep() {
 
 int main() {
   bench::banner("T5", "retention GC: storage bound + crash consistency");
-  std::printf("%-14s %6s %9s %12s %9s %14s %10s %8s\n", "policy", "ckpts",
-              "files", "dir_bytes", "deleted", "reclaimed_B", "fences",
-              "time_s");
-  bench::rule(90);
+  std::printf("%-14s %6s %9s %12s %9s %14s %10s %9s %8s\n", "policy",
+              "ckpts", "files", "dir_bytes", "deleted", "reclaimed_B",
+              "fences", "reopen_B", "time_s");
+  bench::rule(100);
 
   constexpr int kCheckpoints = 300;
   run_policy({"keep-all", {.keep_last = 0}}, kCheckpoints);

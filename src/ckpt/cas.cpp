@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "ckpt/manifest.hpp"
 #include "tier/tiered_env.hpp"
@@ -26,32 +25,6 @@ constexpr std::size_t kPackFooterV2Bytes = 4 + 8 + 4 + 8 + 4;
 constexpr std::size_t kRecordHeaderBytes = 1 + 4 + 8 + 1 + 8 + 4;
 // one key-table row: record header fields + u64 offset
 constexpr std::size_t kKeyRowBytes = kRecordHeaderBytes + 8;
-constexpr const char* kRefsName = "REFS";
-constexpr const char* kRefsHeader = "qnnckpt-refs v1";
-/// The REFS journal's last line: "crc32c <8 hex>\n".
-constexpr std::size_t kRefsTrailerBytes = 16;
-
-/// The REFS trailer line for `body`, every byte of the journal before it.
-std::string refs_trailer(const std::string& body) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(body.data());
-  char line[kRefsTrailerBytes + 1];
-  std::snprintf(line, sizeof(line), "crc32c %08x\n",
-                util::crc32c(util::ByteSpan{bytes, body.size()}));
-  return line;
-}
-
-/// A REFS journal's body when its trailer is present and matches it;
-/// nullopt for a journal that is torn, edited, or older than the trailer.
-std::optional<std::string> refs_body(const std::string& text) {
-  if (text.size() < kRefsTrailerBytes) {
-    return std::nullopt;
-  }
-  std::string body = text.substr(0, text.size() - kRefsTrailerBytes);
-  if (text.compare(body.size(), kRefsTrailerBytes, refs_trailer(body)) != 0) {
-    return std::nullopt;
-  }
-  return body;
-}
 
 bool check_magic(util::ByteSpan in, std::size_t offset,
                  const char (&magic)[4]) {
@@ -436,7 +409,6 @@ ChunkStore::ChunkStore(io::Env& env, std::string dir,
       chunks_swept_(metrics_.counter("cas.chunks_swept")),
       bytes_swept_(metrics_.counter("cas.bytes_swept")),
       damaged_packs_(metrics_.counter("cas.damaged_packs")),
-      refs_rebuilds_(metrics_.counter("cas.refs_rebuilds")),
       pack_handle_evictions_(metrics_.counter("cas.pack_handle_evictions")) {}
 
 std::string ChunkStore::pack_path(const std::string& name) const {
@@ -616,7 +588,6 @@ void ChunkStore::retain(const std::vector<ChunkKey>& keys) {
   for (const ChunkKey& key : keys) {
     index_.add_ref(key);
   }
-  refs_dirty_ = true;
 }
 
 void ChunkStore::release(const std::vector<ChunkKey>& keys) {
@@ -628,7 +599,6 @@ void ChunkStore::release(const std::vector<ChunkKey>& keys) {
   for (const ChunkKey& key : keys) {
     index_.release_ref(key);
   }
-  refs_dirty_ = true;
 }
 
 std::uint64_t ChunkStore::ref_count(const ChunkKey& key) {
@@ -788,37 +758,6 @@ std::uint64_t ChunkStore::sweep(bool compact) {
   return reclaimed;
 }
 
-void ChunkStore::save_refs() {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  if (!refs_dirty_) {
-    return;
-  }
-  if (packs_.empty() && index_.snapshot_refs().empty() &&
-      !env_.exists(chunk_dir_ + "/" + kRefsName)) {
-    refs_dirty_ = false;  // nothing content-addressed here: stay silent
-    return;
-  }
-  std::ostringstream os;
-  os << kRefsHeader << "\n";
-  os << "covers";
-  const auto ids = checkpoint_ids_on_disk();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    os << (i == 0 ? " " : ",") << ids[i];
-  }
-  os << "\n";
-  for (const auto& [key, count] : index_.snapshot_refs()) {
-    os << "ref " << chunk_key_name(key) << " " << count << "\n";
-  }
-  std::string text = os.str();
-  text += refs_trailer(text);
-  env_.write_file_atomic(
-      chunk_dir_ + "/" + kRefsName,
-      util::ByteSpan{reinterpret_cast<const std::uint8_t*>(text.data()),
-                     text.size()});
-  refs_dirty_ = false;
-}
-
 CasStats ChunkStore::snapshot() const {
   return {.packfiles = packfiles_.value(),
           .chunks = chunks_.value(),
@@ -833,7 +772,6 @@ CasStats ChunkStore::snapshot() const {
           .chunks_swept = chunks_swept_.value(),
           .bytes_swept = bytes_swept_.value(),
           .damaged_packs = damaged_packs_.value(),
-          .refs_rebuilds = refs_rebuilds_.value(),
           .pack_handle_evictions = pack_handle_evictions_.value()};
 }
 
@@ -961,7 +899,7 @@ void ChunkStore::ensure_refs_locked() {
     return;
   }
   refs_loaded_ = true;
-  load_or_rebuild_refs_locked();
+  rebuild_refs_locked();
 }
 
 ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
@@ -1097,81 +1035,30 @@ std::vector<ChunkKey> list_pack_keys(io::Env& env, const std::string& path) {
   return keys;
 }
 
-void ChunkStore::load_or_rebuild_refs_locked() {
+void ChunkStore::rebuild_refs_locked() {
   refs_complete_ = true;
-  const auto ids = checkpoint_ids_on_disk();
-  if (ids.empty()) {
-    index_.reset_refs({});  // no checkpoint files: zero references
-    return;
+  // A count guards a chunk some pack holds. With no packfile in either
+  // tier there is none, and no container needs reading: under the crash
+  // contract no container names a chunk that no durable pack holds.
+  std::vector<std::uint64_t> ids;
+  if (!packs_.empty() || !deferred_packs_.empty()) {
+    ids = checkpoint_ids_on_disk();
   }
-  // Try the journal: valid only when it covers exactly the checkpoint
-  // files present right now (a crash between a file mutation and the
-  // journal rewrite leaves a mismatch, which sends us to the rebuild).
-  // A journal whose trailer does not match is damage (a torn or edited
-  // file, or one written before the trailer existed): rebuild.
-  if (const auto data = env_.read_file(chunk_dir_ + "/" + kRefsName)) {
-    const auto body = refs_body(std::string(data->begin(), data->end()));
-    std::vector<std::uint64_t> covers;
-    std::map<ChunkKey, std::uint64_t> counts;
-    bool ok = false;
-    bool damaged = !body;
-    for (const std::string& line : util::split(body.value_or(""), '\n')) {
-      const std::string trimmed = util::trim(line);
-      if (trimmed.empty() || trimmed == kRefsHeader) {
-        continue;
-      }
-      const auto fields = util::split(trimmed, ' ');
-      if (fields[0] == "covers") {
-        ok = true;
-        if (fields.size() > 1) {
-          for (const std::string& id_str : util::split(fields[1], ',')) {
-            try {
-              covers.push_back(std::stoull(id_str));
-            } catch (const std::exception&) {
-              damaged = true;
-            }
-          }
-        }
-      } else if (fields[0] == "ref" && fields.size() == 3) {
-        const auto key = parse_chunk_key_name(fields[1]);
-        if (!key) {
-          damaged = true;
-          continue;
-        }
-        try {
-          const std::uint64_t count = std::stoull(fields[2]);
-          damaged = damaged || count == 0;  // snapshot_refs skips zeros
-          counts[*key] += count;
-        } catch (const std::exception&) {
-          damaged = true;
-        }
-      } else {
-        damaged = true;
-      }
-    }
-    std::sort(covers.begin(), covers.end());
-    if (ok && !damaged && covers == ids) {
-      index_.reset_refs(counts);
-      return;
-    }
-  }
-  // Rebuild from the ground truth: every checkpoint file's key table.
-  // This path keeps the fully-verified whole-buffer read (footer CRC64
-  // and all): the rebuild is the rare cold path, and a refcount
-  // BASELINE must never be derived from bytes that cannot be trusted
-  // end to end — unlike the leak-biased ranged reads the GC and the
-  // migration planner use per-file.
-  refs_rebuilds_.add();
-  refs_dirty_ = true;
   std::map<ChunkKey, std::uint64_t> rebuilt;
   for (const std::uint64_t id : ids) {
-    const auto data = env_.read_file(dir_ + "/" + checkpoint_file_name(id));
-    if (!data) {
+    // A refcount baseline comes only from bytes trusted end to end: each
+    // file is read whole and its footer CRC64 verified, unlike the
+    // leak-biased ranged key-table reads the GC and the migration
+    // planner use per file. open_ranged reads it where it lies: a tiered
+    // read_file would promote every demoted container at every open.
+    const auto file = env_.open_ranged(dir_ + "/" + checkpoint_file_name(id));
+    if (!file) {
       refs_complete_ = false;
       continue;
     }
+    const Bytes data = file->pread(0, file->size());
     try {
-      for (const ChunkKey& key : list_chunk_refs(*data)) {
+      for (const ChunkKey& key : list_chunk_refs(data)) {
         ++rebuilt[key];
       }
     } catch (const std::exception&) {

@@ -5,7 +5,6 @@
 // digest + raw length), in a packfile-per-epoch layout:
 //
 //   <dir>/chunks/pack-0000000007.qpak   chunks first stored by ckpt 7
-//   <dir>/chunks/REFS                   refcount journal (advisory cache)
 //
 // A packfile is STREAMED through one atomic write handle (records append
 // as the encoder produces them; the close installs all-or-nothing, so a
@@ -34,12 +33,13 @@
 //   * chunks become durable BEFORE any checkpoint file referencing them
 //     (the writer commits the packfile first), so a crash anywhere
 //     never strands a referenced chunk;
-//   * reference counts are DERIVED state: the truth is the union of key
-//     tables of the .qckp files on disk, and the REFS journal is only a
-//     fenced, checksummed cache of it — validated against the directory
-//     and its CRC32C trailer at open and rebuilt when stale, so a torn,
-//     edited or missing journal can never lose data or free a live
-//     chunk;
+//   * reference counts are DERIVED state and never persisted: the
+//     truth is the union of the key tables of the .qckp files on disk.
+//     The store rebuilds them once per open, while the directory is
+//     quiescent, from each file read whole and CRC64-verified (from
+//     none when no packfile exists: no resident chunk needs a count),
+//     then keeps them current through retain/release — so no stale or
+//     edited count file exists to lose data or free a live chunk;
 //   * sweeps delete a packfile only when none of its records is
 //     referenced or pinned, and compaction rewrites mixed packfiles
 //     atomically — an unreferenced chunk survives at most until the
@@ -71,7 +71,7 @@
 // probes from concurrent encode batches touch one shard lock each and
 // scale past a single core; chunk digests are computed by the encode
 // pipeline BEFORE the probe, outside every lock. Pack-level state
-// (packs_, deferred cold scans, the REFS journal, handle cache) keeps
+// (packs_, deferred cold scans, refcount loading, handle cache) keeps
 // the narrow store mutex mu_. LOCK ORDER: mu_ first, shard mutex
 // second (one shard, or all shards ascending via AllShards) — never
 // acquire mu_ while holding a shard lock.
@@ -118,7 +118,6 @@ struct CasStats {
   std::uint64_t chunks_swept = 0;     ///< dead records reclaimed
   std::uint64_t bytes_swept = 0;      ///< encoded bytes reclaimed
   std::uint64_t damaged_packs = 0;    ///< packfiles failing verification
-  std::uint64_t refs_rebuilds = 0;    ///< journal misses at open
   std::uint64_t pack_handle_evictions = 0;  ///< LRU evicted an open handle
 };
 
@@ -219,10 +218,6 @@ class ChunkStore : public ChunkSource {
   /// bytes.
   std::uint64_t sweep(bool compact);
 
-  /// Rewrites the REFS journal if reference state changed since the last
-  /// save. Called at the same fence points as manifest rewrites.
-  void save_refs();
-
   /// True when the directory has any packfile — i.e. chunk accounting
   /// matters at all. Callers about to delete checkpoint files MUST call
   /// this (or open()) BEFORE the first deletion when they intend to
@@ -251,7 +246,7 @@ class ChunkStore : public ChunkSource {
   /// Directory packfiles live in (<checkpoint dir>/chunks).
   [[nodiscard]] const std::string& chunk_dir() const { return chunk_dir_; }
 
-  /// Forces the lazy open (packfile scan + refcount load/rebuild) now.
+  /// Forces the lazy open (packfile scan + refcount rebuild) now.
   void open();
 
  private:
@@ -271,8 +266,8 @@ class ChunkStore : public ChunkSource {
   /// dedup probes — recovery never pays for refcount state. On a tiered
   /// env only hot packs are scanned; cold ones land in deferred_packs_.
   void ensure_open_locked();
-  /// Stage 2: reference counts. Loaded only by refcount operations
-  /// (retain/release/sweep/ref_count) and the explicit open().
+  /// Stage 2: reference counts, rebuilt once. Loaded only by refcount
+  /// operations (retain/release/sweep/ref_count) and the explicit open().
   void ensure_refs_locked();
   /// Indexes one packfile into packs_/index_, reading it through
   /// `through` (the full env, or one tier's view). Pack format v2 reads
@@ -290,10 +285,10 @@ class ChunkStore : public ChunkSource {
   /// Scans every remaining deferred pack (full-index operations:
   /// compacting sweeps, inspection).
   void drain_deferred_locked();
-  /// Loads the REFS journal when its CRC32C trailer matches and it
-  /// still covers the directory's checkpoint files; otherwise rebuilds
-  /// refcounts by reading every checkpoint file's key table.
-  void load_or_rebuild_refs_locked();
+  /// Rebuilds refcounts from every checkpoint file's key table, each
+  /// file read whole where it lies (never promoted) and verified end to
+  /// end. Reads nothing when no packfile exists in either tier.
+  void rebuild_refs_locked();
   void unpin(const std::vector<ChunkKey>& keys);
   [[nodiscard]] std::string pack_path(const std::string& name) const;
   /// Fast-path open: one acquire load once the store has opened,
@@ -334,7 +329,6 @@ class ChunkStore : public ChunkSource {
   /// False when some checkpoint file's refs could not be read: sweeps
   /// are disabled until a complete rebuild succeeds.
   bool refs_complete_ = true;
-  bool refs_dirty_ = false;
   std::map<std::string, Pack> packs_;
   /// Interned pack names; index position == the id stored in chunk
   /// locations. Append-only (a deleted pack's id simply goes unused),
@@ -360,7 +354,6 @@ class ChunkStore : public ChunkSource {
   obs::CounterShare chunks_swept_;
   obs::CounterShare bytes_swept_;
   obs::CounterShare damaged_packs_;
-  obs::CounterShare refs_rebuilds_;
   obs::CounterShare pack_handle_evictions_;
   /// Small LRU of open ranged pack handles (chain resolution alternates
   /// between the parent chain's packs; one slot thrashed).

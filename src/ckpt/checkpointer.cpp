@@ -53,6 +53,9 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
       encode_(metrics_.histogram("ckpt.encode")),
       sync_write_(metrics_.histogram("ckpt.sync_write")),
       install_(metrics_.histogram("ckpt.install")),
+      keep_bases_(metrics_.histogram("ckpt.keep_bases")),
+      rotate_wal_(metrics_.histogram("ckpt.rotate_wal")),
+      wal_append_(metrics_.histogram("wal.append")),
       store_(env_, dir_, policy_.retention, policy_.tier, &metrics_),
       encode_gauge_(metrics_.gauge("ckpt.peak_encode_buffer_bytes")) {
   if (!policy_.clock) {
@@ -166,6 +169,7 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
         checkpoint_now(state);
         return true;
       }
+      util::Timer append_timer;
       const std::uint64_t before = wal_->bytes_logged();
       wal_->log_step(state);
       if (policy_.tracer != nullptr) {
@@ -176,6 +180,7 @@ bool Checkpointer::maybe_checkpoint(const qnn::TrainingState& state) {
       }
       wal_records_.add();
       wal_bytes_.add(wal_->bytes_logged() - before);
+      wal_append_.record_seconds(append_timer.seconds());
     }
     return false;
   }
@@ -282,8 +287,9 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
 
   try {
     // Trainer-thread stage: the state's section payloads (plus delta
-    // bookkeeping), copied only where build_file must own them. In async
-    // mode this copy is all the trainer pays for.
+    // bookkeeping), copied only where build_file must own them, and in
+    // async mode their hand-off to the pipeline thread: with the wait for
+    // room, all the trainer pays for there.
     util::Timer snapshot_timer;
     obs::Span snap_span(policy_.tracer, "snapshot", "ckpt", parent_span);
     CheckpointFile file = build_file(state, id);
@@ -292,8 +298,6 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
       raw_bytes += s.size();
     }
     snap_span.note("bytes_raw", raw_bytes);
-    snap_span.finish();
-    snapshot_.record_seconds(snapshot_timer.seconds());
 
     ManifestEntry entry;
     entry.id = id;
@@ -324,7 +328,11 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
         std::lock_guard lock(manifest_mu_);
         count_drop_locked();
       }
-    } else {
+    }
+    snap_span.finish();
+    snapshot_.record_seconds(snapshot_timer.seconds());
+
+    if (writer_ == nullptr) {
       // The trainer is stalled for the whole write anyway — fan chunk
       // compression out on the global pool so the stall at least shrinks
       // with core count. Resolve it lazily: only touch (and thereby
@@ -339,7 +347,9 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
       }
       write_checkpoint(file, entry, pool, parent_span);
       if (policy_.strategy == Strategy::kIncremental) {
+        util::Timer keep_timer;
         keep_bases(file, state);
+        keep_bases_.record_seconds(keep_timer.seconds());
       }
     }
   } catch (...) {
@@ -356,7 +366,9 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
   if (policy_.wal.enable && writer_ == nullptr) {
     // The install is durable and advertised: start this epoch's journal
     // and retire the superseded one behind that fence.
+    util::Timer rotate_timer;
     rotate_wal(id, state);
+    rotate_wal_.record_seconds(rotate_timer.seconds());
   }
 
   if (policy_.target_mtbf_seconds > 0.0) {
@@ -539,15 +551,20 @@ Checkpointer::Stats Checkpointer::stats() const {
   s.snapshot_seconds = snapshot_.sum_seconds();
   s.sync_write_seconds = sync_write_.sum_seconds();
   s.submit_blocked_seconds = submit_blocked_.sum_seconds();
+  s.keep_bases_seconds = keep_bases_.sum_seconds();
+  s.rotate_wal_seconds = rotate_wal_.sum_seconds();
+  s.wal_append_seconds = wal_append_.sum_seconds();
   s.dropped_writes = dropped_writes_.value();
   if (writer_) {
-    // One histogram times both encode sites; a Checkpointer has one mode.
+    // One histogram times each of the encode and install sites of both
+    // modes; a Checkpointer has one mode.
     s.pipeline_encode_seconds = encode_.sum_seconds();
     const AsyncWriter::Stats w = writer_->stats();
     s.writer_dropped = w.dropped;
     s.writer_failures = w.failures;
   } else {
     s.encode_seconds = encode_.sum_seconds();
+    s.install_seconds = install_.sum_seconds();
   }
   s.lifetime_dropped_writes = lifetime_dropped_writes_.value();
   const CasStats cas = store_.chunks().snapshot();

@@ -111,11 +111,13 @@ struct CheckpointPolicy {
   /// chunk store and tier engine it owns: the ckpt.*, wal.*, writer.*,
   /// gc.*, cas.* and tier.* instruments and one latency histogram per
   /// stage (ckpt.submit_blocked, .snapshot, .encode, .sync_write,
-  /// .install). Null means a registry of the Checkpointer's own; Stats
-  /// reads the instruments either way. `tracer` (null = one pointer
-  /// test) receives one span tree per checkpoint (checkpoint ->
-  /// snapshot/encode/install, linked to the async pipeline thread by
-  /// parent ids) plus WAL append/compaction instants.
+  /// .install, .keep_bases, .rotate_wal, and wal.append). Null means a
+  /// registry of the Checkpointer's own; Stats reads the instruments
+  /// either way. `tracer` (null = one pointer test) receives one span
+  /// tree per checkpoint (checkpoint -> snapshot/encode/install, linked
+  /// to the async pipeline thread by parent ids; install -> its
+  /// manifest.save, gc.collect, cas.sweep and tier.migrate) plus WAL
+  /// append/compaction instants.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -144,9 +146,22 @@ class Checkpointer {
     std::uint64_t incremental_checkpoints = 0;
     std::uint64_t bytes_encoded = 0;  ///< ckpt.bytes_encoded: file sizes
     std::uint64_t bytes_raw = 0;      ///< ckpt.bytes_raw: section payloads
-    double snapshot_seconds = 0.0;    ///< ckpt.snapshot: section build
+    /// ckpt.snapshot: section build and, async, the hand-off to the
+    /// pipeline thread.
+    double snapshot_seconds = 0.0;
     double encode_seconds = 0.0;      ///< ckpt.encode, sync: trainer thread
     double sync_write_seconds = 0.0;  ///< ckpt.sync_write: pack + close
+    /// ckpt.install, sync: the trainer thread's manifest save, GC, chunk
+    /// sweep and migration. 0 in async mode, where the pipeline installs.
+    double install_seconds = 0.0;
+    /// ckpt.keep_bases: sync kIncremental's copy of the state over its
+    /// delta bases after each write.
+    double keep_bases_seconds = 0.0;
+    /// ckpt.rotate_wal: opening the next journal (its base copy of the
+    /// state) after each install.
+    double rotate_wal_seconds = 0.0;
+    /// wal.append: journal records appended between installs.
+    double wal_append_seconds = 0.0;
     /// ckpt.submit_blocked (async): the trainer's waits for room in the
     /// pipeline queue, 0 for a checkpoint that found room.
     double submit_blocked_seconds = 0.0;
@@ -200,10 +215,13 @@ class Checkpointer {
     std::uint64_t wal_bytes = 0;
     std::uint64_t wal_compactions = 0;
 
-    /// Total trainer-thread stall attributable to checkpointing.
+    /// Total trainer-thread stall attributable to checkpointing: every
+    /// stage that runs on the caller's thread inside checkpoint_now and
+    /// the journal append.
     [[nodiscard]] double trainer_stall_seconds() const {
-      return snapshot_seconds + encode_seconds + sync_write_seconds +
-             submit_blocked_seconds;
+      return submit_blocked_seconds + snapshot_seconds + encode_seconds +
+             sync_write_seconds + install_seconds + keep_bases_seconds +
+             rotate_wal_seconds + wal_append_seconds;
     }
   };
 
@@ -323,6 +341,9 @@ class Checkpointer {
   obs::HistogramShare encode_;
   obs::HistogramShare sync_write_;
   obs::HistogramShare install_;
+  obs::HistogramShare keep_bases_;
+  obs::HistogramShare rotate_wal_;
+  obs::HistogramShare wal_append_;
   /// Owns retention + crash-consistent GC + tier migration; invoked
   /// under manifest_mu_.
   CheckpointStore store_;

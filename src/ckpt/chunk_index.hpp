@@ -22,14 +22,11 @@
 // all-zero, so the index never outgrows the live key population.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "ckpt/format.hpp"
 
@@ -188,7 +185,7 @@ class ShardedChunkIndex {
     ShardedChunkIndex& index_;
   };
 
-  /// Replaces ALL reference counts with `counts` (journal load or
+  /// Replaces ALL reference counts with `counts` (the open-time
   /// rebuild), preserving pins and residency. Counts may name keys that
   /// are not resident (references into still-deferred cold packs).
   void reset_refs(const std::map<ChunkKey, std::uint64_t>& counts) {
@@ -208,23 +205,6 @@ class ShardedChunkIndex {
         shard_for(key).map[key].refs = count;
       }
     }
-  }
-
-  /// All (key, refcount) pairs with refcount > 0, sorted by key — the
-  /// deterministic iteration the REFS journal writer needs.
-  [[nodiscard]] std::vector<std::pair<ChunkKey, std::uint64_t>>
-  snapshot_refs() const {
-    std::vector<std::pair<ChunkKey, std::uint64_t>> out;
-    for (const Shard& s : shards_) {
-      std::lock_guard lock(s.mu);
-      for (const auto& [key, e] : s.map) {
-        if (e.refs != 0) {
-          out.emplace_back(key, e.refs);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 #include "codec/xor_delta.hpp"
 #include "util/crc.hpp"
@@ -508,41 +507,6 @@ std::string chunk_key_name(const ChunkKey& key) {
   std::snprintf(buf, sizeof(buf), "%08x-%llu", key.crc,
                 static_cast<unsigned long long>(key.len));
   return buf;
-}
-
-std::optional<ChunkKey> parse_chunk_key_name(const std::string& name) {
-  const auto dash = name.find('-');
-  if (dash != 8 || name.size() < 10) {
-    return std::nullopt;
-  }
-  ChunkKey key;
-  std::uint64_t crc = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const char c = name[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-    crc = crc * 16 + digit;
-  }
-  key.crc = static_cast<std::uint32_t>(crc);
-  std::uint64_t len = 0;
-  for (std::size_t i = 9; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return std::nullopt;
-    }
-    const auto digit = static_cast<std::uint64_t>(name[i] - '0');
-    if (len > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;  // the length does not fit in u64
-    }
-    len = len * 10 + digit;
-  }
-  key.len = len;
-  return key;
 }
 
 std::string section_kind_name(SectionKind kind) {

@@ -161,9 +161,8 @@ struct ChunkKey {
 /// Computes the content key of a raw chunk.
 ChunkKey chunk_key(ByteSpan raw);
 
-/// "a1b2c3d4-4096" — the canonical textual form (REFS journal, tooling).
+/// "a1b2c3d4-4096" — the canonical textual form (messages, tooling).
 std::string chunk_key_name(const ChunkKey& key);
-std::optional<ChunkKey> parse_chunk_key_name(const std::string& name);
 
 /// Where the encoder puts (and dedups against) extern chunks. For every
 /// chunk of every extern section the encoder calls contains() exactly

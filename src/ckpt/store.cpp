@@ -45,7 +45,20 @@ std::size_t CheckpointStore::migrate(const Manifest& manifest) {
   if (!tiering_) {
     return 0;
   }
+  obs::Span span(tracer_, "tier.migrate", "tier");
   return tiering_->migrate(manifest);
+}
+
+void CheckpointStore::write_manifest(const Manifest& manifest) {
+  obs::Span span(tracer_, "manifest.save", "ckpt");
+  manifest.save(env_, dir_);
+}
+
+void CheckpointStore::sweep_chunks(bool compact) {
+  obs::Span span(tracer_, "cas.sweep", "gc");
+  const std::uint64_t reclaimed = chunks_.sweep(compact);
+  span.note("bytes", reclaimed);
+  bytes_reclaimed_.add(reclaimed);
 }
 
 std::vector<ChunkKey> CheckpointStore::read_chunk_refs(
@@ -204,11 +217,8 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
   }
   if (victims.empty()) {
     if (save_manifest) {
-      manifest.save(env_, dir_);
+      write_manifest(manifest);
     }
-    // The journal rides the manifest fence even when nothing dies: an
-    // install that only retained new references must still land them.
-    chunks_.save_refs();
     return 0;
   }
   runs_.add();
@@ -239,7 +249,7 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
     for (std::size_t i = begin; i < end; ++i) {
       manifest.remove(victims[i].id);
     }
-    manifest.save(env_, dir_);
+    write_manifest(manifest);
     manifest_rewrites_.add();
     for (std::size_t i = begin; i < end; ++i) {
       const ManifestEntry& e = victims[i];
@@ -276,13 +286,9 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
   }
   // Chunk-level GC rides the same pass: packfiles whose every record
   // just became unreferenced die here (compaction of mixed packfiles is
-  // deferred to the startup sweep), and the refcount journal is
-  // rewritten behind the same fence discipline as the manifest.
-  const std::uint64_t chunk_bytes = chunks_.sweep(/*compact=*/false);
-  chunks_.save_refs();
-  bytes_reclaimed_.add(chunk_bytes);
+  // deferred to the startup sweep).
+  sweep_chunks(/*compact=*/false);
   gc_span.note("deleted", static_cast<std::uint64_t>(deleted));
-  gc_span.note("chunk_bytes_swept", chunk_bytes);
   return deleted;
 }
 
@@ -400,9 +406,7 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
   // after this call no unreferenced chunk remains on disk (unless some
   // checkpoint file was unreadable, in which case the store refuses to
   // sweep at all: liveness would be guesswork).
-  const std::uint64_t chunk_bytes = chunks_.sweep(/*compact=*/true);
-  chunks_.save_refs();
-  bytes_reclaimed_.add(chunk_bytes);
+  sweep_chunks(/*compact=*/true);
   return deleted;
 }
 

@@ -24,10 +24,11 @@
 // (ckpt/cas.hpp): deletion is no longer purely file-level but reference
 // counted over chunk keys. Deleting a checkpoint file releases its key
 // references; packfiles whose chunks are all unreferenced die in the
-// same GC pass, mixed packfiles are compacted by the startup sweep, and
-// the refcount journal is rewritten at the same fence points as the
-// manifest. The file-level invariants above carry over unchanged; the
-// chunk-level ones they induce are documented in cas.hpp.
+// same GC pass, and mixed packfiles are compacted by the startup sweep.
+// Nothing persists the counts: the chunk store rebuilds them from the
+// retained files when it opens. The file-level invariants above carry
+// over unchanged; the chunk-level ones they induce are documented in
+// cas.hpp.
 //
 // On a tier::TieredEnv the store additionally owns a MigrationEngine
 // (tier/migration.hpp): after each GC pass, retained-but-old objects
@@ -181,8 +182,10 @@ class CheckpointStore {
   [[nodiscard]] const RetentionPolicy& policy() const { return policy_; }
 
   /// Mounts a span/event sink (borrowed; null detaches) on the store and
-  /// its migration engine: GC passes that delete files become spans,
-  /// demotions/promotions and TIERMAP fences are traced by the engine.
+  /// its migration engine. The parts of an install's tail become spans:
+  /// manifest.save, gc.collect (a GC pass that deletes files), cas.sweep
+  /// and, on a tiered Env, tier.migrate; the engine traces its
+  /// demotions/promotions and TIERMAP fences.
   void set_observability(obs::Tracer* tracer) {
     tracer_ = tracer;
     if (tiering_) {
@@ -201,6 +204,12 @@ class CheckpointStore {
   /// Empty (and harmlessly leak-biased) when the file cannot be read.
   [[nodiscard]] std::vector<ChunkKey> read_chunk_refs(
       const std::string& name) const;
+
+  /// manifest.save(), as a manifest.save span.
+  void write_manifest(const Manifest& manifest);
+  /// The chunk store's sweep, as a cas.sweep span; its bytes count as
+  /// reclaimed.
+  void sweep_chunks(bool compact);
 
   io::Env& env_;
   std::string dir_;

@@ -17,7 +17,7 @@ constexpr const char* kTiermapHeader = "qnnckpt-tiermap v1";
 
 /// True for the dir-relative names migration may move: checkpoint
 /// containers and chunk packfiles. Everything else (MANIFEST, TIERMAP,
-/// chunks/REFS, unknown files) is pinned hot.
+/// unknown files) is pinned hot.
 bool migratable_name(const std::string& name) {
   if (ckpt::parse_checkpoint_file_name(name)) {
     return true;

@@ -5,7 +5,7 @@
 // discipline the retention GC uses for deletion. The migratable objects
 // are exactly the immutable bulk payloads — checkpoint containers
 // (ckpt-*.qckp) and chunk packfiles (chunks/pack-*.qpak); directory
-// metadata (MANIFEST, TIERMAP, chunks/REFS) is pinned hot forever.
+// metadata (MANIFEST, TIERMAP) is pinned hot forever.
 //
 // Residency is recorded in `<dir>/TIERMAP`, a small text file in the
 // hot tier rewritten atomically as the migration fence:
@@ -20,10 +20,9 @@
 //   * reconcile() (startup) collapses crash-stranded duplicates — the
 //     hot copy always wins, because every write path targets the hot
 //     tier, so a diverging cold copy can only be stale — and rebuilds
-//     the TIERMAP from the actual cold listing. Like the chunk store's
-//     REFS journal, the TIERMAP is advisory: residency truth is the
-//     union of tier listings, and a torn or stale TIERMAP can never
-//     lose an object.
+//     the TIERMAP from the actual cold listing. The TIERMAP is
+//     advisory: residency truth is the union of tier listings, and a
+//     torn or stale TIERMAP can never lose an object.
 //
 // Placement policy (TierPolicy):
 //   * hot_byte_budget caps the bytes of migratable objects resident in
@@ -85,7 +84,7 @@ struct TierPolicy {
 /// True for paths whose final component names an object migration may
 /// ever place in the cold tier (checkpoint containers, packfiles).
 /// Useful as a TieredEnv scrub filter: writes to anything else —
-/// MANIFEST, TIERMAP, chunks/REFS, foreign files — skip the cold tier
+/// MANIFEST, TIERMAP, foreign files — skip the cold tier
 /// entirely.
 bool migratable_path(const std::string& path);
 

@@ -46,7 +46,7 @@ class TieredEnv final : public io::Env {
   /// `hot` and `cold` are borrowed and must outlive the TieredEnv.
   /// `scrub_filter`, when set, limits the post-write cold-copy scrub to
   /// paths it accepts: paths the migration policy can never demote
-  /// (directory metadata like MANIFEST/TIERMAP/REFS, rewritten every
+  /// (directory metadata like MANIFEST/TIERMAP, rewritten every
   /// install) then skip the cold tier entirely on the write path. Pass
   /// tier::migratable_path (tier/migration.hpp) for checkpoint
   /// directories; the empty default scrubs everything (always safe).

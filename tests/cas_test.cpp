@@ -1,11 +1,12 @@
 // Tests for the content-addressed chunk store (format v3): cross-
 // checkpoint dedup, refcounted GC over chunk keys, packfile sweeps and
-// compaction, the REFS journal, and recovery behaviour when packfiles
-// are damaged.
+// compaction, refcounts rebuilt at open, and recovery behaviour when
+// packfiles are damaged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "ckpt/cas.hpp"
@@ -293,22 +294,21 @@ TEST(Cas, StartupSweepCompactsMixedPackfiles) {
 
 TEST(Cas, OrphanReleaseUsesPreDeletionRefBaseline) {
   // Regression: sweep_orphans must load the refcount baseline BEFORE
-  // deleting any orphan. If the (stale-journal) rebuild ran after the
-  // orphan's file was already gone, releasing the orphan's references
-  // would decrement counts that never included it — freeing chunks it
-  // shares with live checkpoints.
+  // deleting any orphan. If the rebuild ran after the orphan's file was
+  // already gone, releasing the orphan's references would decrement
+  // counts that never included it — freeing chunks it shares with live
+  // checkpoints.
   io::MemEnv env;
   run_checkpoints(env, cas_policy(), 2);  // 1 and 2 share the frozen chunks
   // Strand checkpoint 1 as an orphan (advertised no longer, file still
-  // on disk) and lose the journal so the next store must rebuild. The
-  // shared chunks now have exactly ONE surviving reference (ckpt 2), so
-  // a release against a post-deletion rebuild would zero them out.
+  // on disk). The shared chunks now have exactly ONE surviving reference
+  // (ckpt 2), so a release against a post-deletion rebuild would zero
+  // them out.
   {
     Manifest manifest = Manifest::load(env, "cp");
     manifest.remove(1);
     manifest.save(env, "cp");
   }
-  env.remove_file("cp/chunks/REFS");
 
   CheckpointStore store(env, "cp", RetentionPolicy{});
   const Manifest manifest = Manifest::load(env, "cp");
@@ -427,52 +427,71 @@ TEST(Cas, ColdPackOpenAndResolveReadOnlyFooterTableAndChunk) {
   EXPECT_FALSE(hot_base.exists(pack));
 }
 
-// ---------- the REFS journal ----------
+// ---------- refcounts rebuilt at open ----------
 
-TEST(Cas, RefsJournalWrittenAndTrusted) {
-  io::MemEnv env;
-  run_checkpoints(env, cas_policy(), 3);
-  const auto refs = env.read_file("cp/chunks/REFS");
-  ASSERT_TRUE(refs.has_value());
-  const std::string text(refs->begin(), refs->end());
-  EXPECT_NE(text.find("qnnckpt-refs v1"), std::string::npos);
-  EXPECT_NE(text.find("covers 1,2,3"), std::string::npos);
-  EXPECT_NE(text.find("ref "), std::string::npos);
-
-  // A fresh store trusts a journal that covers the directory exactly.
-  ChunkStore store(env, "cp");
-  store.open();
-  EXPECT_EQ(store.stats().refs_rebuilds, 0u);
-}
-
-TEST(Cas, StaleRefsJournalTriggersRebuild) {
-  io::MemEnv env;
-  run_checkpoints(env, cas_policy(), 3);
-  // Manipulate the directory behind the journal's back.
-  env.remove_file("cp/" + checkpoint_file_name(3));
-  ChunkStore store(env, "cp");
-  store.open();
-  EXPECT_EQ(store.stats().refs_rebuilds, 1u);
-  // Rebuilt counts reflect files, not the stale journal: checkpoint 3's
-  // unique chunks are unreferenced now.
-  const Bytes data = *env.read_file("cp/" + checkpoint_file_name(2));
-  for (const ChunkKey& key : list_chunk_refs(data)) {
-    EXPECT_GE(store.ref_count(key), 1u);
+/// Each key's count over the key tables of the checkpoint files in `dir`.
+std::map<ChunkKey, std::uint64_t> counts_on_disk(io::Env& env,
+                                                 const std::string& dir) {
+  std::map<ChunkKey, std::uint64_t> counts;
+  for (const std::string& name : env.list_dir(dir)) {
+    if (parse_checkpoint_file_name(name)) {
+      for (const ChunkKey& key :
+           list_chunk_refs(*env.read_file(dir + "/" + name))) {
+        ++counts[key];
+      }
+    }
   }
+  return counts;
 }
 
-TEST(Cas, DamagedRefsJournalTriggersRebuild) {
-  io::MemEnv env;
-  run_checkpoints(env, cas_policy(), 2);
-  const std::string garbage = "qnnckpt-refs v1\ncovers 1,2\nref ?!? what\n";
-  env.write_file_atomic(
-      "cp/chunks/REFS",
-      util::ByteSpan{reinterpret_cast<const std::uint8_t*>(garbage.data()),
-                     garbage.size()});
+/// A freshly opened store counts every key its packs hold exactly as
+/// often as the retained key tables name it (0 for a dead chunk), and
+/// the packs hold every named key.
+void expect_reopened_counts_match_disk(io::MemEnv& env, const char* when) {
+  const auto expected = counts_on_disk(env, "cp");
   ChunkStore store(env, "cp");
-  store.open();
-  EXPECT_EQ(store.stats().refs_rebuilds, 1u);
-  EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2));
+  std::size_t named = 0;
+  for (const std::string& pack : store.pack_names()) {
+    for (const ChunkKey& key : store.pack_keys(pack)) {
+      const auto it = expected.find(key);
+      named += it == expected.end() ? 0 : 1;
+      EXPECT_EQ(store.ref_count(key), it == expected.end() ? 0u : it->second)
+          << when << ": " << chunk_key_name(key);
+    }
+  }
+  EXPECT_EQ(named, expected.size()) << when;
+  EXPECT_GT(named, 0u) << when;
+}
+
+TEST(Cas, ReopenedStoreCountsMatchTheRetainedKeyTables) {
+  // Nothing persists the counts, so a reopen rebuilds them from the
+  // files, whichever way the directory changed since the last open.
+  io::MemEnv env;
+  CheckpointPolicy policy = cas_policy();
+  policy.retention.keep_last = 3;
+  {
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 5; ++step) {
+      ck.checkpoint_now(big_state(step));
+    }
+  }
+  ASSERT_FALSE(env.exists("cp/" + checkpoint_file_name(2)));
+  expect_reopened_counts_match_disk(env, "after GC");
+
+  // Strand checkpoint 4 (advertised no longer, file on disk) and reap it.
+  {
+    Manifest manifest = Manifest::load(env, "cp");
+    manifest.remove(4);
+    manifest.save(env, "cp");
+    CheckpointStore store(env, "cp", RetentionPolicy{});
+    EXPECT_EQ(store.sweep_orphans(Manifest::load(env, "cp")), 1u);
+  }
+  ASSERT_FALSE(env.exists("cp/" + checkpoint_file_name(4)));
+  expect_reopened_counts_match_disk(env, "after an orphan sweep");
+
+  env.remove_file("cp/" + checkpoint_file_name(5));
+  expect_reopened_counts_match_disk(env, "after a removal behind its back");
+  EXPECT_EQ(load_checkpoint(env, "cp", 3), big_state(3));
 }
 
 std::string read_text(io::MemEnv& env, const std::string& path) {
@@ -487,10 +506,12 @@ void write_text(io::MemEnv& env, const std::string& path,
 }
 
 TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
+  // Earlier versions journaled the counts in chunks/REFS, so an upgraded
+  // directory may still hold one, edited: here every chunk both kept
+  // checkpoints reference reads 0, the edit that once let the reopen's
+  // compacting sweep drop live chunks. Nothing reads the file now.
   // 32 KiB of params at 4 KiB chunks, keep_last 2: after 3 checkpoints
-  // the 7 frozen chunks are referenced by both kept checkpoints. One
-  // count edited to 0 must read as damage, not as a dead chunk that the
-  // reopen's compacting sweep may drop.
+  // the 7 frozen chunks are referenced by both kept checkpoints.
   io::MemEnv env;
   CheckpointPolicy policy = cas_policy();
   policy.chunk_bytes = 4096;
@@ -502,10 +523,12 @@ TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
     }
     ck.flush();
   }
-  std::string text = read_text(env, "cp/chunks/REFS");
-  const std::size_t line = text.find("-4096 2\n");
-  ASSERT_NE(line, std::string::npos) << text;
-  text[line + 6] = '0';
+  EXPECT_FALSE(env.exists("cp/chunks/REFS"));
+  std::string text = "qnnckpt-refs v1\ncovers 2,3\n";
+  for (const ChunkKey& key :
+       list_chunk_refs(*env.read_file("cp/" + checkpoint_file_name(2)))) {
+    text += "ref " + chunk_key_name(key) + " 0\n";
+  }
   write_text(env, "cp/chunks/REFS", text);
   {
     Checkpointer reopened(env, "cp", policy);
@@ -515,34 +538,66 @@ TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
   EXPECT_EQ(outcome->step, 3u);
   EXPECT_EQ(outcome->state, big_state(3, 4096));
   EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2, 4096));
+  EXPECT_EQ(read_text(env, "cp/chunks/REFS"), text) << "left as it was";
 }
 
-TEST(Cas, RefsJournalWithoutTrailerIsRebuiltOnce) {
-  // A journal written before the CRC trailer existed: rebuilt at the
-  // first open, then rewritten with a trailer and trusted.
+TEST(Cas, DirectoryWithoutPackfilesReopensWithoutReadingAContainer) {
+  // Inline checkpoints hold no chunk, so no count guards anything: the
+  // reopen reads the MANIFEST and no container.
   io::MemEnv env;
-  run_checkpoints(env, cas_policy(), 3);
-  const std::string text = read_text(env, "cp/chunks/REFS");
-  const std::size_t trailer = text.rfind("crc32c ");
-  ASSERT_NE(trailer, std::string::npos);
-  ASSERT_EQ(text.size() - trailer, 16u) << "one 16-byte last line";
-  write_text(env, "cp/chunks/REFS", text.substr(0, trailer));
+  run_checkpoints(env, inline_policy(), 4);
+  ASSERT_TRUE(env.list_dir("cp/chunks").empty());
+  const std::uint64_t manifest_bytes = env.file_size("cp/MANIFEST").value();
+  const std::uint64_t before = env.bytes_read();
   {
-    ChunkStore store(env, "cp");
-    store.open();
-    EXPECT_EQ(store.stats().refs_rebuilds, 1u);
-    store.save_refs();
+    Checkpointer reopened(env, "cp", inline_policy());
   }
-  EXPECT_EQ(read_text(env, "cp/chunks/REFS"), text);
-  ChunkStore store(env, "cp");
-  store.open();
-  EXPECT_EQ(store.stats().refs_rebuilds, 0u);
+  EXPECT_EQ(env.bytes_read() - before, manifest_bytes);
+}
+
+TEST(Cas, TieredReopenPromotesNothing) {
+  // The rebuild at open reads every retained container whole, demoted
+  // ones included: each where it lies, so a restart with read-through
+  // promotion on pulls nothing hot.
+  io::MemEnv hot_base;
+  io::MemEnv cold_base;
+  CheckpointPolicy policy = cas_policy();
+  policy.tier.hot_byte_budget = 4096;
+  policy.tier.pin_hot_last = 1;
+  {
+    tier::TieredEnv env(hot_base, cold_base, /*promote_on_read=*/true,
+                        tier::migratable_path);
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 4; ++step) {
+      ck.checkpoint_now(big_state(step));
+    }
+  }
+  std::vector<std::string> cold_containers;
+  for (const std::string& name : cold_base.list_dir("cp")) {
+    if (parse_checkpoint_file_name(name)) {
+      cold_containers.push_back(name);
+    }
+  }
+  ASSERT_FALSE(cold_containers.empty()) << "nothing was demoted";
+
+  tier::TieredEnv env(hot_base, cold_base, /*promote_on_read=*/true,
+                      tier::migratable_path);
+  const std::uint64_t cold_bytes_before = env.cold_read_bytes();
+  {
+    Checkpointer reopened(env, "cp", policy);
+  }
+  EXPECT_GT(env.cold_read_bytes(), cold_bytes_before)
+      << "the rebuild read the demoted containers";
+  EXPECT_EQ(env.promoted_files(), 0u);
+  for (const std::string& name : cold_containers) {
+    EXPECT_TRUE(cold_base.exists("cp/" + name)) << name;
+    EXPECT_FALSE(hot_base.exists("cp/" + name)) << name;
+  }
 }
 
 TEST(Cas, UnreadableCheckpointFileDisablesSweep) {
   io::MemEnv env;
   run_checkpoints(env, cas_policy(), 2);
-  env.remove_file("cp/chunks/REFS");
   // Corrupt checkpoint 1: its references become unknowable.
   ASSERT_TRUE(env.flip_bit("cp/" + checkpoint_file_name(1), 1234));
   ChunkStore store(env, "cp");

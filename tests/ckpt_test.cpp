@@ -2,6 +2,7 @@
 // chains), async writer, and recovery fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <mutex>
@@ -319,6 +320,54 @@ TEST(Checkpointer, RetentionNeverBreaksChains) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->step, 20u);
   EXPECT_TRUE(outcome->notes.empty());
+}
+
+/// Sleeps before every MANIFEST write: an install that is slow on
+/// whichever thread runs it.
+class SlowManifestEnv final : public io::ForwardingEnv {
+ public:
+  using io::ForwardingEnv::ForwardingEnv;
+  static constexpr std::chrono::milliseconds kDelay{5};
+
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    if (path.ends_with("/MANIFEST")) {
+      std::this_thread::sleep_for(kDelay);
+    }
+    return base_.new_writable(path, mode);
+  }
+};
+
+TEST(Checkpointer, SyncStallCountsTheInstallAndEveryCallerStage) {
+  // A sync checkpoint installs on the caller's thread, then (kIncremental)
+  // copies the state over its delta bases and (journal) opens the next
+  // epoch's journal; the journal appends between installs run there too.
+  // The trainer's stall counts all of it.
+  io::MemEnv mem;
+  SlowManifestEnv env(mem);
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 2;
+  policy.retention.keep_last = 2;
+  policy.wal.enable = true;
+  Checkpointer ck(env, "cp", policy);
+  for (std::uint64_t step = 1; step <= 8; ++step) {
+    ck.maybe_checkpoint(make_state(step));
+  }
+  const Checkpointer::Stats s = ck.stats();
+  ASSERT_EQ(s.checkpoints, 4u);
+  const double slept =
+      4 * std::chrono::duration<double>(SlowManifestEnv::kDelay).count();
+  EXPECT_GE(s.install_seconds, slept);
+  EXPECT_GE(s.trainer_stall_seconds(), s.install_seconds);
+  EXPECT_GT(s.keep_bases_seconds, 0.0);
+  EXPECT_GT(s.rotate_wal_seconds, 0.0);
+  EXPECT_EQ(s.wal_records, 3u);  // steps 3, 5 and 7
+  EXPECT_GT(s.wal_append_seconds, 0.0);
+  EXPECT_EQ(s.trainer_stall_seconds(),
+            s.snapshot_seconds + s.encode_seconds + s.sync_write_seconds +
+                s.install_seconds + s.keep_bases_seconds +
+                s.rotate_wal_seconds + s.wal_append_seconds);
 }
 
 // ---------- checkpoint store: retention + GC ----------

@@ -16,11 +16,13 @@
 // locally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
@@ -169,6 +171,76 @@ void run_scenario(io::CrashScheduleEnv& env, const ScenarioConfig& cfg,
   }
 }
 
+/// Tiered epilogue: a startup reconcile must collapse every duplicate
+/// a crash mid-migration stranded — after it no object may exist in
+/// both tiers (duplicated-and-leaked) and everything still resolves.
+void verify_tiers_after_reconcile(EnvView& view, const Manifest& manifest,
+                                  const ScenarioConfig& cfg,
+                                  const std::string& at) {
+  io::Env& env = view.env();
+  CheckpointStore store(env, "cp", RetentionPolicy{}, cfg.policy.tier);
+  ASSERT_NE(store.tiering(), nullptr);
+  store.tiering()->reconcile();
+  for (const std::string& dir : {std::string("cp"), std::string("cp/chunks")}) {
+    const auto hot_names = view.hot->list_dir(dir);
+    const std::set<std::string> cold_names = [&] {
+      auto names = view.cold->list_dir(dir);
+      return std::set<std::string>(names.begin(), names.end());
+    }();
+    for (const std::string& name : hot_names) {
+      EXPECT_FALSE(cold_names.contains(name))
+          << at << ": " << dir << "/" << name
+          << " duplicated across tiers after reconcile";
+    }
+  }
+  for (const ManifestEntry& e : manifest.entries()) {
+    try {
+      (void)load_checkpoint(env, "cp", e.id);
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << at << ": entry id " << e.id
+                    << " lost by reconcile: " << ex.what();
+    }
+  }
+}
+
+/// The chunk store after a restart: a fresh Checkpointer rebuilds the
+/// refcounts from the retained containers and runs the compacting
+/// startup sweep. Then every chunk a retained container references
+/// resolves, and no packfile is left wholly unreferenced.
+void verify_chunk_store_after_restart(io::Env& env, const ScenarioConfig& cfg,
+                                      const std::string& at) {
+  {
+    Checkpointer reopened(env, "cp", cfg.policy);
+  }
+  std::set<ChunkKey> referenced;
+  for (const std::string& name : env.list_dir("cp")) {
+    if (parse_checkpoint_file_name(name)) {
+      try {
+        for (const ChunkKey& key : list_chunk_refs(env, "cp/" + name)) {
+          referenced.insert(key);
+        }
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << at << ": " << name << " unreadable: " << ex.what();
+      }
+    }
+  }
+  ChunkStore store(env, "cp");
+  for (const ChunkKey& key : referenced) {
+    try {
+      (void)store.get(key);
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << at << ": chunk " << chunk_key_name(key)
+                    << " does not resolve after the restart: " << ex.what();
+    }
+  }
+  for (const std::string& pack : store.pack_names()) {
+    const auto keys = store.pack_keys(pack);
+    const bool live = std::ranges::any_of(
+        keys, [&](const ChunkKey& key) { return referenced.contains(key); });
+    EXPECT_TRUE(live) << at << ": " << pack << " left wholly unreferenced";
+  }
+}
+
 /// The post-crash contract, checked against the durable base env.
 void verify_durable(io::Env& base, const io::CrashPlan& plan,
                     const ScenarioConfig& cfg,
@@ -242,34 +314,12 @@ void verify_durable(io::Env& base, const io::CrashPlan& plan,
     }
   }
 
-  if (!cfg.tiered) {
-    return;
+  if (cfg.tiered) {
+    verify_tiers_after_reconcile(view, manifest, cfg, at);
   }
-  // Tiered epilogue: a startup reconcile must collapse every duplicate
-  // a crash mid-migration stranded — after it no object may exist in
-  // both tiers (duplicated-and-leaked) and everything still resolves.
-  CheckpointStore store(env, "cp", RetentionPolicy{}, cfg.policy.tier);
-  ASSERT_NE(store.tiering(), nullptr);
-  store.tiering()->reconcile();
-  for (const std::string& dir : {std::string("cp"), std::string("cp/chunks")}) {
-    const auto hot_names = view.hot->list_dir(dir);
-    const std::set<std::string> cold_names = [&] {
-      auto names = view.cold->list_dir(dir);
-      return std::set<std::string>(names.begin(), names.end());
-    }();
-    for (const std::string& name : hot_names) {
-      EXPECT_FALSE(cold_names.contains(name))
-          << at << ": " << dir << "/" << name
-          << " duplicated across tiers after reconcile";
-    }
-  }
-  for (const ManifestEntry& e : manifest.entries()) {
-    try {
-      (void)load_checkpoint(env, "cp", e.id);
-    } catch (const std::exception& ex) {
-      ADD_FAILURE() << at << ": entry id " << e.id
-                    << " lost by reconcile: " << ex.what();
-    }
+  // Last, since the restart reaps what the crash left.
+  if (cfg.frozen_params > 0) {
+    verify_chunk_store_after_restart(env, cfg, at);
   }
 }
 

@@ -10,9 +10,11 @@
 // flight recorder, and JsonLine's nan/inf handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -582,6 +584,78 @@ INSTANTIATE_TEST_SUITE_P(
                                          : "_own_registry");
     });
 
+/// The value of field `key` in one line of chrome_json() (one event per
+/// line), without its quotes; empty when the line has no such field.
+std::string event_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const auto at = line.find(tag);
+  if (at == std::string::npos) {
+    return {};
+  }
+  const auto begin = at + tag.size() + (line[at + tag.size()] == '"');
+  return line.substr(begin, line.find_first_of("\",}", begin) - begin);
+}
+
+TEST(Tracer, InstallSpansItsParts) {
+  // The install tail's parts are spans inside install, on whichever
+  // thread installs: the manifest save, the GC pass with its chunk sweep,
+  // and the migration.
+  for (const bool async : {false, true}) {
+    io::MemEnv hot;
+    io::MemEnv cold;
+    tier::TieredEnv env(hot, cold);
+    Tracer tracer(fake_clock());
+    ckpt::CheckpointPolicy policy = chunked_policy();
+    policy.every_steps = 1;
+    policy.async = async;
+    policy.retention.keep_last = 6;
+    policy.tier.hot_byte_budget = 4 << 10;
+    policy.tracer = &tracer;
+    {
+      ckpt::Checkpointer ck(env, "cp", policy);
+      for (std::uint64_t step = 1; step <= 10; ++step) {
+        ck.checkpoint_now(make_state(step));
+      }
+    }
+    std::map<std::string, std::vector<std::string>> stacks;  // per tid
+    std::map<std::string, int> inside_install;
+    std::istringstream lines(tracer.chrome_json());
+    for (std::string line; std::getline(lines, line);) {
+      const std::string name = event_field(line, "name");
+      const std::string phase = event_field(line, "ph");
+      std::vector<std::string>& stack = stacks[event_field(line, "tid")];
+      if (phase == "E") {
+        ASSERT_FALSE(stack.empty());
+        EXPECT_EQ(stack.back(), name);
+        stack.pop_back();
+        continue;
+      }
+      if (phase != "B") {
+        continue;
+      }
+      const bool in_install =
+          std::find(stack.begin(), stack.end(), "install") != stack.end();
+      if (name == "manifest.save" || name == "tier.migrate" ||
+          name == "gc.collect") {
+        EXPECT_TRUE(in_install) << name << " outside install";
+      }
+      if (name == "cas.sweep" && in_install) {
+        EXPECT_EQ(stack.back(), "gc.collect") << "async " << async;
+      }
+      if (in_install) {
+        ++inside_install[name];
+      }
+      stack.push_back(name);
+    }
+    EXPECT_GE(inside_install["manifest.save"], 10) << "async " << async;
+    EXPECT_EQ(inside_install["tier.migrate"], 10) << "async " << async;
+    EXPECT_GT(inside_install["gc.collect"], 0) << "async " << async;
+    EXPECT_EQ(inside_install["cas.sweep"], inside_install["gc.collect"])
+        << "async " << async;
+    EXPECT_GT(inside_install["demote"], 0) << "async " << async;
+  }
+}
+
 TEST(RegistryAccumulator, GcCasAndTierInstrumentsMove) {
   io::MemEnv hot;
   io::MemEnv cold;
@@ -637,7 +711,7 @@ TEST(RegistryAccumulator, GcCasAndTierInstrumentsMove) {
         "gc.wals_reaped", "cas.packfiles", "cas.chunks", "cas.stored_bytes",
         "cas.chunk_refs", "cas.chunks_written", "cas.pack_bytes_written",
         "cas.packs_deleted", "cas.chunks_swept", "cas.bytes_swept",
-        "cas.refs_rebuilds", "cas.pack_handle_evictions",
+        "cas.pack_handle_evictions",
         "tier.demote_runs", "tier.files_demoted", "tier.bytes_demoted",
         "tier.fences", "tier.hot_bytes", "tier.cold_bytes"}) {
     EXPECT_GT(rendered(r, name).value_or(0), 0) << name;
