@@ -7,7 +7,9 @@
 // Claim shape: retention bounds the directory regardless of stream
 // length; byte-budget holds the footprint under the cap; GC cost stays
 // in the noise next to encode+write. Each row also prices the restart:
-// the bytes a fresh Checkpointer reads to open the final directory.
+// the bytes a fresh Checkpointer reads to open the final directory. The
+// keep-all+dedup row chunks a frozen params tail into packfiles, so its
+// open rebuilds the chunk refcounts from every retained container.
 //
 // Part 2 replays a checkpoint+GC scenario once per (env op, byte offset)
 // crash point — the same exhaustive engine as crash_matrix_test — and
@@ -28,13 +30,18 @@ using namespace qnn;
 
 namespace {
 
-::qnn::qnn::TrainingState make_state(std::uint64_t step) {
+::qnn::qnn::TrainingState make_state(std::uint64_t step,
+                                     std::size_t frozen_params) {
   ::qnn::qnn::TrainingState s;
   s.step = step;
   util::Rng rng(4000 + step);
   s.params.resize(64);
   for (double& p : s.params) {
     p = rng.uniform(-3.0, 3.0);
+  }
+  util::Rng frozen(7);  // the same tail at every step
+  for (std::size_t i = 0; i < frozen_params; ++i) {
+    s.params.push_back(frozen.uniform(-1.0, 1.0));
   }
   s.optimizer_name = "adam";
   s.optimizer_state.resize(1024);
@@ -51,6 +58,9 @@ namespace {
 struct PolicyRow {
   const char* name;
   ckpt::RetentionPolicy retention;
+  /// Frozen doubles appended to params. When nonzero, sections are cut
+  /// into 1 KiB chunks, so checkpoints share the tail's packfiled chunks.
+  std::size_t frozen_params = 0;
 };
 
 void run_policy(const PolicyRow& row, int checkpoints) {
@@ -60,6 +70,9 @@ void run_policy(const PolicyRow& row, int checkpoints) {
   policy.every_steps = 1;
   policy.full_every = 8;
   policy.retention = row.retention;
+  if (row.frozen_params > 0) {
+    policy.chunk_bytes = 1024;
+  }
 
   double seconds = 0.0;
   ckpt::GcStats gc;
@@ -67,7 +80,8 @@ void run_policy(const PolicyRow& row, int checkpoints) {
     util::Timer timer;
     ckpt::Checkpointer ck(env, "cp", policy);
     for (int step = 1; step <= checkpoints; ++step) {
-      ck.maybe_checkpoint(make_state(static_cast<std::uint64_t>(step)));
+      ck.maybe_checkpoint(
+          make_state(static_cast<std::uint64_t>(step), row.frozen_params));
     }
     seconds = timer.seconds();
     gc = ck.gc_stats();
@@ -81,9 +95,13 @@ void run_policy(const PolicyRow& row, int checkpoints) {
       ++dir_files;
     }
   }
+  for (const std::string& name : env.list_dir("cp/chunks")) {
+    dir_bytes += env.file_size("cp/chunks/" + name).value_or(0);
+  }
 
-  // A restart's open of the final directory: the MANIFEST, plus every
-  // retained container when packfiles make the chunk refcounts matter.
+  // A restart's open of the final directory: the MANIFEST, plus the
+  // packfiles' key tables and every retained container when packfiles
+  // make the chunk refcounts matter.
   const std::uint64_t read_before = env.bytes_read();
   util::Timer reopen_timer;
   {
@@ -136,7 +154,7 @@ void run_crash_sweep() {
       [&policy](io::CrashScheduleEnv& env) {
         ckpt::Checkpointer ck(env, "cp", policy);
         for (std::uint64_t step = 1; step <= 10; ++step) {
-          ck.maybe_checkpoint(make_state(step));
+          ck.maybe_checkpoint(make_state(step, 0));
         }
       },
       [&violations](io::Env& base, const io::CrashPlan&) {
@@ -179,6 +197,7 @@ int main() {
 
   constexpr int kCheckpoints = 300;
   run_policy({"keep-all", {.keep_last = 0}}, kCheckpoints);
+  run_policy({"keep-all+dedup", {.keep_last = 0}, 2048}, kCheckpoints);
   run_policy({"keep-5", {.keep_last = 5}}, kCheckpoints);
   run_policy({"keep3+space20", {.keep_last = 3, .step_spacing = 20}},
              kCheckpoints);

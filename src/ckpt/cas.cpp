@@ -872,18 +872,23 @@ void ChunkStore::ensure_open_locked() {
     // the capacity tier.
     for (const std::string& name : tiered_->hot().list_dir(chunk_dir_)) {
       if (parse_pack_file_name(name)) {
+        packfile_listed_ = true;
         scan_pack_locked(name, tiered_->hot());
       }
     }
     for (const std::string& name : tiered_->cold().list_dir(chunk_dir_)) {
-      if (parse_pack_file_name(name) && !packs_.contains(name)) {
-        deferred_packs_.push_back(name);
+      if (parse_pack_file_name(name)) {
+        packfile_listed_ = true;
+        if (!packs_.contains(name)) {
+          deferred_packs_.push_back(name);
+        }
       }
     }
     std::sort(deferred_packs_.begin(), deferred_packs_.end());
   } else {
     for (const std::string& name : env_.list_dir(chunk_dir_)) {
       if (parse_pack_file_name(name)) {
+        packfile_listed_ = true;
         scan_pack_locked(name, env_);
       }
     }
@@ -1039,9 +1044,11 @@ void ChunkStore::rebuild_refs_locked() {
   refs_complete_ = true;
   // A count guards a chunk some pack holds. With no packfile in either
   // tier there is none, and no container needs reading: under the crash
-  // contract no container names a chunk that no durable pack holds.
+  // contract no container names a chunk that no durable pack holds. A
+  // damaged pack still counts as one: the containers naming its keys
+  // must be counted before a new pack stores those keys again.
   std::vector<std::uint64_t> ids;
-  if (!packs_.empty() || !deferred_packs_.empty()) {
+  if (packfile_listed_ || !packs_.empty()) {
     ids = checkpoint_ids_on_disk();
   }
   std::map<ChunkKey, std::uint64_t> rebuilt;

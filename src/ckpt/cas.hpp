@@ -37,9 +37,10 @@
 //     truth is the union of the key tables of the .qckp files on disk.
 //     The store rebuilds them once per open, while the directory is
 //     quiescent, from each file read whole and CRC64-verified (from
-//     none when no packfile exists: no resident chunk needs a count),
-//     then keeps them current through retain/release — so no stale or
-//     edited count file exists to lose data or free a live chunk;
+//     none when no packfile, not even a damaged one, exists: no
+//     resident chunk needs a count), then keeps them current through
+//     retain/release — so no stale or edited count file exists to lose
+//     data or free a live chunk;
 //   * sweeps delete a packfile only when none of its records is
 //     referenced or pinned, and compaction rewrites mixed packfiles
 //     atomically — an unreferenced chunk survives at most until the
@@ -287,7 +288,8 @@ class ChunkStore : public ChunkSource {
   void drain_deferred_locked();
   /// Rebuilds refcounts from every checkpoint file's key table, each
   /// file read whole where it lies (never promoted) and verified end to
-  /// end. Reads nothing when no packfile exists in either tier.
+  /// end. Reads nothing when no packfile, damaged or not, exists in
+  /// either tier.
   void rebuild_refs_locked();
   void unpin(const std::vector<ChunkKey>& keys);
   [[nodiscard]] std::string pack_path(const std::string& name) const;
@@ -325,6 +327,9 @@ class ChunkStore : public ChunkSource {
   std::atomic<bool> opened_fast_{false};
   /// Cold-resident packs not yet scanned (ascending name order).
   std::vector<std::string> deferred_packs_;
+  /// True when the open listing named a packfile in either tier, damaged
+  /// ones included: only without one may the refcount rebuild skip.
+  bool packfile_listed_ = false;
   bool refs_loaded_ = false;
   /// False when some checkpoint file's refs could not be read: sweeps
   /// are disabled until a complete rebuild succeeds.

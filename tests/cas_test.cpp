@@ -494,11 +494,6 @@ TEST(Cas, ReopenedStoreCountsMatchTheRetainedKeyTables) {
   EXPECT_EQ(load_checkpoint(env, "cp", 3), big_state(3));
 }
 
-std::string read_text(io::MemEnv& env, const std::string& path) {
-  const auto data = env.read_file(path);
-  return data ? std::string(data->begin(), data->end()) : std::string();
-}
-
 void write_text(io::MemEnv& env, const std::string& path,
                 const std::string& text) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
@@ -538,7 +533,6 @@ TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
   EXPECT_EQ(outcome->step, 3u);
   EXPECT_EQ(outcome->state, big_state(3, 4096));
   EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2, 4096));
-  EXPECT_EQ(read_text(env, "cp/chunks/REFS"), text) << "left as it was";
 }
 
 TEST(Cas, DirectoryWithoutPackfilesReopensWithoutReadingAContainer) {
@@ -624,6 +618,36 @@ TEST(Cas, DamagedPackfileFallsBackToOlderCheckpoint) {
   EXPECT_EQ(outcome->step, 1u);
   EXPECT_EQ(outcome->state, big_state(1, 512, 512));
   EXPECT_FALSE(outcome->notes.empty());
+}
+
+TEST(Cas, OnlyPackfileDamagedKeepsNewCheckpointsLoadable) {
+  // Frozen params, keep_last 2: the directory's one pack holds every
+  // chunk both kept checkpoints name. With that pack's key table
+  // damaged, the open indexes no pack, yet the kept containers still
+  // name its keys. They must be counted: checkpoint 3 stores the frozen
+  // chunks again in a new pack, and when checkpoint 4 (other content)
+  // retires checkpoint 2, that pack must survive for checkpoint 3.
+  io::MemEnv env;
+  CheckpointPolicy policy = cas_policy();
+  policy.retention.keep_last = 2;
+  {
+    Checkpointer ck(env, "cp", policy);
+    ck.checkpoint_now(big_state(1, 2048, 0));
+    ck.checkpoint_now(big_state(2, 2048, 0));
+  }
+  ASSERT_EQ(env.list_dir("cp/chunks"),
+            std::vector<std::string>{pack_file_name(1)});
+  const std::string pack = "cp/chunks/" + pack_file_name(1);
+  // The last key-table byte: the table CRC no longer matches.
+  ASSERT_TRUE(env.flip_bit(pack, (env.file_size(pack).value() - 29) * 8));
+  {
+    Checkpointer reopened(env, "cp", policy);
+    reopened.checkpoint_now(big_state(3, 2048, 0));
+    reopened.checkpoint_now(big_state(4, 2048, 2048));
+  }
+  ASSERT_FALSE(env.exists("cp/" + checkpoint_file_name(2)));
+  EXPECT_EQ(load_checkpoint(env, "cp", 3), big_state(3, 2048, 0));
+  EXPECT_EQ(load_checkpoint(env, "cp", 4), big_state(4, 2048, 2048));
 }
 
 TEST(Cas, VerifyDirectoryFlagsChunkDamage) {
