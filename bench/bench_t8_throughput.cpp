@@ -1,5 +1,4 @@
-// T8 — Hot-path raw throughput: SIMD vs scalar kernels, concurrent
-// dedup probes.
+// T8 — Hot-path raw throughput: SIMD vs scalar kernels, dedup probes.
 //
 // Two families of rows, all RESULT lines tagged gated:false — wall-
 // clock MB/s is machine-dependent by design, so the artifact tracks it
@@ -11,17 +10,14 @@
 //     measured through the dispatched (SIMD) entry point AND the
 //     scalar oracle kept for parity testing. The "speedup_x" field is
 //     the ratio; on SSE4.2+PCLMUL hardware CRC32C should clear 1.
-//   * chunks/s for concurrent dedup probes against one ChunkStore at
-//     1/4/8 threads — the sharded index replaced the global mutex +
-//     std::map, so probe throughput should scale with threads instead
-//     of serialising (on a single-core CI runner the scaling column is
-//     flat; that is the machine, not the index).
+//   * chunks/s for dedup probes against one ChunkStore from one thread,
+//     the store's single owner: the price of a probe, one lookup in the
+//     chunk index under the store mutex.
 //
 // RLE rows run two content regimes: "entropy" (incompressible, the
 // scan's worst case and the vectorization target) and "runny" (mostly
 // repeats, where run extension dominates the scan).
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -167,10 +163,10 @@ void bench_kernels() {
                   }));
 }
 
-// --- concurrent dedup probes ------------------------------------------------
+// --- dedup probes -----------------------------------------------------------
 
 constexpr std::size_t kProbeChunks = 2048;
-constexpr std::size_t kProbesPerThread = 200000;
+constexpr std::size_t kProbes = 200000;
 
 void bench_probes() {
   io::MemEnv env;
@@ -193,57 +189,30 @@ void bench_probes() {
     store.publish(*batch);
   }
 
-  std::printf("\n%-16s %10s %14s %10s\n", "dedup probes", "threads",
-              "chunks/s", "scaling");
+  std::printf("\n%-16s %10s %14s\n", "dedup probes", "threads", "chunks/s");
   bench::rule(56);
-  double base = 0.0;
-  for (const int threads : {1, 4, 8}) {
-    util::Timer t;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int w = 0; w < threads; ++w) {
-      workers.emplace_back([&store, &keys, w] {
-        // Every worker probes through its own batch (one batch is one
-        // encoder's staging area; the STORE is the shared object).
-        auto batch = store.begin_batch(100 + static_cast<std::uint64_t>(w));
-        std::uint64_t hits = 0;
-        for (std::size_t i = 0; i < kProbesPerThread; ++i) {
-          // Stride by a per-thread odd step so threads touch shards in
-          // different orders.
-          const std::size_t idx =
-              (i * (2 * static_cast<std::size_t>(w) + 3)) % keys.size();
-          hits += batch->contains(keys[idx]) ? 1 : 0;
-        }
-        g_sink = g_sink + hits;
-      });
-    }
-    for (std::thread& w : workers) {
-      w.join();
-    }
-    const double s = t.seconds();
-    const double rate =
-        s > 0.0 ? static_cast<double>(kProbesPerThread) * threads / s : 0.0;
-    if (threads == 1) {
-      base = rate;
-    }
-    const double scaling = base > 0.0 ? rate / base : 0.0;
-    std::printf("%-16s %10d %14.0f %9.2fx\n", "", threads, rate, scaling);
-    bench::JsonLine("t8")
-        .field("metric", "dedup_probe")
-        .field("threads", threads)
-        .field("chunks_per_s", rate)
-        .field("scaling_x", scaling)
-        .field("hw_threads",
-               static_cast<int>(std::thread::hardware_concurrency()))
-        .field("gated", false)
-        .emit();
+  util::Timer t;
+  auto batch = store.begin_batch(100);
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    hits += batch->contains(keys[(i * 3) % keys.size()]) ? 1 : 0;
   }
+  g_sink = g_sink + hits;
+  const double s = t.seconds();
+  const double rate = s > 0.0 ? static_cast<double>(kProbes) / s : 0.0;
+  std::printf("%-16s %10d %14.0f\n", "", 1, rate);
+  bench::JsonLine("t8")
+      .field("metric", "dedup_probe")
+      .field("threads", 1)
+      .field("chunks_per_s", rate)
+      .field("gated", false)
+      .emit();
 }
 
 }  // namespace
 
 int main() {
-  bench::banner("T8", "hot-path raw throughput (SIMD kernels, sharded index)");
+  bench::banner("T8", "hot-path raw throughput (SIMD kernels, dedup probes)");
   std::printf("crc backend: %s (QNNCKPT_FORCE_SCALAR_CRC to force scalar)\n\n",
               util::crc_backend());
   bench_kernels();
@@ -251,8 +220,8 @@ int main() {
   std::printf(
       "\nclaim check: the dispatched CRC/codec kernels beat the scalar\n"
       "oracles on SIMD hardware (speedup > 1; identical bytes either\n"
-      "way), and dedup probe throughput scales with threads on the\n"
-      "sharded index instead of serialising on one store mutex. Rows\n"
-      "are gated:false — tracked as artifacts, never baseline-gated.\n");
+      "way); the probe row prices one dedup lookup under the store\n"
+      "mutex. Rows are gated:false — tracked as artifacts, never\n"
+      "baseline-gated.\n");
   return 0;
 }

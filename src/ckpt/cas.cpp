@@ -25,6 +25,8 @@ constexpr std::size_t kPackFooterV2Bytes = 4 + 8 + 4 + 8 + 4;
 constexpr std::size_t kRecordHeaderBytes = 1 + 4 + 8 + 1 + 8 + 4;
 // one key-table row: record header fields + u64 offset
 constexpr std::size_t kKeyRowBytes = kRecordHeaderBytes + 8;
+// The refcount journal of earlier versions; nothing reads it now.
+constexpr const char* kLegacyRefsFile = "REFS";
 
 bool check_magic(util::ByteSpan in, std::size_t offset,
                  const char (&magic)[4]) {
@@ -323,19 +325,24 @@ std::optional<std::uint64_t> parse_pack_file_name(const std::string& name) {
 ChunkStore::Batch::Batch(ChunkStore& store, std::uint64_t epoch)
     : store_(store), epoch_(epoch) {}
 
-ChunkStore::Batch::~Batch() { store_.unpin(refs_); }
+ChunkStore::Batch::~Batch() {
+  if (unretained_) {
+    // Dropped before its retain: the checkpoint never installed.
+    std::lock_guard lock(store_.mu_);
+    --store_.unretained_batches_;
+  }
+}
 
 bool ChunkStore::Batch::contains(const ChunkKey& key) {
   refs_.push_back(key);
-  // The digest in `key` was computed by the encode pipeline before this
-  // call — the probe itself is the only synchronised step, and it takes
-  // exactly one shard lock (never mu_ once the store is open).
-  store_.ensure_open();
-  // Pin immediately, atomically with the probe: from this moment the
-  // in-flight file counts on the chunk, and no sweep may reap it until
-  // the batch dies.
+  std::lock_guard lock(store_.mu_);
+  store_.ensure_open_locked();
+  if (!unretained_) {
+    unretained_ = true;
+    ++store_.unretained_batches_;
+  }
   const bool resident =
-      store_.index_.pin_and_probe(key) || staged_index_.contains(key);
+      store_.resident_locked(key) != nullptr || staged_index_.contains(key);
   store_.chunk_refs_.add();
   if (resident) {
     store_.dedup_hits_.add();
@@ -437,9 +444,7 @@ void ChunkStore::publish(const Batch& batch) {
   // index entry before publishing the replacement records.
   if (const auto old = packs_.find(name); old != packs_.end()) {
     for (const Record& r : old->second.records) {
-      if (index_.erase_location_if(r.key, pack_id)) {
-        chunks_.add(-1);
-      }
+      unindex_locked(r.key, pack_id);
     }
     stored_bytes_.add(-static_cast<std::int64_t>(old->second.file_bytes));
     packfiles_.add(-1);
@@ -458,19 +463,47 @@ void ChunkStore::publish(const Batch& batch) {
   pack.file_bytes = batch.pack_bytes_;
   stored_bytes_.add(static_cast<std::int64_t>(pack.file_bytes));
   packfiles_.add(1);
-  for (std::size_t i = 0; i < pack.records.size(); ++i) {
-    if (index_.set_location_if_absent(pack.records[i].key, pack_id,
-                                      static_cast<std::uint32_t>(i))) {
-      chunks_.add(1);
-    }
-  }
+  index_records_locked(pack, pack_id);
   invalidate_pack_handle_locked(name);  // re-published epoch
   packs_[name] = std::move(pack);
 }
 
 bool ChunkStore::contains(const ChunkKey& key) {
-  ensure_open();
-  return index_.resident(key);
+  std::lock_guard lock(mu_);
+  ensure_open_locked();
+  return resident_locked(key) != nullptr;
+}
+
+const ChunkStore::Entry* ChunkStore::resident_locked(
+    const ChunkKey& key) const {
+  const auto it = index_.find(key);
+  return it != index_.end() && it->second.pack != kNoPack ? &it->second
+                                                          : nullptr;
+}
+
+void ChunkStore::index_records_locked(const Pack& pack, std::int32_t pack_id) {
+  for (std::size_t i = 0; i < pack.records.size(); ++i) {
+    Entry& e = index_[pack.records[i].key];
+    if (e.pack == kNoPack) {
+      e.pack = pack_id;
+      e.record = static_cast<std::uint32_t>(i);
+      chunks_.add(1);
+    }
+  }
+}
+
+void ChunkStore::unindex_locked(const ChunkKey& key, std::int32_t pack_id) {
+  const auto it = index_.find(key);
+  if (it == index_.end() || it->second.pack != pack_id) {
+    return;
+  }
+  chunks_.add(-1);
+  if (it->second.refs == 0) {
+    index_.erase(it);
+  } else {
+    it->second.pack = kNoPack;
+    it->second.record = 0;
+  }
 }
 
 io::RandomAccessFile* ChunkStore::ranged_pack_locked(const std::string& name) {
@@ -530,21 +563,18 @@ void ChunkStore::invalidate_pack_handle_locked(const std::string& name) {
 Bytes ChunkStore::get(const ChunkKey& key) {
   std::lock_guard lock(mu_);
   ensure_open_locked();
-  auto loc = index_.location(key);
-  if (!loc && !deferred_packs_.empty()) {
+  const Entry* loc = resident_locked(key);
+  if (loc == nullptr && !deferred_packs_.empty()) {
     // The chunk may live in a cold pack the staged open deferred:
     // index cold packs (ranged peek of footer + key table, no bulk
     // transfer) until it shows up.
     scan_deferred_until_locked(key);
-    loc = index_.location(key);
+    loc = resident_locked(key);
   }
-  if (!loc) {
+  if (loc == nullptr) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": not in store");
   }
-  // Locations are stable while mu_ is held (publish/sweep/compaction
-  // all run under it), so the id -> name -> record resolution cannot
-  // race the lookup above.
   const std::string& pack_name =
       pack_ids_.at(static_cast<std::size_t>(loc->pack));
   const Record& record = packs_.at(pack_name).records[loc->record];
@@ -579,15 +609,17 @@ Bytes ChunkStore::get(const ChunkKey& key) {
   return raw;
 }
 
-void ChunkStore::retain(const std::vector<ChunkKey>& keys) {
-  if (keys.empty()) {
-    return;
+void ChunkStore::retain(Batch& batch) {
+  if (!batch.unretained_) {
+    return;  // probed nothing, or already retained
   }
   std::lock_guard lock(mu_);
   ensure_refs_locked();
-  for (const ChunkKey& key : keys) {
-    index_.add_ref(key);
+  for (const ChunkKey& key : batch.refs_) {
+    ++index_[key].refs;
   }
+  batch.unretained_ = false;
+  --unretained_batches_;
 }
 
 void ChunkStore::release(const std::vector<ChunkKey>& keys) {
@@ -595,20 +627,38 @@ void ChunkStore::release(const std::vector<ChunkKey>& keys) {
     return;
   }
   std::lock_guard lock(mu_);
+  require_retained_locked("release");
   ensure_refs_locked();
   for (const ChunkKey& key : keys) {
-    index_.release_ref(key);
+    // A key the rebuild never counted is ignored.
+    const auto it = index_.find(key);
+    if (it == index_.end() || it->second.refs == 0) {
+      continue;
+    }
+    if (--it->second.refs == 0 && it->second.pack == kNoPack) {
+      index_.erase(it);
+    }
   }
 }
 
 std::uint64_t ChunkStore::ref_count(const ChunkKey& key) {
   std::lock_guard lock(mu_);
   ensure_refs_locked();
-  return index_.ref_count(key);
+  const auto it = index_.find(key);
+  return it == index_.end() ? 0 : it->second.refs;
+}
+
+void ChunkStore::require_retained_locked(const char* op) const {
+  if (unretained_batches_ != 0) {
+    throw std::logic_error(std::string("ChunkStore::") + op + ": " +
+                           std::to_string(unretained_batches_) +
+                           " probed batch(es) not yet retained");
+  }
 }
 
 std::uint64_t ChunkStore::sweep(bool compact) {
   std::lock_guard lock(mu_);
+  require_retained_locked("sweep");
   ensure_open_locked();
   if (compact) {
     // The no-dead-chunk-survives guarantee spans both tiers, so the
@@ -617,6 +667,10 @@ std::uint64_t ChunkStore::sweep(bool compact) {
     // dead when their referents are deleted, and the next startup
     // sweep reaps them.
     drain_deferred_locked();
+    if (legacy_refs_listed_) {
+      env_.remove_file(chunk_dir_ + "/" + kLegacyRefsFile);
+      legacy_refs_listed_ = false;
+    }
   }
   if (packs_.empty()) {
     return 0;  // nothing content-addressed: stay zero-cost
@@ -634,125 +688,86 @@ std::uint64_t ChunkStore::sweep(bool compact) {
   for (const std::string& name : names) {
     Pack& pack = packs_.at(name);
     const std::int32_t pack_id = intern_pack_locked(name);
-    // Classify every record under the whole-index lock: liveness check
-    // and (for a fully-dead pack) location erase happen under ONE hold,
-    // so a concurrent pin_and_probe either lands before (record live,
-    // pack survives) or after (location gone, probe misses and the
-    // chunk is re-stored) — never between check and erase, where it
-    // would claim residency in a file about to be unlinked.
+    // No probe runs while mu_ is held, so liveness cannot change before
+    // the dead records' locations are erased below.
     std::vector<Record> live;
-    std::vector<bool> was_live(pack.records.size(), false);
+    std::vector<ChunkKey> dead;
     std::uint64_t dead_bytes = 0;
-    std::size_t dead_records = 0;
-    bool whole_pack_dead = false;
-    {
-      ShardedChunkIndex::AllShards all(index_);
-      for (std::size_t i = 0; i < pack.records.size(); ++i) {
-        const Record& r = pack.records[i];
-        if (all.is_live(r.key)) {
-          was_live[i] = true;
-          live.push_back(r);
-        } else {
-          dead_bytes += r.enc_len;
-          ++dead_records;
-        }
-      }
-      if (dead_records == 0) {
-        continue;
-      }
-      if (live.empty()) {
-        // Every record is dead: erase the locations BEFORE the file
-        // vanishes (still under the all-shards hold).
-        for (const Record& r : pack.records) {
-          if (all.erase_location_if(r.key, pack_id)) {
-            chunks_.add(-1);
-          }
-        }
-        whole_pack_dead = true;
+    for (const Record& r : pack.records) {
+      const auto it = index_.find(r.key);
+      if (it != index_.end() && it->second.refs != 0) {
+        live.push_back(r);
+      } else {
+        dead.push_back(r.key);
+        dead_bytes += r.enc_len;
       }
     }
-    if (whole_pack_dead) {
+    if (dead.empty()) {
+      continue;
+    }
+    if (live.empty()) {
       env_.remove_file(pack_path(name));
       stored_bytes_.add(-static_cast<std::int64_t>(pack.file_bytes));
       reclaimed += pack.file_bytes;
       packs_deleted_.add();
-      chunks_swept_.add(dead_records);
-      bytes_swept_.add(dead_bytes);
       packfiles_.add(-1);
-      invalidate_pack_handle_locked(name);
-      packs_.erase(name);
-      continue;
-    }
-    if (!compact) {
-      continue;  // mixed pack: deferred to the next compacting sweep
-    }
-    // Mixed pack: rewrite it atomically with only the live records —
-    // streamed record by record through the one packfile writer, each
-    // record pread from the old pack (never the whole file at once).
-    // Shard locks are NOT held during the streaming, so probes keep
-    // running; the install below re-validates against them.
-    io::RandomAccessFile* old_pack = ranged_pack_locked(name);
-    if (old_pack == nullptr) {
-      continue;  // vanished underneath us; the next open re-scans
-    }
-    std::vector<Record> rewritten;
-    rewritten.reserve(live.size());
-    bool ok = true;
-    std::uint64_t new_bytes = 0;
-    try {
-      detail::PackStream out(env_, pack_path(name),
-                             parse_pack_file_name(name).value_or(0));
-      for (const Record& r : live) {
-        const Bytes enc = old_pack->pread(r.offset, r.enc_len);
-        if (enc.size() != r.enc_len || util::crc32c(enc) != r.enc_crc) {
-          ok = false;  // damaged record: abandon the rewrite
-          break;
-        }
-        Record moved = r;
-        moved.offset = out.append_record(r.key, r.codec, r.enc_crc, enc);
-        rewritten.push_back(moved);
+    } else {
+      if (!compact) {
+        continue;  // mixed pack: deferred to the next compacting sweep
       }
-      if (ok) {
-        // Install fence: while the rewrite streamed, a dedup probe may
-        // have pinned a record we judged dead — installing a pack
-        // without it would strand that probe's reference. Re-check the
-        // dead set under the all-shards lock and hold it across
-        // finish() + index updates; if anything came back to life,
-        // abandon the rewrite (the unfinished stream installs nothing).
-        ShardedChunkIndex::AllShards all(index_);
-        for (std::size_t i = 0; i < pack.records.size() && ok; ++i) {
-          if (!was_live[i] && all.is_live(pack.records[i].key)) {
-            ok = false;  // resurrected mid-rewrite: try again next sweep
+      // Mixed pack: rewrite it atomically with only the live records —
+      // streamed record by record through the one packfile writer, each
+      // record pread from the old pack (never the whole file at once).
+      io::RandomAccessFile* old_pack = ranged_pack_locked(name);
+      if (old_pack == nullptr) {
+        continue;  // vanished underneath us; the next open re-scans
+      }
+      std::vector<Record> rewritten;
+      rewritten.reserve(live.size());
+      std::optional<std::uint64_t> new_bytes;
+      try {
+        detail::PackStream out(env_, pack_path(name),
+                               parse_pack_file_name(name).value_or(0));
+        for (const Record& r : live) {
+          const Bytes enc = old_pack->pread(r.offset, r.enc_len);
+          if (enc.size() != r.enc_len || util::crc32c(enc) != r.enc_crc) {
+            break;  // damaged record: abandon the rewrite
           }
+          Record moved = r;
+          moved.offset = out.append_record(r.key, r.codec, r.enc_crc, enc);
+          rewritten.push_back(moved);
         }
-        if (ok) {
+        if (rewritten.size() == live.size()) {
           new_bytes = out.finish();  // atomic replace
-          for (std::size_t i = 0; i < pack.records.size(); ++i) {
-            if (!was_live[i] &&
-                all.erase_location_if(pack.records[i].key, pack_id)) {
-              chunks_.add(-1);
-            }
-          }
-          stored_bytes_.add(-static_cast<std::int64_t>(pack.file_bytes) +
-                            static_cast<std::int64_t>(new_bytes));
-          reclaimed += pack.file_bytes - new_bytes;
-          packs_compacted_.add();
-          chunks_swept_.add(dead_records);
-          bytes_swept_.add(dead_bytes);
-          pack.file_bytes = new_bytes;
-          pack.records = std::move(rewritten);
-          // Re-point index entries at the rewritten record positions.
-          for (std::size_t i = 0; i < pack.records.size(); ++i) {
-            all.repoint_record(pack.records[i].key, pack_id,
-                               static_cast<std::uint32_t>(i));
-          }
+        }
+      } catch (const std::exception&) {
+        // I/O failure: abandon the rewrite as for a damaged record.
+      }
+      if (!new_bytes) {
+        continue;  // the unfinished stream installed nothing
+      }
+      stored_bytes_.add(-static_cast<std::int64_t>(pack.file_bytes) +
+                        static_cast<std::int64_t>(*new_bytes));
+      reclaimed += pack.file_bytes - *new_bytes;
+      packs_compacted_.add();
+      pack.file_bytes = *new_bytes;
+      pack.records = std::move(rewritten);
+      // Re-point the keys this pack holds at their rewritten positions.
+      for (std::size_t i = 0; i < pack.records.size(); ++i) {
+        const auto it = index_.find(pack.records[i].key);
+        if (it != index_.end() && it->second.pack == pack_id) {
+          it->second.record = static_cast<std::uint32_t>(i);
         }
       }
-    } catch (const std::exception&) {
-      ok = false;
     }
-    if (ok) {
-      invalidate_pack_handle_locked(name);
+    for (const ChunkKey& key : dead) {
+      unindex_locked(key, pack_id);
+    }
+    chunks_swept_.add(dead.size());
+    bytes_swept_.add(dead_bytes);
+    invalidate_pack_handle_locked(name);
+    if (live.empty()) {
+      packs_.erase(name);
     }
   }
   return reclaimed;
@@ -824,13 +839,6 @@ bool ChunkStore::has_packfiles() {
   return !packs_.empty() || !deferred_packs_.empty();
 }
 
-void ChunkStore::unpin(const std::vector<ChunkKey>& keys) {
-  // Shard locks only — a dying batch never contends with mu_ holders.
-  for (const ChunkKey& key : keys) {
-    index_.unpin(key);
-  }
-}
-
 std::vector<std::uint64_t> ChunkStore::checkpoint_ids_on_disk() {
   std::vector<std::uint64_t> ids;
   for (const std::string& name : env_.list_dir(dir_)) {
@@ -840,14 +848,6 @@ std::vector<std::uint64_t> ChunkStore::checkpoint_ids_on_disk() {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-void ChunkStore::ensure_open() {
-  if (opened_fast_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
 }
 
 std::int32_t ChunkStore::intern_pack_locked(const std::string& name) {
@@ -871,12 +871,14 @@ void ChunkStore::ensure_open_locked() {
     // cold packs for the lazy scan so opening the store never touches
     // the capacity tier.
     for (const std::string& name : tiered_->hot().list_dir(chunk_dir_)) {
+      legacy_refs_listed_ |= name == kLegacyRefsFile;
       if (parse_pack_file_name(name)) {
         packfile_listed_ = true;
         scan_pack_locked(name, tiered_->hot());
       }
     }
     for (const std::string& name : tiered_->cold().list_dir(chunk_dir_)) {
+      legacy_refs_listed_ |= name == kLegacyRefsFile;
       if (parse_pack_file_name(name)) {
         packfile_listed_ = true;
         if (!packs_.contains(name)) {
@@ -887,15 +889,13 @@ void ChunkStore::ensure_open_locked() {
     std::sort(deferred_packs_.begin(), deferred_packs_.end());
   } else {
     for (const std::string& name : env_.list_dir(chunk_dir_)) {
+      legacy_refs_listed_ |= name == kLegacyRefsFile;
       if (parse_pack_file_name(name)) {
         packfile_listed_ = true;
         scan_pack_locked(name, env_);
       }
     }
   }
-  // Published AFTER the index is populated: probes that see the flag
-  // see the scanned locations too (release/acquire pair).
-  opened_fast_.store(true, std::memory_order_release);
 }
 
 void ChunkStore::ensure_refs_locked() {
@@ -941,13 +941,7 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
   pack.file_bytes = file_bytes;
   stored_bytes_.add(static_cast<std::int64_t>(pack.file_bytes));
   packfiles_.add(1);
-  const std::int32_t pack_id = intern_pack_locked(name);
-  for (std::size_t i = 0; i < pack.records.size(); ++i) {
-    if (index_.set_location_if_absent(pack.records[i].key, pack_id,
-                                      static_cast<std::uint32_t>(i))) {
-      chunks_.add(1);
-    }
-  }
+  index_records_locked(pack, intern_pack_locked(name));
   packs_[name] = std::move(pack);
   // Keep the handle as the read cache: a get() that triggered this scan
   // (lazy cold-pack indexing) serves its chunk with one more pread.
@@ -956,7 +950,7 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
 }
 
 void ChunkStore::scan_deferred_until_locked(const ChunkKey& key) {
-  while (!deferred_packs_.empty() && !index_.resident(key)) {
+  while (!deferred_packs_.empty() && resident_locked(key) == nullptr) {
     // Newest first: a missing chunk most likely lives in the pack of a
     // recently demoted checkpoint. Peek reads (footer + key table) go
     // through the cold tier so indexing never promotes a pack the
@@ -973,7 +967,7 @@ void ChunkStore::scan_deferred_until_locked(const ChunkKey& key) {
       // re-read (or promoted hot) and double-counted.
       scan_pack_locked(name, env_);
     }
-    if (index_.resident(key)) {
+    if (resident_locked(key) != nullptr) {
       // This pack is the one the caller needs. With read-through
       // promotion on, pull it hot via a streaming copy (bounded
       // memory) so the NEXT access is a hot hit; the current get()
@@ -1041,7 +1035,10 @@ std::vector<ChunkKey> list_pack_keys(io::Env& env, const std::string& path) {
 }
 
 void ChunkStore::rebuild_refs_locked() {
-  refs_complete_ = true;
+  // Runs once, before any retain or release: every count starts at 0.
+  // Sweeps stay off until the rebuild has counted every file, so one
+  // that throws part-way frees nothing.
+  refs_complete_ = false;
   // A count guards a chunk some pack holds. With no packfile in either
   // tier there is none, and no container needs reading: under the crash
   // contract no container names a chunk that no durable pack holds. A
@@ -1051,7 +1048,7 @@ void ChunkStore::rebuild_refs_locked() {
   if (packfile_listed_ || !packs_.empty()) {
     ids = checkpoint_ids_on_disk();
   }
-  std::map<ChunkKey, std::uint64_t> rebuilt;
+  bool complete = true;
   for (const std::uint64_t id : ids) {
     // A refcount baseline comes only from bytes trusted end to end: each
     // file is read whole and its footer CRC64 verified, unlike the
@@ -1060,22 +1057,22 @@ void ChunkStore::rebuild_refs_locked() {
     // read_file would promote every demoted container at every open.
     const auto file = env_.open_ranged(dir_ + "/" + checkpoint_file_name(id));
     if (!file) {
-      refs_complete_ = false;
+      complete = false;
       continue;
     }
     const Bytes data = file->pread(0, file->size());
     try {
       for (const ChunkKey& key : list_chunk_refs(data)) {
-        ++rebuilt[key];
+        ++index_[key].refs;
       }
     } catch (const std::exception&) {
       // A file whose references cannot be read makes liveness
       // unknowable: keep counting the others (for observability) but
       // forbid sweeps until the directory is healthy again.
-      refs_complete_ = false;
+      complete = false;
     }
   }
-  index_.reset_refs(rebuilt);
+  refs_complete_ = complete;
 }
 
 }  // namespace qnn::ckpt

@@ -42,14 +42,9 @@
 //     retain/release — so no stale or edited count file exists to lose
 //     data or free a live chunk;
 //   * sweeps delete a packfile only when none of its records is
-//     referenced or pinned, and compaction rewrites mixed packfiles
-//     atomically — an unreferenced chunk survives at most until the
-//     next sweep, a referenced one survives every sweep.
-//
-// Pinning: an encode batch pins every key it references (dedup hits and
-// fresh puts) until the batch object dies, so a concurrent GC between a
-// checkpoint's encode and its install cannot reap chunks the in-flight
-// file is about to reference.
+//     referenced, and compaction rewrites mixed packfiles atomically —
+//     an unreferenced chunk survives at most until the next sweep, a
+//     referenced one survives every sweep.
 //
 // Tiered directories (tier::TieredEnv): the open-time scan indexes only
 // HOT-resident packfiles; cold packs are recorded and scanned lazily,
@@ -67,27 +62,30 @@
 // through tiers, and with promote_on_read the first access pulls the
 // pack hot again via a streaming copy), it just means placement is
 // best-effort rather than a guarantee.
-// Concurrency (the raw-speed pass): chunk metadata — refcounts, pins,
-// residency — lives in a ShardedChunkIndex (chunk_index.hpp), so dedup
-// probes from concurrent encode batches touch one shard lock each and
-// scale past a single core; chunk digests are computed by the encode
-// pipeline BEFORE the probe, outside every lock. Pack-level state
-// (packs_, deferred cold scans, refcount loading, handle cache) keeps
-// the narrow store mutex mu_. LOCK ORDER: mu_ first, shard mutex
-// second (one shard, or all shards ascending via AllShards) — never
-// acquire mu_ while holding a shard lock.
+//
+// Single owner. One thread at a time drives a directory's writes —
+// probe, put, commit, publish, retain, release, sweep: the caller's in
+// sync mode, the one pipeline thread in async mode. Every key a batch
+// probed is retained (retain(batch), once its file is durable) before
+// the store's next sweep or release; that order alone keeps a dedup hit
+// alive between the probe and the install, so nothing is pinned.
+// sweep() and release() throw std::logic_error while a batch that
+// probed is neither retained nor destroyed. The store mutex mu_ guards
+// the chunk index, the packs and the handle cache, because inspection
+// (stats(), pack_names()) may drain deferred cold packs from another
+// thread while the owner writes.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "ckpt/chunk_index.hpp"
 #include "ckpt/format.hpp"
 #include "io/env.hpp"
 #include "obs/metrics.hpp"
@@ -129,12 +127,13 @@ class ChunkStore : public ChunkSource {
              obs::MetricsRegistry* metrics = nullptr);
 
   /// One checkpoint's staging area, handed to the encoder as its
-  /// ChunkSink. contains() records a reference (and pins the key);
-  /// put() STREAMS the record into the batch's packfile through an
-  /// atomic write handle opened at the first put — encode memory never
-  /// holds more than the chunk in flight. Destroying the batch releases
-  /// its pins — on every path, including drops — and aborts an
-  /// uncommitted packfile stream (nothing ever appears on disk).
+  /// ChunkSink. contains() probes the index and records a reference,
+  /// which the store counts once retain(batch) runs; put() STREAMS the
+  /// record into the batch's packfile through an atomic write handle
+  /// opened at the first put — encode memory never holds more than the
+  /// chunk in flight. Destroying the batch aborts an uncommitted
+  /// packfile stream (nothing ever appears on disk); destroying it
+  /// unretained (a dropped checkpoint) leaves its references uncounted.
   class Batch final : public ChunkSink {
    public:
     ~Batch() override;
@@ -158,7 +157,7 @@ class ChunkStore : public ChunkSource {
     /// nothing was installed.
     void commit();
     /// Every key the encoded file references, in reference order
-    /// (duplicates preserved) — what install() must retain.
+    /// (duplicates preserved) — what retain(batch) counts.
     [[nodiscard]] const std::vector<ChunkKey>& refs() const { return refs_; }
 
    private:
@@ -180,6 +179,8 @@ class ChunkStore : public ChunkSource {
     std::vector<StagedRecord> records_;
     std::map<ChunkKey, std::size_t> staged_index_;
     std::vector<ChunkKey> refs_;
+    /// Probed and not yet retained: counted in unretained_batches_.
+    bool unretained_ = false;
     bool committed_ = false;
     std::uint64_t pack_bytes_ = 0;
   };
@@ -202,21 +203,25 @@ class ChunkStore : public ChunkSource {
   /// a packfile read. Throws std::runtime_error when absent or corrupt.
   Bytes get(const ChunkKey& key) override;
 
-  /// Reference counting. retain() when a checkpoint file referencing
-  /// `keys` became durable (install), release() when one was deleted
-  /// (GC victim, orphan sweep). Multiset semantics: one count per
-  /// occurrence.
-  void retain(const std::vector<ChunkKey>& keys);
+  /// Reference counting. retain() counts the batch's refs() once the
+  /// checkpoint file referencing them became durable (install; a second
+  /// call is a no-op), release() gives `keys` back when such a file was
+  /// deleted (GC victim, orphan sweep). Multiset semantics: one count
+  /// per occurrence. release() throws std::logic_error while a batch
+  /// that probed is not yet retained (see "Single owner" above).
+  void retain(Batch& batch);
   void release(const std::vector<ChunkKey>& keys);
 
-  /// Reclaims dead chunks: deletes packfiles with no referenced or
-  /// pinned record; with `compact`, additionally rewrites (atomically,
-  /// streaming record by record) packfiles that mix live and dead
-  /// records so no dead chunk outlives the sweep. No-op unless the
-  /// reference base is complete (every checkpoint file on disk was
-  /// readable when refcounts were built) — an unreadable file means
-  /// liveness is unknowable and nothing may die. Returns reclaimed
-  /// bytes.
+  /// Reclaims dead chunks: deletes packfiles with no referenced record;
+  /// with `compact`, additionally rewrites (atomically, streaming record
+  /// by record) packfiles that mix live and dead records so no dead
+  /// chunk outlives the sweep. No-op unless the reference base is
+  /// complete (every checkpoint file on disk was readable when
+  /// refcounts were built) — an unreadable file means liveness is
+  /// unknowable and nothing may die. A compacting sweep also removes the
+  /// refcount journal (chunks/REFS) earlier versions kept. Returns
+  /// reclaimed bytes. Throws std::logic_error while a batch that probed
+  /// is not yet retained.
   std::uint64_t sweep(bool compact);
 
   /// True when the directory has any packfile — i.e. chunk accounting
@@ -262,6 +267,26 @@ class ChunkStore : public ChunkSource {
     std::vector<Record> records;
     std::uint64_t file_bytes = 0;
   };
+  static constexpr std::int32_t kNoPack = -1;
+  /// One key's chunk metadata: how many retained checkpoint files name
+  /// it, and where its record lives (interned pack id + record index)
+  /// while an indexed pack holds it. Kept only while it carries either.
+  struct Entry {
+    std::uint64_t refs = 0;
+    std::int32_t pack = kNoPack;
+    std::uint32_t record = 0;
+  };
+  /// Mixes the content digest, so each probe is one hash lookup.
+  struct KeyHash {
+    std::size_t operator()(const ChunkKey& k) const {
+      std::uint64_t h = (static_cast<std::uint64_t>(k.crc) << 32) ^
+                        (k.len * 0x9E3779B97F4A7C15ull);
+      h ^= h >> 29;
+      h *= 0xBF58476D1CE4E5B9ull;
+      h ^= h >> 32;
+      return static_cast<std::size_t>(h);
+    }
+  };
 
   /// Stage 1 of the lazy open: the packfile index. Enough for reads and
   /// dedup probes — recovery never pays for refcount state. On a tiered
@@ -291,14 +316,20 @@ class ChunkStore : public ChunkSource {
   /// end. Reads nothing when no packfile, damaged or not, exists in
   /// either tier.
   void rebuild_refs_locked();
-  void unpin(const std::vector<ChunkKey>& keys);
+  /// The single-owner check of sweep() and release() (`op`): throws
+  /// std::logic_error while a batch that probed is not yet retained.
+  void require_retained_locked(const char* op) const;
+  /// The key's entry when an indexed pack holds it, else null.
+  [[nodiscard]] const Entry* resident_locked(const ChunkKey& key) const;
+  /// Gives each record of `pack` (id `pack_id`) a location unless its
+  /// key already has one: the first pack to publish a key holds it.
+  void index_records_locked(const Pack& pack, std::int32_t pack_id);
+  /// Clears the key's location if, and only if, it points into
+  /// `pack_id`; erases the entry when it drops to all-zero.
+  void unindex_locked(const ChunkKey& key, std::int32_t pack_id);
   [[nodiscard]] std::string pack_path(const std::string& name) const;
-  /// Fast-path open: one acquire load once the store has opened,
-  /// mu_ + ensure_open_locked() the first time. Dedup probes call this
-  /// so they never touch mu_ after the open.
-  void ensure_open();
   /// Interned id for pack `name` in pack_ids_ (appending when new):
-  /// what ShardedChunkIndex locations carry instead of a string.
+  /// what locations in index_ carry instead of a string.
   [[nodiscard]] std::int32_t intern_pack_locked(const std::string& name);
   /// Open ranged handle on pack `name`, LRU-cached (chunk reads cluster
   /// by pack during chain resolution, and chain walks alternate between
@@ -318,34 +349,34 @@ class ChunkStore : public ChunkSource {
   const std::string dir_;        ///< checkpoint directory
   const std::string chunk_dir_;  ///< dir_ + "/chunks"
 
-  /// Store-level mutex: pack metadata, scans, refcount loading, the
-  /// handle cache. See the lock-order rule in the header comment.
+  /// Guards everything below that is not an instrument (see "Single
+  /// owner" in the header comment).
   std::mutex mu_;
   bool opened_ = false;
-  /// True once ensure_open_locked() completed — the mu_-free fast path
-  /// for dedup probes (set with release AFTER the index is populated).
-  std::atomic<bool> opened_fast_{false};
   /// Cold-resident packs not yet scanned (ascending name order).
   std::vector<std::string> deferred_packs_;
   /// True when the open listing named a packfile in either tier, damaged
   /// ones included: only without one may the refcount rebuild skip.
   bool packfile_listed_ = false;
+  /// True when the open listing named an earlier version's chunks/REFS
+  /// journal, which the next compacting sweep removes.
+  bool legacy_refs_listed_ = false;
   bool refs_loaded_ = false;
   /// False when some checkpoint file's refs could not be read: sweeps
   /// are disabled until a complete rebuild succeeds.
   bool refs_complete_ = true;
   std::map<std::string, Pack> packs_;
   /// Interned pack names; index position == the id stored in chunk
-  /// locations. Append-only (a deleted pack's id simply goes unused),
-  /// guarded by mu_.
+  /// locations. Append-only (a deleted pack's id simply goes unused).
   std::vector<std::string> pack_ids_;
-  /// Sharded key -> {refs, pins, location} map. Shard locks nest
-  /// INSIDE mu_; the dedup hot path takes only the shard lock.
-  ShardedChunkIndex index_;
+  /// The chunk index.
+  std::unordered_map<ChunkKey, Entry, KeyHash> index_;
+  /// Batches that probed and are not yet retained or destroyed.
+  std::uint64_t unretained_batches_ = 0;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  ///< when none passed
   obs::MetricsRegistry& metrics_;
-  // The cas.* instruments (see CasStats). The levels change under mu_;
-  // the probe path adds to chunk_refs_/dedup_* without it.
+  // The cas.* instruments (see CasStats), changed under mu_ and read
+  // without it by snapshot().
   obs::GaugeShare packfiles_;
   obs::GaugeShare chunks_;
   obs::GaugeShare stored_bytes_;

@@ -396,9 +396,9 @@ void Checkpointer::write_checkpoint(const CheckpointFile& file,
     }
   }
   // Every oversized section's chunks dedup against the directory's chunk
-  // store through this batch, which also pins the referenced chunks
-  // against concurrent GC until the checkpoint installs (or drops — the
-  // batch dies either way, aborting an uncommitted pack stream).
+  // store through this batch. install() retains its references before
+  // any GC pass, which is what keeps a dedup hit alive; a drop kills the
+  // batch unretained, aborting an uncommitted pack stream.
   const std::unique_ptr<ChunkStore::Batch> batch =
       store_.chunks().begin_batch(entry.id);
   const EncodeOptions encode_options{.chunk_bytes = policy_.chunk_bytes,
@@ -435,7 +435,7 @@ void Checkpointer::write_checkpoint(const CheckpointFile& file,
   util::Timer install_timer;
   obs::Span install_span(policy_.tracer, "install", "ckpt", parent_span);
   install_span.note("id", entry.id);
-  install(entry, batch->refs());
+  install(entry, *batch);
   install_span.finish();
   install_.record_seconds(install_timer.seconds());
 }
@@ -497,8 +497,7 @@ void Checkpointer::count_drop_locked() {
   dropped_writes_.add();
 }
 
-void Checkpointer::install(ManifestEntry entry,
-                           const std::vector<ChunkKey>& refs) {
+void Checkpointer::install(ManifestEntry entry, ChunkStore::Batch& batch) {
   std::lock_guard lock(manifest_mu_);
   if (!entry.is_incremental()) {
     // A full checkpoint ends every chain; older failures are moot.
@@ -510,7 +509,7 @@ void Checkpointer::install(ManifestEntry entry,
   manifest_.upsert(entry);
   // The new file is durable, so its chunk references are live from this
   // moment: retain them BEFORE the GC pass below decides what dies.
-  store_.chunks().retain(refs);
+  store_.chunks().retain(batch);
   // One atomic manifest write advertises the new checkpoint AND fences
   // the first GC batch (victims leave the manifest before any file
   // dies). A crash before the write loses only this not-yet-complete

@@ -309,10 +309,10 @@ class Checkpointer {
   void write_checkpoint(const CheckpointFile& file, ManifestEntry entry,
                         util::ThreadPool* pool, std::uint64_t parent_span);
 
-  /// Installs an encoded checkpoint: manifest upsert + save, chunk-ref
-  /// retain, then the store's fenced GC. `refs` are the chunk keys the
-  /// file references (empty when every section is inline).
-  void install(ManifestEntry entry, const std::vector<ChunkKey>& refs);
+  /// Installs an encoded checkpoint: manifest upsert + save, the retain
+  /// of `batch`'s chunk references (none when every section is inline),
+  /// then the store's fenced GC.
+  void install(ManifestEntry entry, ChunkStore::Batch& batch);
 
   /// Counts one dropped checkpoint (manifest_mu_ held).
   void count_drop_locked();

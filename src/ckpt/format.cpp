@@ -248,8 +248,8 @@ std::size_t extern_table_size(std::size_t n_chunks) {
 /// disk. `s` is larger than chunk_bytes.
 ///
 /// Every chunk is keyed first, in one parallel pass. Then contains() is
-/// called once per chunk, in chunk order (the sink records the reference
-/// and pins the chunk against GC), and the misses queue up: each full
+/// called once per chunk, in chunk order (the sink records the
+/// reference), and the misses queue up: each full
 /// WAVE of `window` misses is compressed in parallel, then put in chunk
 /// order. A chunk whose key equals a queued miss flushes the queue
 /// before its probe, so it dedups against the stored record and is

@@ -171,8 +171,8 @@ std::string chunk_key_name(const ChunkKey& key);
 /// later chunks' probes, but always before the probe of a chunk with the
 /// same key, so a section's duplicate chunks are stored once. An
 /// implementation returning true promises to keep the chunk resolvable
-/// at least until the batch it belongs to is released (the chunk store
-/// pins it against concurrent GC).
+/// until the file is installed (the chunk store's batch is retained
+/// before the directory's next GC pass).
 class ChunkSink {
  public:
   virtual ~ChunkSink() = default;

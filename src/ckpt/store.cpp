@@ -401,8 +401,8 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
     ++deleted;
     wals_reaped_.add();
   }
-  // Startup is the full chunk sweep: no install is in flight (no pins),
-  // so fully-dead packfiles are deleted AND mixed ones are compacted —
+  // Startup is the full chunk sweep: no batch is in flight, so
+  // fully-dead packfiles are deleted AND mixed ones are compacted —
   // after this call no unreferenced chunk remains on disk (unless some
   // checkpoint file was unreadable, in which case the store refuses to
   // sweep at all: liveness would be guesswork).

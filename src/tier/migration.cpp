@@ -196,7 +196,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
     }
   }
 
-  // Candidates: unpinned entries whose file is hot-resident right now.
+  // Candidates: entries outside the pinned set whose file is hot now.
   std::set<std::uint64_t> candidates;
   for (const ckpt::ManifestEntry& e : entries) {
     if (!pinned.contains(e.id) &&

@@ -5,9 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <thread>
+#include <stdexcept>
 
 #include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
@@ -504,7 +503,8 @@ TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
   // Earlier versions journaled the counts in chunks/REFS, so an upgraded
   // directory may still hold one, edited: here every chunk both kept
   // checkpoints reference reads 0, the edit that once let the reopen's
-  // compacting sweep drop live chunks. Nothing reads the file now.
+  // compacting sweep drop live chunks. Nothing reads the file now, and
+  // that sweep removes it.
   // 32 KiB of params at 4 KiB chunks, keep_last 2: after 3 checkpoints
   // the 7 frozen chunks are referenced by both kept checkpoints.
   io::MemEnv env;
@@ -528,6 +528,7 @@ TEST(Cas, EditedRefsJournalReapsNoLiveChunk) {
   {
     Checkpointer reopened(env, "cp", policy);
   }
+  EXPECT_FALSE(env.exists("cp/chunks/REFS")) << "the startup sweep removes it";
   const auto outcome = recover_latest(env, "cp");
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->step, 3u);
@@ -601,6 +602,45 @@ TEST(Cas, UnreadableCheckpointFileDisablesSweep) {
   EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2));
 }
 
+/// Env decorator whose checkpoint-file reads fail, as a device error
+/// (EIO) makes PosixEnv's pread throw.
+class FailingContainerReadsEnv : public io::ForwardingEnv {
+ public:
+  using io::ForwardingEnv::ForwardingEnv;
+  std::unique_ptr<io::RandomAccessFile> open_ranged(
+      const std::string& path) override {
+    auto file = base_.open_ranged(path);
+    if (!file || !path.ends_with(".qckp")) {
+      return file;
+    }
+    struct Failing final : io::RandomAccessFile {
+      std::uint64_t bytes = 0;
+      [[nodiscard]] std::uint64_t size() const override { return bytes; }
+      Bytes pread(std::uint64_t, std::uint64_t) override {
+        throw std::runtime_error("injected read error");
+      }
+    };
+    auto failing = std::make_unique<Failing>();
+    failing->bytes = file->size();
+    return failing;
+  }
+};
+
+TEST(Cas, RebuildThatThrowsDisablesSweep) {
+  // The rebuild's read error escapes open(); the counts it left behind
+  // are partial, so no later sweep on that store may trust them.
+  io::MemEnv base;
+  run_checkpoints(base, cas_policy(), 2);
+  const auto packs = base.list_dir("cp/chunks");
+  ASSERT_FALSE(packs.empty());
+  FailingContainerReadsEnv env(base);
+  ChunkStore store(env, "cp");
+  EXPECT_THROW(store.open(), std::runtime_error);
+  EXPECT_EQ(store.sweep(/*compact=*/true), 0u);
+  EXPECT_EQ(base.list_dir("cp/chunks"), packs);
+  EXPECT_EQ(load_checkpoint(base, "cp", 2), big_state(2));
+}
+
 // ---------- damage behaviour ----------
 
 TEST(Cas, DamagedPackfileFallsBackToOlderCheckpoint) {
@@ -621,33 +661,40 @@ TEST(Cas, DamagedPackfileFallsBackToOlderCheckpoint) {
 }
 
 TEST(Cas, OnlyPackfileDamagedKeepsNewCheckpointsLoadable) {
-  // Frozen params, keep_last 2: the directory's one pack holds every
-  // chunk both kept checkpoints name. With that pack's key table
-  // damaged, the open indexes no pack, yet the kept containers still
-  // name its keys. They must be counted: checkpoint 3 stores the frozen
-  // chunks again in a new pack, and when checkpoint 4 (other content)
-  // retires checkpoint 2, that pack must survive for checkpoint 3.
-  io::MemEnv env;
-  CheckpointPolicy policy = cas_policy();
-  policy.retention.keep_last = 2;
-  {
-    Checkpointer ck(env, "cp", policy);
-    ck.checkpoint_now(big_state(1, 2048, 0));
-    ck.checkpoint_now(big_state(2, 2048, 0));
+  // Frozen params: the directory's one pack holds every chunk the kept
+  // checkpoints name. With that pack's key table damaged, the open
+  // indexes no pack, yet the kept containers still name its keys. They
+  // must be counted: checkpoint 3 stores the frozen chunks again in a
+  // new pack, which must survive the install that retires checkpoint 2
+  // (checkpoint 3's own at keep_last 1, checkpoint 4's at keep_last 2).
+  for (const std::size_t keep_last : {1u, 2u}) {
+    SCOPED_TRACE("keep_last " + std::to_string(keep_last));
+    io::MemEnv env;
+    CheckpointPolicy policy = cas_policy();
+    policy.retention.keep_last = keep_last;
+    {
+      Checkpointer ck(env, "cp", policy);
+      ck.checkpoint_now(big_state(1, 2048, 0));
+      ck.checkpoint_now(big_state(2, 2048, 0));
+    }
+    ASSERT_EQ(env.list_dir("cp/chunks"),
+              std::vector<std::string>{pack_file_name(1)});
+    const std::string pack = "cp/chunks/" + pack_file_name(1);
+    // The last key-table byte: the table CRC no longer matches.
+    ASSERT_TRUE(env.flip_bit(pack, (env.file_size(pack).value() - 29) * 8));
+    {
+      Checkpointer reopened(env, "cp", policy);
+      reopened.checkpoint_now(big_state(3, 2048, 0));
+      if (keep_last == 2) {
+        reopened.checkpoint_now(big_state(4, 2048, 2048));  // other content
+      }
+    }
+    ASSERT_FALSE(env.exists("cp/" + checkpoint_file_name(2)));
+    EXPECT_EQ(load_checkpoint(env, "cp", 3), big_state(3, 2048, 0));
+    if (keep_last == 2) {
+      EXPECT_EQ(load_checkpoint(env, "cp", 4), big_state(4, 2048, 2048));
+    }
   }
-  ASSERT_EQ(env.list_dir("cp/chunks"),
-            std::vector<std::string>{pack_file_name(1)});
-  const std::string pack = "cp/chunks/" + pack_file_name(1);
-  // The last key-table byte: the table CRC no longer matches.
-  ASSERT_TRUE(env.flip_bit(pack, (env.file_size(pack).value() - 29) * 8));
-  {
-    Checkpointer reopened(env, "cp", policy);
-    reopened.checkpoint_now(big_state(3, 2048, 0));
-    reopened.checkpoint_now(big_state(4, 2048, 2048));
-  }
-  ASSERT_FALSE(env.exists("cp/" + checkpoint_file_name(2)));
-  EXPECT_EQ(load_checkpoint(env, "cp", 3), big_state(3, 2048, 0));
-  EXPECT_EQ(load_checkpoint(env, "cp", 4), big_state(4, 2048, 2048));
 }
 
 TEST(Cas, VerifyDirectoryFlagsChunkDamage) {
@@ -744,83 +791,53 @@ TEST(Cas, PackHandleCacheEvictsLeastRecentlyUsed) {
   EXPECT_GT(store.stats().pack_handle_evictions, 0u);
 }
 
-// ---------- sharded index: concurrency ----------
+// ---------- the single-owner check ----------
 
-TEST(Cas, ShardedIndexConcurrentProbesAndRefsStayExact) {
-  // N threads hammer the sharded index through every hot path at once —
-  // dedup probes (pin_and_probe via Batch::contains), retain/release,
-  // and concurrent publishes of new packs — and the final refcounts
-  // must come out EXACT: the per-shard locking loses no update.
+TEST(Cas, SweepBetweenProbeAndRetainThrows) {
+  // A sweep between a batch's probe and its retain could reap a chunk
+  // the batch's file is about to name; the store refuses to run one.
   io::MemEnv env;
   ChunkStore store(env, "cp");
-  constexpr std::size_t kKeys = 32;
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 20;
+  const ChunkKey key = store_one_pack(store, 1);  // unreferenced
+  auto batch = store.begin_batch(2);
+  ASSERT_TRUE(batch->contains(key));
+  EXPECT_THROW(store.sweep(/*compact=*/false), std::logic_error);
+  EXPECT_THROW(store.sweep(/*compact=*/true), std::logic_error);
+  store.retain(*batch);
+  EXPECT_EQ(store.sweep(/*compact=*/true), 0u);
+  EXPECT_EQ(store.get(key).size(), key.len);
+}
 
-  std::vector<ChunkKey> keys;
-  std::vector<Bytes> payloads;
+TEST(Cas, ReleaseBetweenProbeAndRetainThrows) {
+  io::MemEnv env;
+  ChunkStore store(env, "cp");
+  const ChunkKey key = store_one_pack(store, 1);
+  auto first = store.begin_batch(2);
+  ASSERT_TRUE(first->contains(key));
+  store.retain(*first);
+  auto second = store.begin_batch(3);
+  ASSERT_TRUE(second->contains(key));
+  EXPECT_THROW(store.release({key}), std::logic_error);
+  EXPECT_EQ(store.ref_count(key), 1u);
+  store.retain(*second);
+  store.retain(*second);  // a second retain counts nothing
+  EXPECT_EQ(store.ref_count(key), 2u);
+  store.release({key});
+  EXPECT_EQ(store.ref_count(key), 1u);
+}
+
+TEST(Cas, DroppedBatchNeedsNoRetain) {
+  // A batch destroyed unretained is a dropped checkpoint: no file names
+  // its references, so the sweep runs and reaps what only it probed.
+  io::MemEnv env;
+  ChunkStore store(env, "cp");
+  const ChunkKey key = store_one_pack(store, 1);
   {
-    auto batch = store.begin_batch(1);
-    util::Rng rng(99);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      Bytes chunk(128);
-      for (auto& b : chunk) {
-        b = static_cast<std::uint8_t>(rng());
-      }
-      const ChunkKey key{util::crc32c(chunk), chunk.size()};
-      keys.push_back(key);
-      payloads.push_back(chunk);
-      ASSERT_FALSE(batch->contains(key));
-      batch->put(key, codec::CodecId::kRaw, chunk);
-    }
-    batch->commit();
-    store.publish(*batch);
+    auto batch = store.begin_batch(2);
+    ASSERT_TRUE(batch->contains(key));
   }
-
-  std::atomic<std::uint64_t> probe_misses{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&store, &keys, &probe_misses, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        store.retain(keys);
-        if (round % 2 == 1) {
-          store.release(keys);
-        }
-        // Dedup-probe every key through a fresh batch (each probe pins;
-        // batch destruction unpins). All keys are resident and nothing
-        // sweeps, so every probe must hit.
-        auto batch = store.begin_batch(
-            1000 + static_cast<std::uint64_t>(t) * kRounds + round);
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          const std::size_t idx =
-              (i * (2 * static_cast<std::size_t>(t) + 3) + round) %
-              keys.size();
-          if (!batch->contains(keys[idx])) {
-            probe_misses.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        // And one brand-new chunk published concurrently per round.
-        const ChunkKey fresh = store_one_pack(
-            store, 100000 + static_cast<std::uint64_t>(t) * kRounds + round);
-        if (!store.contains(fresh)) {
-          probe_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-
-  EXPECT_EQ(probe_misses.load(), 0u);
-  // Per thread: kRounds retains, kRounds/2 releases of every key.
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(kThreads) * (kRounds - kRounds / 2);
-  for (const ChunkKey& key : keys) {
-    ASSERT_EQ(store.ref_count(key), expected);
-  }
-  EXPECT_EQ(store.get(keys[0]), payloads[0]);
+  EXPECT_GT(store.sweep(/*compact=*/false), 0u);
+  EXPECT_FALSE(store.contains(key));
 }
 
 TEST(Cas, PackFileNameRoundTrips) {

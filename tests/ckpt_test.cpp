@@ -19,6 +19,7 @@
 #include "util/strings.hpp"
 #include "qnn/loss.hpp"
 #include "qnn/trainer.hpp"
+#include "tier/tiered_env.hpp"
 
 namespace qnn::ckpt {
 namespace {
@@ -1296,6 +1297,66 @@ TEST(Checkpointer, AsyncPipelineChunkedLargeStateRoundTrips) {
   for (std::uint64_t id = 1; id <= 6; ++id) {
     EXPECT_EQ(load_checkpoint(env, "cp", id), states[id - 1]) << id;
   }
+}
+
+TEST(Checkpointer, AsyncCasStatsDrainColdPacksWhilePipelineWrites) {
+  // cas_stats() is the one chunk-store call the trainer's thread makes
+  // while the pipeline thread probes, publishes and sweeps: it takes the
+  // store mutex and indexes the cold packs the reopen deferred.
+  io::MemEnv hot_base;
+  io::MemEnv cold_base;
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kFullState;
+  policy.retention.keep_last = 2;
+  policy.chunk_bytes = 1024;
+  // A frozen 10-qubit snapshot (16 KiB) beside 4 KiB of params new at
+  // every step: each install dedups the one and reaps older params.
+  const auto state = [](std::uint64_t step) {
+    qnn::TrainingState s = make_state(step, 5, 10);
+    s.params.resize(512);
+    util::Rng rng(step);
+    for (double& p : s.params) {
+      p = rng.uniform(-1.0, 1.0);
+    }
+    return s;
+  };
+  {
+    tier::TieredEnv env(hot_base, cold_base);
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 3; ++step) {
+      ck.checkpoint_now(state(step));
+    }
+  }
+  // Demote every pack by hand: cold copy durable, hot copy gone.
+  for (const std::string& name : hot_base.list_dir("cp/chunks")) {
+    const std::string path = "cp/chunks/" + name;
+    cold_base.write_file_atomic(path, *hot_base.read_file(path));
+    hot_base.remove_file(path);
+  }
+  ASSERT_FALSE(cold_base.list_dir("cp/chunks").empty());
+
+  tier::TieredEnv env(hot_base, cold_base);
+  policy.async = true;
+  {
+    Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 4; step <= 12; ++step) {
+      ck.checkpoint_now(state(step));
+      EXPECT_GT(ck.cas_stats().packfiles, 0u);
+    }
+    ck.flush();
+    const CasStats live = ck.cas_stats();
+    EXPECT_GT(live.dedup_hits, 0u);
+    EXPECT_GT(live.packs_deleted, 0u);
+    const CasStats fresh = ChunkStore(env, "cp").stats();
+    EXPECT_EQ(live.packfiles, fresh.packfiles);
+    EXPECT_EQ(live.chunks, fresh.chunks);
+    EXPECT_EQ(live.stored_bytes, fresh.stored_bytes);
+    EXPECT_EQ(ck.stats().dropped_writes, 0u);
+  }
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 12u);
+  EXPECT_EQ(outcome->state, state(12));
 }
 
 TEST(Checkpointer, EncodeBufferingStaysBoundedUnderV3) {

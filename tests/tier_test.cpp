@@ -296,7 +296,7 @@ TEST(Migration, ChainsDemoteAsOneUnit) {
   }
   const Manifest manifest = Manifest::load(f.env, "cp");
   tier::TierPolicy tp;
-  tp.hot_byte_budget = 1;  // everything unpinned must plan
+  tp.hot_byte_budget = 1;  // everything not pinned must plan
   tp.pin_hot_last = 1;     // pins the newest chain (ids 7..9)
   ckpt::CheckpointStore store(f.env, "cp", ckpt::RetentionPolicy{}, tp);
   ASSERT_NE(store.tiering(), nullptr);
