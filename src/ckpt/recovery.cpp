@@ -11,6 +11,9 @@ namespace qnn::ckpt {
 
 namespace {
 
+/// Upper bound on incremental chain length (cycle/insanity guard).
+constexpr std::size_t kMaxChain = 1024;
+
 /// Candidate list: manifest entries if present, else directory scan.
 /// Manifest damage (unparseable lines) is reported through `notes`.
 std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
@@ -56,12 +59,11 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
 /// throws like any other damage, so callers fall back to older
 /// candidates instead of accepting it.
 SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
-                              std::uint64_t id, const RecoveryOptions& options,
-                              ChunkSource* source,
+                              std::uint64_t id, ChunkSource* source,
                               std::size_t* depth_out = nullptr) {
   std::vector<Bytes> chain;  // raw containers, leaf -> root
   for (std::uint64_t cur = id; cur != 0;) {
-    if (chain.size() >= options.max_chain) {
+    if (chain.size() >= kMaxChain) {
       throw CorruptCheckpoint("incremental chain too long or cyclic");
     }
     const std::string name = checkpoint_file_name(cur);
@@ -106,37 +108,14 @@ SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
 }  // namespace
 
 qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
-                                   std::uint64_t id,
-                                   const RecoveryOptions& options) {
+                                   std::uint64_t id) {
   ChunkStore cas(env, dir);
-  return load_state(resolve_chain(env, dir, id, options, &cas));
+  return load_state(resolve_chain(env, dir, id, &cas));
 }
 
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                                               const std::string& dir) {
   return recover_latest(env, dir, RecoveryOptions{});
-}
-
-std::optional<RecoveryOutcome> recover_latest_any(
-    const std::vector<io::Env*>& replicas, const std::string& dir) {
-  std::optional<RecoveryOutcome> best;
-  std::vector<std::string> notes;
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    auto outcome = recover_latest(*replicas[i], dir);
-    if (!outcome) {
-      notes.push_back("replica " + std::to_string(i) +
-                      ": no usable checkpoint");
-      continue;
-    }
-    outcome->notes.push_back("recovered from replica " + std::to_string(i));
-    if (!best || outcome->step > best->step) {
-      best = std::move(outcome);
-    }
-  }
-  if (best) {
-    best->notes.insert(best->notes.end(), notes.begin(), notes.end());
-  }
-  return best;
 }
 
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
@@ -188,8 +167,7 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
       RecoveryOutcome outcome;
       record("candidate.try", {{"id", std::to_string(it->id)}});
       std::size_t chain_depth = 0;
-      auto resolved =
-          resolve_chain(env, dir, it->id, options, &cas, &chain_depth);
+      auto resolved = resolve_chain(env, dir, it->id, &cas, &chain_depth);
       record("chain.resolved",
              {{"id", std::to_string(it->id)},
               {"depth", std::to_string(chain_depth)},
@@ -218,8 +196,7 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                         ": replayed state unloadable (" + e.what() +
                         "), using the base checkpoint");
         replay.reset();
-        outcome.state =
-            load_state(resolve_chain(env, dir, it->id, options, &cas));
+        outcome.state = load_state(resolve_chain(env, dir, it->id, &cas));
       }
       if (replay) {
         record("wal.replay",

@@ -4,7 +4,8 @@
 //   1. load the manifest; if it is missing/empty, rescan the directory for
 //      canonical checkpoint file names;
 //   2. walk candidates newest-first; for each, read its chain leaf to
-//      root (following a parent only once its CRC64 verifies), then fold
+//      root (following a parent only once its CRC64 verifies; a chain
+//      of more than 1,024 links is rejected as cyclic), then fold
 //      it root first in place, one chunk at a time. A full payload
 //      decodes straight into the storage of the TrainingState field it
 //      loads into (ckpt/state_codec.hpp: an array lands in its vector,
@@ -72,8 +73,6 @@ struct RecoveryOutcome {
 };
 
 struct RecoveryOptions {
-  /// Upper bound on incremental chain length (cycle/insanity guard).
-  std::size_t max_chain = 1024;
   /// Optional span/event sink (borrowed; null = no tracing). The flight
   /// recorder in RecoveryOutcome::events is populated either way.
   obs::Tracer* tracer = nullptr;
@@ -98,14 +97,6 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
 /// Throws CorruptCheckpoint / std::runtime_error on failure. Exposed for
 /// the inspector tool and tests.
 qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
-                                   std::uint64_t id,
-                                   const RecoveryOptions& options = {});
-
-/// Cross-replica recovery: runs recover_latest against each replica and
-/// returns the outcome with the highest step (replicas may be behind or
-/// independently damaged; any one intact copy of the newest checkpoint
-/// wins). std::nullopt when no replica has a usable checkpoint.
-std::optional<RecoveryOutcome> recover_latest_any(
-    const std::vector<io::Env*>& replicas, const std::string& dir);
+                                   std::uint64_t id);
 
 }  // namespace qnn::ckpt

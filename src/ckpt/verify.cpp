@@ -1,6 +1,7 @@
 #include "ckpt/verify.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -75,7 +76,16 @@ std::string DirectoryReport::summary() const {
   return os.str();
 }
 
-DirectoryReport verify_directory(io::Env& env, const std::string& dir) {
+DirectoryReport verify_directory(io::Env& target, const std::string& dir) {
+  // A scrub moves nothing. A TieredEnv may promote every cold object it
+  // reads, so scrub through a non-promoting view of the same two tiers.
+  auto* tiered = dynamic_cast<tier::TieredEnv*>(&target);
+  std::optional<tier::TieredEnv> view;
+  if (tiered != nullptr) {
+    view.emplace(tiered->hot(), tiered->cold());
+  }
+  io::Env& env = view ? *view : target;
+
   DirectoryReport report;
   const Manifest manifest = Manifest::load(env, dir);
   report.manifest_present = env.exists(dir + "/MANIFEST");
@@ -112,7 +122,6 @@ DirectoryReport verify_directory(io::Env& env, const std::string& dir) {
     }
   }
 
-  auto* tiered = dynamic_cast<tier::TieredEnv*>(&env);
   for (std::uint64_t id : ids) {
     CheckpointReport r;
     r.id = id;

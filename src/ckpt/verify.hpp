@@ -71,7 +71,11 @@ struct DirectoryReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Scrubs `dir` (read-only; never modifies anything).
-DirectoryReport verify_directory(io::Env& env, const std::string& dir);
+/// Scrubs `dir` (read-only; never modifies anything). On a
+/// tier::TieredEnv it reads through a non-promoting TieredEnv over the
+/// same hot() and cold(), whatever the caller's promote_on_read: no
+/// object changes tier, and the reads count on that view and on the
+/// tiers' own Envs, not on the caller's TieredEnv.
+DirectoryReport verify_directory(io::Env& target, const std::string& dir);
 
 }  // namespace qnn::ckpt

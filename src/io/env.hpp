@@ -188,9 +188,9 @@ class ForwardingEnv : public Env {
 /// Streaming cross-env copy: preads `path` from `src` in bounded slices
 /// and appends them to an atomic stream on `dst`, so copying an object
 /// of any size costs O(slice) memory. Returns the bytes copied, or
-/// std::nullopt when the source is absent. The tier migration engine
-/// (demote/promote) and read-through pack promotion all copy through
-/// here — one loop, one shrink-handling policy.
+/// std::nullopt when the source is absent. The tier migration engine's
+/// demotion and TieredEnv::promote_file (read-through pack promotion)
+/// both copy through here — one loop, one shrink-handling policy.
 std::optional<std::uint64_t> stream_copy(Env& src, Env& dst,
                                          const std::string& path);
 

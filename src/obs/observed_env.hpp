@@ -15,7 +15,7 @@
 //   meta     one metadata round trip (exists / file_size / list_dir)
 //
 // It is a pure decorator — mount it over any of the Envs (Posix, Mem,
-// Fault, CrashSchedule, Mirror, Prefix, Tiered, Shaped), or one per tier
+// Fault, CrashSchedule, Prefix, Tiered, Shaped), or one per tier
 // UNDER a TieredEnv to split hot-device from cold-device telemetry. The
 // whole-buffer convenience calls are forwarded to the base explicitly
 // (charged as install/pread), so bases whose whole-buffer methods carry

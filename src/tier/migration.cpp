@@ -80,8 +80,6 @@ MigrationEngine::MigrationEngine(TieredEnv& env, std::string dir,
       demote_runs_(metrics_.counter("tier.demote_runs")),
       files_demoted_(metrics_.counter("tier.files_demoted")),
       bytes_demoted_(metrics_.counter("tier.bytes_demoted")),
-      files_promoted_(metrics_.counter("tier.files_promoted")),
-      bytes_promoted_(metrics_.counter("tier.bytes_promoted")),
       fences_(metrics_.counter("tier.fences")),
       duplicates_collapsed_(metrics_.counter("tier.duplicates_collapsed")),
       budget_misses_(metrics_.counter("tier.budget_misses")),
@@ -115,7 +113,7 @@ void MigrationEngine::ensure_open_locked() {
 
 void MigrationEngine::save_tiermap_locked() {
   // cold_set_ is maintained by the engine's own moves (demote inserts,
-  // promote/forget erase) and rebuilt from a listing at the startup
+  // forget erases) and rebuilt from a listing at the startup
   // reconcile. Marks invalidated behind its back (a read-through
   // promotion at the Env level) go stale until then — deliberately NOT
   // probed away here: a cold exists() per mark per fence would charge
@@ -179,21 +177,13 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
     return {};
   }
 
-  // Pinned: the newest pin_hot_last entries (at least the newest one),
-  // everything younger than min_age_steps, and all their chains.
+  // Pinned: the newest pin_hot_last entries (at least the newest one)
+  // and their chains.
   std::set<std::uint64_t> pinned;
   const std::size_t n = entries.size();
   const std::size_t window = std::max<std::size_t>(1, policy_.pin_hot_last);
   for (std::size_t i = n > window ? n - window : 0; i < n; ++i) {
     pin_with_chain(manifest, entries[i].id, pinned);
-  }
-  if (policy_.min_age_steps > 0) {
-    const std::uint64_t tip_step = entries.back().step;
-    for (const ckpt::ManifestEntry& e : entries) {
-      if (e.step + policy_.min_age_steps > tip_step) {
-        pin_with_chain(manifest, e.id, pinned);
-      }
-    }
   }
 
   // Candidates: entries outside the pinned set whose file is hot now.
@@ -257,49 +247,46 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
                                   std::uint64_t>>
       hot_packs;
   bool refs_known = true;
-  if (policy_.demote_packfiles) {
-    const auto hot_files = migratable_files(env_.hot(), dir_);
-    const std::set<std::string> hot_set(hot_files.begin(), hot_files.end());
-    for (auto it = key_cache_.begin(); it != key_cache_.end();) {
-      // Files no longer hot (demoted, GC'd) leave the cache.
-      it = hot_set.contains(it->first) ? std::next(it)
-                                       : key_cache_.erase(it);
+  const auto hot_files = migratable_files(env_.hot(), dir_);
+  const std::set<std::string> hot_set(hot_files.begin(), hot_files.end());
+  for (auto it = key_cache_.begin(); it != key_cache_.end();) {
+    // Files no longer hot (demoted, GC'd) leave the cache.
+    it = hot_set.contains(it->first) ? std::next(it) : key_cache_.erase(it);
+  }
+  for (const std::string& name : hot_files) {
+    const std::string path = dir_ + "/" + name;
+    const std::uint64_t size = env_.hot().file_size(path).value_or(0);
+    auto cached = key_cache_.find(name);
+    if (cached == key_cache_.end() || cached->second.bytes != size) {
+      try {
+        // Ranged reads: a container's section headers + extern key
+        // tables, or a pack's footer + key table — planning touches
+        // kilobytes per file, never the hot tier's bulk. The ranged
+        // trust model (no whole-file CRC64) is safe here: a mis-read
+        // can only mis-place an object across tiers (reads fall
+        // through), never lose one.
+        CachedKeys entry;
+        entry.bytes = size;
+        entry.keys = ckpt::parse_checkpoint_file_name(name)
+                         ? ckpt::list_chunk_refs(env_.hot(), path)
+                         : ckpt::list_pack_keys(env_.hot(), path);
+        cached = key_cache_.insert_or_assign(name, std::move(entry)).first;
+      } catch (const std::exception&) {
+        key_cache_.erase(name);
+        if (!env_.hot().exists(path)) {
+          continue;  // raced a concurrent demotion; nothing to count
+        }
+        refs_known = false;
+        continue;
+      }
     }
-    for (const std::string& name : hot_files) {
-      const std::string path = dir_ + "/" + name;
-      const std::uint64_t size = env_.hot().file_size(path).value_or(0);
-      auto cached = key_cache_.find(name);
-      if (cached == key_cache_.end() || cached->second.bytes != size) {
-        try {
-          // Ranged reads: a container's section headers + extern key
-          // tables, or a pack's footer + key table — planning touches
-          // kilobytes per file, never the hot tier's bulk. The ranged
-          // trust model (no whole-file CRC64) is safe here: a mis-read
-          // can only mis-place an object across tiers (reads fall
-          // through), never lose one.
-          CachedKeys entry;
-          entry.bytes = size;
-          entry.keys = ckpt::parse_checkpoint_file_name(name)
-                           ? ckpt::list_chunk_refs(env_.hot(), path)
-                           : ckpt::list_pack_keys(env_.hot(), path);
-          cached = key_cache_.insert_or_assign(name, std::move(entry)).first;
-        } catch (const std::exception&) {
-          key_cache_.erase(name);
-          if (!env_.hot().exists(path)) {
-            continue;  // raced a concurrent demotion; nothing to count
-          }
-          refs_known = false;
-          continue;
-        }
+    if (ckpt::parse_checkpoint_file_name(name)) {
+      for (const ckpt::ChunkKey& key : cached->second.keys) {
+        ++hot_keys[key];
       }
-      if (ckpt::parse_checkpoint_file_name(name)) {
-        for (const ckpt::ChunkKey& key : cached->second.keys) {
-          ++hot_keys[key];
-        }
-        refs_by_file[name] = &cached->second.keys;
-      } else {
-        hot_packs[name] = {&cached->second.keys, cached->second.bytes};
-      }
+      refs_by_file[name] = &cached->second.keys;
+    } else {
+      hot_packs[name] = {&cached->second.keys, cached->second.bytes};
     }
   }
 
@@ -307,7 +294,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   std::uint64_t projected = hot_bytes;
   std::set<std::string> planned_packs;
   const auto take_fully_cold_packs = [&] {
-    if (!policy_.demote_packfiles || !refs_known) {
+    if (!refs_known) {
       return;
     }
     for (const auto& [rel, pack] : hot_packs) {
@@ -434,43 +421,6 @@ std::size_t MigrationEngine::migrate(const ckpt::Manifest& manifest) {
   return demote(plan_demotions(manifest));
 }
 
-std::size_t MigrationEngine::promote(const std::vector<std::string>& names) {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  obs::Span span(tracer_, "promote", "tier");
-  span.note("requested", static_cast<std::uint64_t>(names.size()));
-  // Mirror of demote: hot copy durable -> fence -> cold copy dies.
-  std::vector<std::pair<std::string, std::uint64_t>> copied;
-  for (const std::string& name : names) {
-    const std::string path = dir_ + "/" + name;
-    if (env_.hot().exists(path)) {
-      continue;  // already hot
-    }
-    const auto bytes = io::stream_copy(env_.cold(), env_.hot(), path);
-    if (!bytes) {
-      continue;
-    }
-    copied.emplace_back(name, *bytes);
-  }
-  if (copied.empty()) {
-    return 0;
-  }
-  for (const auto& [name, bytes] : copied) {
-    cold_set_.erase(name);
-  }
-  save_tiermap_locked();
-  for (const auto& [name, bytes] : copied) {
-    env_.cold().remove_file(dir_ + "/" + name);
-    files_promoted_.add();
-    bytes_promoted_.add(bytes);
-    cold_bytes_.set(cold_bytes_.value() -
-                    std::min<std::uint64_t>(cold_bytes_.value(), bytes));
-  }
-  hot_bytes_.set(resident_bytes(env_.hot()));
-  span.note("files", static_cast<std::uint64_t>(copied.size()));
-  return copied.size();
-}
-
 std::size_t MigrationEngine::reconcile() {
   std::lock_guard lock(mu_);
   opened_ = true;  // the rebuild below supersedes any TIERMAP load
@@ -517,18 +467,10 @@ std::vector<std::string> MigrationEngine::cold_files() {
   return {cold_set_.begin(), cold_set_.end()};
 }
 
-bool MigrationEngine::is_cold(const std::string& name) {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  return cold_set_.contains(name);
-}
-
 TierStats MigrationEngine::stats() const {
   return {.demote_runs = demote_runs_.value(),
           .files_demoted = files_demoted_.value(),
           .bytes_demoted = bytes_demoted_.value(),
-          .files_promoted = files_promoted_.value(),
-          .bytes_promoted = bytes_promoted_.value(),
           .fences = fences_.value(),
           .duplicates_collapsed = duplicates_collapsed_.value(),
           .budget_misses = budget_misses_.value(),

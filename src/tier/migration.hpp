@@ -15,8 +15,9 @@
 //     and the hot copy dies only after the fence — a crash at any
 //     point leaves every object resolvable from at least one tier
 //     (TieredEnv reads fall through), at worst transiently duplicated;
-//   * promotion is the mirror image: hot copy durable, fence drops the
-//     cold mark, cold copy dies;
+//   * an object comes back hot only through TieredEnv's read-through
+//     promotion, which leaves its cold mark stale until the next
+//     reconcile;
 //   * reconcile() (startup) collapses crash-stranded duplicates — the
 //     hot copy always wins, because every write path targets the hot
 //     tier, so a diverging cold copy can only be stale — and rebuilds
@@ -27,8 +28,8 @@
 // Placement policy (TierPolicy):
 //   * hot_byte_budget caps the bytes of migratable objects resident in
 //     the hot tier; demotion runs only while over budget;
-//   * the newest pin_hot_last checkpoints, their ancestor chains and
-//     any entry younger than min_age_steps stay hot regardless;
+//   * the newest pin_hot_last checkpoints and their ancestor chains
+//     stay hot regardless;
 //   * victims demote oldest-first in chain units — an incremental
 //     parent chain is never split across a demotion batch, and a
 //     packfile (one file) is inherently unsplittable;
@@ -65,18 +66,10 @@ struct TierPolicy {
   /// newest checkpoint is always pinned.
   std::size_t pin_hot_last = 2;
 
-  /// Only checkpoints at least this many steps behind the newest entry
-  /// may demote. 0 = age does not pin anything extra.
-  std::uint64_t min_age_steps = 0;
-
   /// Max files per TIERMAP fence. Demotion units (a whole parent
   /// chain; a packfile) are never split across batches — a unit larger
   /// than the batch gets an oversized batch of its own.
   std::size_t demote_batch = 8;
-
-  /// Demote fully-cold packfiles too (chunk data whose every referent
-  /// is already cold). Disable to tier only checkpoint containers.
-  bool demote_packfiles = true;
 
   [[nodiscard]] bool enabled() const { return hot_byte_budget > 0; }
 };
@@ -95,8 +88,6 @@ struct TierStats {
   std::uint64_t demote_runs = 0;       ///< migrate() calls that moved data
   std::uint64_t files_demoted = 0;
   std::uint64_t bytes_demoted = 0;
-  std::uint64_t files_promoted = 0;    ///< explicit promote() calls
-  std::uint64_t bytes_promoted = 0;
   std::uint64_t fences = 0;            ///< TIERMAP rewrites
   std::uint64_t duplicates_collapsed = 0;  ///< crash-stranded copies fixed
   std::uint64_t budget_misses = 0;     ///< over budget, nothing demotable
@@ -139,11 +130,6 @@ class MigrationEngine {
   /// plan + demote in one call (what CheckpointStore runs per install).
   std::size_t migrate(const ckpt::Manifest& manifest);
 
-  /// Explicitly promotes `names` (dir-relative) back to the hot tier:
-  /// hot copy durable -> fence -> cold copy dies. Unknown or already
-  /// hot names are skipped. Returns files promoted.
-  std::size_t promote(const std::vector<std::string>& names);
-
   /// Startup reconciliation: collapses duplicates stranded by a crash
   /// mid-migration (hot copy wins) and rebuilds the TIERMAP from the
   /// cold tier's actual contents. Returns duplicates collapsed.
@@ -161,22 +147,21 @@ class MigrationEngine {
 
   /// Dir-relative names currently marked cold (TIERMAP view).
   [[nodiscard]] std::vector<std::string> cold_files();
-  [[nodiscard]] bool is_cold(const std::string& name);
 
   [[nodiscard]] TierStats stats() const;
   [[nodiscard]] const TierPolicy& policy() const { return policy_; }
   [[nodiscard]] TieredEnv& env() { return env_; }
 
-  /// Mounts a span/event sink (borrowed; null detaches): demote/promote
+  /// Mounts a span/event sink (borrowed; null detaches): demote
   /// batches become spans, every TIERMAP fence an instant event.
   void set_observability(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Loads the TIERMAP once (advisory; stale marks are dropped at the
-  /// next fence or reconcile).
+  /// Loads the TIERMAP once (advisory; a stale mark stays until the
+  /// next reconcile).
   void ensure_open_locked();
-  /// Atomically rewrites the TIERMAP from cold_set_, dropping marks
-  /// whose cold file vanished (e.g. promoted read-through).
+  /// Atomically rewrites the TIERMAP from cold_set_. A mark whose
+  /// object was promoted read-through stays until the next reconcile.
   void save_tiermap_locked();
   /// Sizes of the migratable files under `tier_env`'s view of dir_.
   std::uint64_t resident_bytes(io::Env& tier_env);
@@ -204,8 +189,6 @@ class MigrationEngine {
   obs::CounterShare demote_runs_;
   obs::CounterShare files_demoted_;
   obs::CounterShare bytes_demoted_;
-  obs::CounterShare files_promoted_;
-  obs::CounterShare bytes_promoted_;
   obs::CounterShare fences_;
   obs::CounterShare duplicates_collapsed_;
   obs::CounterShare budget_misses_;

@@ -1,8 +1,5 @@
 #include "tier/shaped_env.hpp"
 
-#include <chrono>
-#include <thread>
-
 namespace qnn::tier {
 
 ShapeSpec local_nvme_shape() {
@@ -57,9 +54,6 @@ void ShapedEnv::charge(std::atomic<std::uint64_t>& bucket,
     return;
   }
   bucket += static_cast<std::uint64_t>(seconds * 1e9);
-  if (spec_.sleep) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
 }
 
 /// The charging model follows the mode's crash semantics. kAtomic is a

@@ -6,9 +6,8 @@
 // hot/cold asymmetry of a TieredEnv measurable deterministically: a
 // seeded workload always moves the same bytes through the same ops, so
 // the modeled cost is machine-independent and can be gated against
-// bench baselines (bench_t7_tiering), unlike wall-clock time. With
-// `spec.sleep` the decorator additionally sleeps the modeled cost, for
-// wall-clock realism in interactive runs.
+// bench baselines (bench_t7_tiering), unlike wall-clock time. The
+// decorator only counts the modeled cost; it never sleeps it.
 //
 // Streaming ops map onto the model the way a real device behaves:
 // opening a kAtomic (staged) write stream costs one write latency and
@@ -46,8 +45,6 @@ struct ShapeSpec {
   /// Metadata round trips (exists / file_size / list_dir / remove)
   /// charge this, defaulting to the read latency when negative.
   double metadata_latency_s = -1.0;
-  /// Actually sleep the modeled cost of each op (wall-clock realism).
-  bool sleep = false;
 };
 
 /// A fast local NVMe-ish hot tier.
@@ -87,8 +84,7 @@ class ShapedEnv final : public io::Env {
   friend class ShapedWritableFile;
   friend class ShapedRandomAccessFile;
 
-  /// Charges `seconds` to `bucket` (atomically, in nanoseconds) and
-  /// sleeps it when the spec says so.
+  /// Charges `seconds` to `bucket` (atomically, in nanoseconds).
   void charge(std::atomic<std::uint64_t>& bucket, double seconds) const;
   [[nodiscard]] double read_cost(std::uint64_t bytes) const;
   [[nodiscard]] double write_cost(std::uint64_t bytes) const;

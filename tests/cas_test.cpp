@@ -1,7 +1,7 @@
 // Tests for the content-addressed chunk store (format v3): cross-
 // checkpoint dedup, refcounted GC over chunk keys, packfile sweeps and
-// compaction, refcounts rebuilt at open, and recovery behaviour when
-// packfiles are damaged.
+// compaction, refcounts rebuilt at open, the pack v1 reader, and
+// recovery behaviour when packfiles are damaged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -709,6 +709,103 @@ TEST(Cas, VerifyDirectoryFlagsChunkDamage) {
   EXPECT_FALSE(report.healthy());
   ASSERT_TRUE(report.newest_recoverable.has_value());
   EXPECT_EQ(*report.newest_recoverable, 1u);
+}
+
+// ---------- pack v1 reader ----------
+
+/// Keeps every chunk an encode stores, in put order.
+class CapturingSink final : public ChunkSink {
+ public:
+  struct Put {
+    ChunkKey key;
+    codec::CodecId codec;
+    Bytes encoded;
+  };
+  bool contains(const ChunkKey& key) override {
+    return std::any_of(puts.begin(), puts.end(),
+                       [&key](const Put& p) { return p.key == key; });
+  }
+  void put(const ChunkKey& key, codec::CodecId codec,
+           ByteSpan encoded) override {
+    puts.push_back({key, codec, Bytes(encoded.begin(), encoded.end())});
+  }
+  std::vector<Put> puts;
+};
+
+constexpr std::size_t kPackV1HeaderBytes = 4 + 2 + 2 + 8 + 4;
+constexpr std::size_t kPackRecordHeaderBytes = 1 + 4 + 8 + 1 + 8 + 4;
+
+/// A version-1 packfile, laid out as its reader walks it: header (magic,
+/// u16 version 1, u16 reserved, u64 epoch, u32 n_records); each record's
+/// header (digest, raw CRC32C, raw length, codec, encoded length,
+/// encoded CRC32C) then its encoded bytes; footer (u64 CRC64 of all that
+/// precedes it, closing magic).
+Bytes pack_v1(std::uint64_t epoch,
+              const std::vector<CapturingSink::Put>& puts) {
+  Bytes pack = {'Q', 'P', 'A', 'K'};
+  util::put_le<std::uint16_t>(pack, 1);
+  util::put_le<std::uint16_t>(pack, 0);
+  util::put_le<std::uint64_t>(pack, epoch);
+  util::put_le<std::uint32_t>(pack, static_cast<std::uint32_t>(puts.size()));
+  for (const CapturingSink::Put& p : puts) {
+    util::put_le<std::uint8_t>(pack, kChunkDigestCrc32c);
+    util::put_le<std::uint32_t>(pack, p.key.crc);
+    util::put_le<std::uint64_t>(pack, p.key.len);
+    util::put_le<std::uint8_t>(pack, static_cast<std::uint8_t>(p.codec));
+    util::put_le<std::uint64_t>(pack, p.encoded.size());
+    util::put_le<std::uint32_t>(pack, util::crc32c(p.encoded));
+    pack.insert(pack.end(), p.encoded.begin(), p.encoded.end());
+  }
+  util::put_le<std::uint64_t>(pack, util::crc64(pack));
+  pack.insert(pack.end(), {'K', 'A', 'P', 'Q'});
+  return pack;
+}
+
+TEST(Cas, PackV1StillReads) {
+  // Nothing has written a version-1 packfile since pack v2, but the
+  // reader stays for directories that hold one: the serial record walk
+  // and the ranged readers' whole-file fallbacks (store open and
+  // list_pack_keys). The chunks are those of a v3 container.
+  const qnn::TrainingState state = big_state(1);
+  CheckpointFile file;
+  file.checkpoint_id = 1;
+  file.step = state.step;
+  file.sections = state_to_sections(state, /*include_simulator=*/false,
+                                    codec::CodecId::kLz);
+  CapturingSink sink;
+  const EncodeOptions options{.chunk_bytes = 1024, .sink = &sink};
+  const Bytes container = encode_checkpoint(file, options);
+  ASSERT_GT(sink.puts.size(), 1u);
+  std::vector<ChunkKey> keys;
+  for (const CapturingSink::Put& p : sink.puts) {
+    keys.push_back(p.key);
+  }
+
+  io::MemEnv env;
+  const std::string pack_path = "cp/chunks/" + pack_file_name(1);
+  Bytes pack = pack_v1(1, sink.puts);
+  env.write_file_atomic("cp/" + checkpoint_file_name(1), container);
+  env.write_file_atomic(pack_path, pack);
+  EXPECT_EQ(load_checkpoint(env, "cp", 1), state);
+  EXPECT_EQ(list_pack_keys(env, pack_path), keys);
+  {
+    ChunkStore store(env, "cp");
+    const CasStats stats = store.stats();
+    EXPECT_EQ(stats.packfiles, 1u);
+    EXPECT_EQ(stats.damaged_packs, 0u);
+  }
+
+  // A flipped byte in the first record fails the whole-file CRC64.
+  pack[kPackV1HeaderBytes + kPackRecordHeaderBytes] ^= 0x01;
+  env.write_file_atomic(pack_path, pack);
+  {
+    ChunkStore store(env, "cp");
+    const CasStats stats = store.stats();
+    EXPECT_EQ(stats.packfiles, 0u);
+    EXPECT_EQ(stats.damaged_packs, 1u);
+  }
+  EXPECT_THROW(load_checkpoint(env, "cp", 1), std::exception);
+  EXPECT_THROW(list_pack_keys(env, pack_path), std::runtime_error);
 }
 
 // ---------- pack-handle LRU cache ----------

@@ -936,7 +936,7 @@ TEST(Recovery, SelfParentHeaderIsRejectedAfterOneRead) {
   // Point delta 3's parent id (after magic, version, flags and its own
   // id) at itself. The footer CRC64 no longer verifies, so the chain
   // walk must reject the file instead of following the link around the
-  // loop until max_chain.
+  // loop until the chain-length guard.
   const std::string path = "cp/" + checkpoint_file_name(3);
   auto data = mem.read_file(path);
   ASSERT_TRUE(data.has_value());

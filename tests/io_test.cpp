@@ -1,6 +1,6 @@
 // Unit tests for qnn::io — the handle-based Env contract across EVERY
-// implementation (Posix, Mem, Fault, CrashSchedule, Mirror, Prefix,
-// Tiered, Shaped), plus the fault/crash decorators' own semantics.
+// implementation (Posix, Mem, Fault, CrashSchedule, Prefix, Tiered,
+// Shaped, Observed), plus the fault/crash decorators' own semantics.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,7 +8,6 @@
 #include "io/env.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
-#include "io/mirror_env.hpp"
 #include "io/prefix_env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observed_env.hpp"
@@ -52,11 +51,6 @@ class EnvConformanceTest : public ::testing::TestWithParam<std::string> {
     } else if (kind == "crash") {
       crash_ = std::make_unique<CrashScheduleEnv>(*mem_, CrashPlan{});
       env_ = crash_.get();
-    } else if (kind == "mirror") {
-      mem2_ = std::make_unique<MemEnv>();
-      mirror_ = std::make_unique<MirrorEnv>(
-          std::vector<Env*>{mem_.get(), mem2_.get()});
-      env_ = mirror_.get();
     } else if (kind == "prefix") {
       prefix_ = std::make_unique<PrefixEnv>(*mem_, "mnt");
       env_ = prefix_.get();
@@ -89,10 +83,8 @@ class EnvConformanceTest : public ::testing::TestWithParam<std::string> {
   Env* env_ = nullptr;
   std::unique_ptr<PosixEnv> posix_;
   std::unique_ptr<MemEnv> mem_;
-  std::unique_ptr<MemEnv> mem2_;
   std::unique_ptr<FaultEnv> fault_;
   std::unique_ptr<CrashScheduleEnv> crash_;
-  std::unique_ptr<MirrorEnv> mirror_;
   std::unique_ptr<PrefixEnv> prefix_;
   std::unique_ptr<PrefixEnv> hot_mount_;
   std::unique_ptr<PrefixEnv> cold_mount_;
@@ -262,8 +254,8 @@ TEST_P(EnvConformanceTest, BytesWrittenCountsStreamedAppends) {
 
 INSTANTIATE_TEST_SUITE_P(AllEnvs, EnvConformanceTest,
                          ::testing::Values("posix", "mem", "fault", "crash",
-                                           "mirror", "prefix", "tiered",
-                                           "shaped", "observed"),
+                                           "prefix", "tiered", "shaped",
+                                           "observed"),
                          [](const auto& info) { return info.param; });
 
 // ---------- PosixEnv specifics ----------

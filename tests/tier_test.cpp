@@ -338,7 +338,8 @@ TEST(Migration, ReconcileCollapsesDuplicatesHotWins) {
             bytes_of("fresh-hot"));
   EXPECT_FALSE(f.cold.exists("cp/" + ckpt::checkpoint_file_name(1)));
   // The cold-only object survives and the rebuilt TIERMAP advertises it.
-  EXPECT_TRUE(engine.is_cold(ckpt::checkpoint_file_name(2)));
+  EXPECT_EQ(engine.cold_files(),
+            std::vector<std::string>{ckpt::checkpoint_file_name(2)});
   EXPECT_TRUE(f.hot.exists("cp/TIERMAP"));
 }
 
@@ -364,27 +365,6 @@ TEST(Migration, ColdCheckpointsPromoteReadThroughOnAccess) {
   // Promoted: the container now lives hot, the cold copy died.
   EXPECT_TRUE(f.hot.exists("cp/" + oldest));
   EXPECT_FALSE(f.cold.exists("cp/" + oldest));
-}
-
-TEST(Migration, ExplicitPromoteRoundTripsWithFence) {
-  TierFixture f;
-  {
-    Checkpointer ck(f.env, "cp", tiered_policy(8 << 10));
-    for (std::uint64_t step = 1; step <= 8; ++step) {
-      ck.checkpoint_now(make_state(step));
-    }
-  }
-  ckpt::CheckpointStore store(f.env, "cp", ckpt::RetentionPolicy{},
-                              tier::TierPolicy{});
-  MigrationEngine* engine = store.tiering();
-  ASSERT_NE(engine, nullptr);
-  const auto cold_files = engine->cold_files();
-  ASSERT_FALSE(cold_files.empty());
-  const std::string name = cold_files.front();
-  EXPECT_EQ(engine->promote({name}), 1u);
-  EXPECT_TRUE(f.hot.exists("cp/" + name));
-  EXPECT_FALSE(f.cold.exists("cp/" + name));
-  EXPECT_FALSE(engine->is_cold(name));
 }
 
 TEST(Migration, GcDeletesVictimsFromBothTiers) {
@@ -435,6 +415,43 @@ TEST(Migration, VerifyDirectoryReportsTierResidency) {
   }
   EXPECT_TRUE(some_cold);
   EXPECT_TRUE(some_hot);
+}
+
+TEST(Migration, VerifyDirectoryNeverPromotes) {
+  // A scrub is read-only on a promoting TieredEnv too: its cold reads
+  // must not pull containers or packfiles hot.
+  const auto listing = [](io::Env& tier) {
+    std::vector<std::string> names = tier.list_dir("cp");
+    for (const std::string& name : tier.list_dir("cp/chunks")) {
+      names.push_back("chunks/" + name);
+    }
+    return names;
+  };
+  std::vector<std::string> labels[2];
+  for (const bool promote_on_read : {false, true}) {
+    TierFixture f(promote_on_read);
+    {
+      Checkpointer ck(f.env, "cp", tiered_policy(10 << 10));
+      for (std::uint64_t step = 1; step <= 10; ++step) {
+        ck.checkpoint_now(make_state(step));
+      }
+    }
+    const auto hot_before = listing(f.hot);
+    const auto cold_before = listing(f.cold);
+    ASSERT_FALSE(f.cold.list_dir("cp/chunks").empty()) << "no pack demoted";
+    const std::uint64_t promoted = f.env.promoted_files();
+
+    const auto report = ckpt::verify_directory(f.env, "cp");
+    EXPECT_TRUE(report.healthy()) << report.summary();
+    EXPECT_EQ(listing(f.hot), hot_before);
+    EXPECT_EQ(listing(f.cold), cold_before);
+    EXPECT_EQ(f.env.promoted_files(), promoted);
+    for (const auto& r : report.checkpoints) {
+      labels[promote_on_read].push_back(r.tier);
+    }
+  }
+  EXPECT_EQ(labels[1], labels[0]);
+  EXPECT_GT(std::count(labels[1].begin(), labels[1].end(), "cold"), 0);
 }
 
 /// Cold tier that refuses every write (full / unreachable object store).
