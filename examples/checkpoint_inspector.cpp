@@ -243,10 +243,9 @@ void print_chunk_store(qnn::io::Env& env, const std::string& dir,
   }
 }
 
-/// Tier residency overview: migratable bytes per tier + the TIERMAP's
-/// advertised cold set.
-void print_tier_state(const std::string& dir, qnn::tier::TieredEnv& tiered,
-                      CheckpointStore& store) {
+/// Tier residency overview: migratable bytes per tier + the files the
+/// cold tier lists.
+void print_tier_state(const std::string& dir, CheckpointStore& store) {
   qnn::tier::MigrationEngine* engine = store.tiering();
   if (engine == nullptr) {
     return;
@@ -258,12 +257,10 @@ void print_tier_state(const std::string& dir, qnn::tier::TieredEnv& tiered,
               qnn::util::human_bytes(engine->cold_resident_bytes()).c_str());
   const auto cold = engine->cold_files();
   for (const std::string& name : cold) {
-    const bool still_cold = tiered.cold().exists(dir + "/" + name);
-    std::printf("  TIERMAP cold: %s%s\n", name.c_str(),
-                still_cold ? "" : "  (stale mark; dropped at next fence)");
+    std::printf("  cold: %s\n", name.c_str());
   }
   if (cold.empty()) {
-    std::printf("  TIERMAP: nothing demoted\n");
+    std::printf("  cold: nothing demoted\n");
   }
 }
 
@@ -544,7 +541,7 @@ int main(int argc, char** argv) {
   print_chunk_store(env, dir, cas, tiered ? &*tiered : nullptr);
   if (tiered) {
     CheckpointStore store(env, dir, RetentionPolicy{});
-    print_tier_state(dir, *tiered, store);
+    print_tier_state(dir, store);
   }
   const auto newest = recover_latest(env, dir);
   if (newest) {

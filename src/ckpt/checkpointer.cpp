@@ -519,7 +519,7 @@ void Checkpointer::install(ManifestEntry entry, ChunkStore::Batch& batch) {
   store_.collect(manifest_, /*save_manifest=*/true);
   // Placement rides the install tail too: with a tiered Env and a hot
   // byte budget, retained-but-old objects demote to the capacity tier
-  // (copy + fsync cold, TIERMAP fence, then the hot copy dies).
+  // (copy + fsync cold, then the hot copy dies).
   // Best-effort by design: the checkpoint IS durable and advertised at
   // this point, so a cold-tier failure (ENOSPC, transient object-store
   // error) must not escape — it would mark this perfectly valid

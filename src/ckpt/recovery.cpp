@@ -108,9 +108,12 @@ SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
 }  // namespace
 
 qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
-                                   std::uint64_t id) {
-  ChunkStore cas(env, dir);
-  return load_state(resolve_chain(env, dir, id, &cas));
+                                   std::uint64_t id, ChunkSource* source) {
+  std::optional<ChunkStore> own;
+  if (source == nullptr) {
+    source = &own.emplace(env, dir);
+  }
+  return load_state(resolve_chain(env, dir, id, source));
 }
 
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,

@@ -94,9 +94,13 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
 
 /// Loads and fully resolves one specific checkpoint id (folding its
 /// ancestor chain in place, as recover_latest does; no journal replay).
-/// Throws CorruptCheckpoint / std::runtime_error on failure. Exposed for
-/// the inspector tool and tests.
+/// Extern sections resolve through `source` when given (a caller loading
+/// many ids shares one store, so its packfiles are scanned once), else
+/// through a chunk store of its own. Throws CorruptCheckpoint /
+/// std::runtime_error on failure. Exposed for the scrub, the inspector
+/// tool and tests.
 qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
-                                   std::uint64_t id);
+                                   std::uint64_t id,
+                                   ChunkSource* source = nullptr);
 
 }  // namespace qnn::ckpt

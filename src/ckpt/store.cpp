@@ -265,11 +265,6 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
           cas_active ? read_chunk_refs(e.file) : std::vector<ChunkKey>{};
       env_.remove_file(dir_ + "/" + e.file);
       chunks_.release(refs);
-      if (tiering_) {
-        // The tiered remove cleared both tiers; drop the victim's
-        // residency mark so the next TIERMAP fence stays tight.
-        tiering_->forget({e.file});
-      }
       ++deleted;
       files_deleted_.add();
       bytes_reclaimed_.add(bytes);
@@ -292,20 +287,19 @@ std::size_t CheckpointStore::collect(Manifest& manifest,
   return deleted;
 }
 
-std::vector<std::string> CheckpointStore::plan_orphans(
-    const Manifest& manifest) const {
-  const std::uint64_t tip = manifest.max_id();
-  if (tip == 0) {
+bool CheckpointStore::may_name_garbage(const Manifest& manifest) {
+  if (manifest.entries().empty()) {
     // No manifest entries: the files ARE the only metadata (recovery
     // rescans the directory); nothing is provably garbage.
-    return {};
+    return false;
   }
   if (manifest.parse_warnings() > 0) {
     // Lines were lost to damage; an entry whose chain passes through a
     // lost line still needs that parent's FILE even though the manifest
-    // no longer names it. Deleting anything here turns recoverable
-    // manifest damage into permanent data loss — sweep nothing.
-    return {};
+    // no longer names it, and the lost line may be the active journal's
+    // epoch. Deleting anything here turns recoverable manifest damage
+    // into permanent data loss.
+    return false;
   }
   // Same reasoning for damage load() cannot detect (lines lost cleanly
   // by an external edit or copy truncated at a line boundary): the
@@ -315,9 +309,18 @@ std::vector<std::string> CheckpointStore::plan_orphans(
   // only to the file headers, cannot be shielded from here.
   for (const ManifestEntry& e : manifest.entries()) {
     if (e.parent_id != 0 && manifest.find(e.parent_id) == nullptr) {
-      return {};
+      return false;
     }
   }
+  return true;
+}
+
+std::vector<std::string> CheckpointStore::plan_orphans(
+    const Manifest& manifest) const {
+  if (!may_name_garbage(manifest)) {
+    return {};
+  }
+  const std::uint64_t tip = manifest.max_id();
   std::vector<std::pair<std::uint64_t, std::string>> orphans;
   for (const std::string& name : env_.list_dir(dir_)) {
     if (const auto id = parse_checkpoint_file_name(name)) {
@@ -340,16 +343,8 @@ std::vector<std::string> CheckpointStore::plan_orphans(
 
 std::vector<std::string> CheckpointStore::plan_stale_wals(
     const Manifest& manifest) const {
-  if (manifest.entries().empty() || manifest.parse_warnings() > 0) {
+  if (!may_name_garbage(manifest)) {
     return {};
-  }
-  // A dangling parent link means lines were lost cleanly (see
-  // plan_orphans): the active journal's epoch line may be among them, so
-  // nothing here is provably stale.
-  for (const ManifestEntry& e : manifest.entries()) {
-    if (e.parent_id != 0 && manifest.find(e.parent_id) == nullptr) {
-      return {};
-    }
   }
   std::vector<std::string> stale;
   for (const std::string& name : env_.list_dir(dir_)) {
@@ -364,9 +359,9 @@ std::vector<std::string> CheckpointStore::plan_stale_wals(
 
 std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
   // Tier reconciliation runs first (nothing is in flight at startup):
-  // duplicates a crash stranded mid-migration collapse to the hot copy
-  // and the TIERMAP is rebuilt, so every listing the sweep takes below
-  // sees exactly one physical copy per object.
+  // duplicates a crash stranded mid-migration collapse to the hot copy,
+  // so every listing the sweep takes below sees exactly one physical
+  // copy per object.
   if (tiering_) {
     tiering_->reconcile();
   }
@@ -385,9 +380,6 @@ std::size_t CheckpointStore::sweep_orphans(const Manifest& manifest) {
         cas_active ? read_chunk_refs(name) : std::vector<ChunkKey>{};
     env_.remove_file(dir_ + "/" + name);
     chunks_.release(refs);
-    if (tiering_) {
-      tiering_->forget({name});
-    }
     ++deleted;
     orphans_deleted_.add();
     bytes_reclaimed_.add(bytes);

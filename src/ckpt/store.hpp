@@ -33,9 +33,9 @@
 // On a tier::TieredEnv the store additionally owns a MigrationEngine
 // (tier/migration.hpp): after each GC pass, retained-but-old objects
 // are demoted to the capacity tier under the TierPolicy's hot byte
-// budget, with the same copy-durable-before-the-fence-before-the-
-// source-dies discipline — a crash mid-migration leaves every
-// advertised object resolvable from at least one tier.
+// budget, with the same durable-copy-before-the-source-dies discipline
+// — a crash mid-migration leaves every advertised object resolvable
+// from at least one tier.
 #pragma once
 
 #include <memory>
@@ -134,11 +134,8 @@ class CheckpointStore {
   /// unreferenced:
   ///   * files newer than the manifest tip (an install whose manifest
   ///     update a crash swallowed; id reallocation overwrites them),
-  ///   * files named by any advertised entry's parent_id (an intact
-  ///     manifest never needs this — the fence keeps chains closed — but
-  ///     it shields chains when the manifest itself lost lines),
-  ///   * everything, when the manifest has parse warnings: a damaged
-  ///     manifest cannot be trusted to decide what is garbage.
+  ///   * everything, when the manifest may not name garbage (see
+  ///     may_name_garbage).
   /// Sorted descending (child-before-parent deletion order).
   [[nodiscard]] std::vector<std::string> plan_orphans(
       const Manifest& manifest) const;
@@ -153,10 +150,9 @@ class CheckpointStore {
   /// Delta-journal files (wal-<epoch>.qwal, see ckpt/wal.hpp) whose
   /// epoch `manifest` no longer advertises — logs a rotation or GC
   /// superseded but a crash kept on disk. The active log (its epoch IS
-  /// an advertised entry) is pinned by definition. Empty — same
-  /// conservatism as plan_orphans — when the manifest is empty, has
-  /// parse warnings, or has dangling parent links: a manifest that lost
-  /// lines cannot be trusted to call the active journal stale.
+  /// an advertised entry) is pinned by definition. Empty, as
+  /// plan_orphans is, when the manifest may not name garbage: one that
+  /// lost lines may have lost the active journal's epoch.
   [[nodiscard]] std::vector<std::string> plan_stale_wals(
       const Manifest& manifest) const;
 
@@ -166,9 +162,9 @@ class CheckpointStore {
 
   /// Hot/cold migration per the tier policy: demotes old checkpoint
   /// containers and fully-cold packfiles until the hot tier fits its
-  /// byte budget (copy to cold + fsync, TIERMAP fence, then the hot
-  /// copy dies). No-op on a flat Env or a disabled policy. Runs after
-  /// collect() on the install path, under the same serialisation.
+  /// byte budget (copy to cold + fsync, then the hot copy dies). No-op
+  /// on a flat Env or a disabled policy. Runs after collect() on the
+  /// install path, under the same serialisation.
   std::size_t migrate(const Manifest& manifest);
 
   /// The migration engine, or nullptr on a flat (non-tiered) Env.
@@ -185,7 +181,7 @@ class CheckpointStore {
   /// its migration engine. The parts of an install's tail become spans:
   /// manifest.save, gc.collect (a GC pass that deletes files), cas.sweep
   /// and, on a tiered Env, tier.migrate; the engine traces its
-  /// demotions/promotions and TIERMAP fences.
+  /// demotions.
   void set_observability(obs::Tracer* tracer) {
     tracer_ = tracer;
     if (tiering_) {
@@ -194,6 +190,11 @@ class CheckpointStore {
   }
 
  private:
+  /// Whether `manifest` may decide what is garbage: it has entries,
+  /// parsed without warnings, and no parent link dangles. The one trust
+  /// rule plan_orphans and plan_stale_wals share.
+  [[nodiscard]] static bool may_name_garbage(const Manifest& manifest);
+
   /// Size of entry `id`'s file: the manifest's recorded bytes, or the
   /// on-disk size when the manifest predates byte accounting.
   [[nodiscard]] std::uint64_t stored_bytes(const Manifest& manifest,

@@ -156,9 +156,10 @@ DirectoryReport verify_directory(io::Env& target, const std::string& dir) {
     }
     r.step = salvage.file->step;
 
-    // Chain resolution (covers ancestors).
+    // Chain resolution (covers ancestors), through the same chunk store,
+    // so every packfile is scanned once per scrub, not once per id.
     try {
-      (void)load_checkpoint(env, dir, id);
+      (void)load_checkpoint(env, dir, id, &cas);
       r.health = CheckpointHealth::kIntact;
     } catch (const std::exception& e) {
       r.health = CheckpointHealth::kChainBroken;

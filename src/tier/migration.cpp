@@ -1,38 +1,27 @@
 #include "tier/migration.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <set>
 
 #include "ckpt/cas.hpp"
 #include "ckpt/format.hpp"
 #include "ckpt/manifest.hpp"
-#include "util/strings.hpp"
 
 namespace qnn::tier {
 
 namespace {
 
-constexpr const char* kTiermapName = "TIERMAP";
-constexpr const char* kTiermapHeader = "qnnckpt-tiermap v1";
+/// The residency file earlier versions rewrote in the hot tier on every
+/// demotion; reconcile() removes one left behind.
+constexpr const char* kLegacyTiermap = "TIERMAP";
 
-/// True for the dir-relative names migration may move: checkpoint
-/// containers and chunk packfiles. Everything else (MANIFEST, TIERMAP,
-/// unknown files) is pinned hot.
-bool migratable_name(const std::string& name) {
-  if (ckpt::parse_checkpoint_file_name(name)) {
-    return true;
-  }
-  if (util::starts_with(name, "chunks/")) {
-    return ckpt::parse_pack_file_name(name.substr(7)).has_value();
-  }
-  return false;
-}
-
-/// The migratable dir-relative names present in `tier_env`'s view.
+/// The migratable dir-relative names present in `tier_env`'s view, given
+/// its listing `top` of `dir` itself.
 std::vector<std::string> migratable_files(io::Env& tier_env,
-                                          const std::string& dir) {
+                                          const std::string& dir,
+                                          const std::vector<std::string>& top) {
   std::vector<std::string> out;
-  for (const std::string& name : tier_env.list_dir(dir)) {
+  for (const std::string& name : top) {
     if (ckpt::parse_checkpoint_file_name(name)) {
       out.push_back(name);
     }
@@ -43,6 +32,11 @@ std::vector<std::string> migratable_files(io::Env& tier_env,
     }
   }
   return out;
+}
+
+std::vector<std::string> migratable_files(io::Env& tier_env,
+                                          const std::string& dir) {
+  return migratable_files(tier_env, dir, tier_env.list_dir(dir));
 }
 
 /// Inserts `id` and its ancestor chain into `set` (same closure rule as
@@ -80,67 +74,10 @@ MigrationEngine::MigrationEngine(TieredEnv& env, std::string dir,
       demote_runs_(metrics_.counter("tier.demote_runs")),
       files_demoted_(metrics_.counter("tier.files_demoted")),
       bytes_demoted_(metrics_.counter("tier.bytes_demoted")),
-      fences_(metrics_.counter("tier.fences")),
       duplicates_collapsed_(metrics_.counter("tier.duplicates_collapsed")),
       budget_misses_(metrics_.counter("tier.budget_misses")),
       hot_bytes_(metrics_.gauge("tier.hot_bytes")),
       cold_bytes_(metrics_.gauge("tier.cold_bytes")) {}
-
-void MigrationEngine::ensure_open_locked() {
-  if (opened_) {
-    return;
-  }
-  opened_ = true;
-  const auto data = env_.hot().read_file(dir_ + "/" + kTiermapName);
-  if (!data) {
-    return;
-  }
-  const std::string text(data->begin(), data->end());
-  for (const std::string& line : util::split(text, '\n')) {
-    const std::string trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed == kTiermapHeader) {
-      continue;
-    }
-    const auto fields = util::split(trimmed, ' ');
-    // Unknown record types are ignored (forward compatibility); stale
-    // or torn marks are harmless — residency truth is the listings.
-    if (fields.size() == 2 && fields[0] == "cold" &&
-        migratable_name(fields[1])) {
-      cold_set_.insert(fields[1]);
-    }
-  }
-}
-
-void MigrationEngine::save_tiermap_locked() {
-  // cold_set_ is maintained by the engine's own moves (demote inserts,
-  // forget erases) and rebuilt from a listing at the startup
-  // reconcile. Marks invalidated behind its back (a read-through
-  // promotion at the Env level) go stale until then — deliberately NOT
-  // probed away here: a cold exists() per mark per fence would charge
-  // O(cold population) capacity-tier round trips to every install, and
-  // the map is advisory either way (residency truth is the listings;
-  // the inspector flags stale marks).
-  if (cold_set_.empty() &&
-      !env_.hot().exists(dir_ + "/" + kTiermapName)) {
-    return;  // nothing tiered yet: do not invent metadata
-  }
-  std::ostringstream os;
-  os << kTiermapHeader << "\n";
-  for (const std::string& name : cold_set_) {
-    os << "cold " << name << "\n";
-  }
-  const std::string text = os.str();
-  env_.hot().write_file_atomic(
-      dir_ + "/" + kTiermapName,
-      util::ByteSpan{reinterpret_cast<const std::uint8_t*>(text.data()),
-                     text.size()});
-  fences_.add();
-  if (tracer_ != nullptr) {
-    tracer_->instant(
-        "tiermap.fence", "tier",
-        {{"cold_files", std::to_string(cold_set_.size())}});
-  }
-}
 
 std::uint64_t MigrationEngine::resident_bytes(io::Env& tier_env) {
   std::uint64_t total = 0;
@@ -164,7 +101,6 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
     return {};
   }
   std::lock_guard lock(mu_);
-  ensure_open_locked();
 
   const std::uint64_t hot_bytes = resident_bytes(env_.hot());
   hot_bytes_.set(hot_bytes);
@@ -196,7 +132,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   }
 
   // Group candidates into chain units (union-find over parent links):
-  // a parent chain never splits across a demotion batch.
+  // a parent chain is planned whole.
   std::map<std::uint64_t, std::uint64_t> uf;
   for (const std::uint64_t id : candidates) {
     uf[id] = id;
@@ -357,54 +293,25 @@ std::size_t MigrationEngine::demote(const std::vector<Unit>& units) {
     return 0;
   }
   std::lock_guard lock(mu_);
-  ensure_open_locked();
   demote_runs_.add();
   obs::Span span(tracer_, "demote", "tier");
   span.note("units", static_cast<std::uint64_t>(units.size()));
 
-  // Greedy batches of whole units: up to demote_batch files per fence,
-  // always at least one unit (an oversized unit gets its own batch).
   std::size_t demoted = 0;
-  std::size_t i = 0;
-  while (i < units.size()) {
-    std::vector<const Unit*> batch{&units[i++]};
-    std::size_t files = batch.back()->files.size();
-    while (i < units.size() &&
-           files + units[i].files.size() <= policy_.demote_batch) {
-      files += units[i].files.size();
-      batch.push_back(&units[i++]);
-    }
-
-    // 1. Copy: every object durable in the cold tier (streamed atomic
-    //    install, fsynced by the cold Env) before anything else happens.
-    std::vector<std::pair<std::string, std::uint64_t>> copied;
-    for (const Unit* unit : batch) {
-      for (const std::string& name : unit->files) {
-        const std::string path = dir_ + "/" + name;
-        const auto bytes = io::stream_copy(env_.hot(), env_.cold(), path);
-        if (!bytes) {
-          continue;  // already cold or deleted underneath us
-        }
-        copied.emplace_back(name, *bytes);
+  for (const Unit& unit : units) {
+    for (const std::string& name : unit.files) {
+      const std::string path = dir_ + "/" + name;
+      // The copy is durable in the cold tier (streamed atomic install,
+      // fsynced by the cold Env) before the hot copy dies: a crash in
+      // between leaves a duplicate the reconcile collapses.
+      const auto bytes = io::stream_copy(env_.hot(), env_.cold(), path);
+      if (!bytes) {
+        continue;  // already cold or deleted underneath us
       }
-    }
-    if (copied.empty()) {
-      continue;
-    }
-    // 2. Fence: the TIERMAP advertises the new residency. A crash
-    //    before this point leaves hot-resident objects plus ignorable
-    //    cold duplicates; after it, cold-resident objects whose hot
-    //    duplicates the reconcile collapses.
-    for (const auto& [name, bytes] : copied) {
-      cold_set_.insert(name);
-    }
-    save_tiermap_locked();
-    // 3. Only now may the hot copies die.
-    for (const auto& [name, bytes] : copied) {
-      env_.hot().remove_file(dir_ + "/" + name);
+      env_.hot().remove_file(path);
       files_demoted_.add();
-      bytes_demoted_.add(bytes);
-      cold_bytes_.set(cold_bytes_.value() + bytes);
+      bytes_demoted_.add(*bytes);
+      cold_bytes_.set(cold_bytes_.value() + *bytes);
       ++demoted;
     }
   }
@@ -423,11 +330,14 @@ std::size_t MigrationEngine::migrate(const ckpt::Manifest& manifest) {
 
 std::size_t MigrationEngine::reconcile() {
   std::lock_guard lock(mu_);
-  opened_ = true;  // the rebuild below supersedes any TIERMAP load
-  const auto hot_files = migratable_files(env_.hot(), dir_);
+  const std::vector<std::string> hot_top = env_.hot().list_dir(dir_);
+  if (std::find(hot_top.begin(), hot_top.end(), kLegacyTiermap) !=
+      hot_top.end()) {
+    env_.hot().remove_file(dir_ + "/" + kLegacyTiermap);
+  }
+  const auto hot_files = migratable_files(env_.hot(), dir_, hot_top);
   const std::set<std::string> hot_set(hot_files.begin(), hot_files.end());
   std::size_t collapsed = 0;
-  std::set<std::string> cold_now;
   for (const std::string& name : migratable_files(env_.cold(), dir_)) {
     if (hot_set.contains(name)) {
       // A crash mid-migration stranded both copies. The hot copy wins:
@@ -436,42 +346,22 @@ std::size_t MigrationEngine::reconcile() {
       // two are identical, making either choice safe.
       env_.cold().remove_file(dir_ + "/" + name);
       ++collapsed;
-    } else {
-      cold_now.insert(name);
     }
   }
   duplicates_collapsed_.add(collapsed);
-  const bool changed = cold_now != cold_set_;
-  cold_set_ = std::move(cold_now);
-  if (changed) {
-    save_tiermap_locked();
-  }
   hot_bytes_.set(resident_bytes(env_.hot()));
   cold_bytes_.set(resident_bytes(env_.cold()));
   return collapsed;
 }
 
-void MigrationEngine::forget(const std::vector<std::string>& names) {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  for (const std::string& name : names) {
-    cold_set_.erase(name);
-  }
-  // No fence here: the next fence (or startup reconcile) persists the
-  // thinner map; a stale mark is advisory either way.
-}
-
 std::vector<std::string> MigrationEngine::cold_files() {
-  std::lock_guard lock(mu_);
-  ensure_open_locked();
-  return {cold_set_.begin(), cold_set_.end()};
+  return migratable_files(env_.cold(), dir_);
 }
 
 TierStats MigrationEngine::stats() const {
   return {.demote_runs = demote_runs_.value(),
           .files_demoted = files_demoted_.value(),
           .bytes_demoted = bytes_demoted_.value(),
-          .fences = fences_.value(),
           .duplicates_collapsed = duplicates_collapsed_.value(),
           .budget_misses = budget_misses_.value(),
           .hot_bytes = hot_bytes_.value(),

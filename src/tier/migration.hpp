@@ -5,34 +5,29 @@
 // discipline the retention GC uses for deletion. The migratable objects
 // are exactly the immutable bulk payloads — checkpoint containers
 // (ckpt-*.qckp) and chunk packfiles (chunks/pack-*.qpak); directory
-// metadata (MANIFEST, TIERMAP) is pinned hot forever.
+// metadata (MANIFEST) is pinned hot forever.
 //
-// Residency is recorded in `<dir>/TIERMAP`, a small text file in the
-// hot tier rewritten atomically as the migration fence:
+// Residency is the two tiers' own listings; nothing records it a
+// second time. Crash safety rests on three facts:
 //
 //   * demotion copies each object to the cold tier (atomic write,
-//     fsynced by the cold Env) BEFORE the fence advertises it as cold,
-//     and the hot copy dies only after the fence — a crash at any
-//     point leaves every object resolvable from at least one tier
-//     (TieredEnv reads fall through), at worst transiently duplicated;
-//   * an object comes back hot only through TieredEnv's read-through
-//     promotion, which leaves its cold mark stale until the next
-//     reconcile;
+//     fsynced by the cold Env) BEFORE its hot copy dies, so a crash at
+//     any point leaves every object resolvable from at least one tier,
+//     at worst transiently duplicated;
+//   * TieredEnv reads fall through both tiers (an object comes back hot
+//     only through its read-through promotion);
 //   * reconcile() (startup) collapses crash-stranded duplicates — the
 //     hot copy always wins, because every write path targets the hot
-//     tier, so a diverging cold copy can only be stale — and rebuilds
-//     the TIERMAP from the actual cold listing. The TIERMAP is
-//     advisory: residency truth is the union of tier listings, and a
-//     torn or stale TIERMAP can never lose an object.
+//     tier, so a diverging cold copy can only be stale.
 //
 // Placement policy (TierPolicy):
 //   * hot_byte_budget caps the bytes of migratable objects resident in
 //     the hot tier; demotion runs only while over budget;
 //   * the newest pin_hot_last checkpoints and their ancestor chains
 //     stay hot regardless;
-//   * victims demote oldest-first in chain units — an incremental
-//     parent chain is never split across a demotion batch, and a
-//     packfile (one file) is inherently unsplittable;
+//   * victims are planned oldest-first in chain units — an incremental
+//     parent chain is planned whole, and a packfile (one file) is
+//     inherently unsplittable;
 //   * a packfile demotes only when it is fully cold: no hot-resident
 //     checkpoint references any of its chunks.
 #pragma once
@@ -41,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,19 +60,13 @@ struct TierPolicy {
   /// newest checkpoint is always pinned.
   std::size_t pin_hot_last = 2;
 
-  /// Max files per TIERMAP fence. Demotion units (a whole parent
-  /// chain; a packfile) are never split across batches — a unit larger
-  /// than the batch gets an oversized batch of its own.
-  std::size_t demote_batch = 8;
-
   [[nodiscard]] bool enabled() const { return hot_byte_budget > 0; }
 };
 
 /// True for paths whose final component names an object migration may
 /// ever place in the cold tier (checkpoint containers, packfiles).
 /// Useful as a TieredEnv scrub filter: writes to anything else —
-/// MANIFEST, TIERMAP, foreign files — skip the cold tier
-/// entirely.
+/// MANIFEST, foreign files — skip the cold tier entirely.
 bool migratable_path(const std::string& path);
 
 /// Snapshot of the engine's tier.* instruments (bench_t7_tiering,
@@ -88,7 +76,6 @@ struct TierStats {
   std::uint64_t demote_runs = 0;       ///< migrate() calls that moved data
   std::uint64_t files_demoted = 0;
   std::uint64_t bytes_demoted = 0;
-  std::uint64_t fences = 0;            ///< TIERMAP rewrites
   std::uint64_t duplicates_collapsed = 0;  ///< crash-stranded copies fixed
   std::uint64_t budget_misses = 0;     ///< over budget, nothing demotable
   std::uint64_t hot_bytes = 0;         ///< migratable hot bytes, last run
@@ -101,8 +88,8 @@ struct TierStats {
 
 class MigrationEngine {
  public:
-  /// One demotion unit: files that must cross the tier boundary within
-  /// a single fenced batch (a chain segment, or one packfile).
+  /// One demotion unit: files planned as a whole (a chain segment, or
+  /// one packfile).
   struct Unit {
     std::vector<std::string> files;  ///< dir-relative names
     std::uint64_t bytes = 0;         ///< hot bytes the unit frees
@@ -123,21 +110,18 @@ class MigrationEngine {
   [[nodiscard]] std::vector<Unit> plan_demotions(
       const ckpt::Manifest& manifest);
 
-  /// Executes a demotion plan with the copy -> fence -> delete-source
-  /// discipline documented above. Returns files demoted.
+  /// Executes a demotion plan: each object is copied to the cold tier,
+  /// then its hot copy dies (see above). Returns files demoted.
   std::size_t demote(const std::vector<Unit>& units);
 
   /// plan + demote in one call (what CheckpointStore runs per install).
   std::size_t migrate(const ckpt::Manifest& manifest);
 
   /// Startup reconciliation: collapses duplicates stranded by a crash
-  /// mid-migration (hot copy wins) and rebuilds the TIERMAP from the
-  /// cold tier's actual contents. Returns duplicates collapsed.
+  /// mid-migration (hot copy wins) and removes the residency file
+  /// (`TIERMAP`) earlier versions kept in the hot tier, when the hot
+  /// listing names one. Returns duplicates collapsed.
   std::size_t reconcile();
-
-  /// Drops residency marks for files the GC just deleted (the tiered
-  /// remove already cleared both tiers; this keeps the map tight).
-  void forget(const std::vector<std::string>& names);
 
   /// Migratable bytes (checkpoint files + packfiles) resident per tier
   /// right now, by listing. Metadata files are not counted — they are
@@ -145,24 +129,18 @@ class MigrationEngine {
   [[nodiscard]] std::uint64_t hot_resident_bytes();
   [[nodiscard]] std::uint64_t cold_resident_bytes();
 
-  /// Dir-relative names currently marked cold (TIERMAP view).
+  /// Dir-relative names of the migratable files the cold tier lists.
   [[nodiscard]] std::vector<std::string> cold_files();
 
   [[nodiscard]] TierStats stats() const;
   [[nodiscard]] const TierPolicy& policy() const { return policy_; }
   [[nodiscard]] TieredEnv& env() { return env_; }
 
-  /// Mounts a span/event sink (borrowed; null detaches): demote
-  /// batches become spans, every TIERMAP fence an instant event.
+  /// Mounts a span/event sink (borrowed; null detaches): demote runs
+  /// become spans.
   void set_observability(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Loads the TIERMAP once (advisory; a stale mark stays until the
-  /// next reconcile).
-  void ensure_open_locked();
-  /// Atomically rewrites the TIERMAP from cold_set_. A mark whose
-  /// object was promoted read-through stays until the next reconcile.
-  void save_tiermap_locked();
   /// Sizes of the migratable files under `tier_env`'s view of dir_.
   std::uint64_t resident_bytes(io::Env& tier_env);
 
@@ -171,8 +149,6 @@ class MigrationEngine {
   const TierPolicy policy_;
 
   std::mutex mu_;
-  bool opened_ = false;
-  std::set<std::string> cold_set_;  ///< dir-relative names marked cold
   /// Parsed key tables / pack record keys of hot files, so repeated
   /// over-budget planning runs don't re-read the whole hot tier.
   /// Contents are write-once, so the byte size validates an entry; a
@@ -189,7 +165,6 @@ class MigrationEngine {
   obs::CounterShare demote_runs_;
   obs::CounterShare files_demoted_;
   obs::CounterShare bytes_demoted_;
-  obs::CounterShare fences_;
   obs::CounterShare duplicates_collapsed_;
   obs::CounterShare budget_misses_;
   obs::GaugeShare hot_bytes_;

@@ -26,9 +26,10 @@
 // Promotion is best effort: a failed promotion write degrades to a
 // plain cold read instead of failing it.
 //
-// Placement *policy* (what should be cold, when to demote it, the
-// TIERMAP residency fence) lives in tier::MigrationEngine; this class
-// is only the mechanism that makes both tiers look like one filesystem.
+// Placement *policy* (what should be cold, when to demote it) lives in
+// tier::MigrationEngine; this class is only the mechanism that makes
+// both tiers look like one filesystem, and their listings are the only
+// record of residency.
 #pragma once
 
 #include <atomic>
@@ -46,8 +47,8 @@ class TieredEnv final : public io::Env {
   /// `hot` and `cold` are borrowed and must outlive the TieredEnv.
   /// `scrub_filter`, when set, limits the post-write cold-copy scrub to
   /// paths it accepts: paths the migration policy can never demote
-  /// (directory metadata like MANIFEST/TIERMAP, rewritten every
-  /// install) then skip the cold tier entirely on the write path. Pass
+  /// (directory metadata like the MANIFEST, rewritten every install)
+  /// then skip the cold tier entirely on the write path. Pass
   /// tier::migratable_path (tier/migration.hpp) for checkpoint
   /// directories; the empty default scrubs everything (always safe).
   TieredEnv(io::Env& hot, io::Env& cold, bool promote_on_read = false,

@@ -13,6 +13,7 @@
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
+#include "ckpt/wal.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
 #include "qnn/ansatz.hpp"
@@ -547,7 +548,8 @@ TEST(CheckpointStore, CleanlyLostManifestLineAlsoSuppressesSweep) {
   // A whole line can vanish without a parse warning (external edit, copy
   // truncated exactly at a line boundary). The dangling parent link must
   // still suppress the sweep — the lost parent's own ancestors are only
-  // named in file headers, so no partial shield is safe.
+  // named in file headers, so no partial shield is safe — and the stale-
+  // journal reap: the lost line may be the active journal's epoch.
   io::MemEnv env;
   CheckpointPolicy policy;
   policy.strategy = Strategy::kIncremental;
@@ -578,13 +580,16 @@ TEST(CheckpointStore, CleanlyLostManifestLineAlsoSuppressesSweep) {
       util::ByteSpan{reinterpret_cast<const std::uint8_t*>(kept.data()),
                      kept.size()});
   ASSERT_EQ(Manifest::load(env, "cp").parse_warnings(), 0u);
+  env.write_file_atomic("cp/" + wal_file_name(3), util::ByteSpan{});
 
   {
     Checkpointer ck(env, "cp", policy);  // startup sweep runs here
     EXPECT_EQ(ck.gc_stats().orphans_deleted, 0u);
+    EXPECT_EQ(ck.gc_stats().wals_reaped, 0u);
   }
   EXPECT_TRUE(env.exists("cp/" + checkpoint_file_name(2)));
   EXPECT_TRUE(env.exists("cp/" + checkpoint_file_name(3)));
+  EXPECT_TRUE(env.exists("cp/" + wal_file_name(3)));
   EXPECT_EQ(load_checkpoint(env, "cp", 4), make_state(4, 7, 2));
 }
 

@@ -107,8 +107,8 @@ struct ScenarioConfig {
   /// content-addressed chunks and GC exercises the refcounted store.
   std::size_t frozen_params = 0;
   /// Run through a hot/cold TieredEnv (both tiers mounted on the one
-  /// crash-scheduled env, so demotion copies, TIERMAP fences, source
-  /// deletes and read-through promotions are all crash points too).
+  /// crash-scheduled env, so demotion copies, source deletes and
+  /// read-through promotions are all crash points too).
   bool tiered = false;
 };
 
@@ -422,7 +422,7 @@ TEST(CrashMatrix, EveryCrashPointRecoversWithSharedChunks) {
 
 ScenarioConfig tiered_config() {
   // Hot/cold placement under churn: a small hot byte budget forces a
-  // demotion (cold copy + TIERMAP fence + hot delete) out of nearly
+  // demotion (cold copy, then hot delete) out of nearly
   // every install, retention GC deletes cold-resident victims, the
   // resume leg's recovery promotes read-through, and the startup
   // reconcile collapses whatever a crash stranded. Every one of those
@@ -440,7 +440,6 @@ ScenarioConfig tiered_config() {
   // everything older must demote.
   cfg.policy.tier.hot_byte_budget = 3072;
   cfg.policy.tier.pin_hot_last = 1;
-  cfg.policy.tier.demote_batch = 2;  // more fences = more crash points
   cfg.phase1_steps = 5;
   cfg.phase2_steps = 8;
   return cfg;
@@ -456,23 +455,25 @@ TEST(CrashMatrix, EveryCrashPointRecoversAcrossTiers) {
 
 TEST(CrashMatrix, TieredScenarioActuallyMigrates) {
   // Sanity-check the scenario exercises what it claims: an uncrashed
-  // run demotes objects (the cold tier is populated and fenced) and
-  // the resume leg promotes read-through.
+  // run demotes objects (the cold tier lists them, the hot tier no
+  // longer does) and the resume leg promotes read-through.
   const ScenarioConfig cfg = tiered_config();
   io::MemEnv env;
   std::vector<std::uint64_t> installed;
   io::CrashScheduleEnv no_crash(env, io::CrashPlan{});
   run_scenario(no_crash, cfg, installed);
   EXPECT_FALSE(env.list_dir("cold/cp").empty()) << "nothing demoted";
-  EXPECT_TRUE(env.exists("hot/cp/TIERMAP"));
   EnvView view(env, /*use_tiers=*/true);
   CheckpointStore store(view.env(), "cp", cfg.policy.retention,
                         cfg.policy.tier);
-  const auto ts = store.tier_stats();
+  const auto cold = store.tiering()->cold_files();
+  EXPECT_FALSE(cold.empty()) << "no migratable object is cold";
+  for (const std::string& name : cold) {
+    EXPECT_FALSE(env.exists("hot/cp/" + name)) << name << " in both tiers";
+  }
   EXPECT_LE(store.tiering()->hot_resident_bytes(),
             cfg.policy.tier.hot_byte_budget)
       << "hot tier over budget after the run";
-  (void)ts;
 }
 
 TEST(CrashMatrix, DedupScenarioActuallySharesChunks) {

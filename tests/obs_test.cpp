@@ -713,7 +713,7 @@ TEST(RegistryAccumulator, GcCasAndTierInstrumentsMove) {
         "cas.packs_deleted", "cas.chunks_swept", "cas.bytes_swept",
         "cas.pack_handle_evictions",
         "tier.demote_runs", "tier.files_demoted", "tier.bytes_demoted",
-        "tier.fences", "tier.hot_bytes", "tier.cold_bytes"}) {
+        "tier.hot_bytes", "tier.cold_bytes"}) {
     EXPECT_GT(rendered(r, name).value_or(0), 0) << name;
   }
   EXPECT_EQ(r.counter("ckpt.checkpoints").value(), 11u);

@@ -60,6 +60,23 @@ qnn::TrainingState make_state(std::uint64_t step, std::size_t params = 512) {
   return s;
 }
 
+/// Dir-relative names of the checkpoint containers and packfiles one
+/// tier lists under cp/, in MigrationEngine::cold_files() order.
+std::vector<std::string> migratable_listing(io::Env& tier) {
+  std::vector<std::string> names;
+  for (const std::string& name : tier.list_dir("cp")) {
+    if (tier::migratable_path(name)) {
+      names.push_back(name);
+    }
+  }
+  for (const std::string& name : tier.list_dir("cp/chunks")) {
+    if (tier::migratable_path(name)) {
+      names.push_back("chunks/" + name);
+    }
+  }
+  return names;
+}
+
 /// One MemEnv split into hot/ and cold/ mounts with a TieredEnv on top —
 /// the canonical test composition (same shape the crash matrix uses).
 struct TierFixture {
@@ -227,7 +244,6 @@ CheckpointPolicy tiered_policy(std::uint64_t hot_budget,
   policy.chunk_bytes = 64;
   policy.tier.hot_byte_budget = hot_budget;
   policy.tier.pin_hot_last = pin_hot_last;
-  policy.tier.demote_batch = 4;
   return policy;
 }
 
@@ -241,14 +257,16 @@ TEST(Migration, DemotesOldCheckpointsUnderBudget) {
     }
     const auto ts = ck.tier_stats();
     EXPECT_GT(ts.files_demoted, 0u);
-    EXPECT_GT(ts.fences, 0u);
     EXPECT_LE(ts.hot_bytes, budget) << "hot tier exceeds its byte budget";
     EXPECT_EQ(ts.budget_misses, 0u);
   }
-  // Cold tier actually holds data, the TIERMAP advertises it, and the
-  // newest checkpoint stayed a pure hot hit.
-  EXPECT_FALSE(f.cold.list_dir("cp").empty());
-  EXPECT_TRUE(f.hot.exists("cp/TIERMAP"));
+  // The cold tier lists what was demoted and the hot tier no longer
+  // does; the newest checkpoint stayed a pure hot hit.
+  const auto cold = migratable_listing(f.cold);
+  EXPECT_FALSE(cold.empty());
+  for (const std::string& name : cold) {
+    EXPECT_FALSE(f.hot.exists("cp/" + name)) << name << " in both tiers";
+  }
   const Manifest manifest = Manifest::load(f.env, "cp");
   ASSERT_EQ(manifest.entries().size(), 10u);
   EXPECT_TRUE(f.hot.exists("cp/" + manifest.latest()->file));
@@ -337,10 +355,49 @@ TEST(Migration, ReconcileCollapsesDuplicatesHotWins) {
   EXPECT_EQ(*f.env.read_file("cp/" + ckpt::checkpoint_file_name(1)),
             bytes_of("fresh-hot"));
   EXPECT_FALSE(f.cold.exists("cp/" + ckpt::checkpoint_file_name(1)));
-  // The cold-only object survives and the rebuilt TIERMAP advertises it.
-  EXPECT_EQ(engine.cold_files(),
+  // The cold-only object survives, and the cold listing is all that
+  // names it.
+  EXPECT_EQ(migratable_listing(f.cold),
             std::vector<std::string>{ckpt::checkpoint_file_name(2)});
-  EXPECT_TRUE(f.hot.exists("cp/TIERMAP"));
+  EXPECT_EQ(engine.cold_files(), migratable_listing(f.cold));
+}
+
+TEST(Migration, ReopenRemovesTiermapAnEarlierVersionWrote) {
+  // Earlier versions recorded residency a second time, in a TIERMAP in
+  // the hot tier. A directory they tiered reopens with that file gone
+  // and nothing else moved, even where a mark is stale (names an object
+  // the hot tier holds): the listings are the record.
+  TierFixture f;
+  const CheckpointPolicy policy = tiered_policy(12 << 10);
+  {
+    Checkpointer ck(f.env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 10; ++step) {
+      ck.checkpoint_now(make_state(step));
+    }
+  }
+  const auto hot_before = migratable_listing(f.hot);
+  const auto cold_before = migratable_listing(f.cold);
+  ASSERT_FALSE(hot_before.empty());
+  ASSERT_FALSE(cold_before.empty()) << "nothing demoted";
+  std::string tiermap = "qnnckpt-tiermap v1\n";
+  for (const std::string& name : cold_before) {
+    tiermap += "cold " + name + "\n";
+  }
+  tiermap += "cold " + hot_before.front() + "\n";
+  f.hot.write_file_atomic("cp/TIERMAP", bytes_of(tiermap));
+
+  { Checkpointer ck(f.env, "cp", policy); }  // startup reconcile
+  EXPECT_FALSE(f.env.exists("cp/TIERMAP"));
+  const Manifest manifest = Manifest::load(f.env, "cp");
+  ASSERT_EQ(manifest.entries().size(), 10u);
+  for (const ckpt::ManifestEntry& e : manifest.entries()) {
+    EXPECT_EQ(ckpt::load_checkpoint(f.env, "cp", e.id), make_state(e.step))
+        << "id " << e.id;
+  }
+  EXPECT_EQ(migratable_listing(f.hot), hot_before);
+  EXPECT_EQ(migratable_listing(f.cold), cold_before);
+  MigrationEngine engine(f.env, "cp", tier::TierPolicy{});
+  EXPECT_EQ(engine.cold_files(), cold_before);
 }
 
 TEST(Migration, ColdCheckpointsPromoteReadThroughOnAccess) {
@@ -420,13 +477,6 @@ TEST(Migration, VerifyDirectoryReportsTierResidency) {
 TEST(Migration, VerifyDirectoryNeverPromotes) {
   // A scrub is read-only on a promoting TieredEnv too: its cold reads
   // must not pull containers or packfiles hot.
-  const auto listing = [](io::Env& tier) {
-    std::vector<std::string> names = tier.list_dir("cp");
-    for (const std::string& name : tier.list_dir("cp/chunks")) {
-      names.push_back("chunks/" + name);
-    }
-    return names;
-  };
   std::vector<std::string> labels[2];
   for (const bool promote_on_read : {false, true}) {
     TierFixture f(promote_on_read);
@@ -436,15 +486,15 @@ TEST(Migration, VerifyDirectoryNeverPromotes) {
         ck.checkpoint_now(make_state(step));
       }
     }
-    const auto hot_before = listing(f.hot);
-    const auto cold_before = listing(f.cold);
+    const auto hot_before = migratable_listing(f.hot);
+    const auto cold_before = migratable_listing(f.cold);
     ASSERT_FALSE(f.cold.list_dir("cp/chunks").empty()) << "no pack demoted";
     const std::uint64_t promoted = f.env.promoted_files();
 
     const auto report = ckpt::verify_directory(f.env, "cp");
     EXPECT_TRUE(report.healthy()) << report.summary();
-    EXPECT_EQ(listing(f.hot), hot_before);
-    EXPECT_EQ(listing(f.cold), cold_before);
+    EXPECT_EQ(migratable_listing(f.hot), hot_before);
+    EXPECT_EQ(migratable_listing(f.cold), cold_before);
     EXPECT_EQ(f.env.promoted_files(), promoted);
     for (const auto& r : report.checkpoints) {
       labels[promote_on_read].push_back(r.tier);

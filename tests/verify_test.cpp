@@ -5,6 +5,8 @@
 #include "ckpt/recovery.hpp"
 #include "ckpt/verify.hpp"
 #include "io/mem_env.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observed_env.hpp"
 #include "qnn/ansatz.hpp"
 #include "qnn/loss.hpp"
 #include "qnn/trainer.hpp"
@@ -109,6 +111,44 @@ TEST(Verify, OrphanFilesReported) {
   EXPECT_EQ(report.orphan_files[0], checkpoint_file_name(9));
   // Orphans are still verified and recoverable.
   EXPECT_EQ(report.checkpoints.back().id, 9u);
+}
+
+/// Preads a scrub of `n` full checkpoints takes. Each holds 2,048
+/// doubles, 8 of them changing per step, chunked raw at 1 KiB: every
+/// checkpoint adds a packfile and shares the rest of its chunks.
+std::uint64_t scrub_preads(int n) {
+  io::MemEnv mem;
+  CheckpointPolicy policy;
+  policy.every_steps = 1;
+  policy.retention.keep_last = 0;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = 1024;
+  {
+    Checkpointer ck(mem, "cp", policy);
+    for (int step = 1; step <= n; ++step) {
+      qnn::TrainingState s = tiny_state(static_cast<std::uint64_t>(step));
+      s.params.assign(2048, 0.25);
+      for (std::size_t i = 2040; i < 2048; ++i) {
+        s.params[i] = step + 0.001 * static_cast<double>(i);
+      }
+      ck.maybe_checkpoint(s);
+    }
+  }
+  obs::MetricsRegistry metrics;
+  obs::ObservedEnv env(mem, metrics);
+  const auto report = verify_directory(env, "cp");
+  EXPECT_TRUE(report.healthy()) << report.summary();
+  return metrics.counter("io.pread.ops").value();
+}
+
+TEST(Verify, ScrubPreadsGrowLinearlyInCheckpoints) {
+  // The scrub resolves every checkpoint through one chunk store, so each
+  // packfile's footer and key table is read once per scrub; a store per
+  // checkpoint re-reads all of them per checkpoint, which grows as n^2.
+  const std::uint64_t few = scrub_preads(5);
+  const std::uint64_t many = scrub_preads(40);
+  ASSERT_GT(few, 0u);
+  EXPECT_LE(many, 10 * few) << "preads at n=5: " << few << ", n=40: " << many;
 }
 
 TEST(Verify, HealthNames) {
