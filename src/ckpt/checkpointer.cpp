@@ -96,10 +96,11 @@ Checkpointer::Checkpointer(io::Env& env, std::string dir,
   // fence and its deletions (safe here — nothing is in flight yet).
   store_.sweep_orphans(manifest_);
   if (policy_.async) {
-    // Half the cores for chunk waves: the pipeline runs concurrently with
-    // training, whose sim kernels fan out on the global pool — claiming
-    // every hardware thread here would oversubscribe the CPU against the
-    // very steps async mode is meant to protect.
+    // Half the cores for chunk keys and compression: the pipeline runs
+    // concurrently with training, whose sim kernels fan out on the
+    // global pool — claiming every hardware thread here would
+    // oversubscribe the CPU against the very steps async mode is meant
+    // to protect.
     pool_ = std::make_unique<util::ThreadPool>(std::max<std::size_t>(
         1, util::ThreadPool::default_thread_count() / 2));
     writer_ = std::make_unique<AsyncWriter>(kPipelineDepth, &metrics_);

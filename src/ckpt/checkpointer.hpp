@@ -72,10 +72,11 @@ struct CheckpointPolicy {
   /// the same write step a sync checkpoint runs. At most
   /// Checkpointer::kPipelineDepth copies wait behind the one being
   /// written; the trainer blocks for room before it copies (bounded
-  /// memory; the wait is ckpt.submit_blocked). Chunk waves fan out on a
-  /// private pool of half of ThreadPool::default_thread_count(), leaving
-  /// headroom for the training computation they overlap. (Sync mode
-  /// encodes straight from the state.)
+  /// memory; the wait is ckpt.submit_blocked). Chunk keys and
+  /// compression fan out on a private pool of half of
+  /// ThreadPool::default_thread_count(), leaving headroom for the
+  /// training computation they overlap. (Sync mode encodes straight from
+  /// the state.)
   bool async = false;
   /// Sections larger than this are cut into chunks of this size, stored
   /// content-addressed in the directory's chunk store and deduplicated
@@ -198,13 +199,14 @@ class Checkpointer {
     /// ckpt.peak_encode_buffer_bytes (a gauge raised to the highest peak
     /// of the Checkpointers recording into it): this Checkpointer's
     /// high-water mark of encoded bytes buffered by the encode path: the
-    /// compression wave in flight, or one encoded inline section. Both
-    /// modes stream the container into its file and the chunks into the
+    /// misses in flight, or one encoded inline section. Both modes
+    /// stream the container into its file and the chunks into the
     /// packfile, one checkpoint at a time; an inline section is at most
-    /// chunk_bytes, and a wave holds <= window x chunk_bytes + 8 (a
-    /// first chunk carries its u64 count; see section_array_offset). The
-    /// peak is therefore O(chunk x window), independent of checkpoint
-    /// size, as the bounded-memory pipeline test asserts.
+    /// chunk_bytes, and the misses in flight hold <= window x
+    /// chunk_bytes + 8 (a first chunk carries its u64 count; see
+    /// section_array_offset). The peak is therefore O(chunk x window),
+    /// independent of checkpoint size, as the bounded-memory pipeline
+    /// test asserts.
     std::uint64_t peak_encode_buffer_bytes = 0;
 
     /// Delta journal (policy.wal): records appended (wal.records),
@@ -300,12 +302,12 @@ class Checkpointer {
   /// The write step of one checkpoint, on the caller's thread in sync
   /// mode and on the pipeline thread in async mode: opens the chunk
   /// batch, streams the container into its atomic handle (chunks into
-  /// the batch's packfile, waves on `pool`, null = inline), commits and
-  /// publishes the pack, closes the container, then installs it. The
-  /// pack commit lands strictly before the container's close: chunks are
-  /// durable before anything references them. Throws when the checkpoint
-  /// did not become durable. A delta child of broken_chain_tip_ is
-  /// dropped before its file opens.
+  /// the batch's packfile, keys and compression on `pool`, null =
+  /// inline), commits and publishes the pack, closes the container, then
+  /// installs it. The pack commit lands strictly before the container's
+  /// close: chunks are durable before anything references them. Throws
+  /// when the checkpoint did not become durable. A delta child of
+  /// broken_chain_tip_ is dropped before its file opens.
   void write_checkpoint(const CheckpointFile& file, ManifestEntry entry,
                         util::ThreadPool* pool, std::uint64_t parent_span);
 
@@ -407,7 +409,7 @@ class Checkpointer {
   /// against the id, and force_full_ covers what follows. 0 = no broken
   /// chain.
   std::uint64_t broken_chain_tip_ = 0;
-  /// Async mode's chunk waves; null in sync mode.
+  /// Async mode's chunk keys and compression; null in sync mode.
   std::unique_ptr<util::ThreadPool> pool_;
   /// Async mode's pipeline thread; null in sync mode. Declared after
   /// everything its tasks touch (pool_ included), so it is destroyed

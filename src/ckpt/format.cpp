@@ -1,8 +1,11 @@
 #include "ckpt/format.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <future>
 
 #include "codec/xor_delta.hpp"
 #include "util/crc.hpp"
@@ -242,70 +245,158 @@ std::size_t extern_table_size(std::size_t n_chunks) {
   return 1 + 4 + 8 + n_chunks * (8 + 4);  // digest, count, nominal, rows
 }
 
+/// Runs `fn` on `pool`, or, without one, on the caller when its result
+/// is first waited for.
+template <typename F>
+auto spawn(util::ThreadPool* pool, F&& fn) {
+  return pool != nullptr
+             ? pool->submit(std::forward<F>(fn))
+             : std::async(std::launch::deferred, std::forward<F>(fn));
+}
+
+/// Waits until `f` is ready, running queued pool tasks meanwhile (as a
+/// parallel_for caller does), so a one-thread pool, or a caller that is
+/// a pool thread itself, cannot stall on a task still in the queue. A
+/// deferred `f` (no pool) is left for get() to run.
+template <typename T>
+void help_until_ready(util::ThreadPool* pool, const std::future<T>& f) {
+  if (pool == nullptr) {
+    return;
+  }
+  while (f.wait_for(std::chrono::seconds(0)) == std::future_status::timeout &&
+         pool->run_pending_task()) {
+  }
+  f.wait();
+}
+
+/// A miss as the pool stored it. Its encoded bytes count against the
+/// gauge from the moment they exist until the sink has taken them.
+struct StoredChunk {
+  StoredPayload payload;
+  util::GaugedBytes held;
+};
+
 /// Cuts section `s` into chunks (ChunkCuts), dedups each against `sink`,
 /// compressing (store_payload) and storing only the non-resident ones,
 /// and returns the serialised key table that replaces the payload on
 /// disk. `s` is larger than chunk_bytes.
 ///
-/// Every chunk is keyed first, in one parallel pass. Then contains() is
-/// called once per chunk, in chunk order (the sink records the
-/// reference), and the misses queue up: each full
-/// WAVE of `window` misses is compressed in parallel, then put in chunk
-/// order. A chunk whose key equals a queued miss flushes the queue
-/// before its probe, so it dedups against the stored record and is
-/// compressed once. At most one wave of encoded chunks is alive — the
+/// One bounded pipeline. The pool keys `window` blocks of chunks ahead
+/// of the caller, which calls contains() once per chunk, in chunk order
+/// (the sink records the reference). Each miss goes to the pool to be
+/// compressed as soon as it is probed, and the caller puts misses in
+/// chunk order as their compression finishes, so the pool compresses
+/// later misses while the caller appends earlier ones. At most
+/// `window` misses are between probe and put — the
 /// O(chunk x workers) memory bound of the streaming encode path — plus
-/// one key per chunk. Packfile records and the emitted key table are
-/// identical for any window size.
+/// one key per chunk: a further miss first puts the oldest. A chunk
+/// whose key equals a miss not yet put first puts every miss before
+/// it, so it dedups against the stored record and is compressed once.
+/// Only the caller touches the sink; pool tasks read the section and
+/// write keys and stored chunks. Probes and puts keep chunk order, so
+/// packfile records and the key table are identical for any window
+/// and pool. Without a pool every step runs in the same loop, on the
+/// caller. Every pool task has finished when this returns or throws.
 Bytes encode_extern_section(const Section& s, std::size_t chunk_bytes,
                             std::size_t window, util::ThreadPool* pool,
                             ChunkSink& sink, util::MemGauge* gauge) {
+  // About this many bytes of chunks are keyed per pool task.
+  constexpr std::size_t kKeyBlockBytes = std::size_t{1} << 20;
   const ChunkCuts cuts(s, chunk_bytes);
   const std::size_t n = cuts.count();
+  const std::size_t block =
+      std::max<std::size_t>(1, kKeyBlockBytes / chunk_bytes);
+  const std::size_t n_blocks = (n + block - 1) / block;
   std::vector<ChunkKey> keys(n);
-  util::parallel_for(pool, 0, n, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      keys[c] = chunk_key(cuts[c]);
-    }
-  });
 
-  std::vector<std::size_t> queued;
-  std::vector<StoredPayload> stored;
-  const auto compress_wave = [&] {
-    const std::size_t wave = queued.size();
-    stored.resize(wave);
-    util::parallel_for(pool, 0, wave, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        stored[i] = store_payload(s.codec, cuts[queued[i]]);
-      }
-    });
-    std::uint64_t wave_bytes = 0;
-    for (const StoredPayload& p : stored) {
-      wave_bytes += p.held();
-    }
-    // Held only while this wave's records stream into the sink. A raw
-    // record is put from the chunk's own bytes and holds none.
-    util::GaugedBytes held(gauge, wave_bytes);
-    for (std::size_t i = 0; i < wave; ++i) {
-      sink.put(keys[queued[i]], stored[i].codec,
-               stored[i].bytes(cuts[queued[i]]));
-    }
-    queued.clear();
-    stored.clear();
+  struct Miss {
+    std::size_t chunk;
+    std::future<StoredChunk> stored;
   };
-  for (std::size_t c = 0; c < n; ++c) {
-    const auto same_key = [&](std::size_t q) { return keys[q] == keys[c]; };
-    if (std::ranges::any_of(queued, same_key)) {
-      compress_wave();
+  std::deque<std::future<void>> keyed;  // blocks spawned, keys not taken
+  std::deque<Miss> misses;              // probed, not yet put
+  // Unwinding: wait out every task still borrowing this frame.
+  struct JoinAll {
+    util::ThreadPool* pool;
+    std::deque<std::future<void>>& keyed;
+    std::deque<Miss>& misses;
+    ~JoinAll() {
+      for (const auto& f : keyed) {
+        help_until_ready(pool, f);
+      }
+      for (const Miss& m : misses) {
+        help_until_ready(pool, m.stored);
+      }
+    }
+  } join_all{pool, keyed, misses};
+
+  // Each wait runs while the future is still in its deque, where
+  // JoinAll finds it; it leaves the deque before get() consumes it.
+  const auto put_oldest = [&] {
+    help_until_ready(pool, misses.front().stored);
+    Miss m = std::move(misses.front());
+    misses.pop_front();
+    const StoredChunk stored = m.stored.get();
+    sink.put(keys[m.chunk], stored.payload.codec,
+             stored.payload.bytes(cuts[m.chunk]));
+  };
+  const auto ready = [](const auto& f) {
+    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  };
+  // Keeps blocks `b` to `b + window - 1` spawned.
+  std::size_t spawned_blocks = 0;
+  const auto spawn_keys = [&](std::size_t b) {
+    for (; spawned_blocks < std::min(n_blocks, b + window); ++spawned_blocks) {
+      const std::size_t lo = spawned_blocks * block;
+      const std::size_t hi = std::min(n, lo + block);
+      keyed.push_back(spawn(pool, [&cuts, &keys, lo, hi] {
+        for (std::size_t k = lo; k < hi; ++k) {
+          keys[k] = chunk_key(cuts[k]);
+        }
+      }));
+    }
+  };
+  const auto probe = [&](std::size_t c) {
+    if (std::ranges::any_of(misses, [&](const Miss& m) {
+          return keys[m.chunk] == keys[c];
+        })) {
+      while (!misses.empty()) {
+        put_oldest();
+      }
     }
     if (!sink.contains(keys[c])) {
-      queued.push_back(c);
-      if (queued.size() == window) {
-        compress_wave();
-      }
+      misses.push_back({c, spawn(pool, [&cuts, c, codec = s.codec, gauge] {
+                          StoredPayload payload = store_payload(codec, cuts[c]);
+                          util::GaugedBytes held(gauge, payload.held());
+                          return StoredChunk{std::move(payload),
+                                             std::move(held)};
+                        })});
     }
+  };
+  // Probe while the window has room, so the pool always has misses to
+  // compress; put when it is full, when every chunk is probed, or while
+  // the next block's keys are not ready and the oldest miss is.
+  spawn_keys(0);
+  std::size_t c = 0;  // the next chunk to probe
+  while (c < n || !misses.empty()) {
+    if (c == n || misses.size() == window) {
+      put_oldest();
+      continue;
+    }
+    if (c % block == 0) {  // c's block is keyed.front()
+      if (!misses.empty() && !ready(keyed.front()) &&
+          ready(misses.front().stored)) {
+        put_oldest();
+        continue;
+      }
+      help_until_ready(pool, keyed.front());
+      std::future<void> block_keys = std::move(keyed.front());
+      keyed.pop_front();
+      block_keys.get();
+      spawn_keys(c / block + 1);
+    }
+    probe(c++);
   }
-  compress_wave();
 
   Bytes table;
   table.reserve(extern_table_size(n));
@@ -562,9 +653,9 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
                                 const EncodeOptions& options, ByteSink& out) {
   const std::size_t chunk_bytes =
       std::max(options.chunk_bytes, kMinChunkBytes);
-  // Auto window: two chunks per pool worker keeps every thread fed
-  // while one wave streams out, clamped to [4, 16] so the memory bound
-  // does not silently scale with core count.
+  // Auto window: two misses per pool worker keeps every thread fed
+  // while the caller puts the oldest, clamped to [4, 16] so the memory
+  // bound does not silently scale with core count.
   const std::size_t window =
       options.encode_window != 0
           ? options.encode_window
@@ -588,9 +679,9 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
   for (const Section& s : file.sections) {
     scratch.clear();
     if (options.sink != nullptr && s.size() > chunk_bytes) {
-      // Content-addressed: the chunk bytes stream into the sink wave by
-      // wave (bounded memory); only the small key table lands in the
-      // container as the payload region.
+      // Content-addressed: the chunk bytes stream into the sink a
+      // window of misses at a time (bounded memory); only the small key
+      // table lands in the container as the payload region.
       const Bytes table = encode_extern_section(
           s, chunk_bytes, window, options.pool, *options.sink, options.gauge);
       put_section_header(

@@ -169,7 +169,8 @@ std::string chunk_key_name(const ChunkKey& key);
 /// once, in chunk order; when it returns false the chunk is compressed
 /// and handed to put(), puts also in chunk order. A put may come after
 /// later chunks' probes, but always before the probe of a chunk with the
-/// same key, so a section's duplicate chunks are stored once. An
+/// same key, so a section's duplicate chunks are stored once. Both are
+/// called on the encoding thread only, never from the pool. An
 /// implementation returning true promises to keep the chunk resolvable
 /// until the file is installed (the chunk store's batch is retained
 /// before the directory's next GC pass).
@@ -294,16 +295,18 @@ struct EncodeOptions {
   /// stored — the cross-checkpoint dedup stage. Null: the container is
   /// self-contained.
   ChunkSink* sink = nullptr;
-  /// Chunks compressed per wave while encoding an extern section: a wave
-  /// is this many chunk-store misses (hits cost no compression), so at
-  /// most `window` encoded chunks are buffered at once. 0 = auto: 2x the
-  /// pool's worker count, clamped to [4, 16]. This is the "workers" in
-  /// the encode path's O(chunk x workers) memory bound; the emitted
-  /// bytes and the sink's records are identical for any window.
+  /// Chunk-store misses in flight while encoding an extern section:
+  /// probed, and being compressed or waiting to be put (hits cost no
+  /// compression), so at most `window` encoded chunks are buffered at
+  /// once. The pool also keys chunks up to this many 1 MiB blocks ahead
+  /// of the probe. 0 = auto: 2x the pool's worker count, clamped to
+  /// [4, 16]. This is the "workers" in the encode path's
+  /// O(chunk x workers) memory bound; the emitted bytes and the sink's
+  /// records are identical for any window.
   std::size_t encode_window = 0;
-  /// When set, every transient encode buffer (an encoded chunk wave, a
-  /// staged section stream) registers its bytes here — the measured
-  /// peak behind Checkpointer::Stats::peak_encode_buffer_bytes.
+  /// When set, every transient encode buffer (an encoded chunk not yet
+  /// put, an encoded inline section) registers its bytes here — the
+  /// measured peak behind Checkpointer::Stats::peak_encode_buffer_bytes.
   util::MemGauge* gauge = nullptr;
 };
 
@@ -317,10 +320,13 @@ Bytes encode_checkpoint(const CheckpointFile& file,
 
 /// Streaming encode: emits the container into `out` frame by frame and
 /// returns the total bytes emitted. Memory stays bounded by the largest
-/// inline section's transient state — and, for extern sections, by one
-/// compression wave (options.encode_window chunks), independent of
+/// inline section's transient state — and, for extern sections, by the
+/// misses in flight (options.encode_window chunks), independent of
 /// checkpoint size: chunk bytes flow straight into the ChunkSink and
-/// only the small key table lands in the container. Extern sections
+/// only the small key table lands in the container. With a pool, the
+/// pool keys and compresses chunks while the calling thread probes and
+/// puts earlier ones; every pool task has finished when this returns
+/// or throws. Extern sections
 /// read a Section::view in place; only the one chunk that straddles
 /// `payload` and `view` is assembled. An inline section is assembled
 /// whole only for its codec to run; stored raw, its parts go out as

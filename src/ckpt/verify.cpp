@@ -145,25 +145,26 @@ DirectoryReport verify_directory(io::Env& target, const std::string& dir) {
       continue;
     }
 
-    // File-local verification.
-    const SalvageResult salvage =
-        salvage_checkpoint(*data, DecodeOptions{.source = &cas});
-    if (!salvage.file || !salvage.fully_intact) {
-      r.health = CheckpointHealth::kDamaged;
-      r.notes = salvage.notes;
-      report.checkpoints.push_back(std::move(r));
-      continue;
-    }
-    r.step = salvage.file->step;
-
-    // Chain resolution (covers ancestors), through the same chunk store,
-    // so every packfile is scanned once per scrub, not once per id.
+    // Chain resolution (covers the file and its ancestors), through the
+    // same chunk store, so every packfile is scanned once per scrub, not
+    // once per id. Only a failure pays for the file-local salvage, which
+    // fetches the file's chunks again to tell a damaged file from a
+    // broken chain.
     try {
       (void)load_checkpoint(env, dir, id, &cas);
       r.health = CheckpointHealth::kIntact;
+      r.step = decode_checkpoint_header(*data).step;
     } catch (const std::exception& e) {
-      r.health = CheckpointHealth::kChainBroken;
-      r.notes.push_back(e.what());
+      const SalvageResult salvage =
+          salvage_checkpoint(*data, DecodeOptions{.source = &cas});
+      if (!salvage.file || !salvage.fully_intact) {
+        r.health = CheckpointHealth::kDamaged;
+        r.notes = salvage.notes;
+      } else {
+        r.health = CheckpointHealth::kChainBroken;
+        r.step = salvage.file->step;
+        r.notes.push_back(e.what());
+      }
     }
     report.checkpoints.push_back(std::move(r));
   }

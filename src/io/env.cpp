@@ -114,7 +114,13 @@ std::optional<std::uint64_t> stream_copy(Env& src, Env& dst,
 
 /// Streaming POSIX writer. kAtomic stages into `<path>.tmp` and renames
 /// on close; kPlain opens the target with O_TRUNC and lands every append
-/// in place.
+/// in place. On a durable Env under Linux, each MiB appended since the
+/// last call starts its writeback (sync_file_range with
+/// SYNC_FILE_RANGE_WRITE), so the device writes a long stream while it
+/// is still being produced and the fsync at close waits only for the
+/// tail. That call waits for nothing and is never a durability point:
+/// its result is ignored, and a failed writeback still fails the file's
+/// next fsync.
 class PosixWritableFile final : public WritableFile {
  public:
   PosixWritableFile(PosixEnv& env, std::string path, WriteMode mode)
@@ -143,6 +149,15 @@ class PosixWritableFile final : public WritableFile {
     if (mode_ == WriteMode::kPlain) {
       env_.bytes_written_ += data.size();
     }
+#ifdef __linux__
+    constexpr std::uint64_t kWritebackBytes = std::uint64_t{1} << 20;
+    if (env_.durable_ && written_ - writeback_from_ >= kWritebackBytes) {
+      (void)::sync_file_range(fd_, static_cast<off_t>(writeback_from_),
+                              static_cast<off_t>(written_ - writeback_from_),
+                              SYNC_FILE_RANGE_WRITE);
+      writeback_from_ = written_;
+    }
+#endif
   }
 
   void sync() override {
@@ -185,6 +200,7 @@ class PosixWritableFile final : public WritableFile {
   const WriteMode mode_;
   int fd_ = -1;
   std::uint64_t written_ = 0;
+  std::uint64_t writeback_from_ = 0;  ///< end of the last writeback range
 };
 
 /// pread-backed ranged reader; size fixed by fstat at open (POSIX

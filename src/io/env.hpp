@@ -223,7 +223,7 @@ class PosixEnv final : public Env {
 
   bool durable_;
   /// Atomic: one Env serves several threads at once (an async
-  /// Checkpointer's pipeline thread, the chunk-wave pool, other callers).
+  /// Checkpointer's pipeline thread, the encode pool, other callers).
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
 };

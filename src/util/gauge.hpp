@@ -2,11 +2,12 @@
 //
 // The streaming encode pipeline bounds its memory to O(chunk x workers);
 // this gauge is how that bound is *measured* rather than merely claimed:
-// every transient buffer (an encoded chunk wave, a staged container
-// section) registers its bytes while alive, and the peak is surfaced in
-// Checkpointer::Stats (asserted by the pipeline tests and bench_t3) and
-// raised into a registry gauge (ckpt.peak_encode_buffer_bytes), whose
-// value is the highest peak of every gauge recording into it.
+// every transient buffer (an encoded chunk not yet put, a staged
+// container section) registers its bytes while alive, and the peak is
+// surfaced in Checkpointer::Stats (asserted by the pipeline tests and
+// bench_t3) and raised into a registry gauge
+// (ckpt.peak_encode_buffer_bytes), whose value is the highest peak of
+// every gauge recording into it.
 #pragma once
 
 #include <atomic>

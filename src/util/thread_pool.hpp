@@ -1,9 +1,9 @@
 // A small work-helping thread pool for CPU-parallel stages.
 //
 // Two consumers share it:
-//   * the checkpoint encode path (chunk keys, compression and CRC in
-//     waves), on the caller's thread in sync mode and on the pipeline
-//     thread in async mode;
+//   * the checkpoint encode path (chunk keys and compression, submitted
+//     ahead of the thread that probes and appends them: the caller's in
+//     sync mode, the pipeline thread in async mode);
 //   * the state-vector simulator kernels (amplitude-group parallelism).
 //
 // Design points:

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "ckpt/format.hpp"
 #include "ckpt/state_codec.hpp"
 #include "codec/xor_delta.hpp"
 #include "io/mem_env.hpp"
+#include "obs/metrics.hpp"
 #include "util/crc.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -574,9 +577,9 @@ TEST(ExternGrid, PayloadSplitAnywhereEncodesLikeOneBuffer) {
 }
 
 TEST(ExternGrid, DuplicateChunksWithinAFileAreCompressedOnce) {
-  // 16 identical chunks at window 4: the first misses and queues, and the
-  // second's key flushes that queue before its probe, so it and every
-  // later chunk dedup against the one stored record.
+  // 16 identical chunks at window 4: the first misses, and the second's
+  // key puts it before its own probe, so it and every later chunk dedup
+  // against the one stored record.
   MapChunkStore store;
   EncodeOptions options = extern_options(store, 64);
   options.encode_window = 4;
@@ -588,6 +591,142 @@ TEST(ExternGrid, DuplicateChunksWithinAFileAreCompressedOnce) {
   EXPECT_EQ(store.hits, 15u);
   const DecodeOptions from{.source = &store};
   expect_equal_files(f, decode_checkpoint(blob, from));
+
+  // Repeats whose first copy the pool may still be compressing: chunks
+  // A A B C D B. At both windows A's repeat is probed while A is between
+  // probe and put; at window 4 so is B's. Each repeat puts its first
+  // copy before its own probe, which hits.
+  const Bytes a = random_bytes(64, 61);
+  const Bytes b = random_bytes(64, 62);
+  Bytes payload;
+  for (const Bytes& chunk : {a, a, b, random_bytes(64, 63),
+                             random_bytes(64, 64), b}) {
+    payload.insert(payload.end(), chunk.begin(), chunk.end());
+  }
+  const CheckpointFile repeats =
+      one_section_file(SectionKind::kOptimizer, payload);
+  util::ThreadPool pool(2);
+  for (const std::size_t window : {2, 4}) {
+    MapChunkStore pooled_store;
+    EncodeOptions pooled = extern_options(pooled_store, 64);
+    pooled.encode_window = window;
+    pooled.pool = &pool;
+    const Bytes pooled_blob = encode_checkpoint(repeats, pooled);
+    EXPECT_EQ(pooled_store.queries, 6u) << "window " << window;
+    EXPECT_EQ(pooled_store.hits, 2u) << "window " << window;
+    const auto refs = list_chunk_refs(pooled_blob);
+    EXPECT_EQ(pooled_store.put_order,
+              (std::vector<ChunkKey>{refs[0], refs[2], refs[3], refs[4]}))
+        << "window " << window;
+    expect_equal_files(
+        repeats, decode_checkpoint(pooled_blob, {.source = &pooled_store}));
+  }
+}
+
+TEST(ExternGrid, EncodedChunksInFlightStayWithinTheWindow) {
+  // 40 distinct chunks that LZ halves (noise, then zeros), in a params
+  // section, so chunk 0 also carries the 8-byte count. Whatever the pool
+  // gets through, at most `window` encoded chunks exist at once; all 40
+  // at once would be about 85 KB.
+  constexpr std::size_t kChunk = 4096;
+  Bytes payload(8, 0);
+  for (std::uint64_t c = 0; c < 40; ++c) {
+    const Bytes noise = random_bytes(kChunk / 2, 70 + c);
+    payload.insert(payload.end(), noise.begin(), noise.end());
+    payload.insert(payload.end(), kChunk / 2, 0);
+  }
+  const CheckpointFile f = one_section_file(SectionKind::kParams, payload);
+  util::ThreadPool pool(3);
+  for (const std::size_t window : {2, 4, 7}) {
+    MapChunkStore store;
+    EncodeOptions options = extern_options(store, kChunk);
+    options.encode_window = window;
+    options.pool = &pool;
+    obs::Gauge registry_peak;
+    util::MemGauge gauge(registry_peak);
+    options.gauge = &gauge;
+    const Bytes blob = encode_checkpoint(f, options);
+    ASSERT_EQ(store.put_order.size(), 40u);
+    for (const auto& [key, stored] : store.chunks) {
+      EXPECT_EQ(stored.first, codec::CodecId::kLz);
+      EXPECT_LT(stored.second.size(), kChunk);
+    }
+    EXPECT_GT(gauge.peak(), 0u);
+    EXPECT_LE(gauge.peak(), window * kChunk + 8) << "window " << window;
+    expect_equal_files(f, decode_checkpoint(blob, {.source = &store}));
+  }
+}
+
+/// A sink over a MapChunkStore whose `fail_on`-th put throws before it
+/// stores anything.
+class FailingPutStore final : public ChunkSink {
+ public:
+  explicit FailingPutStore(std::size_t fail_on) : fail_on_(fail_on) {}
+  bool contains(const ChunkKey& key) override { return inner.contains(key); }
+  void put(const ChunkKey& key, codec::CodecId codec,
+           ByteSpan encoded) override {
+    if (++puts_ == fail_on_) {
+      throw std::runtime_error("injected put failure");
+    }
+    inner.put(key, codec, encoded);
+  }
+
+  MapChunkStore inner;
+
+ private:
+  const std::size_t fail_on_;
+  std::size_t puts_ = 0;
+};
+
+TEST(ExternGrid, FailedPutWaitsForEveryPoolTask) {
+  // The third put throws while later misses wait to be compressed. The
+  // encode rethrows only once no task of it is queued or running. With
+  // the pool's one worker held busy, every task waits in the queue until
+  // the caller runs it, so a task left behind would still be queued;
+  // with the worker free, the payload the tasks read is freed at once,
+  // and ASan and TSan report a task that reads it later.
+  util::ThreadPool pool(1);
+  for (const bool held : {true, false}) {
+    std::promise<void> started;
+    std::promise<void> release;
+    std::future<void> holder;
+    if (held) {
+      holder = pool.submit(
+          [&started, released = release.get_future().share()] {
+            started.set_value();
+            released.wait();
+          });
+      started.get_future().wait();
+    }
+    for (const std::size_t window : {2, 4, 7}) {
+      SCOPED_TRACE(std::string(held ? "held" : "free") + " worker, window " +
+                   std::to_string(window));
+      auto f = std::make_unique<CheckpointFile>(
+          one_section_file(SectionKind::kSimulator, Bytes{}));
+      for (std::uint64_t c = 0; c < 64; ++c) {
+        const Bytes noise = random_bytes(2048, 90 + c);
+        Bytes& p = f->sections[0].payload;
+        p.insert(p.end(), noise.begin(), noise.end());
+        p.insert(p.end(), 2048, 0);
+      }
+      FailingPutStore store(3);
+      EncodeOptions options;
+      options.chunk_bytes = 4096;
+      options.sink = &store;
+      options.encode_window = window;
+      options.pool = &pool;
+      EXPECT_THROW((void)encode_checkpoint(*f, options), std::runtime_error);
+      f.reset();
+      if (held) {
+        EXPECT_FALSE(pool.run_pending_task());
+      }
+      EXPECT_EQ(store.inner.put_order.size(), 2u);
+    }
+    if (held) {
+      release.set_value();
+      holder.get();
+    }
+  }
 }
 
 /// Decodes `blob` from `store` with every payload landing in `target`:

@@ -13,6 +13,7 @@
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
+#include "ckpt/verify.hpp"
 #include "ckpt/wal.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
@@ -1509,6 +1510,98 @@ class GateCheckpointWriteEnv final : public io::ForwardingEnv {
   std::promise<void> release_;
   std::shared_future<void> released_ = release_.get_future().share();
 };
+
+/// Throws on the `fail_on`-th append to the packfile of checkpoint
+/// `id`, before it writes a byte. Neither FaultEnv (it draws a fault
+/// when a stream closes) nor CrashScheduleEnv (it counts no staging
+/// append of an atomic stream) fails an append inside an atomic stream.
+class FailPackAppendEnv final : public io::ForwardingEnv {
+ public:
+  FailPackAppendEnv(io::Env& base, std::uint64_t id, int fail_on)
+      : ForwardingEnv(base), pack_(pack_file_name(id)), fail_on_(fail_on) {}
+
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    auto file = base_.new_writable(path, mode);
+    if (!path.ends_with("/" + pack_)) {
+      return file;
+    }
+    return std::make_unique<File>(std::move(file), fail_on_);
+  }
+
+ private:
+  class File final : public io::WritableFile {
+   public:
+    File(std::unique_ptr<io::WritableFile> inner, int fail_on)
+        : inner_(std::move(inner)), fail_on_(fail_on) {}
+    void append(util::ByteSpan data) override {
+      if (++appends_ == fail_on_) {
+        throw std::runtime_error("injected pack append failure");
+      }
+      inner_->append(data);
+    }
+    void sync() override { inner_->sync(); }
+    void close() override { inner_->close(); }
+
+   private:
+    std::unique_ptr<io::WritableFile> inner_;
+    const int fail_on_;
+    int appends_ = 0;
+  };
+
+  const std::string pack_;
+  const int fail_on_;
+};
+
+/// 32 chunks of 64 KiB that LZ halves (noise, then zeros), different
+/// for every `seed`, as the params of a state.
+qnn::TrainingState half_noise_state(std::uint64_t step, std::uint64_t seed) {
+  qnn::TrainingState s = make_state(step);
+  util::Rng rng(seed);
+  s.params.assign(32 * 8192, 0.0);
+  for (std::size_t i = 0; i < s.params.size(); ++i) {
+    if (i % 8192 < 4096) {
+      s.params[i] = rng.uniform(-1.0, 1.0);
+    }
+  }
+  return s;
+}
+
+TEST(Checkpointer, FailedPackAppendMidEncodeLeavesTheLastCheckpoint) {
+  // The pack of checkpoint 2 fails at its 10th append, its 5th record,
+  // while the pool compresses the misses after it. The sync checkpoint
+  // throws only after every pool task of its encode is done: the state
+  // it read is rewritten at once (TSan and ASan report a task still
+  // reading it). Nothing of checkpoint 2 is visible, recovery returns
+  // checkpoint 1, and the next checkpoint succeeds.
+  io::MemEnv mem;
+  FailPackAppendEnv env(mem, 2, 10);
+  CheckpointPolicy policy;
+  policy.every_steps = 1;
+  policy.codec = codec::CodecId::kLz;
+  policy.chunk_bytes = std::size_t{64} << 10;
+  policy.retention.keep_last = 0;
+  Checkpointer ck(env, "cp", policy);
+  const qnn::TrainingState first = half_noise_state(1, 1);
+  ck.checkpoint_now(first);
+
+  qnn::TrainingState second = half_noise_state(2, 2);
+  EXPECT_THROW(ck.checkpoint_now(second), std::runtime_error);
+  std::fill(second.params.begin(), second.params.end(), 1.0);
+  EXPECT_FALSE(mem.exists("cp/" + checkpoint_file_name(2)));
+  EXPECT_EQ(mem.list_dir("cp/chunks"),
+            std::vector<std::string>{pack_file_name(1)});
+  const auto before = recover_latest(env, "cp");
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->state, first);
+
+  const qnn::TrainingState third = half_noise_state(3, 3);
+  ck.checkpoint_now(third);
+  const auto after = recover_latest(env, "cp");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->state, third);
+  EXPECT_TRUE(verify_directory(env, "cp").healthy());
+}
 
 TEST(Checkpointer, DroppedWriteForcesFullAndKeepsChainRecoverable) {
   // The invariant the pipeline promises: a checkpoint that never became

@@ -280,6 +280,48 @@ TEST(PosixEnv, CreatesNestedParentDirectories) {
   fs::remove_all(root);
 }
 
+TEST(PosixEnv, DurableStreamsReadBackExactlyAcrossWriteback) {
+  // 3 MiB and a tail in 64 KiB appends: a durable handle starts the
+  // writeback of each MiB it has appended, three times per stream here.
+  // Neither mode's bytes, count or visibility changes, and an abandoned
+  // atomic stream still leaves nothing.
+  const std::string root =
+      (fs::temp_directory_path() / "qnnckpt_posix_writeback").string();
+  fs::remove_all(root);
+  PosixEnv env(/*durable=*/true);
+  Bytes data((std::size_t{3} << 20) + 1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + i / 4096);
+  }
+  const auto stream = [&](WritableFile& out) {
+    constexpr std::size_t kAppend = std::size_t{64} << 10;
+    for (std::size_t off = 0; off < data.size(); off += kAppend) {
+      out.append(ByteSpan(data).subspan(
+          off, std::min(kAppend, data.size() - off)));
+    }
+  };
+  for (const auto& [name, mode] :
+       {std::pair{"atomic", WriteMode::kAtomic},
+        std::pair{"plain", WriteMode::kPlain}}) {
+    const std::uint64_t before = env.bytes_written();
+    auto out = env.new_writable(root + "/" + name, mode);
+    stream(*out);
+    out->close();
+    EXPECT_EQ(env.bytes_written() - before, data.size()) << name;
+    EXPECT_EQ(env.read_file(root + "/" + name), data) << name;
+  }
+  {
+    const std::uint64_t before = env.bytes_written();
+    auto abandoned =
+        env.new_writable(root + "/abandoned", WriteMode::kAtomic);
+    stream(*abandoned);
+    abandoned.reset();
+    EXPECT_EQ(env.bytes_written(), before);
+  }
+  EXPECT_EQ(env.list_dir(root), (std::vector<std::string>{"atomic", "plain"}));
+  fs::remove_all(root);
+}
+
 // ---------- MemEnv specifics ----------
 
 TEST(MemEnv, FlipBitCorruptsExactlyOneBit) {

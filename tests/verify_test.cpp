@@ -113,27 +113,30 @@ TEST(Verify, OrphanFilesReported) {
   EXPECT_EQ(report.checkpoints.back().id, 9u);
 }
 
-/// Preads a scrub of `n` full checkpoints takes. Each holds 2,048
+/// Writes `n` full checkpoints into `env`'s "cp". Each holds 2,048
 /// doubles, 8 of them changing per step, chunked raw at 1 KiB: every
-/// checkpoint adds a packfile and shares the rest of its chunks.
-std::uint64_t scrub_preads(int n) {
-  io::MemEnv mem;
+/// checkpoint adds a packfile and shares the rest of its 16 chunks.
+void write_shared_chunks(io::Env& env, int n) {
   CheckpointPolicy policy;
   policy.every_steps = 1;
   policy.retention.keep_last = 0;
   policy.codec = codec::CodecId::kRaw;
   policy.chunk_bytes = 1024;
-  {
-    Checkpointer ck(mem, "cp", policy);
-    for (int step = 1; step <= n; ++step) {
-      qnn::TrainingState s = tiny_state(static_cast<std::uint64_t>(step));
-      s.params.assign(2048, 0.25);
-      for (std::size_t i = 2040; i < 2048; ++i) {
-        s.params[i] = step + 0.001 * static_cast<double>(i);
-      }
-      ck.maybe_checkpoint(s);
+  Checkpointer ck(env, "cp", policy);
+  for (int step = 1; step <= n; ++step) {
+    qnn::TrainingState s = tiny_state(static_cast<std::uint64_t>(step));
+    s.params.assign(2048, 0.25);
+    for (std::size_t i = 2040; i < 2048; ++i) {
+      s.params[i] = step + 0.001 * static_cast<double>(i);
     }
+    ck.maybe_checkpoint(s);
   }
+}
+
+/// Preads a scrub of write_shared_chunks(n) takes.
+std::uint64_t scrub_preads(int n) {
+  io::MemEnv mem;
+  write_shared_chunks(mem, n);
   obs::MetricsRegistry metrics;
   obs::ObservedEnv env(mem, metrics);
   const auto report = verify_directory(env, "cp");
@@ -149,6 +152,60 @@ TEST(Verify, ScrubPreadsGrowLinearlyInCheckpoints) {
   const std::uint64_t many = scrub_preads(40);
   ASSERT_GT(few, 0u);
   EXPECT_LE(many, 10 * few) << "preads at n=5: " << few << ", n=40: " << many;
+}
+
+/// Counts chunk fetches: preads of a packfile that return a whole raw
+/// 1 KiB chunk or more. A pack scan's header, footer and key-table
+/// reads are shorter.
+class ChunkFetchCountingEnv final : public io::ForwardingEnv {
+ public:
+  using io::ForwardingEnv::ForwardingEnv;
+
+  std::unique_ptr<io::RandomAccessFile> open_ranged(
+      const std::string& path) override {
+    auto file = base_.open_ranged(path);
+    if (file == nullptr || !path.ends_with(".qpak")) {
+      return file;
+    }
+    return std::make_unique<File>(std::move(file), fetches);
+  }
+
+  std::uint64_t fetches = 0;
+
+ private:
+  class File final : public io::RandomAccessFile {
+   public:
+    File(std::unique_ptr<io::RandomAccessFile> inner, std::uint64_t& fetches)
+        : inner_(std::move(inner)), fetches_(fetches) {}
+    [[nodiscard]] std::uint64_t size() const override {
+      return inner_->size();
+    }
+    util::Bytes pread(std::uint64_t offset, std::uint64_t n) override {
+      util::Bytes out = inner_->pread(offset, n);
+      fetches_ += out.size() >= 1024 ? 1 : 0;
+      return out;
+    }
+
+   private:
+    std::unique_ptr<io::RandomAccessFile> inner_;
+    std::uint64_t& fetches_;
+  };
+};
+
+TEST(Verify, ScrubOfAnIntactDirectoryFetchesEachChunkRefOnce) {
+  // A file that loads is intact: the file-local salvage, which fetches
+  // every chunk of the file again, runs only for one that does not.
+  io::MemEnv mem;
+  write_shared_chunks(mem, 5);
+  std::uint64_t refs = 0;
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    refs += list_chunk_refs(mem, "cp/" + checkpoint_file_name(id)).size();
+  }
+  ASSERT_EQ(refs, 5u * 16u);
+  ChunkFetchCountingEnv env(mem);
+  const auto report = verify_directory(env, "cp");
+  EXPECT_TRUE(report.healthy()) << report.summary();
+  EXPECT_EQ(env.fetches, refs);
 }
 
 TEST(Verify, HealthNames) {
