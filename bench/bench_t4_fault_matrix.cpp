@@ -6,7 +6,10 @@
 //     (no silent corruption), and
 //   * whenever any intact checkpoint exists, recovery must return one.
 // Claim shape: 100% detection, 0 silently-corrupt acceptances, graceful
-// fallback to the newest intact ancestor in every class.
+// fallback to the newest intact ancestor in every class. Exits 1 when a
+// class accepts a silently corrupt state, when a class that keeps an
+// intact checkpoint recovers nothing in some trial, or when the
+// all-corrupt class recovers anything.
 #include <cstdio>
 #include <map>
 
@@ -126,6 +129,25 @@ void print_row(const char* name, const ClassResult& r) {
               r.silent_corruption);
 }
 
+struct FaultClass {
+  const char* name;
+  FaultFn fault;
+  bool incremental;
+  bool keeps_intact;  ///< some checkpoint (with its chain) survives
+};
+
+constexpr FaultClass kClasses[] = {
+    {"bitflip newest (full)", fault_bitflip_newest, false, true},
+    {"bitflip newest (incr)", fault_bitflip_newest, true, true},
+    {"truncate newest (full)", fault_truncate_newest, false, true},
+    {"truncate newest (incr)", fault_truncate_newest, true, true},
+    {"manifest deleted (full)", fault_delete_manifest, false, true},
+    {"manifest deleted (incr)", fault_delete_manifest, true, true},
+    {"middle ckpt deleted(full)", fault_delete_middle, false, true},
+    {"chain parent hit (incr)", fault_bitflip_parent_of_chain, true, true},
+    {"all ckpts corrupt (full)", fault_corrupt_all, false, false},
+};
+
 }  // namespace
 
 int main() {
@@ -135,28 +157,23 @@ int main() {
               "SILENT-CORRUPT");
   bench::rule(92);
 
-  print_row("bitflip newest (full)",
-            run_class(fault_bitflip_newest, false, 1));
-  print_row("bitflip newest (incr)",
-            run_class(fault_bitflip_newest, true, 2));
-  print_row("truncate newest (full)",
-            run_class(fault_truncate_newest, false, 3));
-  print_row("truncate newest (incr)",
-            run_class(fault_truncate_newest, true, 4));
-  print_row("manifest deleted (full)",
-            run_class(fault_delete_manifest, false, 5));
-  print_row("manifest deleted (incr)",
-            run_class(fault_delete_manifest, true, 6));
-  print_row("middle ckpt deleted(full)",
-            run_class(fault_delete_middle, false, 7));
-  print_row("chain parent hit (incr)",
-            run_class(fault_bitflip_parent_of_chain, true, 8));
-  print_row("all ckpts corrupt (full)",
-            run_class(fault_corrupt_all, false, 9));
+  int violations = 0;
+  std::uint64_t seed = 1;
+  for (const FaultClass& c : kClasses) {
+    const ClassResult r = run_class(c.fault, c.incremental, seed++);
+    print_row(c.name, r);
+    if (r.silent_corruption != 0 ||
+        (c.keeps_intact ? r.none : r.recovered) != 0) {
+      ++violations;
+    }
+  }
 
   std::printf(
       "\nclaim check: SILENT-CORRUPT must be 0 everywhere; fallback picks\n"
       "up whenever the newest file (or its delta chain) is damaged;\n"
-      "'none' only when every checkpoint is corrupt.\n");
-  return 0;
+      "'none' only when every checkpoint is corrupt.\n"
+      "verdict: %s (%d class%s in violation)\n",
+      violations == 0 ? "PASS" : "FAIL", violations,
+      violations == 1 ? "" : "es");
+  return violations == 0 ? 0 : 1;
 }

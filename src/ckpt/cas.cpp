@@ -1,7 +1,6 @@
 #include "ckpt/cas.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "ckpt/manifest.hpp"
@@ -76,96 +75,52 @@ std::optional<std::vector<ParsedRecord>> parse_key_table(
   return records;
 }
 
-/// THE full packfile reader: validates framing + footer CRC64 and walks
-/// the records, for both pack versions. nullopt on any damage.
-std::optional<std::vector<ParsedRecord>> parse_pack(util::ByteSpan span) {
-  if (!check_magic(span, 0, kPackMagic) ||
+/// A version-1 pack's records: the whole file, framing and footer CRC64
+/// checked, its records walked serially (no key table). nullopt on any
+/// damage.
+std::optional<std::vector<ParsedRecord>> parse_pack_v1(util::ByteSpan span) {
+  if (span.size() < kPackHeaderBytes + kPackFooterBytes ||
+      !check_magic(span, 0, kPackMagic) ||
       !check_magic(span, span.size() - 4, kPackFooterMagic)) {
     return std::nullopt;
   }
-  std::size_t off = 4;
-  std::uint16_t version = 0;
+  const std::size_t body_end = span.size() - kPackFooterBytes;
+  {
+    std::size_t foff = body_end;
+    const auto stored = util::get_le<std::uint64_t>(span, foff);
+    if (stored != util::crc64(span.first(body_end))) {
+      return std::nullopt;
+    }
+  }
+  std::vector<ParsedRecord> records;
   try {
-    version = util::get_le<std::uint16_t>(span, off);
-    (void)util::get_le<std::uint16_t>(span, off);  // reserved
-    (void)util::get_le<std::uint64_t>(span, off);  // epoch
+    std::size_t off = kPackHeaderBytes - 4;  // the u32 n_records
+    const auto n_records = util::get_le<std::uint32_t>(span, off);
+    for (std::uint32_t i = 0; i < n_records; ++i) {
+      bool digest_ok = false;
+      ParsedRecord r = parse_record_fields(span, off, digest_ok);
+      r.offset = off;
+      if (!digest_ok || r.enc_len > body_end - off) {
+        return std::nullopt;
+      }
+      off += r.enc_len;
+      records.push_back(r);
+    }
+    if (off != body_end) {
+      return std::nullopt;
+    }
   } catch (const std::out_of_range&) {
     return std::nullopt;
   }
-
-  if (version == kPackVersionV1) {
-    // Legacy layout: u32 n_records after the header, records walked
-    // serially, 12-byte footer with whole-file CRC64.
-    if (span.size() < kPackHeaderBytes + kPackFooterBytes) {
-      return std::nullopt;
-    }
-    {
-      std::size_t foff = span.size() - kPackFooterBytes;
-      const auto stored = util::get_le<std::uint64_t>(span, foff);
-      if (stored != util::crc64(span.first(span.size() - kPackFooterBytes))) {
-        return std::nullopt;
-      }
-    }
-    std::vector<ParsedRecord> records;
-    try {
-      const auto n_records = util::get_le<std::uint32_t>(span, off);
-      for (std::uint32_t i = 0; i < n_records; ++i) {
-        bool digest_ok = false;
-        ParsedRecord r = parse_record_fields(span, off, digest_ok);
-        r.offset = off;
-        if (!digest_ok ||
-            r.enc_len > span.size() - kPackFooterBytes - off) {
-          return std::nullopt;
-        }
-        off += r.enc_len;
-        records.push_back(r);
-      }
-      if (off != span.size() - kPackFooterBytes) {
-        return std::nullopt;
-      }
-    } catch (const std::out_of_range&) {
-      return std::nullopt;
-    }
-    return records;
-  }
-
-  if (version != kPackVersion ||
-      span.size() < kPackHeaderV2Bytes + kPackFooterV2Bytes) {
-    return std::nullopt;
-  }
-  try {
-    std::size_t foff = span.size() - kPackFooterV2Bytes;
-    const auto n_records = util::get_le<std::uint32_t>(span, foff);
-    const auto table_offset = util::get_le<std::uint64_t>(span, foff);
-    const auto table_crc = util::get_le<std::uint32_t>(span, foff);
-    const auto stored_crc64 = util::get_le<std::uint64_t>(span, foff);
-    const std::uint64_t table_size =
-        static_cast<std::uint64_t>(n_records) * kKeyRowBytes;
-    if (table_offset < kPackHeaderV2Bytes ||
-        table_offset + table_size != span.size() - kPackFooterV2Bytes) {
-      return std::nullopt;
-    }
-    // CRC64 covers everything up to (and excluding) the crc64 field.
-    if (stored_crc64 != util::crc64(span.first(span.size() - 12))) {
-      return std::nullopt;
-    }
-    const util::ByteSpan table = span.subspan(table_offset, table_size);
-    if (util::crc32c(table) != table_crc) {
-      return std::nullopt;
-    }
-    return parse_key_table(table, n_records, table_offset);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
+  return records;
 }
 
-/// Ranged v2 index read: footer + key table preads only. Returns the
-/// records and sets `file_bytes`. nullopt on damage; `legacy_v1` is set
-/// when the pack is a v1 file that needs the whole-file fallback.
-std::optional<std::vector<ParsedRecord>> read_pack_index_ranged(
-    io::RandomAccessFile& file, std::uint64_t& file_bytes, bool& legacy_v1) {
-  legacy_v1 = false;
-  file_bytes = file.size();
+/// THE packfile index reader, for both pack versions: a v2 pack's
+/// footer and key table by ranged reads (table CRC32C checked), a v1
+/// pack parsed whole (footer CRC64 checked). nullopt on any damage.
+std::optional<std::vector<ParsedRecord>> read_pack_index(
+    io::RandomAccessFile& file) {
+  const std::uint64_t file_bytes = file.size();
   if (file_bytes < kPackHeaderV2Bytes + kPackFooterV2Bytes) {
     return std::nullopt;
   }
@@ -177,8 +132,8 @@ std::optional<std::vector<ParsedRecord>> read_pack_index_ranged(
     std::size_t off = 4;
     const auto version = util::get_le<std::uint16_t>(head, off);
     if (version == kPackVersionV1) {
-      legacy_v1 = true;
-      return std::nullopt;
+      const Bytes data = file.pread(0, file_bytes);
+      return data.size() == file_bytes ? parse_pack_v1(data) : std::nullopt;
     }
     if (version != kPackVersion) {
       return std::nullopt;
@@ -295,27 +250,11 @@ class PackStream {
 }  // namespace detail
 
 std::string pack_file_name(std::uint64_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "pack-%010llu.qpak",
-                static_cast<unsigned long long>(epoch));
-  return buf;
+  return util::numbered_name("pack-", epoch, ".qpak");
 }
 
 std::optional<std::uint64_t> parse_pack_file_name(const std::string& name) {
-  constexpr const char* kPrefix = "pack-";
-  constexpr const char* kSuffix = ".qpak";
-  if (!util::starts_with(name, kPrefix) || name.size() != 20 ||
-      name.compare(15, 5, kSuffix) != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t id = 0;
-  for (std::size_t i = 5; i < 15; ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return std::nullopt;
-    }
-    id = id * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return id;
+  return util::parse_numbered_name(name, "pack-", ".qpak");
 }
 
 // ---------------------------------------------------------------------------
@@ -913,16 +852,7 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
   if (!file) {
     return ScanOutcome::kAbsent;
   }
-  std::uint64_t file_bytes = 0;
-  bool legacy_v1 = false;
-  auto parsed = read_pack_index_ranged(*file, file_bytes, legacy_v1);
-  if (!parsed && legacy_v1) {
-    // v1 pack: no tail table — whole-file parse, like the old reader.
-    const Bytes data = file->pread(0, file_bytes);
-    if (data.size() == file_bytes) {
-      parsed = parse_pack(data);
-    }
-  }
+  const auto parsed = read_pack_index(*file);
   if (!parsed) {
     // Leave damaged packfiles on disk: their chunks are unusable, but
     // deleting bytes we cannot enumerate could destroy forensic value.
@@ -938,7 +868,7 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
                                   .offset = r.offset,
                                   .enc_len = r.enc_len});
   }
-  pack.file_bytes = file_bytes;
+  pack.file_bytes = file->size();
   stored_bytes_.add(static_cast<std::int64_t>(pack.file_bytes));
   packfiles_.add(1);
   index_records_locked(pack, intern_pack_locked(name));
@@ -949,64 +879,47 @@ ChunkStore::ScanOutcome ChunkStore::scan_pack_locked(const std::string& name,
   return ScanOutcome::kScanned;
 }
 
+std::optional<std::string> ChunkStore::scan_next_deferred_locked() {
+  std::string name = std::move(deferred_packs_.back());
+  deferred_packs_.pop_back();
+  if (packs_.contains(name)) {
+    return std::nullopt;  // re-published under the same epoch meanwhile
+  }
+  // Peek reads (footer + key table) go through the cold tier so indexing
+  // never promotes a pack the caller may not even need.
+  io::Env& through = tiered_ ? tiered_->cold() : env_;
+  if (scan_pack_locked(name, through) == ScanOutcome::kAbsent) {
+    // Promoted since the open listing: retry through the union view.
+    // Only genuine absence falls back — a damaged pack must not be
+    // re-read (or promoted hot) and double-counted.
+    scan_pack_locked(name, env_);
+  }
+  return name;
+}
+
 void ChunkStore::scan_deferred_until_locked(const ChunkKey& key) {
   while (!deferred_packs_.empty() && resident_locked(key) == nullptr) {
     // Newest first: a missing chunk most likely lives in the pack of a
-    // recently demoted checkpoint. Peek reads (footer + key table) go
-    // through the cold tier so indexing never promotes a pack the
-    // caller may not even need.
-    const std::string name = deferred_packs_.back();
-    deferred_packs_.pop_back();
-    if (packs_.contains(name)) {
-      continue;  // re-published under the same epoch meanwhile
-    }
-    io::Env& through = tiered_ ? tiered_->cold() : env_;
-    if (scan_pack_locked(name, through) == ScanOutcome::kAbsent) {
-      // Promoted since the open listing: retry through the union view.
-      // Only genuine absence falls back — a damaged pack must not be
-      // re-read (or promoted hot) and double-counted.
-      scan_pack_locked(name, env_);
-    }
-    if (resident_locked(key) != nullptr) {
+    // recently demoted checkpoint.
+    const auto name = scan_next_deferred_locked();
+    if (name && resident_locked(key) != nullptr && tiered_ != nullptr &&
+        tiered_->promote_on_read()) {
       // This pack is the one the caller needs. With read-through
       // promotion on, pull it hot via a streaming copy (bounded
       // memory) so the NEXT access is a hot hit; the current get()
       // still resolves its chunk with a ranged cold pread either way.
       // The scan's cached handle points at the cold copy — drop it so
       // the next read opens the promoted file.
-      if (tiered_ != nullptr && tiered_->promote_on_read()) {
-        invalidate_pack_handle_locked(name);
-        tiered_->promote_file(pack_path(name));  // best effort
-      }
+      invalidate_pack_handle_locked(*name);
+      tiered_->promote_file(pack_path(*name));  // best effort
     }
   }
 }
 
 void ChunkStore::drain_deferred_locked() {
   while (!deferred_packs_.empty()) {
-    const std::string name = deferred_packs_.back();
-    deferred_packs_.pop_back();
-    if (packs_.contains(name)) {
-      continue;
-    }
-    io::Env& through = tiered_ ? tiered_->cold() : env_;
-    if (scan_pack_locked(name, through) == ScanOutcome::kAbsent) {
-      scan_pack_locked(name, env_);
-    }
+    scan_next_deferred_locked();
   }
-}
-
-std::vector<ChunkKey> list_pack_keys(ByteSpan pack) {
-  const auto parsed = parse_pack(pack);
-  if (!parsed) {
-    throw std::runtime_error("damaged packfile");
-  }
-  std::vector<ChunkKey> keys;
-  keys.reserve(parsed->size());
-  for (const ParsedRecord& r : *parsed) {
-    keys.push_back(r.key);
-  }
-  return keys;
 }
 
 std::vector<ChunkKey> list_pack_keys(io::Env& env, const std::string& path) {
@@ -1014,15 +927,7 @@ std::vector<ChunkKey> list_pack_keys(io::Env& env, const std::string& path) {
   if (!file) {
     throw std::runtime_error("packfile missing: " + path);
   }
-  std::uint64_t file_bytes = 0;
-  bool legacy_v1 = false;
-  auto parsed = read_pack_index_ranged(*file, file_bytes, legacy_v1);
-  if (!parsed && legacy_v1) {
-    const Bytes data = file->pread(0, file_bytes);
-    if (data.size() == file_bytes) {
-      parsed = parse_pack(data);
-    }
-  }
+  const auto parsed = read_pack_index(*file);
   if (!parsed) {
     throw std::runtime_error("damaged packfile");
   }

@@ -26,8 +26,10 @@
 // chunk, independent of chunk size), and resolving one chunk preads
 // exactly that record's encoded bytes — verified against the record's
 // CRC32C and then the content key, so skipping the whole-file CRC64
-// costs no integrity on the read path. Version-1 packs (record-walk
-// layout, no table) are still read whole-file for compatibility.
+// costs no integrity on the read path. No reader checks a v2 pack's
+// CRC64; the writer still writes it. Version-1 packs (record-walk
+// layout, no table) are still read whole, CRC64 checked, for
+// compatibility.
 //
 // Crash-consistency contract (proven over the crash matrix):
 //   * chunks become durable BEFORE any checkpoint file referencing them
@@ -296,17 +298,22 @@ class ChunkStore : public ChunkSource {
   /// operations (retain/release/sweep/ref_count) and the explicit open().
   void ensure_refs_locked();
   /// Indexes one packfile into packs_/index_, reading it through
-  /// `through` (the full env, or one tier's view). Pack format v2 reads
-  /// only the footer + key table (ranged); v1 packs fall back to a
-  /// whole-file parse. kAbsent and kDamaged are distinct so the
-  /// deferred-scan fallback retries only files that genuinely moved,
-  /// never re-reads (or promotes) a damaged pack.
+  /// `through` (the full env, or one tier's view) with the one pack
+  /// index reader list_pack_keys also uses: a v2 pack's footer + key
+  /// table (ranged), a v1 pack whole. kAbsent and kDamaged are distinct
+  /// so the deferred-scan fallback retries only files that genuinely
+  /// moved, never re-reads (or promotes) a damaged pack.
   enum class ScanOutcome { kScanned, kAbsent, kDamaged };
   ScanOutcome scan_pack_locked(const std::string& name, io::Env& through);
-  /// Scans deferred (cold) packs — newest first — until `key` is
-  /// indexed or none remain. The ranged peek reads footer + key table
-  /// through the cold tier, so indexing a pack never transfers (let
-  /// alone promotes) its bulk; only fetching chunk bytes does.
+  /// The one deferred-pack step: pops the newest deferred pack and, unless
+  /// it is indexed already, scans it through the cold tier (through the
+  /// union view only when it is absent there: promoted since the open
+  /// listing). Returns the pack's name, or nullopt when it was indexed
+  /// already. The ranged peek reads footer + key table, so indexing a
+  /// pack never transfers (let alone promotes) its bulk; only fetching
+  /// chunk bytes does.
+  std::optional<std::string> scan_next_deferred_locked();
+  /// Scans deferred (cold) packs until `key` is indexed or none remain.
   void scan_deferred_until_locked(const ChunkKey& key);
   /// Scans every remaining deferred pack (full-index operations:
   /// compacting sweeps, inspection).
@@ -407,15 +414,12 @@ class ChunkStore : public ChunkSource {
 std::string pack_file_name(std::uint64_t epoch);
 std::optional<std::uint64_t> parse_pack_file_name(const std::string& name);
 
-/// The chunk keys of every record in a serialized packfile, verified
-/// against the footer CRC64 (both pack versions). Throws
-/// std::runtime_error on damage.
-std::vector<ChunkKey> list_pack_keys(ByteSpan pack);
-
-/// Ranged variant: preads only the footer + key table of a v2 pack
-/// (whole-file for v1), verifying the table CRC32C. Lets the tier
-/// migration engine test packfile coldness without transferring the
-/// pack's bulk. Throws std::runtime_error on damage or absence.
+/// The chunk keys of every record in the packfile at `path`, read as
+/// the store's open reads a pack: a v2 pack's footer + key table by
+/// ranged reads (table CRC32C verified), a v1 pack whole (footer CRC64
+/// verified). Lets the tier migration engine test packfile coldness
+/// without transferring the pack's bulk. Throws std::runtime_error on
+/// damage or absence.
 std::vector<ChunkKey> list_pack_keys(io::Env& env, const std::string& path);
 
 }  // namespace qnn::ckpt

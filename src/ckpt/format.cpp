@@ -19,6 +19,10 @@ constexpr char kFooterMagic[4] = {'P', 'K', 'C', 'Q'};
 constexpr std::size_t kFooterSize = 8 + 4;  // crc64 + magic
 /// Fixed file header after the magic (version..n_sections).
 constexpr std::size_t kFileHeaderBytes = 2 + 2 + 8 + 8 + 8 + 8 + 4;
+/// Where the first section header starts.
+constexpr std::size_t kBodyOffset = 4 + kFileHeaderBytes;
+/// The smallest whole container: magic, fixed header and footer.
+constexpr std::size_t kMinFileBytes = kBodyOffset + kFooterSize;
 /// One serialized section header.
 constexpr std::size_t kSectionHeaderBytes = 2 + 1 + 1 + 8 + 8 + 4;
 
@@ -77,9 +81,9 @@ bool footer_intact(ByteSpan data) {
 
 // The fixed file header after the magic, and one section's header. Both
 // walkers are shared by every reader in this file (parse,
-// list_chunk_refs) so the offset arithmetic cannot drift between them;
-// encode_checkpoint and put_section_header are their mirror image.
-// Throw std::out_of_range on truncation (via get_le).
+// list_chunk_refs, walk_ranged) so the offset arithmetic cannot drift
+// between them; encode_checkpoint and put_section_header are their
+// mirror image.
 
 struct FileHeader {
   std::uint16_t version = 0;
@@ -91,29 +95,88 @@ struct FileHeader {
   std::uint32_t n_sections = 0;
 };
 
-FileHeader read_file_header(ByteSpan data, std::size_t& off) {
+/// The fixed header that follows the magic at the start of `head`, its
+/// version checked: the one header check of every reader. Throws
+/// CorruptCheckpoint when it is cut short or its version unsupported.
+FileHeader read_file_header(ByteSpan head) {
+  if (head.size() < kBodyOffset) {
+    throw CorruptCheckpoint("file header truncated");
+  }
+  std::size_t off = 4;
   FileHeader h;
-  h.version = util::get_le<std::uint16_t>(data, off);
-  h.flags = util::get_le<std::uint16_t>(data, off);
-  h.checkpoint_id = util::get_le<std::uint64_t>(data, off);
-  h.parent_id = util::get_le<std::uint64_t>(data, off);
-  h.step = util::get_le<std::uint64_t>(data, off);
-  h.time_us = util::get_le<std::uint64_t>(data, off);
-  h.n_sections = util::get_le<std::uint32_t>(data, off);
+  h.version = util::get_le<std::uint16_t>(head, off);
+  h.flags = util::get_le<std::uint16_t>(head, off);
+  h.checkpoint_id = util::get_le<std::uint64_t>(head, off);
+  h.parent_id = util::get_le<std::uint64_t>(head, off);
+  h.step = util::get_le<std::uint64_t>(head, off);
+  h.time_us = util::get_le<std::uint64_t>(head, off);
+  h.n_sections = util::get_le<std::uint32_t>(head, off);
+  if (h.version < kMinFormatVersion || h.version > kFormatVersion) {
+    throw CorruptCheckpoint("unsupported version " +
+                            std::to_string(h.version));
+  }
   return h;
 }
 
-struct SectionHeader {
-  SectionKind kind = SectionKind::kMeta;
-  codec::CodecId codec = codec::CodecId::kRaw;
-  std::uint8_t flags = 0;
-  std::uint64_t raw_len = 0;
-  std::uint64_t enc_len = 0;
-  std::uint32_t crc = 0;
+/// True when a payload of `enc_len` bytes at `off` ends by `body_end`
+/// (overflow-safe: a crafted enc_len near 2^64 must not wrap past it).
+bool payload_fits(std::uint64_t off, std::uint64_t enc_len,
+                  std::uint64_t body_end) {
+  return off <= body_end && enc_len <= body_end - off;
+}
+
+/// A checked container frame: its fixed header and where its body ends.
+struct Frame {
+  FileHeader header;
+  std::size_t body_end = 0;  ///< one past the last section byte
 };
 
-SectionHeader read_section_header(ByteSpan data, std::size_t& off) {
-  SectionHeader h;
+/// The container frame, checked by every whole-buffer reader before any
+/// section: a header and a footer's worth of bytes, the magic, the
+/// footer CRC64 and the fixed header. Strict (`salvage` null), each
+/// failure throws CorruptCheckpoint. Salvage differs only at the footer:
+/// a short file or a missing or bad footer is noted in `salvage`, and
+/// the body then runs to the end of `data`.
+Frame check_frame(ByteSpan data, SalvageResult* salvage) {
+  if (salvage == nullptr && data.size() < kMinFileBytes) {
+    throw CorruptCheckpoint("file too short");
+  }
+  if (!check_magic(data, 0, kMagic)) {
+    throw CorruptCheckpoint("bad magic");
+  }
+  // Footer before header: the CRC64 covers truncation of any length.
+  const bool footer_ok = footer_intact(data);
+  if (!footer_ok) {
+    const std::string what =
+        "footer missing or file CRC64 mismatch (truncated file?)";
+    if (salvage == nullptr) {
+      throw CorruptCheckpoint(what);
+    }
+    salvage->notes.push_back(what);
+    salvage->fully_intact = false;
+  }
+  return Frame{.header = read_file_header(data),
+               .body_end = footer_ok ? data.size() - kFooterSize
+                                     : data.size()};
+}
+
+/// Runs `read`, rethrowing any other exception as CorruptCheckpoint: the
+/// one failure format.hpp promises of its readers.
+template <typename Read>
+auto as_corrupt(const Read& read) {
+  try {
+    return read();
+  } catch (const CorruptCheckpoint&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw CorruptCheckpoint(e.what());
+  }
+}
+
+/// The section header at `off`, which moves past it to the payload
+/// (payload_offset is left unset). Throws std::out_of_range when cut short.
+SectionIndexEntry read_section_header(ByteSpan data, std::size_t& off) {
+  SectionIndexEntry h;
   h.kind = static_cast<SectionKind>(util::get_le<std::uint16_t>(data, off));
   h.codec = static_cast<codec::CodecId>(util::get_le<std::uint8_t>(data, off));
   h.flags = util::get_le<std::uint8_t>(data, off);
@@ -715,91 +778,63 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
 
 namespace {
 
-/// Shared parse loop. In strict mode any problem throws; in salvage mode
-/// problems are recorded and parsing continues where possible.
-CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
-                     bool* fully_intact, std::vector<std::string>* notes) {
+/// The one parse loop, behind decode_checkpoint and salvage_checkpoint.
+/// Strict (`salvage` null), any problem throws CorruptCheckpoint; in
+/// salvage mode problems are noted in `salvage` and parsing continues
+/// where possible.
+CheckpointFile parse(ByteSpan data, const DecodeOptions& options,
+                     SalvageResult* salvage) {
   auto fail = [&](const std::string& what) {
-    if (strict) {
+    if (salvage == nullptr) {
       throw CorruptCheckpoint(what);
     }
-    if (notes) {
-      notes->push_back(what);
-    }
-    if (fully_intact) {
-      *fully_intact = false;
-    }
+    salvage->notes.push_back(what);
+    salvage->fully_intact = false;
   };
 
-  if (!check_magic(data, 0, kMagic)) {
-    throw CorruptCheckpoint("bad magic");
-  }
+  const Frame frame = check_frame(data, salvage);
+  CheckpointFile file{.checkpoint_id = frame.header.checkpoint_id,
+                      .parent_id = frame.header.parent_id,
+                      .step = frame.header.step,
+                      .time_us = frame.header.time_us,
+                      .sections = {}};
 
-  // Footer first: covers truncation of any length.
-  const bool footer_ok = footer_intact(data);
-  if (!footer_ok) {
-    fail("footer missing or file CRC64 mismatch (truncated file?)");
-  }
-
-  std::size_t off = 4;
-  CheckpointFile file;
-  const FileHeader header = read_file_header(data, off);
-  if (header.version < kMinFormatVersion ||
-      header.version > kFormatVersion) {
-    throw CorruptCheckpoint("unsupported version " +
-                            std::to_string(header.version));
-  }
-  const std::uint16_t version = header.version;
-  file.checkpoint_id = header.checkpoint_id;
-  file.parent_id = header.parent_id;
-  file.step = header.step;
-  file.time_us = header.time_us;
-
-  const std::size_t body_end =
-      footer_ok ? data.size() - kFooterSize : data.size();
-
+  std::size_t off = kBodyOffset;
   std::vector<SectionKind> kinds;  // every section header's, in file order
-  for (std::uint32_t i = 0; i < header.n_sections; ++i) {
-    Section s;
-    std::uint64_t raw_len = 0;
-    std::uint64_t enc_len = 0;
-    std::uint32_t crc = 0;
+  for (std::uint32_t i = 0; i < frame.header.n_sections; ++i) {
+    SectionIndexEntry sh;
     try {
-      const SectionHeader sh = read_section_header(data, off);
-      s.kind = sh.kind;
-      s.codec = sh.codec;
-      s.flags = sh.flags;
-      raw_len = sh.raw_len;
-      enc_len = sh.enc_len;
-      crc = sh.crc;
+      sh = read_section_header(data, off);
     } catch (const std::out_of_range&) {
       fail("section " + std::to_string(i) + ": truncated header");
       return file;
     }
-    // Overflow-safe truncation check: a crafted enc_len near 2^64 must not
-    // wrap past body_end and reach subspan with an out-of-range count.
-    if (off > body_end || enc_len > body_end - off) {
-      fail("section " + section_kind_name(s.kind) + ": truncated payload");
+    if (!payload_fits(off, sh.enc_len, frame.body_end)) {
+      fail("section " + section_kind_name(sh.kind) + ": truncated payload");
       return file;
     }
-    const ByteSpan encoded = data.subspan(off, enc_len);
-    off += enc_len;
+    const ByteSpan encoded = data.subspan(off, sh.enc_len);
+    off += sh.enc_len;
 
     // One section per kind: a repeat would land on (or, as a delta,
     // XOR into) the payload the first one placed. Salvage keeps the
     // first.
-    if (std::ranges::find(kinds, s.kind) != kinds.end()) {
-      fail("section " + section_kind_name(s.kind) + ": kind repeated");
+    if (std::ranges::find(kinds, sh.kind) != kinds.end()) {
+      fail("section " + section_kind_name(sh.kind) + ": kind repeated");
       continue;
     }
-    kinds.push_back(s.kind);
+    kinds.push_back(sh.kind);
 
-    if (util::crc32c(encoded) != crc) {
-      fail("section " + section_kind_name(s.kind) + ": CRC32C mismatch");
+    if (util::crc32c(encoded) != sh.crc) {
+      fail("section " + section_kind_name(sh.kind) + ": CRC32C mismatch");
       continue;  // salvage mode: skip this section, keep going
     }
+    Section s;
+    s.kind = sh.kind;
+    s.codec = sh.codec;
+    s.flags = sh.flags;
     try {
-      decode_section(s, raw_len, encoded, version, options);
+      decode_section(s, sh.raw_len, encoded, frame.header.version, options);
     } catch (const std::exception& e) {
       fail("section " + section_kind_name(s.kind) +
            ": decode failed: " + e.what());
@@ -809,100 +844,6 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
   }
   return file;
 }
-
-}  // namespace
-
-CheckpointFile decode_checkpoint(ByteSpan data) {
-  return parse(data, DecodeOptions{}, /*strict=*/true, nullptr, nullptr);
-}
-
-CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options) {
-  return parse(data, options, /*strict=*/true, nullptr, nullptr);
-}
-
-CheckpointFile decode_checkpoint_header(ByteSpan data) {
-  if (data.size() < 4 + kFileHeaderBytes + kFooterSize ||
-      !check_magic(data, 0, kMagic)) {
-    throw CorruptCheckpoint("bad magic or file too short");
-  }
-  if (!footer_intact(data)) {
-    throw CorruptCheckpoint("footer missing or file CRC64 mismatch");
-  }
-  std::size_t off = 4;
-  const FileHeader header = read_file_header(data, off);
-  if (header.version < kMinFormatVersion || header.version > kFormatVersion) {
-    throw CorruptCheckpoint("unsupported version " +
-                            std::to_string(header.version));
-  }
-  return CheckpointFile{.checkpoint_id = header.checkpoint_id,
-                        .parent_id = header.parent_id,
-                        .step = header.step,
-                        .time_us = header.time_us,
-                        .sections = {}};
-}
-
-SalvageResult salvage_checkpoint(ByteSpan data) {
-  return salvage_checkpoint(data, DecodeOptions{});
-}
-
-SalvageResult salvage_checkpoint(ByteSpan data, const DecodeOptions& options) {
-  SalvageResult result;
-  result.fully_intact = true;
-  try {
-    result.file = parse(data, options, /*strict=*/false,
-                        &result.fully_intact, &result.notes);
-  } catch (const std::exception& e) {
-    result.fully_intact = false;
-    result.notes.push_back(e.what());
-    result.file = std::nullopt;
-  }
-  return result;
-}
-
-std::vector<ChunkKey> list_chunk_refs(ByteSpan data) {
-  if (!check_magic(data, 0, kMagic)) {
-    throw CorruptCheckpoint("bad magic");
-  }
-  // Footer CRC64 first: refcounts must never be rebuilt from a file whose
-  // bytes cannot be trusted end to end.
-  if (!footer_intact(data)) {
-    throw CorruptCheckpoint("footer missing or file CRC64 mismatch");
-  }
-  std::size_t off = 4;
-  std::vector<ChunkKey> refs;
-  try {
-    const FileHeader header = read_file_header(data, off);
-    if (header.version < kMinFormatVersion ||
-        header.version > kFormatVersion) {
-      throw CorruptCheckpoint("unsupported version " +
-                              std::to_string(header.version));
-    }
-    if (header.version < 3) {
-      return refs;  // inline formats reference no external chunks
-    }
-    const std::size_t body_end = data.size() - kFooterSize;
-    for (std::uint32_t i = 0; i < header.n_sections; ++i) {
-      const SectionHeader sh = read_section_header(data, off);
-      if (off > body_end || sh.enc_len > body_end - off) {
-        throw CorruptCheckpoint("section " + std::to_string(i) +
-                                ": truncated payload");
-      }
-      if ((sh.flags & kSectionFlagExtern) != 0) {
-        const auto keys =
-            parse_extern_table(data.subspan(off, sh.enc_len), sh.raw_len);
-        refs.insert(refs.end(), keys.begin(), keys.end());
-      }
-      off += sh.enc_len;
-    }
-  } catch (const CorruptCheckpoint&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw CorruptCheckpoint(e.what());
-  }
-  return refs;
-}
-
-namespace {
 
 /// pread cursor over a ranged handle; throws CorruptCheckpoint when a
 /// fixed-size piece comes back short (truncation).
@@ -920,36 +861,26 @@ struct RangedCursor {
   }
 };
 
-/// Shared ranged walk: fixed header + section headers (payloads are
-/// skipped by seeking; `on_section` may pread what it needs). The walk
-/// validates structural consistency (magics, version, lengths within
-/// the file) but deliberately NOT the footer CRC64 — that is what makes
-/// it a header-sized read instead of a whole-file one.
-template <typename OnSection>
-CheckpointIndex walk_ranged(io::RandomAccessFile& file,
-                            const OnSection& on_section) {
+/// The ranged walk: the magic, the closing magic and the fixed header
+/// (read_file_header, as every reader checks it), then each section
+/// header, its payload skipped by seeking. It checks structure (lengths
+/// within the file) but deliberately NOT the footer CRC64: that is what
+/// makes it a header-sized read instead of a whole-file one.
+CheckpointIndex walk_ranged(io::RandomAccessFile& file) {
   CheckpointIndex index;
   index.file_bytes = file.size();
-  if (index.file_bytes < 4 + kFileHeaderBytes + kFooterSize) {
+  if (index.file_bytes < kMinFileBytes) {
     throw CorruptCheckpoint("file too short");
   }
   RangedCursor cursor{file};
-  const Bytes head = cursor.take(4 + kFileHeaderBytes, "file header");
+  const Bytes head = cursor.take(kBodyOffset, "file header");
   if (!check_magic(head, 0, kMagic)) {
     throw CorruptCheckpoint("bad magic");
   }
-  {
-    const Bytes tail = file.pread(index.file_bytes - 4, 4);
-    if (tail.size() != 4 || !check_magic(tail, 0, kFooterMagic)) {
-      throw CorruptCheckpoint("footer missing (truncated file?)");
-    }
+  if (!check_magic(file.pread(index.file_bytes - 4, 4), 0, kFooterMagic)) {
+    throw CorruptCheckpoint("footer missing (truncated file?)");
   }
-  std::size_t off = 4;
-  const FileHeader header = read_file_header(head, off);
-  if (header.version < kMinFormatVersion || header.version > kFormatVersion) {
-    throw CorruptCheckpoint("unsupported version " +
-                            std::to_string(header.version));
-  }
+  const FileHeader header = read_file_header(head);
   index.version = header.version;
   index.checkpoint_id = header.checkpoint_id;
   index.parent_id = header.parent_id;
@@ -960,51 +891,100 @@ CheckpointIndex walk_ranged(io::RandomAccessFile& file,
   for (std::uint32_t i = 0; i < header.n_sections; ++i) {
     const Bytes raw = cursor.take(kSectionHeaderBytes, "section header");
     std::size_t hoff = 0;
-    const SectionHeader sh = read_section_header(raw, hoff);
-    SectionIndexEntry entry;
-    entry.kind = sh.kind;
-    entry.codec = sh.codec;
-    entry.flags = sh.flags;
-    entry.raw_len = sh.raw_len;
-    entry.enc_len = sh.enc_len;
-    entry.crc = sh.crc;
+    SectionIndexEntry entry = read_section_header(raw, hoff);
     entry.payload_offset = cursor.off;
-    if (cursor.off > body_end || sh.enc_len > body_end - cursor.off) {
-      throw CorruptCheckpoint("section " + section_kind_name(sh.kind) +
+    if (!payload_fits(cursor.off, entry.enc_len, body_end)) {
+      throw CorruptCheckpoint("section " + section_kind_name(entry.kind) +
                               ": truncated payload");
     }
-    on_section(entry);
-    cursor.off += sh.enc_len;  // seek past the payload: never read it
+    cursor.off += entry.enc_len;  // seek past the payload: never read it
     index.sections.push_back(entry);
   }
   return index;
 }
 
-}  // namespace
-
-CheckpointIndex read_checkpoint_index(io::Env& env, const std::string& path) {
+/// Opens `path` for ranged reads and runs `read` on the handle. Throws
+/// CorruptCheckpoint when the file is absent or `read` fails.
+template <typename Read>
+auto read_ranged(io::Env& env, const std::string& path, const Read& read) {
   const auto file = env.open_ranged(path);
   if (!file) {
     throw CorruptCheckpoint("file missing: " + path);
   }
+  return as_corrupt([&] { return read(*file); });
+}
+
+}  // namespace
+
+CheckpointFile decode_checkpoint(ByteSpan data) {
+  return parse(data, DecodeOptions{}, nullptr);
+}
+
+CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options) {
+  return parse(data, options, nullptr);
+}
+
+CheckpointFile decode_checkpoint_header(ByteSpan data) {
+  const FileHeader header = check_frame(data, nullptr).header;
+  return CheckpointFile{.checkpoint_id = header.checkpoint_id,
+                        .parent_id = header.parent_id,
+                        .step = header.step,
+                        .time_us = header.time_us,
+                        .sections = {}};
+}
+
+SalvageResult salvage_checkpoint(ByteSpan data) {
+  return salvage_checkpoint(data, DecodeOptions{});
+}
+
+SalvageResult salvage_checkpoint(ByteSpan data, const DecodeOptions& options) {
+  SalvageResult result;
+  result.fully_intact = true;
   try {
-    return walk_ranged(*file, [](const SectionIndexEntry&) {});
-  } catch (const CorruptCheckpoint&) {
-    throw;
+    result.file = parse(data, options, &result);
   } catch (const std::exception& e) {
-    throw CorruptCheckpoint(e.what());
+    result.fully_intact = false;
+    result.notes.push_back(e.what());
+    result.file = std::nullopt;
   }
+  return result;
+}
+
+std::vector<ChunkKey> list_chunk_refs(ByteSpan data) {
+  // The frame checks the footer CRC64 first: refcounts must never be
+  // rebuilt from a file whose bytes cannot be trusted end to end.
+  const Frame frame = check_frame(data, nullptr);
+  std::vector<ChunkKey> refs;
+  if (frame.header.version < 3) {
+    return refs;  // inline formats reference no external chunks
+  }
+  as_corrupt([&] {
+    std::size_t off = kBodyOffset;
+    for (std::uint32_t i = 0; i < frame.header.n_sections; ++i) {
+      const SectionIndexEntry sh = read_section_header(data, off);
+      if (!payload_fits(off, sh.enc_len, frame.body_end)) {
+        throw CorruptCheckpoint("section " + std::to_string(i) +
+                                ": truncated payload");
+      }
+      if ((sh.flags & kSectionFlagExtern) != 0) {
+        const auto keys =
+            parse_extern_table(data.subspan(off, sh.enc_len), sh.raw_len);
+        refs.insert(refs.end(), keys.begin(), keys.end());
+      }
+      off += sh.enc_len;
+    }
+  });
+  return refs;
+}
+
+CheckpointIndex read_checkpoint_index(io::Env& env, const std::string& path) {
+  return read_ranged(env, path, walk_ranged);
 }
 
 std::vector<ChunkKey> list_chunk_refs(io::Env& env, const std::string& path) {
-  const auto file = env.open_ranged(path);
-  if (!file) {
-    throw CorruptCheckpoint("file missing: " + path);
-  }
-  std::vector<ChunkKey> refs;
-  try {
-    const CheckpointIndex index =
-        walk_ranged(*file, [](const SectionIndexEntry&) {});
+  return read_ranged(env, path, [](io::RandomAccessFile& file) {
+    std::vector<ChunkKey> refs;
+    const CheckpointIndex index = walk_ranged(file);
     if (index.version < 3) {
       return refs;  // inline formats reference no external chunks
     }
@@ -1012,7 +992,7 @@ std::vector<ChunkKey> list_chunk_refs(io::Env& env, const std::string& path) {
       if ((entry.flags & kSectionFlagExtern) == 0) {
         continue;
       }
-      const Bytes table = file->pread(entry.payload_offset, entry.enc_len);
+      const Bytes table = file.pread(entry.payload_offset, entry.enc_len);
       if (table.size() != entry.enc_len) {
         throw CorruptCheckpoint("extern key table truncated");
       }
@@ -1025,12 +1005,8 @@ std::vector<ChunkKey> list_chunk_refs(io::Env& env, const std::string& path) {
       const auto keys = parse_extern_table(table, entry.raw_len);
       refs.insert(refs.end(), keys.begin(), keys.end());
     }
-  } catch (const CorruptCheckpoint&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw CorruptCheckpoint(e.what());
-  }
-  return refs;
+    return refs;
+  });
 }
 
 }  // namespace qnn::ckpt

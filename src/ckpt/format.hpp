@@ -239,7 +239,8 @@ struct CheckpointFile {
   [[nodiscard]] const Section* find(SectionKind kind) const;
 };
 
-/// Raised by decode_checkpoint on any structural or checksum failure.
+/// Raised by every container reader below on any structural or checksum
+/// failure; they throw no other exception type for a malformed file.
 struct CorruptCheckpoint : std::runtime_error {
   explicit CorruptCheckpoint(const std::string& what)
       : std::runtime_error("corrupt checkpoint: " + what) {}
@@ -374,9 +375,10 @@ struct DecodeOptions {
 /// Parses and fully verifies (per-section CRC32C + footer CRC64 + magics;
 /// extern chunks are fetched from `options.source` and verified against
 /// their keys; one section per kind). Throws CorruptCheckpoint on any
-/// failure. One parse loop and one section decoder serve this,
-/// salvage_checkpoint (which keeps the first section of a repeated
-/// kind) and recovery.
+/// failure. One frame check (size, magic, footer CRC64, fixed header,
+/// version) serves every whole-buffer reader below; one parse loop and
+/// one section decoder serve this, salvage_checkpoint (which keeps the
+/// first section of a repeated kind) and recovery.
 CheckpointFile decode_checkpoint(ByteSpan data);
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
 
@@ -387,7 +389,10 @@ CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
 CheckpointFile decode_checkpoint_header(ByteSpan data);
 
 /// Best-effort parse for forensics / fallback: returns whatever sections
-/// verify individually, plus human-readable notes on what was wrong.
+/// verify individually, plus human-readable notes on what was wrong. A
+/// missing or bad footer is only a note: the leading sections are still
+/// salvaged. Only bad magic, a header cut short or an unsupported
+/// version leave `file` empty.
 struct SalvageResult {
   std::optional<CheckpointFile> file;  ///< nullopt if even the header is bad
   bool fully_intact = false;
@@ -398,10 +403,11 @@ SalvageResult salvage_checkpoint(ByteSpan data, const DecodeOptions& options);
 
 /// Every chunk key referenced by the file's extern sections, in section
 /// then chunk order (duplicates preserved — the reference multiset for
-/// refcounting). Returns empty for v1/v2 files. Verifies the footer
-/// CRC64 and each extern key table's CRC32C; throws CorruptCheckpoint on
-/// damage, so refcounts are never rebuilt from bytes that cannot be
-/// trusted. Does not touch the chunk store.
+/// refcounting). Returns empty for v1/v2 files. Checks the container
+/// frame as decode_checkpoint does, so the footer CRC64 covers every key
+/// table; throws CorruptCheckpoint on damage, so refcounts are never
+/// rebuilt from bytes that cannot be trusted. Does not touch the chunk
+/// store.
 std::vector<ChunkKey> list_chunk_refs(ByteSpan data);
 
 /// Ranged variant: reads only the fixed header, the section headers and
@@ -441,8 +447,11 @@ struct CheckpointIndex {
   std::vector<SectionIndexEntry> sections;
 };
 
-/// Ranged header walk of a container file. Throws CorruptCheckpoint on
-/// structural damage and when the file is absent.
+/// Ranged header walk of a container file: the magic, the closing magic
+/// and the fixed header checked as the whole-buffer readers check them,
+/// then the section headers; never the footer CRC64. Throws
+/// CorruptCheckpoint on structural damage and when the file is absent,
+/// and no other exception type.
 CheckpointIndex read_checkpoint_index(io::Env& env, const std::string& path);
 
 }  // namespace qnn::ckpt

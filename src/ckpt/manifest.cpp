@@ -166,29 +166,24 @@ std::uint64_t Manifest::max_id() const {
   return entries_.empty() ? 0 : entries_.back().id;
 }
 
+void insert_with_chain(const Manifest& manifest, std::uint64_t id,
+                       std::set<std::uint64_t>& ids) {
+  while (id != 0 && ids.insert(id).second) {
+    const ManifestEntry* e = manifest.find(id);
+    if (e == nullptr) {
+      break;
+    }
+    id = e->parent_id;
+  }
+}
+
 std::string checkpoint_file_name(std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "ckpt-%010llu.qckp",
-                static_cast<unsigned long long>(id));
-  return buf;
+  return util::numbered_name("ckpt-", id, ".qckp");
 }
 
 std::optional<std::uint64_t> parse_checkpoint_file_name(
     const std::string& name) {
-  constexpr const char* kPrefix = "ckpt-";
-  constexpr const char* kSuffix = ".qckp";
-  if (!util::starts_with(name, kPrefix) || name.size() != 20 ||
-      name.compare(15, 5, kSuffix) != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t id = 0;
-  for (std::size_t i = 5; i < 15; ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return std::nullopt;
-    }
-    id = id * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return id;
+  return util::parse_numbered_name(name, "ckpt-", ".qckp");
 }
 
 }  // namespace qnn::ckpt

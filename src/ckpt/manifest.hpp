@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,14 @@ class Manifest {
   std::map<std::string, std::uint64_t> stats_;
   std::size_t parse_warnings_ = 0;
 };
+
+/// Inserts `id` and its ancestor chain into `ids`, walking parents until
+/// a full checkpoint, an id already in `ids`, or a parent the manifest
+/// does not list (a dangling chain, which recovery flags). The closure
+/// both the retention planner keeps and the tier engine pins: a delta
+/// needs everything it resolves through.
+void insert_with_chain(const Manifest& manifest, std::uint64_t id,
+                       std::set<std::uint64_t>& ids);
 
 /// Canonical checkpoint file name for an id: "ckpt-0000000042.qckp".
 std::string checkpoint_file_name(std::uint64_t id);

@@ -79,19 +79,6 @@ std::vector<ChunkKey> CheckpointStore::read_chunk_refs(
 
 namespace {
 
-/// Inserts `id` and its whole ancestor chain into `keep`.
-void keep_with_chain(const Manifest& manifest, std::uint64_t id,
-                     std::set<std::uint64_t>& keep) {
-  while (id != 0 && !keep.contains(id)) {
-    keep.insert(id);
-    const ManifestEntry* e = manifest.find(id);
-    if (e == nullptr) {
-      break;  // dangling parent; recovery will flag it
-    }
-    id = e->parent_id;
-  }
-}
-
 /// True when `id`'s ancestor chain (exclusive) passes through `through`.
 bool chain_passes_through(const Manifest& manifest, std::uint64_t id,
                           std::uint64_t through) {
@@ -135,7 +122,7 @@ std::vector<std::uint64_t> CheckpointStore::plan_retained(
           ? 0
           : n - policy_.keep_last;
   for (std::size_t i = window_first; i < n; ++i) {
-    keep_with_chain(manifest, entries[i].id, keep);
+    insert_with_chain(manifest, entries[i].id, keep);
   }
 
   // 2. Spaced long-horizon history older than the window: oldest first,
@@ -147,7 +134,7 @@ std::vector<std::uint64_t> CheckpointStore::plan_retained(
     bool have_anchor = false;
     for (std::size_t i = 0; i < window_first; ++i) {
       if (!have_anchor || entries[i].step >= last_kept_step + spacing) {
-        keep_with_chain(manifest, entries[i].id, keep);
+        insert_with_chain(manifest, entries[i].id, keep);
         last_kept_step = entries[i].step;
         have_anchor = true;
       }
@@ -160,7 +147,7 @@ std::vector<std::uint64_t> CheckpointStore::plan_retained(
   //    its chain are sacrosanct.
   if (policy_.byte_budget > 0) {
     std::set<std::uint64_t> sacrosanct;
-    keep_with_chain(manifest, entries.back().id, sacrosanct);
+    insert_with_chain(manifest, entries.back().id, sacrosanct);
 
     std::uint64_t total = 0;
     for (const std::uint64_t id : keep) {

@@ -1,7 +1,6 @@
 #include "ckpt/wal.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -9,6 +8,7 @@
 #include "codec/xor_delta.hpp"
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
+#include "util/strings.hpp"
 
 namespace qnn::ckpt {
 
@@ -163,27 +163,11 @@ std::optional<WalScan> walk_wal(io::Env& env, const std::string& dir,
 }  // namespace
 
 std::string wal_file_name(std::uint64_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%010llu.qwal",
-                static_cast<unsigned long long>(epoch));
-  return buf;
+  return util::numbered_name("wal-", epoch, ".qwal");
 }
 
 std::optional<std::uint64_t> parse_wal_file_name(const std::string& name) {
-  // "wal-" + 10 digits + ".qwal" = 19 chars.
-  if (name.size() != 19 || name.rfind("wal-", 0) != 0 ||
-      name.compare(14, 5, ".qwal") != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t epoch = 0;
-  for (std::size_t i = 4; i < 14; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-    epoch = epoch * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return epoch;
+  return util::parse_numbered_name(name, "wal-", ".qwal");
 }
 
 std::optional<WalScan> scan_wal(io::Env& env, const std::string& dir,

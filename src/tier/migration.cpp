@@ -39,21 +39,6 @@ std::vector<std::string> migratable_files(io::Env& tier_env,
   return migratable_files(tier_env, dir, tier_env.list_dir(dir));
 }
 
-/// Inserts `id` and its ancestor chain into `set` (same closure rule as
-/// the retention planner: pinning a delta pins everything it resolves
-/// through).
-void pin_with_chain(const ckpt::Manifest& manifest, std::uint64_t id,
-                    std::set<std::uint64_t>& set) {
-  while (id != 0 && !set.contains(id)) {
-    set.insert(id);
-    const ckpt::ManifestEntry* e = manifest.find(id);
-    if (e == nullptr) {
-      break;
-    }
-    id = e->parent_id;
-  }
-}
-
 }  // namespace
 
 bool migratable_path(const std::string& path) {
@@ -119,7 +104,7 @@ std::vector<MigrationEngine::Unit> MigrationEngine::plan_demotions(
   const std::size_t n = entries.size();
   const std::size_t window = std::max<std::size_t>(1, policy_.pin_hot_last);
   for (std::size_t i = n > window ? n - window : 0; i < n; ++i) {
-    pin_with_chain(manifest, entries[i].id, pinned);
+    ckpt::insert_with_chain(manifest, entries[i].id, pinned);
   }
 
   // Candidates: entries outside the pinned set whose file is hot now.

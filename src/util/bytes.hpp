@@ -16,13 +16,15 @@ namespace qnn::util {
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
 
-/// Appends `v` to `out` as `sizeof(T)` little-endian bytes.
+/// Appends `v` to `out` as `sizeof(T)` little-endian bytes. Grows `out`
+/// and copies into the new tail: GCC's -Wstringop-overflow misreads a
+/// vector insert once it is inlined into a serializer.
 template <typename T>
 inline void put_le(Bytes& out, T v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  std::uint8_t tmp[sizeof(T)];
-  std::memcpy(tmp, &v, sizeof(T));
-  out.insert(out.end(), tmp, tmp + sizeof(T));
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
 /// Reads `sizeof(T)` little-endian bytes at `offset`; advances `offset`.
@@ -79,8 +81,11 @@ template <typename T>
 inline void put_vector(Bytes& out, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   put_le<std::uint64_t>(out, v.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-  out.insert(out.end(), p, p + v.size() * sizeof(T));
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * sizeof(T));
+  if (!v.empty()) {  // empty vectors may have a null data() — UB for memcpy
+    std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
+  }
 }
 
 /// Reads a vector written by put_vector.

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,8 +66,34 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
   return out;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
+bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string numbered_name(std::string_view prefix, std::uint64_t n,
+                          std::string_view suffix) {
+  char digits[24];
+  std::snprintf(digits, sizeof(digits), "%010llu",
+                static_cast<unsigned long long>(n));
+  return std::string(prefix).append(digits).append(suffix);
+}
+
+std::optional<std::uint64_t> parse_numbered_name(std::string_view name,
+                                                 std::string_view prefix,
+                                                 std::string_view suffix) {
+  constexpr std::size_t kDigits = 10;
+  if (name.size() != prefix.size() + kDigits + suffix.size() ||
+      !starts_with(name, prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  std::uint64_t n = 0;
+  for (const char c : name.substr(prefix.size(), kDigits)) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    n = n * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return n;
 }
 
 std::string human_bytes(std::uint64_t bytes) {

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qnn::util {
@@ -22,7 +24,18 @@ std::string to_hex(std::span<const std::uint8_t> data);
 std::vector<std::uint8_t> from_hex(const std::string& hex);
 
 /// True when `s` starts with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
+bool starts_with(std::string_view s, std::string_view prefix);
+
+/// `prefix`, then `n` as 10 zero-padded digits, then `suffix`: the
+/// numbered file names of a checkpoint directory ("ckpt-0000000042.qckp").
+std::string numbered_name(std::string_view prefix, std::uint64_t n,
+                          std::string_view suffix);
+
+/// numbered_name's inverse: the number, or nullopt unless `name` is
+/// exactly `prefix`, 10 digits and `suffix`.
+std::optional<std::uint64_t> parse_numbered_name(std::string_view name,
+                                                 std::string_view prefix,
+                                                 std::string_view suffix);
 
 /// Formats a byte count with binary units ("1.5 MiB").
 std::string human_bytes(std::uint64_t bytes);

@@ -1241,6 +1241,45 @@ TEST(GoldenFixture, V3ExternFileStillDecodesByteExact) {
   expect_equal_files(golden_file(true), back);
 }
 
+/// Runs `read`; a CorruptCheckpoint is an accepted answer, any other
+/// exception a failure. Returns whether `read` returned.
+template <typename Read>
+bool returns_or_rejects(const Read& read, const std::string& what) {
+  try {
+    read();
+    return true;
+  } catch (const CorruptCheckpoint&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw other than CorruptCheckpoint: "
+                  << e.what();
+  }
+  return false;
+}
+
+/// Every container reader on one damaged file. The three strict ones
+/// must reject it with CorruptCheckpoint. The two ranged ones skip the
+/// footer CRC64, so they may answer, but may throw nothing else, and the
+/// ranged refs may only omit references (a sub-multiset of `intact`,
+/// sorted), never invent them.
+void expect_readers_reject(const Bytes& damaged, const DecodeOptions& decode,
+                           const std::vector<ChunkKey>& intact,
+                           const std::string& what) {
+  EXPECT_THROW(decode_checkpoint(damaged, decode), CorruptCheckpoint) << what;
+  EXPECT_THROW(decode_checkpoint_header(damaged), CorruptCheckpoint) << what;
+  EXPECT_THROW(list_chunk_refs(ByteSpan(damaged)), CorruptCheckpoint) << what;
+  io::MemEnv env;
+  env.write_file_atomic("f", damaged);
+  returns_or_rejects([&] { (void)read_checkpoint_index(env, "f"); },
+                     what + " read_checkpoint_index");
+  std::vector<ChunkKey> refs;
+  if (returns_or_rejects([&] { refs = list_chunk_refs(env, "f"); },
+                         what + " ranged list_chunk_refs")) {
+    std::ranges::sort(refs);
+    EXPECT_TRUE(std::ranges::includes(intact, refs))
+        << what << ": ranged list_chunk_refs invented a reference";
+  }
+}
+
 TEST(GoldenFixture, CorruptingAnyV3FixtureByteIsDetected) {
   MapChunkStore store;
   EncodeOptions options;
@@ -1249,11 +1288,28 @@ TEST(GoldenFixture, CorruptingAnyV3FixtureByteIsDetected) {
   (void)encode_checkpoint(golden_file(true), options);
   const Bytes blob = from_hex(kFixtureV3);
   const DecodeOptions decode{.source = &store};
-  for (std::size_t i = 0; i < blob.size(); ++i) {
+  std::vector<ChunkKey> intact = list_chunk_refs(ByteSpan(blob));
+  ASSERT_EQ(intact.size(), 4u);
+  std::ranges::sort(intact);
+  for (std::size_t bit = 0; bit < blob.size() * 8; ++bit) {
     Bytes damaged = blob;
-    damaged[i] ^= 0x01;
-    EXPECT_THROW(decode_checkpoint(damaged, decode), CorruptCheckpoint)
-        << "byte " << i << " flip went undetected";
+    damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_readers_reject(damaged, decode, intact,
+                          "bit " + std::to_string(bit) + " flipped");
+  }
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    expect_readers_reject(Bytes(blob.begin(), blob.begin() + cut), decode,
+                          intact, "cut to " + std::to_string(cut) + " B");
+  }
+  // Too short for a header, yet sealed by a footer whose CRC64 verifies:
+  // the frame's size check, not a bounds check deep in a reader, must
+  // reject it.
+  for (std::size_t head = 4; head < 44; ++head) {
+    Bytes sealed(blob.begin(), blob.begin() + head);
+    util::put_le<std::uint64_t>(sealed, util::crc64(sealed));
+    sealed.insert(sealed.end(), {'P', 'K', 'C', 'Q'});
+    expect_readers_reject(sealed, decode, intact,
+                          std::to_string(sealed.size()) + " B sealed file");
   }
 }
 
@@ -1315,6 +1371,47 @@ TEST(GoldenFixture, CorruptingAnyFixtureByteIsDetected) {
       damaged[i] ^= 0x01;
       EXPECT_THROW(decode_checkpoint(damaged), CorruptCheckpoint)
           << "byte " << i << " flip went undetected";
+    }
+  }
+}
+
+TEST(Salvage, EveryTruncationKeepsTheHeaderAndLeadingSections) {
+  // Extern sections first and third, inline ones between and after.
+  CheckpointFile f = golden_file(false);
+  f.sections.insert(f.sections.begin(),
+                    Section{.kind = SectionKind::kSimulator,
+                            .codec = codec::CodecId::kLz,
+                            .flags = 0,
+                            .payload = byte_pattern(200, 11, 2)});
+  f.sections.insert(f.sections.begin() + 2,
+                    Section{.kind = SectionKind::kLossHistory,
+                            .codec = codec::CodecId::kRaw,
+                            .flags = 0,
+                            .payload = byte_pattern(150, 5, 9)});
+  MapChunkStore store;
+  const Bytes blob = encode_checkpoint(f, extern_options(store, 64));
+  ASSERT_EQ(list_chunk_refs(ByteSpan(blob)).size(), 7u);
+  const DecodeOptions decode{.source = &store};
+  const CheckpointFile intact = decode_checkpoint(blob, decode);
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    const auto result =
+        salvage_checkpoint(ByteSpan(blob).first(cut), decode);
+    EXPECT_FALSE(result.fully_intact) << "cut " << cut;
+    if (cut < 44) {  // magic + fixed header
+      EXPECT_FALSE(result.file.has_value()) << "cut " << cut;
+      continue;
+    }
+    ASSERT_TRUE(result.file.has_value()) << "cut " << cut;
+    EXPECT_EQ(result.file->checkpoint_id, intact.checkpoint_id);
+    EXPECT_EQ(result.file->parent_id, intact.parent_id);
+    EXPECT_EQ(result.file->step, intact.step);
+    EXPECT_EQ(result.file->time_us, intact.time_us);
+    const auto& got = result.file->sections;
+    ASSERT_LE(got.size(), intact.sections.size()) << "cut " << cut;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].kind, intact.sections[i].kind) << "cut " << cut;
+      EXPECT_EQ(got[i].flags, intact.sections[i].flags) << "cut " << cut;
+      EXPECT_EQ(got[i].payload, intact.sections[i].payload) << "cut " << cut;
     }
   }
 }

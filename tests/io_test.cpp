@@ -429,7 +429,7 @@ TEST(FaultEnv, DeterministicGivenSeed) {
   spec.bit_flip_prob = 0.5;
   FaultEnv env1(base1, spec, 77), env2(base2, spec, 77);
   for (int i = 0; i < 20; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     env1.write_file(name, Bytes(32, 0x11));
     env2.write_file(name, Bytes(32, 0x11));
     ASSERT_EQ(*base1.read_file(name), *base2.read_file(name)) << name;

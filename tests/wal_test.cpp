@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
+#include "ckpt/manifest.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
 #include "ckpt/store.hpp"
@@ -225,6 +227,17 @@ TEST(WalFile, NameRoundTrip) {
   EXPECT_FALSE(parse_wal_file_name("wal-00000000xx.qwal").has_value());
   EXPECT_FALSE(parse_wal_file_name("ckpt-0000000042.qckp").has_value());
   EXPECT_FALSE(parse_wal_file_name("wal-0000000042.qckp").has_value());
+  // The checkpoint and packfile names share the one numbered-name codec.
+  EXPECT_EQ(checkpoint_file_name(42), "ckpt-0000000042.qckp");
+  EXPECT_EQ(parse_checkpoint_file_name("ckpt-0000000042.qckp").value(), 42u);
+  EXPECT_FALSE(parse_checkpoint_file_name("ckpt-42.qckp").has_value());
+  EXPECT_FALSE(parse_checkpoint_file_name("ckpt-00000000xx.qckp").has_value());
+  EXPECT_FALSE(parse_checkpoint_file_name("ckpt-0000000042.qpak").has_value());
+  EXPECT_EQ(pack_file_name(42), "pack-0000000042.qpak");
+  EXPECT_EQ(parse_pack_file_name("pack-0000000042.qpak").value(), 42u);
+  EXPECT_FALSE(parse_pack_file_name("pack-42.qpak").has_value());
+  EXPECT_FALSE(parse_pack_file_name("pack-00000000xx.qpak").has_value());
+  EXPECT_FALSE(parse_pack_file_name("pack-0000000042.qckp").has_value());
 }
 
 // ---------- writer / scan / replay round trip ----------
