@@ -71,16 +71,6 @@ class RebaseEnv final : public qnn::io::ForwardingEnv {
       const std::string& path) override {
     return base_.open_ranged(rebased(path));
   }
-  void write_file_atomic(const std::string& path,
-                         qnn::io::ByteSpan data) override {
-    base_.write_file_atomic(rebased(path), data);
-  }
-  void write_file(const std::string& path, qnn::io::ByteSpan data) override {
-    base_.write_file(rebased(path), data);
-  }
-  std::optional<qnn::io::Bytes> read_file(const std::string& path) override {
-    return base_.read_file(rebased(path));
-  }
   bool exists(const std::string& path) override {
     return base_.exists(rebased(path));
   }

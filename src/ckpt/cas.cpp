@@ -956,18 +956,16 @@ void ChunkStore::rebuild_refs_locked() {
   bool complete = true;
   for (const std::uint64_t id : ids) {
     // A refcount baseline comes only from bytes trusted end to end: each
-    // file is read whole and its footer CRC64 verified, unlike the
-    // leak-biased ranged key-table reads the GC and the migration
-    // planner use per file. open_ranged reads it where it lies: a tiered
-    // read_file would promote every demoted container at every open.
-    const auto file = env_.open_ranged(dir_ + "/" + checkpoint_file_name(id));
-    if (!file) {
+    // file is read whole, where it lies, and its footer CRC64 verified,
+    // unlike the leak-biased ranged key-table reads the GC and the
+    // migration planner use per file.
+    const auto data = env_.read_file(dir_ + "/" + checkpoint_file_name(id));
+    if (!data) {
       complete = false;
       continue;
     }
-    const Bytes data = file->pread(0, file->size());
     try {
-      for (const ChunkKey& key : list_chunk_refs(data)) {
+      for (const ChunkKey& key : list_chunk_refs(*data)) {
         ++index_[key].refs;
       }
     } catch (const std::exception&) {

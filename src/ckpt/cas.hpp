@@ -247,12 +247,8 @@ class ChunkStore : public ChunkSource {
   [[nodiscard]] std::vector<std::string> pack_names();
 
   /// Keys of every record in packfile `name` (empty when not indexed).
-  /// The tier migration engine uses this to decide when a packfile is
-  /// fully cold (no hot checkpoint references any of its chunks).
+  /// Tests read it to check what a pack holds.
   [[nodiscard]] std::vector<ChunkKey> pack_keys(const std::string& name);
-
-  /// Directory packfiles live in (<checkpoint dir>/chunks).
-  [[nodiscard]] const std::string& chunk_dir() const { return chunk_dir_; }
 
   /// Forces the lazy open (packfile scan + refcount rebuild) now.
   void open();

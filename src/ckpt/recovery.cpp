@@ -57,17 +57,21 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
 /// (the directory's chunk store, shared across candidates so its
 /// packfile scan happens once per recovery); a missing or corrupt chunk
 /// throws like any other damage, so callers fall back to older
-/// candidates instead of accepting it.
+/// candidates instead of accepting it. On a TieredEnv each container is
+/// read with read_promoting(), as the chunk store promotes the packs a
+/// read needs.
 SectionPayloads resolve_chain(io::Env& env, const std::string& dir,
                               std::uint64_t id, ChunkSource* source,
                               std::size_t* depth_out = nullptr) {
+  auto* tiered = dynamic_cast<tier::TieredEnv*>(&env);
   std::vector<Bytes> chain;  // raw containers, leaf -> root
   for (std::uint64_t cur = id; cur != 0;) {
     if (chain.size() >= kMaxChain) {
       throw CorruptCheckpoint("incremental chain too long or cyclic");
     }
     const std::string name = checkpoint_file_name(cur);
-    auto data = env.read_file(dir + "/" + name);
+    const std::string path = dir + "/" + name;
+    auto data = tiered ? tiered->read_promoting(path) : env.read_file(path);
     if (!data) {
       throw CorruptCheckpoint("file missing: " + name);
     }

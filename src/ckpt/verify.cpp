@@ -77,8 +77,9 @@ std::string DirectoryReport::summary() const {
 }
 
 DirectoryReport verify_directory(io::Env& target, const std::string& dir) {
-  // A scrub moves nothing. A TieredEnv may promote every cold object it
-  // reads, so scrub through a non-promoting view of the same two tiers.
+  // A scrub moves nothing. Through a promoting TieredEnv the chain walk
+  // and the chunk store promote the cold objects they read, so scrub
+  // through a non-promoting view of the same two tiers.
   auto* tiered = dynamic_cast<tier::TieredEnv*>(&target);
   std::optional<tier::TieredEnv> view;
   if (tiered != nullptr) {

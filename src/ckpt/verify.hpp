@@ -73,9 +73,10 @@ struct DirectoryReport {
 
 /// Scrubs `dir` (read-only; never modifies anything). On a
 /// tier::TieredEnv it reads through a non-promoting TieredEnv over the
-/// same hot() and cold(), whatever the caller's promote_on_read: no
-/// object changes tier, and the reads count on that view and on the
-/// tiers' own Envs, not on the caller's TieredEnv.
+/// same hot() and cold(), whatever the caller's promote_on_read, since
+/// the chain walk and the chunk store promote what they read through a
+/// promoting one: no object changes tier, and the reads count on that
+/// view and on the tiers' own Envs, not on the caller's TieredEnv.
 DirectoryReport verify_directory(io::Env& target, const std::string& dir);
 
 }  // namespace qnn::ckpt

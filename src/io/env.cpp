@@ -61,7 +61,7 @@ void fsync_path(const std::string& path) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Whole-buffer wrappers (the historical contract, now one-shot streams)
+// Whole-buffer helpers: one-shot streams over the handles
 // ---------------------------------------------------------------------------
 
 void Env::write_file_atomic(const std::string& path, ByteSpan data) {

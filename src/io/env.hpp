@@ -17,11 +17,10 @@
 //     which is what makes read amplification a measurable quantity;
 //   * exists / remove_file / list_dir / file_size metadata ops.
 //
-// The historical whole-buffer calls (write_file_atomic, write_file,
-// read_file) survive only as thin wrappers over the handles: one open,
-// one append/pread, one close. Decorators may still override them where
-// whole-buffer semantics genuinely differ (e.g. TieredEnv's read-through
-// promotion); everything else inherits the wrappers.
+// The whole-buffer calls (write_file_atomic, write_file, read_file) are
+// not part of the contract: each is one non-virtual helper over the
+// handles (one open, one append/pread, one close), so a decorator that
+// intercepts the handles intercepts them too, and none can override them.
 #pragma once
 
 #include <atomic>
@@ -105,16 +104,16 @@ class Env {
       const std::string& path) = 0;
 
   /// Atomically installs `data` at `path` (all-or-nothing even across a
-  /// crash). Thin wrapper: new_writable(kAtomic) + append + close.
-  virtual void write_file_atomic(const std::string& path, ByteSpan data);
+  /// crash): new_writable(kAtomic) + append + close.
+  void write_file_atomic(const std::string& path, ByteSpan data);
 
   /// Plain, non-atomic overwrite. A crash mid-call may leave a torn
-  /// file. Thin wrapper: new_writable(kPlain) + append + close.
-  virtual void write_file(const std::string& path, ByteSpan data);
+  /// file: new_writable(kPlain) + append + close.
+  void write_file(const std::string& path, ByteSpan data);
 
-  /// Reads the whole file, or std::nullopt when it does not exist.
-  /// Thin wrapper: open_ranged + one full-size pread.
-  virtual std::optional<Bytes> read_file(const std::string& path);
+  /// Reads the whole file, or std::nullopt when it does not exist:
+  /// open_ranged + one full-size pread.
+  std::optional<Bytes> read_file(const std::string& path);
 
   virtual bool exists(const std::string& path) = 0;
 
@@ -144,14 +143,6 @@ class Env {
 /// Decorator base: forwards the handle and metadata contract to `base`.
 /// Test and tool decorators (fail-injection, clocks, path rebasing)
 /// derive from this and override only the operations they care about.
-/// The whole-buffer wrappers are deliberately NOT pinned to `base` —
-/// they stay the Env defaults, dispatching virtually through
-/// new_writable/open_ranged, so a subclass that intercepts the handle
-/// methods automatically intercepts every whole-buffer call too (a
-/// base-pinned forward would silently bypass such overrides). A
-/// decorator wrapping an env whose whole-buffer methods carry extra
-/// semantics (TieredEnv's read-through promotion) must forward those
-/// explicitly, as RebaseEnv does.
 class ForwardingEnv : public Env {
  public:
   explicit ForwardingEnv(Env& base) : base_(base) {}

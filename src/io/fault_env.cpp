@@ -30,8 +30,7 @@ void FaultEnv::faulty_write(const std::string& path, ByteSpan data) {
 }
 
 /// Buffers the stream and applies the fault roll to the concatenated
-/// payload at close — one deterministic fault decision per file, exactly
-/// like the historical whole-buffer write path.
+/// payload at close — one deterministic fault decision per file.
 class FaultWritableFile final : public WritableFile {
  public:
   FaultWritableFile(FaultEnv& env, std::string path) noexcept
@@ -55,18 +54,6 @@ std::unique_ptr<WritableFile> FaultEnv::new_writable(const std::string& path,
     return base_.new_writable(path, mode);
   }
   return std::make_unique<FaultWritableFile>(*this, path);
-}
-
-void FaultEnv::write_file_atomic(const std::string& path, ByteSpan data) {
-  if (spec_.fault_atomic_writes) {
-    faulty_write(path, data);
-    return;
-  }
-  base_.write_file_atomic(path, data);
-}
-
-void FaultEnv::write_file(const std::string& path, ByteSpan data) {
-  faulty_write(path, data);
 }
 
 // ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ struct WriteCrash : std::runtime_error {
 
 /// Decorator around a base Env that injects FaultSpec faults on writes.
 /// Streamed writes buffer their appends and draw the fault for the whole
-/// stream at close (one fault decision per file, exactly like the
-/// historical whole-buffer path). Reads pass through untouched.
+/// stream at close: one fault decision per file. Reads pass through
+/// untouched.
 class FaultEnv final : public ForwardingEnv {
  public:
   FaultEnv(Env& base, FaultSpec spec, std::uint64_t seed = 42)
@@ -54,8 +54,6 @@ class FaultEnv final : public ForwardingEnv {
 
   std::unique_ptr<WritableFile> new_writable(const std::string& path,
                                              WriteMode mode) override;
-  void write_file_atomic(const std::string& path, ByteSpan data) override;
-  void write_file(const std::string& path, ByteSpan data) override;
 
   /// Counters for test assertions.
   [[nodiscard]] std::uint64_t faults_injected() const {
@@ -84,10 +82,10 @@ class FaultEnv final : public ForwardingEnv {
 // ---------------------------------------------------------------------------
 
 /// When and how a scheduled crash fires. Mutating operations are
-/// plain-stream appends (write_file = one append), atomic-stream closes
-/// (write_file_atomic = one close) and remove_file; reads, syncs and
-/// atomic staging appends never mutate durable state and are not
-/// counted.
+/// plain-stream appends, atomic-stream closes and remove_file (the
+/// whole-buffer helpers are one-append streams: write_file is one plain
+/// append, write_file_atomic one atomic close); reads, syncs and atomic
+/// staging appends are not counted.
 struct CrashPlan {
   /// 1-based index of the mutating op to crash at; 0 = never crash.
   std::uint64_t crash_at_op = 0;

@@ -150,11 +150,6 @@ std::uint64_t MemEnv::bytes_read() const {
   return bytes_read_;
 }
 
-std::size_t MemEnv::file_count() const {
-  std::lock_guard lock(mu_);
-  return files_.size();
-}
-
 bool MemEnv::flip_bit(const std::string& path, std::uint64_t bit_index) {
   std::lock_guard lock(mu_);
   const auto it = files_.find(path);

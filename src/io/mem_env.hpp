@@ -26,9 +26,6 @@ class MemEnv final : public Env {
   [[nodiscard]] std::uint64_t bytes_written() const override;
   [[nodiscard]] std::uint64_t bytes_read() const override;
 
-  /// Number of files currently stored (test helper).
-  [[nodiscard]] std::size_t file_count() const;
-
   /// Directly corrupts a stored file (test helper): flips the bit at
   /// `bit_index` (modulo file size in bits). Returns false when absent or
   /// empty.

@@ -109,29 +109,6 @@ std::unique_ptr<io::RandomAccessFile> ObservedEnv::open_ranged(
   return std::make_unique<ObservedRandomAccessFile>(std::move(base), *this);
 }
 
-void ObservedEnv::write_file_atomic(const std::string& path,
-                                    io::ByteSpan data) {
-  // Forwarded explicitly (not through our own handles): a base whose
-  // whole-buffer write carries extra semantics must keep them. Charged
-  // as one install op either way.
-  util::Timer t;
-  base_.write_file_atomic(path, data);
-  charge(install_, data.size(), t.seconds());
-}
-
-void ObservedEnv::write_file(const std::string& path, io::ByteSpan data) {
-  util::Timer t;
-  base_.write_file(path, data);
-  charge(append_, data.size(), t.seconds());
-}
-
-std::optional<io::Bytes> ObservedEnv::read_file(const std::string& path) {
-  util::Timer t;
-  auto out = base_.read_file(path);
-  charge(pread_, out ? out->size() : 0, t.seconds());
-  return out;
-}
-
 bool ObservedEnv::exists(const std::string& path) {
   util::Timer t;
   const bool out = base_.exists(path);

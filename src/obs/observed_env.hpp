@@ -14,12 +14,13 @@
 //   remove   one file removal
 //   meta     one metadata round trip (exists / file_size / list_dir)
 //
-// It is a pure decorator — mount it over any of the Envs (Posix, Mem,
-// Fault, CrashSchedule, Prefix, Tiered, Shaped), or one per tier
-// UNDER a TieredEnv to split hot-device from cold-device telemetry. The
-// whole-buffer convenience calls are forwarded to the base explicitly
-// (charged as install/pread), so bases whose whole-buffer methods carry
-// extra semantics (TieredEnv's read-through promotion) keep them.
+// It is a pure decorator — mount it over any Env, or one per tier UNDER
+// a TieredEnv to split hot-device from cold-device telemetry. The
+// whole-buffer helpers run through its handles like every other write
+// and read: write_file_atomic charges one append and one install.
+// Mounted OVER a TieredEnv it hides the tier: recovery's chain walk and
+// the chunk store find no TieredEnv behind it, so nothing is promoted
+// read-through.
 //
 // Latencies are wall time (util::Timer): this decorator measures real
 // device behaviour; deterministic modeled costs stay ShapedEnv's job.
@@ -45,9 +46,6 @@ class ObservedEnv final : public io::ForwardingEnv {
                                                  io::WriteMode mode) override;
   std::unique_ptr<io::RandomAccessFile> open_ranged(
       const std::string& path) override;
-  void write_file_atomic(const std::string& path, io::ByteSpan data) override;
-  void write_file(const std::string& path, io::ByteSpan data) override;
-  std::optional<io::Bytes> read_file(const std::string& path) override;
   bool exists(const std::string& path) override;
   void remove_file(const std::string& path) override;
   std::vector<std::string> list_dir(const std::string& dir) override;

@@ -5,18 +5,6 @@
 
 namespace qnn::qnn {
 
-std::string gradient_method_name(GradientMethod m) {
-  switch (m) {
-    case GradientMethod::kParamShift:
-      return "param-shift";
-    case GradientMethod::kFiniteDiff:
-      return "finite-diff";
-    case GradientMethod::kSpsa:
-      return "spsa";
-  }
-  return "unknown";
-}
-
 std::size_t gradient_evaluations(GradientMethod method,
                                  std::size_t num_params) {
   switch (method) {

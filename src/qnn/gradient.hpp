@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -24,8 +23,6 @@ enum class GradientMethod : std::uint8_t {
   kFiniteDiff = 1,
   kSpsa = 2,
 };
-
-std::string gradient_method_name(GradientMethod m);
 
 /// A bound loss evaluation: params -> scalar loss.
 using LossFn = std::function<double(std::span<const double>)>;

@@ -68,8 +68,6 @@ class MomentumOptimizer final : public Optimizer {
     return sizeof(double) * (2 + velocity_.size());
   }
 
-  [[nodiscard]] std::span<const double> velocity() const { return velocity_; }
-
  private:
   double lr_;
   double momentum_;
@@ -93,7 +91,6 @@ class AdamOptimizer final : public Optimizer {
 
   [[nodiscard]] std::uint64_t steps_taken() const { return t_; }
   [[nodiscard]] std::span<const double> first_moment() const { return m_; }
-  [[nodiscard]] std::span<const double> second_moment() const { return v_; }
 
  private:
   double lr_, beta1_, beta2_, eps_;

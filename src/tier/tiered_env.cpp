@@ -112,7 +112,8 @@ std::unique_ptr<io::RandomAccessFile> TieredEnv::open_ranged(
   return std::make_unique<ColdRandomAccessFile>(*this, std::move(file));
 }
 
-std::optional<util::Bytes> TieredEnv::read_file(const std::string& path) {
+std::optional<util::Bytes> TieredEnv::read_promoting(
+    const std::string& path) {
   if (auto data = hot_.read_file(path)) {
     bytes_read_ += data->size();
     return data;

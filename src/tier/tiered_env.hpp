@@ -2,28 +2,29 @@
 //
 // TieredEnv composes two Envs behind the ordinary storage contract so
 // every existing consumer (Checkpointer, ChunkStore, recovery, verify,
-// the inspector) becomes tier-aware without code changes:
+// the inspector) reads and writes both tiers as one:
 //
-//   * writes (streamed or whole-buffer) land in the hot tier (new data
-//     is hot by definition); a stale cold copy of the same path is
-//     scrubbed after the stream closes, so an overwrite can never
-//     resurrect old bytes through the cold tier;
+//   * writes land in the hot tier (new data is hot by definition); a
+//     stale cold copy of the same path is scrubbed after the stream
+//     closes, so an overwrite can never resurrect old bytes through the
+//     cold tier;
 //   * reads are served hot-first and fall through to the cold tier, so
 //     an object is resolvable as long as EITHER tier holds it — the
 //     invariant the migration engine's copy-before-delete discipline
-//     preserves across crashes. Ranged reads fall through the same way,
-//     and bytes served by the cold tier are counted per range — the
-//     read-amplification signal of resolving a demoted object;
+//     preserves across crashes. Bytes served by the cold tier are
+//     counted per range — the read-amplification signal of resolving a
+//     demoted object;
 //   * removals hit both tiers; listings are the union.
 //
-// With `promote_on_read` a whole-file read satisfied by the cold tier
-// also copies the object back to the hot tier (atomic write, then cold
-// delete — the same durable-copy-before-source-dies order as demotion).
-// Ranged reads never promote implicitly — paying a whole-file transfer
-// for a footer pread would be exactly the read amplification this layer
-// exists to kill; callers that decide an object is worth promoting call
-// promote_file(), which streams the copy without materializing it.
-// Promotion is best effort: a failed promotion write degrades to a
+// Reads never promote by themselves: paying a whole-file transfer for a
+// footer pread would be exactly the read amplification this layer
+// exists to kill. With `promote_on_read` the code that knows what it is
+// reading promotes it: recovery's chain walk reads each container with
+// read_promoting(), which copies a cold-served file back to the hot tier
+// (atomic write, then cold delete — the same durable-copy-before-source-
+// dies order as demotion), and the chunk store calls promote_file() on
+// the pack a read needed, which streams the copy without materializing
+// it. Promotion is best effort: a failed promotion write degrades to a
 // plain cold read instead of failing it.
 //
 // Placement *policy* (what should be cold, when to demote it) lives in
@@ -58,7 +59,6 @@ class TieredEnv final : public io::Env {
                                                  io::WriteMode mode) override;
   std::unique_ptr<io::RandomAccessFile> open_ranged(
       const std::string& path) override;
-  std::optional<Bytes> read_file(const std::string& path) override;
   bool exists(const std::string& path) override;
   void remove_file(const std::string& path) override;
   std::vector<std::string> list_dir(const std::string& dir) override;
@@ -69,6 +69,11 @@ class TieredEnv final : public io::Env {
   [[nodiscard]] std::uint64_t bytes_read() const override {
     return bytes_read_;
   }
+
+  /// read_file(), and with promote_on_read a file the cold tier served
+  /// is promoted: written hot, then removed cold. Counted in
+  /// promoted_files()/promoted_bytes().
+  std::optional<Bytes> read_promoting(const std::string& path);
 
   /// Streaming promotion: copies a cold-resident file to the hot tier
   /// in bounded pieces (atomic hot install, then the cold copy dies —
@@ -85,9 +90,10 @@ class TieredEnv final : public io::Env {
   [[nodiscard]] io::Env& cold() { return cold_; }
   [[nodiscard]] bool promote_on_read() const { return promote_on_read_; }
 
-  /// Reads that fell through to the cold tier (whole-file reads and
-  /// ranged opens — the promotion-cost / recovery-latency signal),
-  /// bytes they transferred, and read-through promotions performed.
+  /// Reads that fell through to the cold tier (ranged opens,
+  /// read_promoting() and promote_file() — the promotion-cost /
+  /// recovery-latency signal), bytes they transferred, and read-through
+  /// promotions performed.
   [[nodiscard]] std::uint64_t cold_reads() const { return cold_reads_; }
   [[nodiscard]] std::uint64_t cold_read_bytes() const {
     return cold_read_bytes_;

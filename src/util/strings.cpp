@@ -66,10 +66,6 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string numbered_name(std::string_view prefix, std::uint64_t n,
                           std::string_view suffix) {
   char digits[24];
@@ -83,7 +79,7 @@ std::optional<std::uint64_t> parse_numbered_name(std::string_view name,
                                                  std::string_view suffix) {
   constexpr std::size_t kDigits = 10;
   if (name.size() != prefix.size() + kDigits + suffix.size() ||
-      !starts_with(name, prefix) || !name.ends_with(suffix)) {
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
     return std::nullopt;
   }
   std::uint64_t n = 0;

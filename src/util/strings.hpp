@@ -23,9 +23,6 @@ std::string to_hex(std::span<const std::uint8_t> data);
 /// non-hex characters.
 std::vector<std::uint8_t> from_hex(const std::string& hex);
 
-/// True when `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
 /// `prefix`, then `n` as 10 zero-padded digits, then `suffix`: the
 /// numbered file names of a checkpoint directory ("ckpt-0000000042.qckp").
 std::string numbered_name(std::string_view prefix, std::uint64_t n,

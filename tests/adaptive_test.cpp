@@ -37,8 +37,8 @@ struct FakeClock {
 
 /// Drives a training cadence: each simulated step costs `step_seconds`;
 /// each checkpoint write is simulated by advancing the clock when a
-/// write stream opens (whole-buffer writes open one stream each, so the
-/// historical one-charge-per-write cadence is preserved).
+/// write stream opens (a whole-buffer write opens one stream, so it is
+/// charged once).
 class ClockedEnv final : public io::ForwardingEnv {
  public:
   ClockedEnv(io::Env& base, FakeClock& clock, double write_seconds)
@@ -48,14 +48,6 @@ class ClockedEnv final : public io::ForwardingEnv {
                                                  io::WriteMode mode) override {
     clock_.now += write_seconds_;
     return base_.new_writable(p, mode);
-  }
-  void write_file_atomic(const std::string& p, io::ByteSpan d) override {
-    clock_.now += write_seconds_;
-    base_.write_file_atomic(p, d);
-  }
-  void write_file(const std::string& p, io::ByteSpan d) override {
-    clock_.now += write_seconds_;
-    base_.write_file(p, d);
   }
 
  private:

@@ -30,8 +30,8 @@
 #include "ckpt/wal.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
-#include "io/prefix_env.hpp"
 #include "qnn/loss.hpp"
+#include "tests/support/prefix_env.hpp"
 #include "tier/tiered_env.hpp"
 
 namespace qnn::ckpt {

@@ -8,9 +8,9 @@
 #include "io/env.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
-#include "io/prefix_env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observed_env.hpp"
+#include "tests/support/prefix_env.hpp"
 #include "tier/shaped_env.hpp"
 #include "tier/tiered_env.hpp"
 

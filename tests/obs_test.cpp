@@ -288,11 +288,17 @@ TEST(ObservedEnv, WholeBufferCallsChargeClasses) {
   MetricsRegistry r;
   ObservedEnv env(mem, r);
   env.write_file_atomic("a", bytes_of("xyz"));
+  // One stream through the handles: one append, then one install.
+  EXPECT_EQ(r.counter("io.append.ops").value(), 1u);
+  EXPECT_EQ(r.counter("io.append.bytes").value(), 3u);
   EXPECT_EQ(r.counter("io.install.ops").value(), 1u);
   EXPECT_EQ(r.counter("io.install.bytes").value(), 3u);
   env.read_file("a");
   EXPECT_EQ(r.counter("io.pread.ops").value(), 1u);
   EXPECT_EQ(r.counter("io.pread.bytes").value(), 3u);
+  // A miss opens no handle, so it reads nothing.
+  EXPECT_FALSE(env.read_file("missing"));
+  EXPECT_EQ(r.counter("io.pread.ops").value(), 1u);
   env.exists("a");
   env.file_size("a");
   env.list_dir("");
@@ -312,6 +318,28 @@ qnn::TrainingState make_state(std::uint64_t step) {
   s.loss_history.assign(step, 0.5);
   s.workload_tag = "obs-test";
   return s;
+}
+
+TEST(ObservedEnv, AppendBytesAreEveryByteACheckpointerWrites) {
+  // Containers and MANIFEST saves alike stream through the handles, so
+  // the append class counts every byte the base env wrote. Keep-all
+  // makes MANIFEST saves most of those bytes.
+  io::MemEnv mem;
+  MetricsRegistry r;
+  ObservedEnv env(mem, r);
+  ckpt::CheckpointPolicy policy;
+  policy.strategy = ckpt::Strategy::kFullState;
+  policy.every_steps = 1;
+  policy.retention.keep_last = 0;
+  {
+    ckpt::Checkpointer ck(env, "cp", policy);
+    for (std::uint64_t step = 1; step <= 40; ++step) {
+      ck.maybe_checkpoint(make_state(step));
+    }
+    EXPECT_EQ(ck.stats().checkpoints, 40u);
+  }
+  EXPECT_GT(mem.bytes_written(), 0u);
+  EXPECT_EQ(r.counter("io.append.bytes").value(), mem.bytes_written());
 }
 
 TEST(FlightRecorder, OrderedEventsForWalReplayAfterCrash) {
@@ -816,34 +844,36 @@ TEST(RegistryAccumulator, ReopenedStoreCountsTheDirectoryOnce) {
 
 TEST(RegistryAccumulator, PeaksStayTheirCheckpointers) {
   // Two async Checkpointers on one registry at once: the gauge holds the
-  // higher peak, each Stats its own.
-  constexpr std::size_t kChunk = 4096;
+  // higher peak, each Stats its own. chunk_bytes is above every section,
+  // so each section is stored inline and encoded one at a time, and each
+  // peak is its checkpoint's largest encoded section: a fixed size, not
+  // a count of chunks some pool thread happened to hold at once.
   io::MemEnv env;
   MetricsRegistry shared;
   ckpt::CheckpointPolicy policy;
   policy.codec = codec::CodecId::kLz;
-  policy.chunk_bytes = kChunk;
+  policy.chunk_bytes = std::size_t{1} << 20;
   policy.async = true;
   policy.metrics = &shared;
   ckpt::Checkpointer large(env, "large", policy);
   ckpt::Checkpointer small(env, "small", policy);
-  // Random params: every 4 KiB chunk is a chunk-store miss, and LZ,
-  // which runs on a chunk this short whatever it saves, cannot shrink it.
+  // 32 KiB of random params: below the codec's sampling probe, so LZ
+  // encodes them whatever it saves, and above every section of the
+  // small state.
   qnn::TrainingState big = make_state(1);
-  big.params.resize(32768);
+  big.params.resize(4096);
   util::Rng rng(7);
   for (double& p : big.params) {
     p = rng.uniform(-1.0, 1.0);
   }
   large.checkpoint_now(big);
   large.flush();
-  small.checkpoint_now(make_state(1));  // inline, well under one chunk
+  small.checkpoint_now(make_state(1));
   small.flush();
   const std::uint64_t large_peak = large.stats().peak_encode_buffer_bytes;
-  // A wave of encoded extern chunks: at least the window's floor of 4.
-  EXPECT_GE(large_peak, 4 * kChunk);
-  EXPECT_GT(small.stats().peak_encode_buffer_bytes, 0u);
-  EXPECT_LT(small.stats().peak_encode_buffer_bytes, kChunk);
+  const std::uint64_t small_peak = small.stats().peak_encode_buffer_bytes;
+  EXPECT_GT(small_peak, 0u);
+  EXPECT_LT(small_peak, large_peak);
   EXPECT_EQ(shared.gauge("ckpt.peak_encode_buffer_bytes").value(),
             static_cast<std::int64_t>(large_peak));
 }

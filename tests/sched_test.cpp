@@ -7,7 +7,7 @@
 #include "fault/preemption.hpp"
 #include "sched/queue_sim.hpp"
 #include "sched/young_daly.hpp"
-#include "util/stats.hpp"
+#include "tests/support/running_stats.hpp"
 
 namespace qnn::sched {
 namespace {

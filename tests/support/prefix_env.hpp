@@ -1,12 +1,11 @@
-// Subtree-mounting Env decorator.
+// Subtree-mounting Env decorator, for tests.
 //
 // PrefixEnv exposes one subtree of a base Env as a standalone Env: every
 // path is rewritten to `<prefix>/<path>` before it reaches the base.
-// The tiering layer composes two PrefixEnvs over ONE physical env (e.g.
+// The tier tests compose two PrefixEnvs over ONE physical env (e.g.
 // "hot/..." and "cold/..." of a single MemEnv) so the crash-schedule
 // harness can count and crash every physical operation of BOTH tiers
-// through a single CrashScheduleEnv; on real deployments it mounts the
-// capacity tier's directory tree (e.g. "cold/") next to the hot one.
+// through a single CrashScheduleEnv.
 #pragma once
 
 #include <atomic>

@@ -13,7 +13,7 @@
 #include "ckpt/store.hpp"
 #include "ckpt/verify.hpp"
 #include "io/mem_env.hpp"
-#include "io/prefix_env.hpp"
+#include "tests/support/prefix_env.hpp"
 #include "tier/migration.hpp"
 #include "tier/shaped_env.hpp"
 #include "tier/tiered_env.hpp"
@@ -222,14 +222,19 @@ TEST(TieredEnv, ScrubFilterSkipsColdOpsForPinnedHotPaths) {
 TEST(TieredEnv, PromoteOnReadMovesObjectHot) {
   TierFixture f(/*promote_on_read=*/true);
   f.cold.write_file_atomic("d/a", bytes_of("payload"));
+  // A plain read serves it cold and leaves it there.
   ASSERT_TRUE(f.env.read_file("d/a"));
+  EXPECT_FALSE(f.hot.exists("d/a"));
+  EXPECT_EQ(f.env.promoted_files(), 0u);
+  ASSERT_TRUE(f.env.read_promoting("d/a"));
   EXPECT_TRUE(f.hot.exists("d/a"));
   EXPECT_FALSE(f.cold.exists("d/a"));
   EXPECT_EQ(f.env.promoted_files(), 1u);
   EXPECT_EQ(f.env.promoted_bytes(), 7u);
-  // Second read is a pure hot hit.
+  // Later reads are pure hot hits.
+  ASSERT_TRUE(f.env.read_promoting("d/a"));
   ASSERT_TRUE(f.env.read_file("d/a"));
-  EXPECT_EQ(f.env.cold_reads(), 1u);
+  EXPECT_EQ(f.env.cold_reads(), 2u);
 }
 
 /// Policy with v3 content-addressing at a tiny chunk size, so packfiles
@@ -517,12 +522,6 @@ class BrokenColdEnv final : public io::ForwardingEnv {
   explicit BrokenColdEnv(io::Env& base) : ForwardingEnv(base) {}
   std::unique_ptr<io::WritableFile> new_writable(const std::string&,
                                                  io::WriteMode) override {
-    throw std::runtime_error("cold tier unavailable");
-  }
-  void write_file_atomic(const std::string&, util::ByteSpan) override {
-    throw std::runtime_error("cold tier unavailable");
-  }
-  void write_file(const std::string&, util::ByteSpan) override {
     throw std::runtime_error("cold tier unavailable");
   }
   [[nodiscard]] std::uint64_t bytes_written() const override { return 0; }

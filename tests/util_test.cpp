@@ -5,10 +5,10 @@
 #include <map>
 #include <set>
 
+#include "tests/support/running_stats.hpp"
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/varint.hpp"
 
@@ -372,11 +372,6 @@ TEST(Strings, HexRoundTrip) {
 TEST(Strings, FromHexRejectsBadInput) {
   EXPECT_THROW(from_hex("abc"), std::invalid_argument);   // odd length
   EXPECT_THROW(from_hex("zz"), std::invalid_argument);    // non-hex
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("checkpoint-12", "checkpoint-"));
-  EXPECT_FALSE(starts_with("ck", "checkpoint-"));
 }
 
 TEST(Strings, HumanBytes) {
